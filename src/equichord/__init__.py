@@ -26,19 +26,7 @@ from .curves import (
     verify_curve_gutkin,
 )
 from .fourier import Harmonic, TrigPolynomial
-from .geometry import (
-    Geodesic,
-    Geometry,
-    ParametricCurve,
-    SurfacePoint,
-    TangentVector,
-    angle_between,
-    circle_curve,
-    distance,
-    geodesic_curvature,
-    geodesic_point,
-    shoot_to_curve,
-)
+from .geometry import Geometry, ParametricCurve, circle_curve, geodesic_curvature, shoot_to_curve
 from .polygons import (
     CirculantSpectrum,
     GutkinPolygon,

@@ -6,10 +6,9 @@ Three families of equations live here:
   ``(k-1) sin((k+1)c) - (k+1) sin((k-1)c) = 0`` (the two differ exactly by
   the factor 2 cos c cos kc, so candidate roots are filtered back through
   the tangent form);
-* the geometry link ``cot c = cos R cot alpha`` (sphere) and
-  ``cot c = cosh R cot alpha`` (hyperbolic plane), together with the
-  constants (c, a) attached to a circle of radius R with contact angle
-  alpha;
+* the geometry link ``cot c = cs(R) cot alpha`` (cos R on the sphere,
+  cosh R on the hyperbolic plane), together with the constants (c, a)
+  attached to a circle of radius R with contact angle alpha;
 * the integer equation tan(kr pi/n) tan(pi/n) = tan(k pi/n) tan(r pi/n),
   evaluated projectively in sines and cosines, with the arithmetic
   characterization k + r = n/2 and n | (k-1)(r-1) as an independent check.
@@ -23,8 +22,8 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import BadRadius, OutOfRange
-from .geometry import Geometry
+from .errors import OutOfRange
+from .geometry import Geometry, _check_radius
 
 __all__ = [
     "AngleSolution",
@@ -105,61 +104,47 @@ def contact_angle_from_c(geometry: Geometry, radius: Optional[float], c: float) 
         raise OutOfRange("c must lie in (0, pi)")
     if geometry is Geometry.EUCLIDEAN:
         return c
-    factor = _radius_factor(geometry, radius)
-    cot_alpha = np.cos(c) / np.sin(c) / factor
+    cs = geometry.kernel.cs(_check_radius(geometry, radius))
+    cot_alpha = np.cos(c) / np.sin(c) / cs
     return float(np.arctan2(1.0, cot_alpha))
-
-
-def _radius_factor(geometry: Geometry, radius: Optional[float]) -> float:
-    if radius is None or radius <= 0:
-        raise BadRadius("radius must be positive")
-    if geometry is Geometry.SPHERICAL:
-        if radius >= np.pi / 2:
-            raise BadRadius("spherical radius must be < pi/2")
-        return float(np.cos(radius))
-    if geometry is Geometry.HYPERBOLIC:
-        return float(np.cosh(radius))
-    return 1.0
 
 
 def lemma_constants(geometry: Geometry, radius: Optional[float], alpha: float) -> tuple[float, float]:
     """(c, a) for a circle of radius R with contact angle alpha.
 
-    c satisfies cot c = cos R cot alpha (cosh R on H2); a is the turning
-    normalization sqrt(cos^2 R + sin^2 alpha sin^2 R) on the sphere and
-    sqrt(cosh^2 R - sin^2 alpha sinh^2 R) on the hyperbolic plane.
+    c satisfies cot c = cs(R) cot alpha; a is the turning normalization
+    sqrt(cs^2 R + K sin^2 alpha sn^2 R), i.e. cos/sin on the sphere (K = 1)
+    and cosh/sinh on the hyperbolic plane (K = -1).
     """
     alpha = float(alpha)
     if not 0.0 < alpha < np.pi:
         raise OutOfRange("alpha must lie in (0, pi)")
     if geometry is Geometry.EUCLIDEAN:
         return alpha, 1.0
-    factor = _radius_factor(geometry, radius)
-    cot_c = factor * np.cos(alpha) / np.sin(alpha)
+    kern = geometry.kernel
+    r = _check_radius(geometry, radius)
+    sn, cs = kern.sn(r), kern.cs(r)
+    cot_c = cs * np.cos(alpha) / np.sin(alpha)
     c = float(np.arctan2(1.0, cot_c))
-    if geometry is Geometry.SPHERICAL:
-        a = float(np.sqrt(np.cos(radius) ** 2 + np.sin(alpha) ** 2 * np.sin(radius) ** 2))
-        # equivalent first form of the same lemma, kept as a self-check
-        first = np.cos(c) / np.sqrt(np.sin(radius) ** 2 * np.cos(c) ** 2 + np.cos(radius) ** 2)
-    else:
-        a = float(np.sqrt(np.cosh(radius) ** 2 - np.sin(alpha) ** 2 * np.sinh(radius) ** 2))
-        first = np.cos(c) / np.sqrt(np.cosh(radius) ** 2 - np.sinh(radius) ** 2 * np.cos(c) ** 2)
-    assert abs(first - np.cos(alpha)) < 1e-12
+    a = float(np.sqrt(cs**2 + kern.K * np.sin(alpha) ** 2 * sn**2))
+    # equivalent first form of the same lemma, kept as a self-check
+    first = np.cos(c) / np.sqrt(cs**2 + kern.K * sn**2 * np.cos(c) ** 2)
+    if not abs(first - np.cos(alpha)) < 1e-12:
+        raise RuntimeError(
+            f"lemma_constants self-check failed: the first form gives cos alpha = {first!r}, "
+            f"expected {np.cos(alpha)!r}"
+        )
     return c, a
 
 
 def f_star(geometry: Geometry, radius: float, alpha: float) -> float:
     """Constant chord-foot distance on a circle: cot f = cot R / sin alpha
     (coth on H2)."""
-    if geometry is Geometry.SPHERICAL:
-        _radius_factor(geometry, radius)
-        cot_f = np.cos(radius) / np.sin(radius) / np.sin(alpha)
-        return float(np.arctan2(1.0, cot_f))
-    if geometry is Geometry.HYPERBOLIC:
-        _radius_factor(geometry, radius)
-        coth_f = np.cosh(radius) / np.sinh(radius) / np.sin(alpha)
-        return float(np.arctanh(1.0 / coth_f))
-    raise OutOfRange("f_star is defined on S2 and H2 only")
+    if geometry is Geometry.EUCLIDEAN:
+        raise OutOfRange("f_star is defined on S2 and H2 only")
+    kern = geometry.kernel
+    r = _check_radius(geometry, radius)
+    return float(kern.arccot(kern.cs(r) / kern.sn(r) / np.sin(alpha)))
 
 
 def solve_angle(k: int, geometry: Geometry = Geometry.EUCLIDEAN,
@@ -167,7 +152,7 @@ def solve_angle(k: int, geometry: Geometry = Geometry.EUCLIDEAN,
     """gutkin_roots plus the geometry-specific contact angles."""
     sols = []
     for c in gutkin_roots(k):
-        alpha = contact_angle_from_c(geometry, radius, c) if geometry is not Geometry.EUCLIDEAN else c
+        alpha = contact_angle_from_c(geometry, radius, c)
         res = abs(float(_polefree(k, c)))
         sols.append(AngleSolution(k=k, geometry=geometry, c=c, alpha=alpha,
                                   residual=res, radius=radius))

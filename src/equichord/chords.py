@@ -5,12 +5,10 @@ geodesic chord length, phi and psi the chord angles at the two ends
 (measured from the forward tangent, so L_x = -cos phi and L_y = cos psi in
 all three geometries).  The second partials use the closed forms
 
-    E2:  L_xy = sin phi sin psi / L
-    S2:  L_xy = sin phi sin psi / sin L     (tan L in L_xx, L_yy)
-    H2:  L_xy = sin phi sin psi / sinh L    (tanh L in L_xx, L_yy)
+    L_xy = sin phi sin psi / sn(L),    L_xx = sin^2 phi / tn(L) - kappa(x) sin phi
 
-with L_xx = sin^2 phi / {L, tan L, tanh L} - kappa(x) sin phi and the
-symmetric expression for L_yy.  The angles are always measured
+with (sn, tn) = (L, L), (sin L, tan L), (sinh L, tanh L) on E2, S2, H2 and
+the symmetric expression for L_yy.  The angles are always measured
 geometrically; the derivative formulas are the object under test, validated
 against central finite differences of the distance function.
 """
@@ -23,7 +21,6 @@ import numpy as np
 
 from .errors import CoincidentPoints
 from .geometry import (
-    Geometry,
     ParametricCurve,
     _chord_tangent_at_arrival,
     _distance_coords,
@@ -107,15 +104,6 @@ class ChordData:
     Lxy: float
 
 
-def _second_partial_factors(geometry: Geometry, L: float) -> tuple[float, float]:
-    """(1/{L, sin L, sinh L}, 1/{L, tan L, tanh L})."""
-    if geometry is Geometry.EUCLIDEAN:
-        return 1.0 / L, 1.0 / L
-    if geometry is Geometry.SPHERICAL:
-        return 1.0 / np.sin(L), 1.0 / np.tan(L)
-    return 1.0 / np.sinh(L), 1.0 / np.tanh(L)
-
-
 def chord_data(curve: ParametricCurve, x: float, y: float,
                arclen: ArcLengthParam | None = None) -> ChordData:
     """Chord record for arc-length parameters x, y on a convex closed curve."""
@@ -133,12 +121,8 @@ def chord_data(curve: ParametricCurve, x: float, y: float,
     L = float(_distance_coords(g, p, q))
 
     # unit chord direction at departure
-    if g is Geometry.EUCLIDEAN:
-        d0 = (q - p) / L
-    elif g is Geometry.SPHERICAL:
-        d0 = (q - p * np.cos(L)) / np.sin(L)
-    else:
-        d0 = (q - p * np.cosh(L)) / np.sinh(L)
+    kern = g.kernel
+    d0 = (q - p * kern.cs(L)) / kern.sn(L)
     d1 = _chord_tangent_at_arrival(g, p, d0, L)
 
     tp = curve.unit_tangent(tx)
@@ -148,7 +132,7 @@ def chord_data(curve: ParametricCurve, x: float, y: float,
 
     kx = geodesic_curvature(curve, tx)
     ky = geodesic_curvature(curve, ty)
-    inv_sin, inv_tan = _second_partial_factors(g, L)
+    inv_sin, inv_tan = 1.0 / kern.sn(L), 1.0 / kern.tn(L)
     return ChordData(
         x=float(x), y=float(y), L=L, phi=phi, psi=psi,
         Lx=-np.cos(phi), Ly=np.cos(psi),

@@ -131,10 +131,7 @@ def domain_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except EquichordError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (EquichordError, OSError, KeyError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
     return wrapper
@@ -166,10 +163,7 @@ def _resolve_alpha(value, geometry: Geometry, radius: float | None) -> float:
         roots = angles.gutkin_roots(k)
         if not roots:
             raise NotAdmissible(f"k tan c = tan kc has no roots for k={k}")
-        c = roots[0]
-        if geometry is Geometry.EUCLIDEAN:
-            return c
-        return angles.contact_angle_from_c(geometry, radius, c)
+        return angles.contact_angle_from_c(geometry, radius, roots[0])
     if value is None:
         raise OutOfRange("an alpha value or 'auto-kN' reference is required")
     return float(value)

@@ -26,14 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import angles
-from .errors import BadRadius, NotAdmissible, NotClosed, NotConvex, OutOfRange
+from .errors import NotAdmissible, NotClosed, NotConvex, OutOfRange
 from .fourier import Harmonic, TrigPolynomial
 from .geometry import (
     Geometry,
     ParametricCurve,
-    _distance_coords,
+    _check_radius,
+    _embed,
     geodesic_curvature,
-    project_to_manifold,
     shoot_to_curve,
 )
 
@@ -152,10 +152,6 @@ def e2_residual_operator(f: TrigPolynomial, alpha: float):
     return residual
 
 
-def _admissibility_residual(k: int, alpha: float) -> float:
-    return abs((k - 1) * np.sin((k + 1) * alpha) - (k + 1) * np.sin((k - 1) * alpha))
-
-
 def gutkin_chord_length_formula(spec: FourierCurveE2, alpha: float, t):
     """Chord length L(t) = 2 sin(a) (c0 + amp cos(k a) cos(kt + phase)).
 
@@ -166,7 +162,7 @@ def gutkin_chord_length_formula(spec: FourierCurveE2, alpha: float, t):
     if len(spec.harmonics) != 1:
         raise OutOfRange("closed-form chord length needs exactly one harmonic")
     h = spec.harmonics[0]
-    if _admissibility_residual(h.k, alpha) > 1e-8:
+    if abs(angles._polefree(h.k, alpha)) > 1e-8:
         raise NotAdmissible(
             f"alpha={alpha} does not satisfy k tan(alpha) = tan(k alpha) for k={h.k}"
         )
@@ -208,76 +204,47 @@ class DeformedCircle:
 
 
 def build_deformed_circle(spec: DeformedCircle) -> ParametricCurve:
-    """Embedded curve (longitude t, radius R + eps g(t)) with analytic derivatives."""
-    g, eps, R = spec.g, spec.epsilon, spec.R
+    """Embedded curve (longitude t, radius R + eps g(t)) with analytic derivatives.
+
+    The radius r(t) enters through S = sn_K and C = cs_K, with S' = C and
+    C' = -K S.
+    """
+    g, eps = spec.g, spec.epsilon
     dg = g.derivative()
     ddg = g.derivative(2)
-    spherical = spec.geometry is Geometry.SPHERICAL
-    if spherical and R >= np.pi / 2:
-        raise BadRadius("spherical radius must be < pi/2")
-    if R <= 0:
-        raise BadRadius("radius must be positive")
-
-    S, C = (np.sin, np.cos) if spherical else (np.sinh, np.cosh)
-    # sign of S'' differs between sin and sinh
-    sgn = -1.0 if spherical else 1.0
+    geo = spec.geometry
+    R = _check_radius(geo, spec.R)
+    S, C, K = geo.kernel.sn, geo.kernel.cs, geo.kernel.K
 
     def _r(t):
         return R + eps * g(t)
 
-    if spherical:
+    def point(t):
+        t = np.asarray(t)
+        r = _r(t)
+        s = S(r)
+        return _embed(geo, s * np.cos(t), s * np.sin(t), C(r))
 
-        def point(t):
-            t = np.asarray(t)
-            r = _r(t)
-            return np.stack([S(r) * np.cos(t), S(r) * np.sin(t), C(r)], axis=-1)
+    def velocity(t):
+        t = np.asarray(t)
+        r, dr = _r(t), eps * dg(t)
+        s, c = S(r), C(r)
+        return _embed(geo,
+                      c * dr * np.cos(t) - s * np.sin(t),
+                      c * dr * np.sin(t) + s * np.cos(t),
+                      -K * s * dr)
 
-        def velocity(t):
-            t = np.asarray(t)
-            r, dr = _r(t), eps * dg(t)
-            return np.stack([
-                C(r) * dr * np.cos(t) - S(r) * np.sin(t),
-                C(r) * dr * np.sin(t) + S(r) * np.cos(t),
-                -S(r) * dr,
-            ], axis=-1)
+    def acceleration(t):
+        t = np.asarray(t)
+        r, dr, ddr = _r(t), eps * dg(t), eps * ddg(t)
+        s, c = S(r), C(r)
+        rad = -K * s * dr**2 + c * ddr
+        return _embed(geo,
+                      rad * np.cos(t) - 2 * c * dr * np.sin(t) - s * np.cos(t),
+                      rad * np.sin(t) + 2 * c * dr * np.cos(t) - s * np.sin(t),
+                      -K * (c * dr**2 + s * ddr))
 
-        def acceleration(t):
-            t = np.asarray(t)
-            r, dr, ddr = _r(t), eps * dg(t), eps * ddg(t)
-            rad = sgn * S(r) * dr**2 + C(r) * ddr
-            return np.stack([
-                rad * np.cos(t) - 2 * C(r) * dr * np.sin(t) - S(r) * np.cos(t),
-                rad * np.sin(t) + 2 * C(r) * dr * np.cos(t) - S(r) * np.sin(t),
-                -C(r) * dr**2 - S(r) * ddr,
-            ], axis=-1)
-
-    else:
-
-        def point(t):
-            t = np.asarray(t)
-            r = _r(t)
-            return np.stack([C(r) * np.ones_like(t), S(r) * np.cos(t), S(r) * np.sin(t)], axis=-1)
-
-        def velocity(t):
-            t = np.asarray(t)
-            r, dr = _r(t), eps * dg(t)
-            return np.stack([
-                S(r) * dr,
-                C(r) * dr * np.cos(t) - S(r) * np.sin(t),
-                C(r) * dr * np.sin(t) + S(r) * np.cos(t),
-            ], axis=-1)
-
-        def acceleration(t):
-            t = np.asarray(t)
-            r, dr, ddr = _r(t), eps * dg(t), eps * ddg(t)
-            rad = S(r) * dr**2 + C(r) * ddr
-            return np.stack([
-                C(r) * dr**2 + S(r) * ddr,
-                rad * np.cos(t) - 2 * C(r) * dr * np.sin(t) - S(r) * np.cos(t),
-                rad * np.sin(t) + 2 * C(r) * dr * np.cos(t) - S(r) * np.sin(t),
-            ], axis=-1)
-
-    curve = ParametricCurve(spec.geometry, point, velocity, acceleration)
+    curve = ParametricCurve(geo, point, velocity, acceleration)
     for t in np.linspace(0.0, 2 * np.pi, 128, endpoint=False):
         if geodesic_curvature(curve, float(t)) <= 0:
             raise NotConvex("deformation too large: curve loses convexity")
@@ -288,12 +255,12 @@ def s2_residual_operator(f: TrigPolynomial, alpha: float, c: float, a: float,
                          geometry: Geometry):
     """Residual of a cot(alpha) (S(f1) - S(f2)) - (f1' + f2').
 
-    f1 = f(t + c), f2 = f(t - c); S is sin on the sphere and sinh on the
-    hyperbolic plane.
+    f1 = f(t + c), f2 = f(t - c); S = sn_K is sin on the sphere and sinh on
+    the hyperbolic plane.
     """
     if geometry is Geometry.EUCLIDEAN:
         raise OutOfRange("nonlinear chord operator is spherical/hyperbolic only")
-    S = np.sin if geometry is Geometry.SPHERICAL else np.sinh
+    S = geometry.kernel.sn
     df = f.derivative()
     cot = np.cos(alpha) / np.sin(alpha)
 
@@ -305,15 +272,14 @@ def s2_residual_operator(f: TrigPolynomial, alpha: float, c: float, a: float,
 
 
 def linearized_coefficient_check(geometry: Geometry, R: float, alpha: float):
-    """(a cot(alpha) {cos|cosh}(f_star), cot c) -- equal for every (R, alpha).
+    """(a cot(alpha) cs(f_star), cot c) -- equal for every (R, alpha).
 
     The equality is what reduces the linearized chord equation to
     k tan c = tan(kc).
     """
     c, a = angles.lemma_constants(geometry, R, alpha)
     fs = angles.f_star(geometry, R, alpha)
-    C = np.cos if geometry is Geometry.SPHERICAL else np.cosh
-    lhs = a * (np.cos(alpha) / np.sin(alpha)) * C(fs)
+    lhs = a * (np.cos(alpha) / np.sin(alpha)) * geometry.kernel.cs(fs)
     rhs = np.cos(c) / np.sin(c)
     return float(lhs), float(rhs)
 

@@ -5,14 +5,6 @@ class EquichordError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class MixedGeometry(EquichordError):
-    """Operands live on different constant-curvature surfaces."""
-
-
-class ZeroVector(EquichordError):
-    """A tangent vector with (numerically) zero norm was supplied."""
-
-
 class BadRadius(EquichordError):
     """Radius outside the admissible range for the given geometry."""
 

@@ -9,42 +9,124 @@ Conventions fixed here and relied on everywhere else:
   interior (convex side) lies to the left of the forward tangent.
 * "Angle with the curve" always means the angle in (0, pi) measured from the
   forward tangent.
+* Everything that differs between the three geometries is one row of the
+  table behind ``Geometry.kernel``; formulas elsewhere are written once in
+  the curvature K through sn_K, cs_K and tn_K.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (
-    BadRadius,
-    DegenerateVelocity,
-    MixedGeometry,
-    NoIntersection,
-    Tangential,
-    ZeroVector,
-)
+from .errors import BadRadius, DegenerateVelocity, NoIntersection, Tangential
 
 __all__ = [
     "Geometry",
-    "SurfacePoint",
-    "TangentVector",
-    "Geodesic",
     "ParametricCurve",
-    "geodesic_point",
-    "distance",
-    "angle_between",
     "circle_curve",
     "geodesic_curvature",
     "shoot_to_curve",
 ]
 
 TWO_PI = 2.0 * np.pi
-_ON_MANIFOLD_TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the per-geometry table
+
+
+def _euclidean_dot(u, v):
+    return (u * v).sum(axis=-1)
+
+
+def _minkowski_dot(u, v):
+    return -u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
+def _euclidean_distance(p, q):
+    d = q - p
+    return np.sqrt((d * d).sum(axis=-1))
+
+
+def _spherical_distance(p, q):
+    cross = np.cross(p, q)
+    return np.arctan2(np.sqrt((cross * cross).sum(axis=-1)), (p * q).sum(axis=-1))
+
+
+def _hyperbolic_distance(p, q):
+    return np.arccosh(np.maximum(-_minkowski_dot(p, q), 1.0))
+
+
+def _hyperbolic_normal(p, unit_t):
+    # Minkowski cross product G (p x T) with G = diag(-1, 1, 1)
+    n = np.cross(p, unit_t) * np.array([-1.0, 1.0, 1.0])
+    return n / np.sqrt(_minkowski_dot(n, n))
+
+
+def _line_side(p, d):
+    def f(q):
+        return d[0] * (q[..., 1] - p[1]) - d[1] * (q[..., 0] - p[0])
+    return f
+
+
+def _plane_side(p, d):
+    # great circle / H2 geodesic = surface cut by the plane span(p, d)
+    n = np.cross(p, d)
+
+    def f(q):
+        return q @ n
+    return f
+
+
+class _Kernel(NamedTuple):
+    """Everything that depends on the geometry, for curvature K = 0, 1, -1.
+
+    ``sn``, ``cs``, ``tn`` are sn_K, cs_K, tn_K: (x, 1, x) on E2, (sin, cos,
+    tan) on S2, (sinh, cosh, tanh) on H2; ``arccot`` inverts 1/tn_K.
+    ``dot`` is the ambient inner product, ``normal(p, T)`` the unit normal on
+    the convex side of a counterclockwise curve, and ``side(p, d)`` a scalar
+    function vanishing exactly on the geodesic through p along d.  ``axes``
+    places (planar x, planar y, pole) in ambient coordinates; E2 has no pole.
+    Each geometry keeps its own expression where a shared one would change
+    the last bit (``np.linalg.norm`` on S2, for instance).
+    """
+
+    K: float
+    sn: Callable
+    cs: Callable
+    tn: Callable
+    arccot: Callable
+    dot: Callable
+    distance: Callable
+    project: Callable
+    normal: Callable
+    side: Callable
+    axes: tuple
+    max_radius: float
+
+
+_KERNELS = {
+    "E2": _Kernel(
+        K=0.0, sn=lambda x: x, cs=np.ones_like, tn=lambda x: x, arccot=lambda x: 1.0 / x,
+        dot=_euclidean_dot, distance=_euclidean_distance, project=lambda x: x,
+        normal=lambda p, t: np.array([-t[1], t[0]]), side=_line_side,
+        axes=(0, 1), max_radius=np.inf),
+    "S2": _Kernel(
+        K=1.0, sn=np.sin, cs=np.cos, tn=np.tan, arccot=lambda x: np.arctan2(1.0, x),
+        dot=_euclidean_dot, distance=_spherical_distance,
+        project=lambda x: x / np.linalg.norm(x), normal=np.cross, side=_plane_side,
+        axes=(0, 1, 2), max_radius=np.pi / 2),
+    "H2": _Kernel(
+        K=-1.0, sn=np.sinh, cs=np.cosh, tn=np.tanh, arccot=lambda x: np.arctanh(1.0 / x),
+        dot=_minkowski_dot, distance=_hyperbolic_distance,
+        project=lambda x: x / np.sqrt(-_minkowski_dot(x, x)), normal=_hyperbolic_normal,
+        side=_plane_side, axes=(2, 0, 1), max_radius=np.inf),
+}
 
 
 class Geometry(enum.Enum):
@@ -52,18 +134,27 @@ class Geometry(enum.Enum):
     SPHERICAL = "S2"
     HYPERBOLIC = "H2"
 
-    @property
-    def ambient_dim(self) -> int:
-        return 2 if self is Geometry.EUCLIDEAN else 3
+    def __init__(self, tag: str):
+        self.kernel = _KERNELS[tag]
+
+
+def _check_radius(geometry: Geometry, radius) -> float:
+    """Circle radius as a float; it must lie in (0, pi/2) on S2, (0, inf) elsewhere."""
+    bound = geometry.kernel.max_radius
+    if radius is None or not 0.0 < radius < bound:
+        raise BadRadius(f"{geometry.value} radius must lie in (0, {bound:g}), got {radius!r}")
+    return float(radius)
+
+
+def _embed(geometry: Geometry, x, y, pole):
+    """Stack planar coordinates and the pole coordinate in ambient order."""
+    cols = (x, y, pole)
+    return np.stack([cols[i] for i in geometry.kernel.axes], axis=-1)
 
 
 def mdot(geometry: Geometry, u, v):
     """Ambient inner product: Euclidean on E2/S2, Minkowski (-,+,+) on H2."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if geometry is Geometry.HYPERBOLIC:
-        return -u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
-    return (u * v).sum(axis=-1)
+    return geometry.kernel.dot(np.asarray(u), np.asarray(v))
 
 
 def mnorm(geometry: Geometry, v):
@@ -72,126 +163,11 @@ def mnorm(geometry: Geometry, v):
 
 def project_to_manifold(geometry: Geometry, coords: np.ndarray) -> np.ndarray:
     """Rescale coords back onto the surface (controls drift in long chains)."""
-    if geometry is Geometry.EUCLIDEAN:
-        return coords
-    if geometry is Geometry.SPHERICAL:
-        return coords / np.linalg.norm(coords)
-    q = -mdot(geometry, coords, coords)
-    return coords / np.sqrt(q)
-
-
-def _manifold_defect(geometry: Geometry, coords: np.ndarray) -> float:
-    if geometry is Geometry.EUCLIDEAN:
-        return 0.0
-    if geometry is Geometry.SPHERICAL:
-        return abs(float(coords @ coords) - 1.0)
-    return abs(float(mdot(geometry, coords, coords)) + 1.0)
-
-
-@dataclass(frozen=True)
-class SurfacePoint:
-    geometry: Geometry
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        object.__setattr__(self, "coords", c)
-        if c.shape != (self.geometry.ambient_dim,):
-            raise ValueError(f"expected {self.geometry.ambient_dim} coordinates, got {c.shape}")
-        if _manifold_defect(self.geometry, c) > _ON_MANIFOLD_TOL:
-            raise ValueError(f"point not on the {self.geometry.value} manifold: {c}")
-        if self.geometry is Geometry.HYPERBOLIC and c[0] <= 0:
-            raise ValueError("H2 point must lie on the upper sheet (x0 > 0)")
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    base: SurfacePoint
-    components: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.components, dtype=float)
-        object.__setattr__(self, "components", v)
-        g = self.base.geometry
-        if v.shape != (g.ambient_dim,):
-            raise ValueError("tangent vector dimension mismatch")
-        if g is not Geometry.EUCLIDEAN:
-            scale = max(1.0, float(np.abs(v).max()))
-            if abs(float(mdot(g, self.base.coords, v))) > _ON_MANIFOLD_TOL * scale:
-                raise ValueError("vector is not tangent to the surface at its base point")
-
-    @property
-    def norm(self) -> float:
-        return float(mnorm(self.base.geometry, self.components))
-
-
-@dataclass(frozen=True)
-class Geodesic:
-    start: SurfacePoint
-    direction: TangentVector
-
-    def __post_init__(self):
-        if self.direction.base is not self.start and not np.allclose(
-            self.direction.base.coords, self.start.coords, atol=1e-12
-        ):
-            raise ValueError("geodesic direction must be based at the start point")
-        if abs(self.direction.norm - 1.0) > _ON_MANIFOLD_TOL:
-            raise ValueError("geodesic direction must have unit norm")
-
-    @staticmethod
-    def through(p: SurfacePoint, v: np.ndarray) -> "Geodesic":
-        """Geodesic from p in the direction of v (normalized here)."""
-        v = np.asarray(v, dtype=float)
-        n = float(mnorm(p.geometry, v))
-        if n < 1e-14:
-            raise ZeroVector("cannot build a geodesic from a zero direction")
-        return Geodesic(p, TangentVector(p, v / n))
-
-
-def _geodesic_coords(geometry: Geometry, p, u, s):
-    if geometry is Geometry.EUCLIDEAN:
-        return p + s * u
-    if geometry is Geometry.SPHERICAL:
-        return p * np.cos(s) + u * np.sin(s)
-    return p * np.cosh(s) + u * np.sinh(s)
-
-
-def geodesic_point(g: Geodesic, s: float) -> SurfacePoint:
-    """Point at arc length s along the geodesic."""
-    geom = g.start.geometry
-    c = _geodesic_coords(geom, g.start.coords, g.direction.components, float(s))
-    return SurfacePoint(geom, project_to_manifold(geom, c))
+    return geometry.kernel.project(coords)
 
 
 def _distance_coords(geometry: Geometry, p, q):
-    if geometry is Geometry.EUCLIDEAN:
-        d = q - p
-        return np.sqrt((d * d).sum(axis=-1))
-    if geometry is Geometry.SPHERICAL:
-        cross = np.cross(p, q)
-        return np.arctan2(np.sqrt((cross * cross).sum(axis=-1)), (p * q).sum(axis=-1))
-    c = -mdot(geometry, p, q)
-    return np.arccosh(np.maximum(c, 1.0))
-
-
-def distance(p: SurfacePoint, q: SurfacePoint) -> float:
-    """Geodesic distance between two points of the same geometry."""
-    if p.geometry is not q.geometry:
-        raise MixedGeometry(f"cannot measure distance between {p.geometry} and {q.geometry}")
-    return float(_distance_coords(p.geometry, p.coords, q.coords))
-
-
-def angle_between(u: TangentVector, v: TangentVector) -> float:
-    """Angle in [0, pi] in the induced Riemannian metric."""
-    if u.base.geometry is not v.base.geometry:
-        raise MixedGeometry("tangent vectors live on different geometries")
-    if not np.allclose(u.base.coords, v.base.coords, atol=1e-9):
-        raise ValueError("tangent vectors must share a base point")
-    nu, nv = u.norm, v.norm
-    if nu < 1e-14 or nv < 1e-14:
-        raise ZeroVector("angle undefined for a zero tangent vector")
-    c = float(mdot(u.base.geometry, u.components, v.components)) / (nu * nv)
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    return geometry.kernel.distance(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +190,6 @@ class ParametricCurve:
     acceleration: Optional[Callable[[np.ndarray], np.ndarray]] = None
     period: float = TWO_PI
 
-    def point_on(self, t: float) -> SurfacePoint:
-        c = np.asarray(self.point(float(t)), dtype=float)
-        return SurfacePoint(self.geometry, project_to_manifold(self.geometry, c))
-
     def unit_tangent(self, t: float) -> np.ndarray:
         v = np.asarray(self.velocity(float(t)), dtype=float)
         speed = float(mnorm(self.geometry, v))
@@ -232,13 +204,7 @@ def inward_normal(geometry: Geometry, p: np.ndarray, unit_t: np.ndarray) -> np.n
     E2: rotate the tangent by +pi/2.  S2: p x T.  H2: the Minkowski cross
     product G (p x T) with G = diag(-1, 1, 1).
     """
-    if geometry is Geometry.EUCLIDEAN:
-        return np.array([-unit_t[1], unit_t[0]])
-    n = np.cross(p, unit_t)
-    if geometry is Geometry.HYPERBOLIC:
-        n = n * np.array([-1.0, 1.0, 1.0])
-        n = n / np.sqrt(mdot(geometry, n, n))
-    return n
+    return geometry.kernel.normal(p, unit_t)
 
 
 def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
@@ -247,55 +213,20 @@ def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
     Geodesic curvature is 1/R, cot R, coth R and length 2*pi*R,
     2*pi*sin R, 2*pi*sinh R on E2, S2, H2 respectively.
     """
-    r = float(radius)
-    if r <= 0:
-        raise BadRadius("circle radius must be positive")
-    if geometry is Geometry.SPHERICAL and r >= np.pi / 2:
-        raise BadRadius("spherical circle radius must be < pi/2 for convexity")
+    r = _check_radius(geometry, radius)
+    sr, cr = geometry.kernel.sn(r), geometry.kernel.cs(r)
 
-    if geometry is Geometry.EUCLIDEAN:
+    def point(t):
+        t = np.asarray(t)
+        return _embed(geometry, sr * np.cos(t), sr * np.sin(t), cr * np.ones_like(t))
 
-        def point(t):
-            t = np.asarray(t)
-            return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+    def velocity(t):
+        t = np.asarray(t)
+        return _embed(geometry, -sr * np.sin(t), sr * np.cos(t), np.zeros_like(t))
 
-        def velocity(t):
-            t = np.asarray(t)
-            return np.stack([-r * np.sin(t), r * np.cos(t)], axis=-1)
-
-        def acceleration(t):
-            t = np.asarray(t)
-            return np.stack([-r * np.cos(t), -r * np.sin(t)], axis=-1)
-
-    elif geometry is Geometry.SPHERICAL:
-        sr, cr = np.sin(r), np.cos(r)
-
-        def point(t):
-            t = np.asarray(t)
-            return np.stack([sr * np.cos(t), sr * np.sin(t), cr * np.ones_like(t)], axis=-1)
-
-        def velocity(t):
-            t = np.asarray(t)
-            return np.stack([-sr * np.sin(t), sr * np.cos(t), np.zeros_like(t)], axis=-1)
-
-        def acceleration(t):
-            t = np.asarray(t)
-            return np.stack([-sr * np.cos(t), -sr * np.sin(t), np.zeros_like(t)], axis=-1)
-
-    else:
-        sr, cr = np.sinh(r), np.cosh(r)
-
-        def point(t):
-            t = np.asarray(t)
-            return np.stack([cr * np.ones_like(t), sr * np.cos(t), sr * np.sin(t)], axis=-1)
-
-        def velocity(t):
-            t = np.asarray(t)
-            return np.stack([np.zeros_like(t), -sr * np.sin(t), sr * np.cos(t)], axis=-1)
-
-        def acceleration(t):
-            t = np.asarray(t)
-            return np.stack([np.zeros_like(t), -sr * np.cos(t), -sr * np.sin(t)], axis=-1)
+    def acceleration(t):
+        t = np.asarray(t)
+        return _embed(geometry, -sr * np.cos(t), -sr * np.sin(t), np.zeros_like(t))
 
     return ParametricCurve(geometry, point, velocity, acceleration)
 
@@ -326,29 +257,10 @@ def geodesic_curvature(curve: ParametricCurve, t: float) -> float:
     return float(mdot(g, a, n)) / speed2
 
 
-def _chord_plane_function(geometry, p, d):
-    """Scalar function vanishing exactly on the geodesic through p along d."""
-    if geometry is Geometry.EUCLIDEAN:
-
-        def f(q):
-            return d[0] * (q[..., 1] - p[1]) - d[1] * (q[..., 0] - p[0])
-
-    else:
-        # great circle / H2 geodesic = surface cut by the plane span(p, d)
-        n = np.cross(p, d)
-
-        def f(q):
-            return q @ n
-
-    return f
-
-
 def _chord_tangent_at_arrival(geometry, p, d, length):
-    if geometry is Geometry.EUCLIDEAN:
-        return d
-    if geometry is Geometry.SPHERICAL:
-        return -p * np.sin(length) + d * np.cos(length)
-    return p * np.sinh(length) + d * np.cosh(length)
+    """Unit tangent at arc length ``length`` of the geodesic from p along d."""
+    kern = geometry.kernel
+    return -kern.K * kern.sn(length) * p + kern.cs(length) * d
 
 
 def shoot_to_curve(
@@ -377,7 +289,7 @@ def shoot_to_curve(
     d = np.cos(theta) * tan + np.sin(theta) * nrm
     d = d / float(mnorm(g, d))
 
-    side = _chord_plane_function(g, p, d)
+    side = g.kernel.side(p, d)
     guard = 1e-6
     period = curve.period
     ts = np.linspace(t0 + guard, t0 + period - guard, n_grid)

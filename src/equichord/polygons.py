@@ -128,9 +128,9 @@ class CirculantSpectrum:
         object.__setattr__(self, "M", sum(1 for r in zs if 2 <= r <= self.n - 2))
         lam = self.eigenvalues
         if abs(lam[0]) > 1e-12 * max(1.0, np.abs(lam).max()):
-            raise AssertionError("lambda_0 must vanish")
+            raise RuntimeError("lambda_0 must vanish")
         if abs(lam[1]) < 1e-9 or abs(lam[-1]) < 1e-9:
-            raise AssertionError("lambda_1 and lambda_{n-1} must be nonzero")
+            raise RuntimeError("lambda_1 and lambda_{n-1} must be nonzero")
 
 
 def verify_gutkin(vertices, k: int, tol: float = 1e-9) -> dict:
@@ -225,7 +225,9 @@ def circulant_spectrum(n: int, k: int, tol: float = 1e-9) -> CirculantSpectrum:
     lam = row[:k] @ powers
     # same sum through the FFT; disagreement would mean an indexing bug
     lam_fft = np.fft.ifft(row) * n
-    assert np.abs(lam - lam_fft).max() < 1e-9 * max(1.0, np.abs(lam).max())
+    fft_gap = np.abs(lam - lam_fft).max()
+    if not fft_gap < 1e-9 * max(1.0, np.abs(lam).max()):
+        raise RuntimeError(f"eigenvalue sum and FFT disagree by {fft_gap:.3e}")
 
     scale = np.abs(row[:k]).max()
     zero_set = tuple(int(i) for i in np.nonzero(np.abs(lam) / max(scale, 1e-30) < tol)[0])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from equichord import (
     Geometry,
+    circle_curve,
     connelly_check,
     contact_angle_from_c,
     f_star,
@@ -89,6 +90,11 @@ class TestLemmaConstants:
             lemma_constants(Geometry.SPHERICAL, np.pi / 2, 0.5)
         with pytest.raises(BadRadius):
             lemma_constants(Geometry.HYPERBOLIC, -1.0, 0.5)
+        for geometry in (Geometry.SPHERICAL, Geometry.HYPERBOLIC):
+            with pytest.raises(BadRadius):
+                contact_angle_from_c(geometry, float("nan"), 1.0)
+        with pytest.raises(BadRadius):
+            circle_curve(Geometry.EUCLIDEAN, float("nan"))
 
     def test_contact_angle_round_trip(self):
         for geometry, R in ((Geometry.SPHERICAL, 0.9), (Geometry.HYPERBOLIC, 1.3)):

@@ -138,6 +138,15 @@ class TestCurveCommands:
         result = runner.invoke(main, ["curve", "build", "--spec", write_spec(bad)])
         assert result.exit_code == 3
 
+    def test_malformed_spec_exit_3(self, runner, tmp_path, write_spec):
+        not_json = tmp_path / "broken.json"
+        not_json.write_text('{"geometry": "euclidean", "c0": ')
+        no_c0 = {k: v for k, v in E2_SPEC.items() if k != "c0"}
+        for path in (str(not_json), write_spec(no_c0)):
+            result = runner.invoke(main, ["curve", "build", "--spec", path])
+            assert result.exit_code == 3
+            assert "error:" in result.output
+
 
 class TestBilliardAndChords:
     def test_orbit_zero_steps(self, runner, write_spec):

@@ -1,53 +1,67 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equichord import (
-    Geodesic,
-    Geometry,
-    SurfacePoint,
-    TangentVector,
-    angle_between,
-    circle_curve,
-    distance,
-    geodesic_curvature,
-    geodesic_point,
-    shoot_to_curve,
-)
+from equichord import Geometry, circle_curve, geodesic_curvature, shoot_to_curve
 from equichord.errors import Tangential
-from equichord.geometry import project_to_manifold
+from equichord.geometry import (
+    _chord_tangent_at_arrival,
+    _distance_coords,
+    mdot,
+    mnorm,
+    project_to_manifold,
+)
 
 GEOMETRIES = [Geometry.EUCLIDEAN, Geometry.SPHERICAL, Geometry.HYPERBOLIC]
 
 
+def distance(geometry, p, q):
+    return float(_distance_coords(geometry, np.asarray(p, float), np.asarray(q, float)))
+
+
 def _random_point(geometry, rng):
     if geometry is Geometry.EUCLIDEAN:
-        return SurfacePoint(geometry, rng.normal(size=2))
+        return rng.normal(size=2)
     if geometry is Geometry.SPHERICAL:
-        return SurfacePoint(geometry, project_to_manifold(geometry, rng.normal(size=3)))
+        return project_to_manifold(geometry, rng.normal(size=3))
     r = rng.uniform(0.0, 2.0)
     t = rng.uniform(0.0, 2 * np.pi)
-    return SurfacePoint(geometry, np.array(
-        [np.cosh(r), np.sinh(r) * np.cos(t), np.sinh(r) * np.sin(t)]))
+    return np.array([np.cosh(r), np.sinh(r) * np.cos(t), np.sinh(r) * np.sin(t)])
+
+
+def _random_unit_tangent(geometry, p, rng):
+    if geometry is Geometry.EUCLIDEAN:
+        raw = np.array([1.0, 0.0])
+    else:
+        raw = rng.normal(size=3)
+        if geometry is Geometry.SPHERICAL:
+            raw = raw - np.dot(raw, p) * p
+        else:
+            # <p, p> = -1, so the tangent projection adds <raw, p> p
+            raw = raw + mdot(geometry, raw, p) * p
+    return raw / mnorm(geometry, raw)
+
+
+def _geodesic_point(geometry, p, u, s):
+    """Point at arc length s from p along the unit tangent u: cs(s) p + sn(s) u."""
+    kern = geometry.kernel
+    return project_to_manifold(geometry, kern.cs(s) * p + kern.sn(s) * u)
 
 
 class TestDistance:
     def test_euclidean(self):
-        p = SurfacePoint(Geometry.EUCLIDEAN, np.array([0.0, 0.0]))
-        q = SurfacePoint(Geometry.EUCLIDEAN, np.array([3.0, 4.0]))
-        assert distance(p, q) == 5.0
+        assert distance(Geometry.EUCLIDEAN, [0.0, 0.0], [3.0, 4.0]) == 5.0
 
     def test_spherical_quarter(self):
-        p = SurfacePoint(Geometry.SPHERICAL, np.array([1.0, 0.0, 0.0]))
-        q = SurfacePoint(Geometry.SPHERICAL, np.array([0.0, 1.0, 0.0]))
-        assert distance(p, q) == pytest.approx(np.pi / 2, abs=1e-15)
+        d = distance(Geometry.SPHERICAL, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        assert d == pytest.approx(np.pi / 2, abs=1e-15)
 
     def test_hyperbolic_origin(self):
-        p = SurfacePoint(Geometry.HYPERBOLIC, np.array([1.0, 0.0, 0.0]))
-        q = SurfacePoint(Geometry.HYPERBOLIC,
-                         np.array([np.cosh(0.8), np.sinh(0.8), 0.0]))
-        assert distance(p, q) == pytest.approx(0.8, abs=1e-12)
+        d = distance(Geometry.HYPERBOLIC, [1.0, 0.0, 0.0], [np.cosh(0.8), np.sinh(0.8), 0.0])
+        assert d == pytest.approx(0.8, abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -55,7 +69,8 @@ class TestDistance:
         geometry = GEOMETRIES[gi]
         rng = np.random.default_rng(seed)
         p, q, r = (_random_point(geometry, rng) for _ in range(3))
-        assert distance(p, r) <= distance(p, q) + distance(q, r) + 1e-10
+        d = functools.partial(distance, geometry)
+        assert d(p, r) <= d(p, q) + d(q, r) + 1e-10
 
 
 class TestGeodesics:
@@ -63,26 +78,29 @@ class TestGeodesics:
         for geometry in GEOMETRIES:
             rng = np.random.default_rng(7)
             p = _random_point(geometry, rng)
-            if geometry is Geometry.EUCLIDEAN:
-                raw = np.array([1.0, 0.0])
-            else:
-                from equichord.geometry import mdot
-                raw = rng.normal(size=3)
-                if geometry is Geometry.SPHERICAL:
-                    raw = raw - np.dot(raw, p.coords) * p.coords
-                else:
-                    # <p, p> = -1, so the tangent projection adds <raw, p> p
-                    raw = raw + mdot(geometry, raw, p.coords) * p.coords
-            g = Geodesic.through(p, raw)
+            u = _random_unit_tangent(geometry, p, rng)
             s = 0.6
-            q = geodesic_point(g, s)
-            assert distance(p, q) == pytest.approx(s, abs=1e-10)
+            q = _geodesic_point(geometry, p, u, s)
+            assert distance(geometry, p, q) == pytest.approx(s, abs=1e-10)
 
     def test_angle_between(self):
-        p = SurfacePoint(Geometry.SPHERICAL, np.array([1.0, 0.0, 0.0]))
-        u = TangentVector(p, np.array([0.0, 1.0, 0.0]))
-        v = TangentVector(p, np.array([0.0, 0.0, 1.0]))
-        assert angle_between(u, v) == pytest.approx(np.pi / 2, abs=1e-15)
+        u = np.array([0.0, 1.0, 0.0])
+        v = np.array([0.0, 0.0, 1.0])
+        g = Geometry.SPHERICAL
+        c = float(mdot(g, u, v)) / float(mnorm(g, u) * mnorm(g, v))
+        assert float(np.arccos(np.clip(c, -1.0, 1.0))) == pytest.approx(np.pi / 2, abs=1e-15)
+
+    def test_arrival_tangent_is_unit_and_tangent(self):
+        for geometry in GEOMETRIES:
+            rng = np.random.default_rng(11)
+            p = _random_point(geometry, rng)
+            u = _random_unit_tangent(geometry, p, rng)
+            for s in (0.3, 1.2):
+                q = _geodesic_point(geometry, p, u, s)
+                w = _chord_tangent_at_arrival(geometry, p, u, s)
+                assert float(mnorm(geometry, w)) == pytest.approx(1.0, abs=1e-12)
+                if geometry is not Geometry.EUCLIDEAN:
+                    assert float(mdot(geometry, w, q)) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCurvature:

@@ -1,0 +1,40 @@
+"""Package-wide structural checks: public names resolve, no stripped self-checks."""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+import equichord
+
+SRC = pathlib.Path(equichord.__file__).parent
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    mod = importlib.import_module(f"equichord.{name}")
+    for attr in getattr(mod, "__all__", ()):
+        assert hasattr(mod, attr), f"equichord.{name}.__all__ lists missing {attr!r}"
+
+
+def test_star_import():
+    namespace = {}
+    exec("from equichord import *", namespace)
+    assert "Geometry" in namespace and "shoot_to_curve" in namespace
+
+
+def test_no_assert_self_checks():
+    """Runtime self-checks must survive ``python -O``: no assert statements and
+    no ``raise AssertionError`` in the library."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno} assert")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    offenders.append(f"{path.name}:{node.lineno} raise AssertionError")
+    assert not offenders, offenders
