@@ -2,10 +2,10 @@
 
 Three families of equations live here:
 
-* ``k tan c = tan(k c)`` for integer k >= 2, solved in the pole-free form
-  ``(k-1) sin((k+1)c) - (k+1) sin((k-1)c) = 0`` (the two differ exactly by
-  the factor 2 cos c cos kc, so candidate roots are filtered back through
-  the tangent form);
+* ``k tan c = tan(k c)`` for integer k >= 2, solved branch by branch of
+  tan(kc) on exact brackets (one root per branch away from c = pi/2); the
+  pole-free form ``(k-1) sin((k+1)c) - (k+1) sin((k-1)c)``, which equals
+  -2 cos c cos kc (tan kc - k tan c), reports the residual;
 * the geometry link ``cot c = cs(R) cot alpha`` (cos R on the sphere,
   cosh R on the hyperbolic plane), together with the constants (c, a)
   attached to a circle of radius R with contact angle alpha;
@@ -16,14 +16,14 @@ Three families of equations live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import OutOfRange
-from .geometry import Geometry, _check_radius
+from .geometry import Geometry, _brentq, _check_radius
 
 __all__ = [
     "AngleSolution",
@@ -60,38 +60,24 @@ def _polefree(k: int, c):
     return (k - 1) * np.sin((k + 1) * c) - (k + 1) * np.sin((k - 1) * c)
 
 
-def gutkin_roots(k: int, n_grid: int = 1_000_000) -> list[float]:
+def gutkin_roots(k: int) -> list[float]:
     """All solutions of k tan c = tan(kc) in (0, pi), sorted ascending.
 
-    The pole-free form is scanned for sign changes on a uniform grid and each
-    bracket is polished by Brent's method.  Candidates where tan c or tan(kc)
-    sits at a pole (both poles can only align at c = pi/2 for odd k, where
-    the tangent equation fails in the limit) are discarded.
+    On the branch (2j-1) pi/2k < c < (2j+1) pi/2k of tan(kc) the equation
+    reads F_j(c) = kc - j pi - arctan(k tan c) = 0.  When pi/2 is neither
+    inside nor an end of the branch (|2j - k| >= 2), F_j is smooth, strictly
+    increasing (F_j' = k - k sec^2 c / (1 + k^2 tan^2 c) > 0), negative at the
+    lower end and positive at the upper one, so the branch holds exactly one
+    root; the other branches hold none.  That makes 2 floor((k-2)/2) roots.
     """
     k = int(k)
     if k < 2:
         raise OutOfRange("k must be an integer >= 2")
-    inset = 1e-9
-    grid = np.linspace(inset, np.pi - inset, n_grid)
-    vals = _polefree(k, grid)
-    sign_change = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-
-    roots = []
-    for i in sign_change:
-        c = brentq(lambda x: float(_polefree(k, x)), grid[i], grid[i + 1],
-                   xtol=1e-15, rtol=8.9e-16)
-        # the pole-free form has a triple zero on the trivial set tan c = 0;
-        # below ~(eps)^(1/3) of the endpoints roundoff noise fakes sign
-        # changes, while genuine roots stay at distance >~ 4.49/k
-        if c < 1e-4 or c > np.pi - 1e-4:
-            continue
-        # filter: the original tangent equation must hold away from poles
-        if abs(np.cos(c)) < 1e-6 or abs(np.cos(k * c)) < 1e-6:
-            continue
-        if abs(k * np.tan(c) - np.tan(k * c)) > 1e-6 * (1.0 + abs(k * np.tan(c))):
-            continue
-        roots.append(float(c))
-    return sorted(roots)
+    h = math.pi / (2 * k)
+    # every root is >= pi/2k, so the relative tolerance alone stops the solve
+    return [_brentq(lambda c: k * c - j * math.pi - math.atan(k * math.tan(c)),
+                    (2 * j - 1) * h, (2 * j + 1) * h, xtol=1e-300)
+            for j in range(1, k) if abs(2 * j - k) >= 2]
 
 
 def contact_angle_from_c(geometry: Geometry, radius: Optional[float], c: float) -> float:
@@ -142,6 +128,8 @@ def f_star(geometry: Geometry, radius: float, alpha: float) -> float:
     (coth on H2)."""
     if geometry is Geometry.EUCLIDEAN:
         raise OutOfRange("f_star is defined on S2 and H2 only")
+    if not 0.0 < alpha < np.pi:
+        raise OutOfRange("alpha must lie in (0, pi)")
     kern = geometry.kernel
     r = _check_radius(geometry, radius)
     return float(kern.arccot(kern.cs(r) / kern.sn(r) / np.sin(alpha)))

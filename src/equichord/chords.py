@@ -38,10 +38,11 @@ class ArcLengthParam:
 
     The speed is sampled on a uniform grid and integrated through its Fourier
     series (trapezoid/FFT, spectrally accurate for smooth periodic speed), so
-    s(t) = mean_speed * t + periodic part.  Inversion is by Newton with a
-    bisection guard; both directions accept any real argument and wrap
-    naturally.  Evaluation preserves the input dtype so the finite-difference
-    oracle can work in extended precision.
+    s(t) = mean_speed * t + periodic part.  Inversion is by Newton (s is
+    strictly increasing) and raises RuntimeError if 60 steps do not converge;
+    both directions accept any real argument and wrap naturally.  Evaluation
+    preserves the input dtype so the finite-difference oracle can work in
+    extended precision.
     """
 
     def __init__(self, curve: ParametricCurve, n_samples: int = 4096):
@@ -86,6 +87,8 @@ class ArcLengthParam:
                 t = t - dt
                 if abs(dt) < 8 * eps * max(1.0, abs(t)):
                     break
+            else:
+                raise RuntimeError(f"t_of_s: Newton did not converge in 60 steps for s={si!r}")
             out[i] = t
         return out[0] if scalar else out
 

@@ -137,6 +137,12 @@ def domain_errors(fn):
     return wrapper
 
 
+def _required(data: dict, key: str, what: str):
+    if key not in data:
+        raise OutOfRange(f"{what} is missing required key {key!r}")
+    return data[key]
+
+
 def _parse_floats(text: str) -> list[float]:
     return [float(s) for s in text.split(",") if s.strip()]
 
@@ -182,7 +188,7 @@ class CurveSpec:
         if self.geometry is Geometry.EUCLIDEAN:
             self.kind = "fourier"
             self.spec = curves.FourierCurveE2(
-                c0=float(data["c0"]),
+                c0=float(_required(data, "c0", "curve spec")),
                 harmonics=_harmonic_list(data.get("harmonics", [])),
             )
             self.curve = curves.build_e2_curve(self.spec)
@@ -191,7 +197,7 @@ class CurveSpec:
                           if raw_alpha is not None else None)
         else:
             self.kind = "deformed_circle"
-            self.radius = float(data["R"])
+            self.radius = float(_required(data, "R", "curve spec"))
             alpha = _resolve_alpha(raw_alpha, self.geometry, self.radius)
             g = TrigPolynomial(0.0, _harmonic_list(data.get("g", [])))
             self.spec = curves.DeformedCircle(
@@ -299,8 +305,8 @@ def cmd_polygon_verify(in_path, regular, k, tol, out):
     if in_path is not None:
         with open(in_path) as fh:
             data = json.load(fh)
-        vertices = np.asarray(data["vertices"], float)
-        k = int(k if k is not None else data["k"])
+        vertices = np.asarray(_required(data, "vertices", "polygon file"), float)
+        k = int(k if k is not None else _required(data, "k", "polygon file"))
     else:
         vertices = polygons.regular_polygon(regular)
         if k is None:

@@ -17,11 +17,11 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BadRadius, DegenerateVelocity, NoIntersection, Tangential
 
@@ -34,6 +34,64 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+
+
+# ---------------------------------------------------------------------------
+# bracketed root finding
+
+
+def _brentq(f, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=100):
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A step-for-step port of the widely used ``brentq`` C routine: same
+    steps, same stopping test |b - a| / 2 < (xtol + rtol |x|) / 2, same
+    iterates bit for bit.  Raises ValueError when f(a) and f(b) share a sign
+    or f returns NaN, and RuntimeError after ``maxiter`` steps without
+    convergence.
+    """
+    def fv(x):
+        y = float(f(x))
+        if math.isnan(y):
+            raise ValueError(f"the function value at x={x!r} is NaN")
+        return y
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = fv(xpre), fv(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre > 0) == (fcur > 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre > 0) != (fcur > 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fv(xcur)
+    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +236,15 @@ def _distance_coords(geometry: Geometry, p, q):
 class ParametricCurve:
     """Closed curve given by callables on a fixed 2*pi parameter interval.
 
-    ``point``/``velocity`` must accept scalars or arrays and preserve dtype
-    (so the finite-difference oracles can evaluate them in extended
-    precision).  ``acceleration`` is optional; when absent, curvature falls
-    back to a central difference of the analytic velocity.
+    ``point``/``velocity``/``acceleration`` must accept scalars or arrays
+    and preserve dtype (so the finite-difference oracles can evaluate them in
+    extended precision).
     """
 
     geometry: Geometry
     point: Callable[[np.ndarray], np.ndarray]
     velocity: Callable[[np.ndarray], np.ndarray]
-    acceleration: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    acceleration: Callable[[np.ndarray], np.ndarray]
     period: float = TWO_PI
 
     def unit_tangent(self, t: float) -> np.ndarray:
@@ -231,9 +288,6 @@ def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
     return ParametricCurve(geometry, point, velocity, acceleration)
 
 
-_FD_STEP = 1e-5
-
-
 def geodesic_curvature(curve: ParametricCurve, t: float) -> float:
     """Signed geodesic curvature, positive for counterclockwise convex curves.
 
@@ -247,11 +301,7 @@ def geodesic_curvature(curve: ParametricCurve, t: float) -> float:
     speed2 = float(mdot(g, v, v))
     if speed2 < 1e-20:
         raise DegenerateVelocity(f"curve speed below 1e-10 at t={t}")
-    if curve.acceleration is not None:
-        a = np.asarray(curve.acceleration(t), dtype=float)
-    else:
-        h = _FD_STEP
-        a = (np.asarray(curve.velocity(t + h)) - np.asarray(curve.velocity(t - h))) / (2 * h)
+    a = np.asarray(curve.acceleration(t), dtype=float)
     p = np.asarray(curve.point(t), dtype=float)
     n = inward_normal(g, project_to_manifold(g, p), v / np.sqrt(speed2))
     return float(mdot(g, a, n)) / speed2
@@ -263,12 +313,10 @@ def _chord_tangent_at_arrival(geometry, p, d, length):
     return -kern.K * kern.sn(length) * p + kern.cs(length) * d
 
 
-def shoot_to_curve(
-    curve: ParametricCurve,
-    t0: float,
-    theta: float,
-    n_grid: int = 256,
-) -> tuple[float, float, float]:
+_SHOT_GRID = 256  # samples of the side function along the curve, before polishing
+
+
+def shoot_to_curve(curve: ParametricCurve, t0: float, theta: float) -> tuple[float, float, float]:
     """Launch a geodesic chord into the convex side and find where it lands.
 
     From curve(t0), shoot at angle ``theta`` (measured from the forward
@@ -292,22 +340,15 @@ def shoot_to_curve(
     side = g.kernel.side(p, d)
     guard = 1e-6
     period = curve.period
-    ts = np.linspace(t0 + guard, t0 + period - guard, n_grid)
+    ts = np.linspace(t0 + guard, t0 + period - guard, _SHOT_GRID)
     vals = np.asarray(side(np.asarray(curve.point(ts), dtype=float)))
 
-    t1 = None
-    for i in range(n_grid - 1):
-        if vals[i] == 0.0:
-            t1 = float(ts[i])
-            break
-        if vals[i] * vals[i + 1] < 0.0:
-            t1 = float(
-                brentq(lambda t: float(side(np.asarray(curve.point(t), dtype=float))),
-                       ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16)
-            )
-            break
-    if t1 is None:
+    hit = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
+    i = int(np.argmax(hit))
+    if not hit[i]:
         raise NoIntersection("no forward intersection found (curve convex and closed?)")
+    t1 = float(ts[i]) if vals[i] == 0.0 else _brentq(
+        lambda t: side(np.asarray(curve.point(t), dtype=float)), ts[i], ts[i + 1], xtol=1e-13)
 
     q = project_to_manifold(g, np.asarray(curve.point(t1), dtype=float))
     length = float(_distance_coords(g, p, q))

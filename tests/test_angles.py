@@ -15,6 +15,7 @@ from equichord import (
     solve_restr2,
 )
 from equichord.errors import BadRadius, OutOfRange
+from equichord.geometry import _brentq
 
 
 class TestGutkinRoots:
@@ -57,6 +58,33 @@ class TestGutkinRoots:
     def test_bad_k(self):
         with pytest.raises(OutOfRange):
             gutkin_roots(1)
+
+    def test_one_root_per_branch_k2_to_300(self):
+        for k in range(2, 301):
+            roots = gutkin_roots(k)
+            assert len(roots) == 2 * ((k - 2) // 2)
+            assert all(a < b for a, b in zip(roots, roots[1:]))
+            branches = [j for j in range(1, k) if abs(2 * j - k) >= 2]
+            for j, c in zip(branches, roots):
+                assert (2 * j - 1) * np.pi / (2 * k) < c < (2 * j + 1) * np.pi / (2 * k)
+            n = len(roots)
+            for i in range(n):
+                assert abs(roots[i] + roots[n - 1 - i] - np.pi) <= 1e-14
+
+    def test_tangent_form_k2_to_300(self):
+        def tangent_form(k, c):
+            return k * np.tan(c) - np.tan(k * c)
+
+        for k in range(2, 301):
+            for c in gutkin_roots(k):
+                # the tangent form changes sign within 4e-15 of every root
+                assert tangent_form(k, c - 4e-15) * tangent_form(k, c + 4e-15) < 0
+                # the relative residual bound of test_roots_satisfy_equation; above
+                # k ~ 160 rounding c to a double alone can exceed it (the correctly
+                # rounded root of k = 300 nearest pi/2 reaches 1.7e-9)
+                if k <= 150:
+                    kt = k * np.tan(c)
+                    assert abs(kt - np.tan(k * c)) < 1e-9 * (1 + abs(kt))
 
 
 class TestLemmaConstants:
@@ -101,6 +129,44 @@ class TestLemmaConstants:
             for alpha in (0.3, 1.0, 2.2):
                 c, _ = lemma_constants(geometry, R, alpha)
                 assert contact_angle_from_c(geometry, R, c) == pytest.approx(alpha, abs=1e-12)
+
+
+class TestFStar:
+    def test_alpha_out_of_range(self):
+        for geometry in (Geometry.SPHERICAL, Geometry.HYPERBOLIC):
+            for alpha in (-0.5, 0.0, np.pi, 4.0, float("nan")):
+                with pytest.raises(OutOfRange):
+                    f_star(geometry, 1.0, alpha)
+
+
+class TestBrentq:
+    def test_same_sign_bracket(self):
+        with pytest.raises(ValueError):
+            _brentq(np.cos, 0.0, 1.0)
+
+    def test_maxiter(self):
+        with pytest.raises(RuntimeError):
+            _brentq(np.cos, 0.0, 3.0, maxiter=3)
+        assert _brentq(np.cos, 0.0, 3.0) == pytest.approx(np.pi / 2, abs=1e-15)
+
+    def test_bit_identical_to_scipy(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(20261018)
+        checked = 0
+        for _ in range(400):
+            k = int(rng.integers(4, 40))
+            shift = rng.uniform(-1.0, 1.0)
+            a, b = np.sort(rng.uniform(0.01, np.pi - 0.01, 2))
+
+            def f(x):
+                return float((k - 1) * np.sin((k + 1) * x) - (k + 1) * np.sin((k - 1) * x) + shift)
+
+            if f(a) * f(b) >= 0:
+                continue
+            for xtol in (1e-15, 1e-13):
+                assert _brentq(f, a, b, xtol=xtol) == optimize.brentq(f, a, b, xtol=xtol, rtol=8.9e-16)
+            checked += 1
+        assert checked > 100
 
 
 class TestSolveAngle:

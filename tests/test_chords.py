@@ -32,6 +32,14 @@ class TestArcLength:
         for s in np.linspace(0.0, arclen.total_length, 17):
             assert arclen.s_of_t(arclen.t_of_s(float(s))) == pytest.approx(float(s), abs=1e-10)
 
+    def test_t_of_s_fails_loudly(self, wavy_curve):
+        # a speed 1e6 times too large makes every Newton step tiny
+        arclen = ArcLengthParam(wavy_curve)
+        true_speed = arclen.speed
+        arclen.speed = lambda t: 1e6 * true_speed(t)
+        with pytest.raises(RuntimeError):
+            arclen.t_of_s(1.0)
+
     def test_total_length_matches_rho_mean(self, wavy_curve):
         # in the turning-angle parameter the speed is rho, so length = 2 pi c0
         arclen = ArcLengthParam(wavy_curve)

@@ -148,6 +148,20 @@ class TestCurveCommands:
             assert "error:" in result.output
 
 
+    def test_missing_key_is_named(self, runner, write_spec):
+        no_r = {k: v for k, v in S2_SPEC.items() if k != "R"}
+        no_c0 = {k: v for k, v in E2_SPEC.items() if k != "c0"}
+        no_vertices = {"n": 4, "k": 3}
+        cases = [(["curve", "verify", "--spec", write_spec(no_r, "no_r.json")], "curve spec", "R"),
+                 (["curve", "build", "--spec", write_spec(no_c0, "no_c0.json")], "curve spec", "c0"),
+                 (["polygon", "verify", "--in", write_spec(no_vertices, "no_vertices.json")],
+                  "polygon file", "vertices")]
+        for args, what, key in cases:
+            result = runner.invoke(main, args)
+            assert result.exit_code == 3
+            assert f"error: {what} is missing required key '{key}'" in result.output
+
+
 class TestBilliardAndChords:
     def test_orbit_zero_steps(self, runner, write_spec):
         out = run_ok(runner, ["billiard", "orbit", "--spec", write_spec(E2_SPEC),

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -38,3 +40,15 @@ def test_no_assert_self_checks():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     offenders.append(f"{path.name}:{node.lineno} raise AssertionError")
     assert not offenders, offenders
+
+
+def test_runs_without_scipy():
+    """The package needs numpy and click only: it imports and solves with scipy blocked."""
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from equichord.cli import main\n"
+            "main(['solve-angle', '--k', '4'])\n")
+    env_path = str(SRC.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": env_path, "PATH": ""}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "1.1502619915" in proc.stdout
