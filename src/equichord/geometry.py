@@ -40,14 +40,18 @@ TWO_PI = 2.0 * np.pi
 # bracketed root finding
 
 
-def _brentq(f, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=100):
+_BRENT_RTOL = 8.9e-16  # just above 4 machine epsilons, the least rtol brentq accepts
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, a, b, xtol):
     """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
 
     A step-for-step port of the widely used ``brentq`` C routine: same
-    steps, same stopping test |b - a| / 2 < (xtol + rtol |x|) / 2, same
-    iterates bit for bit.  Raises ValueError when f(a) and f(b) share a sign
-    or f returns NaN, and RuntimeError after ``maxiter`` steps without
-    convergence.
+    steps, same stopping test |b - a| / 2 < (xtol + _BRENT_RTOL |x|) / 2,
+    same iterates bit for bit.  Raises ValueError when f(a) and f(b) share a
+    sign or f returns NaN, and RuntimeError after _BRENT_MAXITER steps
+    without convergence.
     """
     def fv(x):
         y = float(f(x))
@@ -64,14 +68,14 @@ def _brentq(f, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=100):
     if (fpre > 0) == (fcur > 0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre > 0) != (fcur > 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -91,7 +95,7 @@ def _brentq(f, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=100):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = fv(xcur)
-    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur!r}")
+    raise RuntimeError(f"brentq failed to converge after {_BRENT_MAXITER} iterations, value is {xcur!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from equichord import (
     solve_restr2,
 )
 from equichord.errors import BadRadius, OutOfRange
-from equichord.geometry import _brentq
+from equichord.geometry import _BRENT_RTOL, _brentq
 
 
 class TestGutkinRoots:
@@ -142,12 +142,13 @@ class TestFStar:
 class TestBrentq:
     def test_same_sign_bracket(self):
         with pytest.raises(ValueError):
-            _brentq(np.cos, 0.0, 1.0)
+            _brentq(np.cos, 0.0, 1.0, xtol=1e-15)
 
-    def test_maxiter(self):
+    def test_maxiter(self, monkeypatch):
+        assert _brentq(np.cos, 0.0, 3.0, xtol=1e-15) == pytest.approx(np.pi / 2, abs=1e-15)
+        monkeypatch.setattr("equichord.geometry._BRENT_MAXITER", 3)
         with pytest.raises(RuntimeError):
-            _brentq(np.cos, 0.0, 3.0, maxiter=3)
-        assert _brentq(np.cos, 0.0, 3.0) == pytest.approx(np.pi / 2, abs=1e-15)
+            _brentq(np.cos, 0.0, 3.0, xtol=1e-15)
 
     def test_bit_identical_to_scipy(self):
         optimize = pytest.importorskip("scipy.optimize")
@@ -164,7 +165,7 @@ class TestBrentq:
             if f(a) * f(b) >= 0:
                 continue
             for xtol in (1e-15, 1e-13):
-                assert _brentq(f, a, b, xtol=xtol) == optimize.brentq(f, a, b, xtol=xtol, rtol=8.9e-16)
+                assert _brentq(f, a, b, xtol=xtol) == optimize.brentq(f, a, b, xtol=xtol, rtol=_BRENT_RTOL)
             checked += 1
         assert checked > 100
 
