@@ -113,9 +113,13 @@ def lemma_constants(geometry: Geometry, radius: Optional[float], alpha: float) -
     cot_c = cs * np.cos(alpha) / np.sin(alpha)
     c = float(np.arctan2(1.0, cot_c))
     a = float(np.sqrt(cs**2 + kern.K * np.sin(alpha) ** 2 * sn**2))
-    # equivalent first form of the same lemma, kept as a self-check
-    first = np.cos(c) / np.sqrt(cs**2 + kern.K * sn**2 * np.cos(c) ** 2)
-    if not abs(first - np.cos(alpha)) < 1e-12:
+    # equivalent first form of the same lemma, kept as a self-check; its bound
+    # scales with the rounding the form amplifies: cancellation in the
+    # denominator (H2) and cos c near pi/2 (S2 with R near pi/2)
+    terms = cs**2 + sn**2 * np.cos(c) ** 2
+    den = cs**2 + kern.K * sn**2 * np.cos(c) ** 2
+    first = np.cos(c) / np.sqrt(den)
+    if not abs(first - np.cos(alpha)) < 1e-12 * max(terms / den, abs(c * np.tan(c))):
         raise RuntimeError(
             f"lemma_constants self-check failed: the first form gives cos alpha = {first!r}, "
             f"expected {np.cos(alpha)!r}"

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OutOfRange
 from .geometry import ParametricCurve, shoot_to_curve
 
 __all__ = ["BilliardState", "billiard_step", "invariant_circle_residual", "export_orbit"]
@@ -24,7 +25,7 @@ class BilliardState:
 
     def __post_init__(self):
         if not 0.0 < self.theta < np.pi:
-            raise ValueError(f"theta must lie in (0, pi), got {self.theta}")
+            raise OutOfRange(f"theta must lie in (0, pi), got {self.theta}")
 
 
 def billiard_step(curve: ParametricCurve, state: BilliardState) -> BilliardState:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentPoints
+from .errors import Degenerate
 from .geometry import (
     ParametricCurve,
     _chord_tangent_at_arrival,
@@ -115,7 +115,7 @@ def chord_data(curve: ParametricCurve, x: float, y: float,
     g = curve.geometry
     Ltot = arclen.total_length
     if abs((x - y) % Ltot) < 1e-12 or abs((y - x) % Ltot) < 1e-12:
-        raise CoincidentPoints("chord endpoints coincide mod curve length")
+        raise Degenerate("chord endpoints coincide mod curve length")
 
     tx = float(arclen.t_of_s(float(x)))
     ty = float(arclen.t_of_s(float(y)))

@@ -5,8 +5,10 @@ serializer with fixed key order and floats printed with 17 significant
 digits, CSV rows use the same float format, and SVG files are plain static
 documents.  Identical flags therefore give byte-identical output.
 
-Exit codes: 0 on success, 2 on usage errors (click's default), 3 on domain
-errors raised by the library.
+Exit codes: 0 on success, 1 on an internal fault (a bug: the traceback is
+shown), 2 on usage errors (click's default), 3 on a domain error: an
+EquichordError, raised by the library or by the reading of a spec file, a
+polygon file or an option, or an OSError on a file.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def tolerance(override: float | None = None) -> float:
     if override is not None:
         return float(override)
     env = os.environ.get("EQUICHORD_TOL")
-    return float(env) if env else DEFAULT_TOL
+    return _read("EQUICHORD_TOL", float, env) if env else DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -123,24 +125,52 @@ def _curve_svg(points: np.ndarray) -> str:
 
 
 # ---------------------------------------------------------------------------
-# error mapping
+# error mapping and outside input
 
 
 def domain_errors(fn):
+    """Exit 3 with one ``error:`` line on an EquichordError or an OSError.
+
+    Any other exception is a bug and keeps its traceback (exit 1).
+    """
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (EquichordError, OSError, KeyError, ValueError) as exc:
+        except (EquichordError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
     return wrapper
 
 
-def _required(data: dict, key: str, what: str):
-    if key not in data:
+def _read(source: str, parse, raw):
+    """parse(raw) on input from outside: a file, an option or the environment.
+
+    This is the one place where a failure to parse is bad input rather than a
+    bug; it becomes OutOfRange naming the source.  parse must only convert
+    (json.load, float, int, indexing), never build library objects.
+    """
+    try:
+        return parse(raw)
+    except (TypeError, ValueError, KeyError, AttributeError, OverflowError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise OutOfRange(f"cannot read {source}: {detail}") from None
+
+
+def _field(data: dict, key: str, what: str, parse, *default):
+    """parse(data[key]); parse(default) when the key is absent and a default is given."""
+    if key not in data and not default:
         raise OutOfRange(f"{what} is missing required key {key!r}")
-    return data[key]
+    return _read(f"{what} field {key!r}", parse, data.get(key, *default))
+
+
+def _load_object(path: str, what: str) -> dict:
+    """The JSON object held by a spec or polygon file."""
+    with open(path) as fh:
+        data = _read(f"{what} {path}", json.load, fh)
+    if not isinstance(data, dict):
+        raise OutOfRange(f"{what} {path} must hold a JSON object, not {type(data).__name__}")
+    return data
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -151,66 +181,71 @@ def _parse_floats(text: str) -> list[float]:
 # curve specs
 
 
-def _harmonic_list(raw) -> tuple[Harmonic, ...]:
-    return tuple(Harmonic(int(h["k"]), float(h["amp"]), float(h.get("phase", 0.0)))
-                 for h in raw)
+def _harmonic_triples(raw) -> tuple:
+    """[{"k": .., "amp": .., "phase": ..}, ...] as (k, amp, phase) triples."""
+    return tuple((int(h["k"]), float(h["amp"]), float(h.get("phase", 0.0))) for h in raw)
 
 
-def _resolve_alpha(value, geometry: Geometry, radius: float | None) -> float:
-    """Float passthrough, or 'auto-kN': first root of k tan c = tan kc,
-    converted to a contact angle on S2/H2."""
-    if isinstance(value, str):
-        if not value.startswith("auto-k"):
-            try:
-                return float(value)
-            except ValueError:
-                raise OutOfRange(f"unrecognized angle reference {value!r}") from None
-        k = int(value[len("auto-k"):])
-        roots = angles.gutkin_roots(k)
-        if not roots:
-            raise NotAdmissible(f"k tan c = tan kc has no roots for k={k}")
-        return angles.contact_angle_from_c(geometry, radius, roots[0])
+def _alpha_ref(value):
+    """None, a contact angle as a float, or the k of 'auto-kN' as an int."""
     if value is None:
-        raise OutOfRange("an alpha value or 'auto-kN' reference is required")
+        return None
+    if isinstance(value, str) and value.startswith("auto-k"):
+        return int(value[len("auto-k"):])
     return float(value)
 
 
+def _resolve_alpha(ref, geometry: Geometry, radius: float | None) -> float:
+    """A float passes through; an 'auto-kN' k gives the first root of
+    k tan c = tan kc, converted to a contact angle on S2/H2."""
+    if ref is None:
+        raise OutOfRange("an alpha value or 'auto-kN' reference is required")
+    if isinstance(ref, float):
+        return ref
+    roots = angles.gutkin_roots(ref)
+    if not roots:
+        raise NotAdmissible(f"k tan c = tan kc has no roots for k={ref}")
+    return angles.contact_angle_from_c(geometry, radius, roots[0])
+
+
 class CurveSpec:
-    """Parsed curve spec JSON plus the built curve."""
+    """Parsed curve spec JSON plus the built curve.
+
+    alpha_override is an angle reference already read by _alpha_ref.
+    """
 
     def __init__(self, data: dict, alpha_override=None):
         tag = data.get("geometry", "euclidean")
-        if tag not in _GEOMETRY_TAGS:
+        if not isinstance(tag, str) or tag not in _GEOMETRY_TAGS:
             raise OutOfRange(f"unknown geometry tag {tag!r}")
         self.geometry = _GEOMETRY_TAGS[tag]
-        raw_alpha = alpha_override if alpha_override is not None else data.get("alpha")
+        ref = (alpha_override if alpha_override is not None
+               else _field(data, "alpha", "curve spec", _alpha_ref, None))
 
         if self.geometry is Geometry.EUCLIDEAN:
             self.kind = "fourier"
             self.spec = curves.FourierCurveE2(
-                c0=float(_required(data, "c0", "curve spec")),
-                harmonics=_harmonic_list(data.get("harmonics", [])),
-            )
+                c0=_field(data, "c0", "curve spec", float),
+                harmonics=_field(data, "harmonics", "curve spec", _harmonic_triples, ()))
             self.curve = curves.build_e2_curve(self.spec)
             self.radius = None
-            self.alpha = (_resolve_alpha(raw_alpha, self.geometry, None)
-                          if raw_alpha is not None else None)
+            self.alpha = _resolve_alpha(ref, self.geometry, None) if ref is not None else None
         else:
             self.kind = "deformed_circle"
-            self.radius = float(_required(data, "R", "curve spec"))
-            alpha = _resolve_alpha(raw_alpha, self.geometry, self.radius)
-            g = TrigPolynomial(0.0, _harmonic_list(data.get("g", [])))
+            self.radius = _field(data, "R", "curve spec", float)
+            epsilon = _field(data, "epsilon", "curve spec", float, 0.0)
+            g = _field(data, "g", "curve spec", _harmonic_triples, ())
+            alpha = _resolve_alpha(ref, self.geometry, self.radius)
             self.spec = curves.DeformedCircle(
-                geometry=self.geometry, R=self.radius,
-                epsilon=float(data.get("epsilon", 0.0)), g=g, alpha=alpha,
+                geometry=self.geometry, R=self.radius, epsilon=epsilon,
+                g=TrigPolynomial(0.0, tuple(Harmonic(*h) for h in g)), alpha=alpha,
             )
             self.curve = curves.build_deformed_circle(self.spec)
             self.alpha = alpha
 
     @classmethod
     def load(cls, path: str, alpha_override=None) -> "CurveSpec":
-        with open(path) as fh:
-            return cls(json.load(fh), alpha_override=alpha_override)
+        return cls(_load_object(path, "curve spec"), alpha_override=alpha_override)
 
     def require_alpha(self) -> float:
         if self.alpha is None:
@@ -277,9 +312,9 @@ def _polygon_payload(p: polygons.GutkinPolygon) -> dict:
 def cmd_polygon_construct(n, k, arcs, params, out, svg):
     """Construct a Gutkin polygon (inscribed arcs, or free sides when n = 2k)."""
     if arcs is not None:
-        p = polygons.construct_inscribed(n, k, _parse_floats(arcs))
+        p = polygons.construct_inscribed(n, k, _read("--arcs", _parse_floats, arcs))
     elif n == 2 * k:
-        free = _parse_floats(params) if params else []
+        free = _read("--params", _parse_floats, params) if params else []
         p = polygons.construct_2kk(k, free)
     else:
         raise click.UsageError("--arcs is required unless n = 2k (then --params)")
@@ -303,10 +338,10 @@ def cmd_polygon_verify(in_path, regular, k, tol, out):
     if (in_path is None) == (regular is None):
         raise click.UsageError("exactly one of --in / --regular is required")
     if in_path is not None:
-        with open(in_path) as fh:
-            data = json.load(fh)
-        vertices = np.asarray(_required(data, "vertices", "polygon file"), float)
-        k = int(k if k is not None else _required(data, "k", "polygon file"))
+        data = _load_object(in_path, "polygon file")
+        vertices = _field(data, "vertices", "polygon file", lambda v: np.asarray(v, dtype=float))
+        if k is None:
+            k = _field(data, "k", "polygon file", int)
     else:
         vertices = polygons.regular_polygon(regular)
         if k is None:
@@ -349,7 +384,7 @@ def cmd_polygon_family(n, k, coeffs, out, svg):
                "basis": [[float(x) for x in b] for b in basis]}
     member = None
     if coeffs is not None:
-        sides = polygons.family_member(n, k, _parse_floats(coeffs))
+        sides = polygons.family_member(n, k, _read("--coeffs", _parse_floats, coeffs))
         member = polygons.polygon_from_sides(sides)
         payload["sides"] = [float(x) for x in sides]
         payload["vertices"] = [[float(x), float(y)] for x, y in member]
@@ -394,7 +429,9 @@ def cmd_curve_build(spec_path, out, svg):
 def cmd_curve_verify(spec_path, alpha, samples, tol, out):
     """Shoot chords at angle alpha and report the worst arrival-angle defect."""
     tol = tolerance(tol)
-    cs = CurveSpec.load(spec_path, alpha_override=alpha)
+    if samples < 0:
+        raise click.UsageError("--samples must be >= 0")
+    cs = CurveSpec.load(spec_path, alpha_override=_read("--alpha", _alpha_ref, alpha))
     a = cs.require_alpha()
     rep = curves.verify_curve_gutkin(cs.curve, a, n_samples=samples)
     payload = {"geometry": cs.geometry.value, "alpha": a,
@@ -413,7 +450,9 @@ def cmd_curve_verify(spec_path, alpha, samples, tol, out):
 @domain_errors
 def cmd_curve_residual(spec_path, operator, alpha, grid, out):
     """Max residual of the functional chord equation on a uniform grid."""
-    cs = CurveSpec.load(spec_path, alpha_override=alpha)
+    if grid < 1:
+        raise click.UsageError("--grid must be >= 1")
+    cs = CurveSpec.load(spec_path, alpha_override=_read("--alpha", _alpha_ref, alpha))
     a = cs.require_alpha()
     geo = _GEOMETRY_TAGS[operator]
     ts = np.linspace(0.0, 2 * np.pi, int(grid), endpoint=False)
@@ -455,7 +494,7 @@ def cmd_billiard_orbit(spec_path, t0, theta, steps, out):
     """Iterate the billiard map and export the orbit as CSV."""
     if steps < 0:
         raise click.UsageError("--steps must be >= 0")
-    cs = CurveSpec.load(spec_path, alpha_override=theta)
+    cs = CurveSpec.load(spec_path, alpha_override=_read("--theta", _alpha_ref, theta))
     angle = cs.require_alpha()
     rows = billiards.export_orbit(cs.curve, billiards.BilliardState(t=t0, theta=angle),
                                   steps)

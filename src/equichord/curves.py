@@ -26,13 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import angles
-from .errors import NotAdmissible, NotClosed, NotConvex, OutOfRange
+from .errors import NonConvex, NotAdmissible, NotClosed, OutOfRange
 from .fourier import Harmonic, TrigPolynomial
 from .geometry import (
     Geometry,
     ParametricCurve,
     _check_radius,
-    _embed,
     geodesic_curvature,
     shoot_to_curve,
 )
@@ -96,6 +95,8 @@ class FourierCurveE2:
     alpha: float | None = None
 
     def __post_init__(self):
+        if not np.isfinite(self.c0):
+            raise OutOfRange(f"c0 must be finite, got {self.c0}")
         hs = tuple(h if isinstance(h, Harmonic) else Harmonic(*h) for h in self.harmonics)
         object.__setattr__(self, "harmonics", hs)
         for h in hs:
@@ -107,7 +108,7 @@ class FourierCurveE2:
         grid = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
         margin = rho.lipschitz_bound() * (np.pi / 4096)
         if float(rho(grid).min()) <= margin:
-            raise NotConvex("radius of curvature must stay positive (convexity)")
+            raise NonConvex("radius of curvature must stay positive (convexity)")
         # closed by construction (no first harmonic); assert anyway
         if closure_defect(self.c0, hs) > 1e-10:
             raise NotClosed("curve fails to close")
@@ -195,6 +196,8 @@ class DeformedCircle:
     def __post_init__(self):
         if self.geometry is Geometry.EUCLIDEAN:
             raise OutOfRange("deformed circles are spherical or hyperbolic")
+        if not np.isfinite(self.epsilon):
+            raise OutOfRange(f"epsilon must be finite, got {self.epsilon}")
         if 1 in self.g.orders:
             raise NotClosed("g must not contain first harmonics")
         c, a = angles.lemma_constants(self.geometry, self.R, self.alpha)
@@ -214,7 +217,7 @@ def build_deformed_circle(spec: DeformedCircle) -> ParametricCurve:
     ddg = g.derivative(2)
     geo = spec.geometry
     R = _check_radius(geo, spec.R)
-    S, C, K = geo.kernel.sn, geo.kernel.cs, geo.kernel.K
+    S, C, K, embed = geo.kernel.sn, geo.kernel.cs, geo.kernel.K, geo.kernel.embed
 
     def _r(t):
         return R + eps * g(t)
@@ -223,31 +226,29 @@ def build_deformed_circle(spec: DeformedCircle) -> ParametricCurve:
         t = np.asarray(t)
         r = _r(t)
         s = S(r)
-        return _embed(geo, s * np.cos(t), s * np.sin(t), C(r))
+        return embed(s * np.cos(t), s * np.sin(t), lambda: C(r))
 
     def velocity(t):
         t = np.asarray(t)
         r, dr = _r(t), eps * dg(t)
         s, c = S(r), C(r)
-        return _embed(geo,
-                      c * dr * np.cos(t) - s * np.sin(t),
-                      c * dr * np.sin(t) + s * np.cos(t),
-                      -K * s * dr)
+        return embed(c * dr * np.cos(t) - s * np.sin(t),
+                     c * dr * np.sin(t) + s * np.cos(t),
+                     lambda: -K * s * dr)
 
     def acceleration(t):
         t = np.asarray(t)
         r, dr, ddr = _r(t), eps * dg(t), eps * ddg(t)
         s, c = S(r), C(r)
         rad = -K * s * dr**2 + c * ddr
-        return _embed(geo,
-                      rad * np.cos(t) - 2 * c * dr * np.sin(t) - s * np.cos(t),
-                      rad * np.sin(t) + 2 * c * dr * np.cos(t) - s * np.sin(t),
-                      -K * (c * dr**2 + s * ddr))
+        return embed(rad * np.cos(t) - 2 * c * dr * np.sin(t) - s * np.cos(t),
+                     rad * np.sin(t) + 2 * c * dr * np.cos(t) - s * np.sin(t),
+                     lambda: -K * (c * dr**2 + s * ddr))
 
     curve = ParametricCurve(geo, point, velocity, acceleration)
     for t in np.linspace(0.0, 2 * np.pi, 128, endpoint=False):
         if geodesic_curvature(curve, float(t)) <= 0:
-            raise NotConvex("deformation too large: curve loses convexity")
+            raise NonConvex("deformation too large: curve loses convexity")
     return curve
 
 

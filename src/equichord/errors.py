@@ -1,69 +1,34 @@
-"""Exception hierarchy shared by all equichord modules."""
+"""The package's error contract: every rejected input raises one of these.
+
+They all derive from EquichordError, itself a ValueError.  Internal faults
+(a solver that does not converge, a failed self-check) raise RuntimeError
+instead, so they are never mistaken for bad input.
+"""
 
 
-class EquichordError(Exception):
-    """Base class for all domain errors raised by this package."""
-
-
-class BadRadius(EquichordError):
-    """Radius outside the admissible range for the given geometry."""
-
-
-class DegenerateVelocity(EquichordError):
-    """Curve velocity too small to define a direction."""
-
-
-class NoIntersection(EquichordError):
-    """Geodesic shooting failed to find a forward intersection."""
-
-
-class Tangential(EquichordError):
-    """Launch angle too close to tangential for reliable shooting."""
-
-
-class CoincidentPoints(EquichordError):
-    """Chord endpoints coincide (mod curve length)."""
-
-
-class NonConvex(EquichordError):
-    """Operation requires a convex curve or polygon."""
-
-
-class NotConvex(NonConvex):
-    """Curve construction would produce a non-convex curve."""
-
-
-class NotClosed(EquichordError):
-    """Curve construction would produce a non-closed curve."""
-
-
-class NotAdmissible(EquichordError):
-    """Angle fails the admissibility equation for the given harmonic."""
+class EquichordError(ValueError):
+    """Base class: the input lies outside what the package's objects admit."""
 
 
 class OutOfRange(EquichordError):
-    """Integer argument outside its documented range."""
+    """An argument or input field outside its domain, missing or malformed."""
 
 
-class WrongOrientation(EquichordError):
-    """Polygon vertices are not in counterclockwise order."""
+class NonConvex(EquichordError):
+    """The curve or polygon is not (strictly) convex."""
 
 
-class NotApplicable(EquichordError):
-    """Quantity undefined for these parameters (e.g. beta angles at n=2k)."""
+class NotClosed(EquichordError):
+    """The curve would not close: its data carries a first harmonic."""
+
+
+class NotAdmissible(EquichordError):
+    """The input fails the equiangular condition it was required to meet."""
 
 
 class Infeasible(EquichordError):
-    """Linear family parameters leave the positivity polytope."""
+    """The requested family member leaves the positivity polytope."""
 
 
-class CoprimePair(EquichordError):
-    """gcd(n, k-1) = 1: the inscribed-arc construction does not apply."""
-
-
-class ArcSumMismatch(EquichordError):
-    """Arc lengths do not sum to the required total."""
-
-
-class NonPositiveArc(EquichordError):
-    """All arcs must be strictly positive."""
+class Degenerate(EquichordError):
+    """Zero curve speed, coincident chord ends, or a chord that meets nothing."""

@@ -8,9 +8,12 @@ by coefficient manipulation, never numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import OutOfRange
 
 __all__ = ["Harmonic", "TrigPolynomial"]
 
@@ -22,8 +25,10 @@ class Harmonic:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.k < 0 or self.k != int(self.k):
-            raise ValueError(f"harmonic order must be a nonnegative integer, got {self.k}")
+        if not (self.k >= 0 and float(self.k).is_integer()):
+            raise OutOfRange(f"harmonic order must be a nonnegative integer, got {self.k}")
+        if not (math.isfinite(self.amp) and math.isfinite(self.phase)):
+            raise OutOfRange(f"harmonic amplitude and phase must be finite, got {self.amp}, {self.phase}")
 
 
 @dataclass(frozen=True)
@@ -60,14 +65,3 @@ class TrigPolynomial:
     def lipschitz_bound(self) -> float:
         """Upper bound on |f'|."""
         return float(sum(abs(h.amp) * h.k for h in self.harmonics))
-
-    @staticmethod
-    def from_pairs(c0: float, pairs) -> "TrigPolynomial":
-        """Build from an iterable of (k, amp) or (k, amp, phase) tuples."""
-        hs = []
-        for p in pairs:
-            if len(p) == 2:
-                hs.append(Harmonic(int(p[0]), float(p[1])))
-            else:
-                hs.append(Harmonic(int(p[0]), float(p[1]), float(p[2])))
-        return TrigPolynomial(float(c0), tuple(hs))

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BadRadius, DegenerateVelocity, NoIntersection, Tangential
+from .errors import Degenerate, NonConvex, OutOfRange
 
 __all__ = [
     "Geometry",
@@ -152,8 +152,12 @@ class _Kernel(NamedTuple):
     tan) on S2, (sinh, cosh, tanh) on H2; ``arccot`` inverts 1/tn_K.
     ``dot`` is the ambient inner product, ``normal(p, T)`` the unit normal on
     the convex side of a counterclockwise curve, and ``side(p, d)`` a scalar
-    function vanishing exactly on the geodesic through p along d.  ``axes``
-    places (planar x, planar y, pole) in ambient coordinates; E2 has no pole.
+    function vanishing exactly on the geodesic through p along d.
+    ``embed(x, y, pole)`` stacks planar x, planar y and the pole coordinate in
+    ambient order; ``pole`` is a function, and E2, which has no pole, never
+    calls it.  ``max_radius`` bounds circle radii: pi/2 on S2, and 10 on H2,
+    beyond which cosh^2 R > 1e8 and the hyperboloid's cancellations (in
+    distances and in the lemma constants) leave fewer than 8 digits.
     Each geometry keeps its own expression where a shared one would change
     the last bit (``np.linalg.norm`` on S2, for instance).
     """
@@ -168,7 +172,7 @@ class _Kernel(NamedTuple):
     project: Callable
     normal: Callable
     side: Callable
-    axes: tuple
+    embed: Callable
     max_radius: float
 
 
@@ -177,17 +181,18 @@ _KERNELS = {
         K=0.0, sn=lambda x: x, cs=np.ones_like, tn=lambda x: x, arccot=lambda x: 1.0 / x,
         dot=_euclidean_dot, distance=_euclidean_distance, project=lambda x: x,
         normal=lambda p, t: np.array([-t[1], t[0]]), side=_line_side,
-        axes=(0, 1), max_radius=np.inf),
+        embed=lambda x, y, pole: np.stack([x, y], axis=-1), max_radius=np.inf),
     "S2": _Kernel(
         K=1.0, sn=np.sin, cs=np.cos, tn=np.tan, arccot=lambda x: np.arctan2(1.0, x),
         dot=_euclidean_dot, distance=_spherical_distance,
         project=lambda x: x / np.linalg.norm(x), normal=np.cross, side=_plane_side,
-        axes=(0, 1, 2), max_radius=np.pi / 2),
+        embed=lambda x, y, pole: np.stack([x, y, pole()], axis=-1), max_radius=np.pi / 2),
     "H2": _Kernel(
         K=-1.0, sn=np.sinh, cs=np.cosh, tn=np.tanh, arccot=lambda x: np.arctanh(1.0 / x),
         dot=_minkowski_dot, distance=_hyperbolic_distance,
         project=lambda x: x / np.sqrt(-_minkowski_dot(x, x)), normal=_hyperbolic_normal,
-        side=_plane_side, axes=(2, 0, 1), max_radius=np.inf),
+        side=_plane_side, embed=lambda x, y, pole: np.stack([pole(), x, y], axis=-1),
+        max_radius=10.0),
 }
 
 
@@ -201,17 +206,11 @@ class Geometry(enum.Enum):
 
 
 def _check_radius(geometry: Geometry, radius) -> float:
-    """Circle radius as a float; it must lie in (0, pi/2) on S2, (0, inf) elsewhere."""
+    """Circle radius as a float, inside (0, geometry.kernel.max_radius)."""
     bound = geometry.kernel.max_radius
     if radius is None or not 0.0 < radius < bound:
-        raise BadRadius(f"{geometry.value} radius must lie in (0, {bound:g}), got {radius!r}")
+        raise OutOfRange(f"{geometry.value} radius must lie in (0, {bound:g}), got {radius!r}")
     return float(radius)
-
-
-def _embed(geometry: Geometry, x, y, pole):
-    """Stack planar coordinates and the pole coordinate in ambient order."""
-    cols = (x, y, pole)
-    return np.stack([cols[i] for i in geometry.kernel.axes], axis=-1)
 
 
 def mdot(geometry: Geometry, u, v):
@@ -255,7 +254,7 @@ class ParametricCurve:
         v = np.asarray(self.velocity(float(t)), dtype=float)
         speed = float(mnorm(self.geometry, v))
         if speed < 1e-10:
-            raise DegenerateVelocity(f"curve speed {speed:.3e} at t={t}")
+            raise Degenerate(f"curve speed {speed:.3e} at t={t}")
         return v / speed
 
 
@@ -276,18 +275,19 @@ def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
     """
     r = _check_radius(geometry, radius)
     sr, cr = geometry.kernel.sn(r), geometry.kernel.cs(r)
+    embed = geometry.kernel.embed
 
     def point(t):
         t = np.asarray(t)
-        return _embed(geometry, sr * np.cos(t), sr * np.sin(t), cr * np.ones_like(t))
+        return embed(sr * np.cos(t), sr * np.sin(t), lambda: cr * np.ones_like(t))
 
     def velocity(t):
         t = np.asarray(t)
-        return _embed(geometry, -sr * np.sin(t), sr * np.cos(t), np.zeros_like(t))
+        return embed(-sr * np.sin(t), sr * np.cos(t), lambda: np.zeros_like(t))
 
     def acceleration(t):
         t = np.asarray(t)
-        return _embed(geometry, -sr * np.cos(t), -sr * np.sin(t), np.zeros_like(t))
+        return embed(-sr * np.cos(t), -sr * np.sin(t), lambda: np.zeros_like(t))
 
     return ParametricCurve(geometry, point, velocity, acceleration)
 
@@ -304,7 +304,7 @@ def geodesic_curvature(curve: ParametricCurve, t: float) -> float:
     v = np.asarray(curve.velocity(t), dtype=float)
     speed2 = float(mdot(g, v, v))
     if speed2 < 1e-20:
-        raise DegenerateVelocity(f"curve speed below 1e-10 at t={t}")
+        raise Degenerate(f"curve speed below 1e-10 at t={t}")
     a = np.asarray(curve.acceleration(t), dtype=float)
     p = np.asarray(curve.point(t), dtype=float)
     n = inward_normal(g, project_to_manifold(g, p), v / np.sqrt(speed2))
@@ -325,15 +325,16 @@ def shoot_to_curve(curve: ParametricCurve, t0: float, theta: float) -> tuple[flo
 
     From curve(t0), shoot at angle ``theta`` (measured from the forward
     tangent, into the interior) and return ``(t1, arrival_angle,
-    chord_length)`` for the first forward intersection.  ``arrival_angle`` is
-    the angle between the arriving chord direction and the forward tangent at
-    t1, so equiangular chords report arrival_angle == theta.
+    chord_length)`` for its other intersection with the curve.  ``arrival_angle``
+    is the angle between the arriving chord direction and the forward tangent
+    at t1, so equiangular chords report arrival_angle == theta.  A chord that
+    crosses the curve more than once on the sampling grid raises NonConvex.
     """
     g = curve.geometry
     t0 = float(t0)
     theta = float(theta)
-    if theta < 1e-6 or theta > np.pi - 1e-6:
-        raise Tangential(f"launch angle {theta} too close to tangential")
+    if not 1e-6 <= theta <= np.pi - 1e-6:
+        raise OutOfRange(f"launch angle {theta} too close to tangential")
 
     p = project_to_manifold(g, np.asarray(curve.point(t0), dtype=float))
     tan = curve.unit_tangent(t0)
@@ -347,10 +348,12 @@ def shoot_to_curve(curve: ParametricCurve, t0: float, theta: float) -> tuple[flo
     ts = np.linspace(t0 + guard, t0 + period - guard, _SHOT_GRID)
     vals = np.asarray(side(np.asarray(curve.point(ts), dtype=float)))
 
-    hit = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
-    i = int(np.argmax(hit))
-    if not hit[i]:
-        raise NoIntersection("no forward intersection found (curve convex and closed?)")
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    if len(hits) == 0:
+        raise Degenerate("no forward intersection found (curve convex and closed?)")
+    if len(hits) > 1:
+        raise NonConvex(f"the chord from t0={t0} at theta={theta} crosses the curve {len(hits)} times")
+    i = int(hits[0])
     t1 = float(ts[i]) if vals[i] == 0.0 else _brentq(
         lambda t: side(np.asarray(curve.point(t), dtype=float)), ts[i], ts[i + 1], xtol=1e-13)
 

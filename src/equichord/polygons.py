@@ -19,16 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ArcSumMismatch,
-    CoprimePair,
-    Infeasible,
-    NonConvex,
-    NonPositiveArc,
-    NotApplicable,
-    OutOfRange,
-    WrongOrientation,
-)
+from .errors import Infeasible, NonConvex, NotAdmissible, OutOfRange
 
 __all__ = [
     "GutkinPolygon",
@@ -75,7 +66,7 @@ def contact_angle(n: int, k: int) -> float:
 def _vertex_array(vertices) -> np.ndarray:
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-        raise ValueError("vertices must be an (n, 2) array with n >= 3")
+        raise OutOfRange("vertices must be an (n, 2) array with n >= 3")
     return v
 
 
@@ -84,7 +75,7 @@ def _check_convex_ccw(v: np.ndarray):
     e = np.roll(v, -1, axis=0) - v
     cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
     if np.all(cross < 0):
-        raise WrongOrientation("vertices are clockwise; expected counterclockwise")
+        raise OutOfRange("vertices are clockwise; expected counterclockwise")
     if not np.all(cross > 0):
         raise NonConvex("polygon is not strictly convex")
 
@@ -170,7 +161,7 @@ def verify_gutkin(vertices, k: int, tol: float = 1e-9) -> dict:
 def as_gutkin_polygon(vertices, k: int, tol: float = 1e-9) -> GutkinPolygon:
     rep = verify_gutkin(vertices, k, tol)
     if not rep["is_gutkin"]:
-        raise NonConvex(
+        raise NotAdmissible(
             f"polygon is not Gutkin for k={k}: max contact-angle spread "
             f"{rep['max_residual']:.3e} >= tol {tol:g}"
         )
@@ -182,7 +173,7 @@ def as_gutkin_polygon(vertices, k: int, tol: float = 1e-9) -> GutkinPolygon:
 def beta_sum_check(p: GutkinPolygon) -> float:
     """|alpha - (pi (n - 2) - sum beta_i) / (2n)|; undefined at n = 2k."""
     if p.n == 2 * p.k:
-        raise NotApplicable("beta angles do not exist when n = 2k")
+        raise OutOfRange("beta angles do not exist when n = 2k")
     betas = p.beta_angles
     if betas is None:
         betas = verify_gutkin(p.vertices, p.k)["beta_angles"]
@@ -288,8 +279,8 @@ def family_member(n: int, k: int, coefficients=None) -> np.ndarray:
         b = basis[0]
     else:
         coefficients = np.asarray(coefficients, dtype=float)
-        if len(coefficients) != len(basis):
-            raise OutOfRange(f"expected {len(basis)} coefficients")
+        if coefficients.shape != (len(basis),) or not np.isfinite(coefficients).all():
+            raise OutOfRange(f"expected {len(basis)} finite coefficients")
         b = sum(c * v for c, v in zip(coefficients, basis))
     # basis is orthogonal to ones, so mean(1 + s b) = 1
     lo = float(b.min())
@@ -322,8 +313,8 @@ def construct_2kk(k: int, free_params=()) -> GutkinPolygon:
     if k < 2:
         raise OutOfRange("need k >= 2")
     params = np.asarray(free_params, dtype=float).reshape(-1)
-    if len(params) != k - 2:
-        raise OutOfRange(f"construct_2kk(k={k}) takes exactly {k - 2} free parameters")
+    if len(params) != k - 2 or not np.isfinite(params).all():
+        raise OutOfRange(f"construct_2kk(k={k}) takes exactly {k - 2} finite free parameters")
     theta = np.pi / k
     alpha = np.pi * (k - 1) / (2 * k)
 
@@ -353,15 +344,15 @@ def construct_inscribed(n: int, k: int, arcs) -> GutkinPolygon:
     _require_diagonal_index(n, k)
     p = math.gcd(n, k - 1)
     if p < 2:
-        raise CoprimePair(f"gcd({n}, {k - 1}) = 1: only regular polygons exist")
+        raise OutOfRange(f"gcd({n}, {k - 1}) = 1: only regular polygons exist")
     q = n // p
-    arcs = np.asarray(arcs, dtype=float)
+    arcs = np.asarray(arcs, dtype=float).reshape(-1)
     if len(arcs) != p:
-        raise ArcSumMismatch(f"expected {p} arcs, got {len(arcs)}")
-    if np.min(arcs) <= 0:
-        raise NonPositiveArc("all arcs must be strictly positive")
+        raise OutOfRange(f"expected {p} arcs, got {len(arcs)}")
+    if not (arcs > 0).all():
+        raise OutOfRange("all arcs must be strictly positive")
     if abs(arcs.sum() - 2 * np.pi / q) > 1e-9:
-        raise ArcSumMismatch(f"arcs must sum to 2 pi / {q}")
+        raise OutOfRange(f"arcs must sum to 2 pi / {q}")
     # rescale away the (at most 1e-9) rounding slack so closure is exact
     arcs = arcs * (2 * np.pi / q / arcs.sum())
 

@@ -14,7 +14,7 @@ from equichord import (
     solve_angle,
     solve_restr2,
 )
-from equichord.errors import BadRadius, OutOfRange
+from equichord.errors import OutOfRange
 from equichord.geometry import _BRENT_RTOL, _brentq
 
 
@@ -114,15 +114,33 @@ class TestLemmaConstants:
                     assert abs(lhs - np.cos(c) / np.sin(c)) < 1e-12 * (1 + abs(lhs))
 
     def test_bad_radius(self):
-        with pytest.raises(BadRadius):
+        with pytest.raises(OutOfRange, match="radius must lie in"):
             lemma_constants(Geometry.SPHERICAL, np.pi / 2, 0.5)
-        with pytest.raises(BadRadius):
+        with pytest.raises(OutOfRange, match="radius must lie in"):
             lemma_constants(Geometry.HYPERBOLIC, -1.0, 0.5)
         for geometry in (Geometry.SPHERICAL, Geometry.HYPERBOLIC):
-            with pytest.raises(BadRadius):
+            with pytest.raises(OutOfRange, match="radius must lie in"):
                 contact_angle_from_c(geometry, float("nan"), 1.0)
-        with pytest.raises(BadRadius):
+        with pytest.raises(OutOfRange, match="radius must lie in"):
             circle_curve(Geometry.EUCLIDEAN, float("nan"))
+
+    def test_self_check_holds_on_the_whole_domain(self):
+        """The first-form self-check never fires on admissible input: not for
+        H2 radii up to the bound 10 (its denominator cancels like cosh^2 R),
+        nor for S2 radii up to the last double below pi/2 (c near pi/2)."""
+        alphas = np.concatenate([np.linspace(1e-8, np.pi - 1e-8, 61), [1e-300]])
+        for geometry, radii in ((Geometry.HYPERBOLIC, np.linspace(1e-6, 9.999, 60)),
+                                (Geometry.SPHERICAL, [1.5707963, np.nextafter(np.pi / 2, 0)])):
+            for R in radii:
+                for alpha in alphas:
+                    lemma_constants(geometry, float(R), float(alpha))
+
+    def test_h2_radius_bound(self):
+        """Past R = 10 the hyperboloid's cancellations leave fewer than 8 digits."""
+        circle_curve(Geometry.HYPERBOLIC, 9.99)
+        for R in (10.0, 12.0, float("inf")):
+            with pytest.raises(OutOfRange, match=r"H2 radius must lie in \(0, 10\)"):
+                circle_curve(Geometry.HYPERBOLIC, R)
 
     def test_contact_angle_round_trip(self):
         for geometry, R in ((Geometry.SPHERICAL, 0.9), (Geometry.HYPERBOLIC, 1.3)):

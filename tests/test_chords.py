@@ -11,7 +11,7 @@ from equichord import (
     circle_curve,
     validate_partials,
 )
-from equichord.errors import CoincidentPoints
+from equichord.errors import Degenerate
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ class TestChordData:
         assert cd.Lxy == pytest.approx(dc.Lxy, abs=1e-10)
 
     def test_coincident_endpoints(self, wavy_curve):
-        with pytest.raises(CoincidentPoints):
+        with pytest.raises(Degenerate, match="chord endpoints coincide"):
             chord_data(wavy_curve, 1.0, 1.0)
 
 

@@ -148,6 +148,13 @@ class TestCurveCommands:
             assert "error:" in result.output
 
 
+    def test_bad_counts_are_usage_errors(self, runner, write_spec):
+        path = write_spec(E2_SPEC)
+        for args in (["curve", "verify", "--spec", path, "--samples", "-1"],
+                     ["curve", "residual", "--spec", path, "--operator", "E2", "--grid", "0"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+
     def test_missing_key_is_named(self, runner, write_spec):
         no_r = {k: v for k, v in S2_SPEC.items() if k != "R"}
         no_c0 = {k: v for k, v in E2_SPEC.items() if k != "c0"}

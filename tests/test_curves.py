@@ -18,7 +18,7 @@ from equichord import (
     s2_residual_operator,
     verify_curve_gutkin,
 )
-from equichord.errors import NotAdmissible, NotClosed, NotConvex
+from equichord.errors import NonConvex, NotAdmissible, NotClosed
 
 ALPHA4 = float(np.arctan(np.sqrt(5.0)))
 
@@ -39,7 +39,7 @@ class TestFourierCurveE2:
         assert closure_defect(1.0, (Harmonic(4, 0.1, 0.0),)) < 1e-14
 
     def test_nonconvex_rejected(self):
-        with pytest.raises(NotConvex):
+        with pytest.raises(NonConvex, match="radius of curvature must stay positive"):
             FourierCurveE2(c0=1.0, harmonics=(Harmonic(4, 1.2, 0.0),))
 
     def test_velocity_is_rho_times_tangent(self, flower_curve, flower_spec):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equichord import Geometry, circle_curve, geodesic_curvature, shoot_to_curve
-from equichord.errors import Tangential
+from equichord.errors import NonConvex, OutOfRange
 from equichord.geometry import (
+    ParametricCurve,
     _chord_tangent_at_arrival,
     _distance_coords,
     mdot,
@@ -145,5 +146,30 @@ class TestShooting:
 
     def test_tangential_rejected(self):
         curve = circle_curve(Geometry.EUCLIDEAN, 1.0)
-        with pytest.raises(Tangential):
+        with pytest.raises(OutOfRange, match="too close to tangential"):
             shoot_to_curve(curve, 0.0, 1e-9)
+
+    def test_multiple_crossings_rejected(self):
+        """The non-convex polar curve r = 1 + 0.5 cos 3t: the chord from t0 = 0
+        at theta = 1.2 crosses it three times, so there is no single landing point."""
+        def polar(t):
+            t = np.asarray(t)
+            r, dr, ddr = 1 + 0.5 * np.cos(3 * t), -1.5 * np.sin(3 * t), -4.5 * np.cos(3 * t)
+            return t, r, dr, ddr
+
+        def point(t):
+            t, r, _, _ = polar(t)
+            return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+
+        def velocity(t):
+            t, r, dr, _ = polar(t)
+            return np.stack([dr * np.cos(t) - r * np.sin(t), dr * np.sin(t) + r * np.cos(t)], axis=-1)
+
+        def acceleration(t):
+            t, r, dr, ddr = polar(t)
+            return np.stack([ddr * np.cos(t) - 2 * dr * np.sin(t) - r * np.cos(t),
+                             ddr * np.sin(t) + 2 * dr * np.cos(t) - r * np.sin(t)], axis=-1)
+
+        curve = ParametricCurve(Geometry.EUCLIDEAN, point, velocity, acceleration)
+        with pytest.raises(NonConvex, match="crosses the curve 3 times"):
+            shoot_to_curve(curve, 0.0, 1.2)

@@ -1,4 +1,5 @@
-"""Package-wide structural checks: public names resolve, no stripped self-checks."""
+"""Package-wide structural checks: public names resolve, no stripped self-checks,
+and every error the library raises belongs to its error contract."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import equichord
+from equichord import errors
 
 SRC = pathlib.Path(equichord.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
@@ -39,6 +41,41 @@ def test_no_assert_self_checks():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     offenders.append(f"{path.name}:{node.lineno} raise AssertionError")
+    assert not offenders, offenders
+
+
+def _raised_names():
+    """(module file, enclosing top-level function, line, raised class name) for
+    every ``raise Name(...)`` and ``raise Name`` in the library."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if isinstance(exc, ast.Name):
+                        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+                        out.append((path.name, owner, node.lineno, exc.id))
+    return out
+
+
+def test_every_error_class_is_raised():
+    """An error class nothing raises, directly or through a subclass, means nothing."""
+    raised = {name for _, _, _, name in _raised_names()}
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and c.__module__ == errors.__name__]
+    assert len(classes) <= 7
+    unused = [c.__name__ for c in classes
+              if not any(issubclass(d, c) and d.__name__ in raised for d in classes)]
+    assert not unused, unused
+
+
+def test_no_bare_builtin_errors():
+    """Bad input raises an EquichordError; only the internal root finder raises
+    a bare ValueError (its bracket is the caller's, never the user's)."""
+    offenders = [f"{module}:{line} {name}" for module, owner, line, name in _raised_names()
+                 if name in ("ValueError", "KeyError", "TypeError")
+                 and (module, owner) != ("geometry.py", "_brentq")]
     assert not offenders, offenders
 
 

@@ -21,7 +21,7 @@ from equichord import (
     solve_restr2,
     verify_gutkin,
 )
-from equichord.errors import CoprimePair, Infeasible, NotApplicable, OutOfRange
+from equichord.errors import Infeasible, NotAdmissible, OutOfRange
 from equichord.polygons import as_gutkin_polygon, regular_polygon
 
 
@@ -136,7 +136,7 @@ class TestConstruct2kk:
 
     def test_beta_undefined(self):
         p = construct_2kk(3, [0.3])
-        with pytest.raises(NotApplicable):
+        with pytest.raises(OutOfRange, match="beta angles do not exist"):
             beta_sum_check(p)
 
 
@@ -154,7 +154,7 @@ class TestConstructInscribed:
         assert angle_periodicity_check(p)
 
     def test_coprime_rejected(self):
-        with pytest.raises(CoprimePair):
+        with pytest.raises(OutOfRange, match="only regular polygons exist"):
             construct_inscribed(7, 2, [1.0])
 
     def test_nonregular(self):
@@ -191,5 +191,5 @@ class TestRangeChecks:
 
     def test_as_gutkin_polygon_rejects(self):
         rect = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(Exception):
+        with pytest.raises(NotAdmissible):
             as_gutkin_polygon(rect, 2)
