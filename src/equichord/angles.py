@@ -114,12 +114,15 @@ def lemma_constants(geometry: Geometry, radius: Optional[float], alpha: float) -
     c = float(np.arctan2(1.0, cot_c))
     a = float(np.sqrt(cs**2 + kern.K * np.sin(alpha) ** 2 * sn**2))
     # equivalent first form of the same lemma, kept as a self-check; its bound
-    # scales with the rounding the form amplifies: cancellation in the
-    # denominator (H2) and cos c near pi/2 (S2 with R near pi/2)
+    # scales with the rounding the form amplifies: cancellation in the H2
+    # denominator (past 1e12 no digit is left to check) and the rounding of c,
+    # which moves first by |cos alpha| c tan c = c sin alpha / cs times eps
     terms = cs**2 + sn**2 * np.cos(c) ** 2
     den = cs**2 + kern.K * sn**2 * np.cos(c) ** 2
+    if not 1e12 * den > terms:
+        raise OutOfRange(f"{geometry.value} radius {r} too large for alpha = {alpha}: cosh^2 R cancels")
     first = np.cos(c) / np.sqrt(den)
-    if not abs(first - np.cos(alpha)) < 1e-12 * max(terms / den, abs(c * np.tan(c))):
+    if not abs(first - np.cos(alpha)) < 1e-12 * max(terms / den, c * np.sin(alpha) / cs):
         raise RuntimeError(
             f"lemma_constants self-check failed: the first form gives cos alpha = {first!r}, "
             f"expected {np.cos(alpha)!r}"

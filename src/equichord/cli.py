@@ -95,14 +95,10 @@ def _svg_document(polylines) -> str:
     margin = 0.05 * span
     scale = 800.0 / (span + 2 * margin)
 
-    def to_px(p):
-        x = (p[:, 0] - lo[0] + margin) * scale
-        y = 800.0 - (p[:, 1] - lo[1] + margin) * scale
-        return x, y
-
     lines = ['<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 800">']
     for p, color, closed in polylines:
-        x, y = to_px(np.asarray(p, float))
+        p = np.asarray(p, float)
+        x, y = (p[:, 0] - lo[0] + margin) * scale, 800.0 - (p[:, 1] - lo[1] + margin) * scale
         coords = " ".join(f"{xi:.3f},{yi:.3f}" for xi, yi in zip(x, y))
         tag = "polygon" if closed else "polyline"
         lines.append(
@@ -118,10 +114,6 @@ def _polygon_svg(vertices: np.ndarray, k: int) -> str:
     shapes = [(np.vstack([v[i], v[(i + k) % n]]), "gray", False) for i in range(n)]
     shapes.append((v, "black", True))
     return _svg_document(shapes)
-
-
-def _curve_svg(points: np.ndarray) -> str:
-    return _svg_document([(np.asarray(points, float), "black", True)])
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +169,20 @@ def _parse_floats(text: str) -> list[float]:
     return [float(s) for s in text.split(",") if s.strip()]
 
 
+def _order(value) -> int:
+    """An integer order: 4 and 4.0 read as 4, 4.7 is rejected, not truncated."""
+    if not float(value).is_integer():
+        raise OutOfRange(f"order {value!r} is not an integer")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # curve specs
 
 
 def _harmonic_triples(raw) -> tuple:
     """[{"k": .., "amp": .., "phase": ..}, ...] as (k, amp, phase) triples."""
-    return tuple((int(h["k"]), float(h["amp"]), float(h.get("phase", 0.0))) for h in raw)
+    return tuple((_order(h["k"]), float(h["amp"]), float(h.get("phase", 0.0))) for h in raw)
 
 
 def _alpha_ref(value):
@@ -341,7 +340,7 @@ def cmd_polygon_verify(in_path, regular, k, tol, out):
         data = _load_object(in_path, "polygon file")
         vertices = _field(data, "vertices", "polygon file", lambda v: np.asarray(v, dtype=float))
         if k is None:
-            k = _field(data, "k", "polygon file", int)
+            k = _field(data, "k", "polygon file", _order)
     else:
         vertices = polygons.regular_polygon(regular)
         if k is None:
@@ -415,7 +414,7 @@ def cmd_curve_build(spec_path, out, svg):
     _emit(to_json(payload), out)
     if svg:
         with open(svg, "w") as fh:
-            fh.write(_curve_svg(cs.sample_plane_points()) + "\n")
+            fh.write(_svg_document([(cs.sample_plane_points(), "black", True)]) + "\n")
 
 
 @curve.command("verify")

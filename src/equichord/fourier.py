@@ -25,8 +25,8 @@ class Harmonic:
     phase: float = 0.0
 
     def __post_init__(self):
-        if not (self.k >= 0 and float(self.k).is_integer()):
-            raise OutOfRange(f"harmonic order must be a nonnegative integer, got {self.k}")
+        if not (0 <= self.k < 2**53 and float(self.k).is_integer()):
+            raise OutOfRange(f"harmonic order must be an integer in [0, 2^53), got {self.k}")
         if not (math.isfinite(self.amp) and math.isfinite(self.phase)):
             raise OutOfRange(f"harmonic amplitude and phase must be finite, got {self.amp}, {self.phase}")
 

@@ -155,9 +155,7 @@ class _Kernel(NamedTuple):
     function vanishing exactly on the geodesic through p along d.
     ``embed(x, y, pole)`` stacks planar x, planar y and the pole coordinate in
     ambient order; ``pole`` is a function, and E2, which has no pole, never
-    calls it.  ``max_radius`` bounds circle radii: pi/2 on S2, and 10 on H2,
-    beyond which cosh^2 R > 1e8 and the hyperboloid's cancellations (in
-    distances and in the lemma constants) leave fewer than 8 digits.
+    calls it.  ``max_radius`` bounds circle radii (pi/2 on S2).
     Each geometry keeps its own expression where a shared one would change
     the last bit (``np.linalg.norm`` on S2, for instance).
     """
@@ -192,7 +190,7 @@ _KERNELS = {
         dot=_minkowski_dot, distance=_hyperbolic_distance,
         project=lambda x: x / np.sqrt(-_minkowski_dot(x, x)), normal=_hyperbolic_normal,
         side=_plane_side, embed=lambda x, y, pole: np.stack([pole(), x, y], axis=-1),
-        max_radius=10.0),
+        max_radius=np.inf),
 }
 
 

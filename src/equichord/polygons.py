@@ -71,7 +71,6 @@ def _vertex_array(vertices) -> np.ndarray:
 
 
 def _check_convex_ccw(v: np.ndarray):
-    n = len(v)
     e = np.roll(v, -1, axis=0) - v
     cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
     if np.all(cross < 0):

@@ -126,21 +126,40 @@ class TestLemmaConstants:
 
     def test_self_check_holds_on_the_whole_domain(self):
         """The first-form self-check never fires on admissible input: not for
-        H2 radii up to the bound 10 (its denominator cancels like cosh^2 R),
-        nor for S2 radii up to the last double below pi/2 (c near pi/2)."""
-        alphas = np.concatenate([np.linspace(1e-8, np.pi - 1e-8, 61), [1e-300]])
-        for geometry, radii in ((Geometry.HYPERBOLIC, np.linspace(1e-6, 9.999, 60)),
-                                (Geometry.SPHERICAL, [1.5707963, np.nextafter(np.pi / 2, 0)])):
+        H2 radii up to 14 (its denominator cancels like cosh^2 R), nor for S2
+        radii up to the last double below pi/2 (c near pi/2)."""
+        alphas = np.concatenate([np.linspace(1e-8, np.pi - 1e-8, 61),
+                                 [1e-300, np.pi / 2, np.nextafter(np.pi / 2, 0)]])
+        for geometry, radii in ((Geometry.HYPERBOLIC, np.linspace(1e-6, 14.0, 60)),
+                                (Geometry.SPHERICAL, [1.0, 1.5707963, np.nextafter(np.pi / 2, 0)])):
             for R in radii:
                 for alpha in alphas:
                     lemma_constants(geometry, float(R), float(alpha))
 
-    def test_h2_radius_bound(self):
-        """Past R = 10 the hyperboloid's cancellations leave fewer than 8 digits."""
-        circle_curve(Geometry.HYPERBOLIC, 9.99)
-        for R in (10.0, 12.0, float("inf")):
-            with pytest.raises(OutOfRange, match=r"H2 radius must lie in \(0, 10\)"):
-                circle_curve(Geometry.HYPERBOLIC, R)
+    def test_self_check_fires_near_a_right_angle(self, monkeypatch):
+        """At alpha within 1e-3 or 1e-9 of pi/2 on the unit-radius sphere the
+        first form is good to about 1e-15; a c off by 1e-10 moves it by about
+        2e-10, and the self-check reports that."""
+        for alpha in (np.pi / 2 - 1e-3, np.pi / 2 - 1e-9):
+            lemma_constants(Geometry.SPHERICAL, 1.0, alpha)
+        arctan2 = np.arctan2
+        monkeypatch.setattr(np, "arctan2", lambda y, x: arctan2(y, x) + 1e-10)
+        for alpha in (np.pi / 2 - 1e-3, np.pi / 2 - 1e-9):
+            with pytest.raises(RuntimeError, match="self-check failed"):
+                lemma_constants(Geometry.SPHERICAL, 1.0, alpha)
+
+    def test_h2_cancellation_is_out_of_range(self):
+        """Large H2 radii stay valid where only cosh and sinh are needed; the
+        lemma constants reject them once cosh^2 R cancels past 1e12."""
+        for R in (12.0, 40.0):
+            circle_curve(Geometry.HYPERBOLIC, R)
+            assert 0.0 < contact_angle_from_c(Geometry.HYPERBOLIC, R, 1.0) <= np.pi / 2
+            assert f_star(Geometry.HYPERBOLIC, R, 1.0) > 0.0
+        lemma_constants(Geometry.HYPERBOLIC, 12.0, 1.0)
+        lemma_constants(Geometry.HYPERBOLIC, 40.0, np.pi / 2)
+        for R, alpha in ((20.0, 1.0), (40.0, 0.1)):
+            with pytest.raises(OutOfRange, match="cosh\\^2 R cancels"):
+                lemma_constants(Geometry.HYPERBOLIC, R, alpha)
 
     def test_contact_angle_round_trip(self):
         for geometry, R in ((Geometry.SPHERICAL, 0.9), (Geometry.HYPERBOLIC, 1.3)):

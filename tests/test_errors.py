@@ -127,6 +127,12 @@ class TestLibraryContract:
         with pytest.raises(OutOfRange, match="finite"):
             build()
 
+    @pytest.mark.parametrize("k", [4.7, -1, 2**53, 10**400, np.nan, np.inf],
+                             ids=["fraction", "negative", "2^53", "10^400", "nan", "inf"])
+    def test_harmonic_order_out_of_range(self, k):
+        with pytest.raises(OutOfRange, match="harmonic order"):
+            Harmonic(k, 0.1)
+
 
 # ---------------------------------------------------------------------------
 # CLI: malformed spec and polygon files exit 3 with a single error line
@@ -140,12 +146,16 @@ POLYGON = {"n": 4, "k": 2, "vertices": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.
 
 NOT_A_NUMBER = st.one_of(st.none(), st.text(st.characters(categories=["L"]), min_size=1),
                          st.lists(st.integers(), max_size=2), st.dictionaries(st.text(), st.integers(), max_size=2))
+NOT_AN_ORDER = st.one_of(st.floats(2.0, 9.0).filter(lambda x: not x.is_integer()),
+                         st.sampled_from([2**53, 2**63, 10**400]))
 NOT_HARMONICS = st.one_of(
     st.integers(), st.floats(allow_nan=False), st.text(min_size=1), st.none(),
     st.dictionaries(st.sampled_from(["k", "amp", "phase"]), st.integers(2, 5), min_size=1),
     st.lists(st.one_of(st.integers(), st.text(), st.lists(st.integers(), max_size=3)), min_size=1, max_size=3),
     st.lists(st.fixed_dictionaries({"k": st.integers(2, 6)}), min_size=1, max_size=2),
     st.lists(st.fixed_dictionaries({"k": NOT_A_NUMBER, "amp": st.floats(0, 0.01)}), min_size=1, max_size=2),
+    # a fractional order is not truncated, and an order past 2^53 (or past float range) is refused
+    st.lists(st.fixed_dictionaries({"k": NOT_AN_ORDER, "amp": st.floats(0, 0.01)}), min_size=1, max_size=2),
 )
 
 
@@ -197,7 +207,8 @@ MALFORMED_POLYGONS = st.one_of(
         .filter(lambda v: len({len(p) for p in v}) > 1 or len(v[0]) != 2 or len(v) < 3),
         st.lists(st.lists(st.text(st.characters(categories=["L"]), min_size=1), min_size=2, max_size=2),
                  min_size=3, max_size=4))).map(lambda f: _apply(POLYGON, f)),
-    st.tuples(st.just("k"), NOT_A_NUMBER).map(lambda f: _apply(POLYGON, f)),
+    st.tuples(st.just("k"), st.one_of(NOT_A_NUMBER, st.floats(2.0, 3.0).filter(lambda x: not x.is_integer())))
+    .map(lambda f: _apply(POLYGON, f)),
     st.sampled_from(["vertices", "k"]).map(lambda key: _apply(POLYGON, (key, KeyError))),
     NOT_AN_OBJECT,
 )
@@ -216,7 +227,9 @@ class TestCliContract:
         [E2_SPEC],
         dict(S2_SPEC, g={"k": 4}),
         dict(E2_SPEC, alpha=[1]),
-    ], ids=["harmonics-int", "top-level-list", "g-object", "alpha-list"])
+        dict(E2_SPEC, harmonics=[{"k": 4.7, "amp": 0.1}]),
+        dict(E2_SPEC, harmonics=[{"k": 10**400, "amp": 0.1}]),
+    ], ids=["harmonics-int", "top-level-list", "g-object", "alpha-list", "k-fraction", "k-huge"])
     def test_malformed_specs_named(self, tmp_path, command, spec):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
