@@ -37,6 +37,8 @@ __all__ = [
     "connelly_check",
 ]
 
+_RESTR2_TOL = 1e-9  # |residual| below this counts as a solution
+
 
 @dataclass(frozen=True)
 class AngleSolution:
@@ -165,7 +167,7 @@ def _restr2_residual(n: int, k: int, r: int) -> float:
                  - np.sin(c) * np.sin(d) * np.cos(a) * np.cos(b))
 
 
-def solve_restr2(n: int, k: int, tol: float = 1e-9) -> list[DiophantineSolution]:
+def solve_restr2(n: int, k: int) -> list[DiophantineSolution]:
     """All r in [2, n-2] solving tan(kr pi/n) tan(pi/n) = tan(k pi/n) tan(r pi/n).
 
     Evaluated in the pole-free cross-multiplied form; the result is symmetric
@@ -177,7 +179,7 @@ def solve_restr2(n: int, k: int, tol: float = 1e-9) -> list[DiophantineSolution]
     out = []
     for r in range(2, n - 1):
         res = _restr2_residual(n, k, r)
-        if abs(res) < tol:
+        if abs(res) < _RESTR2_TOL:
             out.append(DiophantineSolution(n=n, k=k, r=r, lhs_minus_rhs=res))
     return out
 

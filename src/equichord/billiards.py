@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .geometry import ParametricCurve, shoot_to_curve
+from .geometry import TWO_PI, ParametricCurve, shoot_to_curve
 
 __all__ = ["BilliardState", "billiard_step", "invariant_circle_residual", "export_orbit"]
 
@@ -30,14 +30,14 @@ class BilliardState:
 
 def billiard_step(curve: ParametricCurve, state: BilliardState) -> BilliardState:
     t1, arrival, _ = shoot_to_curve(curve, state.t, state.theta)
-    return BilliardState(t=t1 % curve.period, theta=arrival)
+    return BilliardState(t=t1 % TWO_PI, theta=arrival)
 
 
 def invariant_circle_residual(curve: ParametricCurve, alpha: float,
                               n_steps: int = 100, n_starts: int = 16) -> float:
     """Max |theta_i - alpha| over an ensemble launched on the angle-alpha circle."""
     worst = 0.0
-    for t0 in np.linspace(0.0, curve.period, int(n_starts), endpoint=False):
+    for t0 in np.linspace(0.0, TWO_PI, int(n_starts), endpoint=False):
         s = BilliardState(t=float(t0), theta=float(alpha))
         for _ in range(int(n_steps)):
             s = billiard_step(curve, s)
@@ -54,6 +54,6 @@ def export_orbit(curve: ParametricCurve, s0: BilliardState, n_steps: int) -> lis
     s = s0
     for i in range(int(n_steps)):
         t1, arrival, length = shoot_to_curve(curve, s.t, s.theta)
-        rows.append((i, s.t % curve.period, s.theta, length))
-        s = BilliardState(t=t1 % curve.period, theta=arrival)
+        rows.append((i, s.t % TWO_PI, s.theta, length))
+        s = BilliardState(t=t1 % TWO_PI, theta=arrival)
     return rows

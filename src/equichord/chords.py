@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate
+from .errors import Degenerate, OutOfRange
 from .geometry import (
     ParametricCurve,
     _chord_tangent_at_arrival,
@@ -31,6 +31,8 @@ from .geometry import (
 )
 
 __all__ = ["ArcLengthParam", "ChordData", "chord_data", "validate_partials"]
+
+_SPEED_SAMPLES = 4096  # uniform samples of the speed per period
 
 
 class ArcLengthParam:
@@ -45,11 +47,15 @@ class ArcLengthParam:
     extended precision.
     """
 
-    def __init__(self, curve: ParametricCurve, n_samples: int = 4096):
+    def __init__(self, curve: ParametricCurve):
         self.curve = curve
-        ts = np.arange(n_samples) * (2 * np.pi / n_samples)
-        speeds = np.asarray(mnorm(curve.geometry, np.asarray(curve.velocity(ts))), dtype=float)
-        coeffs = np.fft.rfft(speeds) / n_samples
+        ts = np.arange(_SPEED_SAMPLES) * (2 * np.pi / _SPEED_SAMPLES)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused just below
+            speeds = np.asarray(mnorm(curve.geometry, np.asarray(curve.velocity(ts))), dtype=float)
+        # the sum is finite iff every speed and the total length are
+        if not np.isfinite(speeds.sum()):
+            raise OutOfRange("curve speed or length overflows floating point")
+        coeffs = np.fft.rfft(speeds) / _SPEED_SAMPLES
         self.mean_speed = float(coeffs[0].real)
         k = np.arange(1, len(coeffs))
         a = np.asarray(2 * coeffs[1:].real / k)   # coefficient of sin(kt)

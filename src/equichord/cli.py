@@ -195,11 +195,13 @@ def _alpha_ref(value):
 
 
 def _resolve_alpha(ref, geometry: Geometry, radius: float | None) -> float:
-    """A float passes through; an 'auto-kN' k gives the first root of
-    k tan c = tan kc, converted to a contact angle on S2/H2."""
+    """A float inside (0, pi) passes through; an 'auto-kN' k gives the first
+    root of k tan c = tan kc, converted to a contact angle on S2/H2."""
     if ref is None:
         raise OutOfRange("an alpha value or 'auto-kN' reference is required")
     if isinstance(ref, float):
+        if not 0.0 < ref < np.pi:
+            raise OutOfRange(f"alpha must lie in (0, pi), got {ref!r}")
         return ref
     roots = angles.gutkin_roots(ref)
     if not roots:
@@ -251,9 +253,9 @@ class CurveSpec:
             raise OutOfRange("spec has no alpha; pass --alpha or add it to the spec")
         return self.alpha
 
-    def sample_plane_points(self, n: int = 512) -> np.ndarray:
+    def sample_plane_points(self) -> np.ndarray:
         """Planar image for SVG: E2 curve itself, geodesic polar plot otherwise."""
-        ts = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+        ts = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
         if self.geometry is Geometry.EUCLIDEAN:
             return np.asarray(self.curve.point(ts), float)
         r = self.spec.R + self.spec.epsilon * self.spec.g(ts)

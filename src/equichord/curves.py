@@ -29,6 +29,7 @@ from . import angles
 from .errors import NonConvex, NotAdmissible, NotClosed, OutOfRange
 from .fourier import Harmonic, TrigPolynomial
 from .geometry import (
+    TWO_PI,
     Geometry,
     ParametricCurve,
     _check_radius,
@@ -92,7 +93,6 @@ class FourierCurveE2:
 
     c0: float
     harmonics: tuple[Harmonic, ...] = field(default_factory=tuple)
-    alpha: float | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.c0):
@@ -290,7 +290,7 @@ def verify_curve_gutkin(curve: ParametricCurve, alpha: float, n_samples: int = 6
     arrival-angle defect."""
     worst = 0.0
     worst_t = 0.0
-    for t0 in np.linspace(0.0, curve.period, int(n_samples), endpoint=False):
+    for t0 in np.linspace(0.0, TWO_PI, int(n_samples), endpoint=False):
         _, arrival, _ = shoot_to_curve(curve, float(t0), alpha)
         dev = abs(arrival - alpha)
         if dev > worst:

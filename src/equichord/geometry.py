@@ -246,7 +246,6 @@ class ParametricCurve:
     point: Callable[[np.ndarray], np.ndarray]
     velocity: Callable[[np.ndarray], np.ndarray]
     acceleration: Callable[[np.ndarray], np.ndarray]
-    period: float = TWO_PI
 
     def unit_tangent(self, t: float) -> np.ndarray:
         v = np.asarray(self.velocity(float(t)), dtype=float)
@@ -254,15 +253,6 @@ class ParametricCurve:
         if speed < 1e-10:
             raise Degenerate(f"curve speed {speed:.3e} at t={t}")
         return v / speed
-
-
-def inward_normal(geometry: Geometry, p: np.ndarray, unit_t: np.ndarray) -> np.ndarray:
-    """Unit normal on the convex side of a counterclockwise curve.
-
-    E2: rotate the tangent by +pi/2.  S2: p x T.  H2: the Minkowski cross
-    product G (p x T) with G = diag(-1, 1, 1).
-    """
-    return geometry.kernel.normal(p, unit_t)
 
 
 def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
@@ -305,7 +295,7 @@ def geodesic_curvature(curve: ParametricCurve, t: float) -> float:
         raise Degenerate(f"curve speed below 1e-10 at t={t}")
     a = np.asarray(curve.acceleration(t), dtype=float)
     p = np.asarray(curve.point(t), dtype=float)
-    n = inward_normal(g, project_to_manifold(g, p), v / np.sqrt(speed2))
+    n = g.kernel.normal(project_to_manifold(g, p), v / np.sqrt(speed2))
     return float(mdot(g, a, n)) / speed2
 
 
@@ -336,14 +326,13 @@ def shoot_to_curve(curve: ParametricCurve, t0: float, theta: float) -> tuple[flo
 
     p = project_to_manifold(g, np.asarray(curve.point(t0), dtype=float))
     tan = curve.unit_tangent(t0)
-    nrm = inward_normal(g, p, tan)
+    nrm = g.kernel.normal(p, tan)
     d = np.cos(theta) * tan + np.sin(theta) * nrm
     d = d / float(mnorm(g, d))
 
     side = g.kernel.side(p, d)
     guard = 1e-6
-    period = curve.period
-    ts = np.linspace(t0 + guard, t0 + period - guard, _SHOT_GRID)
+    ts = np.linspace(t0 + guard, t0 + TWO_PI - guard, _SHOT_GRID)
     vals = np.asarray(side(np.asarray(curve.point(ts), dtype=float)))
 
     hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
@@ -361,4 +350,4 @@ def shoot_to_curve(curve: ParametricCurve, t0: float, theta: float) -> tuple[flo
     tan1 = curve.unit_tangent(t1)
     c = float(mdot(g, w, tan1)) / float(mnorm(g, w))
     arrival = float(np.arccos(np.clip(c, -1.0, 1.0)))
-    return t1 % period, arrival, length
+    return t1 % TWO_PI, arrival, length

@@ -2,14 +2,14 @@
 
 A Gutkin (n, k)-gon is a convex n-gon whose k-diagonals meet the sides at
 the same angle alpha = pi (k - 1) / n at both endpoints.  Nontrivial
-(non-regular) ones exist iff gcd(n, k - 1) > 1; the equiangular family
-dimension is read off the spectrum of a circulant matrix whose first row is
-built from differences of roots of unity.
+(non-regular) ones exist iff gcd(n, k - 1) > 1; the equiangular family is
+spanned by the real Fourier modes of the zero set of a circulant matrix
+whose first row is built from differences of roots of unity.
 
-Angle measurements are always literal (angles between segments), so
-verification also works for diagonal indices above n/2 -- a k-diagonal is
-an (n-k)-diagonal with swapped ends.  The spectral operations require the
-canonical range 2 <= k <= n/2.
+Angle measurements are always literal (angles between segments, over all
+vertices at once), so verification also works for diagonal indices above
+n/2 -- a k-diagonal is an (n-k)-diagonal with swapped ends.  The spectral
+operations require the canonical range 2 <= k <= n/2.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ __all__ = [
     "regular_polygon",
     "interior_angles",
 ]
+
+_ZERO_TOL = 1e-9  # |lambda_r| below this fraction of the row's scale counts as zero
 
 
 def _require_spectral_range(n: int, k: int):
@@ -79,16 +81,20 @@ def _check_convex_ccw(v: np.ndarray):
         raise NonConvex("polygon is not strictly convex")
 
 
-def _angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """Unsigned angle at b between rays b->a and b->c."""
+def _dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # a stacked matmul rounds like the per-row ``u @ w``; (u * w).sum(-1) does not
+    return (u[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
+def _angles(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Unsigned angles at b[i] between rays b[i]->a[i] and b[i]->c[i]."""
     u, w = a - b, c - b
-    cosv = (u @ w) / (np.linalg.norm(u) * np.linalg.norm(w))
-    return float(np.arccos(np.clip(cosv, -1.0, 1.0)))
+    cosv = _dot(u, w) / (np.sqrt(_dot(u, u)) * np.sqrt(_dot(w, w)))
+    return np.arccos(np.clip(cosv, -1.0, 1.0))
 
 
 def interior_angles(v: np.ndarray) -> np.ndarray:
-    n = len(v)
-    return np.array([_angle(v[(i - 1) % n], v[i], v[(i + 1) % n]) for i in range(n)])
+    return _angles(np.roll(v, 1, axis=0), v, np.roll(v, -1, axis=0))
 
 
 @dataclass(frozen=True)
@@ -136,16 +142,16 @@ def verify_gutkin(vertices, k: int, tol: float = 1e-9) -> dict:
     _require_diagonal_index(n, k)
     _check_convex_ccw(v)
 
-    measured = np.empty(2 * n)
-    for i in range(n):
-        measured[2 * i] = _angle(v[(i + 1) % n], v[i], v[(i + k) % n])
-        measured[2 * i + 1] = _angle(v[(i + k - 1) % n], v[(i + k) % n], v[i])
+    ahead = np.roll(v, -k, axis=0)  # row i holds v[i + k]
+    # interleaved as (departure, arrival) per diagonal, the order the mean sums in
+    measured = np.stack([_angles(np.roll(v, -1, axis=0), v, ahead),
+                         _angles(np.roll(v, 1 - k, axis=0), ahead, v)], axis=1).ravel()
     mean = float(measured.mean())
     max_residual = float(np.abs(measured - mean).max())
 
     betas = None
     if n != 2 * k:
-        betas = np.array([_angle(v[(i - k) % n], v[i], v[(i + k) % n]) for i in range(n)])
+        betas = _angles(np.roll(v, k, axis=0), v, ahead)
 
     return {
         "is_gutkin": bool(max_residual < tol),
@@ -204,7 +210,7 @@ def _first_row(n: int, k: int) -> np.ndarray:
     return row
 
 
-def circulant_spectrum(n: int, k: int, tol: float = 1e-9) -> CirculantSpectrum:
+def circulant_spectrum(n: int, k: int) -> CirculantSpectrum:
     """Eigenvalues lambda_r = sum_nu row_nu omega^{nu r} of the diagonal
     constraint matrix, cross-checked against the inverse DFT of its first row."""
     n, k = int(n), int(k)
@@ -220,39 +226,28 @@ def circulant_spectrum(n: int, k: int, tol: float = 1e-9) -> CirculantSpectrum:
         raise RuntimeError(f"eigenvalue sum and FFT disagree by {fft_gap:.3e}")
 
     scale = np.abs(row[:k]).max()
-    zero_set = tuple(int(i) for i in np.nonzero(np.abs(lam) / max(scale, 1e-30) < tol)[0])
+    zero_set = tuple(int(i) for i in np.nonzero(np.abs(lam) / max(scale, 1e-30) < _ZERO_TOL)[0])
     return CirculantSpectrum(n=n, k=k, eigenvalues=lam, zero_set=zero_set)
 
 
-def equiangular_family_basis(n: int, k: int, tol: float = 1e-9) -> list[np.ndarray]:
-    """Real basis of side-length deformations of the regular (n, k)-gon.
+def equiangular_family_basis(n: int, k: int) -> list[np.ndarray]:
+    """Orthonormal basis of side-length deformations of the regular (n, k)-gon.
 
-    Kernel of the real circulant S with rows S[i, i+nu] = 2 sin(2 pi (nu-m)/n)
-    (the constraint matrix is i * S), complementary to the all-ones vector.
-    Each member is orthonormal and orthogonal to the ones direction.
+    The constraint matrix is circulant, so its kernel holds the Fourier modes
+    of the r in ``circulant_spectrum(n, k).zero_set``.  Ascending in r, each
+    0 < r < n/2 gives sqrt(2/n) cos(2 pi r j/n), then sqrt(2/n) sin(2 pi r j/n),
+    and r = n/2 gives (-1)^j / sqrt(n); r = 0, the ones vector, is left out.
     """
-    n, k = int(n), int(k)
-    _require_spectral_range(n, k)
-    m = (k - 1) / 2.0
-    s = np.zeros(n)
-    s[:k] = 2.0 * np.sin(2 * np.pi * (np.arange(k) - m) / n)
-    S = np.empty((n, n))
-    for i in range(n):
-        S[i] = np.roll(s, i)
-    _, sv, vt = np.linalg.svd(S)
-    kernel = vt[sv < tol * max(sv.max(), 1.0)]
-    ones = np.ones(n) / np.sqrt(n)
-    proj = kernel - np.outer(kernel @ ones, ones)
-    if len(proj) == 0:
-        return []
-    u, sv2, vt2 = np.linalg.svd(proj)
-    basis = [vt2[i] for i in range(len(proj)) if sv2[i] > 1e-9]
-    # deterministic sign: first substantial entry positive
-    out = []
-    for b in basis:
-        j = int(np.argmax(np.abs(b) > 1e-8))
-        out.append(b if b[j] > 0 else -b)
-    return out
+    n = int(n)
+    zs = circulant_spectrum(n, k).zero_set
+    r = np.array([x for x in zs if 0 < 2 * x < n], dtype=int)
+    j = np.arange(n)
+    # reduce r j mod n exactly in integers before scaling to an angle
+    t = 2 * np.pi * (np.outer(r, j) % n) / n
+    modes = np.sqrt(2.0 / n) * np.stack([np.cos(t), np.sin(t)], axis=1).reshape(-1, n)
+    if n / 2 in zs:
+        modes = np.vstack([modes, (1 - 2 * (j % 2)) / np.sqrt(n)])
+    return list(modes)
 
 
 def polygon_from_sides(sides: np.ndarray) -> np.ndarray:
@@ -269,7 +264,8 @@ def family_member(n: int, k: int, coefficients=None) -> np.ndarray:
     """Side-length vector 1 + s * b inside the positivity region.
 
     b combines the kernel basis with the given coefficients (default: the
-    first basis vector alone); s is chosen so min(sides) = 0.1 * mean(sides).
+    first basis vector, the cosine mode of the lowest r); s is chosen so
+    min(sides) = 0.1 * mean(sides).
     """
     basis = equiangular_family_basis(n, k)
     if not basis:

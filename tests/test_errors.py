@@ -169,7 +169,9 @@ def _is_float(text):
 
 NOT_ALPHA = st.one_of(st.lists(st.floats(), max_size=2), st.dictionaries(st.text(), st.integers(), max_size=2),
                       st.text(st.characters(categories=["L"]), min_size=1).filter(lambda t: not _is_float(t)),
-                      st.text(st.characters(categories=["L", "P"]), max_size=4).map("auto-k{}".format))
+                      st.text(st.characters(categories=["L", "P"]), max_size=4).map("auto-k{}".format),
+                      # a contact angle outside (0, pi), NaN included
+                      st.floats().filter(lambda a: not 0.0 < a < np.pi))
 NOT_AN_OBJECT = st.one_of(st.lists(st.integers(), max_size=3), st.integers(), st.text(), st.none(), st.booleans())
 
 
@@ -229,7 +231,12 @@ class TestCliContract:
         dict(E2_SPEC, alpha=[1]),
         dict(E2_SPEC, harmonics=[{"k": 4.7, "amp": 0.1}]),
         dict(E2_SPEC, harmonics=[{"k": 10**400, "amp": 0.1}]),
-    ], ids=["harmonics-int", "top-level-list", "g-object", "alpha-list", "k-fraction", "k-huge"])
+        dict(E2_SPEC, alpha=5.0),
+        dict(E2_SPEC, alpha=0.0),
+        dict(E2_SPEC, alpha="inf"),
+        dict(E2_SPEC, alpha="nan"),
+    ], ids=["harmonics-int", "top-level-list", "g-object", "alpha-list", "k-fraction", "k-huge",
+            "alpha-5", "alpha-0", "alpha-inf", "alpha-nan"])
     def test_malformed_specs_named(self, tmp_path, command, spec):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -256,6 +263,11 @@ class TestCliContract:
     ])
     def test_malformed_options(self, args):
         _exit_3_one_line(CliRunner().invoke(main, args))
+
+    def test_overflowing_h2_radius(self):
+        """sinh^2 R overflows at R = 400, so the curve length cannot be measured."""
+        _exit_3_one_line(CliRunner().invoke(main, ["chords", "validate", "--circle", "H2",
+                                                   "--radius", "400", "--samples", "2"]))
 
     def test_internal_fault_is_not_a_domain_error(self, monkeypatch):
         """A bug surfaces as itself (exit 1), not as exit 3."""

@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +23,9 @@ from equichord import (
     solve_restr2,
     verify_gutkin,
 )
+from equichord.cli import main
 from equichord.errors import Infeasible, NotAdmissible, OutOfRange
-from equichord.polygons import as_gutkin_polygon, regular_polygon
+from equichord.polygons import as_gutkin_polygon, interior_angles, regular_polygon
 
 
 class TestVerify:
@@ -193,3 +196,127 @@ class TestRangeChecks:
         rect = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
         with pytest.raises(NotAdmissible):
             as_gutkin_polygon(rect, 2)
+
+
+# ---------------------------------------------------------------------------
+# properties over random admissible (n, k), 2 <= k <= n/2, n <= 60
+
+
+def real_circulant(n, k):
+    """S[i, i + nu] = 2 sin(2 pi (nu - m) / n) for nu < k, m = (k - 1) / 2,
+    built entry by entry; the constraint matrix is i S."""
+    m = (k - 1) / 2.0
+    S = np.zeros((n, n))
+    for i in range(n):
+        for nu in range(k):
+            S[i, (i + nu) % n] = 2.0 * np.sin(2 * np.pi * (nu - m) / n)
+    return S
+
+
+def reference_angle(a, b, c):
+    """Unsigned angle at b between rays b->a and b->c, one vertex at a time."""
+    u, w = a - b, c - b
+    cosv = (u @ w) / (np.linalg.norm(u) * np.linalg.norm(w))
+    return float(np.arccos(np.clip(cosv, -1.0, 1.0)))
+
+
+def reference_angles(v, k):
+    """(contact angles, betas, interior angles) by per-vertex loops."""
+    n = len(v)
+    contact = []
+    for i in range(n):
+        contact.append(reference_angle(v[(i + 1) % n], v[i], v[(i + k) % n]))
+        contact.append(reference_angle(v[(i + k - 1) % n], v[(i + k) % n], v[i]))
+    betas = [reference_angle(v[(i - k) % n], v[i], v[(i + k) % n]) for i in range(n)]
+    interior = [reference_angle(v[(i - 1) % n], v[i], v[(i + 1) % n]) for i in range(n)]
+    return np.array(contact), np.array(betas), np.array(interior)
+
+
+@st.composite
+def spectral_pairs(draw):
+    n = draw(st.integers(4, 60))
+    return n, draw(st.integers(2, n // 2))
+
+
+# (n, k) whose equiangular family is nontrivial, by the rank of the test's own S
+FAMILY_PAIRS = [(n, k) for n in range(4, 61) for k in range(2, n // 2 + 1)
+                if n - np.linalg.matrix_rank(real_circulant(n, k)) - 1 > 0]
+
+
+@st.composite
+def inscribed_polygons(draw):
+    """(n, k, arcs) for construct_inscribed: gcd(n, k - 1) > 1, positive arcs."""
+    n, k = draw(spectral_pairs().filter(lambda nk: math.gcd(nk[0], nk[1] - 1) > 1))
+    p = math.gcd(n, k - 1)
+    w = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=p, max_size=p)))
+    return n, k, w / w.sum() * 2 * np.pi * p / n
+
+
+class TestSpectralProperties:
+    @given(spectral_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_zero_set_symmetric(self, nk):
+        n, k = nk
+        zs = set(circulant_spectrum(n, k).zero_set)
+        assert zs == {(n - r) % n for r in zs}
+
+    @given(spectral_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_basis_spans_the_kernel(self, nk):
+        n, k = nk
+        S = real_circulant(n, k)
+        basis = equiangular_family_basis(n, k)
+        assert len(basis) == circulant_spectrum(n, k).M == n - np.linalg.matrix_rank(S) - 1
+        if not basis:
+            return
+        b = np.array(basis)
+        assert np.abs(b @ b.T - np.eye(len(b))).max() < 1e-12
+        assert np.abs(b.sum(axis=1)).max() < 1e-12
+        assert np.abs(S @ b.T).max() < 1e-12
+
+    @given(st.sampled_from(FAMILY_PAIRS), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_family_members_close_and_are_gutkin(self, nk, data):
+        n, k = nk
+        dim = len(equiangular_family_basis(n, k))
+        coeffs = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+                           .filter(lambda c: np.linalg.norm(c) > 0.1))
+        sides = family_member(n, k, coeffs)
+        assert sides.min() > 0
+        assert abs(np.sum(sides * np.exp(2j * np.pi * np.arange(n) / n))) < 1e-12 * n
+        rep = verify_gutkin(polygon_from_sides(sides), k, tol=1e-8)
+        assert rep["is_gutkin"]
+        assert rep["alpha_measured"] == pytest.approx(contact_angle(n, k), abs=1e-9)
+
+    @given(inscribed_polygons())
+    @settings(max_examples=60, deadline=None)
+    def test_inscribed_angles_match_the_vertex_loop(self, case):
+        n, k, arcs = case
+        p = construct_inscribed(n, k, arcs)
+        assert p.alpha == pytest.approx(np.pi * (k - 1) / n, abs=1e-10)
+        rep = verify_gutkin(p.vertices, k)
+        contact, betas, interior = reference_angles(p.vertices, k)
+        # the array routine rounds each two-term dot product as the loop does
+        assert rep["alpha_measured"] == contact.mean()
+        assert rep["max_residual"] == np.abs(contact - contact.mean()).max()
+        if n == 2 * k:
+            assert rep["beta_angles"] is None
+        else:
+            assert np.array_equal(rep["beta_angles"], betas)
+        assert np.array_equal(interior_angles(p.vertices), interior)
+
+    @given(inscribed_polygons())
+    @settings(max_examples=8, deadline=None)
+    def test_cli_construct_then_verify(self, tmp_path_factory, case):
+        n, k, arcs = case
+        path = tmp_path_factory.mktemp("polygon") / "polygon.json"
+        runner = CliRunner()
+        made = runner.invoke(main, ["polygon", "construct", "--n", str(n), "--k", str(k),
+                                    "--arcs", ",".join(repr(float(a)) for a in arcs),
+                                    "--out", str(path)])
+        assert made.exit_code == 0, made.output
+        checked = runner.invoke(main, ["polygon", "verify", "--in", str(path)])
+        assert checked.exit_code == 0, checked.output
+        rep = json.loads(checked.output)
+        assert rep["is_gutkin"] and (rep["n"], rep["k"]) == (n, k)
+        assert rep["alpha"] == pytest.approx(np.pi * (k - 1) / n, abs=1e-10)
