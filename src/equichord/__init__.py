@@ -20,7 +20,6 @@ from .curves import (
     build_e2_curve,
     closure_defect,
     e2_residual_operator,
-    gutkin_chord_length_formula,
     linearized_coefficient_check,
     s2_residual_operator,
     verify_curve_gutkin,
@@ -30,8 +29,6 @@ from .geometry import Geometry, ParametricCurve, circle_curve, geodesic_curvatur
 from .polygons import (
     CirculantSpectrum,
     GutkinPolygon,
-    beta_sum_check,
-    angle_periodicity_check,
     circulant_spectrum,
     construct_2kk,
     construct_inscribed,
@@ -39,7 +36,6 @@ from .polygons import (
     equiangular_family_basis,
     exists_nontrivial,
     family_member,
-    normalize_similarity,
     polygon_from_sides,
     verify_gutkin,
 )

@@ -76,10 +76,16 @@ def gutkin_roots(k: int) -> list[float]:
     if k < 2:
         raise OutOfRange("k must be an integer >= 2")
     h = math.pi / (2 * k)
+    js = [j for j in range(1, k) if abs(2 * j - k) >= 2]
+
+    def branch(c, lanes):
+        # libm's tan and atan, which round differently from numpy's on some inputs
+        return [k * x - js[i] * math.pi - math.atan(k * math.tan(x))
+                for x, i in zip(c.tolist(), lanes.tolist())]
+
     # every root is >= pi/2k, so the relative tolerance alone stops the solve
-    return [_brentq(lambda c: k * c - j * math.pi - math.atan(k * math.tan(c)),
-                    (2 * j - 1) * h, (2 * j + 1) * h, xtol=1e-300)
-            for j in range(1, k) if abs(2 * j - k) >= 2]
+    return _brentq(branch, [(2 * j - 1) * h for j in js], [(2 * j + 1) * h for j in js],
+                   xtol=1e-300).tolist()
 
 
 def contact_angle_from_c(geometry: Geometry, radius: Optional[float], c: float) -> float:
@@ -146,11 +152,16 @@ def f_star(geometry: Geometry, radius: float, alpha: float) -> float:
 
 def solve_angle(k: int, geometry: Geometry = Geometry.EUCLIDEAN,
                 radius: Optional[float] = None) -> list[AngleSolution]:
-    """gutkin_roots plus the geometry-specific contact angles."""
+    """gutkin_roots plus the geometry-specific contact angles.
+
+    ``residual`` is |pole-free form| / (2k): the form's coefficients k - 1
+    and k + 1 sum to 2k, so its rounding at a root near machine precision
+    grows with k, and the scaled value reads the same at every k.
+    """
     sols = []
     for c in gutkin_roots(k):
         alpha = contact_angle_from_c(geometry, radius, c)
-        res = abs(float(_polefree(k, c)))
+        res = abs(float(_polefree(k, c))) / (2 * k)
         sols.append(AngleSolution(k=k, geometry=geometry, c=c, alpha=alpha,
                                   residual=res, radius=radius))
     return sols

@@ -25,9 +25,10 @@ from . import angles, billiards, curves, polygons
 from .chords import ArcLengthParam, validate_partials
 from .errors import EquichordError, NotAdmissible, OutOfRange
 from .fourier import Harmonic, TrigPolynomial
-from .geometry import Geometry, circle_curve
+from .geometry import Geometry, circle_curve, geodesic_curvature
 
 DEFAULT_TOL = 1e-9
+_CURVATURE_SAMPLES = 4096  # parameter samples behind curve build's min_geodesic_curvature
 
 _GEOMETRY_TAGS = {
     "euclidean": Geometry.EUCLIDEAN, "E2": Geometry.EUCLIDEAN,
@@ -406,11 +407,13 @@ def curve():
 @click.option("--svg", type=click.Path(), default=None)
 @domain_errors
 def cmd_curve_build(spec_path, out, svg):
-    """Build the curve and report length and convexity."""
+    """Build the curve and report its length and least geodesic curvature."""
     cs = CurveSpec.load(spec_path)
     arclen = ArcLengthParam(cs.curve)
+    ts = np.linspace(0.0, 2 * np.pi, _CURVATURE_SAMPLES, endpoint=False)
+    kappa = geodesic_curvature(cs.curve, ts)
     payload = {"geometry": cs.geometry.value, "kind": cs.kind,
-               "length": arclen.total_length, "convex": True}
+               "length": arclen.total_length, "min_geodesic_curvature": float(kappa.min())}
     if cs.alpha is not None:
         payload["alpha"] = cs.alpha
     _emit(to_json(payload), out)

@@ -26,13 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import angles
-from .errors import NonConvex, NotAdmissible, NotClosed, OutOfRange
+from .errors import NonConvex, NotClosed, OutOfRange
 from .fourier import Harmonic, TrigPolynomial
 from .geometry import (
     TWO_PI,
     Geometry,
     ParametricCurve,
     _check_radius,
+    _stack,
     geodesic_curvature,
     shoot_to_curve,
 )
@@ -43,7 +44,6 @@ __all__ = [
     "build_e2_curve",
     "closure_defect",
     "e2_residual_operator",
-    "gutkin_chord_length_formula",
     "build_deformed_circle",
     "s2_residual_operator",
     "linearized_coefficient_check",
@@ -51,25 +51,28 @@ __all__ = [
 ]
 
 
-def _antiderivative_xy(c0, harmonics, t):
-    """Closed-form antiderivative of rho(s) (cos s, sin s), value at 0 removed.
+def _antiderivative_xy(c0, harmonics):
+    """Closed-form antiderivative of rho(s) (cos s, sin s), value at 0 removed,
+    as a function of t.
 
     Handles k = 1 as well (used by the closure-defect negative check).
     """
-    t = np.asarray(t)
-    x = c0 * np.sin(t)
-    y = c0 * (1.0 - np.cos(t))
-    for h in harmonics:
-        k, A, p = h.k, h.amp, h.phase
-        if k == 1:
-            x = x + A * ((np.sin(2 * t + p) - np.sin(p)) / 4 + t * np.cos(p) / 2)
-            y = y + A * ((np.cos(p) - np.cos(2 * t + p)) / 4 - t * np.sin(p) / 2)
-        else:
-            x = x + A * ((np.sin((k + 1) * t + p) - np.sin(p)) / (2 * (k + 1))
-                         + (np.sin((k - 1) * t + p) - np.sin(p)) / (2 * (k - 1)))
-            y = y + A * ((np.cos(p) - np.cos((k + 1) * t + p)) / (2 * (k + 1))
-                         + (np.cos((k - 1) * t + p) - np.cos(p)) / (2 * (k - 1)))
-    return np.stack([x, y], axis=-1)
+    terms = [(h.k, h.amp, h.phase, np.sin(h.phase), np.cos(h.phase)) for h in harmonics]
+
+    def xy(t):
+        t = np.asarray(t)
+        x = c0 * np.sin(t)
+        y = c0 * (1.0 - np.cos(t))
+        for k, A, p, sin_p, cos_p in terms:
+            if k == 1:
+                x = x + A * ((np.sin(2 * t + p) - sin_p) / 4 + t * cos_p / 2)
+                y = y + A * ((cos_p - np.cos(2 * t + p)) / 4 - t * sin_p / 2)
+            else:
+                up, um = (k + 1) * t + p, (k - 1) * t + p
+                x = x + A * ((np.sin(up) - sin_p) / (2 * (k + 1)) + (np.sin(um) - sin_p) / (2 * (k - 1)))
+                y = y + A * ((cos_p - np.cos(up)) / (2 * (k + 1)) + (np.cos(um) - cos_p) / (2 * (k - 1)))
+        return _stack([x, y])
+    return xy
 
 
 def closure_defect(c0: float, harmonics) -> float:
@@ -79,7 +82,7 @@ def closure_defect(c0: float, harmonics) -> float:
     produces a defect of pi * A.
     """
     hs = tuple(harmonics)
-    d = _antiderivative_xy(float(c0), hs, 2 * np.pi)
+    d = _antiderivative_xy(float(c0), hs)(2 * np.pi)
     return float(np.hypot(d[0], d[1]))
 
 
@@ -122,21 +125,17 @@ def build_e2_curve(spec: FourierCurveE2) -> ParametricCurve:
     """Exact curve with velocity rho(t) (cos t, sin t); tangent direction is t."""
     rho = spec.rho
     drho = rho.derivative()
-    c0, hs = spec.c0, spec.harmonics
-
-    def point(t):
-        return _antiderivative_xy(c0, hs, t)
+    point = _antiderivative_xy(spec.c0, spec.harmonics)
 
     def velocity(t):
         t = np.asarray(t)
         r = rho(t)
-        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+        return _stack([r * np.cos(t), r * np.sin(t)])
 
     def acceleration(t):
         t = np.asarray(t)
         r, dr = rho(t), drho(t)
-        return np.stack([dr * np.cos(t) - r * np.sin(t),
-                         dr * np.sin(t) + r * np.cos(t)], axis=-1)
+        return _stack([dr * np.cos(t) - r * np.sin(t), dr * np.sin(t) + r * np.cos(t)])
 
     return ParametricCurve(Geometry.EUCLIDEAN, point, velocity, acceleration)
 
@@ -151,24 +150,6 @@ def e2_residual_operator(f: TrigPolynomial, alpha: float):
         return df(t + alpha) + df(t - alpha) - cot * (f(t + alpha) - f(t - alpha))
 
     return residual
-
-
-def gutkin_chord_length_formula(spec: FourierCurveE2, alpha: float, t):
-    """Chord length L(t) = 2 sin(a) (c0 + amp cos(k a) cos(kt + phase)).
-
-    Valid for a single-harmonic curve whose k satisfies k tan a = tan(k a);
-    equals the measured geodesic distance between gamma(t - a) and
-    gamma(t + a).
-    """
-    if len(spec.harmonics) != 1:
-        raise OutOfRange("closed-form chord length needs exactly one harmonic")
-    h = spec.harmonics[0]
-    if abs(angles._polefree(h.k, alpha)) > 1e-8:
-        raise NotAdmissible(
-            f"alpha={alpha} does not satisfy k tan(alpha) = tan(k alpha) for k={h.k}"
-        )
-    t = np.asarray(t)
-    return 2 * np.sin(alpha) * (spec.c0 + h.amp * np.cos(h.k * alpha) * np.cos(h.k * t + h.phase))
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +221,15 @@ def build_deformed_circle(spec: DeformedCircle) -> ParametricCurve:
         t = np.asarray(t)
         r, dr, ddr = _r(t), eps * dg(t), eps * ddg(t)
         s, c = S(r), C(r)
-        rad = -K * s * dr**2 + c * ddr
+        dr2 = dr * dr  # not dr**2, which numpy rounds through pow() on a scalar
+        rad = -K * s * dr2 + c * ddr
         return embed(rad * np.cos(t) - 2 * c * dr * np.sin(t) - s * np.cos(t),
                      rad * np.sin(t) + 2 * c * dr * np.cos(t) - s * np.sin(t),
-                     lambda: -K * (c * dr**2 + s * ddr))
+                     lambda: -K * (c * dr2 + s * ddr))
 
     curve = ParametricCurve(geo, point, velocity, acceleration)
-    for t in np.linspace(0.0, 2 * np.pi, 128, endpoint=False):
-        if geodesic_curvature(curve, float(t)) <= 0:
-            raise NonConvex("deformation too large: curve loses convexity")
+    if np.any(geodesic_curvature(curve, np.linspace(0.0, 2 * np.pi, 128, endpoint=False)) <= 0):
+        raise NonConvex("deformation too large: curve loses convexity")
     return curve
 
 
@@ -286,14 +267,12 @@ def linearized_coefficient_check(geometry: Geometry, R: float, alpha: float):
 
 
 def verify_curve_gutkin(curve: ParametricCurve, alpha: float, n_samples: int = 64) -> dict:
-    """Shoot chords at angle alpha from sample points; report the worst
-    arrival-angle defect."""
-    worst = 0.0
-    worst_t = 0.0
-    for t0 in np.linspace(0.0, TWO_PI, int(n_samples), endpoint=False):
-        _, arrival, _ = shoot_to_curve(curve, float(t0), alpha)
-        dev = abs(arrival - alpha)
-        if dev > worst:
-            worst, worst_t = dev, float(t0)
+    """Shoot chords at angle alpha from sample points, all in one batch; report
+    the worst arrival-angle defect and the first sample that reaches it."""
+    ts = np.linspace(0.0, TWO_PI, int(n_samples), endpoint=False)
+    _, arrival, _ = shoot_to_curve(curve, ts, alpha)
+    dev = np.abs(arrival - alpha)
+    worst = float(np.fmax.reduce(dev, initial=0.0))  # fmax skips a NaN defect
+    worst_t = float(ts[np.argmax(dev == worst)]) if worst > 0.0 else 0.0
     return {"alpha": float(alpha), "n_samples": int(n_samples),
             "max_angle_residual": worst, "argmax_t": worst_t}

@@ -44,29 +44,13 @@ _BRENT_RTOL = 8.9e-16  # just above 4 machine epsilons, the least rtol brentq ac
 _BRENT_MAXITER = 100
 
 
-def _brentq(f, a, b, xtol):
-    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
-
-    A step-for-step port of the widely used ``brentq`` C routine: same
-    steps, same stopping test |b - a| / 2 < (xtol + _BRENT_RTOL |x|) / 2,
-    same iterates bit for bit.  Raises ValueError when f(a) and f(b) share a
-    sign or f returns NaN, and RuntimeError after _BRENT_MAXITER steps
-    without convergence.
-    """
-    def fv(x):
-        y = float(f(x))
-        if math.isnan(y):
-            raise ValueError(f"the function value at x={x!r} is NaN")
-        return y
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = fv(xpre), fv(xcur)
+def _brent_lane(xtol, xpre, xcur, fpre, fcur):
+    """Brent's steps for one lane from a sign-changing bracket: yields each
+    new abscissa, is sent f there, and returns the root."""
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
         return xcur
-    if (fpre > 0) == (fcur > 0):
-        raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
     for _ in range(_BRENT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre > 0) != (fcur > 0):
@@ -94,12 +78,82 @@ def _brentq(f, a, b, xtol):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = fv(xcur)
+        fcur = yield xcur
     raise RuntimeError(f"brentq failed to converge after {_BRENT_MAXITER} iterations, value is {xcur!r}")
+
+
+def _brentq(f, a, b, xtol):
+    """Roots of f in the brackets [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    ``a`` and ``b`` broadcast to an array of lanes, one root each; scalar
+    brackets give a float.  Every lane runs a step-for-step port of the widely
+    used ``brentq`` C routine on its own Python floats: same steps, same
+    stopping test |b - a| / 2 < (xtol + _BRENT_RTOL |x|) / 2, same iterates
+    bit for bit.  ``f(x, lanes)`` is called once per round on the lanes still
+    running and returns f at x.  For array brackets x is 1-d and ``lanes``
+    holds the lanes' indices into the flattened brackets; for scalar brackets
+    x is a float and ``lanes`` is ``()``, the index that picks a 0-d per-lane
+    value whole.  Raises ValueError when a lane's f(a) and f(b) share a sign
+    or f returns NaN, and RuntimeError when a lane takes _BRENT_MAXITER steps
+    without converging.
+    """
+    def values(x, lanes):
+        y = np.asarray(f(x, lanes), dtype=float).ravel().tolist()
+        if any(map(math.isnan, y)):
+            xi = np.ravel(x)[[math.isnan(v) for v in y].index(True)]
+            raise ValueError(f"the function value at x={float(xi)!r} is NaN")
+        return y
+
+    a, b = _broadcast(a, b)
+    shape, a, b = a.shape, a.ravel(), b.ravel()
+    n = a.size
+    if shape:
+        ends = values(np.concatenate([a, b]), np.tile(np.arange(n), 2))
+    else:
+        ends = values(float(a[0]), ()) + values(float(b[0]), ())
+    brackets = list(zip(a.tolist(), b.tolist(), ends[:n], ends[n:]))
+    for xa, xb, fa, fb in brackets:
+        if fa != 0.0 and fb != 0.0 and (fa > 0) == (fb > 0):
+            raise ValueError(f"f(a) and f(b) must have different signs, got f({xa!r}) = {fa!r} "
+                             f"and f({xb!r}) = {fb!r}")
+    steps = [_brent_lane(xtol, *bracket) for bracket in brackets]
+    roots = np.empty(n)
+    lanes, ys = list(range(n)), [None] * n
+    while lanes:
+        live, xs = [], []
+        for i, y in zip(lanes, ys):
+            try:
+                xs.append(steps[i].send(y))
+                live.append(i)
+            except StopIteration as done:
+                roots[i] = done.value
+        lanes = live
+        if lanes:
+            ys = values(np.array(xs) if shape else xs[0], np.array(lanes) if shape else ())
+    return float(roots[0]) if shape == () else roots.reshape(shape)
+
+
+def _broadcast(u, v):
+    """u and v as float arrays of their common shape."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    return (u, v) if u.shape == v.shape else np.broadcast_arrays(u, v)
 
 
 # ---------------------------------------------------------------------------
 # the per-geometry table
+
+
+def _stack(cols):
+    """``np.stack(cols, axis=-1)`` for columns of one shape, at half its cost
+    on the 0-d and small arrays a single shot evaluates."""
+    return np.concatenate([col[..., None] for col in cols], axis=-1)
+
+
+def _cross(u, v):
+    """``np.cross`` of stacked 3-vectors, written out as numpy computes it."""
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return _stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
 
 
 def _euclidean_dot(u, v):
@@ -116,7 +170,7 @@ def _euclidean_distance(p, q):
 
 
 def _spherical_distance(p, q):
-    cross = np.cross(p, q)
+    cross = _cross(p, q)
     return np.arctan2(np.sqrt((cross * cross).sum(axis=-1)), (p * q).sum(axis=-1))
 
 
@@ -126,22 +180,25 @@ def _hyperbolic_distance(p, q):
 
 def _hyperbolic_normal(p, unit_t):
     # Minkowski cross product G (p x T) with G = diag(-1, 1, 1)
-    n = np.cross(p, unit_t) * np.array([-1.0, 1.0, 1.0])
-    return n / np.sqrt(_minkowski_dot(n, n))
+    n = _cross(p, unit_t) * np.array([-1.0, 1.0, 1.0])
+    return n / np.sqrt(_minkowski_dot(n, n))[..., None]
 
 
 def _line_side(p, d):
-    def f(q):
-        return d[0] * (q[..., 1] - p[1]) - d[1] * (q[..., 0] - p[0])
+    p0, p1, d0, d1 = p[..., 0], p[..., 1], d[..., 0], d[..., 1]
+
+    def f(q, lanes):
+        return d0[lanes] * (q[..., 1] - p1[lanes]) - d1[lanes] * (q[..., 0] - p0[lanes])
     return f
 
 
 def _plane_side(p, d):
     # great circle / H2 geodesic = surface cut by the plane span(p, d)
-    n = np.cross(p, d)
+    n = _cross(p, d)
+    n0, n1, n2 = n[..., 0], n[..., 1], n[..., 2]
 
-    def f(q):
-        return q @ n
+    def f(q, lanes):
+        return q[..., 0] * n0[lanes] + q[..., 1] * n1[lanes] + q[..., 2] * n2[lanes]
     return f
 
 
@@ -151,13 +208,17 @@ class _Kernel(NamedTuple):
     ``sn``, ``cs``, ``tn`` are sn_K, cs_K, tn_K: (x, 1, x) on E2, (sin, cos,
     tan) on S2, (sinh, cosh, tanh) on H2; ``arccot`` inverts 1/tn_K.
     ``dot`` is the ambient inner product, ``normal(p, T)`` the unit normal on
-    the convex side of a counterclockwise curve, and ``side(p, d)`` a scalar
-    function vanishing exactly on the geodesic through p along d.
+    the convex side of a counterclockwise curve, and ``side(p, d)``, for
+    lanes of points p and directions d (shape lanes + (dim,)), a function
+    ``f(q, lanes)`` vanishing exactly on the geodesics through p[lanes] along
+    d[lanes]; q stacks points (..., len(lanes), dim), and ``lanes`` is an
+    index array, ``...`` for all lanes, or ``()`` for 0-d lanes.
     ``embed(x, y, pole)`` stacks planar x, planar y and the pole coordinate in
     ambient order; ``pole`` is a function, and E2, which has no pole, never
     calls it.  ``max_radius`` bounds circle radii (pi/2 on S2).
-    Each geometry keeps its own expression where a shared one would change
-    the last bit (``np.linalg.norm`` on S2, for instance).
+    Points are stacked (..., dim), and every entry is written out in
+    components, so a batch rounds exactly like its points one at a time and
+    no result depends on the BLAS build.
     """
 
     K: float
@@ -178,18 +239,19 @@ _KERNELS = {
     "E2": _Kernel(
         K=0.0, sn=lambda x: x, cs=np.ones_like, tn=lambda x: x, arccot=lambda x: 1.0 / x,
         dot=_euclidean_dot, distance=_euclidean_distance, project=lambda x: x,
-        normal=lambda p, t: np.array([-t[1], t[0]]), side=_line_side,
-        embed=lambda x, y, pole: np.stack([x, y], axis=-1), max_radius=np.inf),
+        normal=lambda p, t: t[..., ::-1] * np.array([-1.0, 1.0]), side=_line_side,
+        embed=lambda x, y, pole: _stack([x, y]), max_radius=np.inf),
     "S2": _Kernel(
         K=1.0, sn=np.sin, cs=np.cos, tn=np.tan, arccot=lambda x: np.arctan2(1.0, x),
         dot=_euclidean_dot, distance=_spherical_distance,
-        project=lambda x: x / np.linalg.norm(x), normal=np.cross, side=_plane_side,
-        embed=lambda x, y, pole: np.stack([x, y, pole()], axis=-1), max_radius=np.pi / 2),
+        project=lambda x: x / np.sqrt(_euclidean_dot(x, x))[..., None], normal=_cross,
+        side=_plane_side,
+        embed=lambda x, y, pole: _stack([x, y, pole()]), max_radius=np.pi / 2),
     "H2": _Kernel(
         K=-1.0, sn=np.sinh, cs=np.cosh, tn=np.tanh, arccot=lambda x: np.arctanh(1.0 / x),
         dot=_minkowski_dot, distance=_hyperbolic_distance,
-        project=lambda x: x / np.sqrt(-_minkowski_dot(x, x)), normal=_hyperbolic_normal,
-        side=_plane_side, embed=lambda x, y, pole: np.stack([pole(), x, y], axis=-1),
+        project=lambda x: x / np.sqrt(-_minkowski_dot(x, x))[..., None], normal=_hyperbolic_normal,
+        side=_plane_side, embed=lambda x, y, pole: _stack([pole(), x, y]),
         max_radius=np.inf),
 }
 
@@ -237,9 +299,10 @@ def _distance_coords(geometry: Geometry, p, q):
 class ParametricCurve:
     """Closed curve given by callables on a fixed 2*pi parameter interval.
 
-    ``point``/``velocity``/``acceleration`` must accept scalars or arrays
-    and preserve dtype (so the finite-difference oracles can evaluate them in
-    extended precision).
+    ``point``/``velocity``/``acceleration`` take t of any shape and return
+    stacked points of shape ``t.shape + (dim,)``, elementwise in t and
+    preserving dtype (so the finite-difference oracles can evaluate them in
+    extended precision, and a batch of parameters rounds like each one alone).
     """
 
     geometry: Geometry
@@ -247,12 +310,15 @@ class ParametricCurve:
     velocity: Callable[[np.ndarray], np.ndarray]
     acceleration: Callable[[np.ndarray], np.ndarray]
 
-    def unit_tangent(self, t: float) -> np.ndarray:
-        v = np.asarray(self.velocity(float(t)), dtype=float)
-        speed = float(mnorm(self.geometry, v))
-        if speed < 1e-10:
-            raise Degenerate(f"curve speed {speed:.3e} at t={t}")
-        return v / speed
+    def unit_tangent(self, t) -> np.ndarray:
+        """Unit tangent at t of any shape, stacked as ``t.shape + (dim,)``."""
+        t = np.asarray(t, dtype=float)
+        v = np.asarray(self.velocity(t), dtype=float)
+        speed = mnorm(self.geometry, v)
+        if (speed < 1e-10).any():
+            i = np.flatnonzero(speed < 1e-10)[0]
+            raise Degenerate(f"curve speed {speed.flat[i]:.3e} at t={t.flat[i]}")
+        return v / speed[..., None]
 
 
 def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
@@ -280,36 +346,43 @@ def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
     return ParametricCurve(geometry, point, velocity, acceleration)
 
 
-def geodesic_curvature(curve: ParametricCurve, t: float) -> float:
+def geodesic_curvature(curve: ParametricCurve, t):
     """Signed geodesic curvature, positive for counterclockwise convex curves.
 
     Computed as <a, N> / |v|^2 where a is the ambient acceleration and N the
     inward unit normal; the surface-normal component of a drops out because N
-    is tangent.
+    is tangent.  ``t`` may have any shape; a scalar gives a float, an array
+    the curvature at each of its elements.
     """
     g = curve.geometry
-    t = float(t)
+    t = np.asarray(t, dtype=float)
     v = np.asarray(curve.velocity(t), dtype=float)
-    speed2 = float(mdot(g, v, v))
-    if speed2 < 1e-20:
-        raise Degenerate(f"curve speed below 1e-10 at t={t}")
+    speed2 = mdot(g, v, v)
+    if (speed2 < 1e-20).any():
+        raise Degenerate(f"curve speed below 1e-10 at t={t.flat[np.flatnonzero(speed2 < 1e-20)[0]]}")
     a = np.asarray(curve.acceleration(t), dtype=float)
     p = np.asarray(curve.point(t), dtype=float)
-    n = g.kernel.normal(project_to_manifold(g, p), v / np.sqrt(speed2))
-    return float(mdot(g, a, n)) / speed2
+    n = g.kernel.normal(project_to_manifold(g, p), v / np.sqrt(speed2)[..., None])
+    kappa = mdot(g, a, n) / speed2
+    return float(kappa) if kappa.ndim == 0 else kappa
 
 
 def _chord_tangent_at_arrival(geometry, p, d, length):
-    """Unit tangent at arc length ``length`` of the geodesic from p along d."""
+    """Unit tangent at arc length ``length`` of the geodesic from p along d
+    (lengths of shape s, points of shape s + (dim,))."""
     kern = geometry.kernel
+    length = np.asarray(length)[..., None]
     return -kern.K * kern.sn(length) * p + kern.cs(length) * d
 
 
 _SHOT_GRID = 256  # samples of the side function along the curve, before polishing
 
 
-def shoot_to_curve(curve: ParametricCurve, t0: float, theta: float) -> tuple[float, float, float]:
-    """Launch a geodesic chord into the convex side and find where it lands.
+_LANE_BLOCK = 1024  # shots evaluated together; bounds the (grid x lanes) arrays
+
+
+def shoot_to_curve(curve: ParametricCurve, t0, theta):
+    """Launch geodesic chords into the convex side and find where they land.
 
     From curve(t0), shoot at angle ``theta`` (measured from the forward
     tangent, into the interior) and return ``(t1, arrival_angle,
@@ -317,37 +390,58 @@ def shoot_to_curve(curve: ParametricCurve, t0: float, theta: float) -> tuple[flo
     is the angle between the arriving chord direction and the forward tangent
     at t1, so equiangular chords report arrival_angle == theta.  A chord that
     crosses the curve more than once on the sampling grid raises NonConvex.
-    """
-    g = curve.geometry
-    t0 = float(t0)
-    theta = float(theta)
-    if not 1e-6 <= theta <= np.pi - 1e-6:
-        raise OutOfRange(f"launch angle {theta} too close to tangential")
 
+    ``t0`` and ``theta`` broadcast against each other, one shot per element:
+    scalars give three floats, arrays three arrays of the broadcast shape,
+    each element equal bit for bit to the shot made alone.
+    """
+    t0, theta = _broadcast(t0, theta)
+    steep = ~((1e-6 <= theta) & (theta <= np.pi - 1e-6))
+    if steep.any():
+        raise OutOfRange(f"launch angle {theta.flat[np.flatnonzero(steep)[0]]} too close to tangential")
+    if t0.ndim == 0:  # one shot runs on 0-d lanes, numpy's cheapest shape
+        return tuple(float(v) for v in _shoot_lanes(curve, t0, theta))
+    out = np.empty((3, t0.size))
+    flat_t0, flat_theta = t0.ravel(), theta.ravel()
+    for i in range(0, t0.size, _LANE_BLOCK):
+        out[:, i:i + _LANE_BLOCK] = _shoot_lanes(curve, flat_t0[i:i + _LANE_BLOCK],
+                                                 flat_theta[i:i + _LANE_BLOCK])
+    t1, arrival, length = out.reshape((3,) + t0.shape)
+    return t1, arrival, length
+
+
+def _shoot_lanes(curve, t0, theta):
+    """shoot_to_curve on lanes of shape () or (n,): (t1, arrival, length)."""
+    g = curve.geometry
+    kern = g.kernel
     p = project_to_manifold(g, np.asarray(curve.point(t0), dtype=float))
     tan = curve.unit_tangent(t0)
-    nrm = g.kernel.normal(p, tan)
-    d = np.cos(theta) * tan + np.sin(theta) * nrm
-    d = d / float(mnorm(g, d))
+    nrm = kern.normal(p, tan)
+    d = np.cos(theta)[..., None] * tan + np.sin(theta)[..., None] * nrm
+    d = d / mnorm(g, d)[..., None]
 
-    side = g.kernel.side(p, d)
+    side = kern.side(p, d)
     guard = 1e-6
-    ts = np.linspace(t0 + guard, t0 + TWO_PI - guard, _SHOT_GRID)
-    vals = np.asarray(side(np.asarray(curve.point(ts), dtype=float)))
+    ts = np.linspace(t0 + guard, t0 + TWO_PI - guard, _SHOT_GRID)  # (grid,) + lanes
+    vals = side(np.asarray(curve.point(ts), dtype=float), ...)
 
-    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
-    if len(hits) == 0:
-        raise Degenerate("no forward intersection found (curve convex and closed?)")
-    if len(hits) > 1:
-        raise NonConvex(f"the chord from t0={t0} at theta={theta} crosses the curve {len(hits)} times")
-    i = int(hits[0])
-    t1 = float(ts[i]) if vals[i] == 0.0 else _brentq(
-        lambda t: side(np.asarray(curve.point(t), dtype=float)), ts[i], ts[i + 1], xtol=1e-13)
+    hits = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
+    count = hits.sum(axis=0)
+    if (count != 1).any():
+        j = np.flatnonzero(count != 1)[0]
+        if count.flat[j] == 0:
+            raise Degenerate("no forward intersection found (curve convex and closed?)")
+        raise NonConvex(f"the chord from t0={t0.flat[j]} at theta={theta.flat[j]} crosses the curve "
+                        f"{count.flat[j]} times")
+    # polish each lane's one sign change; where the grid hit 0 exactly, f(a) = 0
+    # makes the bracket's left end the root
+    m = t0.size
+    at = hits.argmax(axis=0) * m + np.arange(m).reshape(t0.shape)  # flat index of each bracket
+    t1 = _brentq(lambda t, lanes: side(np.asarray(curve.point(t), dtype=float), lanes),
+                 ts.ravel()[at], ts.ravel()[at + m], xtol=1e-13)
 
     q = project_to_manifold(g, np.asarray(curve.point(t1), dtype=float))
-    length = float(_distance_coords(g, p, q))
+    length = _distance_coords(g, p, q)
     w = _chord_tangent_at_arrival(g, p, d, length)
-    tan1 = curve.unit_tangent(t1)
-    c = float(mdot(g, w, tan1)) / float(mnorm(g, w))
-    arrival = float(np.arccos(np.clip(c, -1.0, 1.0)))
-    return t1 % TWO_PI, arrival, length
+    c = mdot(g, w, curve.unit_tangent(t1)) / mnorm(g, w)
+    return t1 % TWO_PI, np.arccos(np.minimum(np.maximum(c, -1.0), 1.0)), length

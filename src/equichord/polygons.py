@@ -26,8 +26,6 @@ __all__ = [
     "CirculantSpectrum",
     "contact_angle",
     "verify_gutkin",
-    "beta_sum_check",
-    "angle_periodicity_check",
     "circulant_spectrum",
     "equiangular_family_basis",
     "family_member",
@@ -35,7 +33,6 @@ __all__ = [
     "construct_2kk",
     "construct_inscribed",
     "exists_nontrivial",
-    "normalize_similarity",
     "regular_polygon",
     "interior_angles",
 ]
@@ -173,24 +170,6 @@ def as_gutkin_polygon(vertices, k: int, tol: float = 1e-9) -> GutkinPolygon:
     return GutkinPolygon(n=rep["n"], k=k, vertices=np.asarray(vertices, float),
                          alpha=rep["alpha_measured"], max_residual=rep["max_residual"],
                          beta_angles=rep["beta_angles"])
-
-
-def beta_sum_check(p: GutkinPolygon) -> float:
-    """|alpha - (pi (n - 2) - sum beta_i) / (2n)|; undefined at n = 2k."""
-    if p.n == 2 * p.k:
-        raise OutOfRange("beta angles do not exist when n = 2k")
-    betas = p.beta_angles
-    if betas is None:
-        betas = verify_gutkin(p.vertices, p.k)["beta_angles"]
-    predicted = (np.pi * (p.n - 2) - betas.sum()) / (2 * p.n)
-    return float(abs(p.alpha - predicted))
-
-
-def angle_periodicity_check(p: GutkinPolygon, tol: float = 1e-9) -> bool:
-    """Interior angle at v_i equals the one at v_{i+k-1}, for all i."""
-    ang = interior_angles(p.vertices)
-    shifted = np.roll(ang, -(p.k - 1) % p.n)
-    return bool(np.abs(ang - shifted).max() < tol)
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +339,3 @@ def construct_inscribed(n: int, k: int, arcs) -> GutkinPolygon:
 def regular_polygon(n: int) -> np.ndarray:
     t = 2 * np.pi * np.arange(n) / n
     return np.stack([np.cos(t), np.sin(t)], axis=-1)
-
-
-def normalize_similarity(p: GutkinPolygon) -> GutkinPolygon:
-    """Canonical placement: v0 at the origin, v1 on the positive x axis;
-    scale so the k-diagonal is 1 when n = 2k, else perimeter 1."""
-    v = p.vertices - p.vertices[0]
-    ang = np.arctan2(v[1, 1], v[1, 0])
-    rot = np.array([[np.cos(-ang), -np.sin(-ang)], [np.sin(-ang), np.cos(-ang)]])
-    v = v @ rot.T
-    if p.n == 2 * p.k:
-        scale = np.linalg.norm(v[p.k] - v[0])
-    else:
-        scale = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).sum()
-    v = v / scale
-    return GutkinPolygon(n=p.n, k=p.k, vertices=v, alpha=p.alpha,
-                         max_residual=p.max_residual, beta_angles=p.beta_angles)

@@ -55,6 +55,16 @@ class TestGutkinRoots:
         for c in roots:
             assert any(abs((np.pi - c) - r) < 1e-9 for r in roots)
 
+    @given(st.integers(min_value=2, max_value=600))
+    @settings(max_examples=30, deadline=None)
+    def test_mirror_pairs(self, k):
+        # c -> pi - c maps k tan c = tan kc to itself, so the sorted roots pair
+        # up end to end; every pair sums to pi within 4 ulp (3 is the worst k <= 600)
+        roots = gutkin_roots(k)
+        assert len(roots) % 2 == 0
+        for c, d in zip(roots, reversed(roots)):
+            assert abs(c + d - np.pi) <= 4 * np.spacing(np.pi)
+
     def test_bad_k(self):
         with pytest.raises(OutOfRange):
             gutkin_roots(1)
@@ -179,13 +189,29 @@ class TestFStar:
 class TestBrentq:
     def test_same_sign_bracket(self):
         with pytest.raises(ValueError):
-            _brentq(np.cos, 0.0, 1.0, xtol=1e-15)
+            _brentq(lambda x, lanes: np.cos(x), 0.0, 1.0, xtol=1e-15)
 
     def test_maxiter(self, monkeypatch):
-        assert _brentq(np.cos, 0.0, 3.0, xtol=1e-15) == pytest.approx(np.pi / 2, abs=1e-15)
+        assert _brentq(lambda x, lanes: np.cos(x), 0.0, 3.0, xtol=1e-15) == pytest.approx(np.pi / 2, abs=1e-15)
         monkeypatch.setattr("equichord.geometry._BRENT_MAXITER", 3)
         with pytest.raises(RuntimeError):
-            _brentq(np.cos, 0.0, 3.0, xtol=1e-15)
+            _brentq(lambda x, lanes: np.cos(x), 0.0, 3.0, xtol=1e-15)
+
+    def test_lanes_match_one_bracket_at_a_time(self):
+        a = np.array([0.0, 0.5, 1.0])
+        roots = _brentq(lambda x, lanes: np.cos(x) - 0.1 * lanes, a, a + 2.5, xtol=1e-15)
+        for i in range(3):
+            assert roots[i] == _brentq(lambda x, lanes: np.cos(x) - 0.1 * i, a[i], a[i] + 2.5, xtol=1e-15)
+
+    def test_lane_errors(self, monkeypatch):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x, lanes: np.cos(x), [0.0, 0.0], [3.0, 1.0], xtol=1e-15)
+        with pytest.raises(ValueError, match="is NaN"):
+            _brentq(lambda x, lanes: np.where(lanes == 1, np.nan, np.cos(x)), [0.0, 0.0], [3.0, 3.0],
+                    xtol=1e-15)
+        monkeypatch.setattr("equichord.geometry._BRENT_MAXITER", 3)
+        with pytest.raises(RuntimeError):
+            _brentq(lambda x, lanes: np.cos(x), [0.0, 0.0], [3.0, 2.0], xtol=1e-15)
 
     def test_bit_identical_to_scipy(self):
         optimize = pytest.importorskip("scipy.optimize")
@@ -202,7 +228,8 @@ class TestBrentq:
             if f(a) * f(b) >= 0:
                 continue
             for xtol in (1e-15, 1e-13):
-                assert _brentq(f, a, b, xtol=xtol) == optimize.brentq(f, a, b, xtol=xtol, rtol=_BRENT_RTOL)
+                assert _brentq(lambda x, lanes: f(x), a, b, xtol=xtol) \
+                    == optimize.brentq(f, a, b, xtol=xtol, rtol=_BRENT_RTOL)
             checked += 1
         assert checked > 100
 
@@ -219,6 +246,11 @@ class TestSolveAngle:
 
     def test_empty_for_k2(self):
         assert solve_angle(2) == []
+
+    def test_residual_is_scale_free_k2_to_300(self):
+        # |pole-free form| / 2k: the raw form's rounding reaches 1.1e-10 at k = 296
+        for k in range(2, 301):
+            assert all(s.residual <= 1e-12 for s in solve_angle(k))
 
 
 class TestRestr2:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equichord import (
     DeformedCircle,
@@ -12,13 +14,15 @@ from equichord import (
     closure_defect,
     e2_residual_operator,
     geodesic_curvature,
-    gutkin_chord_length_formula,
+    gutkin_roots,
     lemma_constants,
     linearized_coefficient_check,
     s2_residual_operator,
+    shoot_to_curve,
     verify_curve_gutkin,
 )
 from equichord.errors import NonConvex, NotAdmissible, NotClosed
+from oracles import gutkin_chord_length_formula
 
 ALPHA4 = float(np.arctan(np.sqrt(5.0)))
 
@@ -83,6 +87,24 @@ class TestChordLengthFormula:
     def test_inadmissible_angle_rejected(self, flower_spec):
         with pytest.raises(NotAdmissible):
             gutkin_chord_length_formula(flower_spec, 1.0, 0.0)
+
+    @given(st.integers(4, 12), st.integers(0, 20), st.floats(0.3, 3.0), st.floats(-0.6, 0.6),
+           st.floats(-np.pi, np.pi))
+    @settings(max_examples=30, deadline=None)
+    def test_exact_chords_on_random_specs(self, k, index, c0, rel_amp, phase):
+        """Every admissible single-harmonic curve is an exact Gutkin curve: shot
+        chords arrive at alpha, land at t + alpha from t - alpha, and have the
+        closed-form length."""
+        roots = gutkin_roots(k)
+        alpha = roots[index % len(roots)]
+        spec = FourierCurveE2(c0=c0, harmonics=(Harmonic(k, rel_amp * c0, phase),))
+        curve = build_e2_curve(spec)
+        assert verify_curve_gutkin(curve, alpha, 32)["max_angle_residual"] <= 1e-12
+        ts = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+        t1, _, length = shoot_to_curve(curve, ts - alpha, alpha)
+        formula = gutkin_chord_length_formula(spec, alpha, ts)
+        assert np.abs(length - formula).max() <= 1e-12 * formula.max()
+        assert np.abs((t1 - ts - alpha + np.pi) % (2 * np.pi) - np.pi).max() <= 1e-12
 
 
 def _deformed(geometry, R, k, eps):

@@ -148,6 +148,8 @@ class TestShooting:
         curve = circle_curve(Geometry.EUCLIDEAN, 1.0)
         with pytest.raises(OutOfRange, match="too close to tangential"):
             shoot_to_curve(curve, 0.0, 1e-9)
+        with pytest.raises(OutOfRange, match="launch angle 1e-09 too close"):
+            shoot_to_curve(curve, [0.0, 1.0], [1.0, 1e-9])
 
     def test_multiple_crossings_rejected(self):
         """The non-convex polar curve r = 1 + 0.5 cos 3t: the chord from t0 = 0
@@ -173,3 +175,7 @@ class TestShooting:
         curve = ParametricCurve(Geometry.EUCLIDEAN, point, velocity, acceleration)
         with pytest.raises(NonConvex, match="crosses the curve 3 times"):
             shoot_to_curve(curve, 0.0, 1.2)
+        # in a batch, the error names the lane that crosses; the other lane lands
+        shoot_to_curve(curve, 2.0, 0.3)
+        with pytest.raises(NonConvex, match="t0=0.0 at theta=1.2 crosses the curve 3 times"):
+            shoot_to_curve(curve, [2.0, 0.0], [0.3, 1.2])

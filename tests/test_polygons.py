@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equichord import (
-    angle_periodicity_check,
-    beta_sum_check,
     circulant_spectrum,
     connelly_check,
     construct_2kk,
@@ -18,7 +16,6 @@ from equichord import (
     equiangular_family_basis,
     exists_nontrivial,
     family_member,
-    normalize_similarity,
     polygon_from_sides,
     solve_restr2,
     verify_gutkin,
@@ -26,6 +23,7 @@ from equichord import (
 from equichord.cli import main
 from equichord.errors import Infeasible, NotAdmissible, OutOfRange
 from equichord.polygons import as_gutkin_polygon, interior_angles, regular_polygon
+from oracles import angle_periodicity_check, beta_sum_check, normalize_similarity
 
 
 class TestVerify:
