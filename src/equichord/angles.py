@@ -167,32 +167,31 @@ def solve_angle(k: int, geometry: Geometry = Geometry.EUCLIDEAN,
     return sols
 
 
-def _restr2_residual(n: int, k: int, r: int) -> float:
+def _restr2_residual(n: int, k: int, r: np.ndarray) -> np.ndarray:
     # tan a tan b = tan c tan d read projectively:
     # sin a sin b cos c cos d - sin c sin d cos a cos b = 0
     a = k * r * np.pi / n
     b = np.pi / n
     c = k * np.pi / n
     d = r * np.pi / n
-    return float(np.sin(a) * np.sin(b) * np.cos(c) * np.cos(d)
-                 - np.sin(c) * np.sin(d) * np.cos(a) * np.cos(b))
+    return (np.sin(a) * np.sin(b) * np.cos(c) * np.cos(d)
+            - np.sin(c) * np.sin(d) * np.cos(a) * np.cos(b))
 
 
 def solve_restr2(n: int, k: int) -> list[DiophantineSolution]:
     """All r in [2, n-2] solving tan(kr pi/n) tan(pi/n) = tan(k pi/n) tan(r pi/n).
 
-    Evaluated in the pole-free cross-multiplied form; the result is symmetric
-    under r <-> n - r.
+    Evaluated in the pole-free cross-multiplied form, on all r at once; the
+    result is symmetric under r <-> n - r.
     """
     n, k = int(n), int(k)
     if not (2 <= k <= n / 2):
         raise OutOfRange(f"need 2 <= k <= n/2, got (n, k) = ({n}, {k})")
-    out = []
-    for r in range(2, n - 1):
-        res = _restr2_residual(n, k, r)
-        if abs(res) < _RESTR2_TOL:
-            out.append(DiophantineSolution(n=n, k=k, r=r, lhs_minus_rhs=res))
-    return out
+    r = np.arange(2, n - 1)
+    res = _restr2_residual(n, k, r)
+    hit = np.abs(res) < _RESTR2_TOL
+    return [DiophantineSolution(n=n, k=k, r=ri, lhs_minus_rhs=x)
+            for ri, x in zip(r[hit].tolist(), res[hit].tolist())]
 
 
 def connelly_check(n: int, k: int, r: int) -> bool:

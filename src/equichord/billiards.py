@@ -28,8 +28,11 @@ class BilliardState:
 
     def __post_init__(self):
         theta = np.asarray(self.theta)
-        if not ((0.0 < theta) & (theta < np.pi)).all():
-            raise OutOfRange(f"theta must lie in (0, pi), got {self.theta}")
+        bad = ~((0.0 < theta) & (theta < np.pi))
+        if bad.any():
+            i = int(np.argmax(bad))
+            got = self.theta if theta.ndim == 0 else f"{float(theta.flat[i])!r} at element {i}"
+            raise OutOfRange(f"theta must lie in (0, pi), got {got}")
 
 
 def billiard_step(curve: ParametricCurve, state: BilliardState) -> BilliardState:
@@ -48,7 +51,8 @@ def invariant_circle_residual(curve: ParametricCurve, alpha: float,
     worst = 0.0
     for _ in range(int(n_steps)):
         s = billiard_step(curve, s)
-        worst = float(np.fmax.reduce(np.abs(s.theta - alpha), initial=worst))  # fmax skips NaN
+        # a NaN arrival never gets here: BilliardState refuses it and names the lane
+        worst = float(np.max(np.abs(s.theta - alpha), initial=worst))
     return worst
 
 

@@ -214,10 +214,18 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0,
             "Lyy": (dyp - 2 * d0 + dym) / h**2,
             "Lxy": (dpp - dpm - dmp + dmm) / (4 * h**2),
         }
+        rels = {}
         for name in errs:
             ana = getattr(cd, name)
-            rel = np.abs(fd[name].astype(float) - ana) / np.maximum(np.abs(ana), 1e-3)
-            errs[name] = float(np.fmax.reduce(rel, initial=errs[name]))  # fmax skips NaN
+            rels[name] = np.abs(fd[name].astype(float) - ana) / np.maximum(np.abs(ana), 1e-3)
+        nan = np.isnan(np.stack(list(rels.values()))).any(axis=0)
+        if nan.any():
+            i = int(np.argmax(nan))
+            raise OutOfRange(
+                f"sample {lo + i} (x = {float(x[i])!r}, y = {float(y[i])!r}) gives a NaN chord "
+                f"partial: the {curve.geometry.value} chord loses every digit to cancellation")
+        for name, rel in rels.items():
+            errs[name] = max(errs[name], float(rel.max()))
 
     return {
         "geometry": curve.geometry.value,

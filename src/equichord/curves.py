@@ -272,7 +272,12 @@ def verify_curve_gutkin(curve: ParametricCurve, alpha: float, n_samples: int = 6
     ts = np.linspace(0.0, TWO_PI, int(n_samples), endpoint=False)
     _, arrival, _ = shoot_to_curve(curve, ts, alpha)
     dev = np.abs(arrival - alpha)
-    worst = float(np.fmax.reduce(dev, initial=0.0))  # fmax skips a NaN defect
+    nan = np.isnan(dev)
+    if nan.any():
+        i = int(np.argmax(nan))
+        raise OutOfRange(f"the chord from sample {i} (t = {float(ts[i])!r}) arrives at a NaN "
+                         "angle: it loses every digit to cancellation")
+    worst = float(np.max(dev, initial=0.0))
     worst_t = float(ts[np.argmax(dev == worst)]) if worst > 0.0 else 0.0
     return {"alpha": float(alpha), "n_samples": int(n_samples),
             "max_angle_residual": worst, "argmax_t": worst_t}

@@ -69,9 +69,16 @@ def _vertex_array(vertices) -> np.ndarray:
     return v
 
 
+def _ahead(v: np.ndarray, j: int) -> np.ndarray:
+    """Row i holds v[(i + j) % n] for -n < j < n: np.roll(v, -j, axis=0)
+    without its overhead."""
+    return np.concatenate((v[j:], v[:j]))
+
+
 def _check_convex_ccw(v: np.ndarray):
-    e = np.roll(v, -1, axis=0) - v
-    cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
+    e = _ahead(v, 1) - v
+    e1 = _ahead(e, 1)
+    cross = e[:, 0] * e1[:, 1] - e[:, 1] * e1[:, 0]
     if np.all(cross < 0):
         raise OutOfRange("vertices are clockwise; expected counterclockwise")
     if not np.all(cross > 0):
@@ -91,7 +98,7 @@ def _angles(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def interior_angles(v: np.ndarray) -> np.ndarray:
-    return _angles(np.roll(v, 1, axis=0), v, np.roll(v, -1, axis=0))
+    return _angles(_ahead(v, -1), v, _ahead(v, 1))
 
 
 @dataclass(frozen=True)
@@ -139,16 +146,16 @@ def verify_gutkin(vertices, k: int, tol: float = 1e-9) -> dict:
     _require_diagonal_index(n, k)
     _check_convex_ccw(v)
 
-    ahead = np.roll(v, -k, axis=0)  # row i holds v[i + k]
+    ahead = _ahead(v, k)
     # interleaved as (departure, arrival) per diagonal, the order the mean sums in
-    measured = np.stack([_angles(np.roll(v, -1, axis=0), v, ahead),
-                         _angles(np.roll(v, 1 - k, axis=0), ahead, v)], axis=1).ravel()
+    measured = np.stack([_angles(_ahead(v, 1), v, ahead),
+                         _angles(_ahead(v, k - 1), ahead, v)], axis=1).ravel()
     mean = float(measured.mean())
     max_residual = float(np.abs(measured - mean).max())
 
     betas = None
     if n != 2 * k:
-        betas = _angles(np.roll(v, k, axis=0), v, ahead)
+        betas = _angles(_ahead(v, -k), v, ahead)
 
     return {
         "is_gutkin": bool(max_residual < tol),
@@ -191,21 +198,34 @@ def _first_row(n: int, k: int) -> np.ndarray:
 
 def circulant_spectrum(n: int, k: int) -> CirculantSpectrum:
     """Eigenvalues lambda_r = sum_nu row_nu omega^{nu r} of the diagonal
-    constraint matrix, cross-checked against the inverse DFT of its first row."""
+    constraint matrix, cross-checked against the inverse DFT of its first row.
+
+    The sum is geometric, so it is evaluated in closed form in O(n):
+    lambda_r = omega^{m r} (D_k(r + 1) - D_k(r - 1)) with the Dirichlet kernel
+    D_k(s) = sin(pi k s/n) / sin(pi s/n), D_k(0) = k, D_k(n) = (-1)^{k+1} k
+    (docs/derivation.md, "The circulant spectrum in closed form").
+    """
     n, k = int(n), int(k)
     _require_spectral_range(n, k)
     row = _first_row(n, k)
+    # dk[s + 1] = D_k(s) for s = -1..n.  Only 0 < s < n takes sines: D_k is
+    # even and its limits are set directly.  Angles are reduced mod 2n in integers.
+    s = np.arange(1, n)
+    dk = np.empty(n + 2)
+    dk[2:-1] = np.sin(np.pi / n * (k * s % (2 * n))) / np.sin(np.pi / n * s)
+    dk[0], dk[1], dk[-1] = dk[2], k, (-1) ** (k + 1) * k
     r = np.arange(n)
-    powers = np.exp(2j * np.pi * np.outer(np.arange(k), r) / n)
-    lam = row[:k] @ powers
-    # same sum through the FFT; disagreement would mean an indexing bug
+    lam = np.exp(1j * np.pi / n * ((k - 1) * r % (2 * n))) * (dk[2:] - dk[:-2])
+    # an independent evaluation of the same sum; disagreement means a
+    # derivation or indexing bug
     lam_fft = np.fft.ifft(row) * n
     fft_gap = np.abs(lam - lam_fft).max()
-    if not fft_gap < 1e-9 * max(1.0, np.abs(lam).max()):
+    mag = np.abs(lam)
+    if not fft_gap < 1e-9 * max(1.0, mag.max()):
         raise RuntimeError(f"eigenvalue sum and FFT disagree by {fft_gap:.3e}")
 
     scale = np.abs(row[:k]).max()
-    zero_set = tuple(int(i) for i in np.nonzero(np.abs(lam) / max(scale, 1e-30) < _ZERO_TOL)[0])
+    zero_set = tuple(np.flatnonzero(mag / max(scale, 1e-30) < _ZERO_TOL).tolist())
     return CirculantSpectrum(n=n, k=k, eigenvalues=lam, zero_set=zero_set)
 
 
@@ -221,9 +241,10 @@ def equiangular_family_basis(n: int, k: int) -> list[np.ndarray]:
     zs = circulant_spectrum(n, k).zero_set
     r = np.array([x for x in zs if 0 < 2 * x < n], dtype=int)
     j = np.arange(n)
-    # reduce r j mod n exactly in integers before scaling to an angle
-    t = 2 * np.pi * (np.outer(r, j) % n) / n
-    modes = np.sqrt(2.0 / n) * np.stack([np.cos(t), np.sin(t)], axis=1).reshape(-1, n)
+    # r j reduced mod n exactly in integers indexes the n angles 2 pi j / n
+    t = 2 * np.pi * j / n
+    at = np.outer(r, j) % n
+    modes = np.sqrt(2.0 / n) * np.stack([np.cos(t)[at], np.sin(t)[at]], axis=1).reshape(-1, n)
     if n / 2 in zs:
         modes = np.vstack([modes, (1 - 2 * (j % 2)) / np.sqrt(n)])
     return list(modes)

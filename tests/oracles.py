@@ -1,9 +1,10 @@
 """Closed forms and polygon checks that only the tests use, kept here as oracles.
 
 Each one states a result of the paper independently of the code under test:
-the chord length of an exact single-harmonic E2 Gutkin curve, the beta-angle
-sum and the angle periodicity of a Gutkin polygon, and a canonical similarity
-frame for comparing polygons.
+the chord length of an exact single-harmonic E2 Gutkin curve, the circulant
+eigenvalues as the plain O(nk) sum over the first row, the beta-angle sum and
+the angle periodicity of a Gutkin polygon, and a canonical similarity frame
+for comparing polygons.
 """
 
 import numpy as np
@@ -29,6 +30,22 @@ def gutkin_chord_length_formula(spec, alpha: float, t):
         )
     t = np.asarray(t)
     return 2 * np.sin(alpha) * (spec.c0 + h.amp * np.cos(h.k * alpha) * np.cos(h.k * t + h.phase))
+
+
+def direct_circulant_spectrum(n: int, k: int):
+    """(eigenvalues, zero set, row scale) of the (n, k) constraint matrix by
+    the direct sum lambda_r = sum_{nu<k} row_nu omega^{nu r}, row_nu =
+    omega^{nu-m} - omega^{m-nu}, m = (k - 1)/2, over a k x n table of powers.
+
+    The zero test is the library's: |lambda_r| below 1e-9 of max |row_nu|.
+    """
+    m = (k - 1) / 2.0
+    nu = np.arange(k)
+    row = np.exp(2j * np.pi * (nu - m) / n) - np.exp(2j * np.pi * (m - nu) / n)
+    lam = row @ np.exp(2j * np.pi * np.outer(nu, np.arange(n)) / n)
+    scale = float(np.abs(row).max())
+    zero_set = tuple(int(r) for r in np.nonzero(np.abs(lam) / scale < 1e-9)[0])
+    return lam, zero_set, scale
 
 
 def beta_sum_check(p: GutkinPolygon) -> float:

@@ -5,10 +5,12 @@ from equichord import (
     BilliardState,
     Geometry,
     billiard_step,
+    billiards,
     circle_curve,
     export_orbit,
     invariant_circle_residual,
 )
+from equichord.errors import OutOfRange
 
 
 class TestBilliardStep:
@@ -26,6 +28,10 @@ class TestBilliardStep:
         with pytest.raises(ValueError):
             BilliardState(t=0.0, theta=np.pi)
 
+    def test_bad_lane_named(self):
+        with pytest.raises(OutOfRange, match="got nan at element 2"):
+            BilliardState(t=np.zeros(4), theta=np.array([0.5, 1.0, np.nan, 1.0]))
+
 
 class TestInvariantCircle:
     def test_gutkin_curve_preserves_angle(self, flower_curve, alpha4):
@@ -39,6 +45,17 @@ class TestInvariantCircle:
     def test_circle_every_angle_invariant(self):
         curve = circle_curve(Geometry.SPHERICAL, np.pi / 3)
         assert invariant_circle_residual(curve, 0.9, n_steps=10, n_starts=3) < 1e-9
+
+    def test_nan_arrival_refused(self, flower_curve, alpha4, monkeypatch):
+        shoot = billiards.shoot_to_curve
+
+        def lossy(curve, t0, theta):
+            t1, arrival, length = shoot(curve, t0, theta)
+            return t1, np.where(np.arange(arrival.size) == 1, np.nan, arrival), length
+
+        monkeypatch.setattr(billiards, "shoot_to_curve", lossy)
+        with pytest.raises(OutOfRange, match="at element 1"):
+            invariant_circle_residual(flower_curve, alpha4, n_steps=3, n_starts=4)
 
 
 class TestExportOrbit:

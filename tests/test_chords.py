@@ -11,7 +11,7 @@ from equichord import (
     circle_curve,
     validate_partials,
 )
-from equichord.errors import Degenerate
+from equichord.errors import Degenerate, OutOfRange
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +80,11 @@ class TestValidatePartials:
     def test_h2_circle(self):
         report = validate_partials(circle_curve(Geometry.HYPERBOLIC, 0.8), samples=40)
         assert report["max_rel_err"] < 1e-5
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_sample_refused(self):
+        with pytest.raises(OutOfRange, match=r"sample \d+ .* NaN chord partial"):
+            validate_partials(circle_curve(Geometry.HYPERBOLIC, 12.0), samples=20)
 
     def test_report_shape(self, wavy_curve):
         report = validate_partials(wavy_curve, samples=3)

@@ -187,6 +187,15 @@ class TestBilliardAndChords:
                                          "--radius", "0.8", "--samples", "10"]))
         assert out["max_rel_err"] < 1e-5
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_chords_validate_nan_chord_exit_3(self, runner):
+        # at R = 12 the hyperboloid chord cancels and some partials come out NaN;
+        # the report must refuse rather than take the max of the other lanes
+        result = runner.invoke(main, ["chords", "validate", "--circle", "H2",
+                                      "--radius", "12", "--samples", "20"])
+        assert result.exit_code == 3
+        assert "gives a NaN chord partial" in result.output
+
 
 class TestDeterminism:
     DOCUMENTED = [

@@ -12,6 +12,7 @@ from equichord import (
     build_deformed_circle,
     build_e2_curve,
     closure_defect,
+    curves,
     e2_residual_operator,
     geodesic_curvature,
     gutkin_roots,
@@ -21,7 +22,7 @@ from equichord import (
     shoot_to_curve,
     verify_curve_gutkin,
 )
-from equichord.errors import NonConvex, NotAdmissible, NotClosed
+from equichord.errors import NonConvex, NotAdmissible, NotClosed, OutOfRange
 from oracles import gutkin_chord_length_formula
 
 ALPHA4 = float(np.arctan(np.sqrt(5.0)))
@@ -51,6 +52,19 @@ class TestFourierCurveE2:
             v = np.asarray(flower_curve.velocity(t))
             rho = flower_spec.rho(t)
             assert np.allclose(v, [rho * np.cos(t), rho * np.sin(t)], atol=1e-14)
+
+
+class TestVerifyCurve:
+    def test_nan_arrival_refused(self, flower_curve, alpha4, monkeypatch):
+        shoot = curves.shoot_to_curve
+
+        def lossy(curve, t0, theta):
+            t1, arrival, length = shoot(curve, t0, theta)
+            return t1, np.where(np.arange(arrival.size) >= 5, np.nan, arrival), length
+
+        monkeypatch.setattr(curves, "shoot_to_curve", lossy)
+        with pytest.raises(OutOfRange, match=r"sample 5 \(t = 0\.98"):
+            verify_curve_gutkin(flower_curve, alpha4, 32)
 
 
 class TestE2Residual:

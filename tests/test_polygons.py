@@ -23,7 +23,12 @@ from equichord import (
 from equichord.cli import main
 from equichord.errors import Infeasible, NotAdmissible, OutOfRange
 from equichord.polygons import as_gutkin_polygon, interior_angles, regular_polygon
-from oracles import angle_periodicity_check, beta_sum_check, normalize_similarity
+from oracles import (
+    angle_periodicity_check,
+    beta_sum_check,
+    direct_circulant_spectrum,
+    normalize_similarity,
+)
 
 
 class TestVerify:
@@ -91,6 +96,64 @@ class TestSpectrum:
         p = construct_2kk(4, [0.3, 0.5])
         assert verify_gutkin(p.vertices, 4, tol=1e-8)["is_gutkin"]
         assert circulant_spectrum(8, 4).M == 2
+
+
+def direct_sum_margin(n, k):
+    """Compare circulant_spectrum(n, k) with the direct-sum oracle and return
+    the smallest |lambda_r| / scale over the nonzero lanes."""
+    spec = circulant_spectrum(n, k)
+    lam, zero_set, scale = direct_circulant_spectrum(n, k)
+    assert spec.zero_set == zero_set, (n, k)
+    assert spec.M == sum(1 for r in zero_set if 2 <= r <= n - 2), (n, k)
+    gap = np.abs(spec.eigenvalues - lam).max()
+    assert gap <= 1e-12 * max(1.0, np.abs(lam).max()), (n, k, gap)
+    return np.delete(np.abs(spec.eigenvalues) / scale, list(zero_set)).min()
+
+
+_rng = np.random.default_rng(7)
+# seeded large pairs, plus (325, 43) and (325, 102): the smallest nonzero
+# |lambda_r| / scale of all 27,829 pairs with 220 <= n <= 400 (1.9e-7, 3.9e-7)
+LARGE_PAIRS = sorted({(int(n), int(_rng.integers(2, n // 2 + 1)))
+                      for n in _rng.integers(220, 401, size=120)} | {(325, 43), (325, 102)})
+
+
+class TestClosedFormSpectrum:
+    def test_every_pair_up_to_120_matches_the_direct_sum(self):
+        margin = min(direct_sum_margin(n, k) for n in range(4, 121) for k in range(2, n // 2 + 1))
+        # nonzero lanes stay far from the 1e-9 zero threshold
+        assert margin >= 1e-6
+
+    def test_seeded_large_pairs_match_the_direct_sum(self):
+        for n, k in LARGE_PAIRS:
+            # near n = 400 a few nonzero lanes come within 2e-7 of zero; they
+            # stay two decades above the threshold, and the arithmetic
+            # characterization confirms they are not zeros
+            assert direct_sum_margin(n, k) >= 1e-7, (n, k)
+            if k < n / 2:
+                below = {r for r in circulant_spectrum(n, k).zero_set if 1 < r < n / 2}
+                assert below == {r for r in range(2, (n - 1) // 2 + 1)
+                                 if connelly_check(n, k, r)}, (n, k)
+
+    @given(st.integers(4, 400).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n // 2))))
+    @settings(max_examples=80, deadline=None)
+    def test_zero_lanes_are_the_restr2_roots(self, nk):
+        # product-to-sum turns the restr2 residual rho_r into
+        # lambda_r sin((r+1) pi/n) sin((r-1) pi/n) = -2 omega^{m r} rho_r,
+        # whose sine factor does not vanish for 2 <= r <= n - 2
+        n, k = nk
+        spec = circulant_spectrum(n, k)
+        x = np.pi / n
+        r = np.arange(2, n - 1)
+        a, c = k * r * x, k * x
+        rho = (np.sin(a) * np.sin(x) * np.cos(c) * np.cos(r * x)
+               - np.sin(c) * np.sin(r * x) * np.cos(a) * np.cos(x))
+        lhs = spec.eigenvalues[2:n - 1] * np.sin((r + 1) * x) * np.sin((r - 1) * x)
+        twist = np.exp(1j * np.pi * (k - 1) * r / n)
+        lam_max = max(1.0, np.abs(spec.eigenvalues).max())
+        assert np.abs(lhs + 2 * twist * rho).max() <= 1e-13 * lam_max
+        roots = solve_restr2(n, k)
+        assert [s.r for s in roots] == [z for z in spec.zero_set if z != 0]
+        assert len(roots) == spec.M
 
 
 class TestFamily:
