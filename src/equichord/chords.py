@@ -41,11 +41,15 @@ class ArcLengthParam:
 
     The speed is sampled on a uniform grid and integrated through its Fourier
     series (trapezoid/FFT, spectrally accurate for smooth periodic speed), so
-    s(t) = mean_speed * t + periodic part.  Inversion is by Newton (s is
-    strictly increasing) and raises RuntimeError if 60 steps do not converge;
-    both directions accept any real argument, of any shape, and wrap
-    naturally.  Evaluation preserves the input dtype so the finite-difference
-    oracle can work in extended precision.
+    s(t) = mean_speed * t + periodic part.  Only the harmonics above the
+    round-off floor of the sampled speed, eps * max(1, mean_speed), are kept:
+    below it the FFT returns rounding noise, and every kept order costs a sin
+    and a cos per evaluation.  A speed with no harmonic left (a circle) gives
+    s = mean_speed * t exactly.  Inversion is by Newton (s is strictly
+    increasing) and raises RuntimeError if 60 steps do not converge; both
+    directions accept any real argument, of any shape, and wrap naturally.
+    Evaluation preserves the input dtype so the finite-difference oracle can
+    work in extended precision.
     """
 
     def __init__(self, curve: ParametricCurve):
@@ -61,8 +65,7 @@ class ArcLengthParam:
         k = np.arange(1, len(coeffs))
         a = np.asarray(2 * coeffs[1:].real / k)   # coefficient of sin(kt)
         b = np.asarray(-2 * coeffs[1:].imag / k)  # minus the cos(kt) coefficient
-        # drop numerically-zero harmonics (speed profiles here are band-limited)
-        keep = (np.abs(a) + np.abs(b)) > 1e-17 * max(1.0, self.mean_speed)
+        keep = (np.abs(a) + np.abs(b)) > np.finfo(float).eps * max(1.0, self.mean_speed)
         self._ks = k[keep]
         self._a = a[keep]
         self._b = b[keep]
@@ -81,16 +84,22 @@ class ArcLengthParam:
         v = np.asarray(self.curve.velocity(t))
         return mnorm(self.curve.geometry, v)
 
-    def t_of_s(self, s):
+    def t_of_s(self, s, start=None):
         """Parameter t with s_of_t(t) = s, elementwise over s of any shape.
 
-        Newton runs on the whole array; an element stops at its own
-        convergence, so it takes exactly the steps it would take alone.  A
-        scalar gives a numpy scalar of the input's float dtype.
+        Newton runs on the whole array from s / mean_speed, or from ``start``
+        (one first guess per element of s) when given; an element stops at
+        its own convergence, so it takes exactly the steps it would take
+        alone.  A guess O(h^2) from the root, such as a known t plus
+        h / speed, converges in two steps.  With no harmonic kept, t is
+        s / mean_speed and no Newton step is taken.  A scalar gives a numpy
+        scalar of the input's float dtype.
         """
         s = np.asarray(s, dtype=np.result_type(s, 1.0))
+        if not self._ks.size:
+            return (s / self.mean_speed)[()]
         flat = s.ravel()
-        t = flat / self.mean_speed
+        t = flat / self.mean_speed if start is None else np.array(start, dtype=s.dtype).reshape(flat.shape)
         eps = np.finfo(s.dtype).eps
         todo = np.arange(flat.size)
         for _ in range(60):
@@ -108,10 +117,16 @@ class ArcLengthParam:
 
 @dataclass(frozen=True)
 class ChordData:
-    """One chord's record, or with array fields, one element per chord."""
+    """One chord's record, or with array fields, one element per chord.
+
+    x, y are the arc-length parameters of the ends and tx, ty their curve
+    parameters.
+    """
 
     x: float
     y: float
+    tx: float
+    ty: float
     L: float
     phi: float
     psi: float
@@ -134,6 +149,8 @@ def chord_data(curve: ParametricCurve, x, y, arclen: ArcLengthParam | None = Non
     g = curve.geometry
     kern = g.kernel
     x, y = _broadcast(x, y)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise OutOfRange("chord ends must be finite arc lengths")
     Ltot = arclen.total_length
     if np.any((np.abs((x - y) % Ltot) < 1e-12) | (np.abs((y - x) % Ltot) < 1e-12)):
         raise Degenerate("chord endpoints coincide mod curve length")
@@ -156,7 +173,7 @@ def chord_data(curve: ParametricCurve, x, y, arclen: ArcLengthParam | None = Non
     # sin * sin, not ** 2: numpy rounds a scalar's square through pow()
     sin_phi, sin_psi = np.sin(phi), np.sin(psi)
     fields = dict(
-        x=x, y=y, L=L, phi=phi, psi=psi,
+        x=x, y=y, tx=t[0], ty=t[1], L=L, phi=phi, psi=psi,
         Lx=-np.cos(phi), Ly=np.cos(psi),
         Lxx=sin_phi * sin_phi * inv_tan - kx * sin_phi,
         Lyy=sin_psi * sin_psi * inv_tan - ky * sin_psi,
@@ -165,13 +182,6 @@ def chord_data(curve: ParametricCurve, x, y, arclen: ArcLengthParam | None = Non
     if x.ndim == 0:
         fields = {name: float(value) for name, value in fields.items()}
     return ChordData(**fields)
-
-
-def _distance_of_arclengths(curve, arclen, x, y):
-    """Chord lengths between arc-length parameters x and y, dtype preserved."""
-    t = arclen.t_of_s(np.stack([x, y]))
-    p, q = np.asarray(curve.point(t))
-    return _distance_coords(curve.geometry, p, q)
 
 
 _SAMPLE_BLOCK = 512  # samples validated together; bounds the stencil arrays
@@ -186,50 +196,66 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0,
     target; relative-error denominators are floored at 1e-3.  All samples
     are drawn first; then the 9 stencil chords of every sample are
     evaluated together, in one arc-length inversion per block of samples.
+    That inversion starts each stencil point at t_end + ds / speed(t_end),
+    from the chord end chord_data has already inverted in double; the guess
+    is O(h^2) from the root, so Newton stops after two steps.
 
+    Raises OutOfRange for fewer than one sample, for a step that is not
+    finite and positive, and for a sample whose chord partial is NaN.
     Returns a report dict with per-quantity and overall max relative errors.
     """
+    samples = int(samples)
+    if samples < 1:
+        raise OutOfRange(f"validate_partials needs at least one sample, got {samples}")
+    if not (np.isfinite(step) and step > 0):
+        raise OutOfRange(f"finite-difference step must be finite and positive, got {step!r}")
     arclen = ArcLengthParam(curve)
     Ltot = arclen.total_length
     rng = np.random.default_rng(seed)
-    draws = np.array([(rng.uniform(0.0, Ltot), rng.uniform(0.2, 0.8)) for _ in range(int(samples))])
+    # one row (x, chord fraction) per sample, drawn in the order of a per-sample loop
+    draws = rng.uniform([0.0, 0.2], [Ltot, 0.8], size=(samples, 2))
     h = np.longdouble(step)
     # the stencil's steps in (x, y), one row each: 0 0, + 0, - 0, 0 +, 0 -, + +, + -, - +, - -
     sx = np.array([0, 1, -1, 0, 0, 1, 1, -1, -1], dtype=np.longdouble)[:, None] * h
     sy = np.array([0, 0, 0, 1, -1, 1, -1, 1, -1], dtype=np.longdouble)[:, None] * h
 
-    errs = {name: 0.0 for name in ("Lx", "Ly", "Lxx", "Lyy", "Lxy")}
+    names = ("Lx", "Ly", "Lxx", "Lyy", "Lxy")
+    worst = np.zeros(len(names))
     for lo in range(0, len(draws), _SAMPLE_BLOCK):
         block = draws[lo:lo + _SAMPLE_BLOCK].astype(np.longdouble)
         x = block[:, 0]
         y = x + block[:, 1] * np.longdouble(Ltot)
-        cd = chord_data(curve, x.astype(float), y.astype(float), arclen)
-        d0, dxp, dxm, dyp, dym, dpp, dpm, dmp, dmm = _distance_of_arclengths(
-            curve, arclen, x + sx, y + sy)
+        # a chord that cancels to NaN is refused below, so its warning is noise
+        with np.errstate(invalid="ignore"):
+            cd = chord_data(curve, x.astype(float), y.astype(float), arclen)
+            s = np.stack([x + sx, y + sy])
+            s_end = np.stack([cd.x, cd.y])[:, None]
+            t_end = np.stack([cd.tx, cd.ty])[:, None]
+            t = arclen.t_of_s(s, start=t_end + (s - s_end) / arclen.speed(t_end))
+            p, q = np.asarray(curve.point(t))
+            d0, dxp, dxm, dyp, dym, dpp, dpm, dmp, dmm = _distance_coords(curve.geometry, p, q)
 
-        fd = {
-            "Lx": (dxp - dxm) / (2 * h),
-            "Ly": (dyp - dym) / (2 * h),
-            "Lxx": (dxp - 2 * d0 + dxm) / h**2,
-            "Lyy": (dyp - 2 * d0 + dym) / h**2,
-            "Lxy": (dpp - dpm - dmp + dmm) / (4 * h**2),
-        }
-        rels = {}
-        for name in errs:
-            ana = getattr(cd, name)
-            rels[name] = np.abs(fd[name].astype(float) - ana) / np.maximum(np.abs(ana), 1e-3)
-        nan = np.isnan(np.stack(list(rels.values()))).any(axis=0)
+        fd = np.stack([
+            (dxp - dxm) / (2 * h),
+            (dyp - dym) / (2 * h),
+            (dxp - 2 * d0 + dxm) / h**2,
+            (dyp - 2 * d0 + dym) / h**2,
+            (dpp - dpm - dmp + dmm) / (4 * h**2),
+        ]).astype(float)
+        ana = np.stack([getattr(cd, name) for name in names])
+        rel = np.abs(fd - ana) / np.maximum(np.abs(ana), 1e-3)
+        nan = np.isnan(rel).any(axis=0)
         if nan.any():
             i = int(np.argmax(nan))
             raise OutOfRange(
                 f"sample {lo + i} (x = {float(x[i])!r}, y = {float(y[i])!r}) gives a NaN chord "
                 f"partial: the {curve.geometry.value} chord loses every digit to cancellation")
-        for name, rel in rels.items():
-            errs[name] = max(errs[name], float(rel.max()))
+        worst = np.maximum(worst, rel.max(axis=1))
 
+    errs = dict(zip(names, worst.tolist()))
     return {
         "geometry": curve.geometry.value,
-        "samples": int(samples),
+        "samples": samples,
         "step": float(step),
         "max_rel_err": max(errs.values()),
         "per_quantity": errs,

@@ -268,8 +268,15 @@ def linearized_coefficient_check(geometry: Geometry, R: float, alpha: float):
 
 def verify_curve_gutkin(curve: ParametricCurve, alpha: float, n_samples: int = 64) -> dict:
     """Shoot chords at angle alpha from sample points, all in one batch; report
-    the worst arrival-angle defect and the first sample that reaches it."""
-    ts = np.linspace(0.0, TWO_PI, int(n_samples), endpoint=False)
+    the worst arrival-angle defect and the first sample that reaches it.
+
+    Raises OutOfRange for fewer than one sample: a check that shoots no chord
+    would pass vacuously.
+    """
+    n_samples = int(n_samples)
+    if n_samples < 1:
+        raise OutOfRange(f"verify_curve_gutkin needs at least one sample, got {n_samples}")
+    ts = np.linspace(0.0, TWO_PI, n_samples, endpoint=False)
     _, arrival, _ = shoot_to_curve(curve, ts, alpha)
     dev = np.abs(arrival - alpha)
     nan = np.isnan(dev)
@@ -277,7 +284,7 @@ def verify_curve_gutkin(curve: ParametricCurve, alpha: float, n_samples: int = 6
         i = int(np.argmax(nan))
         raise OutOfRange(f"the chord from sample {i} (t = {float(ts[i])!r}) arrives at a NaN "
                          "angle: it loses every digit to cancellation")
-    worst = float(np.max(dev, initial=0.0))
+    worst = float(dev.max())
     worst_t = float(ts[np.argmax(dev == worst)]) if worst > 0.0 else 0.0
-    return {"alpha": float(alpha), "n_samples": int(n_samples),
+    return {"alpha": float(alpha), "n_samples": n_samples,
             "max_angle_residual": worst, "argmax_t": worst_t}

@@ -3,15 +3,76 @@
 Each one states a result of the paper independently of the code under test:
 the chord length of an exact single-harmonic E2 Gutkin curve, the circulant
 eigenvalues as the plain O(nk) sum over the first row, the beta-angle sum and
-the angle periodicity of a Gutkin polygon, and a canonical similarity frame
-for comparing polygons.
+the angle periodicity of a Gutkin polygon, a canonical similarity frame
+for comparing polygons, and the extended-precision arc-length inversions of
+validate_partials, to be checked against cold-started ones.  The random
+curves the curve-layer properties are checked on live here too.
 """
 
 import numpy as np
+from hypothesis import reject
+from hypothesis import strategies as st
 
+from equichord import (
+    ArcLengthParam,
+    DeformedCircle,
+    FourierCurveE2,
+    Geometry,
+    Harmonic,
+    TrigPolynomial,
+    build_deformed_circle,
+    build_e2_curve,
+    circle_curve,
+    validate_partials,
+)
 from equichord.angles import _polefree
-from equichord.errors import NotAdmissible, OutOfRange
+from equichord.errors import NonConvex, NotAdmissible, OutOfRange
 from equichord.polygons import GutkinPolygon, interior_angles, verify_gutkin
+
+
+@st.composite
+def curves(draw):
+    """A random convex closed curve: a Fourier E2 curve, or an S2/H2 circle or
+    deformed circle."""
+    kind = draw(st.sampled_from(["E2", "S2", "H2", "S2 circle", "H2 circle"]))
+    if kind == "E2":
+        c0 = draw(st.floats(0.5, 2.0))
+        hs = tuple(Harmonic(draw(st.integers(2, 8)), draw(st.floats(-0.15, 0.15)) * c0,
+                            draw(st.floats(-np.pi, np.pi)))
+                   for _ in range(draw(st.integers(0, 2))))
+        return build_e2_curve(FourierCurveE2(c0=c0, harmonics=hs))
+    geometry = Geometry(kind[:2])
+    R = draw(st.floats(0.3, 1.4) if geometry is Geometry.SPHERICAL else st.floats(0.3, 2.5))
+    if kind.endswith("circle"):
+        return circle_curve(geometry, R)
+    g = TrigPolynomial(0.0, (Harmonic(draw(st.integers(2, 7)), 1.0, draw(st.floats(-np.pi, np.pi))),))
+    spec = DeformedCircle(geometry=geometry, R=R, epsilon=draw(st.floats(0.0, 0.01)), g=g,
+                          alpha=draw(st.floats(0.3, 2.8)))
+    try:
+        return build_deformed_circle(spec)
+    except NonConvex:
+        reject()
+
+
+def stencil_inversions(curve, samples: int, seed: int = 0) -> list:
+    """(arclen, s, t) of every long-double t_of_s call one validate_partials run
+    makes: the warm-started stencil inversions.  The method is wrapped for the
+    length of the run only."""
+    calls = []
+    warm = ArcLengthParam.t_of_s
+
+    def recording(self, s, start=None):
+        t = warm(self, s, start)
+        if np.asarray(s).dtype == np.longdouble:
+            calls.append((self, s, t))
+        return t
+
+    ArcLengthParam.t_of_s = recording
+    try:
+        validate_partials(curve, samples=samples, seed=seed)
+    finally:
+        ArcLengthParam.t_of_s = warm
+    return calls
 
 
 def gutkin_chord_length_formula(spec, alpha: float, t):

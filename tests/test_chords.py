@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equichord import (
     ArcLengthParam,
+    DeformedCircle,
     FourierCurveE2,
     Geometry,
     Harmonic,
+    TrigPolynomial,
+    build_deformed_circle,
     build_e2_curve,
     chord_data,
     circle_curve,
     validate_partials,
 )
 from equichord.errors import Degenerate, OutOfRange
+from oracles import curves, stencil_inversions
+
+LD_EPS = np.finfo(np.longdouble).eps
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +53,29 @@ class TestArcLength:
         arclen = ArcLengthParam(wavy_curve)
         assert arclen.total_length == pytest.approx(2 * np.pi, abs=1e-10)
 
+    @pytest.mark.parametrize("harmonics", [
+        (Harmonic(7, 0.05, 1.3),),
+        (Harmonic(3, 0.3, 0.0), Harmonic(5, 0.1, -np.pi / 2)),
+        (Harmonic(2, 0.2, 0.4), Harmonic(4, 0.01, 2.0), Harmonic(6, 0.05, -1.0)),
+    ])
+    def test_e2_keeps_exactly_its_orders(self, harmonics):
+        """The speed of an E2 curve is rho, so its arc length has rho's orders and
+        no others: FFT noise below eps * max(1, mean speed) is dropped."""
+        arclen = ArcLengthParam(build_e2_curve(FourierCurveE2(c0=1.0, harmonics=harmonics)))
+        assert arclen._ks.tolist() == sorted(h.k for h in harmonics)
+
+    def test_circle_is_inverted_in_closed_form(self):
+        arclen = ArcLengthParam(circle_curve(Geometry.SPHERICAL, 0.9))
+        s = np.linspace(-3.0, 9.0, 7, dtype=np.longdouble)
+        assert np.array_equal(arclen.t_of_s(s), s / arclen.mean_speed)
+
+    def test_start_is_a_first_guess_only(self, wavy_curve):
+        arclen = ArcLengthParam(wavy_curve)
+        s = np.linspace(0.0, 7.0, 5, dtype=np.longdouble)
+        cold = arclen.t_of_s(s)
+        warm = arclen.t_of_s(s, start=cold + 1e-6)
+        assert np.all(np.abs(warm - cold) <= 8 * LD_EPS * np.maximum(1.0, np.abs(cold)))
+
 
 class TestChordData:
     def test_first_partials_are_angle_cosines(self, wavy_curve):
@@ -67,6 +98,12 @@ class TestChordData:
         with pytest.raises(Degenerate, match="chord endpoints coincide"):
             chord_data(wavy_curve, 1.0, 1.0)
 
+    @pytest.mark.parametrize("x", [float("nan"), float("inf")])
+    def test_non_finite_end_refused(self, wavy_curve, x):
+        for curve in (wavy_curve, circle_curve(Geometry.SPHERICAL, 0.9)):
+            with pytest.raises(OutOfRange, match="finite"):
+                chord_data(curve, np.array([0.5, x]), 3.0)
+
 
 class TestValidatePartials:
     def test_e2(self, wavy_curve):
@@ -81,7 +118,6 @@ class TestValidatePartials:
         report = validate_partials(circle_curve(Geometry.HYPERBOLIC, 0.8), samples=40)
         assert report["max_rel_err"] < 1e-5
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_sample_refused(self):
         with pytest.raises(OutOfRange, match=r"sample \d+ .* NaN chord partial"):
             validate_partials(circle_curve(Geometry.HYPERBOLIC, 12.0), samples=20)
@@ -90,3 +126,58 @@ class TestValidatePartials:
         report = validate_partials(wavy_curve, samples=3)
         assert set(report["per_quantity"]) == {"Lx", "Ly", "Lxx", "Lyy", "Lxy"}
         assert report["geometry"] == "E2"
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_sample_refused(self, wavy_curve, samples):
+        with pytest.raises(OutOfRange, match="at least one sample"):
+            validate_partials(wavy_curve, samples=samples)
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-5])
+    def test_bad_step_refused(self, wavy_curve, step):
+        with pytest.raises(OutOfRange, match="finite and positive"):
+            validate_partials(wavy_curve, samples=3, step=step)
+
+
+def _deformed(tag):
+    g = TrigPolynomial(0.0, (Harmonic(5, 1.0, 0.4),))
+    return build_deformed_circle(DeformedCircle(geometry=Geometry(tag), R=0.9, epsilon=0.002,
+                                                g=g, alpha=1.1))
+
+
+class TestStencilInversion:
+    """validate_partials starts each long-double stencil point next to the chord
+    end chord_data solved in double."""
+
+    @given(curves(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_warm_start_equals_cold_start(self, curve, seed):
+        inversions = stencil_inversions(curve, samples=4, seed=seed)
+        assert len(inversions) == 1
+        arclen, s, t = inversions[0]
+        cold = arclen.t_of_s(s)
+        assert np.all(np.abs(t - cold) <= 8 * LD_EPS * np.maximum(1.0, np.abs(cold)))
+
+    @pytest.mark.parametrize("make, steps", [
+        (lambda: build_e2_curve(FourierCurveE2(c0=1.0, harmonics=(Harmonic(3, 0.3, 0.0),
+                                                                  Harmonic(5, 0.1, -np.pi / 2)))), 2),
+        (lambda: build_e2_curve(FourierCurveE2(c0=1.3, harmonics=(Harmonic(7, 0.08, 1.0),))), 2),
+        (lambda: _deformed("S2"), 2),
+        (lambda: _deformed("H2"), 2),
+        (lambda: circle_curve(Geometry.SPHERICAL, 0.9), 0),
+        (lambda: circle_curve(Geometry.HYPERBOLIC, 1.2), 0),
+    ], ids=["E2 3+5", "E2 7", "S2 deformed", "H2 deformed", "S2 circle", "H2 circle"])
+    def test_newton_steps(self, monkeypatch, make, steps):
+        """Two long-double Newton steps on curves with harmonics (5 to 6 on E2 and 3
+        on deformed circles from a cold start), none on circles; each step
+        evaluates s_of_t once."""
+        curve = make()
+        dtypes = []
+        s_of_t = ArcLengthParam.s_of_t
+
+        def counting(self, t):
+            dtypes.append(np.asarray(t).dtype)
+            return s_of_t(self, t)
+
+        monkeypatch.setattr(ArcLengthParam, "s_of_t", counting)
+        validate_partials(curve, samples=40)
+        assert dtypes.count(np.longdouble) == steps

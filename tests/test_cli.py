@@ -1,9 +1,13 @@
 import json
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import equichord
 from equichord.cli import main, to_json
 
 E2_SPEC = {"geometry": "euclidean", "c0": 1.0,
@@ -187,7 +191,6 @@ class TestBilliardAndChords:
                                          "--radius", "0.8", "--samples", "10"]))
         assert out["max_rel_err"] < 1e-5
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_chords_validate_nan_chord_exit_3(self, runner):
         # at R = 12 the hyperboloid chord cancels and some partials come out NaN;
         # the report must refuse rather than take the max of the other lanes
@@ -195,6 +198,19 @@ class TestBilliardAndChords:
                                       "--radius", "12", "--samples", "20"])
         assert result.exit_code == 3
         assert "gives a NaN chord partial" in result.output
+
+    def test_nan_chord_stderr_is_one_line(self):
+        """No numpy warning precedes the error line; run as a real process, because
+        pytest would catch the warning before it reached stderr."""
+        src = str(pathlib.Path(equichord.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "equichord.cli", "chords", "validate", "--circle", "H2",
+             "--radius", "12", "--samples", "20"],
+            capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""}, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 class TestDeterminism:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equichord import (
@@ -12,6 +12,7 @@ from equichord import (
     build_deformed_circle,
     build_e2_curve,
     closure_defect,
+    contact_angle_from_c,
     curves,
     e2_residual_operator,
     geodesic_curvature,
@@ -42,6 +43,16 @@ class TestFourierCurveE2:
         assert closure_defect(1.0, (Harmonic(1, 0.1, 0.0),)) == pytest.approx(
             np.pi * 0.1, abs=1e-10)
         assert closure_defect(1.0, (Harmonic(4, 0.1, 0.0),)) < 1e-14
+
+    @given(st.floats(0.5, 3.0), st.floats(-0.5, 0.5), st.floats(-np.pi, np.pi),
+           st.lists(st.tuples(st.integers(2, 9), st.floats(-0.2, 0.2), st.floats(-np.pi, np.pi)),
+                    max_size=2))
+    @settings(max_examples=60, deadline=None)
+    def test_closure_defect_is_pi_amplitude(self, c0, rel_amp, phase, others):
+        """A first harmonic of amplitude A opens the curve by pi |A|, whatever its
+        phase and whatever higher harmonics ride along."""
+        hs = (Harmonic(1, rel_amp * c0, phase),) + tuple(Harmonic(k, a * c0, p) for k, a, p in others)
+        assert closure_defect(c0, hs) == pytest.approx(np.pi * abs(rel_amp * c0), abs=1e-12 * c0)
 
     def test_nonconvex_rejected(self):
         with pytest.raises(NonConvex, match="radius of curvature must stay positive"):
@@ -184,6 +195,34 @@ class TestResidualOrders:
             res[eps] = verify_curve_gutkin(curve, spec.alpha, n_samples=24)[
                 "max_angle_residual"]
         assert 1.8 < res[1e-2] / res[5e-3] < 2.2
+
+    @given(st.sampled_from([Geometry.SPHERICAL, Geometry.HYPERBOLIC]), st.floats(0.0, 1.0),
+           st.integers(4, 8), st.booleans(), st.integers(0, 9), st.floats(0.2, np.pi - 0.2),
+           st.floats(-np.pi, np.pi))
+    @settings(max_examples=30, deadline=None)
+    def test_orders_on_random_deformed_circles(self, geometry, u, k, admissible, index, c_other,
+                                               phase):
+        """A deformation cos(kt + phase) of amplitude eps leaves an O(eps^2) angle
+        residual when c solves k tan c = tan kc and an O(eps) one otherwise: halving
+        eps divides it by 4 or by 2."""
+        R = 0.3 + (1.1 if geometry is Geometry.SPHERICAL else 2.2) * u
+        roots = gutkin_roots(k)
+        if admissible:
+            c = roots[index % len(roots)]
+        else:
+            # c = pi/2 solves the pole-free form too when k is odd
+            zeros = roots + ([np.pi / 2] if k % 2 else [])
+            assume(min(abs(c_other - z) for z in zeros) >= 0.1)
+            c = c_other
+        alpha = contact_angle_from_c(geometry, R, c)
+        eps = 1e-3 / (k * k - 1)
+        res = []
+        for e in (eps, eps / 2):
+            spec = DeformedCircle(geometry=geometry, R=R, epsilon=e, alpha=alpha,
+                                  g=TrigPolynomial(0.0, (Harmonic(k, 1.0, phase),)))
+            res.append(verify_curve_gutkin(build_deformed_circle(spec), alpha, 24)["max_angle_residual"])
+        order = np.log2(res[0] / res[1])
+        assert abs(order - (2 if admissible else 1)) < 0.2, (res, order)
 
 
 class TestLinearizedOperator:

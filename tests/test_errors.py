@@ -264,6 +264,21 @@ class TestCliContract:
     def test_malformed_options(self, args):
         _exit_3_one_line(CliRunner().invoke(main, args))
 
+    @pytest.mark.parametrize("args", [
+        ["chords", "validate", "--circle", "S2", "--radius", "0.9", "--step", "nan"],
+        ["chords", "validate", "--circle", "S2", "--radius", "0.9", "--step", "inf"],
+        ["chords", "validate", "--circle", "S2", "--radius", "0.9", "--step", "0"],
+        ["chords", "validate", "--circle", "S2", "--radius", "0.9", "--samples", "0"],
+    ], ids=["step nan", "step inf", "step 0", "no samples"])
+    def test_bad_partials_options(self, args):
+        _exit_3_one_line(CliRunner().invoke(main, args))
+
+    def test_verify_without_samples(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(E2_SPEC))
+        _exit_3_one_line(CliRunner().invoke(main, ["curve", "verify", "--spec", str(path),
+                                                   "--samples", "0"]))
+
     def test_overflowing_h2_radius(self):
         """sinh^2 R overflows at R = 400, so the curve length cannot be measured."""
         _exit_3_one_line(CliRunner().invoke(main, ["chords", "validate", "--circle", "H2",
