@@ -33,7 +33,7 @@ from .geometry import (
     Geometry,
     ParametricCurve,
     _check_radius,
-    _stack,
+    Points,
     geodesic_curvature,
     shoot_to_curve,
 )
@@ -60,7 +60,6 @@ def _antiderivative_xy(c0, harmonics):
     terms = [(h.k, h.amp, h.phase, np.sin(h.phase), np.cos(h.phase)) for h in harmonics]
 
     def xy(t):
-        t = np.asarray(t)
         x = c0 * np.sin(t)
         y = c0 * (1.0 - np.cos(t))
         for k, A, p, sin_p, cos_p in terms:
@@ -71,7 +70,7 @@ def _antiderivative_xy(c0, harmonics):
                 up, um = (k + 1) * t + p, (k - 1) * t + p
                 x = x + A * ((np.sin(up) - sin_p) / (2 * (k + 1)) + (np.sin(um) - sin_p) / (2 * (k - 1)))
                 y = y + A * ((cos_p - np.cos(up)) / (2 * (k + 1)) + (np.cos(um) - cos_p) / (2 * (k - 1)))
-        return _stack([x, y])
+        return Points((x, y))
     return xy
 
 
@@ -128,14 +127,12 @@ def build_e2_curve(spec: FourierCurveE2) -> ParametricCurve:
     point = _antiderivative_xy(spec.c0, spec.harmonics)
 
     def velocity(t):
-        t = np.asarray(t)
         r = rho(t)
-        return _stack([r * np.cos(t), r * np.sin(t)])
+        return Points((r * np.cos(t), r * np.sin(t)))
 
     def acceleration(t):
-        t = np.asarray(t)
         r, dr = rho(t), drho(t)
-        return _stack([dr * np.cos(t) - r * np.sin(t), dr * np.sin(t) + r * np.cos(t)])
+        return Points((dr * np.cos(t) - r * np.sin(t), dr * np.sin(t) + r * np.cos(t)))
 
     return ParametricCurve(Geometry.EUCLIDEAN, point, velocity, acceleration)
 
@@ -204,13 +201,11 @@ def build_deformed_circle(spec: DeformedCircle) -> ParametricCurve:
         return R + eps * g(t)
 
     def point(t):
-        t = np.asarray(t)
         r = _r(t)
         s = S(r)
         return embed(s * np.cos(t), s * np.sin(t), lambda: C(r))
 
     def velocity(t):
-        t = np.asarray(t)
         r, dr = _r(t), eps * dg(t)
         s, c = S(r), C(r)
         return embed(c * dr * np.cos(t) - s * np.sin(t),
@@ -218,7 +213,6 @@ def build_deformed_circle(spec: DeformedCircle) -> ParametricCurve:
                      lambda: -K * s * dr)
 
     def acceleration(t):
-        t = np.asarray(t)
         r, dr, ddr = _r(t), eps * dg(t), eps * ddg(t)
         s, c = S(r), C(r)
         dr2 = dr * dr  # not dr**2, which numpy rounds through pow() on a scalar

@@ -39,9 +39,12 @@ class TrigPolynomial:
     harmonics: tuple[Harmonic, ...] = field(default_factory=tuple)
 
     def __call__(self, t):
-        out = np.zeros_like(np.asarray(t, dtype=np.result_type(t, 1.0))) + self.c0
+        """f at t, a number or an array, in t's float dtype (long double stays long double)."""
+        if not self.harmonics:
+            return np.full(np.shape(t), self.c0 + 0.0, dtype=np.result_type(t, 1.0))[()]
+        out = self.c0 + 0.0  # 0.0 + c0 as a zero array plus c0 would round, -0.0 included
         for h in self.harmonics:
-            out = out + h.amp * np.cos(h.k * np.asarray(t) + h.phase)
+            out = out + h.amp * np.cos(h.k * t + h.phase)
         return out
 
     def derivative(self, order: int = 1) -> "TrigPolynomial":

@@ -12,6 +12,10 @@ Conventions fixed here and relied on everywhere else:
 * Everything that differs between the three geometries is one row of the
   table behind ``Geometry.kernel``; formulas elsewhere are written once in
   the curvature K through sn_K, cs_K and tn_K.
+* A point, or a batch of points, is a tuple of coordinate columns: (x, y)
+  on E2 and (x0, x1, x2) on S2 and H2, each a numpy scalar for one point
+  and an array for a batch.  Curves return ``Points``, which ``np.asarray``
+  stacks to shape (..., dim) where a caller wants the array.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ def _brent_lane(xtol, xpre, xcur, fpre, fcur):
     raise RuntimeError(f"brentq failed to converge after {_BRENT_MAXITER} iterations, value is {xcur!r}")
 
 
-def _brentq(f, a, b, xtol):
+def _brentq(f, a, b, xtol, fa=None, fb=None):
     """Roots of f in the brackets [a, b] by Brent's method (Brent 1973, ch. 4).
 
     ``a`` and ``b`` broadcast to an array of lanes, one root each; scalar
@@ -92,32 +96,39 @@ def _brentq(f, a, b, xtol):
     bit for bit.  ``f(x, lanes)`` is called once per round on the lanes still
     running and returns f at x.  For array brackets x is 1-d and ``lanes``
     holds the lanes' indices into the flattened brackets; for scalar brackets
-    x is a float and ``lanes`` is ``()``, the index that picks a 0-d per-lane
-    value whole.  Raises ValueError when a lane's f(a) and f(b) share a sign
-    or f returns NaN, and RuntimeError when a lane takes _BRENT_MAXITER steps
-    without converging.
+    x is a float and ``lanes`` is None.  ``fa`` and ``fb``, when given, are
+    f(a) and f(b) in the brackets' shape, known to the caller, and f is not
+    evaluated there again.  Raises ValueError when a lane's f(a) and f(b)
+    share a sign or f is NaN, and RuntimeError when a lane takes
+    _BRENT_MAXITER steps without converging.
     """
-    def values(x, lanes):
-        y = np.asarray(f(x, lanes), dtype=float).ravel().tolist()
+    def checked(y, x):
         if any(map(math.isnan, y)):
-            xi = np.ravel(x)[[math.isnan(v) for v in y].index(True)]
+            xi = x[[math.isnan(v) for v in y].index(True)]
             raise ValueError(f"the function value at x={float(xi)!r} is NaN")
         return y
 
+    def values(x, lanes):
+        y = f(x, lanes)
+        return checked(np.asarray(y, dtype=float).ravel().tolist() if shape else [float(y)],
+                       x if shape else [x])
+
     a, b = _broadcast(a, b)
-    shape, a, b = a.shape, a.ravel(), b.ravel()
-    n = a.size
-    if shape:
-        ends = values(np.concatenate([a, b]), np.tile(np.arange(n), 2))
+    shape, xs = a.shape, a.ravel().tolist() + b.ravel().tolist()
+    n = len(xs) // 2
+    if fa is not None:
+        ends = checked(np.ravel(fa).tolist() + np.ravel(fb).tolist(), xs)
+    elif shape:
+        ends = values(np.array(xs), np.tile(np.arange(n), 2))
     else:
-        ends = values(float(a[0]), ()) + values(float(b[0]), ())
-    brackets = list(zip(a.tolist(), b.tolist(), ends[:n], ends[n:]))
-    for xa, xb, fa, fb in brackets:
-        if fa != 0.0 and fb != 0.0 and (fa > 0) == (fb > 0):
-            raise ValueError(f"f(a) and f(b) must have different signs, got f({xa!r}) = {fa!r} "
-                             f"and f({xb!r}) = {fb!r}")
+        ends = values(xs[0], None) + values(xs[1], None)
+    brackets = list(zip(xs[:n], xs[n:], ends[:n], ends[n:]))
+    for xa, xb, ya, yb in brackets:
+        if ya != 0.0 and yb != 0.0 and (ya > 0) == (yb > 0):
+            raise ValueError(f"f(a) and f(b) must have different signs, got f({xa!r}) = {ya!r} "
+                             f"and f({xb!r}) = {yb!r}")
     steps = [_brent_lane(xtol, *bracket) for bracket in brackets]
-    roots = np.empty(n)
+    roots = [0.0] * n
     lanes, ys = list(range(n)), [None] * n
     while lanes:
         live, xs = [], []
@@ -129,8 +140,8 @@ def _brentq(f, a, b, xtol):
                 roots[i] = done.value
         lanes = live
         if lanes:
-            ys = values(np.array(xs) if shape else xs[0], np.array(lanes) if shape else ())
-    return float(roots[0]) if shape == () else roots.reshape(shape)
+            ys = values(np.array(xs), np.array(lanes)) if shape else values(xs[0], None)
+    return roots[0] if shape == () else np.array(roots).reshape(shape)
 
 
 def _broadcast(u, v):
@@ -143,35 +154,50 @@ def _broadcast(u, v):
 # the per-geometry table
 
 
-def _stack(cols):
-    """``np.stack(cols, axis=-1)`` for columns of one shape, at half its cost
-    on the 0-d and small arrays a single shot evaluates."""
-    return np.concatenate([col[..., None] for col in cols], axis=-1)
+class Points(tuple):
+    """Coordinate columns of a point or of a batch of points: (x, y) on E2,
+    (x0, x1, x2) on S2 and H2.  It unpacks like any tuple; ``np.asarray``
+    stacks the columns on a last axis, shape (..., dim), and that is the one
+    place points are stacked."""
+
+    __slots__ = ()
+
+    def __array__(self, dtype=None, copy=None):
+        return np.stack(np.broadcast_arrays(*self), axis=-1, dtype=dtype)
 
 
 def _cross(u, v):
-    """``np.cross`` of stacked 3-vectors, written out as numpy computes it."""
-    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
-    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
-    return _stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+    """Cross product of 3-vector columns, written out as ``np.cross`` computes it."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
 
 
-def _euclidean_dot(u, v):
-    return (u * v).sum(axis=-1)
+# dot products in the order numpy's sum over a stacked last axis adds: (a0 + a1) + a2
+def _dot2(u, v):
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _minkowski_dot(u, v):
-    return -u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+    return -u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _scale(cols, s):
+    return tuple(c / s for c in cols)
 
 
 def _euclidean_distance(p, q):
-    d = q - p
-    return np.sqrt((d * d).sum(axis=-1))
+    d0, d1 = q[0] - p[0], q[1] - p[1]
+    return np.sqrt(d0 * d0 + d1 * d1)
 
 
 def _spherical_distance(p, q):
     cross = _cross(p, q)
-    return np.arctan2(np.sqrt((cross * cross).sum(axis=-1)), (p * q).sum(axis=-1))
+    return np.arctan2(np.sqrt(_dot3(cross, cross)), _dot3(p, q))
 
 
 def _hyperbolic_distance(p, q):
@@ -180,26 +206,26 @@ def _hyperbolic_distance(p, q):
 
 def _hyperbolic_normal(p, unit_t):
     # Minkowski cross product G (p x T) with G = diag(-1, 1, 1)
-    n = _cross(p, unit_t) * np.array([-1.0, 1.0, 1.0])
-    return n / np.sqrt(_minkowski_dot(n, n))[..., None]
+    n0, n1, n2 = _cross(p, unit_t)
+    n = (-n0, n1, n2)
+    return _scale(n, np.sqrt(_minkowski_dot(n, n)))
+
+
+def _lane_side(formula, cols):
+    """f(q, lanes): ``formula`` on the columns of q and the per-lane ``cols``,
+    taken whole when lanes is None."""
+    def f(q, lanes=None):
+        return formula(q, cols if lanes is None else [c[lanes] for c in cols])
+    return f
 
 
 def _line_side(p, d):
-    p0, p1, d0, d1 = p[..., 0], p[..., 1], d[..., 0], d[..., 1]
-
-    def f(q, lanes):
-        return d0[lanes] * (q[..., 1] - p1[lanes]) - d1[lanes] * (q[..., 0] - p0[lanes])
-    return f
+    return _lane_side(lambda q, c: c[2] * (q[1] - c[1]) - c[3] * (q[0] - c[0]), (*p, *d))
 
 
 def _plane_side(p, d):
     # great circle / H2 geodesic = surface cut by the plane span(p, d)
-    n = _cross(p, d)
-    n0, n1, n2 = n[..., 0], n[..., 1], n[..., 2]
-
-    def f(q, lanes):
-        return q[..., 0] * n0[lanes] + q[..., 1] * n1[lanes] + q[..., 2] * n2[lanes]
-    return f
+    return _lane_side(_dot3, _cross(p, d))
 
 
 class _Kernel(NamedTuple):
@@ -209,16 +235,16 @@ class _Kernel(NamedTuple):
     tan) on S2, (sinh, cosh, tanh) on H2; ``arccot`` inverts 1/tn_K.
     ``dot`` is the ambient inner product, ``normal(p, T)`` the unit normal on
     the convex side of a counterclockwise curve, and ``side(p, d)``, for
-    lanes of points p and directions d (shape lanes + (dim,)), a function
-    ``f(q, lanes)`` vanishing exactly on the geodesics through p[lanes] along
-    d[lanes]; q stacks points (..., len(lanes), dim), and ``lanes`` is an
-    index array, ``...`` for all lanes, or ``()`` for 0-d lanes.
-    ``embed(x, y, pole)`` stacks planar x, planar y and the pole coordinate in
-    ambient order; ``pole`` is a function, and E2, which has no pole, never
-    calls it.  ``max_radius`` bounds circle radii (pi/2 on S2).
-    Points are stacked (..., dim), and every entry is written out in
-    components, so a batch rounds exactly like its points one at a time and
-    no result depends on the BLAS build.
+    lanes of points p and directions d, a function ``f(q, lanes)`` vanishing
+    exactly on the geodesics through p[lanes] along d[lanes]; q holds points
+    of shape (..., len(lanes)), and ``lanes`` is an index array, or None for
+    all lanes.  ``embed(x, y, pole)`` puts planar x, planar y and the pole
+    coordinate in ambient order as ``Points``; ``pole`` is a function, and
+    E2, which has no pole, never calls it.  ``max_radius`` bounds circle
+    radii (pi/2 on S2).
+    Points and vectors are tuples of coordinate columns, and every entry is
+    written out in components, so a batch rounds exactly like its points one
+    at a time and no result depends on the BLAS build.
     """
 
     K: float
@@ -238,20 +264,19 @@ class _Kernel(NamedTuple):
 _KERNELS = {
     "E2": _Kernel(
         K=0.0, sn=lambda x: x, cs=np.ones_like, tn=lambda x: x, arccot=lambda x: 1.0 / x,
-        dot=_euclidean_dot, distance=_euclidean_distance, project=lambda x: x,
-        normal=lambda p, t: t[..., ::-1] * np.array([-1.0, 1.0]), side=_line_side,
-        embed=lambda x, y, pole: _stack([x, y]), max_radius=np.inf),
+        dot=_dot2, distance=_euclidean_distance, project=lambda x: x,
+        normal=lambda p, t: (-t[1], t[0]), side=_line_side,
+        embed=lambda x, y, pole: Points((x, y)), max_radius=np.inf),
     "S2": _Kernel(
         K=1.0, sn=np.sin, cs=np.cos, tn=np.tan, arccot=lambda x: np.arctan2(1.0, x),
-        dot=_euclidean_dot, distance=_spherical_distance,
-        project=lambda x: x / np.sqrt(_euclidean_dot(x, x))[..., None], normal=_cross,
-        side=_plane_side,
-        embed=lambda x, y, pole: _stack([x, y, pole()]), max_radius=np.pi / 2),
+        dot=_dot3, distance=_spherical_distance,
+        project=lambda x: _scale(x, np.sqrt(_dot3(x, x))), normal=_cross, side=_plane_side,
+        embed=lambda x, y, pole: Points((x, y, pole())), max_radius=np.pi / 2),
     "H2": _Kernel(
         K=-1.0, sn=np.sinh, cs=np.cosh, tn=np.tanh, arccot=lambda x: np.arctanh(1.0 / x),
         dot=_minkowski_dot, distance=_hyperbolic_distance,
-        project=lambda x: x / np.sqrt(-_minkowski_dot(x, x))[..., None], normal=_hyperbolic_normal,
-        side=_plane_side, embed=lambda x, y, pole: _stack([pole(), x, y]),
+        project=lambda x: _scale(x, np.sqrt(-_minkowski_dot(x, x))), normal=_hyperbolic_normal,
+        side=_plane_side, embed=lambda x, y, pole: Points((pole(), x, y)),
         max_radius=np.inf),
 }
 
@@ -274,21 +299,13 @@ def _check_radius(geometry: Geometry, radius) -> float:
 
 
 def mdot(geometry: Geometry, u, v):
-    """Ambient inner product: Euclidean on E2/S2, Minkowski (-,+,+) on H2."""
-    return geometry.kernel.dot(np.asarray(u), np.asarray(v))
+    """Ambient inner product of column vectors: Euclidean on E2/S2, Minkowski
+    (-,+,+) on H2."""
+    return geometry.kernel.dot(u, v)
 
 
 def mnorm(geometry: Geometry, v):
-    return np.sqrt(mdot(geometry, v, v))
-
-
-def project_to_manifold(geometry: Geometry, coords: np.ndarray) -> np.ndarray:
-    """Rescale coords back onto the surface (controls drift in long chains)."""
-    return geometry.kernel.project(coords)
-
-
-def _distance_coords(geometry: Geometry, p, q):
-    return geometry.kernel.distance(p, q)
+    return np.sqrt(geometry.kernel.dot(v, v))
 
 
 # ---------------------------------------------------------------------------
@@ -299,26 +316,27 @@ def _distance_coords(geometry: Geometry, p, q):
 class ParametricCurve:
     """Closed curve given by callables on a fixed 2*pi parameter interval.
 
-    ``point``/``velocity``/``acceleration`` take t of any shape and return
-    stacked points of shape ``t.shape + (dim,)``, elementwise in t and
-    preserving dtype (so the finite-difference oracles can evaluate them in
-    extended precision, and a batch of parameters rounds like each one alone).
+    ``point``/``velocity``/``acceleration`` take t, a number or an array of
+    any shape, and return ``Points``: one coordinate column per ambient
+    coordinate, each of t's shape, elementwise in t and preserving dtype (so
+    the finite-difference oracles can evaluate them in extended precision,
+    and a batch of parameters rounds like each one alone).
     """
 
     geometry: Geometry
-    point: Callable[[np.ndarray], np.ndarray]
-    velocity: Callable[[np.ndarray], np.ndarray]
-    acceleration: Callable[[np.ndarray], np.ndarray]
+    point: Callable[[np.ndarray], Points]
+    velocity: Callable[[np.ndarray], Points]
+    acceleration: Callable[[np.ndarray], Points]
 
-    def unit_tangent(self, t) -> np.ndarray:
-        """Unit tangent at t of any shape, stacked as ``t.shape + (dim,)``."""
-        t = np.asarray(t, dtype=float)
-        v = np.asarray(self.velocity(t), dtype=float)
+    def unit_tangent(self, t) -> Points:
+        """Unit tangent at t of any shape, as columns of t's shape."""
+        t = np.asarray(t, dtype=float)[()]
+        v = self.velocity(t)
         speed = mnorm(self.geometry, v)
-        if (speed < 1e-10).any():
+        if np.count_nonzero(speed < 1e-10):
             i = np.flatnonzero(speed < 1e-10)[0]
-            raise Degenerate(f"curve speed {speed.flat[i]:.3e} at t={t.flat[i]}")
-        return v / speed[..., None]
+            raise Degenerate(f"curve speed {np.ravel(speed)[i]:.3e} at t={np.ravel(t)[i]}")
+        return Points(_scale(v, speed))
 
 
 def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
@@ -332,15 +350,12 @@ def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
     embed = geometry.kernel.embed
 
     def point(t):
-        t = np.asarray(t)
         return embed(sr * np.cos(t), sr * np.sin(t), lambda: cr * np.ones_like(t))
 
     def velocity(t):
-        t = np.asarray(t)
         return embed(-sr * np.sin(t), sr * np.cos(t), lambda: np.zeros_like(t))
 
     def acceleration(t):
-        t = np.asarray(t)
         return embed(-sr * np.cos(t), -sr * np.sin(t), lambda: np.zeros_like(t))
 
     return ParametricCurve(geometry, point, velocity, acceleration)
@@ -354,25 +369,23 @@ def geodesic_curvature(curve: ParametricCurve, t):
     is tangent.  ``t`` may have any shape; a scalar gives a float, an array
     the curvature at each of its elements.
     """
-    g = curve.geometry
-    t = np.asarray(t, dtype=float)
-    v = np.asarray(curve.velocity(t), dtype=float)
-    speed2 = mdot(g, v, v)
-    if (speed2 < 1e-20).any():
-        raise Degenerate(f"curve speed below 1e-10 at t={t.flat[np.flatnonzero(speed2 < 1e-20)[0]]}")
-    a = np.asarray(curve.acceleration(t), dtype=float)
-    p = np.asarray(curve.point(t), dtype=float)
-    n = g.kernel.normal(project_to_manifold(g, p), v / np.sqrt(speed2)[..., None])
-    kappa = mdot(g, a, n) / speed2
+    kern = curve.geometry.kernel
+    t = np.asarray(t, dtype=float)[()]
+    v = curve.velocity(t)
+    speed2 = kern.dot(v, v)
+    if np.count_nonzero(speed2 < 1e-20):
+        raise Degenerate(f"curve speed below 1e-10 at t={np.ravel(t)[np.flatnonzero(speed2 < 1e-20)[0]]}")
+    n = kern.normal(kern.project(curve.point(t)), _scale(v, np.sqrt(speed2)))
+    kappa = kern.dot(curve.acceleration(t), n) / speed2
     return float(kappa) if kappa.ndim == 0 else kappa
 
 
 def _chord_tangent_at_arrival(geometry, p, d, length):
     """Unit tangent at arc length ``length`` of the geodesic from p along d
-    (lengths of shape s, points of shape s + (dim,))."""
+    (columns of length's shape)."""
     kern = geometry.kernel
-    length = np.asarray(length)[..., None]
-    return -kern.K * kern.sn(length) * p + kern.cs(length) * d
+    a, b = -kern.K * kern.sn(length), kern.cs(length)
+    return tuple(a * pc + b * dc for pc, dc in zip(p, d))
 
 
 _SHOT_GRID = 256  # samples of the side function along the curve, before polishing
@@ -397,10 +410,10 @@ def shoot_to_curve(curve: ParametricCurve, t0, theta):
     """
     t0, theta = _broadcast(t0, theta)
     steep = ~((1e-6 <= theta) & (theta <= np.pi - 1e-6))
-    if steep.any():
+    if np.count_nonzero(steep):
         raise OutOfRange(f"launch angle {theta.flat[np.flatnonzero(steep)[0]]} too close to tangential")
-    if t0.ndim == 0:  # one shot runs on 0-d lanes, numpy's cheapest shape
-        return tuple(float(v) for v in _shoot_lanes(curve, t0, theta))
+    if t0.ndim == 0:  # one shot runs on numpy scalars, numpy's cheapest operands
+        return tuple(float(v) for v in _shoot_lanes(curve, t0[()], theta[()]))
     out = np.empty((3, t0.size))
     flat_t0, flat_theta = t0.ravel(), theta.ravel()
     for i in range(0, t0.size, _LANE_BLOCK):
@@ -411,37 +424,37 @@ def shoot_to_curve(curve: ParametricCurve, t0, theta):
 
 
 def _shoot_lanes(curve, t0, theta):
-    """shoot_to_curve on lanes of shape () or (n,): (t1, arrival, length)."""
-    g = curve.geometry
-    kern = g.kernel
-    p = project_to_manifold(g, np.asarray(curve.point(t0), dtype=float))
+    """shoot_to_curve on a numpy scalar or on lanes of shape (n,): (t1, arrival, length)."""
+    kern = curve.geometry.kernel
+    p = kern.project(curve.point(t0))
     tan = curve.unit_tangent(t0)
-    nrm = kern.normal(p, tan)
-    d = np.cos(theta)[..., None] * tan + np.sin(theta)[..., None] * nrm
-    d = d / mnorm(g, d)[..., None]
+    cos, sin = np.cos(theta), np.sin(theta)
+    d = tuple(cos * tc + sin * nc for tc, nc in zip(tan, kern.normal(p, tan)))
+    d = _scale(d, np.sqrt(kern.dot(d, d)))
 
     side = kern.side(p, d)
     guard = 1e-6
     ts = np.linspace(t0 + guard, t0 + TWO_PI - guard, _SHOT_GRID)  # (grid,) + lanes
-    vals = side(np.asarray(curve.point(ts), dtype=float), ...)
+    vals = side(curve.point(ts))
 
     hits = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
     count = hits.sum(axis=0)
-    if (count != 1).any():
+    if np.count_nonzero(count != 1):
         j = np.flatnonzero(count != 1)[0]
-        if count.flat[j] == 0:
+        if np.ravel(count)[j] == 0:
             raise Degenerate("no forward intersection found (curve convex and closed?)")
-        raise NonConvex(f"the chord from t0={t0.flat[j]} at theta={theta.flat[j]} crosses the curve "
-                        f"{count.flat[j]} times")
-    # polish each lane's one sign change; where the grid hit 0 exactly, f(a) = 0
-    # makes the bracket's left end the root
+        raise NonConvex(f"the chord from t0={np.ravel(t0)[j]} at theta={np.ravel(theta)[j]} crosses "
+                        f"the curve {np.ravel(count)[j]} times")
+    # polish each lane's one sign change, starting from the grid's side values at
+    # its ends; where the grid hit 0 exactly, f(a) = 0 makes the left end the root
     m = t0.size
     at = hits.argmax(axis=0) * m + np.arange(m).reshape(t0.shape)  # flat index of each bracket
-    t1 = _brentq(lambda t, lanes: side(np.asarray(curve.point(t), dtype=float), lanes),
-                 ts.ravel()[at], ts.ravel()[at + m], xtol=1e-13)
+    ts, vals = ts.ravel(), vals.ravel()
+    t1 = _brentq(lambda t, lanes: side(curve.point(t), lanes), ts[at], ts[at + m], xtol=1e-13,
+                 fa=vals[at], fb=vals[at + m])
 
-    q = project_to_manifold(g, np.asarray(curve.point(t1), dtype=float))
-    length = _distance_coords(g, p, q)
-    w = _chord_tangent_at_arrival(g, p, d, length)
-    c = mdot(g, w, curve.unit_tangent(t1)) / mnorm(g, w)
+    q = kern.project(curve.point(t1))
+    length = kern.distance(p, q)
+    w = _chord_tangent_at_arrival(curve.geometry, p, d, length)
+    c = kern.dot(w, curve.unit_tangent(t1)) / np.sqrt(kern.dot(w, w))
     return t1 % TWO_PI, np.arccos(np.minimum(np.maximum(c, -1.0), 1.0)), length

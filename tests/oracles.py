@@ -4,9 +4,11 @@ Each one states a result of the paper independently of the code under test:
 the chord length of an exact single-harmonic E2 Gutkin curve, the circulant
 eigenvalues as the plain O(nk) sum over the first row, the beta-angle sum and
 the angle periodicity of a Gutkin polygon, a canonical similarity frame
-for comparing polygons, and the extended-precision arc-length inversions of
-validate_partials, to be checked against cold-started ones.  The random
-curves the curve-layer properties are checked on live here too.
+for comparing polygons, the extended-precision arc-length inversions of
+validate_partials, to be checked against cold-started ones, and the curve
+formulas evaluated on stacked (..., dim) points, the reference for the
+coordinate columns the curves return.  The random curves the curve-layer
+properties are checked on live here too.
 """
 
 import numpy as np
@@ -52,6 +54,51 @@ def curves(draw):
         return build_deformed_circle(spec)
     except NonConvex:
         reject()
+
+
+def _stacked_trig(f: TrigPolynomial, t):
+    """f(t) summed onto an array of zeros, as the stacked layout evaluated it."""
+    out = np.zeros_like(np.asarray(t, dtype=np.result_type(t, 1.0))) + f.c0
+    for h in f.harmonics:
+        out = out + h.amp * np.cos(h.k * np.asarray(t) + h.phase)
+    return out
+
+
+def stacked_derivatives(curve_spec, t):
+    """(point, velocity, acceleration) at t, each stacked (..., dim), by the
+    formulas of the stacked point layout.  ``curve_spec`` is a FourierCurveE2,
+    a DeformedCircle, or (geometry, R) for a circle."""
+    t = np.asarray(t)
+    cos, sin = np.cos(t), np.sin(t)
+    if isinstance(curve_spec, FourierCurveE2):
+        x, y = curve_spec.c0 * np.sin(t), curve_spec.c0 * (1.0 - np.cos(t))
+        for h in curve_spec.harmonics:
+            k, A, p = h.k, h.amp, h.phase
+            up, um = (k + 1) * t + p, (k - 1) * t + p
+            x = x + A * ((np.sin(up) - np.sin(p)) / (2 * (k + 1)) + (np.sin(um) - np.sin(p)) / (2 * (k - 1)))
+            y = y + A * ((np.cos(p) - np.cos(up)) / (2 * (k + 1)) + (np.cos(um) - np.cos(p)) / (2 * (k - 1)))
+        r, dr = _stacked_trig(curve_spec.rho, t), _stacked_trig(curve_spec.rho.derivative(), t)
+        return (np.stack([x, y], axis=-1), np.stack([r * cos, r * sin], axis=-1),
+                np.stack([dr * cos - r * sin, dr * sin + r * cos], axis=-1))
+    geometry = curve_spec.geometry if isinstance(curve_spec, DeformedCircle) else curve_spec[0]
+    K, S, C = geometry.kernel.K, geometry.kernel.sn, geometry.kernel.cs
+    if isinstance(curve_spec, DeformedCircle):
+        g, eps = curve_spec.g, curve_spec.epsilon
+        r = float(curve_spec.R) + eps * _stacked_trig(g, t)
+        dr, ddr = eps * _stacked_trig(g.derivative(), t), eps * _stacked_trig(g.derivative(2), t)
+        s, c = S(r), C(r)
+        dr2 = dr * dr
+        rad = -K * s * dr2 + c * ddr
+        cols = ([s * cos, s * sin, C(r)],
+                [c * dr * cos - s * sin, c * dr * sin + s * cos, -K * s * dr],
+                [rad * cos - 2 * c * dr * sin - s * cos, rad * sin + 2 * c * dr * cos - s * sin,
+                 -K * (c * dr2 + s * ddr)])
+    else:
+        sr, cr = S(float(curve_spec[1])), C(float(curve_spec[1]))
+        cols = ([sr * cos, sr * sin, cr * np.ones_like(t)], [-sr * sin, sr * cos, np.zeros_like(t)],
+                [-sr * cos, -sr * sin, np.zeros_like(t)])
+    order = {Geometry.EUCLIDEAN: [0, 1], Geometry.SPHERICAL: [0, 1, 2], Geometry.HYPERBOLIC: [2, 0, 1]}[geometry]
+    return tuple(np.stack([col[i] for i in order], axis=-1) for col in cols)
 
 
 def stencil_inversions(curve, samples: int, seed: int = 0) -> list:

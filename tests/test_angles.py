@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equichord import (
@@ -212,6 +212,35 @@ class TestBrentq:
         monkeypatch.setattr("equichord.geometry._BRENT_MAXITER", 3)
         with pytest.raises(RuntimeError):
             _brentq(lambda x, lanes: np.cos(x), [0.0, 0.0], [3.0, 2.0], xtol=1e-15)
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5))
+    @settings(max_examples=60, deadline=None)
+    def test_known_end_values_give_the_same_roots(self, seed, lanes):
+        """Passing f(a) and f(b) spares two evaluations and changes no root bit,
+        for one bracket and for lanes."""
+        rng = np.random.default_rng(seed)
+        k, shift = int(rng.integers(4, 40)), rng.uniform(-1.0, 1.0, lanes)
+
+        def f(x, lanes):
+            s = shift[0] if lanes is None else shift[lanes]
+            return (k - 1) * np.sin((k + 1) * x) - (k + 1) * np.sin((k - 1) * x) + s
+
+        a = rng.uniform(0.01, 1.5, lanes)
+        b = a + rng.uniform(0.01, 1.6, lanes)
+        fa, fb = f(a, np.arange(lanes)), f(b, np.arange(lanes))
+        assume(np.all(fa * fb < 0))
+        roots = _brentq(f, a, b, xtol=1e-13)
+        assert np.array_equal(_brentq(f, a, b, xtol=1e-13, fa=fa, fb=fb), roots)
+        calls = []
+
+        def counted(x, lanes):
+            calls.append(x)
+            return f(x, lanes)
+
+        one = _brentq(counted, a[0], b[0], xtol=1e-13)
+        cold = len(calls)
+        assert one == roots[0] == _brentq(counted, a[0], b[0], xtol=1e-13, fa=fa[0], fb=fb[0])
+        assert len(calls) - cold == cold - 2
 
     def test_bit_identical_to_scipy(self):
         optimize = pytest.importorskip("scipy.optimize")

@@ -60,9 +60,16 @@ class TestArcLength:
     ])
     def test_e2_keeps_exactly_its_orders(self, harmonics):
         """The speed of an E2 curve is rho, so its arc length has rho's orders and
-        no others: FFT noise below eps * max(1, mean speed) is dropped."""
+        no others: FFT noise below eps * (mean speed + total variation) is dropped."""
         arclen = ArcLengthParam(build_e2_curve(FourierCurveE2(c0=1.0, harmonics=harmonics)))
         assert arclen._ks.tolist() == sorted(h.k for h in harmonics)
+
+    def test_large_harmonic_keeps_no_noise_order(self):
+        """A harmonic at 0.9 c0 makes the grid's rounding, times the speed's
+        slope, a noise of order 1 to 9 that passed eps * max(1, mean speed)
+        at order 2; the floor eps * (mean speed + total variation) drops it."""
+        spec = FourierCurveE2(17.91279722123089, (Harmonic(6, 16.1215174991078, -0.6802300634771652),))
+        assert ArcLengthParam(build_e2_curve(spec))._ks.tolist() == [6]
 
     def test_circle_is_inverted_in_closed_form(self):
         arclen = ArcLengthParam(circle_curve(Geometry.SPHERICAL, 0.9))

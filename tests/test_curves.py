@@ -11,6 +11,7 @@ from equichord import (
     TrigPolynomial,
     build_deformed_circle,
     build_e2_curve,
+    circle_curve,
     closure_defect,
     contact_angle_from_c,
     curves,
@@ -24,9 +25,53 @@ from equichord import (
     verify_curve_gutkin,
 )
 from equichord.errors import NonConvex, NotAdmissible, NotClosed, OutOfRange
-from oracles import gutkin_chord_length_formula
+from oracles import gutkin_chord_length_formula, stacked_derivatives
 
 ALPHA4 = float(np.arctan(np.sqrt(5.0)))
+
+
+@st.composite
+def curve_specs(draw):
+    """A FourierCurveE2, a DeformedCircle, or (geometry, R) for a circle."""
+    kind = draw(st.sampled_from(["E2", "S2", "H2", "circle"]))
+    if kind == "E2":
+        c0 = draw(st.floats(0.5, 2.0))
+        return FourierCurveE2(c0=c0, harmonics=tuple(
+            Harmonic(draw(st.integers(2, 9)), draw(st.floats(-0.15, 0.15)) * c0, draw(st.floats(-np.pi, np.pi)))
+            for _ in range(draw(st.integers(0, 3)))))
+    if kind == "circle":
+        geometry = draw(st.sampled_from(list(Geometry)))
+        return geometry, draw(st.floats(0.1, 1.5))
+    g = TrigPolynomial(0.0, tuple(Harmonic(draw(st.integers(2, 7)), draw(st.floats(-1.0, 1.0)),
+                                           draw(st.floats(-np.pi, np.pi)))
+                                  for _ in range(draw(st.integers(1, 2)))))
+    return DeformedCircle(geometry=Geometry(kind), R=draw(st.floats(0.2, 1.4)),
+                          epsilon=draw(st.floats(-0.01, 0.01)), g=g, alpha=draw(st.floats(0.3, 2.8)))
+
+
+@given(curve_specs(), st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6),
+       st.sampled_from([np.float64, np.longdouble]))
+@settings(max_examples=150, deadline=None)
+def test_columns_stack_to_the_stacked_formulas(spec, ts, dtype):
+    """np.asarray of a curve's coordinate columns is, bit for bit, the stacked
+    point, velocity and acceleration of the stacked layout: for arrays of t
+    and for one numpy scalar, in double and in long double."""
+    if isinstance(spec, FourierCurveE2):
+        curve = build_e2_curve(spec)
+    elif isinstance(spec, DeformedCircle):
+        try:
+            curve = build_deformed_circle(spec)
+        except NonConvex:
+            assume(False)
+    else:
+        curve = circle_curve(*spec)
+    for t in (np.array(ts, dtype=dtype), dtype(ts[0])):
+        for got, want in zip((curve.point(t), curve.velocity(t), curve.acceleration(t)),
+                             stacked_derivatives(spec, t)):
+            got = np.asarray(got)
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            # equal values and equal zero signs; long double's padding bytes are not compared
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestFourierCurveE2:

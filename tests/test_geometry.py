@@ -7,20 +7,19 @@ from hypothesis import strategies as st
 
 from equichord import Geometry, circle_curve, geodesic_curvature, shoot_to_curve
 from equichord.errors import NonConvex, OutOfRange
-from equichord.geometry import (
-    ParametricCurve,
-    _chord_tangent_at_arrival,
-    _distance_coords,
-    mdot,
-    mnorm,
-    project_to_manifold,
-)
+from equichord.geometry import ParametricCurve, Points, _chord_tangent_at_arrival, mdot, mnorm
 
 GEOMETRIES = [Geometry.EUCLIDEAN, Geometry.SPHERICAL, Geometry.HYPERBOLIC]
 
 
 def distance(geometry, p, q):
-    return float(_distance_coords(geometry, np.asarray(p, float), np.asarray(q, float)))
+    """Distance between single points given as coordinate vectors (which
+    unpack into their columns)."""
+    return float(geometry.kernel.distance(np.asarray(p, float), np.asarray(q, float)))
+
+
+def project_to_manifold(geometry, coords):
+    return np.asarray(Points(geometry.kernel.project(coords)))
 
 
 def _random_point(geometry, rng):
@@ -161,16 +160,16 @@ class TestShooting:
 
         def point(t):
             t, r, _, _ = polar(t)
-            return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+            return Points((r * np.cos(t), r * np.sin(t)))
 
         def velocity(t):
             t, r, dr, _ = polar(t)
-            return np.stack([dr * np.cos(t) - r * np.sin(t), dr * np.sin(t) + r * np.cos(t)], axis=-1)
+            return Points((dr * np.cos(t) - r * np.sin(t), dr * np.sin(t) + r * np.cos(t)))
 
         def acceleration(t):
             t, r, dr, ddr = polar(t)
-            return np.stack([ddr * np.cos(t) - 2 * dr * np.sin(t) - r * np.cos(t),
-                             ddr * np.sin(t) + 2 * dr * np.cos(t) - r * np.sin(t)], axis=-1)
+            return Points((ddr * np.cos(t) - 2 * dr * np.sin(t) - r * np.cos(t),
+                           ddr * np.sin(t) + 2 * dr * np.cos(t) - r * np.sin(t)))
 
         curve = ParametricCurve(Geometry.EUCLIDEAN, point, velocity, acceleration)
         with pytest.raises(NonConvex, match="crosses the curve 3 times"):
