@@ -25,7 +25,7 @@ from .curves import (
     verify_curve_gutkin,
 )
 from .fourier import Harmonic, TrigPolynomial
-from .geometry import Geometry, ParametricCurve, circle_curve, geodesic_curvature, shoot_to_curve
+from .geometry import Geometry, ParametricCurve, Points, circle_curve, geodesic_curvature, shoot_to_curve
 from .polygons import (
     CirculantSpectrum,
     GutkinPolygon,

@@ -29,7 +29,7 @@ class BilliardState:
     def __post_init__(self):
         theta = np.asarray(self.theta)
         bad = ~((0.0 < theta) & (theta < np.pi))
-        if bad.any():
+        if np.count_nonzero(bad):
             i = int(np.argmax(bad))
             got = self.theta if theta.ndim == 0 else f"{float(theta.flat[i])!r} at element {i}"
             raise OutOfRange(f"theta must lie in (0, pi), got {got}")

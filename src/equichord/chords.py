@@ -25,7 +25,6 @@ from .geometry import (
     _broadcast,
     _chord_tangent_at_arrival,
     geodesic_curvature,
-    mdot,
     mnorm,
 )
 
@@ -167,8 +166,8 @@ def chord_data(curve: ParametricCurve, x, y, arclen: ArcLengthParam | None = Non
     d1 = _chord_tangent_at_arrival(g, p, d0, L)
 
     tp, tq = zip(*curve.unit_tangent(t))
-    phi = np.arccos(np.clip(mdot(g, d0, tp) / mnorm(g, d0), -1.0, 1.0))
-    psi = np.arccos(np.clip(mdot(g, d1, tq) / mnorm(g, d1), -1.0, 1.0))
+    phi = np.arccos(np.clip(kern.dot(d0, tp) / mnorm(g, d0), -1.0, 1.0))
+    psi = np.arccos(np.clip(kern.dot(d1, tq) / mnorm(g, d1), -1.0, 1.0))
 
     kx, ky = geodesic_curvature(curve, t)
     inv_sin, inv_tan = 1.0 / kern.sn(L), 1.0 / kern.tn(L)

@@ -32,6 +32,7 @@ from .errors import Degenerate, NonConvex, OutOfRange
 __all__ = [
     "Geometry",
     "ParametricCurve",
+    "Points",
     "circle_curve",
     "geodesic_curvature",
     "shoot_to_curve",
@@ -102,27 +103,24 @@ def _brentq(f, a, b, xtol, fa=None, fb=None):
     share a sign or f is NaN, and RuntimeError when a lane takes
     _BRENT_MAXITER steps without converging.
     """
-    def checked(y, x):
+    def checked(x, y):
+        """f's values y at x as a list of floats; ValueError at the first NaN."""
+        y = np.asarray(y, dtype=float).ravel().tolist() if shape else [float(y)]
         if any(map(math.isnan, y)):
-            xi = x[[math.isnan(v) for v in y].index(True)]
+            xi = np.ravel(x)[list(map(math.isnan, y)).index(True)]
             raise ValueError(f"the function value at x={float(xi)!r} is NaN")
         return y
 
-    def values(x, lanes):
-        y = f(x, lanes)
-        return checked(np.asarray(y, dtype=float).ravel().tolist() if shape else [float(y)],
-                       x if shape else [x])
-
     a, b = _broadcast(a, b)
-    shape, xs = a.shape, a.ravel().tolist() + b.ravel().tolist()
-    n = len(xs) // 2
+    shape, a, b = a.shape, a.ravel(), b.ravel()
+    n = a.size
     if fa is not None:
-        ends = checked(np.ravel(fa).tolist() + np.ravel(fb).tolist(), xs)
+        ends = checked(a, fa) + checked(b, fb)
     elif shape:
-        ends = values(np.array(xs), np.tile(np.arange(n), 2))
+        ends = checked(np.concatenate([a, b]), f(np.concatenate([a, b]), np.tile(np.arange(n), 2)))
     else:
-        ends = values(xs[0], None) + values(xs[1], None)
-    brackets = list(zip(xs[:n], xs[n:], ends[:n], ends[n:]))
+        ends = checked(a, f(float(a[0]), None)) + checked(b, f(float(b[0]), None))
+    brackets = list(zip(a.tolist(), b.tolist(), ends[:n], ends[n:]))
     for xa, xb, ya, yb in brackets:
         if ya != 0.0 and yb != 0.0 and (ya > 0) == (yb > 0):
             raise ValueError(f"f(a) and f(b) must have different signs, got f({xa!r}) = {ya!r} "
@@ -140,7 +138,7 @@ def _brentq(f, a, b, xtol, fa=None, fb=None):
                 roots[i] = done.value
         lanes = live
         if lanes:
-            ys = values(np.array(xs), np.array(lanes)) if shape else values(xs[0], None)
+            ys = checked(xs, f(np.array(xs), np.array(lanes)) if shape else f(xs[0], None))
     return roots[0] if shape == () else np.array(roots).reshape(shape)
 
 
@@ -155,9 +153,8 @@ def _broadcast(u, v):
 
 
 class Points(tuple):
-    """Coordinate columns of a point or of a batch of points: (x, y) on E2,
-    (x0, x1, x2) on S2 and H2.  It unpacks like any tuple; ``np.asarray``
-    stacks the columns on a last axis, shape (..., dim), and that is the one
+    """Coordinate columns of a point or a batch of points, (x, y) on E2 and
+    (x0, x1, x2) on S2/H2; ``np.asarray`` stacks them (..., dim), the one
     place points are stacked."""
 
     __slots__ = ()
@@ -173,11 +170,7 @@ def _cross(u, v):
     return u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
 
 
-# dot products in the order numpy's sum over a stacked last axis adds: (a0 + a1) + a2
-def _dot2(u, v):
-    return u[0] * v[0] + u[1] * v[1]
-
-
+# dot products add in the order numpy's sum over a stacked last axis does: (a0 + a1) + a2
 def _dot3(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
@@ -212,11 +205,8 @@ def _hyperbolic_normal(p, unit_t):
 
 
 def _lane_side(formula, cols):
-    """f(q, lanes): ``formula`` on the columns of q and the per-lane ``cols``,
-    taken whole when lanes is None."""
-    def f(q, lanes=None):
-        return formula(q, cols if lanes is None else [c[lanes] for c in cols])
-    return f
+    """f(q, lanes) = formula(q, cols[lanes]), with all of cols when lanes is None."""
+    return lambda q, lanes=None: formula(q, cols if lanes is None else [c[lanes] for c in cols])
 
 
 def _line_side(p, d):
@@ -264,7 +254,7 @@ class _Kernel(NamedTuple):
 _KERNELS = {
     "E2": _Kernel(
         K=0.0, sn=lambda x: x, cs=np.ones_like, tn=lambda x: x, arccot=lambda x: 1.0 / x,
-        dot=_dot2, distance=_euclidean_distance, project=lambda x: x,
+        dot=lambda u, v: u[0] * v[0] + u[1] * v[1], distance=_euclidean_distance, project=lambda x: x,
         normal=lambda p, t: (-t[1], t[0]), side=_line_side,
         embed=lambda x, y, pole: Points((x, y)), max_radius=np.inf),
     "S2": _Kernel(
@@ -298,13 +288,8 @@ def _check_radius(geometry: Geometry, radius) -> float:
     return float(radius)
 
 
-def mdot(geometry: Geometry, u, v):
-    """Ambient inner product of column vectors: Euclidean on E2/S2, Minkowski
-    (-,+,+) on H2."""
-    return geometry.kernel.dot(u, v)
-
-
 def mnorm(geometry: Geometry, v):
+    """Length of column vectors in the ambient inner product ``geometry.kernel.dot``."""
     return np.sqrt(geometry.kernel.dot(v, v))
 
 
@@ -389,6 +374,7 @@ def _chord_tangent_at_arrival(geometry, p, d, length):
 
 
 _SHOT_GRID = 256  # samples of the side function along the curve, before polishing
+_GRID_STEPS = np.arange(_SHOT_GRID, dtype=float)
 
 
 _LANE_BLOCK = 1024  # shots evaluated together; bounds the (grid x lanes) arrays
@@ -408,12 +394,12 @@ def shoot_to_curve(curve: ParametricCurve, t0, theta):
     scalars give three floats, arrays three arrays of the broadcast shape,
     each element equal bit for bit to the shot made alone.
     """
-    t0, theta = _broadcast(t0, theta)
+    t0, theta = (u[()] for u in _broadcast(t0, theta))  # one shot runs on numpy scalars
     steep = ~((1e-6 <= theta) & (theta <= np.pi - 1e-6))
     if np.count_nonzero(steep):
         raise OutOfRange(f"launch angle {theta.flat[np.flatnonzero(steep)[0]]} too close to tangential")
-    if t0.ndim == 0:  # one shot runs on numpy scalars, numpy's cheapest operands
-        return tuple(float(v) for v in _shoot_lanes(curve, t0[()], theta[()]))
+    if t0.ndim == 0:
+        return tuple(float(v) for v in _shoot_lanes(curve, t0, theta))
     out = np.empty((3, t0.size))
     flat_t0, flat_theta = t0.ravel(), theta.ravel()
     for i in range(0, t0.size, _LANE_BLOCK):
@@ -433,8 +419,10 @@ def _shoot_lanes(curve, t0, theta):
     d = _scale(d, np.sqrt(kern.dot(d, d)))
 
     side = kern.side(p, d)
-    guard = 1e-6
-    ts = np.linspace(t0 + guard, t0 + TWO_PI - guard, _SHOT_GRID)  # (grid,) + lanes
+    # np.linspace(start, stop, _SHOT_GRID) step for step, without its argument handling
+    start, stop = t0 + 1e-6, t0 + TWO_PI - 1e-6  # a guard of 1e-6 off t0 at either end
+    ts = np.multiply.outer(_GRID_STEPS, (stop - start) / (_SHOT_GRID - 1)) + start  # (grid,) + lanes
+    ts[-1] = stop
     vals = side(curve.point(ts))
 
     hits = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from equichord import Geometry, circle_curve, geodesic_curvature, shoot_to_curve
 from equichord.errors import NonConvex, OutOfRange
-from equichord.geometry import ParametricCurve, Points, _chord_tangent_at_arrival, mdot, mnorm
+from equichord.geometry import ParametricCurve, Points, _chord_tangent_at_arrival, mnorm
 
 GEOMETRIES = [Geometry.EUCLIDEAN, Geometry.SPHERICAL, Geometry.HYPERBOLIC]
 
@@ -41,7 +41,7 @@ def _random_unit_tangent(geometry, p, rng):
             raw = raw - np.dot(raw, p) * p
         else:
             # <p, p> = -1, so the tangent projection adds <raw, p> p
-            raw = raw + mdot(geometry, raw, p) * p
+            raw = raw + geometry.kernel.dot(raw, p) * p
     return raw / mnorm(geometry, raw)
 
 
@@ -87,7 +87,7 @@ class TestGeodesics:
         u = np.array([0.0, 1.0, 0.0])
         v = np.array([0.0, 0.0, 1.0])
         g = Geometry.SPHERICAL
-        c = float(mdot(g, u, v)) / float(mnorm(g, u) * mnorm(g, v))
+        c = float(g.kernel.dot(u, v)) / float(mnorm(g, u) * mnorm(g, v))
         assert float(np.arccos(np.clip(c, -1.0, 1.0))) == pytest.approx(np.pi / 2, abs=1e-15)
 
     def test_arrival_tangent_is_unit_and_tangent(self):
@@ -100,7 +100,7 @@ class TestGeodesics:
                 w = _chord_tangent_at_arrival(geometry, p, u, s)
                 assert float(mnorm(geometry, w)) == pytest.approx(1.0, abs=1e-12)
                 if geometry is not Geometry.EUCLIDEAN:
-                    assert float(mdot(geometry, w, q)) == pytest.approx(0.0, abs=1e-12)
+                    assert float(geometry.kernel.dot(w, q)) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCurvature:
