@@ -41,9 +41,9 @@ class ArcLengthParam:
     s(t) = mean_speed * t + periodic part.  Only the harmonics above the
     round-off floor of the sampled speed, eps * (mean_speed + its total
     variation over a period), are kept: below it the FFT returns rounding
-    noise, and every kept order costs a sin and a cos per evaluation.  On
-    about 20000 random E2 curves the noise peaked at 0.17 of the floor and
-    the weakest real order sat over 4e7 above it.  A speed with no harmonic left (a circle) gives
+    noise (at most 0.17 of the floor on about 20000 random E2 curves, whose
+    real orders sat over 4e7 above it), and every kept order costs a sin and
+    a cos per evaluation.  A speed with no harmonic left (a circle) gives
     s = mean_speed * t exactly.  Inversion is by Newton (s is strictly
     increasing) and raises RuntimeError if 60 steps do not converge; both
     directions accept any real argument, of any shape, and wrap naturally.

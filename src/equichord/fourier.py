@@ -42,7 +42,7 @@ class TrigPolynomial:
         """f at t, a number or an array, in t's float dtype (long double stays long double)."""
         if not self.harmonics:
             return np.full(np.shape(t), self.c0 + 0.0, dtype=np.result_type(t, 1.0))[()]
-        out = self.c0 + 0.0  # 0.0 + c0 as a zero array plus c0 would round, -0.0 included
+        out = self.c0 + 0.0  # rounds as a zero array plus c0 does, -0.0 included
         for h in self.harmonics:
             out = out + h.amp * np.cos(h.k * t + h.phase)
         return out
