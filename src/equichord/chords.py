@@ -64,8 +64,7 @@ class ArcLengthParam:
         k = np.arange(1, len(coeffs))
         a = np.asarray(2 * coeffs[1:].real / k)   # coefficient of sin(kt)
         b = np.asarray(-2 * coeffs[1:].imag / k)  # minus the cos(kt) coefficient
-        # a sample rounds like the speed, plus its grid point's rounding times the
-        # speed's slope, which sums over a period to at most the total variation
+        # a sample rounds like the speed plus its grid point times the slope (summing to the variation)
         variation = np.abs(np.diff(speeds, append=speeds[:1])).sum()
         keep = (np.abs(a) + np.abs(b)) > np.finfo(float).eps * (self.mean_speed + variation)
         self._ks = k[keep]

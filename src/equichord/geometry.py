@@ -12,10 +12,9 @@ Conventions fixed here and relied on everywhere else:
 * Everything that differs between the three geometries is one row of the
   table behind ``Geometry.kernel``; formulas elsewhere are written once in
   the curvature K through sn_K, cs_K and tn_K.
-* A point, or a batch of points, is a tuple of coordinate columns: (x, y)
-  on E2 and (x0, x1, x2) on S2 and H2, each a numpy scalar for one point
-  and an array for a batch.  Curves return ``Points``, which ``np.asarray``
-  stacks to shape (..., dim) where a caller wants the array.
+* A point, or a batch of points, is a tuple of coordinate columns, (x, y) on
+  E2 and (x0, x1, x2) on S2 and H2: numpy scalars for one point, arrays for
+  a batch.  Curves return ``Points``, which ``np.asarray`` stacks (..., dim).
 """
 
 from __future__ import annotations
@@ -153,9 +152,8 @@ def _broadcast(u, v):
 
 
 class Points(tuple):
-    """Coordinate columns of a point or a batch of points, (x, y) on E2 and
-    (x0, x1, x2) on S2/H2; ``np.asarray`` stacks them (..., dim), the one
-    place points are stacked."""
+    """Coordinate columns of a point or a batch of points; ``np.asarray``
+    stacks them (..., dim), the one place points are stacked."""
 
     __slots__ = ()
 
@@ -226,15 +224,14 @@ class _Kernel(NamedTuple):
     ``dot`` is the ambient inner product, ``normal(p, T)`` the unit normal on
     the convex side of a counterclockwise curve, and ``side(p, d)``, for
     lanes of points p and directions d, a function ``f(q, lanes)`` vanishing
-    exactly on the geodesics through p[lanes] along d[lanes]; q holds points
-    of shape (..., len(lanes)), and ``lanes`` is an index array, or None for
-    all lanes.  ``embed(x, y, pole)`` puts planar x, planar y and the pole
-    coordinate in ambient order as ``Points``; ``pole`` is a function, and
-    E2, which has no pole, never calls it.  ``max_radius`` bounds circle
-    radii (pi/2 on S2).
-    Points and vectors are tuples of coordinate columns, and every entry is
-    written out in components, so a batch rounds exactly like its points one
-    at a time and no result depends on the BLAS build.
+    exactly on the geodesics through p[lanes] along d[lanes]; q's columns
+    have shape (..., len(lanes)), and ``lanes`` is an index array, or None
+    for all lanes.  ``embed(x, y, pole)`` orders planar x, planar y and the
+    pole coordinate as ambient ``Points``; ``pole`` is a function, and E2,
+    which has no pole, never calls it.  ``max_radius`` bounds circle radii
+    (pi/2 on S2).  Points and vectors are coordinate columns, and every
+    entry is written out in components, so a batch rounds exactly like its
+    points one at a time and no result depends on the BLAS build.
     """
 
     K: float
@@ -289,7 +286,6 @@ def _check_radius(geometry: Geometry, radius) -> float:
 
 
 def mnorm(geometry: Geometry, v):
-    """Length of column vectors in the ambient inner product ``geometry.kernel.dot``."""
     return np.sqrt(geometry.kernel.dot(v, v))
 
 
@@ -305,7 +301,8 @@ class ParametricCurve:
     any shape, and return ``Points``: one coordinate column per ambient
     coordinate, each of t's shape, elementwise in t and preserving dtype (so
     the finite-difference oracles can evaluate them in extended precision,
-    and a batch of parameters rounds like each one alone).
+    and a batch of parameters rounds like each one alone).  A stacked array
+    would be read row by row as columns, so it raises OutOfRange.
     """
 
     geometry: Geometry
@@ -313,9 +310,16 @@ class ParametricCurve:
     velocity: Callable[[np.ndarray], Points]
     acceleration: Callable[[np.ndarray], Points]
 
+    def __post_init__(self):
+        evaluators = (self.point, self.velocity, self.acceleration)
+        with np.errstate(all="ignore"):  # only the type is looked at; values are checked where used
+            stacked = any(isinstance(f(0.0), np.ndarray) for f in evaluators)
+        if stacked:
+            raise OutOfRange("curve functions must return coordinate columns (Points), not stacked points")
+
     def unit_tangent(self, t) -> Points:
         """Unit tangent at t of any shape, as columns of t's shape."""
-        t = np.asarray(t, dtype=float)[()]
+        t = np.asarray(t, dtype=float)[()]  # a 0-d t becomes a numpy scalar, the cheapest operand
         v = self.velocity(t)
         speed = mnorm(self.geometry, v)
         if np.count_nonzero(speed < 1e-10):
@@ -366,8 +370,7 @@ def geodesic_curvature(curve: ParametricCurve, t):
 
 
 def _chord_tangent_at_arrival(geometry, p, d, length):
-    """Unit tangent at arc length ``length`` of the geodesic from p along d
-    (columns of length's shape)."""
+    """Unit tangent at arc length ``length`` of the geodesic from p along d."""
     kern = geometry.kernel
     a, b = -kern.K * kern.sn(length), kern.cs(length)
     return tuple(a * pc + b * dc for pc, dc in zip(p, d))
@@ -405,8 +408,7 @@ def shoot_to_curve(curve: ParametricCurve, t0, theta):
     for i in range(0, t0.size, _LANE_BLOCK):
         out[:, i:i + _LANE_BLOCK] = _shoot_lanes(curve, flat_t0[i:i + _LANE_BLOCK],
                                                  flat_theta[i:i + _LANE_BLOCK])
-    t1, arrival, length = out.reshape((3,) + t0.shape)
-    return t1, arrival, length
+    return tuple(out.reshape((3,) + t0.shape))  # (t1, arrival, length)
 
 
 def _shoot_lanes(curve, t0, theta):
@@ -429,10 +431,10 @@ def _shoot_lanes(curve, t0, theta):
     count = hits.sum(axis=0)
     if np.count_nonzero(count != 1):
         j = np.flatnonzero(count != 1)[0]
-        if np.ravel(count)[j] == 0:
+        if count.flat[j] == 0:
             raise Degenerate("no forward intersection found (curve convex and closed?)")
-        raise NonConvex(f"the chord from t0={np.ravel(t0)[j]} at theta={np.ravel(theta)[j]} crosses "
-                        f"the curve {np.ravel(count)[j]} times")
+        raise NonConvex(f"the chord from t0={t0.flat[j]} at theta={theta.flat[j]} crosses the curve "
+                        f"{count.flat[j]} times")
     # polish each lane's one sign change, starting from the grid's side values at
     # its ends; where the grid hit 0 exactly, f(a) = 0 makes the left end the root
     m = t0.size

@@ -172,6 +172,9 @@ class TestShooting:
                            ddr * np.sin(t) + 2 * dr * np.cos(t) - r * np.sin(t)))
 
         curve = ParametricCurve(Geometry.EUCLIDEAN, point, velocity, acceleration)
+        # the same curve with stacked (..., 2) points would be read row by row: refused
+        with pytest.raises(OutOfRange, match="coordinate columns"):
+            ParametricCurve(Geometry.EUCLIDEAN, lambda t: np.asarray(point(t)), velocity, acceleration)
         with pytest.raises(NonConvex, match="crosses the curve 3 times"):
             shoot_to_curve(curve, 0.0, 1.2)
         # in a batch, the error names the lane that crosses; the other lane lands
