@@ -32,7 +32,6 @@ from .polygons import (
     circulant_spectrum,
     construct_2kk,
     construct_inscribed,
-    contact_angle,
     equiangular_family_basis,
     exists_nontrivial,
     family_member,

@@ -13,9 +13,7 @@ polygon file or an option, or an OSError on a file.
 
 from __future__ import annotations
 
-import functools
 import json
-import os
 import sys
 
 import click
@@ -35,14 +33,6 @@ _GEOMETRY_TAGS = {
     "spherical": Geometry.SPHERICAL, "S2": Geometry.SPHERICAL,
     "hyperbolic": Geometry.HYPERBOLIC, "H2": Geometry.HYPERBOLIC,
 }
-
-
-def tolerance(override: float | None = None) -> float:
-    """Default tolerance 1e-9, overridable by EQUICHORD_TOL or a flag."""
-    if override is not None:
-        return float(override)
-    env = os.environ.get("EQUICHORD_TOL")
-    return _read("EQUICHORD_TOL", float, env) if env else DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +70,15 @@ def to_json(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
+def _write(path: str, text: str):
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
 def _emit(text: str, out: str | None):
     click.echo(text)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        _write(out, text)
 
 
 def _svg_document(polylines) -> str:
@@ -118,26 +112,11 @@ def _polygon_svg(vertices: np.ndarray, k: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# error mapping and outside input
-
-
-def domain_errors(fn):
-    """Exit 3 with one ``error:`` line on an EquichordError or an OSError.
-
-    Any other exception is a bug and keeps its traceback (exit 1).
-    """
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (EquichordError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-    return wrapper
+# outside input
 
 
 def _read(source: str, parse, raw):
-    """parse(raw) on input from outside: a file, an option or the environment.
+    """parse(raw) on input from outside: a file or an option.
 
     This is the one place where a failure to parse is bad input rather than a
     bug; it becomes OutOfRange naming the source.  parse must only convert
@@ -267,7 +246,19 @@ class CurveSpec:
 # commands
 
 
-@click.group()
+class _Main(click.Group):
+    """Runs every command: an EquichordError or an OSError exits 3 with one
+    ``error:`` line; any other exception is a bug and keeps its traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (EquichordError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_Main)
 def main():
     """Equiangular-chord curves and polygons: construct, verify, classify."""
 
@@ -278,7 +269,6 @@ def main():
 @click.option("--radius", type=float, default=None,
               help="Circle radius (required for S2/H2 contact angles).")
 @click.option("--out", type=click.Path(), default=None)
-@domain_errors
 def cmd_solve_angle(k, geometry, radius, out):
     """Solve k tan c = tan(kc) and report contact angles."""
     geo = _GEOMETRY_TAGS[geometry]
@@ -296,11 +286,6 @@ def polygon():
     """Gutkin (n,k)-gon constructions and checks."""
 
 
-def _polygon_payload(p: polygons.GutkinPolygon) -> dict:
-    return {"n": p.n, "k": p.k, "alpha": p.alpha,
-            "vertices": [[float(x), float(y)] for x, y in p.vertices]}
-
-
 @polygon.command("construct")
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, required=True)
@@ -310,7 +295,6 @@ def _polygon_payload(p: polygons.GutkinPolygon) -> dict:
               help="Comma-separated free side lengths for the n = 2k construction.")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--svg", type=click.Path(), default=None)
-@domain_errors
 def cmd_polygon_construct(n, k, arcs, params, out, svg):
     """Construct a Gutkin polygon (inscribed arcs, or free sides when n = 2k)."""
     if arcs is not None:
@@ -320,10 +304,9 @@ def cmd_polygon_construct(n, k, arcs, params, out, svg):
         p = polygons.construct_2kk(k, free)
     else:
         raise click.UsageError("--arcs is required unless n = 2k (then --params)")
-    _emit(to_json(_polygon_payload(p)), out)
+    _emit(to_json({"n": p.n, "k": p.k, "alpha": p.alpha, "vertices": p.vertices}), out)
     if svg:
-        with open(svg, "w") as fh:
-            fh.write(_polygon_svg(p.vertices, p.k) + "\n")
+        _write(svg, _polygon_svg(p.vertices, p.k))
 
 
 @polygon.command("verify")
@@ -331,12 +314,10 @@ def cmd_polygon_construct(n, k, arcs, params, out, svg):
               help="Polygon JSON produced by construct.")
 @click.option("--regular", type=int, default=None, help="Use a regular n-gon instead.")
 @click.option("--k", type=int, default=None, help="Diagonal index (default: from file).")
-@click.option("--tol", type=float, default=None)
+@click.option("--tol", type=float, default=DEFAULT_TOL)
 @click.option("--out", type=click.Path(), default=None)
-@domain_errors
 def cmd_polygon_verify(in_path, regular, k, tol, out):
     """Measure the 2n contact angles of the k-diagonals."""
-    tol = tolerance(tol)
     if (in_path is None) == (regular is None):
         raise click.UsageError("exactly one of --in / --regular is required")
     if in_path is not None:
@@ -359,7 +340,6 @@ def cmd_polygon_verify(in_path, regular, k, tol, out):
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, required=True)
 @click.option("--out", type=click.Path(), default=None)
-@domain_errors
 def cmd_polygon_classify(n, k, out):
     """Existence and dimension of nontrivial equiangular Gutkin (n,k)-gons."""
     spec = polygons.circulant_spectrum(n, k)
@@ -378,22 +358,16 @@ def cmd_polygon_classify(n, k, out):
               help="Comma-separated coefficients in the kernel basis.")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--svg", type=click.Path(), default=None)
-@domain_errors
 def cmd_polygon_family(n, k, coeffs, out, svg):
     """Kernel basis of equiangular deformations, optionally a family member."""
     basis = polygons.equiangular_family_basis(n, k)
-    payload = {"n": n, "k": k, "dimension": len(basis),
-               "basis": [[float(x) for x in b] for b in basis]}
-    member = None
+    payload = {"n": n, "k": k, "dimension": len(basis), "basis": basis}
     if coeffs is not None:
-        sides = polygons.family_member(n, k, _read("--coeffs", _parse_floats, coeffs))
-        member = polygons.polygon_from_sides(sides)
-        payload["sides"] = [float(x) for x in sides]
-        payload["vertices"] = [[float(x), float(y)] for x, y in member]
+        payload["sides"] = polygons.family_member(n, k, _read("--coeffs", _parse_floats, coeffs))
+        payload["vertices"] = polygons.polygon_from_sides(payload["sides"])
     _emit(to_json(payload), out)
-    if svg and member is not None:
-        with open(svg, "w") as fh:
-            fh.write(_polygon_svg(member, k) + "\n")
+    if svg and coeffs is not None:
+        _write(svg, _polygon_svg(payload["vertices"], k))
 
 
 @main.group()
@@ -405,7 +379,6 @@ def curve():
 @click.option("--spec", "spec_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--svg", type=click.Path(), default=None)
-@domain_errors
 def cmd_curve_build(spec_path, out, svg):
     """Build the curve and report its length and least geodesic curvature."""
     cs = CurveSpec.load(spec_path)
@@ -418,8 +391,7 @@ def cmd_curve_build(spec_path, out, svg):
         payload["alpha"] = cs.alpha
     _emit(to_json(payload), out)
     if svg:
-        with open(svg, "w") as fh:
-            fh.write(_svg_document([(cs.sample_plane_points(), "black", True)]) + "\n")
+        _write(svg, _svg_document([(cs.sample_plane_points(), "black", True)]))
 
 
 @curve.command("verify")
@@ -427,12 +399,10 @@ def cmd_curve_build(spec_path, out, svg):
 @click.option("--alpha", type=str, default=None,
               help="Contact angle (float or auto-kN); overrides the spec.")
 @click.option("--samples", type=int, default=64)
-@click.option("--tol", type=float, default=None)
+@click.option("--tol", type=float, default=DEFAULT_TOL)
 @click.option("--out", type=click.Path(), default=None)
-@domain_errors
 def cmd_curve_verify(spec_path, alpha, samples, tol, out):
     """Shoot chords at angle alpha and report the worst arrival-angle defect."""
-    tol = tolerance(tol)
     if samples < 0:
         raise click.UsageError("--samples must be >= 0")
     cs = CurveSpec.load(spec_path, alpha_override=_read("--alpha", _alpha_ref, alpha))
@@ -451,7 +421,6 @@ def cmd_curve_verify(spec_path, alpha, samples, tol, out):
 @click.option("--alpha", type=str, default=None)
 @click.option("--grid", type=int, default=4096)
 @click.option("--out", type=click.Path(), default=None)
-@domain_errors
 def cmd_curve_residual(spec_path, operator, alpha, grid, out):
     """Max residual of the functional chord equation on a uniform grid."""
     if grid < 1:
@@ -467,7 +436,7 @@ def cmd_curve_residual(spec_path, operator, alpha, grid, out):
         f = TrigPolynomial(rho.c0 * np.sin(a),
                            tuple(Harmonic(h.k, h.amp * np.sin(a), h.phase)
                                  for h in rho.harmonics))
-        res = curves.e2_residual_operator(f, a)(ts)
+        c, scale = a, 1.0
     else:
         if cs.kind != "deformed_circle" or cs.geometry is not geo:
             raise OutOfRange("operator geometry must match the spec geometry")
@@ -475,7 +444,8 @@ def cmd_curve_residual(spec_path, operator, alpha, grid, out):
         f = TrigPolynomial(d.f_star,
                            tuple(Harmonic(h.k, d.epsilon * h.amp, h.phase)
                                  for h in d.g.harmonics))
-        res = curves.s2_residual_operator(f, a, d.c, d.a, geo)(ts)
+        c, scale = d.c, d.a
+    res = curves.s2_residual_operator(f, a, c, scale, geo)(ts)
     payload = {"geometry": cs.geometry.value, "operator": operator, "alpha": a,
                "grid": int(grid), "max_residual": float(np.abs(res).max())}
     _emit(to_json(payload), out)
@@ -493,7 +463,6 @@ def billiard():
               help="Launch angle (float or auto-kN); defaults to the spec alpha.")
 @click.option("--steps", type=int, required=True)
 @click.option("--out", type=click.Path(), default=None)
-@domain_errors
 def cmd_billiard_orbit(spec_path, t0, theta, steps, out):
     """Iterate the billiard map and export the orbit as CSV."""
     if steps < 0:
@@ -521,7 +490,6 @@ def chords():
 @click.option("--seed", type=int, default=0)
 @click.option("--step", type=float, default=1e-5)
 @click.option("--out", type=click.Path(), default=None)
-@domain_errors
 def cmd_chords_validate(spec_path, circle, radius, samples, seed, step, out):
     """Check the closed-form partials of L(x,y) against finite differences."""
     if (spec_path is None) == (circle is None):

@@ -138,15 +138,13 @@ def build_e2_curve(spec: FourierCurveE2) -> ParametricCurve:
 
 
 def e2_residual_operator(f: TrigPolynomial, alpha: float):
-    """Pointwise residual of f'(t+a) + f'(t-a) - cot(a) (f(t+a) - f(t-a))."""
-    df = f.derivative()
-    cot = np.cos(alpha) / np.sin(alpha)
+    """Pointwise residual of f'(t+a) + f'(t-a) - cot(a) (f(t+a) - f(t-a)).
 
-    def residual(t):
-        t = np.asarray(t)
-        return df(t + alpha) + df(t - alpha) - cot * (f(t + alpha) - f(t - alpha))
-
-    return residual
+    This is s2_residual_operator on E2 (c = alpha, a = 1) with its sign
+    flipped; 0.0 - r rather than -r keeps the +0.0 of a vanishing residual.
+    """
+    chord = s2_residual_operator(f, alpha, alpha, 1.0, Geometry.EUCLIDEAN)
+    return lambda t: 0.0 - chord(t)
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +229,9 @@ def s2_residual_operator(f: TrigPolynomial, alpha: float, c: float, a: float,
                          geometry: Geometry):
     """Residual of a cot(alpha) (S(f1) - S(f2)) - (f1' + f2').
 
-    f1 = f(t + c), f2 = f(t - c); S = sn_K is sin on the sphere and sinh on
-    the hyperbolic plane.
+    f1 = f(t + c), f2 = f(t - c); S = sn_K is the identity on E2, sin on the
+    sphere and sinh on the hyperbolic plane.
     """
-    if geometry is Geometry.EUCLIDEAN:
-        raise OutOfRange("nonlinear chord operator is spherical/hyperbolic only")
     S = geometry.kernel.sn
     df = f.derivative()
     cot = np.cos(alpha) / np.sin(alpha)

@@ -228,8 +228,9 @@ class _Kernel(NamedTuple):
     have shape (..., len(lanes)), and ``lanes`` is an index array, or None
     for all lanes.  ``embed(x, y, pole)`` orders planar x, planar y and the
     pole coordinate as ambient ``Points``; ``pole`` is a function, and E2,
-    which has no pole, never calls it.  ``max_radius`` bounds circle radii
-    (pi/2 on S2).  Points and vectors are coordinate columns, and every
+    which has no pole, never calls it.  ``max_radius`` bounds circle radii:
+    pi/2 on S2, and on H2 arccosh of the largest float, below which sinh and
+    cosh stay finite.  Points and vectors are coordinate columns, and every
     entry is written out in components, so a batch rounds exactly like its
     points one at a time and no result depends on the BLAS build.
     """
@@ -264,7 +265,7 @@ _KERNELS = {
         dot=_minkowski_dot, distance=_hyperbolic_distance,
         project=lambda x: _scale(x, np.sqrt(-_minkowski_dot(x, x))), normal=_hyperbolic_normal,
         side=_plane_side, embed=lambda x, y, pole: Points((pole(), x, y)),
-        max_radius=np.inf),
+        max_radius=float(np.arccosh(np.finfo(float).max))),
 }
 
 

@@ -24,7 +24,6 @@ from .errors import Infeasible, NonConvex, NotAdmissible, OutOfRange
 __all__ = [
     "GutkinPolygon",
     "CirculantSpectrum",
-    "contact_angle",
     "verify_gutkin",
     "circulant_spectrum",
     "equiangular_family_basis",
@@ -34,7 +33,6 @@ __all__ = [
     "construct_inscribed",
     "exists_nontrivial",
     "regular_polygon",
-    "interior_angles",
 ]
 
 _ZERO_TOL = 1e-9  # |lambda_r| below this fraction of the row's scale counts as zero
@@ -51,15 +49,6 @@ def _require_spectral_range(n: int, k: int):
 def _require_diagonal_index(n: int, k: int):
     if not (2 <= k <= n - 1):
         raise OutOfRange(f"diagonal index k={k} out of range for n={n}")
-
-
-def contact_angle(n: int, k: int) -> float:
-    """pi (k - 1) / n, the forced contact angle of any Gutkin (n, k)-gon."""
-    n, k = int(n), int(k)
-    if n < 3:
-        raise OutOfRange("need n >= 3")
-    _require_diagonal_index(n, k)
-    return np.pi * (k - 1) / n
 
 
 def _vertex_array(vertices) -> np.ndarray:
@@ -95,10 +84,6 @@ def _angles(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     u, w = a - b, c - b
     cosv = _dot(u, w) / (np.sqrt(_dot(u, u)) * np.sqrt(_dot(w, w)))
     return np.arccos(np.clip(cosv, -1.0, 1.0))
-
-
-def interior_angles(v: np.ndarray) -> np.ndarray:
-    return _angles(_ahead(v, -1), v, _ahead(v, 1))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
 """Closed forms and polygon checks that only the tests use, kept here as oracles.
 
 Each one states a result of the paper independently of the code under test:
-the chord length of an exact single-harmonic E2 Gutkin curve, the circulant
-eigenvalues as the plain O(nk) sum over the first row, the beta-angle sum and
-the angle periodicity of a Gutkin polygon, a canonical similarity frame
-for comparing polygons, the extended-precision arc-length inversions of
-validate_partials, to be checked against cold-started ones, and the curve
-formulas evaluated on stacked (..., dim) points, the reference for the
-coordinate columns the curves return.  The random curves the curve-layer
-properties are checked on live here too.
+the chord length of an exact single-harmonic E2 Gutkin curve, the E2 chord
+equation's residual written out, the circulant eigenvalues as the plain
+O(nk) sum over the first row, the forced contact angle, the interior angles,
+the beta-angle sum and the angle periodicity of a Gutkin polygon, a
+canonical similarity frame for comparing polygons, the extended-precision
+arc-length inversions of validate_partials, to be checked against
+cold-started ones, and the curve formulas evaluated on stacked (..., dim)
+points, the reference for the coordinate columns the curves return.  The
+random curves the curve-layer properties are checked on live here too.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ from equichord import (
 )
 from equichord.angles import _polefree
 from equichord.errors import NonConvex, NotAdmissible, OutOfRange
-from equichord.polygons import GutkinPolygon, interior_angles, verify_gutkin
+from equichord.polygons import GutkinPolygon, _angles, verify_gutkin
 
 
 @st.composite
@@ -140,6 +141,20 @@ def gutkin_chord_length_formula(spec, alpha: float, t):
     return 2 * np.sin(alpha) * (spec.c0 + h.amp * np.cos(h.k * alpha) * np.cos(h.k * t + h.phase))
 
 
+def e2_residual_formula(f: TrigPolynomial, alpha: float):
+    """f'(t+a) + f'(t-a) - cot(a) (f(t+a) - f(t-a)), the E2 chord residual
+    written out: the reference for e2_residual_operator, which flips the sign
+    of the general operator."""
+    df = f.derivative()
+    cot = np.cos(alpha) / np.sin(alpha)
+
+    def residual(t):
+        t = np.asarray(t)
+        return df(t + alpha) + df(t - alpha) - cot * (f(t + alpha) - f(t - alpha))
+
+    return residual
+
+
 def direct_circulant_spectrum(n: int, k: int):
     """(eigenvalues, zero set, row scale) of the (n, k) constraint matrix by
     the direct sum lambda_r = sum_{nu<k} row_nu omega^{nu r}, row_nu =
@@ -154,6 +169,18 @@ def direct_circulant_spectrum(n: int, k: int):
     scale = float(np.abs(row).max())
     zero_set = tuple(int(r) for r in np.nonzero(np.abs(lam) / scale < 1e-9)[0])
     return lam, zero_set, scale
+
+
+def contact_angle(n: int, k: int) -> float:
+    """pi (k - 1) / n, the forced contact angle of any Gutkin (n, k)-gon."""
+    if n < 3 or not 2 <= k <= n - 1:
+        raise OutOfRange(f"no k-diagonals for (n, k) = ({n}, {k})")
+    return np.pi * (k - 1) / n
+
+
+def interior_angles(v: np.ndarray) -> np.ndarray:
+    """Interior angle at each vertex, by the array routine verify_gutkin measures with."""
+    return _angles(np.roll(v, 1, axis=0), v, np.roll(v, -1, axis=0))
 
 
 def beta_sum_check(p: GutkinPolygon) -> float:

@@ -3,6 +3,7 @@ import pathlib
 import subprocess
 import sys
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -98,10 +99,9 @@ class TestPolygonCommands:
         result = runner.invoke(main, ["polygon", "classify", "--n", "7", "--k", "5"])
         assert result.exit_code == 3
 
-    def test_tol_env_override(self, runner, monkeypatch):
-        monkeypatch.setenv("EQUICHORD_TOL", "1e-3")
-        out = json.loads(run_ok(runner, ["polygon", "verify", "--regular", "5", "--k", "2"]))
-        assert out["tol"] == 1e-3
+    def test_tol_flag(self, runner):
+        out = run_ok(runner, ["polygon", "verify", "--regular", "5", "--k", "2", "--tol", "1e-3"])
+        assert '"tol": 0.001' in out
 
 
 class TestCurveCommands:
@@ -200,17 +200,61 @@ class TestBilliardAndChords:
         assert "gives a NaN chord partial" in result.output
 
     def test_nan_chord_stderr_is_one_line(self):
-        """No numpy warning precedes the error line; run as a real process, because
+        """No numpy warning precedes the error line, on a NaN chord or on an H2
+        radius whose sinh and cosh overflow; run as a real process, because
         pytest would catch the warning before it reached stderr."""
         src = str(pathlib.Path(equichord.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "equichord.cli", "chords", "validate", "--circle", "H2",
-             "--radius", "12", "--samples", "20"],
-            capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""}, timeout=120)
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        for args in (["chords", "validate", "--circle", "H2", "--radius", "12", "--samples", "20"],
+                     ["chords", "validate", "--circle", "H2", "--radius", "800", "--samples", "3"],
+                     ["solve-angle", "--k", "4", "--geometry", "H2", "--radius", "800"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "equichord.cli", *args],
+                capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""}, timeout=120)
+            assert proc.returncode == 3, args
+            assert proc.stdout == ""
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def _leaf_commands(group, prefix=""):
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _leaf_commands(command, f"{prefix}{name} ")
+        else:
+            yield prefix + name
+
+
+class TestErrorBoundary:
+    """The command group maps domain errors for every command, present or added later."""
+
+    # one invocation per leaf command that fails on its input, not on its usage;
+    # "{spec}" is an E2 spec file and "{dir}" a directory, which open() refuses
+    # with an OSError
+    DOMAIN_ERRORS = {
+        "solve-angle": ["--k", "4", "--geometry", "S2", "--radius", "2"],
+        "polygon construct": ["--n", "6", "--k", "3", "--arcs", "1,x"],
+        "polygon verify": ["--regular", "5", "--k", "7"],
+        "polygon classify": ["--n", "7", "--k", "5"],
+        "polygon family": ["--n", "12", "--k", "4", "--coeffs", "nope"],
+        "curve build": ["--spec", "{dir}"],
+        "curve verify": ["--spec", "{spec}", "--samples", "0"],
+        "curve residual": ["--spec", "{spec}", "--operator", "S2"],
+        "billiard orbit": ["--spec", "{spec}", "--theta", "5.0", "--steps", "1"],
+        "chords validate": ["--circle", "H2", "--radius", "800", "--samples", "3"],
+    }
+
+    def test_table_covers_every_command(self):
+        assert set(self.DOMAIN_ERRORS) == set(_leaf_commands(main))
+
+    @pytest.mark.parametrize("command", sorted(DOMAIN_ERRORS))
+    def test_exit_3_one_error_line(self, runner, write_spec, tmp_path, command):
+        paths = {"{spec}": write_spec(E2_SPEC), "{dir}": str(tmp_path)}
+        args = command.split() + [paths.get(a, a) for a in self.DOMAIN_ERRORS[command]]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
 
 
 class TestDeterminism:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equichord import (
@@ -25,7 +25,7 @@ from equichord import (
     verify_curve_gutkin,
 )
 from equichord.errors import NonConvex, NotAdmissible, NotClosed, OutOfRange
-from oracles import gutkin_chord_length_formula, stacked_derivatives
+from oracles import e2_residual_formula, gutkin_chord_length_formula, stacked_derivatives
 
 ALPHA4 = float(np.arctan(np.sqrt(5.0)))
 
@@ -136,6 +136,20 @@ class TestE2Residual:
         res = e2_residual_operator(f, 1.0)
         ts = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
         assert np.abs(res(ts)).max() > 1e-2
+
+    @given(st.floats(-2.0, 2.0),
+           st.lists(st.tuples(st.integers(0, 9), st.floats(-1.0, 1.0), st.floats(-np.pi, np.pi)),
+                    max_size=3),
+           st.floats(0.05, 3.1))
+    @example(1.0, [], 1.0).via("constant f, cot > 0")
+    @example(1.0, [], 2.0).via("constant f, cot < 0")
+    @settings(max_examples=60, deadline=None)
+    def test_matches_written_out_formula(self, c0, harmonics, alpha):
+        """Bit for bit, the sign of a zero residual included."""
+        f = TrigPolynomial(c0, tuple(Harmonic(*h) for h in harmonics))
+        ts = np.linspace(0.0, 2 * np.pi, 257)
+        got = e2_residual_operator(f, alpha)(ts)
+        assert got.tobytes() == e2_residual_formula(f, alpha)(ts).tobytes()
 
 
 class TestChordLengthFormula:

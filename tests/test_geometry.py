@@ -116,6 +116,16 @@ class TestCurvature:
                 assert geodesic_curvature(curve, float(t)) == pytest.approx(expect, abs=1e-8)
 
 
+class TestCircleRadius:
+    def test_h2_bound_is_where_sinh_and_cosh_overflow(self):
+        bound = Geometry.HYPERBOLIC.kernel.max_radius
+        with pytest.raises(OutOfRange, match="H2 radius must lie in"):
+            circle_curve(Geometry.HYPERBOLIC, bound)
+        with np.errstate(over="raise"):
+            curve = circle_curve(Geometry.HYPERBOLIC, np.nextafter(bound, 0.0))
+            assert all(np.isfinite(x) for x in curve.point(0.5))
+
+
 class TestShooting:
     def test_e2_circle_chord(self):
         curve = circle_curve(Geometry.EUCLIDEAN, 1.0)

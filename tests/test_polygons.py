@@ -12,7 +12,6 @@ from equichord import (
     connelly_check,
     construct_2kk,
     construct_inscribed,
-    contact_angle,
     equiangular_family_basis,
     exists_nontrivial,
     family_member,
@@ -22,11 +21,13 @@ from equichord import (
 )
 from equichord.cli import main
 from equichord.errors import Infeasible, NotAdmissible, OutOfRange
-from equichord.polygons import as_gutkin_polygon, interior_angles, regular_polygon
+from equichord.polygons import as_gutkin_polygon, regular_polygon
 from oracles import (
     angle_periodicity_check,
     beta_sum_check,
+    contact_angle,
     direct_circulant_spectrum,
+    interior_angles,
     normalize_similarity,
 )
 
