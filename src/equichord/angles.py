@@ -10,8 +10,8 @@ Three families of equations live here:
   cosh R on the hyperbolic plane), together with the constants (c, a)
   attached to a circle of radius R with contact angle alpha;
 * the integer equation tan(kr pi/n) tan(pi/n) = tan(k pi/n) tan(r pi/n),
-  evaluated projectively in sines and cosines, with the arithmetic
-  characterization k + r = n/2 and n | (k-1)(r-1) as an independent check.
+  whose roots are decided in integers: the arithmetic characterization
+  k + r = n/2 and n | (k-1)(r-1) plus its two boundary cases r = n/2, n = 2k.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ __all__ = [
     "solve_restr2",
     "connelly_check",
 ]
-
-_RESTR2_TOL = 1e-9  # |residual| below this counts as a solution
-
 
 @dataclass(frozen=True)
 class AngleSolution:
@@ -178,20 +175,32 @@ def _restr2_residual(n: int, k: int, r: np.ndarray) -> np.ndarray:
             - np.sin(c) * np.sin(d) * np.cos(a) * np.cos(b))
 
 
+def _restr2_roots(n: int, k: int) -> list[int]:
+    """The r in [2, n-2] solving restr2 for 2 <= k <= n/2, ascending, decided
+    in integers (docs/derivation.md, "The zero set in integers"): every odd
+    3 <= r <= n-3 when n = 2k; otherwise n/2 when n is even and k odd, plus
+    r0 = n/2 - k and n - r0 when r0 > 1 and connelly_check(n, k, r0) holds."""
+    if n == 2 * k:
+        return list(range(3, n - 2, 2))
+    roots = [n // 2] if n % 2 == 0 and k % 2 == 1 else []
+    r0 = n // 2 - k
+    if n % 2 == 0 and r0 > 1 and connelly_check(n, k, r0):
+        roots = [r0, *roots, n - r0]
+    return roots
+
+
 def solve_restr2(n: int, k: int) -> list[DiophantineSolution]:
     """All r in [2, n-2] solving tan(kr pi/n) tan(pi/n) = tan(k pi/n) tan(r pi/n).
 
-    Evaluated in the pole-free cross-multiplied form, on all r at once; the
-    result is symmetric under r <-> n - r.
+    The roots come from ``_restr2_roots``, symmetric under r <-> n - r;
+    ``lhs_minus_rhs`` is the pole-free cross-multiplied form at each.
     """
     n, k = int(n), int(k)
     if not (2 <= k <= n / 2):
         raise OutOfRange(f"need 2 <= k <= n/2, got (n, k) = ({n}, {k})")
-    r = np.arange(2, n - 1)
-    res = _restr2_residual(n, k, r)
-    hit = np.abs(res) < _RESTR2_TOL
+    r = np.array(_restr2_roots(n, k), dtype=int)
     return [DiophantineSolution(n=n, k=k, r=ri, lhs_minus_rhs=x)
-            for ri, x in zip(r[hit].tolist(), res[hit].tolist())]
+            for ri, x in zip(r.tolist(), _restr2_residual(n, k, r).tolist())]
 
 
 def connelly_check(n: int, k: int, r: int) -> bool:

@@ -282,7 +282,7 @@ def _check_radius(geometry: Geometry, radius) -> float:
     """Circle radius as a float, inside (0, geometry.kernel.max_radius)."""
     bound = geometry.kernel.max_radius
     if radius is None or not 0.0 < radius < bound:
-        raise OutOfRange(f"{geometry.value} radius must lie in (0, {bound:g}), got {radius!r}")
+        raise OutOfRange(f"{geometry.value} radius must lie in (0, {bound!r}), got {radius!r}")
     return float(radius)
 
 

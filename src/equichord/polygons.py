@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .angles import _restr2_roots
 from .errors import Infeasible, NonConvex, NotAdmissible, OutOfRange
 
 __all__ = [
@@ -34,9 +35,6 @@ __all__ = [
     "exists_nontrivial",
     "regular_polygon",
 ]
-
-_ZERO_TOL = 1e-9  # |lambda_r| below this fraction of the row's scale counts as zero
-
 
 def _require_spectral_range(n: int, k: int):
     if not (2 <= k <= n / 2):
@@ -111,11 +109,6 @@ class CirculantSpectrum:
         zs = tuple(sorted(int(r) for r in self.zero_set))
         object.__setattr__(self, "zero_set", zs)
         object.__setattr__(self, "M", sum(1 for r in zs if 2 <= r <= self.n - 2))
-        lam = self.eigenvalues
-        if abs(lam[0]) > 1e-12 * max(1.0, np.abs(lam).max()):
-            raise RuntimeError("lambda_0 must vanish")
-        if abs(lam[1]) < 1e-9 or abs(lam[-1]) < 1e-9:
-            raise RuntimeError("lambda_1 and lambda_{n-1} must be nonzero")
 
 
 def verify_gutkin(vertices, k: int, tol: float = 1e-9) -> dict:
@@ -188,7 +181,8 @@ def circulant_spectrum(n: int, k: int) -> CirculantSpectrum:
     The sum is geometric, so it is evaluated in closed form in O(n):
     lambda_r = omega^{m r} (D_k(r + 1) - D_k(r - 1)) with the Dirichlet kernel
     D_k(s) = sin(pi k s/n) / sin(pi s/n), D_k(0) = k, D_k(n) = (-1)^{k+1} k
-    (docs/derivation.md, "The circulant spectrum in closed form").
+    (docs/derivation.md, "The circulant spectrum in closed form").  zero_set
+    is 0 plus the restr2 roots, decided in integers ("The zero set in integers").
     """
     n, k = int(n), int(k)
     _require_spectral_range(n, k)
@@ -205,32 +199,29 @@ def circulant_spectrum(n: int, k: int) -> CirculantSpectrum:
     # derivation or indexing bug
     lam_fft = np.fft.ifft(row) * n
     fft_gap = np.abs(lam - lam_fft).max()
-    mag = np.abs(lam)
-    if not fft_gap < 1e-9 * max(1.0, mag.max()):
+    if not fft_gap < 1e-9 * max(1.0, np.abs(lam).max()):
         raise RuntimeError(f"eigenvalue sum and FFT disagree by {fft_gap:.3e}")
-
-    scale = np.abs(row[:k]).max()
-    zero_set = tuple(np.flatnonzero(mag / max(scale, 1e-30) < _ZERO_TOL).tolist())
-    return CirculantSpectrum(n=n, k=k, eigenvalues=lam, zero_set=zero_set)
+    return CirculantSpectrum(n=n, k=k, eigenvalues=lam, zero_set=(0, *_restr2_roots(n, k)))
 
 
 def equiangular_family_basis(n: int, k: int) -> list[np.ndarray]:
     """Orthonormal basis of side-length deformations of the regular (n, k)-gon.
 
     The constraint matrix is circulant, so its kernel holds the Fourier modes
-    of the r in ``circulant_spectrum(n, k).zero_set``.  Ascending in r, each
-    0 < r < n/2 gives sqrt(2/n) cos(2 pi r j/n), then sqrt(2/n) sin(2 pi r j/n),
-    and r = n/2 gives (-1)^j / sqrt(n); r = 0, the ones vector, is left out.
+    of its zero set: r = 0, the ones vector, which is left out, and the restr2
+    roots.  Ascending in r, each root r < n/2 gives sqrt(2/n) cos(2 pi r j/n),
+    then sqrt(2/n) sin(2 pi r j/n), and r = n/2 gives (-1)^j / sqrt(n).
     """
-    n = int(n)
-    zs = circulant_spectrum(n, k).zero_set
-    r = np.array([x for x in zs if 0 < 2 * x < n], dtype=int)
+    n, k = int(n), int(k)
+    _require_spectral_range(n, k)
+    roots = _restr2_roots(n, k)
+    r = np.array([x for x in roots if 2 * x < n], dtype=int)
     j = np.arange(n)
     # r j reduced mod n exactly in integers indexes the n angles 2 pi j / n
     t = 2 * np.pi * j / n
     at = np.outer(r, j) % n
     modes = np.sqrt(2.0 / n) * np.stack([np.cos(t)[at], np.sin(t)[at]], axis=1).reshape(-1, n)
-    if n / 2 in zs:
+    if n / 2 in roots:
         modes = np.vstack([modes, (1 - 2 * (j % 2)) / np.sqrt(n)])
     return list(modes)
 

@@ -3,7 +3,8 @@
 Each one states a result of the paper independently of the code under test:
 the chord length of an exact single-harmonic E2 Gutkin curve, the E2 chord
 equation's residual written out, the circulant eigenvalues as the plain
-O(nk) sum over the first row, the forced contact angle, the interior angles,
+O(nk) sum over the first row, the float zero tests the polygon zero set was
+once decided by, the forced contact angle, the interior angles,
 the beta-angle sum and the angle periodicity of a Gutkin polygon, a
 canonical similarity frame for comparing polygons, the extended-precision
 arc-length inversions of validate_partials, to be checked against
@@ -28,7 +29,7 @@ from equichord import (
     circle_curve,
     validate_partials,
 )
-from equichord.angles import _polefree
+from equichord.angles import _polefree, _restr2_residual
 from equichord.errors import NonConvex, NotAdmissible, OutOfRange
 from equichord.polygons import GutkinPolygon, _angles, verify_gutkin
 
@@ -155,20 +156,39 @@ def e2_residual_formula(f: TrigPolynomial, alpha: float):
     return residual
 
 
+ZERO_TOL = 1e-9  # the float zero tests' threshold
+
+
+def float_zero_set(lam, scale: float) -> tuple:
+    """The r with |lambda_r| below ZERO_TOL of the row scale max |row_nu|: the
+    float zero test circulant_spectrum made before its zero set was decided in
+    integers.  At (5742, 101) it admits r = 2473 and 3269, where lambda_r is
+    3.4e-11 (3.1e-10 of the scale) at 60 digits."""
+    return tuple(int(r) for r in np.flatnonzero(np.abs(lam) / scale < ZERO_TOL))
+
+
+def float_restr2_roots(n: int, k: int) -> list:
+    """The r in [2, n-2] with |rho_r| < ZERO_TOL, the float test solve_restr2
+    made before its roots were decided in integers.  The threshold is not
+    scaled, and rho_r falls below it at small r as n grows: from (1040, 2) on
+    it admits non-roots, such as r = 2 at (1900, 2), where rho_r = 9.0e-11."""
+    r = np.arange(2, n - 1)
+    return r[np.abs(_restr2_residual(n, k, r)) < ZERO_TOL].tolist()
+
+
 def direct_circulant_spectrum(n: int, k: int):
     """(eigenvalues, zero set, row scale) of the (n, k) constraint matrix by
     the direct sum lambda_r = sum_{nu<k} row_nu omega^{nu r}, row_nu =
     omega^{nu-m} - omega^{m-nu}, m = (k - 1)/2, over a k x n table of powers.
 
-    The zero test is the library's: |lambda_r| below 1e-9 of max |row_nu|.
+    The zero set is ``float_zero_set`` of these eigenvalues.
     """
     m = (k - 1) / 2.0
     nu = np.arange(k)
     row = np.exp(2j * np.pi * (nu - m) / n) - np.exp(2j * np.pi * (m - nu) / n)
     lam = row @ np.exp(2j * np.pi * np.outer(nu, np.arange(n)) / n)
     scale = float(np.abs(row).max())
-    zero_set = tuple(int(r) for r in np.nonzero(np.abs(lam) / scale < 1e-9)[0])
-    return lam, zero_set, scale
+    return lam, float_zero_set(lam, scale), scale
 
 
 def contact_angle(n: int, k: int) -> float:

@@ -287,6 +287,8 @@ class TestRestr2:
         assert [s.r for s in solve_restr2(24, 5)] == [7, 12, 17]
         assert [s.r for s in solve_restr2(6, 3)] == [3]
         assert [s.r for s in solve_restr2(5, 2)] == []
+        # |rho_2| = 9.0e-11 here: below a float threshold of 1e-9, yet not a root
+        assert [s.r for s in solve_restr2(1900, 2)] == []
 
     @given(st.integers(min_value=5, max_value=40))
     @settings(max_examples=25, deadline=None)

@@ -95,6 +95,13 @@ class TestPolygonCommands:
                                          "--tol", "1e-8"]))
         assert rep["is_gutkin"] is True
 
+    def test_classify_and_family_200000_2(self, runner):
+        # lambda_1 = -4 sin^2(pi/n) = 9.9e-10 is not zero, though below 1e-9
+        out = json.loads(run_ok(runner, ["polygon", "classify", "--n", "200000", "--k", "2"]))
+        assert (out["M"], out["zero_set"], out["restr2_roots"]) == (0, [0], [])
+        out = json.loads(run_ok(runner, ["polygon", "family", "--n", "200000", "--k", "2"]))
+        assert (out["dimension"], out["basis"]) == (0, [])
+
     def test_domain_error_exit_3(self, runner):
         result = runner.invoke(main, ["polygon", "classify", "--n", "7", "--k", "5"])
         assert result.exit_code == 3

@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,15 @@ class TestCircleRadius:
         with np.errstate(over="raise"):
             curve = circle_curve(Geometry.HYPERBOLIC, np.nextafter(bound, 0.0))
             assert all(np.isfinite(x) for x in curve.point(0.5))
+
+    @pytest.mark.parametrize("geometry", [Geometry.SPHERICAL, Geometry.HYPERBOLIC])
+    def test_refusal_prints_the_bound_in_full(self, geometry):
+        # a rounded bound let the message's interval seem to admit the radius
+        bound = geometry.kernel.max_radius
+        with pytest.raises(OutOfRange) as refused:
+            circle_curve(geometry, 710.4759 if geometry is Geometry.HYPERBOLIC else 1.5708)
+        printed = re.fullmatch(r".* must lie in \(0, (.*)\), got .*", str(refused.value)).group(1)
+        assert float(printed) == bound
 
 
 class TestShooting:

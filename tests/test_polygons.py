@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equichord import (
@@ -19,6 +19,7 @@ from equichord import (
     solve_restr2,
     verify_gutkin,
 )
+from equichord.angles import _restr2_roots
 from equichord.cli import main
 from equichord.errors import Infeasible, NotAdmissible, OutOfRange
 from equichord.polygons import as_gutkin_polygon, regular_polygon
@@ -27,6 +28,8 @@ from oracles import (
     beta_sum_check,
     contact_angle,
     direct_circulant_spectrum,
+    float_restr2_roots,
+    float_zero_set,
     interior_angles,
     normalize_similarity,
 )
@@ -72,6 +75,15 @@ class TestSpectrum:
         spec = circulant_spectrum(5, 2)
         assert spec.zero_set == (0,)
         assert spec.M == 0
+
+    def test_5742_101_has_only_the_half_mode(self):
+        # a float zero test admitted r = 2473 and 3269 too, where
+        # lambda_r = 3.4e-11 is 3.1e-10 of the row scale but not zero
+        spec = circulant_spectrum(5742, 101)
+        assert spec.zero_set == (0, 2871)
+        assert spec.M == 1
+        assert [s.r for s in solve_restr2(5742, 101)] == [2871]
+        assert len(equiangular_family_basis(5742, 101)) == 1
 
     def test_sweep_matches_restr2_and_connelly(self):
         for n in range(5, 61):
@@ -155,6 +167,44 @@ class TestClosedFormSpectrum:
         roots = solve_restr2(n, k)
         assert [s.r for s in roots] == [z for z in spec.zero_set if z != 0]
         assert len(roots) == spec.M
+
+
+@st.composite
+def rule_pairs(draw, max_n):
+    """(n, k) with 4 <= n <= max_n, drawn from each clause of the integer zero
+    rule: any k, n = 2k, and a Connelly pair (n, k, n/2 - k)."""
+    n = draw(st.integers(4, max_n))
+    clause = draw(st.sampled_from(["any", "n = 2k", "Connelly"]))
+    if clause == "any":
+        return n, draw(st.integers(2, n // 2))
+    n -= n % 2
+    if clause == "n = 2k":
+        return n, n // 2
+    ks = [k for k in range(2, n // 2 - 1) if connelly_check(n, k, n // 2 - k)]
+    assume(ks)
+    return n, draw(st.sampled_from(ks))
+
+
+class TestIntegerZeroSet:
+    @given(rule_pairs(10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_rule_roots_are_zeros_up_to_10000(self, nk):
+        n, k = nk
+        lam = np.abs(circulant_spectrum(n, k).eigenvalues)
+        scale = 2 * np.sin(np.pi * (k - 1) / n)  # max |row_nu|, at nu = 0
+        assert lam[[0, *_restr2_roots(n, k)]].max() <= 1e-12 * scale, (n, k)
+        # lambda_0 = D_k(1) - D_k(-1) is 0 exactly; |D_k(2)| < k keeps
+        # lambda_1 = omega^m (D_k(2) - k) and lambda_{n-1} off zero
+        assert lam[0] == 0 and lam[1] > 0 and lam[-1] > 0
+
+    @given(rule_pairs(400))
+    @settings(max_examples=100, deadline=None)
+    def test_rule_equals_the_float_tests_up_to_400(self, nk):
+        n, k = nk
+        roots = _restr2_roots(n, k)
+        _, direct_zeros, scale = direct_circulant_spectrum(n, k)
+        assert float_zero_set(circulant_spectrum(n, k).eigenvalues, scale) == direct_zeros == (0, *roots)
+        assert float_restr2_roots(n, k) == roots
 
 
 class TestFamily:
