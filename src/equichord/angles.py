@@ -16,14 +16,13 @@ Three families of equations live here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import OutOfRange
-from .geometry import Geometry, _brentq, _check_radius
+from .geometry import Geometry, _check_radius, _newton
 
 __all__ = [
     "AngleSolution",
@@ -67,22 +66,22 @@ def gutkin_roots(k: int) -> list[float]:
     inside nor an end of the branch (|2j - k| >= 2), F_j is smooth, strictly
     increasing (F_j' = k - k sec^2 c / (1 + k^2 tan^2 c) > 0), negative at the
     lower end and positive at the upper one, so the branch holds exactly one
-    root; the other branches hold none.  That makes 2 floor((k-2)/2) roots.
+    root; the other branches hold none.  That makes 2 floor((k-2)/2) roots,
+    found by Newton on every branch at once from the branch midpoints j pi/k.
     """
     k = int(k)
     if k < 2:
         raise OutOfRange("k must be an integer >= 2")
-    h = math.pi / (2 * k)
-    js = [j for j in range(1, k) if abs(2 * j - k) >= 2]
+    js = np.array([j for j in range(1, k) if abs(2 * j - k) >= 2], dtype=float)
+    pi_lo = 1.2246467991473532e-16  # pi - np.pi: j np.pi + j pi_lo keeps the digits np.pi drops
 
     def branch(c, lanes):
-        # libm's tan and atan, which round differently from numpy's on some inputs
-        return [k * x - js[i] * math.pi - math.atan(k * math.tan(x))
-                for x, i in zip(c.tolist(), lanes.tolist())]
+        tan, j = np.tan(c), js[lanes]
+        kt = k * tan
+        return k * c - j * np.pi - j * pi_lo - np.arctan(kt), k - k * (1 + tan * tan) / (1 + kt * kt)
 
-    # every root is >= pi/2k, so the relative tolerance alone stops the solve
-    return _brentq(branch, [(2 * j - 1) * h for j in js], [(2 * j + 1) * h for j in js],
-                   xtol=1e-300).tolist()
+    h = np.pi / (2 * k)
+    return _newton(branch, (2 * js - 1) * h, (2 * js + 1) * h, js * np.pi / k).tolist()
 
 
 def contact_angle_from_c(geometry: Geometry, radius: Optional[float], c: float) -> float:

@@ -24,6 +24,7 @@ from .geometry import (
     ParametricCurve,
     _broadcast,
     _chord_tangent_at_arrival,
+    _newton,
     geodesic_curvature,
     mnorm,
 )
@@ -44,9 +45,9 @@ class ArcLengthParam:
     noise (at most 0.17 of the floor on about 20000 random E2 curves, whose
     real orders sat over 4e7 above it), and every kept order costs a sin and
     a cos per evaluation.  A speed with no harmonic left (a circle) gives
-    s = mean_speed * t exactly.  Inversion is by Newton (s is strictly
-    increasing) and raises RuntimeError if 60 steps do not converge; both
-    directions accept any real argument, of any shape, and wrap naturally.
+    s = mean_speed * t exactly.  Inversion is by safeguarded Newton (s is
+    strictly increasing); both directions accept any real argument, of any
+    shape, and wrap naturally.
     Evaluation preserves the input dtype so the finite-difference oracle can
     work in extended precision.
     """
@@ -70,6 +71,11 @@ class ArcLengthParam:
         self._ks = k[keep]
         self._a = a[keep]
         self._b = b[keep]
+        # t_of_s's bracket about s / mean_speed: P = sum |a_k| + 2 sum |b_k| bounds the
+        # periodic part, so the root lies within P / mean_speed, and Newton's first
+        # step moves at most P / (least sampled speed) further (docs/derivation.md)
+        spread = np.abs(self._a).sum() + 2 * np.abs(self._b).sum()
+        self._reach = spread / self.mean_speed + spread / speeds.min()
         self.total_length = self.mean_speed * 2 * np.pi
 
     def s_of_t(self, t):
@@ -86,32 +92,22 @@ class ArcLengthParam:
     def t_of_s(self, s, start=None):
         """Parameter t with s_of_t(t) = s, elementwise over s of any shape.
 
-        Newton runs on the whole array from s / mean_speed, or from ``start``
-        (one first guess per element of s) when given; an element stops at
-        its own convergence, so it takes exactly the steps it would take
-        alone.  A guess O(h^2) from the root, such as a known t plus
-        h / speed, converges in two steps.  With no harmonic kept, t is
-        s / mean_speed and no Newton step is taken.  A scalar gives a numpy
-        scalar of the input's float dtype.
+        Newton (``geometry._newton``) runs on the whole array from
+        s / mean_speed, or from ``start`` (one first guess per element of s)
+        when given; an element stops at its own convergence, so it takes
+        exactly the steps it would take alone.  A guess O(h^2) from the root,
+        such as a known t plus h / speed, converges in two steps.  With no
+        harmonic kept, t is s / mean_speed and no Newton step is taken.  A
+        scalar gives a numpy scalar of the input's float dtype.
         """
         s = np.asarray(s, dtype=np.result_type(s, 1.0))
         if not self._ks.size:
             return (s / self.mean_speed)[()]
-        flat = s.ravel()
-        t = flat / self.mean_speed if start is None else np.array(start, dtype=s.dtype).reshape(flat.shape)
-        eps = np.finfo(s.dtype).eps
-        todo = np.arange(flat.size)
-        for _ in range(60):
-            if not todo.size:
-                break
-            tt = t[todo]
-            dt = (self.s_of_t(tt) - flat[todo]) / self.speed(tt)
-            tt = tt - dt
-            t[todo] = tt
-            todo = todo[~(np.abs(dt) < 8 * eps * np.maximum(1.0, np.abs(tt)))]
-        if todo.size:
-            raise RuntimeError(f"t_of_s: Newton did not converge in 60 steps for s={flat[todo[0]]!r}")
-        return t.reshape(s.shape)[()]
+        flat, centre = s.ravel(), s / self.mean_speed
+        t = centre if start is None else np.array(start, dtype=s.dtype).reshape(s.shape)
+        def f(t, lanes):
+            return self.s_of_t(t) - (s if lanes is None else flat[lanes]), self.speed(t)
+        return _newton(f, (centre - self._reach)[()], (centre + self._reach)[()], t[()])
 
 
 @dataclass(frozen=True)

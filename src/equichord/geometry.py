@@ -44,101 +44,61 @@ TWO_PI = 2.0 * np.pi
 # bracketed root finding
 
 
-_BRENT_RTOL = 8.9e-16  # just above 4 machine epsilons, the least rtol brentq accepts
-_BRENT_MAXITER = 100
+_NEWTON_ROUNDS = 60  # a lane not stopped after this many rounds raises
 
 
-def _brent_lane(xtol, xpre, xcur, fpre, fcur):
-    """Brent's steps for one lane from a sign-changing bracket: yields each
-    new abscissa, is sent f there, and returns the root."""
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre > 0) != (fcur > 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = yield xcur
-    raise RuntimeError(f"brentq failed to converge after {_BRENT_MAXITER} iterations, value is {xcur!r}")
+def _newton(f, neg, pos, x):
+    """Roots of f, one per lane, by Newton's method safeguarded by bisection.
 
-
-def _brentq(f, a, b, xtol, fa=None, fb=None):
-    """Roots of f in the brackets [a, b] by Brent's method (Brent 1973, ch. 4).
-
-    ``a`` and ``b`` broadcast to an array of lanes, one root each; scalar
-    brackets give a float.  Every lane runs a step-for-step port of the widely
-    used ``brentq`` C routine on its own Python floats: same steps, same
-    stopping test |b - a| / 2 < (xtol + _BRENT_RTOL |x|) / 2, same iterates
-    bit for bit.  ``f(x, lanes)`` is called once per round on the lanes still
-    running and returns f at x.  For array brackets x is 1-d and ``lanes``
-    holds the lanes' indices into the flattened brackets; for scalar brackets
-    x is a float and ``lanes`` is None.  ``fa`` and ``fb``, when given, are
-    f(a) and f(b) in the brackets' shape, known to the caller, and f is not
-    evaluated there again.  Raises ValueError when a lane's f(a) and f(b)
-    share a sign or f is NaN, and RuntimeError when a lane takes
-    _BRENT_MAXITER steps without converging.
+    neg, pos and the first iterate x are numpy values of one shape with
+    f(neg) < 0 < f(pos) and x between them; ``f(x, lanes)`` returns (f, f')
+    for the lanes still running (``lanes`` indexes the flattened lanes; None
+    for a scalar, which runs on numpy scalars).  A lane stops when its step
+    is below 8 eps max(1, |x|).  Otherwise the end of f's sign moves to x, a
+    step landing outside the bracket becomes its midpoint, and a bracket
+    below that tolerance stops the lane.  Each lane takes the steps it would
+    take alone.  Raises RuntimeError on a NaN f or after _NEWTON_ROUNDS rounds.
     """
-    def checked(x, y):
-        """f's values y at x as a list of floats; ValueError at the first NaN."""
-        y = np.asarray(y, dtype=float).ravel().tolist() if shape else [float(y)]
-        if any(map(math.isnan, y)):
-            xi = np.ravel(x)[list(map(math.isnan, y)).index(True)]
-            raise ValueError(f"the function value at x={float(xi)!r} is NaN")
-        return y
-
-    a, b = _broadcast(a, b)
-    shape, a, b = a.shape, a.ravel(), b.ravel()
-    n = a.size
-    if fa is not None:
-        ends = checked(a, fa) + checked(b, fb)
-    elif shape:
-        ends = checked(np.concatenate([a, b]), f(np.concatenate([a, b]), np.tile(np.arange(n), 2)))
-    else:
-        ends = checked(a, f(float(a[0]), None)) + checked(b, f(float(b[0]), None))
-    brackets = list(zip(a.tolist(), b.tolist(), ends[:n], ends[n:]))
-    for xa, xb, ya, yb in brackets:
-        if ya != 0.0 and yb != 0.0 and (ya > 0) == (yb > 0):
-            raise ValueError(f"f(a) and f(b) must have different signs, got f({xa!r}) = {ya!r} "
-                             f"and f({xb!r}) = {yb!r}")
-    steps = [_brent_lane(xtol, *bracket) for bracket in brackets]
-    roots = [0.0] * n
-    lanes, ys = list(range(n)), [None] * n
-    while lanes:
-        live, xs = [], []
-        for i, y in zip(lanes, ys):
-            try:
-                xs.append(steps[i].send(y))
-                live.append(i)
-            except StopIteration as done:
-                roots[i] = done.value
-        lanes = live
-        if lanes:
-            ys = checked(xs, f(np.array(xs), np.array(lanes)) if shape else f(xs[0], None))
-    return roots[0] if shape == () else np.array(roots).reshape(shape)
+    tol = 8 * np.finfo(x.dtype).eps
+    if x.ndim == 0:
+        for _ in range(_NEWTON_ROUNDS):
+            y, dy = f(x, None)
+            if y != y:
+                raise RuntimeError(f"the function value at x={float(x)!r} is NaN")
+            step = y / dy
+            neg, pos = (x, pos) if y < 0 else (neg, x)
+            x = x - step
+            if abs(step) < tol * max(1.0, abs(x)):
+                return x
+            if not (x - neg) * (x - pos) < 0:
+                x = (neg + pos) / 2
+                if abs(pos - neg) < tol * max(1.0, abs(x)):
+                    return x
+        raise RuntimeError(f"Newton did not converge in {_NEWTON_ROUNDS} rounds, last x={float(x)!r}")
+    shape, x, neg, pos = x.shape, x.ravel(), neg.ravel(), pos.ravel()
+    root, lanes = x.copy(), np.arange(x.size)
+    for _ in range(_NEWTON_ROUNDS):
+        y, dy = f(x, lanes)
+        step = y / dy
+        x_new = x - step
+        stop = np.abs(step) < tol * np.maximum(1.0, np.abs(x_new))
+        if stop.all():
+            root[lanes] = x_new
+            return root.reshape(shape)
+        low = y < 0
+        neg, pos = np.where(low, x, neg), np.where(low, pos, x)
+        out = ~(stop | ((x_new - neg) * (x_new - pos) < 0))  # a NaN f lands here too
+        if out.any():
+            if np.isnan(y).any():
+                raise RuntimeError(f"the function value at x={float(x[np.isnan(y)][0])!r} is NaN")
+            x_new = np.where(out, (neg + pos) / 2, x_new)
+            stop |= out & (np.abs(pos - neg) < tol * np.maximum(1.0, np.abs(x_new)))
+        x = x_new
+        if stop.any():  # record the lanes that stop, and run on the others
+            root[lanes] = x
+            keep = ~stop
+            lanes, x, neg, pos = lanes[keep], x[keep], neg[keep], pos[keep]
+    raise RuntimeError(f"Newton did not converge in {_NEWTON_ROUNDS} rounds, last x={float(x[0])!r}")
 
 
 def _broadcast(u, v):
@@ -204,16 +164,18 @@ def _hyperbolic_normal(p, unit_t):
 
 def _lane_side(formula, cols):
     """f(q, lanes) = formula(q, cols[lanes]), with all of cols when lanes is None."""
-    return lambda q, lanes=None: formula(q, cols if lanes is None else [c[lanes] for c in cols])
+    return lambda q, lanes: formula(q, cols if lanes is None else [c[lanes] for c in cols])
 
 
 def _line_side(p, d):
-    return _lane_side(lambda q, c: c[2] * (q[1] - c[1]) - c[3] * (q[0] - c[0]), (*p, *d))
+    return (_lane_side(lambda q, c: c[2] * (q[1] - c[1]) - c[3] * (q[0] - c[0]), (*p, *d)),
+            _lane_side(lambda v, c: c[0] * v[1] - c[1] * v[0], d))
 
 
 def _plane_side(p, d):
-    # great circle / H2 geodesic = surface cut by the plane span(p, d)
-    return _lane_side(_dot3, _cross(p, d))
+    # great circle / H2 geodesic = surface cut by the plane span(p, d); linear in q
+    side = _lane_side(_dot3, _cross(p, d))
+    return side, side
 
 
 class _Kernel(NamedTuple):
@@ -223,16 +185,18 @@ class _Kernel(NamedTuple):
     tan) on S2, (sinh, cosh, tanh) on H2; ``arccot`` inverts 1/tn_K.
     ``dot`` is the ambient inner product, ``normal(p, T)`` the unit normal on
     the convex side of a counterclockwise curve, and ``side(p, d)``, for
-    lanes of points p and directions d, a function ``f(q, lanes)`` vanishing
-    exactly on the geodesics through p[lanes] along d[lanes]; q's columns
-    have shape (..., len(lanes)), and ``lanes`` is an index array, or None
-    for all lanes.  ``embed(x, y, pole)`` orders planar x, planar y and the
-    pole coordinate as ambient ``Points``; ``pole`` is a function, and E2,
-    which has no pole, never calls it.  ``max_radius`` bounds circle radii:
-    pi/2 on S2, and on H2 arccosh of the largest float, below which sinh and
-    cosh stay finite.  Points and vectors are coordinate columns, and every
-    entry is written out in components, so a batch rounds exactly like its
-    points one at a time and no result depends on the BLAS build.
+    lanes of points p and directions d, two functions ``f(q, lanes)``: one
+    affine in q and vanishing exactly on the geodesics through p[lanes] along
+    d[lanes], and its linear part, which at a curve's velocity is the
+    derivative along the curve; q's columns have shape (..., len(lanes)), and
+    ``lanes`` is an index array, or None for all lanes.  ``embed(x, y, pole)``
+    orders planar x, planar y and the pole coordinate as ambient ``Points``;
+    ``pole`` is a function, and E2, which has no pole, never calls it.
+    ``max_radius`` bounds circle radii: pi/2 on S2, and on H2 arccosh of the
+    largest float, below which sinh and cosh stay finite.  Points and vectors
+    are coordinate columns, and every entry is written out in components, so
+    a batch rounds exactly like its points one at a time and no result
+    depends on the BLAS build.
     """
 
     K: float
@@ -392,13 +356,19 @@ def shoot_to_curve(curve: ParametricCurve, t0, theta):
     chord_length)`` for its other intersection with the curve.  ``arrival_angle``
     is the angle between the arriving chord direction and the forward tangent
     at t1, so equiangular chords report arrival_angle == theta.  A chord that
-    crosses the curve more than once on the sampling grid raises NonConvex.
+    crosses the curve more than once on the sampling grid raises NonConvex;
+    a t0 that is not finite raises OutOfRange, and a finite one is taken
+    mod 2 pi.
 
     ``t0`` and ``theta`` broadcast against each other, one shot per element:
     scalars give three floats, arrays three arrays of the broadcast shape,
     each element equal bit for bit to the shot made alone.
     """
     t0, theta = (u[()] for u in _broadcast(t0, theta))  # one shot runs on numpy scalars
+    finite = abs(t0) < np.inf  # NaN fails it too
+    if np.count_nonzero(finite) < t0.size:
+        raise OutOfRange(f"launch parameter t0 must be finite, got {t0.flat[np.argmin(finite)]}")
+    t0 = t0 % TWO_PI
     steep = ~((1e-6 <= theta) & (theta <= np.pi - 1e-6))
     if np.count_nonzero(steep):
         raise OutOfRange(f"launch angle {theta.flat[np.flatnonzero(steep)[0]]} too close to tangential")
@@ -421,12 +391,12 @@ def _shoot_lanes(curve, t0, theta):
     d = tuple(cos * tc + sin * nc for tc, nc in zip(tan, kern.normal(p, tan)))
     d = _scale(d, np.sqrt(kern.dot(d, d)))
 
-    side = kern.side(p, d)
+    side, slope = kern.side(p, d)
     # np.linspace(start, stop, _SHOT_GRID) step for step, without its argument handling
     start, stop = t0 + 1e-6, t0 + TWO_PI - 1e-6  # a guard of 1e-6 off t0 at either end
     ts = np.multiply.outer(_GRID_STEPS, (stop - start) / (_SHOT_GRID - 1)) + start  # (grid,) + lanes
     ts[-1] = stop
-    vals = side(curve.point(ts))
+    vals = side(curve.point(ts), None)
 
     hits = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
     count = hits.sum(axis=0)
@@ -436,13 +406,15 @@ def _shoot_lanes(curve, t0, theta):
             raise Degenerate("no forward intersection found (curve convex and closed?)")
         raise NonConvex(f"the chord from t0={t0.flat[j]} at theta={theta.flat[j]} crosses the curve "
                         f"{count.flat[j]} times")
-    # polish each lane's one sign change, starting from the grid's side values at
-    # its ends; where the grid hit 0 exactly, f(a) = 0 makes the left end the root
+    # polish each lane's one sign change by Newton from the regula falsi point of
+    # its grid bracket; where the grid hit 0 exactly, that point is the left end
     m = t0.size
     at = hits.argmax(axis=0) * m + np.arange(m).reshape(t0.shape)  # flat index of each bracket
     ts, vals = ts.ravel(), vals.ravel()
-    t1 = _brentq(lambda t, lanes: side(curve.point(t), lanes), ts[at], ts[at + m], xtol=1e-13,
-                 fa=vals[at], fb=vals[at + m])
+    a, b, fa, fb = ts[at], ts[at + m], vals[at], vals[at + m]
+    flip = m * (fa >= 0)  # the offset of the bracket's negative end from at
+    t1 = _newton(lambda t, lanes: (side(curve.point(t), lanes), slope(curve.velocity(t), lanes)),
+                 ts[at + flip], ts[at + m - flip], a - fa * (b - a) / (fb - fa))
 
     q = kern.project(curve.point(t1))
     length = kern.distance(p, q)

@@ -1,6 +1,9 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equichord import (
@@ -15,7 +18,8 @@ from equichord import (
     solve_restr2,
 )
 from equichord.errors import OutOfRange
-from equichord.geometry import _BRENT_RTOL, _brentq
+from equichord.geometry import _newton
+from gutkin_digits import ROOTS
 
 
 class TestGutkinRoots:
@@ -80,6 +84,13 @@ class TestGutkinRoots:
             n = len(roots)
             for i in range(n):
                 assert abs(roots[i] + roots[n - 1 - i] - np.pi) <= 1e-14
+
+    @pytest.mark.parametrize("k", sorted(ROOTS))
+    def test_within_3_ulp_of_40_digit_roots(self, k):
+        roots = gutkin_roots(k)
+        assert len(roots) == len(ROOTS[k])
+        for c, digits in zip(roots, ROOTS[k]):
+            assert abs(Fraction(c) - Fraction(digits)) <= 3 * Fraction(math.ulp(c)), (c, digits)
 
     def test_tangent_form_k2_to_300(self):
         def tangent_form(k, c):
@@ -186,81 +197,99 @@ class TestFStar:
                     f_star(geometry, 1.0, alpha)
 
 
-class TestBrentq:
-    def test_same_sign_bracket(self):
-        with pytest.raises(ValueError):
-            _brentq(lambda x, lanes: np.cos(x), 0.0, 1.0, xtol=1e-15)
+def _arctan_family(r, a, b, shift):
+    """Lanes of f = arctan(a (x - r)) + b (x - r) - shift and f', increasing in x."""
+    def f(x, lanes):
+        u = x - r[lanes]
+        au = a[lanes] * u
+        return np.arctan(au) + b[lanes] * u - shift[lanes], a[lanes] / (1 + au * au) + b[lanes]
+    return f
 
-    def test_maxiter(self, monkeypatch):
-        assert _brentq(lambda x, lanes: np.cos(x), 0.0, 3.0, xtol=1e-15) == pytest.approx(np.pi / 2, abs=1e-15)
-        monkeypatch.setattr("equichord.geometry._BRENT_MAXITER", 3)
-        with pytest.raises(RuntimeError):
-            _brentq(lambda x, lanes: np.cos(x), 0.0, 3.0, xtol=1e-15)
 
-    def test_lanes_match_one_bracket_at_a_time(self):
-        a = np.array([0.0, 0.5, 1.0])
-        roots = _brentq(lambda x, lanes: np.cos(x) - 0.1 * lanes, a, a + 2.5, xtol=1e-15)
-        for i in range(3):
-            assert roots[i] == _brentq(lambda x, lanes: np.cos(x) - 0.1 * i, a[i], a[i] + 2.5, xtol=1e-15)
-
-    def test_lane_errors(self, monkeypatch):
-        with pytest.raises(ValueError, match="different signs"):
-            _brentq(lambda x, lanes: np.cos(x), [0.0, 0.0], [3.0, 1.0], xtol=1e-15)
-        with pytest.raises(ValueError, match="is NaN"):
-            _brentq(lambda x, lanes: np.where(lanes == 1, np.nan, np.cos(x)), [0.0, 0.0], [3.0, 3.0],
-                    xtol=1e-15)
-        monkeypatch.setattr("equichord.geometry._BRENT_MAXITER", 3)
-        with pytest.raises(RuntimeError):
-            _brentq(lambda x, lanes: np.cos(x), [0.0, 0.0], [3.0, 2.0], xtol=1e-15)
-
-    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5))
+class TestNewton:
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
     @settings(max_examples=60, deadline=None)
-    def test_known_end_values_give_the_same_roots(self, seed, lanes):
-        """Passing f(a) and f(b) spares two evaluations and changes no root bit,
-        for one bracket and for lanes."""
+    def test_lanes_match_one_lane_at_a_time(self, seed, n):
+        """Every lane equals the same call made alone on numpy scalars, bit for
+        bit, on starts near and far from the root (far ones bisect)."""
         rng = np.random.default_rng(seed)
-        k, shift = int(rng.integers(4, 40)), rng.uniform(-1.0, 1.0, lanes)
+        r, a = rng.uniform(-5, 5, n), rng.uniform(0.1, 10, n)
+        b, shift = rng.uniform(1e-3, 0.1, n), rng.uniform(-1, 1, n)
+        neg, pos = r - rng.uniform(1, 20, n), r + rng.uniform(1, 20, n)
+        x0 = neg + rng.uniform(0, 1, n) * (pos - neg)
+        f = _arctan_family(r, a, b, shift)
+        roots = _newton(f, neg, pos, x0)
+        assert roots.shape == (n,)
+        for i in range(n):
+            def one(x, lanes, i=i):
+                y, dy = f(np.array([x]), np.array([i]))
+                return y[0], dy[0]
+            alone = _newton(one, neg[i], pos[i], x0[i])
+            assert isinstance(alone, np.float64)
+            assert alone == roots[i]
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_sign_change_within_4_ulp(self, seed, n):
+        """f = x - r + b sin(w x) with |b w| <= 1/2 has f' in [1/2, 3/2]: f
+        changes sign within 4 ulp of every returned root."""
+        rng = np.random.default_rng(seed)
+        r, w = rng.uniform(2, 8, n), rng.uniform(0.1, 5, n)
+        b = rng.uniform(-0.5, 0.5, n) / w
+        b = np.clip(b, -0.4, 0.4)
 
         def f(x, lanes):
-            s = shift[0] if lanes is None else shift[lanes]
-            return (k - 1) * np.sin((k + 1) * x) - (k + 1) * np.sin((k - 1) * x) + s
+            return x - r[lanes] + b[lanes] * np.sin(w[lanes] * x), 1 + b[lanes] * w[lanes] * np.cos(w[lanes] * x)
 
-        a = rng.uniform(0.01, 1.5, lanes)
-        b = a + rng.uniform(0.01, 1.6, lanes)
-        fa, fb = f(a, np.arange(lanes)), f(b, np.arange(lanes))
-        assume(np.all(fa * fb < 0))
-        roots = _brentq(f, a, b, xtol=1e-13)
-        assert np.array_equal(_brentq(f, a, b, xtol=1e-13, fa=fa, fb=fb), roots)
-        calls = []
+        neg, pos = r - 1, r + 1
+        roots = _newton(f, neg, pos, neg + rng.uniform(0, 1, n) * 2)
+        lanes = np.arange(n)
+        below = f(roots - 4 * np.spacing(roots), lanes)[0]
+        above = f(roots + 4 * np.spacing(roots), lanes)[0]
+        assert np.all(below * above <= 0), (below, above)
 
-        def counted(x, lanes):
-            calls.append(x)
-            return f(x, lanes)
+    def test_step_leaving_the_bracket_bisects(self):
+        """From x = 10 the raw Newton step on arctan(x - 1) lands at about -110,
+        outside the bracket [-20, 20]; the safeguard bisects and still converges."""
+        def f(x, lanes):
+            return np.arctan(x - 1), 1 / (1 + (x - 1) * (x - 1))
 
-        one = _brentq(counted, a[0], b[0], xtol=1e-13)
-        cold = len(calls)
-        assert one == roots[0] == _brentq(counted, a[0], b[0], xtol=1e-13, fa=fa[0], fb=fb[0])
-        assert len(calls) - cold == cold - 2
+        y, dy = f(10.0, None)
+        assert not -20 < 10.0 - y / dy < 20
+        assert _newton(f, np.float64(-20), np.float64(20), np.float64(10)) == 1.0
+        assert np.array_equal(_newton(f, np.array([-20.0, -20.0]), np.array([20.0, 20.0]),
+                                      np.array([10.0, 1.5])), [1.0, 1.0])
 
-    def test_bit_identical_to_scipy(self):
-        optimize = pytest.importorskip("scipy.optimize")
-        rng = np.random.default_rng(20261018)
-        checked = 0
-        for _ in range(400):
-            k = int(rng.integers(4, 40))
-            shift = rng.uniform(-1.0, 1.0)
-            a, b = np.sort(rng.uniform(0.01, np.pi - 0.01, 2))
+    def test_collapsed_bracket_stops(self):
+        """A sign change with no root (a jump at 0.3) ends in a bracket below the
+        tolerance, not in the round cap."""
+        def f(x, lanes):
+            return np.where(x < 0.3, -1.0, 1.0)[()], 1e-3 + 0 * x
 
-            def f(x):
-                return float((k - 1) * np.sin((k + 1) * x) - (k + 1) * np.sin((k - 1) * x) + shift)
+        for root in (_newton(f, np.float64(0), np.float64(1), np.float64(0.9)),
+                     _newton(f, np.array([0.0]), np.array([1.0]), np.array([0.9]))[0]):
+            assert abs(root - 0.3) <= 8 * np.finfo(float).eps
 
-            if f(a) * f(b) >= 0:
-                continue
-            for xtol in (1e-15, 1e-13):
-                assert _brentq(lambda x, lanes: f(x), a, b, xtol=xtol) \
-                    == optimize.brentq(f, a, b, xtol=xtol, rtol=_BRENT_RTOL)
-            checked += 1
-        assert checked > 100
+    def test_nan_and_round_cap_raise(self, monkeypatch):
+        def nan_on_lane_1(x, lanes):
+            y = np.cos(x)
+            return (np.where(lanes == 1, np.nan, y) if lanes is not None else np.nan), -np.sin(x)
+
+        with pytest.raises(RuntimeError, match="is NaN"):
+            _newton(nan_on_lane_1, np.float64(3), np.float64(0), np.float64(1))
+        with pytest.raises(RuntimeError, match="is NaN"):
+            _newton(nan_on_lane_1, np.array([3.0, 3.0]), np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+
+        def cos(x, lanes):
+            return np.cos(x), -np.sin(x)
+
+        one_lane = np.float64(3), np.float64(0), np.float64(1)
+        assert _newton(cos, *one_lane) == pytest.approx(np.pi / 2, abs=1e-15)
+        monkeypatch.setattr("equichord.geometry._NEWTON_ROUNDS", 2)
+        with pytest.raises(RuntimeError, match="did not converge in 2 rounds"):
+            _newton(cos, *one_lane)
+        with pytest.raises(RuntimeError, match="did not converge in 2 rounds"):
+            _newton(cos, np.array([3.0, 3.0]), np.array([0.0, 0.0]), np.array([1.0, 1.5]))
 
 
 class TestSolveAngle:

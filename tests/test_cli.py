@@ -193,6 +193,24 @@ class TestBilliardAndChords:
         assert len(lines) == 4
         assert lines[1].startswith("0,0,1.1502619915109316,")
 
+    def test_orbit_t0_outside_the_period(self, write_spec):
+        """A t0 that is not finite is refused before the curve is evaluated, with
+        one stderr line and no numpy warning; a finite one is taken mod 2 pi, so a
+        huge one still shoots.  Run as real processes, so warnings reach stderr."""
+        src = str(pathlib.Path(equichord.__file__).parents[1])
+        spec = write_spec(E2_SPEC)
+        for t0, code in (("inf", 3), ("-inf", 3), ("nan", 3), ("1e300", 0)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "equichord.cli", "billiard", "orbit", "--spec", spec,
+                 "--t0", t0, "--steps", "3"],
+                capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""}, timeout=120)
+            assert proc.returncode == code, (t0, proc.stderr)
+            if code:
+                assert proc.stdout == ""
+                assert proc.stderr.splitlines() == [f"error: launch parameter t0 must be finite, got {t0}"]
+            else:
+                assert len(proc.stdout.splitlines()) == 4 and proc.stderr == ""
+
     def test_chords_validate_circle(self, runner):
         out = json.loads(run_ok(runner, ["chords", "validate", "--circle", "H2",
                                          "--radius", "0.8", "--samples", "10"]))

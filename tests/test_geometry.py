@@ -170,6 +170,17 @@ class TestShooting:
         with pytest.raises(OutOfRange, match="launch angle 1e-09 too close"):
             shoot_to_curve(curve, [0.0, 1.0], [1.0, 1e-9])
 
+    def test_t0_outside_the_period(self):
+        """A t0 that is not finite is refused, alone or as one lane; a finite one is
+        taken mod 2 pi, so 1e300 shoots exactly as 1e300 % 2 pi does."""
+        curve = circle_curve(Geometry.EUCLIDEAN, 1.0)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(OutOfRange, match=f"t0 must be finite, got {bad}"):
+                shoot_to_curve(curve, bad, 1.0)
+            with pytest.raises(OutOfRange, match=f"t0 must be finite, got {bad}"):
+                shoot_to_curve(curve, [0.5, bad], 1.0)
+        assert shoot_to_curve(curve, 1e300, 1.0) == shoot_to_curve(curve, 1e300 % (2 * np.pi), 1.0)
+
     def test_multiple_crossings_rejected(self):
         """The non-convex polar curve r = 1 + 0.5 cos 3t: the chord from t0 = 0
         at theta = 1.2 crosses it three times, so there is no single landing point."""

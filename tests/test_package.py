@@ -71,11 +71,11 @@ def test_every_error_class_is_raised():
 
 
 def test_no_bare_builtin_errors():
-    """Bad input raises an EquichordError; only the internal root finder raises
-    a bare ValueError (its bracket is the caller's, never the user's)."""
-    offenders = [f"{module}:{line} {name}" for module, owner, line, name in _raised_names()
-                 if name in ("ValueError", "KeyError", "TypeError")
-                 and (module, owner) != ("geometry.py", "_brentq")]
+    """Bad input raises an EquichordError, never a bare ValueError, KeyError or
+    TypeError; the root finder raises only RuntimeError, since every bracket it
+    gets is sign-changing by construction."""
+    offenders = [f"{module}:{line} {name}" for module, _, line, name in _raised_names()
+                 if name in ("ValueError", "KeyError", "TypeError")]
     assert not offenders, offenders
 
 
