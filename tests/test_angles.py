@@ -270,7 +270,17 @@ class TestNewton:
                      _newton(f, np.array([0.0]), np.array([1.0]), np.array([0.9]))[0]):
             assert abs(root - 0.3) <= 8 * np.finfo(float).eps
 
-    def test_nan_and_round_cap_raise(self, monkeypatch):
+    def test_round_cap(self, monkeypatch):
+        def cos(x, lanes):
+            return np.cos(x), -np.sin(x)
+
+        one_lane = np.float64(3), np.float64(0), np.float64(1)
+        assert _newton(cos, *one_lane) == pytest.approx(np.pi / 2, abs=1e-15)
+        monkeypatch.setattr("equichord.geometry._NEWTON_ROUNDS", 2)
+        with pytest.raises(RuntimeError, match="did not converge in 2 rounds"):
+            _newton(cos, *one_lane)
+
+    def test_lane_errors(self, monkeypatch):
         def nan_on_lane_1(x, lanes):
             y = np.cos(x)
             return (np.where(lanes == 1, np.nan, y) if lanes is not None else np.nan), -np.sin(x)
@@ -283,14 +293,9 @@ class TestNewton:
         def cos(x, lanes):
             return np.cos(x), -np.sin(x)
 
-        one_lane = np.float64(3), np.float64(0), np.float64(1)
-        assert _newton(cos, *one_lane) == pytest.approx(np.pi / 2, abs=1e-15)
         monkeypatch.setattr("equichord.geometry._NEWTON_ROUNDS", 2)
         with pytest.raises(RuntimeError, match="did not converge in 2 rounds"):
-            _newton(cos, *one_lane)
-        with pytest.raises(RuntimeError, match="did not converge in 2 rounds"):
             _newton(cos, np.array([3.0, 3.0]), np.array([0.0, 0.0]), np.array([1.0, 1.5]))
-
 
 class TestSolveAngle:
     def test_euclidean_alpha_equals_c(self):
