@@ -79,7 +79,7 @@ class ArcLengthParam:
         self.total_length = self.mean_speed * 2 * np.pi
 
     def s_of_t(self, t):
-        t = np.asarray(t)
+        t = np.asarray(t, dtype=np.result_type(t, 1.0))
         kt = np.multiply.outer(t, self._ks)
         per = (np.sin(kt) * self._a.astype(t.dtype)).sum(axis=-1) \
             - (np.cos(kt) * self._b.astype(t.dtype)).sum(axis=-1) \

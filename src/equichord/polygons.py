@@ -6,10 +6,12 @@ the same angle alpha = pi (k - 1) / n at both endpoints.  Nontrivial
 spanned by the real Fourier modes of the zero set of a circulant matrix
 whose first row is built from differences of roots of unity.
 
-Angle measurements are always literal (angles between segments, over all
-vertices at once), so verification also works for diagonal indices above
-n/2 -- a k-diagonal is an (n-k)-diagonal with swapped ends.  The spectral
-operations require the canonical range 2 <= k <= n/2.
+Angle measurements are literal: each is atan2(|u x w|, u . w) of the two
+rays at its vertex, built once over all vertices as edges v[i+1] - v[i] and
+diagonals v[i+k] - v[i] (docs/derivation.md, "Measuring polygon angles").
+So verification also works for diagonal indices above n/2 -- a k-diagonal
+is an (n-k)-diagonal with swapped ends.  The spectral operations require the
+canonical range 2 <= k <= n/2.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ def _ahead(v: np.ndarray, j: int) -> np.ndarray:
     return np.concatenate((v[j:], v[:j]))
 
 
-def _check_convex_ccw(v: np.ndarray):
+def _ccw_edges(v: np.ndarray) -> np.ndarray:
+    """Edges e[i] = v[i+1] - v[i] of a strictly convex counterclockwise polygon."""
     e = _ahead(v, 1) - v
     e1 = _ahead(e, 1)
     cross = e[:, 0] * e1[:, 1] - e[:, 1] * e1[:, 0]
@@ -70,18 +73,13 @@ def _check_convex_ccw(v: np.ndarray):
         raise OutOfRange("vertices are clockwise; expected counterclockwise")
     if not np.all(cross > 0):
         raise NonConvex("polygon is not strictly convex")
+    return e
 
 
-def _dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # a stacked matmul rounds like the per-row ``u @ w``; (u * w).sum(-1) does not
-    return (u[..., None, :] @ w[..., :, None])[..., 0, 0]
-
-
-def _angles(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Unsigned angles at b[i] between rays b[i]->a[i] and b[i]->c[i]."""
-    u, w = a - b, c - b
-    cosv = _dot(u, w) / (np.sqrt(_dot(u, u)) * np.sqrt(_dot(w, w)))
-    return np.arccos(np.clip(cosv, -1.0, 1.0))
+def _angle(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unsigned angle between u[i] and w[i]: atan2(|u x w|, u . w)."""
+    u0, u1, w0, w1 = u[:, 0], u[:, 1], w[:, 0], w[:, 1]
+    return np.arctan2(np.abs(u0 * w1 - u1 * w0), u0 * w0 + u1 * w1)
 
 
 @dataclass(frozen=True)
@@ -122,18 +120,19 @@ def verify_gutkin(vertices, k: int, tol: float = 1e-9) -> dict:
     n = len(v)
     k = int(k)
     _require_diagonal_index(n, k)
-    _check_convex_ccw(v)
+    e = _ccw_edges(v)
+    d = _ahead(v, k) - v
 
-    ahead = _ahead(v, k)
-    # interleaved as (departure, arrival) per diagonal, the order the mean sums in
-    measured = np.stack([_angles(_ahead(v, 1), v, ahead),
-                         _angles(_ahead(v, k - 1), ahead, v)], axis=1).ravel()
+    # departure at v[i] between e[i] and d[i]; arrival at v[i+k] between
+    # -e[i+k-1] and -d[i], whose cross and dot equal those without the signs
+    # bit for bit.  Interleaved as (departure, arrival), the order the mean sums in.
+    measured = np.stack([_angle(e, d), _angle(_ahead(e, k - 1), d)], axis=1).ravel()
     mean = float(measured.mean())
     max_residual = float(np.abs(measured - mean).max())
 
     betas = None
     if n != 2 * k:
-        betas = _angles(_ahead(v, -k), v, ahead)
+        betas = _angle(-_ahead(d, -k), d)
 
     return {
         "is_gutkin": bool(max_residual < tol),

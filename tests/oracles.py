@@ -4,9 +4,10 @@ Each one states a result of the paper independently of the code under test:
 the chord length of an exact single-harmonic E2 Gutkin curve, the E2 chord
 equation's residual written out, the circulant eigenvalues as the plain
 O(nk) sum over the first row, the float zero tests the polygon zero set was
-once decided by, the forced contact angle, the interior angles,
-the beta-angle sum and the angle periodicity of a Gutkin polygon, a
-canonical similarity frame for comparing polygons, the extended-precision
+once decided by, the forced contact angle, the interior angles, per-vertex
+angle loops with the arccos of the cosine as an independent formula, the
+beta-angle sum and the angle periodicity of a Gutkin polygon, a canonical
+similarity frame for comparing polygons, the extended-precision
 arc-length inversions of validate_partials, to be checked against
 cold-started ones, and the curve formulas evaluated on stacked (..., dim)
 points, the reference for the coordinate columns the curves return.  The
@@ -31,7 +32,7 @@ from equichord import (
 )
 from equichord.angles import _polefree, _restr2_residual
 from equichord.errors import NonConvex, NotAdmissible, OutOfRange
-from equichord.polygons import GutkinPolygon, _angles, verify_gutkin
+from equichord.polygons import GutkinPolygon, _angle, verify_gutkin
 
 
 @st.composite
@@ -199,8 +200,32 @@ def contact_angle(n: int, k: int) -> float:
 
 
 def interior_angles(v: np.ndarray) -> np.ndarray:
-    """Interior angle at each vertex, by the array routine verify_gutkin measures with."""
-    return _angles(np.roll(v, 1, axis=0), v, np.roll(v, -1, axis=0))
+    """Interior angle at each vertex, between -e[i-1] and e[i] for the edges
+    e[i] = v[i+1] - v[i], by the array routine verify_gutkin measures with."""
+    e = np.roll(v, -1, axis=0) - v
+    return _angle(-np.roll(e, 1, axis=0), e)
+
+
+def arccos_angle(a, b, c) -> float:
+    """Unsigned angle at b between rays b->a and b->c as the arccos of its
+    cosine, the formula verify_gutkin measured with before atan2."""
+    u, w = a - b, c - b
+    cosv = (u @ w) / (np.linalg.norm(u) * np.linalg.norm(w))
+    return float(np.arccos(np.clip(cosv, -1.0, 1.0)))
+
+
+def vertex_angles(v: np.ndarray, k: int, angle=arccos_angle):
+    """(contact angles, betas, interior angles) by per-vertex loops over the
+    literal rays, each measured by ``angle(a, b, c)`` at b.  The contact
+    angles are interleaved (departure at v_i, arrival at v_{i+k})."""
+    n = len(v)
+    contact = []
+    for i in range(n):
+        contact.append(angle(v[(i + 1) % n], v[i], v[(i + k) % n]))
+        contact.append(angle(v[(i + k - 1) % n], v[(i + k) % n], v[i]))
+    betas = [angle(v[(i - k) % n], v[i], v[(i + k) % n]) for i in range(n)]
+    interior = [angle(v[(i - 1) % n], v[i], v[(i + 1) % n]) for i in range(n)]
+    return np.array(contact), np.array(betas), np.array(interior)
 
 
 def beta_sum_check(p: GutkinPolygon) -> float:

@@ -40,6 +40,13 @@ class TestArcLength:
         for s in np.linspace(0.0, arclen.total_length, 17):
             assert arclen.s_of_t(arclen.t_of_s(float(s))) == pytest.approx(float(s), abs=1e-10)
 
+    def test_s_of_t_takes_integers_as_floats(self):
+        # casting the coefficients to an integer argument's dtype truncated them
+        arclen = ArcLengthParam(build_e2_curve(FourierCurveE2(c0=1.0, harmonics=(Harmonic(4, 0.1, 0.0),))))
+        assert arclen.s_of_t(1) == arclen.s_of_t(1.0) != 1.0
+        assert np.array_equal(arclen.s_of_t(np.array([1, 2])), arclen.s_of_t(np.array([1.0, 2.0])))
+        assert arclen.s_of_t(np.longdouble(1)).dtype == np.longdouble
+
     def test_t_of_s_fails_loudly(self, wavy_curve):
         # a speed 1e6 times too large makes every Newton step tiny
         arclen = ArcLengthParam(wavy_curve)

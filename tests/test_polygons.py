@@ -32,6 +32,7 @@ from oracles import (
     float_zero_set,
     interior_angles,
     normalize_similarity,
+    vertex_angles,
 )
 
 
@@ -46,6 +47,21 @@ class TestVerify:
     def test_rectangle_k2_not_gutkin(self):
         rect = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
         assert not verify_gutkin(rect, 2)["is_gutkin"]
+
+    @pytest.mark.parametrize("n", [1000, 10000, 100000])
+    def test_alpha_accurate_near_0_and_pi(self, n):
+        # the arccos of a cosine is off by about eps / sin(alpha); at
+        # (100000, 2) its mean read 6.6e-9 relative
+        v = regular_polygon(n)
+        for k in (2, 3, n - 1):
+            alpha = contact_angle(n, k)
+            assert abs(verify_gutkin(v, k)["alpha_measured"] - alpha) <= 1e-14 * alpha
+
+    @pytest.mark.parametrize("n, k", [(5, 2), (2001, 1000), (50001, 25000), (50000, 24999)])
+    def test_betas_accurate_near_0(self, n, k):
+        # the arccos form read 2.3e-12 at (50000, 24999)
+        betas = verify_gutkin(regular_polygon(n), k)["beta_angles"]
+        assert np.abs(betas - abs(np.pi - 2 * np.pi * k / n)).max() <= 1e-13
 
     def test_rectangle_k3_gutkin(self):
         # k = n - 1: the "diagonals" are the sides, every rectangle qualifies
@@ -325,23 +341,11 @@ def real_circulant(n, k):
     return S
 
 
-def reference_angle(a, b, c):
-    """Unsigned angle at b between rays b->a and b->c, one vertex at a time."""
+def atan2_angle(a, b, c):
+    """Unsigned angle at b between rays b->a and b->c, one vertex at a time,
+    by the formula verify_gutkin measures with."""
     u, w = a - b, c - b
-    cosv = (u @ w) / (np.linalg.norm(u) * np.linalg.norm(w))
-    return float(np.arccos(np.clip(cosv, -1.0, 1.0)))
-
-
-def reference_angles(v, k):
-    """(contact angles, betas, interior angles) by per-vertex loops."""
-    n = len(v)
-    contact = []
-    for i in range(n):
-        contact.append(reference_angle(v[(i + 1) % n], v[i], v[(i + k) % n]))
-        contact.append(reference_angle(v[(i + k - 1) % n], v[(i + k) % n], v[i]))
-    betas = [reference_angle(v[(i - k) % n], v[i], v[(i + k) % n]) for i in range(n)]
-    interior = [reference_angle(v[(i - 1) % n], v[i], v[(i + 1) % n]) for i in range(n)]
-    return np.array(contact), np.array(betas), np.array(interior)
+    return float(np.arctan2(abs(u[0] * w[1] - u[1] * w[0]), u[0] * w[0] + u[1] * w[1]))
 
 
 @st.composite
@@ -407,8 +411,9 @@ class TestSpectralProperties:
         p = construct_inscribed(n, k, arcs)
         assert p.alpha == pytest.approx(np.pi * (k - 1) / n, abs=1e-10)
         rep = verify_gutkin(p.vertices, k)
-        contact, betas, interior = reference_angles(p.vertices, k)
-        # the array routine rounds each two-term dot product as the loop does
+        contact, betas, interior = vertex_angles(p.vertices, k, atan2_angle)
+        # the array routine rounds each cross and dot product as the loop
+        # does, and the signs it drops from the literal rays are exact
         assert rep["alpha_measured"] == contact.mean()
         assert rep["max_residual"] == np.abs(contact - contact.mean()).max()
         if n == 2 * k:
@@ -416,6 +421,19 @@ class TestSpectralProperties:
         else:
             assert np.array_equal(rep["beta_angles"], betas)
         assert np.array_equal(interior_angles(p.vertices), interior)
+
+    @given(inscribed_polygons())
+    @settings(max_examples=60, deadline=None)
+    def test_inscribed_angles_match_the_arccos_oracle(self, case):
+        n, k, arcs = case
+        v = construct_inscribed(n, k, arcs).vertices
+        rep = verify_gutkin(v, k)
+        contact, betas, interior = vertex_angles(v, k)
+        assert abs(rep["alpha_measured"] - contact.mean()) < 1e-12
+        assert abs(rep["max_residual"] - np.abs(contact - contact.mean()).max()) < 1e-12
+        if n != 2 * k:
+            assert np.abs(rep["beta_angles"] - betas).max() < 1e-12
+        assert np.abs(interior_angles(v) - interior).max() < 1e-12
 
     @given(inscribed_polygons())
     @settings(max_examples=8, deadline=None)
