@@ -44,12 +44,18 @@ def invariant_circle_residual(curve: ParametricCurve, alpha: float,
                               n_steps: int = 100, n_starts: int = 16) -> float:
     """Max |theta_i - alpha| over an ensemble launched on the angle-alpha circle.
 
-    The starts are stepped together, one batched shot per step.
+    The starts are stepped together, one batched shot per step.  Raises
+    OutOfRange for fewer than one step or one start: a check that shoots no
+    chord would pass vacuously.
     """
-    s = BilliardState(t=np.linspace(0.0, TWO_PI, int(n_starts), endpoint=False),
-                      theta=np.full(int(n_starts), float(alpha)))
+    n_steps, n_starts = int(n_steps), int(n_starts)
+    if n_steps < 1 or n_starts < 1:
+        raise OutOfRange("invariant_circle_residual needs at least one step and one start, "
+                         f"got {n_steps} steps and {n_starts} starts")
+    s = BilliardState(t=np.linspace(0.0, TWO_PI, n_starts, endpoint=False),
+                      theta=np.full(n_starts, float(alpha)))
     worst = 0.0
-    for _ in range(int(n_steps)):
+    for _ in range(n_steps):
         s = billiard_step(curve, s)
         # a NaN arrival never gets here: BilliardState refuses it and names the lane
         worst = float(np.max(np.abs(s.theta - alpha), initial=worst))
@@ -59,11 +65,15 @@ def invariant_circle_residual(curve: ParametricCurve, alpha: float,
 def export_orbit(curve: ParametricCurve, s0: BilliardState, n_steps: int) -> list[tuple]:
     """Orbit table; row i holds the state before step i and that step's chord.
 
-    Columns: (step, t, theta, chord_length).  Zero steps gives an empty table.
+    Columns: (step, t, theta, chord_length).  Zero steps gives an empty table;
+    a negative count raises OutOfRange.
     """
+    n_steps = int(n_steps)
+    if n_steps < 0:
+        raise OutOfRange(f"export_orbit needs a step count >= 0, got {n_steps}")
     rows = []
     s = s0
-    for i in range(int(n_steps)):
+    for i in range(n_steps):
         t1, arrival, length = shoot_to_curve(curve, s.t, s.theta)
         rows.append((i, s.t % TWO_PI, s.theta, length))
         s = BilliardState(t=t1 % TWO_PI, theta=arrival)

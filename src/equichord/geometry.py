@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -292,6 +293,13 @@ class ParametricCurve:
             raise Degenerate(f"curve speed {np.ravel(speed)[i]:.3e} at t={np.ravel(t)[i]}")
         return Points(_scale(v, speed))
 
+    @cached_property
+    def _ring(self) -> tuple:
+        """``point`` at the shot ring t_j = j 2 pi / _SHOT_GRID, unprojected, one column
+        entry per j = 0, ..., _SHOT_GRID; the last repeats the first, as t = 2 pi is t = 0.
+        Evaluated once per curve, on the first shot."""
+        return tuple(np.concatenate((c, c[:1])) for c in self.point(np.arange(_SHOT_GRID) * _RING_STEP))
+
 
 def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
     """Geodesic circle of the given radius, counterclockwise, period 2*pi.
@@ -341,11 +349,12 @@ def _chord_tangent_at_arrival(geometry, p, d, length):
     return tuple(a * pc + b * dc for pc, dc in zip(p, d))
 
 
-_SHOT_GRID = 256  # samples of the side function along the curve, before polishing
-_GRID_STEPS = np.arange(_SHOT_GRID, dtype=float)
+_SHOT_GRID = 256  # ring samples of the side function per period, before polishing
+_RING_STEP = TWO_PI / _SHOT_GRID  # exact: the divisor is a power of two
+_GUARD = 1e-6  # f(t0) is 0 only up to rounding, so no sample lies this close to t0
 
 
-_LANE_BLOCK = 1024  # shots evaluated together; bounds the (grid x lanes) arrays
+_LANE_BLOCK = 1024  # shots evaluated together; bounds the (lanes x ring) arrays
 
 
 def shoot_to_curve(curve: ParametricCurve, t0, theta):
@@ -355,10 +364,13 @@ def shoot_to_curve(curve: ParametricCurve, t0, theta):
     tangent, into the interior) and return ``(t1, arrival_angle,
     chord_length)`` for its other intersection with the curve.  ``arrival_angle``
     is the angle between the arriving chord direction and the forward tangent
-    at t1, so equiangular chords report arrival_angle == theta.  A chord that
-    crosses the curve more than once on the sampling grid raises NonConvex;
-    a t0 that is not finite raises OutOfRange, and a finite one is taken
-    mod 2 pi.
+    at t1, so equiangular chords report arrival_angle == theta.  The crossings
+    are counted on the curve's ring of _SHOT_GRID points t_j = j 2 pi /
+    _SHOT_GRID, evaluated once per curve, with f'(t0) standing in for the
+    samples 1e-6 after t0 and before t0 + 2 pi; only a chord landing in a cell
+    next to t0 evaluates the curve there.  A chord that crosses more than once
+    raises NonConvex, one that does not Degenerate; a t0 that is not finite
+    raises OutOfRange, and a finite one is taken mod 2 pi.
 
     ``t0`` and ``theta`` broadcast against each other, one shot per element:
     scalars give three floats, arrays three arrays of the broadcast shape,
@@ -392,29 +404,62 @@ def _shoot_lanes(curve, t0, theta):
     d = _scale(d, np.sqrt(kern.dot(d, d)))
 
     side, slope = kern.side(p, d)
-    # np.linspace(start, stop, _SHOT_GRID) step for step, without its argument handling
-    start, stop = t0 + 1e-6, t0 + TWO_PI - 1e-6  # a guard of 1e-6 off t0 at either end
-    ts = np.multiply.outer(_GRID_STEPS, (stop - start) / (_SHOT_GRID - 1)) + start  # (grid,) + lanes
-    ts[-1] = stop
-    vals = side(curve.point(ts), None)
-
-    hits = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
-    count = hits.sum(axis=0)
+    up = slope(tan, None)  # f'(t0): f has its sign just after t0, and the opposite one before t0 + 2 pi
+    # f on the closed ring (its sample at 2 pi is the one at 0), one row per lane, and
+    # its sign changes per cell [t_j, t_j+1], a 0 counting at its cell's left end;
+    # one shot keeps its cell bookkeeping in Python numbers
+    if t0.ndim == 0:
+        x, lane = t0.item(), ()
+        cell = min(int(x // _RING_STEP), _SHOT_GRID - 1)  # t0 % 2 pi may round to 2 pi
+        vals = side(curve._ring, None)
+    else:
+        x, lane = t0, (np.arange(t0.size),)
+        cell = np.minimum(t0 // _RING_STEP, _SHOT_GRID - 1).astype(int)
+        vals = side(curve._ring, lane[0][:, None])
+    hits = (vals[..., :-1] == 0.0) | (vals[..., :-1] * vals[..., 1:] < 0.0)
+    # The shot samples (t0, t0 + 2 pi) from t0's cell on, without the ring points
+    # within the guard of t0: ``after`` is its first ring sample and ``before`` its
+    # last, as indices of the unwrapped ring (-1 <= before < after <= _SHOT_GRID + 1).
+    # The cells between them are not counted; f'(t0) gives the guards' signs.
+    after = cell + 1 + ((cell + 1) * _RING_STEP - x < _GUARD)
+    before = cell - (x - cell * _RING_STEP < _GUARD)
+    hits[lane + (cell,)] = False
+    hits[lane + ((cell + 1) % _SHOT_GRID,)] &= after == cell + 1
+    hits[lane + (cell - 1,)] &= before == cell
+    first, last = vals[lane + (after % _SHOT_GRID,)], vals[lane + (before % _SHOT_GRID,)]
+    short_after = first * up < 0.0
+    short_before = (last == 0.0) | (last * up > 0.0)
+    count = hits.sum(axis=-1) + short_after + short_before
     if np.count_nonzero(count != 1):
         j = np.flatnonzero(count != 1)[0]
         if count.flat[j] == 0:
             raise Degenerate("no forward intersection found (curve convex and closed?)")
         raise NonConvex(f"the chord from t0={t0.flat[j]} at theta={theta.flat[j]} crosses the curve "
                         f"{count.flat[j]} times")
+    k = hits.argmax(axis=-1)  # the crossing's cell, where it is a whole one
+    a, b, fa, fb = k * _RING_STEP, (k + 1) * _RING_STEP, vals[lane + (k,)], vals[lane + (k + 1,)]
+    short = short_after | short_before
+    if np.count_nonzero(short):
+        # a short chord lands between t0 and its first or last sample: the guard point,
+        # t0 + 1e-6 or t0 - 1e-6, ends its bracket, and is evaluated for these lanes only
+        i = np.flatnonzero(short)
+        fwd = np.ravel(short_after)[i]
+        j = np.where(fwd, np.ravel(after)[i], np.ravel(before)[i])
+        tg, tj = np.ravel(t0)[i] + np.where(fwd, _GUARD, -_GUARD), j * _RING_STEP
+        g, fj = side(curve.point(tg), i if t0.ndim else None), vals[(i,) * t0.ndim + (j % _SHOT_GRID,)]
+        if np.count_nonzero(np.where(fwd, g, -g) * np.ravel(up)[i] < 0.0):
+            raise Degenerate("no forward intersection found (curve convex and closed?)")
+        bracket = np.array((a, b, fa, fb)).reshape(4, -1)
+        bracket[:, i] = np.where(fwd, (tg, tj, g, fj), (tj, tg, fj, g))
+        a, b, fa, fb = bracket.reshape((4,) + t0.shape)
     # polish each lane's one sign change by Newton from the regula falsi point of
-    # its grid bracket; where the grid hit 0 exactly, that point is the left end
-    m = t0.size
-    at = hits.argmax(axis=0) * m + np.arange(m).reshape(t0.shape)  # flat index of each bracket
-    ts, vals = ts.ravel(), vals.ravel()
-    a, b, fa, fb = ts[at], ts[at + m], vals[at], vals[at + m]
-    flip = m * (fa >= 0)  # the offset of the bracket's negative end from at
+    # its bracket; where a sample is exactly 0, that point is the left end
+    if t0.ndim == 0:
+        neg, pos = (a, b) if fa < 0.0 else (b, a)
+    else:
+        neg, pos = np.where(fa < 0.0, a, b), np.where(fa < 0.0, b, a)
     t1 = _newton(lambda t, lanes: (side(curve.point(t), lanes), slope(curve.velocity(t), lanes)),
-                 ts[at + flip], ts[at + m - flip], a - fa * (b - a) / (fb - fa))
+                 neg, pos, a - fa * (b - a) / (fb - fa))
 
     q = kern.project(curve.point(t1))
     length = kern.distance(p, q)

@@ -9,9 +9,11 @@ angle loops with the arccos of the cosine as an independent formula, the
 beta-angle sum and the angle periodicity of a Gutkin polygon, a canonical
 similarity frame for comparing polygons, the extended-precision
 arc-length inversions of validate_partials, to be checked against
-cold-started ones, and the curve formulas evaluated on stacked (..., dim)
-points, the reference for the coordinate columns the curves return.  The
-random curves the curve-layer properties are checked on live here too.
+cold-started ones, the curve formulas evaluated on stacked (..., dim)
+points, the reference for the coordinate columns the curves return, and the
+chord shot on a grid of its own, the reference for the shot on the curve's
+cached ring.  The random curves the curve-layer properties are checked on
+live here too.
 """
 
 import numpy as np
@@ -31,7 +33,8 @@ from equichord import (
     validate_partials,
 )
 from equichord.angles import _polefree, _restr2_residual
-from equichord.errors import NonConvex, NotAdmissible, OutOfRange
+from equichord.errors import Degenerate, NonConvex, NotAdmissible, OutOfRange
+from equichord.geometry import TWO_PI, _chord_tangent_at_arrival, _newton
 from equichord.polygons import GutkinPolygon, _angle, verify_gutkin
 
 
@@ -102,6 +105,40 @@ def stacked_derivatives(curve_spec, t):
                 [-sr * cos, -sr * sin, np.zeros_like(t)])
     order = {Geometry.EUCLIDEAN: [0, 1], Geometry.SPHERICAL: [0, 1, 2], Geometry.HYPERBOLIC: [2, 0, 1]}[geometry]
     return tuple(np.stack([col[i] for i in order], axis=-1) for col in cols)
+
+
+def grid_shot(curve, t0: float, theta: float) -> tuple:
+    """One chord shot with a grid of its own: the side function sampled at 256
+    points from t0 + 1e-6 to t0 + 2 pi - 1e-6, evaluated for this shot, its one
+    sign change polished by Newton from the regula falsi point of the grid
+    bracket.  Returns (t1, arrival, length) as floats, and raises as
+    shoot_to_curve does on a chord that crosses the curve other than once."""
+    kern = curve.geometry.kernel
+    t0, theta = np.float64(t0) % TWO_PI, np.float64(theta)
+    p = kern.project(curve.point(t0))
+    tan = curve.unit_tangent(t0)
+    d = tuple(np.cos(theta) * tc + np.sin(theta) * nc for tc, nc in zip(tan, kern.normal(p, tan)))
+    d = tuple(c / np.sqrt(kern.dot(d, d)) for c in d)
+    side, slope = kern.side(p, d)
+    start, stop = t0 + 1e-6, t0 + TWO_PI - 1e-6
+    ts = np.arange(256.0) * ((stop - start) / 255) + start
+    ts[-1] = stop
+    vals = side(curve.point(ts), None)
+    hits = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
+    count = np.count_nonzero(hits)
+    if count == 0:
+        raise Degenerate("no forward intersection found")
+    if count > 1:
+        raise NonConvex(f"the chord from t0={t0} at theta={theta} crosses the curve {count} times")
+    j = hits.argmax()
+    a, b, fa, fb = ts[j], ts[j + 1], vals[j], vals[j + 1]
+    t1 = _newton(lambda t, lanes: (side(curve.point(t), lanes), slope(curve.velocity(t), lanes)),
+                 *((a, b) if fa < 0 else (b, a)), a - fa * (b - a) / (fb - fa))
+    q = kern.project(curve.point(t1))
+    length = kern.distance(p, q)
+    w = _chord_tangent_at_arrival(curve.geometry, p, d, length)
+    c = kern.dot(w, curve.unit_tangent(t1)) / np.sqrt(kern.dot(w, w))
+    return float(t1 % TWO_PI), float(np.arccos(np.clip(c, -1.0, 1.0))), float(length)
 
 
 def stencil_inversions(curve, samples: int, seed: int = 0) -> list:

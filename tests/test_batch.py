@@ -3,7 +3,7 @@ alone, bit for bit."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equichord import (
@@ -18,6 +18,7 @@ from equichord import (
     build_deformed_circle,
     build_e2_curve,
     chord_data,
+    circle_curve,
     geodesic_curvature,
     invariant_circle_residual,
     shoot_to_curve,
@@ -30,7 +31,14 @@ from oracles import curves
 parameters = st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=6)
 
 
+_RING_STEP = 2 * np.pi / 256  # t0 = j * _RING_STEP sits on a sample of the shot ring
+_SHORT = [0.005, np.pi - 0.0026]  # chords landing in the ring cell next to t0
+
+
 @given(curves(), parameters, st.lists(st.floats(0.2, 2.9), min_size=1, max_size=6))
+@example(build_e2_curve(FourierCurveE2(c0=1.0, harmonics=(Harmonic(4, 0.1),))),
+         [0.0, 37 * _RING_STEP, -1e-42, 1.0, 2.0], [1.2, *_SHORT, *_SHORT])
+@example(circle_curve(Geometry.HYPERBOLIC, 1.2), [5 * _RING_STEP, 2.0, 0.0], [_SHORT[1], 1.0, _SHORT[0]])
 @settings(max_examples=40, deadline=None)
 def test_batched_shots_equal_single_shots(curve, t0, theta):
     n = min(len(t0), len(theta))

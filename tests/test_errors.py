@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equichord import (
+    BilliardState,
     DeformedCircle,
     FourierCurveE2,
     Geometry,
@@ -21,9 +22,11 @@ from equichord import (
     construct_2kk,
     construct_inscribed,
     contact_angle_from_c,
+    export_orbit,
     f_star,
     family_member,
     gutkin_roots,
+    invariant_circle_residual,
     lemma_constants,
     verify_gutkin,
 )
@@ -132,6 +135,17 @@ class TestLibraryContract:
     def test_harmonic_order_out_of_range(self, k):
         with pytest.raises(OutOfRange, match="harmonic order"):
             Harmonic(k, 0.1)
+
+    @pytest.mark.parametrize("n_steps, n_starts", [(0, 16), (100, 0), (100, -3), (-1, 4)])
+    def test_billiard_check_without_chords(self, flower_curve, alpha4, n_steps, n_starts):
+        # a drift taken over no chord reads 0.0, so the check would pass vacuously
+        with pytest.raises(OutOfRange, match="at least one step and one start"):
+            invariant_circle_residual(flower_curve, alpha4, n_steps=n_steps, n_starts=n_starts)
+
+    def test_negative_orbit_length(self, flower_curve, alpha4):
+        with pytest.raises(OutOfRange, match="step count >= 0, got -1"):
+            export_orbit(flower_curve, BilliardState(0.0, alpha4), -1)
+        assert export_orbit(flower_curve, BilliardState(0.0, alpha4), 0) == []
 
 
 # ---------------------------------------------------------------------------

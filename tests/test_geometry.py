@@ -3,12 +3,24 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from equichord import Geometry, circle_curve, geodesic_curvature, shoot_to_curve
-from equichord.errors import NonConvex, OutOfRange
+from equichord import (
+    DeformedCircle,
+    FourierCurveE2,
+    Geometry,
+    Harmonic,
+    TrigPolynomial,
+    build_deformed_circle,
+    build_e2_curve,
+    circle_curve,
+    geodesic_curvature,
+    shoot_to_curve,
+)
+from equichord.errors import Degenerate, NonConvex, OutOfRange
 from equichord.geometry import ParametricCurve, Points, _chord_tangent_at_arrival, mnorm
+from oracles import curves, grid_shot
 
 GEOMETRIES = [Geometry.EUCLIDEAN, Geometry.SPHERICAL, Geometry.HYPERBOLIC]
 
@@ -212,3 +224,87 @@ class TestShooting:
         shoot_to_curve(curve, 2.0, 0.3)
         with pytest.raises(NonConvex, match="t0=0.0 at theta=1.2 crosses the curve 3 times"):
             shoot_to_curve(curve, [2.0, 0.0], [0.3, 1.2])
+
+    def test_landing_inside_the_guard(self):
+        """A circle traversed at speed 2.4 near t = 0: a chord at theta = 1e-6 lands
+        about 8e-7 from t0, inside the 1e-6 guard, and is refused, forward and
+        backward, as the grid oracle refuses it; at 3e-6 it lands past the guard."""
+        def phase(t):
+            t = np.asarray(t)
+            return (t + 0.8 * np.sin(t) + 0.3 * np.sin(2 * t), 1 + 0.8 * np.cos(t) + 0.6 * np.cos(2 * t),
+                    -0.8 * np.sin(t) - 1.2 * np.sin(2 * t))
+
+        def point(t):
+            u, _, _ = phase(t)
+            return Points((np.cos(u), np.sin(u)))
+
+        def velocity(t):
+            u, du, _ = phase(t)
+            return Points((-du * np.sin(u), du * np.cos(u)))
+
+        def acceleration(t):
+            u, du, ddu = phase(t)
+            return Points((-ddu * np.sin(u) - du * du * np.cos(u), ddu * np.cos(u) - du * du * np.sin(u)))
+
+        curve = ParametricCurve(Geometry.EUCLIDEAN, point, velocity, acceleration)
+        for theta in (1e-6, np.pi - 1e-6):
+            for shoot in (shoot_to_curve, grid_shot):
+                with pytest.raises(Degenerate, match="no forward intersection"):
+                    shoot(curve, 0.0, theta)
+            with pytest.raises(Degenerate, match="no forward intersection"):
+                shoot_to_curve(curve, [1.0, 0.0], [1.0, theta])
+        for theta in (3e-6, np.pi - 3e-6):
+            tol = _oracle_tolerance(curve, 0.0, theta)
+            assert shoot_to_curve(curve, 0.0, theta) == pytest.approx(grid_shot(curve, 0.0, theta), abs=tol)
+
+
+def _oracle_tolerance(curve, t0, theta):
+    """How far two correct shots may differ: 1e-13, or the landing's own rounding
+    floor where that is larger.  A landing is conditioned like 1/sin theta (one
+    ulp of the arrival's cosine moves its arccos by eps / sin theta), and the
+    side function rounds with the squared size |p|^2 of the ambient launch point,
+    which grows like cosh^2 R on H2."""
+    size = max(1.0, float(sum(c * c for c in curve.point(np.float64(t0)))))
+    return max(1e-13, 2e-15 * size / np.sin(theta))
+
+
+_RING_STEP = 2 * np.pi / 256  # the shot ring's spacing: t0 = j * _RING_STEP sits on a ring sample
+_SHORT = [0.005, np.pi - 0.0026]  # chords that land in the ring cell next to t0
+_FLOWER = build_e2_curve(FourierCurveE2(c0=1.0, harmonics=(Harmonic(4, 0.1, 0.0),)))
+_S2_DEFORMED, _H2_DEFORMED = (
+    build_deformed_circle(DeformedCircle(geometry=g, R=R, epsilon=0.01, alpha=1.1,
+                                         g=TrigPolynomial(0.0, (Harmonic(4, 1.0, 0.3),))))
+    for g, R in ((Geometry.SPHERICAL, 1.0), (Geometry.HYPERBOLIC, 0.8)))
+
+
+def _short_chord_examples(test):
+    for curve in (_FLOWER, _S2_DEFORMED, _H2_DEFORMED):
+        for t0 in (0.0, -1e-42, 37 * _RING_STEP, 2.0):
+            for theta in _SHORT:
+                test = example(curve, t0, theta)(test)
+    return test
+
+
+@_short_chord_examples
+@given(curves(),
+       st.one_of(st.floats(-7.0, 7.0), st.integers(-256, 512).map(lambda j: j * _RING_STEP),
+                 st.sampled_from([0.0, -1e-42, 2 * np.pi])),
+       st.one_of(st.floats(0.2, 2.9), st.sampled_from(_SHORT)))
+@settings(max_examples=150, deadline=None)
+def test_ring_shot_matches_the_grid_oracle(curve, t0, theta):
+    """The shot on the curve's cached ring against a grid evaluated for the shot
+    alone: the same refusal and crossing count, or the same landing up to
+    _oracle_tolerance, from any t0, from ring samples, and for chords landing
+    next to t0."""
+    try:
+        expected = grid_shot(curve, t0, theta)
+    except (Degenerate, NonConvex) as refused:
+        with pytest.raises(type(refused)) as got:
+            shoot_to_curve(curve, t0, theta)
+        assert re.findall(r"\d+ times", str(got.value)) == re.findall(r"\d+ times", str(refused))
+        return
+    t1, arrival, length = shoot_to_curve(curve, t0, theta)
+    tol = _oracle_tolerance(curve, t0, theta)
+    assert abs((t1 - expected[0] + np.pi) % (2 * np.pi) - np.pi) <= tol
+    assert abs(arrival - expected[1]) <= tol
+    assert abs(length - expected[2]) <= tol
