@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .geometry import TWO_PI, ParametricCurve, shoot_to_curve
+from .geometry import TWO_PI, ParametricCurve, _count, shoot_to_curve
 
 __all__ = ["BilliardState", "billiard_step", "invariant_circle_residual", "export_orbit"]
 
@@ -45,10 +45,11 @@ def invariant_circle_residual(curve: ParametricCurve, alpha: float,
     """Max |theta_i - alpha| over an ensemble launched on the angle-alpha circle.
 
     The starts are stepped together, one batched shot per step.  Raises
-    OutOfRange for fewer than one step or one start: a check that shoots no
-    chord would pass vacuously.
+    OutOfRange for counts that are not integers, and for fewer than one step
+    or one start: a check that shoots no chord would pass vacuously.
     """
-    n_steps, n_starts = int(n_steps), int(n_starts)
+    n_steps = _count(n_steps, "invariant_circle_residual's step count")
+    n_starts = _count(n_starts, "invariant_circle_residual's start count")
     if n_steps < 1 or n_starts < 1:
         raise OutOfRange("invariant_circle_residual needs at least one step and one start, "
                          f"got {n_steps} steps and {n_starts} starts")
@@ -66,9 +67,9 @@ def export_orbit(curve: ParametricCurve, s0: BilliardState, n_steps: int) -> lis
     """Orbit table; row i holds the state before step i and that step's chord.
 
     Columns: (step, t, theta, chord_length).  Zero steps gives an empty table;
-    a negative count raises OutOfRange.
+    a negative or non-integer count raises OutOfRange.
     """
-    n_steps = int(n_steps)
+    n_steps = _count(n_steps, "export_orbit's step count")
     if n_steps < 0:
         raise OutOfRange(f"export_orbit needs a step count >= 0, got {n_steps}")
     rows = []

@@ -24,8 +24,10 @@ from .geometry import (
     ParametricCurve,
     _broadcast,
     _chord_tangent_at_arrival,
+    _count,
+    _curvature,
     _newton,
-    geodesic_curvature,
+    _unit_tangent,
     mnorm,
 )
 
@@ -137,7 +139,9 @@ def chord_data(curve: ParametricCurve, x, y, arclen: ArcLengthParam | None = Non
 
     x and y broadcast against each other; scalars give a record of floats,
     arrays a record of arrays of the broadcast shape, each element equal bit
-    for bit to the chord computed alone.
+    for bit to the chord computed alone.  The 2 x n chord ends are inverted
+    together, and the point and the velocity at each are evaluated once,
+    shared by the chord, the unit tangents and the geodesic curvatures.
     """
     if arclen is None:
         arclen = ArcLengthParam(curve)
@@ -152,7 +156,8 @@ def chord_data(curve: ParametricCurve, x, y, arclen: ArcLengthParam | None = Non
 
     t = arclen.t_of_s(np.stack([x, y]))
     # each column holds both ends, x then y
-    p, q = zip(*kern.project(curve.point(t)))
+    ends = kern.project(curve.point(t))
+    p, q = zip(*ends)
     L = kern.distance(p, q)
 
     # unit chord direction at departure
@@ -160,11 +165,12 @@ def chord_data(curve: ParametricCurve, x, y, arclen: ArcLengthParam | None = Non
     d0 = tuple((qc - pc * cs) / sn for pc, qc in zip(p, q))
     d1 = _chord_tangent_at_arrival(g, p, d0, L)
 
-    tp, tq = zip(*curve.unit_tangent(t))
+    v = curve.velocity(t)
+    tp, tq = zip(*_unit_tangent(g, t, v))
     phi = np.arccos(np.clip(kern.dot(d0, tp) / mnorm(g, d0), -1.0, 1.0))
     psi = np.arccos(np.clip(kern.dot(d1, tq) / mnorm(g, d1), -1.0, 1.0))
 
-    kx, ky = geodesic_curvature(curve, t)
+    kx, ky = _curvature(curve, t, v, ends)
     inv_sin, inv_tan = 1.0 / kern.sn(L), 1.0 / kern.tn(L)
     # sin * sin, not ** 2: numpy rounds a scalar's square through pow()
     sin_phi, sin_psi = np.sin(phi), np.sin(psi)
@@ -181,6 +187,10 @@ def chord_data(curve: ParametricCurve, x, y, arclen: ArcLengthParam | None = Non
 
 
 _SAMPLE_BLOCK = 512  # samples validated together; bounds the stencil arrays
+# the stencil's nine chords, one row each, as (x end, y end) indices into the steps 0, +h, -h:
+# 0 0, + 0, - 0, 0 +, 0 -, + +, + -, - +, - -
+_STENCIL_X = np.array([0, 1, 2, 0, 0, 1, 1, 2, 2])
+_STENCIL_Y = np.array([0, 0, 0, 1, 2, 1, 2, 1, 2])
 
 
 def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0,
@@ -190,17 +200,20 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0,
     The finite-difference stencil is evaluated in extended precision
     (long double) so the h^-2 roundoff amplification stays below the 1e-5
     target; relative-error denominators are floored at 1e-3.  All samples
-    are drawn first; then the 9 stencil chords of every sample are
-    evaluated together, in one arc-length inversion per block of samples.
-    That inversion starts each stencil point at t_end + ds / speed(t_end),
-    from the chord end chord_data has already inverted in double; the guess
-    is O(h^2) from the root, so Newton stops after two steps.
+    are drawn first.  A sample's nine stencil chords share six ends,
+    x + {0, h, -h} and y + {0, h, -h}; the ends of every sample in a block
+    are inverted in one arc-length inversion and evaluated in one point
+    call, and the nine distances pair them up.  That inversion starts each
+    end at t_end + ds / speed(t_end), from the chord end chord_data has
+    already inverted in double; the guess is O(h^2) from the root, so Newton
+    stops after two steps.
 
-    Raises OutOfRange for fewer than one sample, for a step that is not
-    finite and positive, and for a sample whose chord partial is NaN.
+    Raises OutOfRange for a sample count that is not an integer or is below
+    one, for a step that is not finite and positive, and for a sample whose
+    chord partial is NaN.
     Returns a report dict with per-quantity and overall max relative errors.
     """
-    samples = int(samples)
+    samples = _count(samples, "validate_partials' sample count")
     if samples < 1:
         raise OutOfRange(f"validate_partials needs at least one sample, got {samples}")
     if not (np.isfinite(step) and step > 0):
@@ -211,9 +224,7 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0,
     # one row (x, chord fraction) per sample, drawn in the order of a per-sample loop
     draws = rng.uniform([0.0, 0.2], [Ltot, 0.8], size=(samples, 2))
     h = np.longdouble(step)
-    # the stencil's steps in (x, y), one row each: 0 0, + 0, - 0, 0 +, 0 -, + +, + -, - +, - -
-    sx = np.array([0, 1, -1, 0, 0, 1, 1, -1, -1], dtype=np.longdouble)[:, None] * h
-    sy = np.array([0, 0, 0, 1, -1, 1, -1, 1, -1], dtype=np.longdouble)[:, None] * h
+    ds = np.array([0, 1, -1], dtype=np.longdouble)[:, None] * h  # each end's steps, one row each
 
     names = ("Lx", "Ly", "Lxx", "Lyy", "Lxy")
     worst = np.zeros(len(names))
@@ -224,12 +235,13 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0,
         # a chord that cancels to NaN is refused below, so its warning is noise
         with np.errstate(invalid="ignore"):
             cd = chord_data(curve, x.astype(float), y.astype(float), arclen)
-            s = np.stack([x + sx, y + sy])
+            s = np.stack([x + ds, y + ds])
             s_end = np.stack([cd.x, cd.y])[:, None]
             t_end = np.stack([cd.tx, cd.ty])[:, None]
             t = arclen.t_of_s(s, start=t_end + (s - s_end) / arclen.speed(t_end))
             p, q = zip(*curve.point(t))
-            d0, dxp, dxm, dyp, dym, dpp, dpm, dmp, dmm = curve.geometry.kernel.distance(p, q)
+            d0, dxp, dxm, dyp, dym, dpp, dpm, dmp, dmm = curve.geometry.kernel.distance(
+                tuple(c[_STENCIL_X] for c in p), tuple(c[_STENCIL_Y] for c in q))
 
         fd = np.stack([
             (dxp - dxm) / (2 * h),

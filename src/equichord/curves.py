@@ -33,6 +33,7 @@ from .geometry import (
     Geometry,
     ParametricCurve,
     _check_radius,
+    _count,
     Points,
     geodesic_curvature,
     shoot_to_curve,
@@ -260,10 +261,10 @@ def verify_curve_gutkin(curve: ParametricCurve, alpha: float, n_samples: int = 6
     """Shoot chords at angle alpha from sample points, all in one batch; report
     the worst arrival-angle defect and the first sample that reaches it.
 
-    Raises OutOfRange for fewer than one sample: a check that shoots no chord
-    would pass vacuously.
+    Raises OutOfRange for a sample count that is not an integer, and for fewer
+    than one sample: a check that shoots no chord would pass vacuously.
     """
-    n_samples = int(n_samples)
+    n_samples = _count(n_samples, "verify_curve_gutkin's sample count")
     if n_samples < 1:
         raise OutOfRange(f"verify_curve_gutkin needs at least one sample, got {n_samples}")
     ts = np.linspace(0.0, TWO_PI, n_samples, endpoint=False)

@@ -108,6 +108,17 @@ def _broadcast(u, v):
     return (u, v) if u.shape == v.shape else np.broadcast_arrays(u, v)
 
 
+def _count(n, what: str) -> int:
+    """n as an int; OutOfRange for NaN, an infinity or a fraction (3.0 passes)."""
+    try:
+        i = int(n)
+    except (ValueError, OverflowError):
+        i = None
+    if i is None or i != n:
+        raise OutOfRange(f"{what} must be an integer, got {n!r}")
+    return i
+
+
 # ---------------------------------------------------------------------------
 # the per-geometry table
 
@@ -286,12 +297,7 @@ class ParametricCurve:
     def unit_tangent(self, t) -> Points:
         """Unit tangent at t of any shape, as columns of t's shape."""
         t = np.asarray(t, dtype=float)[()]  # a 0-d t becomes a numpy scalar, the cheapest operand
-        v = self.velocity(t)
-        speed = mnorm(self.geometry, v)
-        if np.count_nonzero(speed < 1e-10):
-            i = np.flatnonzero(speed < 1e-10)[0]
-            raise Degenerate(f"curve speed {np.ravel(speed)[i]:.3e} at t={np.ravel(t)[i]}")
-        return Points(_scale(v, speed))
+        return _unit_tangent(self.geometry, t, self.velocity(t))
 
     @cached_property
     def _ring(self) -> tuple:
@@ -331,15 +337,29 @@ def geodesic_curvature(curve: ParametricCurve, t):
     is tangent.  ``t`` may have any shape; a scalar gives a float, an array
     the curvature at each of its elements.
     """
-    kern = curve.geometry.kernel
     t = np.asarray(t, dtype=float)[()]
-    v = curve.velocity(t)
+    kappa = _curvature(curve, t, curve.velocity(t), curve.geometry.kernel.project(curve.point(t)))
+    return float(kappa) if kappa.ndim == 0 else kappa
+
+
+def _unit_tangent(geometry, t, v) -> Points:
+    """Unit tangent from the velocity columns v at t; Degenerate where the curve stops."""
+    speed = mnorm(geometry, v)
+    if np.count_nonzero(speed < 1e-10):
+        i = np.flatnonzero(speed < 1e-10)[0]
+        raise Degenerate(f"curve speed {np.ravel(speed)[i]:.3e} at t={np.ravel(t)[i]}")
+    return Points(_scale(v, speed))
+
+
+def _curvature(curve, t, v, p):
+    """geodesic_curvature's <a, N> / |v|^2 at t, from the velocity columns v
+    and the projected point p there."""
+    kern = curve.geometry.kernel
     speed2 = kern.dot(v, v)
     if np.count_nonzero(speed2 < 1e-20):
         raise Degenerate(f"curve speed below 1e-10 at t={np.ravel(t)[np.flatnonzero(speed2 < 1e-20)[0]]}")
-    n = kern.normal(kern.project(curve.point(t)), _scale(v, np.sqrt(speed2)))
-    kappa = kern.dot(curve.acceleration(t), n) / speed2
-    return float(kappa) if kappa.ndim == 0 else kappa
+    n = kern.normal(p, _scale(v, np.sqrt(speed2)))
+    return kern.dot(curve.acceleration(t), n) / speed2
 
 
 def _chord_tangent_at_arrival(geometry, p, d, length):

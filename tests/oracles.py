@@ -9,7 +9,9 @@ angle loops with the arccos of the cosine as an independent formula, the
 beta-angle sum and the angle periodicity of a Gutkin polygon, a canonical
 similarity frame for comparing polygons, the extended-precision
 arc-length inversions of validate_partials, to be checked against
-cold-started ones, the curve formulas evaluated on stacked (..., dim)
+cold-started ones, the chord record and the partials report with every
+quantity evaluated where it is used (18 stencil ends a sample), the
+references for the shared evaluations, the curve formulas evaluated on stacked (..., dim)
 points, the reference for the coordinate columns the curves return, and the
 chord shot on a grid of its own, the reference for the shot on the curve's
 cached ring.  The random curves the curve-layer properties are checked on
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from equichord import (
     ArcLengthParam,
+    ChordData,
     DeformedCircle,
     FourierCurveE2,
     Geometry,
@@ -30,11 +33,12 @@ from equichord import (
     build_deformed_circle,
     build_e2_curve,
     circle_curve,
+    geodesic_curvature,
     validate_partials,
 )
 from equichord.angles import _polefree, _restr2_residual
 from equichord.errors import Degenerate, NonConvex, NotAdmissible, OutOfRange
-from equichord.geometry import TWO_PI, _chord_tangent_at_arrival, _newton
+from equichord.geometry import TWO_PI, _broadcast, _chord_tangent_at_arrival, _newton, mnorm
 from equichord.polygons import GutkinPolygon, _angle, verify_gutkin
 
 
@@ -160,6 +164,78 @@ def stencil_inversions(curve, samples: int, seed: int = 0) -> list:
     finally:
         ArcLengthParam.t_of_s = warm
     return calls
+
+
+def chord_data(curve, x, y, arclen) -> ChordData:
+    """The chord record with every quantity evaluated where it is used: the
+    ends' points for the chord, ``unit_tangent`` and ``geodesic_curvature``
+    each evaluating the velocity (and the curvature the point) again.  The
+    reference for chord_data's shared evaluations; it refuses nothing."""
+    g = curve.geometry
+    kern = g.kernel
+    x, y = _broadcast(x, y)
+    t = arclen.t_of_s(np.stack([x, y]))
+    p, q = zip(*kern.project(curve.point(t)))
+    L = kern.distance(p, q)
+    cs, sn = kern.cs(L), kern.sn(L)
+    d0 = tuple((qc - pc * cs) / sn for pc, qc in zip(p, q))
+    d1 = _chord_tangent_at_arrival(g, p, d0, L)
+    tp, tq = zip(*curve.unit_tangent(t))
+    phi = np.arccos(np.clip(kern.dot(d0, tp) / mnorm(g, d0), -1.0, 1.0))
+    psi = np.arccos(np.clip(kern.dot(d1, tq) / mnorm(g, d1), -1.0, 1.0))
+    kx, ky = geodesic_curvature(curve, t)
+    inv_sin, inv_tan = 1.0 / kern.sn(L), 1.0 / kern.tn(L)
+    sin_phi, sin_psi = np.sin(phi), np.sin(psi)
+    fields = dict(
+        x=x, y=y, tx=t[0], ty=t[1], L=L, phi=phi, psi=psi,
+        Lx=-np.cos(phi), Ly=np.cos(psi),
+        Lxx=sin_phi * sin_phi * inv_tan - kx * sin_phi,
+        Lyy=sin_psi * sin_psi * inv_tan - ky * sin_psi,
+        Lxy=sin_phi * sin_psi * inv_sin,
+    )
+    if x.ndim == 0:
+        fields = {name: float(value) for name, value in fields.items()}
+    return ChordData(**fields)
+
+
+def nine_chord_partials(curve, samples: int, seed: int = 0, step: float = 1e-5) -> dict:
+    """validate_partials' report with the stencil's nine chords evaluated
+    separately: 18 long-double ends a sample, each inverted and evaluated on
+    its own, and the chord records from the oracle chord_data.  The reference
+    for the stencil's six shared ends; it refuses nothing."""
+    arclen = ArcLengthParam(curve)
+    Ltot = arclen.total_length
+    draws = np.random.default_rng(seed).uniform([0.0, 0.2], [Ltot, 0.8], size=(samples, 2))
+    h = np.longdouble(step)
+    sx = np.array([0, 1, -1, 0, 0, 1, 1, -1, -1], dtype=np.longdouble)[:, None] * h
+    sy = np.array([0, 0, 0, 1, -1, 1, -1, 1, -1], dtype=np.longdouble)[:, None] * h
+    names = ("Lx", "Ly", "Lxx", "Lyy", "Lxy")
+    worst = np.zeros(len(names))
+    for lo in range(0, len(draws), 512):
+        block = draws[lo:lo + 512].astype(np.longdouble)
+        x = block[:, 0]
+        y = x + block[:, 1] * np.longdouble(Ltot)
+        with np.errstate(invalid="ignore"):
+            cd = chord_data(curve, x.astype(float), y.astype(float), arclen)
+            s = np.stack([x + sx, y + sy])
+            s_end = np.stack([cd.x, cd.y])[:, None]
+            t_end = np.stack([cd.tx, cd.ty])[:, None]
+            t = arclen.t_of_s(s, start=t_end + (s - s_end) / arclen.speed(t_end))
+            p, q = zip(*curve.point(t))
+            d0, dxp, dxm, dyp, dym, dpp, dpm, dmp, dmm = curve.geometry.kernel.distance(p, q)
+        fd = np.stack([
+            (dxp - dxm) / (2 * h),
+            (dyp - dym) / (2 * h),
+            (dxp - 2 * d0 + dxm) / h**2,
+            (dyp - 2 * d0 + dym) / h**2,
+            (dpp - dpm - dmp + dmm) / (4 * h**2),
+        ]).astype(float)
+        ana = np.stack([getattr(cd, name) for name in names])
+        rel = np.abs(fd - ana) / np.maximum(np.abs(ana), 1e-3)
+        worst = np.maximum(worst, rel.max(axis=1))
+    errs = dict(zip(names, worst.tolist()))
+    return {"geometry": curve.geometry.value, "samples": samples, "step": float(step),
+            "max_rel_err": max(errs.values()), "per_quantity": errs}
 
 
 def gutkin_chord_length_formula(spec, alpha: float, t):

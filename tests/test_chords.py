@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from equichord import (
     ArcLengthParam,
+    ChordData,
     DeformedCircle,
     FourierCurveE2,
     Geometry,
     Harmonic,
+    ParametricCurve,
+    Points,
     TrigPolynomial,
     build_deformed_circle,
     build_e2_curve,
@@ -17,6 +20,7 @@ from equichord import (
     validate_partials,
 )
 from equichord.errors import Degenerate, OutOfRange
+import oracles
 from oracles import curves, stencil_inversions
 
 LD_EPS = np.finfo(np.longdouble).eps
@@ -112,6 +116,18 @@ class TestChordData:
         with pytest.raises(Degenerate, match="chord endpoints coincide"):
             chord_data(wavy_curve, 1.0, 1.0)
 
+    def test_stationary_end_refused(self):
+        """An astroid stops at t = 0; read through the unit circle's arc length,
+        the chord end x = 0 lands there, and the unit tangent refuses it first."""
+        astroid = ParametricCurve(
+            Geometry.EUCLIDEAN,
+            lambda t: Points((np.cos(t) ** 3, np.sin(t) ** 3)),
+            lambda t: Points((-3 * np.cos(t) ** 2 * np.sin(t), 3 * np.sin(t) ** 2 * np.cos(t))),
+            lambda t: Points((0 * t, 0 * t)))
+        arclen = ArcLengthParam(circle_curve(Geometry.EUCLIDEAN, 1.0))
+        with pytest.raises(Degenerate, match=r"^curve speed 0\.000e\+00 at t=0\.0$"):
+            chord_data(astroid, np.array([0.5, 0.0]), 1.0, arclen)
+
     @pytest.mark.parametrize("x", [float("nan"), float("inf")])
     def test_non_finite_end_refused(self, wavy_curve, x):
         for curve in (wavy_curve, circle_curve(Geometry.SPHERICAL, 0.9)):
@@ -159,7 +175,7 @@ def _deformed(tag):
 
 
 class TestStencilInversion:
-    """validate_partials starts each long-double stencil point next to the chord
+    """validate_partials starts each long-double stencil end next to the chord
     end chord_data solved in double."""
 
     @given(curves(), st.integers(0, 2**31 - 1))
@@ -170,6 +186,20 @@ class TestStencilInversion:
         arclen, s, t = inversions[0]
         cold = arclen.t_of_s(s)
         assert np.all(np.abs(t - cold) <= 8 * LD_EPS * np.maximum(1.0, np.abs(cold)))
+
+    @given(curves(), st.integers(1, 20), st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_six_ends_per_sample(self, curve, samples, seed):
+        """The nine stencil chords of a sample share six ends, x + {0, h, -h}
+        and y + {0, h, -h}, inverted in one long-double call."""
+        (arclen, s, _), = stencil_inversions(curve, samples=samples, seed=seed)
+        ltot = arclen.total_length
+        draws = np.random.default_rng(seed).uniform([0.0, 0.2], [ltot, 0.8], size=(samples, 2))
+        x = draws[:, 0].astype(np.longdouble)
+        y = x + draws[:, 1].astype(np.longdouble) * np.longdouble(ltot)
+        h = np.longdouble(1e-5)
+        assert s.shape == (2, 3, samples)
+        assert np.array_equal(s, np.stack([[x, x + h, x - h], [y, y + h, y - h]]))
 
     @pytest.mark.parametrize("make, steps", [
         (lambda: build_e2_curve(FourierCurveE2(c0=1.0, harmonics=(Harmonic(3, 0.3, 0.0),
@@ -195,3 +225,21 @@ class TestStencilInversion:
         monkeypatch.setattr(ArcLengthParam, "s_of_t", counting)
         validate_partials(curve, samples=40)
         assert dtypes.count(np.longdouble) == steps
+
+
+@given(curves(), st.integers(1, 40), st.integers(0, 2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_shared_evaluations_change_no_bit(curve, samples, seed):
+    """The six shared stencil ends and the chord ends' shared point and
+    velocity give the report and the chord records of evaluating each where
+    it is used, bit for bit."""
+    assert validate_partials(curve, samples=samples, seed=seed) \
+        == oracles.nine_chord_partials(curve, samples, seed)
+    arclen = ArcLengthParam(curve)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, arclen.total_length, samples)
+    y = x + rng.uniform(0.2, 0.8, samples) * arclen.total_length
+    for xs, ys in ((x, y), (x[0], y[0])):
+        got, want = chord_data(curve, xs, ys, arclen), oracles.chord_data(curve, xs, ys, arclen)
+        for name in ChordData.__dataclass_fields__:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -28,6 +28,8 @@ from equichord import (
     gutkin_roots,
     invariant_circle_residual,
     lemma_constants,
+    validate_partials,
+    verify_curve_gutkin,
     verify_gutkin,
 )
 from equichord.cli import main
@@ -141,6 +143,25 @@ class TestLibraryContract:
         # a drift taken over no chord reads 0.0, so the check would pass vacuously
         with pytest.raises(OutOfRange, match="at least one step and one start"):
             invariant_circle_residual(flower_curve, alpha4, n_steps=n_steps, n_starts=n_starts)
+
+    @pytest.mark.parametrize("count", [np.nan, np.inf, 2.7], ids=["nan", "inf", "fraction"])
+    @pytest.mark.parametrize("call", [
+        lambda curve, alpha, n: verify_curve_gutkin(curve, alpha, n_samples=n),
+        lambda curve, alpha, n: invariant_circle_residual(curve, alpha, n_steps=n, n_starts=4),
+        lambda curve, alpha, n: invariant_circle_residual(curve, alpha, n_steps=3, n_starts=n),
+        lambda curve, alpha, n: export_orbit(curve, BilliardState(0.0, alpha), n),
+        lambda curve, alpha, n: validate_partials(curve, samples=n),
+    ], ids=["verify_curve_gutkin", "invariant_circle_residual steps",
+            "invariant_circle_residual starts", "export_orbit", "validate_partials"])
+    def test_count_must_be_an_integer(self, flower_curve, alpha4, call, count):
+        # int() raised ValueError on NaN and OverflowError on inf, and ran 2.7 as 2
+        with pytest.raises(OutOfRange, match="must be an integer"):
+            call(flower_curve, alpha4, count)
+
+    def test_integral_float_count_passes(self, flower_curve, alpha4):
+        assert verify_curve_gutkin(flower_curve, alpha4, 3.0)["n_samples"] == 3
+        assert validate_partials(flower_curve, samples=3.0) == validate_partials(flower_curve, samples=3)
+        assert len(export_orbit(flower_curve, BilliardState(0.0, alpha4), 2.0)) == 2
 
     def test_negative_orbit_length(self, flower_curve, alpha4):
         with pytest.raises(OutOfRange, match="step count >= 0, got -1"):
