@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import OutOfRange
-from .geometry import Geometry, _check_radius, _newton
+from .geometry import Geometry, _check_radius, _count, _newton
 
 __all__ = [
     "AngleSolution",
@@ -69,7 +69,7 @@ def gutkin_roots(k: int) -> list[float]:
     root; the other branches hold none.  That makes 2 floor((k-2)/2) roots,
     found by Newton on every branch at once from the branch midpoints j pi/k.
     """
-    k = int(k)
+    k = _count(k, "k")
     if k < 2:
         raise OutOfRange("k must be an integer >= 2")
     js = np.array([j for j in range(1, k) if abs(2 * j - k) >= 2], dtype=float)
@@ -194,7 +194,7 @@ def solve_restr2(n: int, k: int) -> list[DiophantineSolution]:
     The roots come from ``_restr2_roots``, symmetric under r <-> n - r;
     ``lhs_minus_rhs`` is the pole-free cross-multiplied form at each.
     """
-    n, k = int(n), int(k)
+    n, k = _count(n, "n"), _count(k, "k")
     if not (2 <= k <= n / 2):
         raise OutOfRange(f"need 2 <= k <= n/2, got (n, k) = ({n}, {k})")
     r = np.array(_restr2_roots(n, k), dtype=int)
@@ -205,7 +205,7 @@ def solve_restr2(n: int, k: int) -> list[DiophantineSolution]:
 def connelly_check(n: int, k: int, r: int) -> bool:
     """Arithmetic characterization of restr2 solutions: k + r = n/2 and
     n | (k-1)(r-1).  Stated only for 1 < k, r < n/2."""
-    n, k, r = int(n), int(k), int(r)
+    n, k, r = _count(n, "n"), _count(k, "k"), _count(r, "r")
     if not (1 < k < n / 2 and 1 < r < n / 2):
         raise OutOfRange("characterization applies for 1 < k, r < n/2 only")
     return 2 * (k + r) == n and ((k - 1) * (r - 1)) % n == 0

@@ -4,6 +4,12 @@ State is (t, theta): boundary parameter and the angle in (0, pi) made with
 the forward tangent on the convex side.  One step shoots the chord and
 relaunches at the arrival angle, which encodes the reflection law; the
 equiangular invariant circle is then literally {theta = alpha}.
+
+A step launches where the previous one landed, so its shot reuses the point
+and unit tangent the curve kept from that landing (see ``shoot_to_curve``):
+after the first, every step evaluates the curve only in its Newton rounds
+and at its own landing, and gives the result a fresh shot from the same
+state gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .geometry import TWO_PI, ParametricCurve, _count, shoot_to_curve
+from .geometry import TWO_PI, ParametricCurve, _any, _count, shoot_to_curve
 
 __all__ = ["BilliardState", "billiard_step", "invariant_circle_residual", "export_orbit"]
 
@@ -29,7 +35,7 @@ class BilliardState:
     def __post_init__(self):
         theta = np.asarray(self.theta)
         bad = ~((0.0 < theta) & (theta < np.pi))
-        if np.count_nonzero(bad):
+        if _any(bad):
             i = int(np.argmax(bad))
             got = self.theta if theta.ndim == 0 else f"{float(theta.flat[i])!r} at element {i}"
             raise OutOfRange(f"theta must lie in (0, pi), got {got}")

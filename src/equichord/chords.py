@@ -140,8 +140,9 @@ def chord_data(curve: ParametricCurve, x, y, arclen: ArcLengthParam | None = Non
     x and y broadcast against each other; scalars give a record of floats,
     arrays a record of arrays of the broadcast shape, each element equal bit
     for bit to the chord computed alone.  The 2 x n chord ends are inverted
-    together, and the point and the velocity at each are evaluated once,
-    shared by the chord, the unit tangents and the geodesic curvatures.
+    together, and the curve's jet (point, velocity and acceleration) at each
+    is evaluated once, shared by the chord, the unit tangents and the
+    geodesic curvatures.
     """
     if arclen is None:
         arclen = ArcLengthParam(curve)
@@ -156,7 +157,8 @@ def chord_data(curve: ParametricCurve, x, y, arclen: ArcLengthParam | None = Non
 
     t = arclen.t_of_s(np.stack([x, y]))
     # each column holds both ends, x then y
-    ends = kern.project(curve.point(t))
+    ends, v, a = curve._jet(t, 2)
+    ends = kern.project(ends)
     p, q = zip(*ends)
     L = kern.distance(p, q)
 
@@ -165,12 +167,11 @@ def chord_data(curve: ParametricCurve, x, y, arclen: ArcLengthParam | None = Non
     d0 = tuple((qc - pc * cs) / sn for pc, qc in zip(p, q))
     d1 = _chord_tangent_at_arrival(g, p, d0, L)
 
-    v = curve.velocity(t)
     tp, tq = zip(*_unit_tangent(g, t, v))
     phi = np.arccos(np.clip(kern.dot(d0, tp) / mnorm(g, d0), -1.0, 1.0))
     psi = np.arccos(np.clip(kern.dot(d1, tq) / mnorm(g, d1), -1.0, 1.0))
 
-    kx, ky = _curvature(curve, t, v, ends)
+    kx, ky = _curvature(g, t, ends, v, a)
     inv_sin, inv_tan = 1.0 / kern.sn(L), 1.0 / kern.tn(L)
     # sin * sin, not ** 2: numpy rounds a scalar's square through pow()
     sin_phi, sin_psi = np.sin(phi), np.sin(psi)

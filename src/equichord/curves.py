@@ -54,15 +54,15 @@ __all__ = [
 
 def _antiderivative_xy(c0, harmonics):
     """Closed-form antiderivative of rho(s) (cos s, sin s), value at 0 removed,
-    as a function of t.
+    as a function of t, cos t and sin t.
 
     Handles k = 1 as well (used by the closure-defect negative check).
     """
     terms = [(h.k, h.amp, h.phase, np.sin(h.phase), np.cos(h.phase)) for h in harmonics]
 
-    def xy(t):
-        x = c0 * np.sin(t)
-        y = c0 * (1.0 - np.cos(t))
+    def xy(t, cos_t, sin_t):
+        x = c0 * sin_t
+        y = c0 * (1.0 - cos_t)
         for k, A, p, sin_p, cos_p in terms:
             if k == 1:
                 x = x + A * ((np.sin(2 * t + p) - sin_p) / 4 + t * cos_p / 2)
@@ -82,7 +82,7 @@ def closure_defect(c0: float, harmonics) -> float:
     produces a defect of pi * A.
     """
     hs = tuple(harmonics)
-    d = _antiderivative_xy(float(c0), hs)(2 * np.pi)
+    d = _antiderivative_xy(float(c0), hs)(2 * np.pi, np.cos(2 * np.pi), np.sin(2 * np.pi))
     return float(np.hypot(d[0], d[1]))
 
 
@@ -125,17 +125,22 @@ def build_e2_curve(spec: FourierCurveE2) -> ParametricCurve:
     """Exact curve with velocity rho(t) (cos t, sin t); tangent direction is t."""
     rho = spec.rho
     drho = rho.derivative()
-    point = _antiderivative_xy(spec.c0, spec.harmonics)
+    xy = _antiderivative_xy(spec.c0, spec.harmonics)
 
-    def velocity(t):
-        r = rho(t)
-        return Points((r * np.cos(t), r * np.sin(t)))
+    def jet(t, order, start=0):
+        cos, sin = np.cos(t), np.sin(t)
+        out = [xy(t, cos, sin)] if start == 0 else []
+        if order >= 1:
+            r = rho(t)
+            x, y = r * cos, r * sin
+            if start <= 1:
+                out.append(Points((x, y)))
+            if order == 2:
+                dr = drho(t)
+                out.append(Points((dr * cos - y, dr * sin + x)))
+        return tuple(out)
 
-    def acceleration(t):
-        r, dr = rho(t), drho(t)
-        return Points((dr * np.cos(t) - r * np.sin(t), dr * np.sin(t) + r * np.cos(t)))
-
-    return ParametricCurve(Geometry.EUCLIDEAN, point, velocity, acceleration)
+    return ParametricCurve._from_jet(Geometry.EUCLIDEAN, jet)
 
 
 def e2_residual_operator(f: TrigPolynomial, alpha: float):
@@ -196,31 +201,26 @@ def build_deformed_circle(spec: DeformedCircle) -> ParametricCurve:
     R = _check_radius(geo, spec.R)
     S, C, K, embed = geo.kernel.sn, geo.kernel.cs, geo.kernel.K, geo.kernel.embed
 
-    def _r(t):
-        return R + eps * g(t)
-
-    def point(t):
-        r = _r(t)
-        s = S(r)
-        return embed(s * np.cos(t), s * np.sin(t), lambda: C(r))
-
-    def velocity(t):
-        r, dr = _r(t), eps * dg(t)
+    def jet(t, order, start=0):
+        cos, sin = np.cos(t), np.sin(t)
+        r = R + eps * g(t)
         s, c = S(r), C(r)
-        return embed(c * dr * np.cos(t) - s * np.sin(t),
-                     c * dr * np.sin(t) + s * np.cos(t),
-                     lambda: -K * s * dr)
+        x, y = s * cos, s * sin
+        out = [embed(x, y, lambda: c)] if start == 0 else []
+        if order >= 1:
+            dr = eps * dg(t)
+            cdr = c * dr
+            if start <= 1:
+                out.append(embed(cdr * cos - y, cdr * sin + x, lambda: -K * s * dr))
+            if order == 2:
+                ddr = eps * ddg(t)
+                dr2 = dr * dr  # not dr**2, which numpy rounds through pow() on a scalar
+                rad = -K * s * dr2 + c * ddr
+                out.append(embed(rad * cos - 2 * cdr * sin - x, rad * sin + 2 * cdr * cos - y,
+                                 lambda: -K * (c * dr2 + s * ddr)))
+        return tuple(out)
 
-    def acceleration(t):
-        r, dr, ddr = _r(t), eps * dg(t), eps * ddg(t)
-        s, c = S(r), C(r)
-        dr2 = dr * dr  # not dr**2, which numpy rounds through pow() on a scalar
-        rad = -K * s * dr2 + c * ddr
-        return embed(rad * np.cos(t) - 2 * c * dr * np.sin(t) - s * np.cos(t),
-                     rad * np.sin(t) + 2 * c * dr * np.cos(t) - s * np.sin(t),
-                     lambda: -K * (c * dr2 + s * ddr))
-
-    curve = ParametricCurve(geo, point, velocity, acceleration)
+    curve = ParametricCurve._from_jet(geo, jet)
     if np.any(geodesic_curvature(curve, np.linspace(0.0, 2 * np.pi, 128, endpoint=False)) <= 0):
         raise NonConvex("deformation too large: curve loses convexity")
     return curve

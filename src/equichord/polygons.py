@@ -23,6 +23,7 @@ import numpy as np
 
 from .angles import _restr2_roots
 from .errors import Infeasible, NonConvex, NotAdmissible, OutOfRange
+from .geometry import _count
 
 __all__ = [
     "GutkinPolygon",
@@ -118,7 +119,7 @@ def verify_gutkin(vertices, k: int, tol: float = 1e-9) -> dict:
     """
     v = _vertex_array(vertices)
     n = len(v)
-    k = int(k)
+    k = _count(k, "k")
     _require_diagonal_index(n, k)
     e = _ccw_edges(v)
     d = _ahead(v, k) - v
@@ -183,7 +184,7 @@ def circulant_spectrum(n: int, k: int) -> CirculantSpectrum:
     (docs/derivation.md, "The circulant spectrum in closed form").  zero_set
     is 0 plus the restr2 roots, decided in integers ("The zero set in integers").
     """
-    n, k = int(n), int(k)
+    n, k = _count(n, "n"), _count(k, "k")
     _require_spectral_range(n, k)
     row = _first_row(n, k)
     # dk[s + 1] = D_k(s) for s = -1..n.  Only 0 < s < n takes sines: D_k is
@@ -211,7 +212,7 @@ def equiangular_family_basis(n: int, k: int) -> list[np.ndarray]:
     roots.  Ascending in r, each root r < n/2 gives sqrt(2/n) cos(2 pi r j/n),
     then sqrt(2/n) sin(2 pi r j/n), and r = n/2 gives (-1)^j / sqrt(n).
     """
-    n, k = int(n), int(k)
+    n, k = _count(n, "n"), _count(k, "k")
     _require_spectral_range(n, k)
     roots = _restr2_roots(n, k)
     r = np.array([x for x in roots if 2 * x < n], dtype=int)
@@ -264,7 +265,7 @@ def exists_nontrivial(n: int, k: int) -> bool:
     """Nontrivial Gutkin (n, k)-gons exist iff gcd(n, k - 1) > 1, except
     that the case n = 2k is special: there they always exist for k >= 3
     (the family has dimension k - 2, regardless of the gcd)."""
-    n, k = int(n), int(k)
+    n, k = _count(n, "n"), _count(k, "k")
     _require_spectral_range(n, k)
     if n == 2 * k:
         return k >= 3
@@ -279,7 +280,7 @@ def construct_2kk(k: int, free_params=()) -> GutkinPolygon:
     y_i = 2 cos(alpha) - x_i.  The first k - 2 sides are the free
     parameters; the last two are solved from the closure constraints.
     """
-    k = int(k)
+    k = _count(k, "k")
     if k < 2:
         raise OutOfRange("need k >= 2")
     params = np.asarray(free_params, dtype=float).reshape(-1)
@@ -310,7 +311,7 @@ def construct_inscribed(n: int, k: int, arcs) -> GutkinPolygon:
     arcs then subtend 2 pi (k - 1) / n, so every contact angle is
     pi (k - 1) / n by the inscribed-angle theorem.
     """
-    n, k = int(n), int(k)
+    n, k = _count(n, "n"), _count(k, "k")
     _require_diagonal_index(n, k)
     p = math.gcd(n, k - 1)
     if p < 2:

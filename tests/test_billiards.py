@@ -1,16 +1,27 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equichord import (
     BilliardState,
     Geometry,
+    ParametricCurve,
     billiard_step,
     billiards,
+    build_e2_curve,
     circle_curve,
     export_orbit,
+    geometry,
     invariant_circle_residual,
+    shoot_to_curve,
 )
 from equichord.errors import OutOfRange
+from equichord.geometry import TWO_PI
+from oracles import curves
 
 
 class TestBilliardStep:
@@ -75,3 +86,71 @@ class TestExportOrbit:
         for i in range(1, len(ts)):
             gap = (ts[i] - ts[i - 1]) % (2 * np.pi)
             assert gap == pytest.approx(2 * alpha4, abs=1e-10)
+
+
+def _fresh_shot(curve, t0, theta):
+    """shoot_to_curve on a copy of the curve, which holds no landing: the launch is evaluated."""
+    return shoot_to_curve(replace(curve), t0, theta)
+
+
+_STARTS = st.one_of(st.floats(0.0, TWO_PI), st.floats(0.0, 1e-6),
+                    st.floats(0.0, 1e-6).map(lambda gap: TWO_PI - gap))
+
+
+class TestRelaunch:
+    """A billiard step launches from the point and unit tangent its previous step
+    evaluated at the landing; each step must equal a shot that evaluates them."""
+
+    @given(curves(), st.booleans(), _STARTS,
+           st.one_of(st.sampled_from([0.005, np.pi - 0.005]), st.floats(0.3, 2.8)),
+           st.sampled_from([3, geometry._LANE_BLOCK]))
+    @settings(max_examples=40, deadline=None)
+    def test_steps_equal_fresh_shots(self, curve, hand_built, t0, theta, block):
+        if hand_built:  # a curve from the three callables, whose jet calls them
+            curve = ParametricCurve(curve.geometry, curve.point, curve.velocity, curve.acceleration)
+        with mock.patch.object(geometry, "_LANE_BLOCK", block):
+            rows = export_orbit(curve, BilliardState(t0, theta), 6)
+            t, th = t0 % TWO_PI, theta
+            for _, t_row, theta_row, length in rows:
+                t1, arrival, fresh_length = _fresh_shot(curve, t, th)
+                assert (t_row, theta_row, length) == (t, th, fresh_length)
+                t, th = t1 % TWO_PI, arrival
+
+            # an ensemble of 7 starts: blocks of 3, 3 and 1 lanes with the patched block
+            s = BilliardState((t0 + np.arange(7) * 0.9) % TWO_PI, np.full(7, theta))
+            for _ in range(4):
+                nxt = billiard_step(curve, s)
+                t1, arrival, _ = _fresh_shot(curve, s.t, s.theta)
+                assert np.array_equal(nxt.t, t1 % TWO_PI) and np.array_equal(nxt.theta, arrival)
+                s = nxt
+
+            drift = invariant_circle_residual(curve, theta, n_steps=4, n_starts=7)
+            ts, thetas, worst = np.linspace(0.0, TWO_PI, 7, endpoint=False), np.full(7, theta), 0.0
+            for _ in range(4):
+                t1, thetas, _ = _fresh_shot(curve, ts, thetas)
+                ts = t1 % TWO_PI
+                worst = max(worst, float(np.max(np.abs(thetas - theta))))
+            assert drift == worst
+
+    def test_jet_evaluations_per_step(self, flower_spec, alpha4):
+        """A fresh shot evaluates the jet at its launch, in three Newton rounds and
+        at its landing; a relaunched step skips the launch."""
+        curve = build_e2_curve(flower_spec)
+        jet, calls = curve._jet, []
+
+        def counting(t, order, start=0):
+            calls.append(np.shape(t))
+            return jet(t, order, start)
+
+        curve = replace(curve, _jet=counting)
+        t1, arrival, _ = shoot_to_curve(curve, 0.3, alpha4)
+        assert len(calls) == 5
+        calls.clear()
+        shoot_to_curve(curve, t1, arrival)
+        assert len(calls) == 4
+        calls.clear()
+        assert len(export_orbit(curve, BilliardState(0.3, alpha4), 3)) == 3
+        assert len(calls) == 5 + 4 + 4
+        calls.clear()
+        invariant_circle_residual(curve, alpha4, n_steps=3, n_starts=4)
+        assert calls.count((4,)) == 5 + 4 + 4

@@ -19,15 +19,20 @@ from equichord import (
     TrigPolynomial,
     build_deformed_circle,
     build_e2_curve,
+    circulant_spectrum,
+    connelly_check,
     construct_2kk,
     construct_inscribed,
     contact_angle_from_c,
+    equiangular_family_basis,
+    exists_nontrivial,
     export_orbit,
     f_star,
     family_member,
     gutkin_roots,
     invariant_circle_residual,
     lemma_constants,
+    solve_restr2,
     validate_partials,
     verify_curve_gutkin,
     verify_gutkin,
@@ -151,8 +156,21 @@ class TestLibraryContract:
         lambda curve, alpha, n: invariant_circle_residual(curve, alpha, n_steps=3, n_starts=n),
         lambda curve, alpha, n: export_orbit(curve, BilliardState(0.0, alpha), n),
         lambda curve, alpha, n: validate_partials(curve, samples=n),
+        lambda curve, alpha, n: gutkin_roots(n),
+        lambda curve, alpha, n: solve_restr2(24, n),
+        lambda curve, alpha, n: connelly_check(24, 5, n),
+        lambda curve, alpha, n: circulant_spectrum(n, 5),
+        lambda curve, alpha, n: circulant_spectrum(24, n),
+        lambda curve, alpha, n: equiangular_family_basis(n, 5),
+        lambda curve, alpha, n: exists_nontrivial(24, n),
+        lambda curve, alpha, n: verify_gutkin(regular_polygon(8), n),
+        lambda curve, alpha, n: construct_2kk(n, [1.0]),
+        lambda curve, alpha, n: construct_inscribed(n, 5, [0.1, 0.2]),
     ], ids=["verify_curve_gutkin", "invariant_circle_residual steps",
-            "invariant_circle_residual starts", "export_orbit", "validate_partials"])
+            "invariant_circle_residual starts", "export_orbit", "validate_partials",
+            "gutkin_roots", "solve_restr2", "connelly_check", "circulant_spectrum n",
+            "circulant_spectrum k", "equiangular_family_basis", "exists_nontrivial",
+            "verify_gutkin", "construct_2kk", "construct_inscribed"])
     def test_count_must_be_an_integer(self, flower_curve, alpha4, call, count):
         # int() raised ValueError on NaN and OverflowError on inf, and ran 2.7 as 2
         with pytest.raises(OutOfRange, match="must be an integer"):
