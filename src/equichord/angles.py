@@ -75,10 +75,10 @@ def gutkin_roots(k: int) -> list[float]:
     js = np.array([j for j in range(1, k) if abs(2 * j - k) >= 2], dtype=float)
     pi_lo = 1.2246467991473532e-16  # pi - np.pi: j np.pi + j pi_lo keeps the digits np.pi drops
 
-    def branch(c, lanes):
-        tan, j = np.tan(c), js[lanes]
+    def branch(c):
+        tan = np.tan(c)
         kt = k * tan
-        return k * c - j * np.pi - j * pi_lo - np.arctan(kt), k - k * (1 + tan * tan) / (1 + kt * kt)
+        return k * c - js * np.pi - js * pi_lo - np.arctan(kt), k - k * (1 + tan * tan) / (1 + kt * kt)
 
     h = np.pi / (2 * k)
     return _newton(branch, (2 * js - 1) * h, (2 * js + 1) * h, js * np.pi / k).tolist()

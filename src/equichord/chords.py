@@ -27,6 +27,7 @@ from .geometry import (
     _count,
     _curvature,
     _newton,
+    _positive,
     _unit_tangent,
     mnorm,
 )
@@ -94,21 +95,21 @@ class ArcLengthParam:
     def t_of_s(self, s, start=None):
         """Parameter t with s_of_t(t) = s, elementwise over s of any shape.
 
-        Newton (``geometry._newton``) runs on the whole array from
+        Newton (``geometry._newton``) runs on the whole array, in place, from
         s / mean_speed, or from ``start`` (one first guess per element of s)
-        when given; an element stops at its own convergence, so it takes
-        exactly the steps it would take alone.  A guess O(h^2) from the root,
-        such as a known t plus h / speed, converges in two steps.  With no
+        when given; an element's root is kept from the round it converges in,
+        so it takes exactly the steps it would take alone.  A guess O(h^2)
+        from the root, such as a known t plus h / speed, converges in two steps.  With no
         harmonic kept, t is s / mean_speed and no Newton step is taken.  A
         scalar gives a numpy scalar of the input's float dtype.
         """
         s = np.asarray(s, dtype=np.result_type(s, 1.0))
         if not self._ks.size:
             return (s / self.mean_speed)[()]
-        flat, centre = s.ravel(), s / self.mean_speed
+        centre = s / self.mean_speed
         t = centre if start is None else np.array(start, dtype=s.dtype).reshape(s.shape)
-        def f(t, lanes):
-            return self.s_of_t(t) - (s if lanes is None else flat[lanes]), self.speed(t)
+        def f(t):
+            return self.s_of_t(t) - s, self.speed(t)
         return _newton(f, (centre - self._reach)[()], (centre + self._reach)[()], t[()])
 
 
@@ -157,7 +158,7 @@ def chord_data(curve: ParametricCurve, x, y, arclen: ArcLengthParam | None = Non
 
     t = arclen.t_of_s(np.stack([x, y]))
     # each column holds both ends, x then y
-    ends, v, a = curve._jet(t, 2)
+    ends, v, a = curve.jet(t, 2)
     ends = kern.project(ends)
     p, q = zip(*ends)
     L = kern.distance(p, q)
@@ -217,8 +218,7 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0,
     samples = _count(samples, "validate_partials' sample count")
     if samples < 1:
         raise OutOfRange(f"validate_partials needs at least one sample, got {samples}")
-    if not (np.isfinite(step) and step > 0):
-        raise OutOfRange(f"finite-difference step must be finite and positive, got {step!r}")
+    _positive(step, "finite-difference step")
     arclen = ArcLengthParam(curve)
     Ltot = arclen.total_length
     rng = np.random.default_rng(seed)

@@ -23,7 +23,7 @@ from . import angles, billiards, curves, polygons
 from .chords import ArcLengthParam, validate_partials
 from .errors import EquichordError, NotAdmissible, OutOfRange
 from .fourier import Harmonic, TrigPolynomial
-from .geometry import Geometry, circle_curve, geodesic_curvature
+from .geometry import Geometry, _positive, circle_curve, geodesic_curvature
 
 DEFAULT_TOL = 1e-9
 _CURVATURE_SAMPLES = 4096  # parameter samples behind curve build's min_geodesic_curvature
@@ -405,6 +405,7 @@ def cmd_curve_verify(spec_path, alpha, samples, tol, out):
     """Shoot chords at angle alpha and report the worst arrival-angle defect."""
     if samples < 0:
         raise click.UsageError("--samples must be >= 0")
+    _positive(tol, "tol")
     cs = CurveSpec.load(spec_path, alpha_override=_read("--alpha", _alpha_ref, alpha))
     a = cs.require_alpha()
     rep = curves.verify_curve_gutkin(cs.curve, a, n_samples=samples)

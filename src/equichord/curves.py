@@ -140,7 +140,7 @@ def build_e2_curve(spec: FourierCurveE2) -> ParametricCurve:
                 out.append(Points((dr * cos - y, dr * sin + x)))
         return tuple(out)
 
-    return ParametricCurve._from_jet(Geometry.EUCLIDEAN, jet)
+    return ParametricCurve(Geometry.EUCLIDEAN, jet)
 
 
 def e2_residual_operator(f: TrigPolynomial, alpha: float):
@@ -220,7 +220,7 @@ def build_deformed_circle(spec: DeformedCircle) -> ParametricCurve:
                                  lambda: -K * (c * dr2 + s * ddr)))
         return tuple(out)
 
-    curve = ParametricCurve._from_jet(geo, jet)
+    curve = ParametricCurve(geo, jet)
     if np.any(geodesic_curvature(curve, np.linspace(0.0, 2 * np.pi, 128, endpoint=False)) <= 0):
         raise NonConvex("deformation too large: curve loses convexity")
     return curve

@@ -52,18 +52,19 @@ def _newton(f, neg, pos, x):
     """Roots of f, one per lane, by Newton's method safeguarded by bisection.
 
     neg, pos and the first iterate x are numpy values of one shape with
-    f(neg) < 0 < f(pos) and x between them; ``f(x, lanes)`` returns (f, f')
-    for the lanes still running (``lanes`` indexes the flattened lanes; None
-    for a scalar, which runs on numpy scalars).  A lane stops when its step
-    is below 8 eps max(1, |x|).  Otherwise the end of f's sign moves to x, a
-    step landing outside the bracket becomes its midpoint, and a bracket
-    below that tolerance stops the lane.  Each lane takes the steps it would
-    take alone.  Raises RuntimeError on a NaN f or after _NEWTON_ROUNDS rounds.
+    f(neg) < 0 < f(pos) and x between them; ``f(x)`` returns (f, f') at an x
+    of that shape (a scalar runs on numpy scalars).  A lane stops when its
+    step is below 8 eps max(1, |x|).  Otherwise the end of f's sign moves to
+    x, a step landing outside the bracket becomes its midpoint, and a bracket
+    below that tolerance stops the lane.  Lanes run in place until the slowest
+    stops; a stopped lane is still evaluated but keeps its root, so each lane
+    takes the steps it would take alone.  Raises RuntimeError on a NaN f in a
+    running lane, or after _NEWTON_ROUNDS rounds.
     """
     tol = 8 * np.finfo(x.dtype).eps
     if x.ndim == 0:
         for _ in range(_NEWTON_ROUNDS):
-            y, dy = f(x, None)
+            y, dy = f(x)
             if y != y:
                 raise RuntimeError(f"the function value at x={float(x)!r} is NaN")
             step = y / dy
@@ -76,30 +77,26 @@ def _newton(f, neg, pos, x):
                 if abs(pos - neg) < tol * max(1.0, abs(x)):
                     return x
         raise RuntimeError(f"Newton did not converge in {_NEWTON_ROUNDS} rounds, last x={float(x)!r}")
-    shape, x, neg, pos = x.shape, x.ravel(), neg.ravel(), pos.ravel()
-    root, lanes = x.copy(), np.arange(x.size)
+    done = np.zeros(x.shape, dtype=bool)
     for _ in range(_NEWTON_ROUNDS):
-        y, dy = f(x, lanes)
+        y, dy = f(x)
         step = y / dy
         x_new = x - step
         stop = np.abs(step) < tol * np.maximum(1.0, np.abs(x_new))
-        if np.count_nonzero(stop) == stop.size:  # count_nonzero is the cheapest reduction here
-            root[lanes] = x_new
-            return root.reshape(shape)
         low = y < 0
         neg, pos = np.where(low, x, neg), np.where(low, pos, x)
-        out = ~(stop | ((x_new - neg) * (x_new - pos) < 0))  # a NaN f lands here too
-        if np.count_nonzero(out):
-            if np.count_nonzero(np.isnan(y)):
-                raise RuntimeError(f"the function value at x={float(x[np.isnan(y)][0])!r} is NaN")
+        out = ~(done | stop | ((x_new - neg) * (x_new - pos) < 0))  # a running lane's NaN f lands here too
+        if np.count_nonzero(out):  # count_nonzero is the cheapest reduction here
+            nan = np.isnan(y) & ~done
+            if np.count_nonzero(nan):
+                raise RuntimeError(f"the function value at x={float(x[nan][0])!r} is NaN")
             x_new = np.where(out, (neg + pos) / 2, x_new)
             stop |= out & (np.abs(pos - neg) < tol * np.maximum(1.0, np.abs(x_new)))
-        x = x_new
-        if np.count_nonzero(stop):  # record the lanes that stop, and run on the others
-            root[lanes] = x
-            keep = ~stop
-            lanes, x, neg, pos = lanes[keep], x[keep], neg[keep], pos[keep]
-    raise RuntimeError(f"Newton did not converge in {_NEWTON_ROUNDS} rounds, last x={float(x[0])!r}")
+        x = np.where(done, x, x_new)
+        done |= stop
+        if np.count_nonzero(done) == done.size:
+            return x
+    raise RuntimeError(f"Newton did not converge in {_NEWTON_ROUNDS} rounds, last x={float(x[~done][0])!r}")
 
 
 def _broadcast(u, v):
@@ -123,6 +120,12 @@ def _count(n, what: str) -> int:
     if i is None or i != n:
         raise OutOfRange(f"{what} must be an integer, got {n!r}")
     return i
+
+
+def _positive(x, what: str):
+    """OutOfRange unless x is finite and positive."""
+    if not (np.isfinite(x) and x > 0):
+        raise OutOfRange(f"{what} must be finite and positive, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +183,16 @@ def _hyperbolic_normal(p, unit_t):
     return _scale(n, np.sqrt(_minkowski_dot(n, n)))
 
 
-def _lane_side(formula, cols):
-    """f(q, lanes) = formula(q, cols[lanes]), with all of cols when lanes is None."""
-    return lambda q, lanes: formula(q, cols if lanes is None else [c[lanes] for c in cols])
-
-
 def _line_side(p, d):
-    return (_lane_side(lambda q, c: c[2] * (q[1] - c[1]) - c[3] * (q[0] - c[0]), (*p, *d)),
-            _lane_side(lambda v, c: c[0] * v[1] - c[1] * v[0], d))
+    (p0, p1), (d0, d1) = p, d
+    return lambda q: d0 * (q[1] - p1) - d1 * (q[0] - p0), lambda v: d0 * v[1] - d1 * v[0]
 
 
 def _plane_side(p, d):
     # great circle / H2 geodesic = surface cut by the plane span(p, d); linear in q
-    side = _lane_side(_dot3, _cross(p, d))
+    n = _cross(p, d)
+    def side(q):
+        return _dot3(q, n)
     return side, side
 
 
@@ -203,11 +203,11 @@ class _Kernel(NamedTuple):
     tan) on S2, (sinh, cosh, tanh) on H2; ``arccot`` inverts 1/tn_K.
     ``dot`` is the ambient inner product, ``normal(p, T)`` the unit normal on
     the convex side of a counterclockwise curve, and ``side(p, d)``, for
-    lanes of points p and directions d, two functions ``f(q, lanes)``: one
-    affine in q and vanishing exactly on the geodesics through p[lanes] along
-    d[lanes], and its linear part, which at a curve's velocity is the
-    derivative along the curve; q's columns have shape (..., len(lanes)), and
-    ``lanes`` is an index array, or None for all lanes.  ``embed(x, y, pole)``
+    lanes of points p and directions d, two functions ``f(q)``: one affine
+    in q and vanishing exactly on the geodesics through p along d, and its
+    linear part, which at a curve's velocity is the derivative along the
+    curve; q's columns broadcast against those of p and d, so columns given
+    a trailing axis (``c[:, None]``) evaluate every lane at every q.  ``embed(x, y, pole)``
     orders planar x, planar y and the pole coordinate as ambient ``Points``;
     ``pole`` is a function, and E2, which has no pole, never calls it.
     ``max_radius`` bounds circle radii: pi/2 on S2, and on H2 arccosh of the
@@ -278,22 +278,20 @@ def mnorm(geometry: Geometry, v):
 
 @dataclass(frozen=True)
 class ParametricCurve:
-    """Closed curve given by callables on a fixed 2*pi parameter interval.
+    """Closed curve on a fixed 2*pi parameter interval, given by its jet.
 
-    ``point``/``velocity``/``acceleration`` take t, a number or an array of
-    any shape, and return ``Points``: one coordinate column per ambient
+    ``jet(t, order, start=0)`` returns the derivatives start..order of the
+    curve at t (0 the point, 1 the velocity, 2 the acceleration; 0 <= start
+    <= order <= 2) as a tuple of ``Points``.  t is a number or an array of
+    any shape, and each ``Points`` holds one coordinate column per ambient
     coordinate, each of t's shape, elementwise in t and preserving dtype (so
-    the finite-difference oracles can evaluate them in extended precision,
-    and a batch of parameters rounds like each one alone).  A stacked array
-    would be read row by row as columns, so it raises OutOfRange.
-
-    ``_jet(t, order, start=0)`` returns the derivatives start..order of the
-    curve at t (0 the point, 1 the velocity, 2 the acceleration) as a tuple
-    of ``Points``.  The builders in this package give one jet that computes
-    the terms the derivatives share (sn r, cs r, cos t, sin t) once, and
-    derive the three public callables from it; a curve built from three
-    callables gets a jet that calls them.  The chord shot, ``chord_data``
-    and the curvature evaluate through the jet.
+    the finite-difference oracles can evaluate it in extended precision, and
+    a batch of parameters rounds like each one alone).  A jet computes the
+    terms its derivatives share (sn r, cs r, cos t, sin t) once; ``start``
+    lets a caller that needs only the velocity skip the point.  A stacked
+    array would be read row by row as columns, so a jet that returns one at
+    t = 0 raises OutOfRange.  ``point``, ``velocity`` and ``acceleration``
+    read one order of the jet.
 
     ``_landing`` is the last shot's landing, kept so that a shot launched
     from exactly where the previous one landed (a billiard orbit) reuses
@@ -303,31 +301,23 @@ class ParametricCurve:
     """
 
     geometry: Geometry
-    point: Callable[[np.ndarray], Points]
-    velocity: Callable[[np.ndarray], Points]
-    acceleration: Callable[[np.ndarray], Points]
-    _jet: Callable = field(default=None, repr=False, compare=False)
+    jet: Callable[..., tuple]
     _landing: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        evaluators = (self.point, self.velocity, self.acceleration)
-        if self._jet is None:  # built from three callables: the jet calls them
-            object.__setattr__(self, "_jet", lambda t, order, start=0: tuple(
-                [f(t) for f in evaluators[start:order + 1]]))
         with np.errstate(all="ignore"):  # only the type is looked at; values are checked where used
-            stacked = any(isinstance(f(0.0), np.ndarray) for f in evaluators)
+            stacked = any(isinstance(d, np.ndarray) for d in self.jet(0.0, 2))
         if stacked:
-            raise OutOfRange("curve functions must return coordinate columns (Points), not stacked points")
+            raise OutOfRange("a curve's jet must return coordinate columns (Points), not stacked points")
 
-    @classmethod
-    def _from_jet(cls, geometry: Geometry, jet: Callable) -> "ParametricCurve":
-        """The curve whose point, velocity and acceleration are those of ``jet``."""
-        return cls(geometry, lambda t: jet(t, 0)[0], lambda t: jet(t, 1, 1)[0], lambda t: jet(t, 2, 2)[0], jet)
+    def point(self, t) -> Points:
+        return self.jet(t, 0)[0]
 
-    def unit_tangent(self, t) -> Points:
-        """Unit tangent at t of any shape, as columns of t's shape."""
-        t = np.asarray(t, dtype=float)[()]  # a 0-d t becomes a numpy scalar, the cheapest operand
-        return _unit_tangent(self.geometry, t, self.velocity(t))
+    def velocity(self, t) -> Points:
+        return self.jet(t, 1, 1)[0]
+
+    def acceleration(self, t) -> Points:
+        return self.jet(t, 2, 2)[0]
 
     @cached_property
     def _ring(self) -> tuple:
@@ -355,7 +345,7 @@ def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
                   lambda: embed(-x, -y, lambda: np.zeros_like(t)))
         return tuple([d() for d in derivs[start:order + 1]])
 
-    return ParametricCurve._from_jet(geometry, jet)
+    return ParametricCurve(geometry, jet)
 
 
 def geodesic_curvature(curve: ParametricCurve, t):
@@ -367,7 +357,7 @@ def geodesic_curvature(curve: ParametricCurve, t):
     the curvature at each of its elements.
     """
     t = np.asarray(t, dtype=float)[()]
-    p, v, a = curve._jet(t, 2)
+    p, v, a = curve.jet(t, 2)
     kappa = _curvature(curve.geometry, t, curve.geometry.kernel.project(p), v, a)
     return float(kappa) if kappa.ndim == 0 else kappa
 
@@ -467,7 +457,7 @@ def _shoot_lanes(curve, t0, theta, launch=None):
     is the landing of a shot that returned t0, or None to evaluate the curve at t0."""
     kern = curve.geometry.kernel
     if launch is None:
-        p, v = curve._jet(t0, 1)
+        p, v = curve.jet(t0, 1)
         p, tan = kern.project(p), _unit_tangent(curve.geometry, t0, v)
     else:
         p, tan = launch
@@ -476,18 +466,20 @@ def _shoot_lanes(curve, t0, theta, launch=None):
     d = _scale(d, np.sqrt(kern.dot(d, d)))
 
     side, slope = kern.side(p, d)
-    up = slope(tan, None)  # f'(t0): f has its sign just after t0, and the opposite one before t0 + 2 pi
+    def side_of(take):  # side for the launch columns c, each replaced by take(c)
+        return kern.side(tuple(map(take, p)), tuple(map(take, d)))[0]
+    up = slope(tan)  # f'(t0): f has its sign just after t0, and the opposite one before t0 + 2 pi
     # f on the closed ring (its sample at 2 pi is the one at 0), one row per lane, and
     # its sign changes per cell [t_j, t_j+1], a 0 counting at its cell's left end;
     # one shot keeps its cell bookkeeping in Python numbers
     if t0.ndim == 0:
         x, lane = t0.item(), ()
         cell = min(int(x // _RING_STEP), _SHOT_GRID - 1)  # t0 % 2 pi may round to 2 pi
-        vals = side(curve._ring, None)
+        vals = side(curve._ring)
     else:
         x, lane = t0, (np.arange(t0.size),)
         cell = np.minimum(t0 // _RING_STEP, _SHOT_GRID - 1).astype(int)
-        vals = side(curve._ring, lane[0][:, None])
+        vals = side_of(lambda c: c[:, None])(curve._ring)
     hits = (vals[..., :-1] == 0.0) | (vals[..., :-1] * vals[..., 1:] < 0.0)
     # The shot samples (t0, t0 + 2 pi) from t0's cell on, without the ring points
     # within the guard of t0: ``after`` is its first ring sample and ``before`` its
@@ -518,7 +510,7 @@ def _shoot_lanes(curve, t0, theta, launch=None):
         fwd = np.ravel(short_after)[i]
         j = np.where(fwd, np.ravel(after)[i], np.ravel(before)[i])
         tg, tj = np.ravel(t0)[i] + np.where(fwd, _GUARD, -_GUARD), j * _RING_STEP
-        g, fj = side(curve.point(tg), i if t0.ndim else None), vals[(i,) * t0.ndim + (j % _SHOT_GRID,)]
+        g, fj = side_of(lambda c: np.ravel(c)[i])(curve.point(tg)), vals[(i,) * t0.ndim + (j % _SHOT_GRID,)]
         if np.count_nonzero(np.where(fwd, g, -g) * np.ravel(up)[i] < 0.0):
             raise Degenerate("no forward intersection found (curve convex and closed?)")
         bracket = np.array((a, b, fa, fb)).reshape(4, -1)
@@ -530,12 +522,12 @@ def _shoot_lanes(curve, t0, theta, launch=None):
         neg, pos = (a, b) if fa < 0.0 else (b, a)
     else:
         neg, pos = np.where(fa < 0.0, a, b), np.where(fa < 0.0, b, a)
-    def f(t, lanes):
-        pt, v = curve._jet(t, 1)
-        return side(pt, lanes), slope(v, lanes)
+    def f(t):
+        pt, v = curve.jet(t, 1)
+        return side(pt), slope(v)
 
     t1 = _newton(f, neg, pos, a - fa * (b - a) / (fb - fa)) % TWO_PI
-    q, v = curve._jet(t1, 1)
+    q, v = curve.jet(t1, 1)
     q, tan = kern.project(q), _unit_tangent(curve.geometry, t1, v)
     length = kern.distance(p, q)
     w = _chord_tangent_at_arrival(curve.geometry, p, d, length)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .angles import _restr2_roots
 from .errors import Infeasible, NonConvex, NotAdmissible, OutOfRange
-from .geometry import _count
+from .geometry import _count, _positive
 
 __all__ = [
     "GutkinPolygon",
@@ -114,9 +114,11 @@ def verify_gutkin(vertices, k: int, tol: float = 1e-9) -> dict:
     """Measure all 2n contact angles of the k-diagonals.
 
     is_gutkin iff every measured angle deviates from their common mean by
-    less than tol.  beta_angles (the angle between the two diagonals at each
-    vertex) are included when n != 2k.
+    less than tol, which must be finite and positive (OutOfRange otherwise).
+    beta_angles (the angle between the two diagonals at each vertex) are
+    included when n != 2k.
     """
+    _positive(tol, "tol")
     v = _vertex_array(vertices)
     n = len(v)
     k = _count(k, "k")

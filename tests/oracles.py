@@ -38,7 +38,7 @@ from equichord import (
 )
 from equichord.angles import _polefree, _restr2_residual
 from equichord.errors import Degenerate, NonConvex, NotAdmissible, OutOfRange
-from equichord.geometry import TWO_PI, _broadcast, _chord_tangent_at_arrival, _newton, mnorm
+from equichord.geometry import TWO_PI, _broadcast, _chord_tangent_at_arrival, _newton, _unit_tangent, mnorm
 from equichord.polygons import GutkinPolygon, _angle, verify_gutkin
 
 
@@ -120,14 +120,14 @@ def grid_shot(curve, t0: float, theta: float) -> tuple:
     kern = curve.geometry.kernel
     t0, theta = np.float64(t0) % TWO_PI, np.float64(theta)
     p = kern.project(curve.point(t0))
-    tan = curve.unit_tangent(t0)
+    tan = _unit_tangent(curve.geometry, t0, curve.velocity(t0))
     d = tuple(np.cos(theta) * tc + np.sin(theta) * nc for tc, nc in zip(tan, kern.normal(p, tan)))
     d = tuple(c / np.sqrt(kern.dot(d, d)) for c in d)
     side, slope = kern.side(p, d)
     start, stop = t0 + 1e-6, t0 + TWO_PI - 1e-6
     ts = np.arange(256.0) * ((stop - start) / 255) + start
     ts[-1] = stop
-    vals = side(curve.point(ts), None)
+    vals = side(curve.point(ts))
     hits = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
     count = np.count_nonzero(hits)
     if count == 0:
@@ -136,12 +136,12 @@ def grid_shot(curve, t0: float, theta: float) -> tuple:
         raise NonConvex(f"the chord from t0={t0} at theta={theta} crosses the curve {count} times")
     j = hits.argmax()
     a, b, fa, fb = ts[j], ts[j + 1], vals[j], vals[j + 1]
-    t1 = _newton(lambda t, lanes: (side(curve.point(t), lanes), slope(curve.velocity(t), lanes)),
+    t1 = _newton(lambda t: (side(curve.point(t)), slope(curve.velocity(t))),
                  *((a, b) if fa < 0 else (b, a)), a - fa * (b - a) / (fb - fa))
     q = kern.project(curve.point(t1))
     length = kern.distance(p, q)
     w = _chord_tangent_at_arrival(curve.geometry, p, d, length)
-    c = kern.dot(w, curve.unit_tangent(t1)) / np.sqrt(kern.dot(w, w))
+    c = kern.dot(w, _unit_tangent(curve.geometry, t1, curve.velocity(t1))) / np.sqrt(kern.dot(w, w))
     return float(t1 % TWO_PI), float(np.arccos(np.clip(c, -1.0, 1.0))), float(length)
 
 
@@ -168,7 +168,7 @@ def stencil_inversions(curve, samples: int, seed: int = 0) -> list:
 
 def chord_data(curve, x, y, arclen) -> ChordData:
     """The chord record with every quantity evaluated where it is used: the
-    ends' points for the chord, ``unit_tangent`` and ``geodesic_curvature``
+    ends' points for the chord, the unit tangents and ``geodesic_curvature``
     each evaluating the velocity (and the curvature the point) again.  The
     reference for chord_data's shared evaluations; it refuses nothing."""
     g = curve.geometry
@@ -180,7 +180,7 @@ def chord_data(curve, x, y, arclen) -> ChordData:
     cs, sn = kern.cs(L), kern.sn(L)
     d0 = tuple((qc - pc * cs) / sn for pc, qc in zip(p, q))
     d1 = _chord_tangent_at_arrival(g, p, d0, L)
-    tp, tq = zip(*curve.unit_tangent(t))
+    tp, tq = zip(*_unit_tangent(g, t, curve.velocity(t)))
     phi = np.arccos(np.clip(kern.dot(d0, tp) / mnorm(g, d0), -1.0, 1.0))
     psi = np.arccos(np.clip(kern.dot(d1, tq) / mnorm(g, d1), -1.0, 1.0))
     kx, ky = geodesic_curvature(curve, t)

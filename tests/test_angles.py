@@ -198,35 +198,54 @@ class TestFStar:
 
 
 def _arctan_family(r, a, b, shift):
-    """Lanes of f = arctan(a (x - r)) + b (x - r) - shift and f', increasing in x."""
-    def f(x, lanes):
-        u = x - r[lanes]
-        au = a[lanes] * u
-        return np.arctan(au) + b[lanes] * u - shift[lanes], a[lanes] / (1 + au * au) + b[lanes]
+    """f = arctan(a (x - r)) + b (x - r) - shift and f', increasing in x; the
+    parameters broadcast against x, one per lane."""
+    def f(x):
+        u = x - r
+        au = a * u
+        return np.arctan(au) + b * u - shift, a / (1 + au * au) + b
     return f
+
+
+def _counting(f, calls):
+    """f, appending to ``calls`` on every evaluation."""
+    def counted(x):
+        calls.append(np.shape(x))
+        return f(x)
+    return counted
 
 
 class TestNewton:
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
     @settings(max_examples=60, deadline=None)
     def test_lanes_match_one_lane_at_a_time(self, seed, n):
-        """Every lane equals the same call made alone on numpy scalars, bit for
-        bit, on starts near and far from the root (far ones bisect)."""
+        """Every lane of a (3, n) block equals the same call made alone on numpy
+        scalars, bit for bit.  Row 0 starts near and far from the root (far ones
+        bisect); row 1 is steep, so its far starts bisect for many rounds; row 2
+        starts within 1e-9 of its root and stops in at most two rounds, then is
+        evaluated in place while the other rows run."""
         rng = np.random.default_rng(seed)
-        r, a = rng.uniform(-5, 5, n), rng.uniform(0.1, 10, n)
-        b, shift = rng.uniform(1e-3, 0.1, n), rng.uniform(-1, 1, n)
-        neg, pos = r - rng.uniform(1, 20, n), r + rng.uniform(1, 20, n)
-        x0 = neg + rng.uniform(0, 1, n) * (pos - neg)
-        f = _arctan_family(r, a, b, shift)
-        roots = _newton(f, neg, pos, x0)
-        assert roots.shape == (n,)
-        for i in range(n):
-            def one(x, lanes, i=i):
-                y, dy = f(np.array([x]), np.array([i]))
-                return y[0], dy[0]
+        r = rng.uniform(-5, 5, (3, n))
+        a = np.stack([rng.uniform(0.1, 10, n), rng.uniform(1e3, 1e4, n), rng.uniform(0.1, 10, n)])
+        b = np.stack([rng.uniform(1e-3, 0.1, n), rng.uniform(1e-4, 1e-3, n), rng.uniform(1e-3, 0.1, n)])
+        shift = np.stack([rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), np.zeros(n)])
+        neg, pos = r - rng.uniform(1, 20, (3, n)), r + rng.uniform(1, 20, (3, n))
+        x0 = neg + rng.uniform(0, 1, (3, n)) * (pos - neg)
+        x0[2] = r[2] + rng.uniform(-1e-9, 1e-9, n)  # the root of row 2 is r: shift is 0
+        block_calls = []
+        roots = _newton(_counting(_arctan_family(r, a, b, shift), block_calls), neg, pos, x0)
+        assert roots.shape == (3, n)
+        rounds = np.empty((3, n), dtype=int)
+        for i in np.ndindex(3, n):
+            calls = []
+            one = _counting(_arctan_family(r[i], a[i], b[i], shift[i]), calls)
             alone = _newton(one, neg[i], pos[i], x0[i])
             assert isinstance(alone, np.float64)
             assert alone == roots[i]
+            rounds[i] = len(calls)
+        assert rounds[1].min() >= 8 and rounds[2].max() <= 2, rounds
+        # the block runs until its slowest lane stops: no round more
+        assert block_calls == [(3, n)] * rounds.max()
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
     @settings(max_examples=60, deadline=None)
@@ -238,23 +257,22 @@ class TestNewton:
         b = rng.uniform(-0.5, 0.5, n) / w
         b = np.clip(b, -0.4, 0.4)
 
-        def f(x, lanes):
-            return x - r[lanes] + b[lanes] * np.sin(w[lanes] * x), 1 + b[lanes] * w[lanes] * np.cos(w[lanes] * x)
+        def f(x):
+            return x - r + b * np.sin(w * x), 1 + b * w * np.cos(w * x)
 
         neg, pos = r - 1, r + 1
         roots = _newton(f, neg, pos, neg + rng.uniform(0, 1, n) * 2)
-        lanes = np.arange(n)
-        below = f(roots - 4 * np.spacing(roots), lanes)[0]
-        above = f(roots + 4 * np.spacing(roots), lanes)[0]
+        below = f(roots - 4 * np.spacing(roots))[0]
+        above = f(roots + 4 * np.spacing(roots))[0]
         assert np.all(below * above <= 0), (below, above)
 
     def test_step_leaving_the_bracket_bisects(self):
         """From x = 10 the raw Newton step on arctan(x - 1) lands at about -110,
         outside the bracket [-20, 20]; the safeguard bisects and still converges."""
-        def f(x, lanes):
+        def f(x):
             return np.arctan(x - 1), 1 / (1 + (x - 1) * (x - 1))
 
-        y, dy = f(10.0, None)
+        y, dy = f(10.0)
         assert not -20 < 10.0 - y / dy < 20
         assert _newton(f, np.float64(-20), np.float64(20), np.float64(10)) == 1.0
         assert np.array_equal(_newton(f, np.array([-20.0, -20.0]), np.array([20.0, 20.0]),
@@ -263,7 +281,7 @@ class TestNewton:
     def test_collapsed_bracket_stops(self):
         """A sign change with no root (a jump at 0.3) ends in a bracket below the
         tolerance, not in the round cap."""
-        def f(x, lanes):
+        def f(x):
             return np.where(x < 0.3, -1.0, 1.0)[()], 1e-3 + 0 * x
 
         for root in (_newton(f, np.float64(0), np.float64(1), np.float64(0.9)),
@@ -271,7 +289,7 @@ class TestNewton:
             assert abs(root - 0.3) <= 8 * np.finfo(float).eps
 
     def test_round_cap(self, monkeypatch):
-        def cos(x, lanes):
+        def cos(x):
             return np.cos(x), -np.sin(x)
 
         one_lane = np.float64(3), np.float64(0), np.float64(1)
@@ -281,21 +299,48 @@ class TestNewton:
             _newton(cos, *one_lane)
 
     def test_lane_errors(self, monkeypatch):
-        def nan_on_lane_1(x, lanes):
+        def nan_on_lane_1(x):
             y = np.cos(x)
-            return (np.where(lanes == 1, np.nan, y) if lanes is not None else np.nan), -np.sin(x)
+            return (np.where(np.arange(x.size) == 1, np.nan, y) if x.ndim else np.nan), -np.sin(x)
 
         with pytest.raises(RuntimeError, match="is NaN"):
             _newton(nan_on_lane_1, np.float64(3), np.float64(0), np.float64(1))
         with pytest.raises(RuntimeError, match="is NaN"):
             _newton(nan_on_lane_1, np.array([3.0, 3.0]), np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 
-        def cos(x, lanes):
+        def cos(x):
             return np.cos(x), -np.sin(x)
 
         monkeypatch.setattr("equichord.geometry._NEWTON_ROUNDS", 2)
         with pytest.raises(RuntimeError, match="did not converge in 2 rounds"):
             _newton(cos, np.array([3.0, 3.0]), np.array([0.0, 0.0]), np.array([1.0, 1.5]))
+
+    def test_stopped_lanes_are_not_checked(self, monkeypatch):
+        """Lane 0 starts on its root and stops in the first round; it is evaluated
+        again, as NaN, while lane 1, a steep arctan, bisects for several rounds.
+        Neither the NaN refusal nor the round cap's message looks at lane 0: the
+        message is lane 1's, as the call alone gives."""
+        def steep(x):
+            u = 1000 * (x - 1.2)
+            return np.arctan(u), 1000 / (1 + u * u)
+
+        def f(x):
+            y, dy = steep(x[1])
+            calls.append(x.copy())
+            return np.array([x[0] - 1.0 if len(calls) == 1 else np.nan, y]), np.array([1.0, dy])
+
+        lanes, alone = (np.array([0.0, 0.0]), np.array([2.0, 3.0]), np.array([1.0, 2.9])), (0.0, 3.0, 2.9)
+        calls = []
+        roots = _newton(f, *lanes)
+        assert len(calls) > 2
+        assert roots[0] == 1.0 and roots[1] == _newton(steep, *map(np.float64, alone))
+        monkeypatch.setattr("equichord.geometry._NEWTON_ROUNDS", 2)
+        with pytest.raises(RuntimeError, match="did not converge in 2 rounds") as one:
+            _newton(steep, *map(np.float64, alone))
+        calls = []
+        with pytest.raises(RuntimeError, match="did not converge in 2 rounds") as two:
+            _newton(f, *lanes)
+        assert str(two.value) == str(one.value)
 
 class TestSolveAngle:
     def test_euclidean_alpha_equals_c(self):

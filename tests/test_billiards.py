@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from equichord import (
     BilliardState,
     Geometry,
-    ParametricCurve,
     billiard_step,
     billiards,
     build_e2_curve,
@@ -101,13 +100,11 @@ class TestRelaunch:
     """A billiard step launches from the point and unit tangent its previous step
     evaluated at the landing; each step must equal a shot that evaluates them."""
 
-    @given(curves(), st.booleans(), _STARTS,
+    @given(curves(), _STARTS,
            st.one_of(st.sampled_from([0.005, np.pi - 0.005]), st.floats(0.3, 2.8)),
            st.sampled_from([3, geometry._LANE_BLOCK]))
     @settings(max_examples=40, deadline=None)
-    def test_steps_equal_fresh_shots(self, curve, hand_built, t0, theta, block):
-        if hand_built:  # a curve from the three callables, whose jet calls them
-            curve = ParametricCurve(curve.geometry, curve.point, curve.velocity, curve.acceleration)
+    def test_steps_equal_fresh_shots(self, curve, t0, theta, block):
         with mock.patch.object(geometry, "_LANE_BLOCK", block):
             rows = export_orbit(curve, BilliardState(t0, theta), 6)
             t, th = t0 % TWO_PI, theta
@@ -134,16 +131,20 @@ class TestRelaunch:
 
     def test_jet_evaluations_per_step(self, flower_spec, alpha4):
         """A fresh shot evaluates the jet at its launch, in three Newton rounds and
-        at its landing; a relaunched step skips the launch."""
+        at its landing; a relaunched step skips the launch.  The curve's first shot
+        also evaluates its ring, once."""
         curve = build_e2_curve(flower_spec)
-        jet, calls = curve._jet, []
+        jet, calls = curve.jet, []
 
         def counting(t, order, start=0):
             calls.append(np.shape(t))
             return jet(t, order, start)
 
-        curve = replace(curve, _jet=counting)
+        curve = replace(curve, jet=counting)
+        calls.clear()  # construction looks at the jet's type once
         t1, arrival, _ = shoot_to_curve(curve, 0.3, alpha4)
+        assert calls.count((geometry._SHOT_GRID,)) == 1
+        calls.remove((geometry._SHOT_GRID,))
         assert len(calls) == 5
         calls.clear()
         shoot_to_curve(curve, t1, arrival)

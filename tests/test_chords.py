@@ -119,11 +119,12 @@ class TestChordData:
     def test_stationary_end_refused(self):
         """An astroid stops at t = 0; read through the unit circle's arc length,
         the chord end x = 0 lands there, and the unit tangent refuses it first."""
-        astroid = ParametricCurve(
-            Geometry.EUCLIDEAN,
-            lambda t: Points((np.cos(t) ** 3, np.sin(t) ** 3)),
-            lambda t: Points((-3 * np.cos(t) ** 2 * np.sin(t), 3 * np.sin(t) ** 2 * np.cos(t))),
-            lambda t: Points((0 * t, 0 * t)))
+        def jet(t, order, start=0):
+            cos, sin = np.cos(t), np.sin(t)
+            return (Points((cos ** 3, sin ** 3)), Points((-3 * cos ** 2 * sin, 3 * sin ** 2 * cos)),
+                    Points((0 * t, 0 * t)))[start:order + 1]
+
+        astroid = ParametricCurve(Geometry.EUCLIDEAN, jet)
         arclen = ArcLengthParam(circle_curve(Geometry.EUCLIDEAN, 1.0))
         with pytest.raises(Degenerate, match=r"^curve speed 0\.000e\+00 at t=0\.0$"):
             chord_data(astroid, np.array([0.5, 0.0]), 1.0, arclen)

@@ -110,6 +110,22 @@ class TestPolygonCommands:
         out = run_ok(runner, ["polygon", "verify", "--regular", "5", "--k", "2", "--tol", "1e-3"])
         assert '"tol": 0.001' in out
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_tol_must_be_finite_and_positive(self, runner, write_spec, monkeypatch, tol):
+        """Such a tol gave a verdict with exit 0: a NaN, negative or zero one failed
+        the regular hexagon, an infinite one passed any polygon.  curve verify
+        refuses it before it shoots."""
+        def no_shot(*args, **kwargs):
+            raise AssertionError("curve verify shot chords before it checked --tol")
+
+        monkeypatch.setattr(equichord.curves, "verify_curve_gutkin", no_shot)
+        for args in (["polygon", "verify", "--regular", "6", "--k", "2"],
+                     ["curve", "verify", "--spec", write_spec(E2_SPEC)]):
+            result = runner.invoke(main, args + ["--tol", tol])
+            assert result.exit_code == 3, (result.output, result.exception)
+            assert result.stdout == ""
+            assert result.stderr.splitlines() == [f"error: tol must be finite and positive, got {float(tol)!r}"]
+
 
 class TestCurveCommands:
     def test_verify_auto_alpha(self, runner, write_spec):

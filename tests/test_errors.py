@@ -88,6 +88,13 @@ class TestLibraryContract:
     def test_verify_gutkin(self, vertices, k, tol):
         within_contract(verify_gutkin, vertices, k, tol)
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf], ids=["nan", "negative", "zero", "inf"])
+    def test_verify_gutkin_tol_must_be_finite_and_positive(self, tol):
+        # a NaN, negative or zero tol failed even the regular hexagon, and an
+        # infinite one passed any polygon, each without an error
+        with pytest.raises(OutOfRange, match=r"^tol must be finite and positive, got "):
+            verify_gutkin(regular_polygon(6), 2, tol)
+
     @given(st.integers(-3, 30), st.integers(-3, 16), st.one_of(st.none(), NUMBERS, st.lists(NUMBERS, max_size=6)))
     @settings(max_examples=150, deadline=None)
     def test_family_member(self, n, k, coefficients):

@@ -196,28 +196,22 @@ class TestShooting:
     def test_multiple_crossings_rejected(self):
         """The non-convex polar curve r = 1 + 0.5 cos 3t: the chord from t0 = 0
         at theta = 1.2 crosses it three times, so there is no single landing point."""
-        def polar(t):
+        def jet(t, order, start=0):
             t = np.asarray(t)
             r, dr, ddr = 1 + 0.5 * np.cos(3 * t), -1.5 * np.sin(3 * t), -4.5 * np.cos(3 * t)
-            return t, r, dr, ddr
+            cos, sin = np.cos(t), np.sin(t)
+            return (Points((r * cos, r * sin)),
+                    Points((dr * cos - r * sin, dr * sin + r * cos)),
+                    Points((ddr * cos - 2 * dr * sin - r * cos, ddr * sin + 2 * dr * cos - r * sin)))[start:order + 1]
 
-        def point(t):
-            t, r, _, _ = polar(t)
-            return Points((r * np.cos(t), r * np.sin(t)))
+        def stacked_points(t, order, start=0):
+            derivs = jet(t, order, start)
+            return (np.asarray(derivs[0]),) + derivs[1:] if start == 0 else derivs
 
-        def velocity(t):
-            t, r, dr, _ = polar(t)
-            return Points((dr * np.cos(t) - r * np.sin(t), dr * np.sin(t) + r * np.cos(t)))
-
-        def acceleration(t):
-            t, r, dr, ddr = polar(t)
-            return Points((ddr * np.cos(t) - 2 * dr * np.sin(t) - r * np.cos(t),
-                           ddr * np.sin(t) + 2 * dr * np.cos(t) - r * np.sin(t)))
-
-        curve = ParametricCurve(Geometry.EUCLIDEAN, point, velocity, acceleration)
+        curve = ParametricCurve(Geometry.EUCLIDEAN, jet)
         # the same curve with stacked (..., 2) points would be read row by row: refused
         with pytest.raises(OutOfRange, match="coordinate columns"):
-            ParametricCurve(Geometry.EUCLIDEAN, lambda t: np.asarray(point(t)), velocity, acceleration)
+            ParametricCurve(Geometry.EUCLIDEAN, stacked_points)
         with pytest.raises(NonConvex, match="crosses the curve 3 times"):
             shoot_to_curve(curve, 0.0, 1.2)
         # in a batch, the error names the lane that crosses; the other lane lands
@@ -229,24 +223,15 @@ class TestShooting:
         """A circle traversed at speed 2.4 near t = 0: a chord at theta = 1e-6 lands
         about 8e-7 from t0, inside the 1e-6 guard, and is refused, forward and
         backward, as the grid oracle refuses it; at 3e-6 it lands past the guard."""
-        def phase(t):
+        def jet(t, order, start=0):
             t = np.asarray(t)
-            return (t + 0.8 * np.sin(t) + 0.3 * np.sin(2 * t), 1 + 0.8 * np.cos(t) + 0.6 * np.cos(2 * t),
-                    -0.8 * np.sin(t) - 1.2 * np.sin(2 * t))
+            u = t + 0.8 * np.sin(t) + 0.3 * np.sin(2 * t)
+            du, ddu = 1 + 0.8 * np.cos(t) + 0.6 * np.cos(2 * t), -0.8 * np.sin(t) - 1.2 * np.sin(2 * t)
+            cos, sin = np.cos(u), np.sin(u)
+            return (Points((cos, sin)), Points((-du * sin, du * cos)),
+                    Points((-ddu * sin - du * du * cos, ddu * cos - du * du * sin)))[start:order + 1]
 
-        def point(t):
-            u, _, _ = phase(t)
-            return Points((np.cos(u), np.sin(u)))
-
-        def velocity(t):
-            u, du, _ = phase(t)
-            return Points((-du * np.sin(u), du * np.cos(u)))
-
-        def acceleration(t):
-            u, du, ddu = phase(t)
-            return Points((-ddu * np.sin(u) - du * du * np.cos(u), ddu * np.cos(u) - du * du * np.sin(u)))
-
-        curve = ParametricCurve(Geometry.EUCLIDEAN, point, velocity, acceleration)
+        curve = ParametricCurve(Geometry.EUCLIDEAN, jet)
         for theta in (1e-6, np.pi - 1e-6):
             for shoot in (shoot_to_curve, grid_shot):
                 with pytest.raises(Degenerate, match="no forward intersection"):
