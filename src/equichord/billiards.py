@@ -6,7 +6,7 @@ relaunches at the arrival angle, which encodes the reflection law; the
 equiangular invariant circle is then literally {theta = alpha}.
 
 A step launches where the previous one landed, so its shot reuses the point
-and unit tangent the curve kept from that landing (see ``shoot_to_curve``):
+and frame the curve kept from that landing (see ``shoot_to_curve``):
 after the first, every step evaluates the curve only in its Newton rounds
 and at its own landing, and gives the result a fresh shot from the same
 state gives, bit for bit.

@@ -22,13 +22,12 @@ import numpy as np
 from .errors import Degenerate, OutOfRange
 from .geometry import (
     ParametricCurve,
+    _angle,
     _broadcast,
-    _chord_tangent_at_arrival,
     _count,
-    _curvature,
+    _frame,
     _newton,
     _positive,
-    _unit_tangent,
     mnorm,
 )
 
@@ -142,8 +141,12 @@ def chord_data(curve: ParametricCurve, x, y, arclen: ArcLengthParam | None = Non
     arrays a record of arrays of the broadcast shape, each element equal bit
     for bit to the chord computed alone.  The 2 x n chord ends are inverted
     together, and the curve's jet (point, velocity and acceleration) at each
-    is evaluated once, shared by the chord, the unit tangents and the
-    geodesic curvatures.
+    is evaluated once, shared by the chord, the frames (unit tangent and
+    normal) and the geodesic curvatures.  Both end angles are measured on
+    the ambient chord w = q - p, as atan2(|<w, N>|, <w, T>) in each end's
+    frame: at either end, w's tangential part is a positive multiple of the
+    geodesic's direction there (docs/derivation.md, "One frame and one angle
+    at a chord end").
     """
     if arclen is None:
         arclen = ArcLengthParam(curve)
@@ -160,19 +163,11 @@ def chord_data(curve: ParametricCurve, x, y, arclen: ArcLengthParam | None = Non
     # each column holds both ends, x then y
     ends, v, a = curve.jet(t, 2)
     ends = kern.project(ends)
+    tan, normal, speed2 = _frame(g, t, ends, v)
     p, q = zip(*ends)
     L = kern.distance(p, q)
-
-    # unit chord direction at departure
-    cs, sn = kern.cs(L), kern.sn(L)
-    d0 = tuple((qc - pc * cs) / sn for pc, qc in zip(p, q))
-    d1 = _chord_tangent_at_arrival(g, p, d0, L)
-
-    tp, tq = zip(*_unit_tangent(g, t, v))
-    phi = np.arccos(np.clip(kern.dot(d0, tp) / mnorm(g, d0), -1.0, 1.0))
-    psi = np.arccos(np.clip(kern.dot(d1, tq) / mnorm(g, d1), -1.0, 1.0))
-
-    kx, ky = _curvature(g, t, ends, v, a)
+    phi, psi = _angle(g, tan, normal, tuple(qc - pc for pc, qc in zip(p, q)))
+    kx, ky = kern.dot(a, normal) / speed2
     inv_sin, inv_tan = 1.0 / kern.sn(L), 1.0 / kern.tn(L)
     # sin * sin, not ** 2: numpy rounds a scalar's square through pow()
     sin_phi, sin_psi = np.sin(phi), np.sin(psi)
@@ -212,7 +207,7 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0,
 
     Raises OutOfRange for a sample count that is not an integer or is below
     one, for a step that is not finite and positive, and for a sample whose
-    chord partial is NaN.
+    chord partial is NaN or infinite.
     Returns a report dict with per-quantity and overall max relative errors.
     """
     samples = _count(samples, "validate_partials' sample count")
@@ -233,8 +228,8 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0,
         block = draws[lo:lo + _SAMPLE_BLOCK].astype(np.longdouble)
         x = block[:, 0]
         y = x + block[:, 1] * np.longdouble(Ltot)
-        # a chord that cancels to NaN is refused below, so its warning is noise
-        with np.errstate(invalid="ignore"):
+        # a chord that cancels to NaN or to L = 0 is refused below, so its warnings are noise
+        with np.errstate(invalid="ignore", divide="ignore"):
             cd = chord_data(curve, x.astype(float), y.astype(float), arclen)
             s = np.stack([x + ds, y + ds])
             s_end = np.stack([cd.x, cd.y])[:, None]
@@ -253,11 +248,12 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0,
         ]).astype(float)
         ana = np.stack([getattr(cd, name) for name in names])
         rel = np.abs(fd - ana) / np.maximum(np.abs(ana), 1e-3)
-        nan = np.isnan(rel).any(axis=0)
-        if nan.any():
-            i = int(np.argmax(nan))
+        bad = ~np.isfinite(rel).all(axis=0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            kind = "NaN" if np.isnan(rel[:, i]).any() else "infinite"
             raise OutOfRange(
-                f"sample {lo + i} (x = {float(x[i])!r}, y = {float(y[i])!r}) gives a NaN chord "
+                f"sample {lo + i} (x = {float(x[i])!r}, y = {float(y[i])!r}) gives a {kind} chord "
                 f"partial: the {curve.geometry.value} chord loses every digit to cancellation")
         worst = np.maximum(worst, rel.max(axis=1))
 

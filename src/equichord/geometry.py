@@ -20,7 +20,6 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -295,9 +294,10 @@ class ParametricCurve:
 
     ``_landing`` is the last shot's landing, kept so that a shot launched
     from exactly where the previous one landed (a billiard orbit) reuses
-    its point and unit tangent: (t1 of every lane, one (projected point,
-    unit tangent) per lane block).  Both are functions of t1 alone, so a
-    reused launch is the one a fresh evaluation gives, bit for bit.
+    its point and frame: (t1 of every lane, one (projected point, unit
+    tangent, inward unit normal) per lane block); the shot took the normal
+    for its arrival angle.  All are functions of t1 alone, so a reused
+    launch is the one a fresh evaluation gives, bit for bit.
     """
 
     geometry: Geometry
@@ -358,28 +358,29 @@ def geodesic_curvature(curve: ParametricCurve, t):
     """
     t = np.asarray(t, dtype=float)[()]
     p, v, a = curve.jet(t, 2)
-    kappa = _curvature(curve.geometry, t, curve.geometry.kernel.project(p), v, a)
+    _, normal, speed2 = _frame(curve.geometry, t, curve.geometry.kernel.project(p), v)
+    kappa = curve.geometry.kernel.dot(a, normal) / speed2
     return float(kappa) if kappa.ndim == 0 else kappa
 
 
-def _unit_tangent(geometry, t, v) -> Points:
-    """Unit tangent from the velocity columns v at t; Degenerate where the curve stops."""
-    speed = mnorm(geometry, v)
+def _frame(geometry, t, p, v):
+    """(unit tangent T, inward unit normal N, |v|^2) of a curve at t, from its projected
+    point p and velocity v there; Degenerate where the curve stops."""
+    kern = geometry.kernel
+    speed2 = kern.dot(v, v)
+    speed = np.sqrt(speed2)
     if _any(speed < 1e-10):
         i = np.flatnonzero(speed < 1e-10)[0]
         raise Degenerate(f"curve speed {np.ravel(speed)[i]:.3e} at t={np.ravel(t)[i]}")
-    return Points(_scale(v, speed))
+    tan = _scale(v, speed)
+    return tan, kern.normal(p, tan), speed2
 
 
-def _curvature(geometry, t, p, v, a):
-    """geodesic_curvature's <a, N> / |v|^2 at t, from the projected point p,
-    the velocity v and the acceleration a there."""
+def _angle(geometry, tan, normal, w):
+    """The angle in [0, pi] from the frame's T to w's part in the plane of (T, N), w of
+    any length: atan2(|<w, N>|, <w, T>), good to about eps at every angle."""
     kern = geometry.kernel
-    speed2 = kern.dot(v, v)
-    if _any(speed2 < 1e-20):
-        raise Degenerate(f"curve speed below 1e-10 at t={np.ravel(t)[np.flatnonzero(speed2 < 1e-20)[0]]}")
-    n = kern.normal(p, _scale(v, np.sqrt(speed2)))
-    return kern.dot(a, n) / speed2
+    return np.arctan2(np.abs(kern.dot(w, normal)), kern.dot(w, tan))
 
 
 def _chord_tangent_at_arrival(geometry, p, d, length):
@@ -403,8 +404,9 @@ def shoot_to_curve(curve: ParametricCurve, t0, theta):
     From curve(t0), shoot at angle ``theta`` (measured from the forward
     tangent, into the interior) and return ``(t1, arrival_angle,
     chord_length)`` for its other intersection with the curve.  ``arrival_angle``
-    is the angle between the arriving chord direction and the forward tangent
-    at t1, so equiangular chords report arrival_angle == theta.  The crossings
+    is the angle between the arriving chord direction w (on E2, the launch
+    direction) and the forward tangent T at t1, atan2(|<w, N>|, <w, T>) with
+    the normal N, so equiangular chords report arrival_angle == theta.  The crossings
     are counted on the curve's ring of _SHOT_GRID points t_j = j 2 pi /
     _SHOT_GRID, evaluated once per curve, with f'(t0) standing in for the
     samples 1e-6 after t0 and before t0 + 2 pi; only a chord landing in a cell
@@ -414,10 +416,10 @@ def shoot_to_curve(curve: ParametricCurve, t0, theta):
 
     A shot evaluates the curve's jet (point and velocity together) at t0,
     once per Newton round and at the landing, which it takes at the returned
-    t1 (already mod 2 pi).  The curve keeps that landing's point and unit
-    tangent, and the next shot whose t0 (mod 2 pi) equals the t1 it returned,
-    lane for lane, launches from them: a billiard step re-evaluates nothing
-    at its launch.  Both are functions of t1 alone, so such a shot equals a
+    t1 (already mod 2 pi).  The curve keeps that landing's point, T and N,
+    and the next shot whose t0 (mod 2 pi) equals the t1 it returned, lane
+    for lane, launches from them: a billiard step re-evaluates nothing at
+    its launch.  All are functions of t1 alone, so such a shot equals a
     fresh one bit for bit.
 
     ``t0`` and ``theta`` broadcast against each other, one shot per element:
@@ -453,16 +455,17 @@ def shoot_to_curve(curve: ParametricCurve, t0, theta):
 
 def _shoot_lanes(curve, t0, theta, launch=None):
     """shoot_to_curve on a numpy scalar or on lanes of shape (n,): (t1, arrival, length,
-    landing), t1 mod 2 pi and landing the projected point and unit tangent there.  ``launch``
+    landing), t1 mod 2 pi and landing the projected point and frame (q, T, N) there.  ``launch``
     is the landing of a shot that returned t0, or None to evaluate the curve at t0."""
     kern = curve.geometry.kernel
     if launch is None:
         p, v = curve.jet(t0, 1)
-        p, tan = kern.project(p), _unit_tangent(curve.geometry, t0, v)
+        p = kern.project(p)
+        tan, normal, _ = _frame(curve.geometry, t0, p, v)
     else:
-        p, tan = launch
+        p, tan, normal = launch
     cos, sin = np.cos(theta), np.sin(theta)
-    d = tuple(cos * tc + sin * nc for tc, nc in zip(tan, kern.normal(p, tan)))
+    d = tuple(cos * tc + sin * nc for tc, nc in zip(tan, normal))
     d = _scale(d, np.sqrt(kern.dot(d, d)))
 
     side, slope = kern.side(p, d)
@@ -528,8 +531,8 @@ def _shoot_lanes(curve, t0, theta, launch=None):
 
     t1 = _newton(f, neg, pos, a - fa * (b - a) / (fb - fa)) % TWO_PI
     q, v = curve.jet(t1, 1)
-    q, tan = kern.project(q), _unit_tangent(curve.geometry, t1, v)
+    q = kern.project(q)
+    tan, normal, _ = _frame(curve.geometry, t1, q, v)
     length = kern.distance(p, q)
     w = _chord_tangent_at_arrival(curve.geometry, p, d, length)
-    c = kern.dot(w, tan) / np.sqrt(kern.dot(w, w))
-    return t1, np.arccos(np.minimum(np.maximum(c, -1.0), 1.0)), length, (q, tan)
+    return t1, _angle(curve.geometry, tan, normal, w), length, (q, tan, normal)

@@ -38,15 +38,16 @@ from equichord import (
 )
 from equichord.angles import _polefree, _restr2_residual
 from equichord.errors import Degenerate, NonConvex, NotAdmissible, OutOfRange
-from equichord.geometry import TWO_PI, _broadcast, _chord_tangent_at_arrival, _newton, _unit_tangent, mnorm
+from equichord.geometry import TWO_PI, _broadcast, _chord_tangent_at_arrival, _newton, mnorm
 from equichord.polygons import GutkinPolygon, _angle, verify_gutkin
 
 
 @st.composite
-def curves(draw):
-    """A random convex closed curve: a Fourier E2 curve, or an S2/H2 circle or
-    deformed circle."""
-    kind = draw(st.sampled_from(["E2", "S2", "H2", "S2 circle", "H2 circle"]))
+def curves(draw, kinds=("E2", "S2", "H2", "S2 circle", "H2 circle"), h2_max_radius=2.5):
+    """A random convex closed curve of one of ``kinds``: a Fourier E2 curve, or
+    an S2/H2 circle or deformed circle, of radius at most ``h2_max_radius``
+    on H2."""
+    kind = draw(st.sampled_from(kinds))
     if kind == "E2":
         c0 = draw(st.floats(0.5, 2.0))
         hs = tuple(Harmonic(draw(st.integers(2, 8)), draw(st.floats(-0.15, 0.15)) * c0,
@@ -54,7 +55,7 @@ def curves(draw):
                    for _ in range(draw(st.integers(0, 2))))
         return build_e2_curve(FourierCurveE2(c0=c0, harmonics=hs))
     geometry = Geometry(kind[:2])
-    R = draw(st.floats(0.3, 1.4) if geometry is Geometry.SPHERICAL else st.floats(0.3, 2.5))
+    R = draw(st.floats(0.3, 1.4) if geometry is Geometry.SPHERICAL else st.floats(0.3, h2_max_radius))
     if kind.endswith("circle"):
         return circle_curve(geometry, R)
     g = TrigPolynomial(0.0, (Harmonic(draw(st.integers(2, 7)), 1.0, draw(st.floats(-np.pi, np.pi))),))
@@ -111,6 +112,12 @@ def stacked_derivatives(curve_spec, t):
     return tuple(np.stack([col[i] for i in order], axis=-1) for col in cols)
 
 
+def unit_tangent(geometry, v) -> tuple:
+    """The velocity columns v scaled to unit length, with no speed check."""
+    speed = mnorm(geometry, v)
+    return tuple(c / speed for c in v)
+
+
 def grid_shot(curve, t0: float, theta: float) -> tuple:
     """One chord shot with a grid of its own: the side function sampled at 256
     points from t0 + 1e-6 to t0 + 2 pi - 1e-6, evaluated for this shot, its one
@@ -120,7 +127,7 @@ def grid_shot(curve, t0: float, theta: float) -> tuple:
     kern = curve.geometry.kernel
     t0, theta = np.float64(t0) % TWO_PI, np.float64(theta)
     p = kern.project(curve.point(t0))
-    tan = _unit_tangent(curve.geometry, t0, curve.velocity(t0))
+    tan = unit_tangent(curve.geometry, curve.velocity(t0))
     d = tuple(np.cos(theta) * tc + np.sin(theta) * nc for tc, nc in zip(tan, kern.normal(p, tan)))
     d = tuple(c / np.sqrt(kern.dot(d, d)) for c in d)
     side, slope = kern.side(p, d)
@@ -141,7 +148,7 @@ def grid_shot(curve, t0: float, theta: float) -> tuple:
     q = kern.project(curve.point(t1))
     length = kern.distance(p, q)
     w = _chord_tangent_at_arrival(curve.geometry, p, d, length)
-    c = kern.dot(w, _unit_tangent(curve.geometry, t1, curve.velocity(t1))) / np.sqrt(kern.dot(w, w))
+    c = kern.dot(w, unit_tangent(curve.geometry, curve.velocity(t1))) / np.sqrt(kern.dot(w, w))
     return float(t1 % TWO_PI), float(np.arccos(np.clip(c, -1.0, 1.0))), float(length)
 
 
@@ -168,21 +175,20 @@ def stencil_inversions(curve, samples: int, seed: int = 0) -> list:
 
 def chord_data(curve, x, y, arclen) -> ChordData:
     """The chord record with every quantity evaluated where it is used: the
-    ends' points for the chord, the unit tangents and ``geodesic_curvature``
-    each evaluating the velocity (and the curvature the point) again.  The
-    reference for chord_data's shared evaluations; it refuses nothing."""
+    ends' points for the chord, the frames and ``geodesic_curvature`` each
+    evaluating the velocity (and the frames and the curvature the point)
+    again.  The reference for chord_data's shared evaluations; it refuses
+    nothing."""
     g = curve.geometry
     kern = g.kernel
     x, y = _broadcast(x, y)
     t = arclen.t_of_s(np.stack([x, y]))
     p, q = zip(*kern.project(curve.point(t)))
     L = kern.distance(p, q)
-    cs, sn = kern.cs(L), kern.sn(L)
-    d0 = tuple((qc - pc * cs) / sn for pc, qc in zip(p, q))
-    d1 = _chord_tangent_at_arrival(g, p, d0, L)
-    tp, tq = zip(*_unit_tangent(g, t, curve.velocity(t)))
-    phi = np.arccos(np.clip(kern.dot(d0, tp) / mnorm(g, d0), -1.0, 1.0))
-    psi = np.arccos(np.clip(kern.dot(d1, tq) / mnorm(g, d1), -1.0, 1.0))
+    tan = unit_tangent(g, curve.velocity(t))
+    normal = kern.normal(kern.project(curve.point(t)), tan)
+    w = tuple(qc - pc for pc, qc in zip(p, q))
+    phi, psi = np.arctan2(np.abs(kern.dot(w, normal)), kern.dot(w, tan))
     kx, ky = geodesic_curvature(curve, t)
     inv_sin, inv_tan = 1.0 / kern.sn(L), 1.0 / kern.tn(L)
     sin_phi, sin_psi = np.sin(phi), np.sin(psi)
@@ -196,6 +202,26 @@ def chord_data(curve, x, y, arclen) -> ChordData:
     if x.ndim == 0:
         fields = {name: float(value) for name, value in fields.items()}
     return ChordData(**fields)
+
+
+def arccos_chord_angles(curve, x, y, arclen) -> tuple:
+    """(phi, psi) as chord_data measured them before the atan2 form: the unit
+    departure direction d0 = (q - cs(L) p) / sn(L), the geodesic's direction
+    d1 at q, and the arccos of each one's cosine with the unit tangent.  An
+    independent reference for the end angles, off by about eps / sin angle."""
+    g = curve.geometry
+    kern = g.kernel
+    x, y = _broadcast(x, y)
+    t = arclen.t_of_s(np.stack([x, y]))
+    p, q = zip(*kern.project(curve.point(t)))
+    L = kern.distance(p, q)
+    cs, sn = kern.cs(L), kern.sn(L)
+    d0 = tuple((qc - pc * cs) / sn for pc, qc in zip(p, q))
+    d1 = _chord_tangent_at_arrival(g, p, d0, L)
+    tp, tq = zip(*unit_tangent(g, curve.velocity(t)))
+    phi = np.arccos(np.clip(kern.dot(d0, tp) / mnorm(g, d0), -1.0, 1.0))
+    psi = np.arccos(np.clip(kern.dot(d1, tq) / mnorm(g, d1), -1.0, 1.0))
+    return phi, psi
 
 
 def nine_chord_partials(curve, samples: int, seed: int = 0, step: float = 1e-5) -> dict:

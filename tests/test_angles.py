@@ -221,12 +221,14 @@ class TestNewton:
     def test_lanes_match_one_lane_at_a_time(self, seed, n):
         """Every lane of a (3, n) block equals the same call made alone on numpy
         scalars, bit for bit.  Row 0 starts near and far from the root (far ones
-        bisect); row 1 is steep, so its far starts bisect for many rounds; row 2
-        starts within 1e-9 of its root and stops in at most two rounds, then is
-        evaluated in place while the other rows run."""
+        bisect); row 1 is steep, so its far starts bisect for many rounds (a
+        slope in [1e5, 1e6] gives at least 8 on every (seed, n) drawn here, where
+        [1e3, 1e4] gave fewer on 61 of them); row 2 starts within 1e-9 of its root
+        and stops in at most two rounds, then is evaluated in place while the
+        other rows run."""
         rng = np.random.default_rng(seed)
         r = rng.uniform(-5, 5, (3, n))
-        a = np.stack([rng.uniform(0.1, 10, n), rng.uniform(1e3, 1e4, n), rng.uniform(0.1, 10, n)])
+        a = np.stack([rng.uniform(0.1, 10, n), rng.uniform(1e5, 1e6, n), rng.uniform(0.1, 10, n)])
         b = np.stack([rng.uniform(1e-3, 0.1, n), rng.uniform(1e-4, 1e-3, n), rng.uniform(1e-3, 0.1, n)])
         shift = np.stack([rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), np.zeros(n)])
         neg, pos = r - rng.uniform(1, 20, (3, n)), r + rng.uniform(1, 20, (3, n))

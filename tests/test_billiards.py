@@ -97,7 +97,7 @@ _STARTS = st.one_of(st.floats(0.0, TWO_PI), st.floats(0.0, 1e-6),
 
 
 class TestRelaunch:
-    """A billiard step launches from the point and unit tangent its previous step
+    """A billiard step launches from the point and frame its previous step
     evaluated at the landing; each step must equal a shot that evaluates them."""
 
     @given(curves(), _STARTS,

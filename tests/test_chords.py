@@ -129,6 +129,31 @@ class TestChordData:
         with pytest.raises(Degenerate, match=r"^curve speed 0\.000e\+00 at t=0\.0$"):
             chord_data(astroid, np.array([0.5, 0.0]), 1.0, arclen)
 
+    @given(st.sampled_from(["E2", "S2", "H2"]), st.floats(0.3, 1.2), st.floats(0.0, 1.0), st.floats(0.2, 0.8))
+    @settings(max_examples=60, deadline=None)
+    def test_circle_chords_are_equiangular(self, tag, R, x, fraction):
+        """Both ends of a circle's chord meet it at one angle."""
+        curve = circle_curve(Geometry(tag), R)
+        arclen = ArcLengthParam(curve)
+        cd = chord_data(curve, x * arclen.total_length, (x + fraction) * arclen.total_length, arclen)
+        assert abs(cd.phi - cd.psi) <= 2e-15
+
+    @given(curves(h2_max_radius=1.0), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_angles_match_the_arccos_reference(self, curve, seed):
+        """atan2 on q - p at both ends against the arccos of each end's cosine
+        with the unit geodesic direction, on chords at fraction 0.2 to 0.8 of
+        the length.  Larger H2 radii are left out: the reference's direction
+        (q - cosh L p) / sinh L cancels like cosh^2 R."""
+        arclen = ArcLengthParam(curve)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, arclen.total_length, 20)
+        y = x + rng.uniform(0.2, 0.8, 20) * arclen.total_length
+        cd = chord_data(curve, x, y, arclen)
+        phi, psi = oracles.arccos_chord_angles(curve, x, y, arclen)
+        assert np.abs(cd.phi - phi).max() <= 1e-14
+        assert np.abs(cd.psi - psi).max() <= 1e-14
+
     @pytest.mark.parametrize("x", [float("nan"), float("inf")])
     def test_non_finite_end_refused(self, wavy_curve, x):
         for curve in (wavy_curve, circle_curve(Geometry.SPHERICAL, 0.9)):
@@ -151,7 +176,13 @@ class TestValidatePartials:
 
     def test_nan_sample_refused(self):
         with pytest.raises(OutOfRange, match=r"sample \d+ .* NaN chord partial"):
-            validate_partials(circle_curve(Geometry.HYPERBOLIC, 12.0), samples=20)
+            validate_partials(circle_curve(Geometry.HYPERBOLIC, 20.0), samples=20)
+
+    def test_h2_circle_r9(self):
+        """The chord-end angles are atan2 on q - p, with no direction divided by
+        sinh L: at R = 9 the partials keep four digits (2.1e-2 with the arccos form)."""
+        report = validate_partials(circle_curve(Geometry.HYPERBOLIC, 9.0), samples=40)
+        assert report["max_rel_err"] < 1e-4
 
     def test_report_shape(self, wavy_curve):
         report = validate_partials(wavy_curve, samples=3)

@@ -233,10 +233,10 @@ class TestBilliardAndChords:
         assert out["max_rel_err"] < 1e-5
 
     def test_chords_validate_nan_chord_exit_3(self, runner):
-        # at R = 12 the hyperboloid chord cancels and some partials come out NaN;
+        # at R = 20 the hyperboloid chord cancels and some partials come out NaN;
         # the report must refuse rather than take the max of the other lanes
         result = runner.invoke(main, ["chords", "validate", "--circle", "H2",
-                                      "--radius", "12", "--samples", "20"])
+                                      "--radius", "20", "--samples", "20"])
         assert result.exit_code == 3
         assert "gives a NaN chord partial" in result.output
 
@@ -245,7 +245,8 @@ class TestBilliardAndChords:
         radius whose sinh and cosh overflow; run as a real process, because
         pytest would catch the warning before it reached stderr."""
         src = str(pathlib.Path(equichord.__file__).parents[1])
-        for args in (["chords", "validate", "--circle", "H2", "--radius", "12", "--samples", "20"],
+        for args in (["chords", "validate", "--circle", "H2", "--radius", "20", "--samples", "20"],
+                     ["chords", "validate", "--circle", "H2", "--radius", "40", "--samples", "20"],
                      ["chords", "validate", "--circle", "H2", "--radius", "800", "--samples", "3"],
                      ["solve-angle", "--k", "4", "--geometry", "H2", "--radius", "800"]):
             proc = subprocess.run(

@@ -293,3 +293,31 @@ def test_ring_shot_matches_the_grid_oracle(curve, t0, theta):
     assert abs((t1 - expected[0] + np.pi) % (2 * np.pi) - np.pi) <= tol
     assert abs(arrival - expected[1]) <= tol
     assert abs(length - expected[2]) <= tol
+
+
+class TestShotInvariants:
+    """Invariants of the billiard map that hold on every convex curve, Gutkin or
+    not, so they check the shot at every angle."""
+
+    @given(curves(kinds=("E2",)), st.floats(0.0, 2 * np.pi),
+           st.one_of(st.floats(1e-5, 1e-4), st.floats(1e-5, np.pi - 1e-5), st.floats(np.pi - 1e-4, np.pi - 1e-5)))
+    @settings(max_examples=100, deadline=None)
+    def test_e2_turning_angle_identity(self, curve, t0, theta):
+        """An E2 curve's parameter is its tangent's turning angle, so the chord
+        from t0 at theta arrives at exactly ((t1 - t0) mod 2 pi) - theta.  The
+        arrival is good to about eps near tangency too (an arccos of the
+        arrival's cosine missed by about 2.5e-11 at theta in [1e-5, 1e-4])."""
+        t1, arrival, _ = shoot_to_curve(curve, t0, theta)
+        assert abs(arrival - ((t1 - t0) % (2 * np.pi) - theta)) <= 1e-14
+
+    @given(curves(h2_max_radius=1.0), st.floats(0.0, 2 * np.pi), st.floats(0.2, 2.9))
+    @settings(max_examples=100, deadline=None)
+    def test_time_reversal(self, curve, t0, theta):
+        """The chord shot back from (t1, pi - arrival) lands at t0, at pi - theta,
+        and is as long.  Larger H2 radii are left out: there the landing's own
+        rounding grows like cosh^2 R."""
+        t1, arrival, length = shoot_to_curve(curve, t0, theta)
+        back, back_arrival, back_length = shoot_to_curve(curve, t1, np.pi - arrival)
+        assert abs((back - t0 + np.pi) % (2 * np.pi) - np.pi) <= 1e-13
+        assert abs(back_arrival - (np.pi - theta)) <= 1e-13
+        assert abs(back_length - length) <= 1e-13
