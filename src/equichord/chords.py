@@ -39,23 +39,61 @@ _SPEED_SAMPLES = 4096  # uniform samples of the speed per period
 class ArcLengthParam:
     """Spectral arc-length parameterization of a smooth closed curve.
 
-    The speed is sampled on a uniform grid and integrated through its Fourier
-    series (trapezoid/FFT, spectrally accurate for smooth periodic speed), so
-    s(t) = mean_speed * t + periodic part.  Only the harmonics above the
-    round-off floor of the sampled speed, eps * (mean_speed + its total
-    variation over a period), are kept: below it the FFT returns rounding
-    noise (at most 0.17 of the floor on about 20000 random E2 curves, whose
-    real orders sat over 4e7 above it), and every kept order costs a sin and
-    a cos per evaluation.  A speed with no harmonic left (a circle) gives
-    s = mean_speed * t exactly.  Inversion is by safeguarded Newton (s is
-    strictly increasing); both directions accept any real argument, of any
-    shape, and wrap naturally.
-    Evaluation preserves the input dtype so the finite-difference oracle can
-    work in extended precision.
+    s(t) = mean_speed * t + sum_k (a_k sin kt - b_k cos kt + b_k).  A curve
+    that knows its speed in closed form (``ParametricCurve._speed``: rho on
+    an E2 Fourier curve in its turning-angle parameter, sn_K(R) on a geodesic
+    circle) is integrated term by term: the speed c0 + sum A cos(kt + p)
+    gives mean_speed = c0, a_k = (A / k) cos p and b_k = -(A / k) sin p, with
+    equal orders merged and orders whose coefficients are both zero dropped;
+    nothing is sampled, and ``speed`` evaluates the series.
+
+    Any other curve's speed is sampled on a uniform grid and integrated
+    through its Fourier series (trapezoid/FFT, spectrally accurate for smooth
+    periodic speed).  Only the harmonics above the round-off floor of the
+    sampled speed, eps * (mean_speed + its total variation over a period),
+    are kept: below it the FFT returns rounding noise (at most 0.17 of the
+    floor on about 20000 random E2 curves, whose real orders sat over 4e7
+    above it), and every kept order costs a sin and a cos per evaluation.
+
+    Either way a speed with no harmonic left (a circle) gives
+    s = mean_speed * t exactly, and a length that overflows floating point
+    is refused.  Inversion is by safeguarded Newton (s is strictly
+    increasing); both directions accept any real argument, of any shape, and
+    wrap naturally.  Evaluation preserves the input dtype so the
+    finite-difference oracle can work in extended precision.
     """
 
     def __init__(self, curve: ParametricCurve):
         self.curve = curve
+        if curve._speed is None:
+            self._series = None
+            floor = self._sample(curve)
+        else:
+            self._series, floor = curve._speed
+            self._integrate(self._series)
+        # t_of_s's bracket about s / mean_speed: P = sum |a_k| + 2 sum |b_k| bounds the
+        # periodic part, so the root lies within P / mean_speed, and Newton's first
+        # step moves at most P / (least speed) further (docs/derivation.md)
+        spread = np.abs(self._a).sum() + 2 * np.abs(self._b).sum()
+        self._reach = spread / self.mean_speed + spread / floor
+        self.total_length = self.mean_speed * 2 * np.pi
+        if not np.isfinite(self.total_length):
+            raise OutOfRange("curve speed or length overflows floating point")
+
+    def _integrate(self, series):
+        """Closed-form coefficients of the speed series' antiderivative."""
+        coeffs = {}
+        for h in series.harmonics:
+            a, b = coeffs.get(int(h.k), (0.0, 0.0))
+            coeffs[int(h.k)] = (a + h.amp / h.k * np.cos(h.phase), b - h.amp / h.k * np.sin(h.phase))
+        ks = sorted(k for k, ab in coeffs.items() if ab != (0.0, 0.0))
+        self.mean_speed = float(series.c0)
+        self._ks = np.array(ks, dtype=np.int64)
+        self._a = np.array([coeffs[k][0] for k in ks], dtype=float)
+        self._b = np.array([coeffs[k][1] for k in ks], dtype=float)
+
+    def _sample(self, curve) -> float:
+        """Coefficients from the FFT of the sampled speed; returns its least sample."""
         ts = np.arange(_SPEED_SAMPLES) * (2 * np.pi / _SPEED_SAMPLES)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused just below
             speeds = mnorm(curve.geometry, curve.velocity(ts))
@@ -73,12 +111,7 @@ class ArcLengthParam:
         self._ks = k[keep]
         self._a = a[keep]
         self._b = b[keep]
-        # t_of_s's bracket about s / mean_speed: P = sum |a_k| + 2 sum |b_k| bounds the
-        # periodic part, so the root lies within P / mean_speed, and Newton's first
-        # step moves at most P / (least sampled speed) further (docs/derivation.md)
-        spread = np.abs(self._a).sum() + 2 * np.abs(self._b).sum()
-        self._reach = spread / self.mean_speed + spread / speeds.min()
-        self.total_length = self.mean_speed * 2 * np.pi
+        return speeds.min()
 
     def s_of_t(self, t):
         t = np.asarray(t, dtype=np.result_type(t, 1.0))
@@ -89,6 +122,8 @@ class ArcLengthParam:
         return self.mean_speed * t + per
 
     def speed(self, t):
+        if self._series is not None:
+            return self._series(t)
         return mnorm(self.curve.geometry, self.curve.velocity(t))
 
     def t_of_s(self, s, start=None):
@@ -228,8 +263,9 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0,
         block = draws[lo:lo + _SAMPLE_BLOCK].astype(np.longdouble)
         x = block[:, 0]
         y = x + block[:, 1] * np.longdouble(Ltot)
-        # a chord that cancels to NaN or to L = 0 is refused below, so its warnings are noise
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # a chord that cancels to NaN or to L = 0 is refused below, so its warnings are noise;
+        # so is an overflow: its inf meets another (NaN) or saturates L's sn and tn
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             cd = chord_data(curve, x.astype(float), y.astype(float), arclen)
             s = np.stack([x + ds, y + ds])
             s_end = np.stack([cd.x, cd.y])[:, None]

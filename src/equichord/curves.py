@@ -91,11 +91,14 @@ class FourierCurveE2:
     """Closed convex E2 curve given by its radius of curvature.
 
     rho(t) = c0 + sum amp cos(kt + phase) with every k >= 2; t is the
-    turning-angle parameter.
+    turning-angle parameter.  ``_rho_floor`` is the convexity check's lower
+    bound on rho: its least value on a 4096-point grid less the Lipschitz
+    margin, always positive.
     """
 
     c0: float
     harmonics: tuple[Harmonic, ...] = field(default_factory=tuple)
+    _rho_floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.c0):
@@ -109,9 +112,10 @@ class FourierCurveE2:
                 )
         rho = self.rho
         grid = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
-        margin = rho.lipschitz_bound() * (np.pi / 4096)
-        if float(rho(grid).min()) <= margin:
+        floor = float(rho(grid).min()) - rho.lipschitz_bound() * (np.pi / 4096)
+        if not floor > 0.0:
             raise NonConvex("radius of curvature must stay positive (convexity)")
+        object.__setattr__(self, "_rho_floor", floor)
         # closed by construction (no first harmonic); assert anyway
         if closure_defect(self.c0, hs) > 1e-10:
             raise NotClosed("curve fails to close")
@@ -122,7 +126,9 @@ class FourierCurveE2:
 
 
 def build_e2_curve(spec: FourierCurveE2) -> ParametricCurve:
-    """Exact curve with velocity rho(t) (cos t, sin t); tangent direction is t."""
+    """Exact curve with velocity rho(t) (cos t, sin t); tangent direction is t.
+
+    Its speed is rho, kept with the spec's floor on rho as the curve's ``_speed``."""
     rho = spec.rho
     drho = rho.derivative()
     xy = _antiderivative_xy(spec.c0, spec.harmonics)
@@ -140,7 +146,9 @@ def build_e2_curve(spec: FourierCurveE2) -> ParametricCurve:
                 out.append(Points((dr * cos - y, dr * sin + x)))
         return tuple(out)
 
-    return ParametricCurve(Geometry.EUCLIDEAN, jet)
+    curve = ParametricCurve(Geometry.EUCLIDEAN, jet)
+    object.__setattr__(curve, "_speed", (rho, spec._rho_floor))
+    return curve
 
 
 def e2_residual_operator(f: TrigPolynomial, alpha: float):

@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import Degenerate, NonConvex, OutOfRange
+from .fourier import TrigPolynomial
 
 __all__ = [
     "Geometry",
@@ -54,13 +55,18 @@ def _newton(f, neg, pos, x):
     f(neg) < 0 < f(pos) and x between them; ``f(x)`` returns (f, f') at an x
     of that shape (a scalar runs on numpy scalars).  A lane stops when its
     step is below 8 eps max(1, |x|).  Otherwise the end of f's sign moves to
-    x, a step landing outside the bracket becomes its midpoint, and a bracket
-    below that tolerance stops the lane.  Lanes run in place until the slowest
+    x, and a step landing outside the bracket, or longer than half the step
+    two rounds before (a bisection's step is half its bracket), becomes the
+    bracket's midpoint; a bracket below that tolerance stops the lane.  The
+    second test ends cycles that shrink the bracket by a little each round:
+    Newton jumping across the root of an arctan, or across a root whose f is
+    rounding noise on a flat slope.  Lanes run in place until the slowest
     stops; a stopped lane is still evaluated but keeps its root, so each lane
     takes the steps it would take alone.  Raises RuntimeError on a NaN f in a
     running lane, or after _NEWTON_ROUNDS rounds.
     """
     tol = 8 * np.finfo(x.dtype).eps
+    before = last = np.inf  # the lengths of the last two steps
     if x.ndim == 0:
         for _ in range(_NEWTON_ROUNDS):
             y, dy = f(x)
@@ -69,28 +75,35 @@ def _newton(f, neg, pos, x):
             step = y / dy
             neg, pos = (x, pos) if y < 0 else (neg, x)
             x = x - step
-            if abs(step) < tol * max(1.0, abs(x)):
+            size = abs(step)
+            if size < tol * max(1.0, abs(x)):
                 return x
-            if not (x - neg) * (x - pos) < 0:
+            if not ((x - neg) * (x - pos) < 0 and size <= 0.5 * before):
                 x = (neg + pos) / 2
+                size = (pos - neg) / 2
                 if abs(pos - neg) < tol * max(1.0, abs(x)):
                     return x
+            before, last = last, size
         raise RuntimeError(f"Newton did not converge in {_NEWTON_ROUNDS} rounds, last x={float(x)!r}")
     done = np.zeros(x.shape, dtype=bool)
     for _ in range(_NEWTON_ROUNDS):
         y, dy = f(x)
         step = y / dy
         x_new = x - step
-        stop = np.abs(step) < tol * np.maximum(1.0, np.abs(x_new))
+        size = np.abs(step)
+        stop = size < tol * np.maximum(1.0, np.abs(x_new))
         low = y < 0
         neg, pos = np.where(low, x, neg), np.where(low, pos, x)
-        out = ~(done | stop | ((x_new - neg) * (x_new - pos) < 0))  # a running lane's NaN f lands here too
+        # a running lane's NaN f lands in out too
+        out = ~(done | stop | (((x_new - neg) * (x_new - pos) < 0) & (size <= 0.5 * before)))
         if np.count_nonzero(out):  # count_nonzero is the cheapest reduction here
             nan = np.isnan(y) & ~done
             if np.count_nonzero(nan):
                 raise RuntimeError(f"the function value at x={float(x[nan][0])!r} is NaN")
             x_new = np.where(out, (neg + pos) / 2, x_new)
+            size = np.where(out, (pos - neg) / 2, size)
             stop |= out & (np.abs(pos - neg) < tol * np.maximum(1.0, np.abs(x_new)))
+        before, last = last, size
         x = np.where(done, x, x_new)
         done |= stop
         if np.count_nonzero(done) == done.size:
@@ -298,11 +311,19 @@ class ParametricCurve:
     tangent, inward unit normal) per lane block); the shot took the normal
     for its arrival angle.  All are functions of t1 alone, so a reused
     launch is the one a fresh evaluation gives, bit for bit.
+
+    ``_speed`` is the speed |velocity(t)| in closed form, for the curves whose
+    builder knows it (``build_e2_curve``, ``circle_curve``): (series, floor),
+    a ``TrigPolynomial`` in t with orders >= 1 and a positive lower bound on
+    it.  ``ArcLengthParam`` integrates the series instead of sampling the
+    speed.  It is None for a curve given only by its jet.
     """
 
     geometry: Geometry
     jet: Callable[..., tuple]
     _landing: tuple = field(default=None, init=False, repr=False, compare=False)
+    _speed: tuple[TrigPolynomial, float] | None = field(default=None, init=False, repr=False,
+                                                         compare=False)
 
     def __post_init__(self):
         with np.errstate(all="ignore"):  # only the type is looked at; values are checked where used
@@ -331,7 +352,8 @@ def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
     """Geodesic circle of the given radius, counterclockwise, period 2*pi.
 
     Geodesic curvature is 1/R, cot R, coth R and length 2*pi*R,
-    2*pi*sin R, 2*pi*sinh R on E2, S2, H2 respectively.
+    2*pi*sin R, 2*pi*sinh R on E2, S2, H2 respectively: the speed is the
+    constant sn_K(R), which the curve keeps as its ``_speed``.
     """
     r = _check_radius(geometry, radius)
     sr, cr = geometry.kernel.sn(r), geometry.kernel.cs(r)
@@ -345,7 +367,9 @@ def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
                   lambda: embed(-x, -y, lambda: np.zeros_like(t)))
         return tuple([d() for d in derivs[start:order + 1]])
 
-    return ParametricCurve(geometry, jet)
+    curve = ParametricCurve(geometry, jet)
+    object.__setattr__(curve, "_speed", (TrigPolynomial(float(sr)), float(sr)))
+    return curve
 
 
 def geodesic_curvature(curve: ParametricCurve, t):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equichord import (
@@ -218,6 +218,7 @@ def _counting(f, calls):
 class TestNewton:
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
     @settings(max_examples=60, deadline=None)
+    @example(seed=7238, n=5)  # lane (0, 2) jumps across its root, -11.3, 10.6, -10.9, ...
     def test_lanes_match_one_lane_at_a_time(self, seed, n):
         """Every lane of a (3, n) block equals the same call made alone on numpy
         scalars, bit for bit.  Row 0 starts near and far from the root (far ones
@@ -279,6 +280,18 @@ class TestNewton:
         assert _newton(f, np.float64(-20), np.float64(20), np.float64(10)) == 1.0
         assert np.array_equal(_newton(f, np.array([-20.0, -20.0]), np.array([20.0, 20.0]),
                                       np.array([10.0, 1.5])), [1.0, 1.0])
+
+    def test_step_not_halving_bisects(self):
+        """With f' a little under half the slope, Newton jumps across the root to
+        its mirror image, each jump only 0.02% shorter, and every landing lies
+        inside the bracket.  A step longer than half the one two rounds before
+        bisects, so the lanes converge well within the round cap."""
+        def f(x):
+            return x - 1.25, 0.5001 + 0 * x
+
+        for root in (_newton(f, np.float64(-20), np.float64(20), np.float64(3)),
+                     _newton(f, np.full(2, -20.0), np.full(2, 20.0), np.array([3.0, -1.0]))[0]):
+            assert abs(root - 1.25) <= 8 * np.finfo(float).eps * 1.25
 
     def test_collapsed_bracket_stops(self):
         """A sign change with no root (a jump at 0.3) ends in a bracket below the

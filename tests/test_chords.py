@@ -26,6 +26,23 @@ from oracles import curves, stencil_inversions
 LD_EPS = np.finfo(np.longdouble).eps
 
 
+@st.composite
+def known_speed_curves(draw):
+    """An E2 Fourier curve with up to three distinct orders, or an E2, S2 or H2
+    circle.  Every amplitude is at least 1e-3 c0: the sampled speed drops, by
+    design, an order below its round-off floor, which the closed form keeps."""
+    kind = draw(st.sampled_from(["E2", "E2 circle", "S2 circle", "H2 circle"]))
+    if kind == "E2":
+        c0 = draw(st.floats(0.5, 2.0))
+        ks = draw(st.lists(st.integers(2, 8), max_size=3, unique=True))
+        hs = tuple(Harmonic(k, draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-3, 0.3)) * c0,
+                            draw(st.floats(-np.pi, np.pi))) for k in ks)
+        return build_e2_curve(FourierCurveE2(c0=c0, harmonics=hs))
+    geometry = Geometry(kind[:2])
+    return circle_curve(geometry, draw(st.floats(0.1, 1.5) if geometry is not Geometry.EUCLIDEAN
+                                       else st.floats(0.1, 10.0)))
+
+
 @pytest.fixture(scope="module")
 def wavy_curve():
     spec = FourierCurveE2(c0=1.0, harmonics=(Harmonic(3, 0.3, 0.0),
@@ -70,9 +87,11 @@ class TestArcLength:
         (Harmonic(2, 0.2, 0.4), Harmonic(4, 0.01, 2.0), Harmonic(6, 0.05, -1.0)),
     ])
     def test_e2_keeps_exactly_its_orders(self, harmonics):
-        """The speed of an E2 curve is rho, so its arc length has rho's orders and
-        no others: FFT noise below eps * (mean speed + total variation) is dropped."""
-        arclen = ArcLengthParam(build_e2_curve(FourierCurveE2(c0=1.0, harmonics=harmonics)))
+        """The speed of an E2 curve is rho, so its sampled arc length (the curve
+        read through its jet alone) has rho's orders and no others: FFT noise
+        below eps * (mean speed + total variation) is dropped."""
+        curve = build_e2_curve(FourierCurveE2(c0=1.0, harmonics=harmonics))
+        arclen = ArcLengthParam(ParametricCurve(Geometry.EUCLIDEAN, curve.jet))
         assert arclen._ks.tolist() == sorted(h.k for h in harmonics)
 
     def test_large_harmonic_keeps_no_noise_order(self):
@@ -80,7 +99,69 @@ class TestArcLength:
         slope, a noise of order 1 to 9 that passed eps * max(1, mean speed)
         at order 2; the floor eps * (mean speed + total variation) drops it."""
         spec = FourierCurveE2(17.91279722123089, (Harmonic(6, 16.1215174991078, -0.6802300634771652),))
-        assert ArcLengthParam(build_e2_curve(spec))._ks.tolist() == [6]
+        jet_only = ParametricCurve(Geometry.EUCLIDEAN, build_e2_curve(spec).jet)
+        assert ArcLengthParam(jet_only)._ks.tolist() == [6]
+
+    @given(known_speed_curves())
+    @settings(max_examples=80, deadline=None)
+    def test_closed_form_matches_the_sampled_speed(self, curve):
+        """A curve that knows its speed, integrated in closed form, against the
+        same curve read through its jet alone: the same orders, mean speeds a
+        few ulp apart, s_of_t within 1e-15 (1 + |s|) and the speeds within a
+        few ulp in double and long double; t_of_s inverts the closed form within
+        Newton's tolerance."""
+        closed = ArcLengthParam(curve)
+        sampled = ArcLengthParam(ParametricCurve(curve.geometry, curve.jet))
+        assert closed._ks.tolist() == sampled._ks.tolist()
+        assert abs(closed.mean_speed - sampled.mean_speed) <= 4 * np.spacing(closed.mean_speed)
+        for dtype in (np.float64, np.longdouble):
+            t = np.linspace(-20.0, 20.0, 81, dtype=dtype)
+            s = closed.s_of_t(t)
+            assert s.dtype == dtype
+            assert np.all(np.abs(s - sampled.s_of_t(t)) <= 1e-15 * (1 + np.abs(s)))
+            speed = closed.speed(t)
+            assert speed.dtype == dtype
+            assert np.all(np.abs(speed - sampled.speed(t)) <= 4 * np.finfo(dtype).eps * speed)
+            back = closed.t_of_s(s)
+            assert back.dtype == dtype
+            assert np.all(np.abs(back - t) <= 8 * np.finfo(dtype).eps * np.maximum(1, np.abs(t)))
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_e2_curve(FourierCurveE2(1.0, (Harmonic(3, 0.3, 0.0), Harmonic(5, 0.1, -1.0)))),
+        lambda: circle_curve(Geometry.HYPERBOLIC, 1.2),
+    ], ids=["E2", "H2 circle"])
+    def test_known_speed_needs_no_speed_grid(self, make):
+        """A curve that knows its speed builds its arc length without a jet call
+        (a jet-only curve makes one, on the 4096-point speed grid), and
+        validate_partials then evaluates the jet twice a block: the chord ends
+        and the stencil's points.  The speed in every Newton round is the series."""
+        curve = make()
+        jet, calls = curve.jet, []
+
+        def counting(t, order, start=0):
+            calls.append(np.shape(t))
+            return jet(t, order, start)
+
+        object.__setattr__(curve, "jet", counting)
+        ArcLengthParam(ParametricCurve(curve.geometry, counting))
+        assert calls == [(), (4096,)]  # construction looks at the jet's type at t = 0
+        calls.clear()
+        ArcLengthParam(curve)
+        assert calls == []
+        validate_partials(curve, samples=5)
+        assert calls == [(2, 5), (2, 3, 5)]
+
+    @pytest.mark.parametrize("geometry, radius", [(Geometry.EUCLIDEAN, 1e308), (Geometry.HYPERBOLIC, 709.0)])
+    def test_closed_form_length_overflow_is_refused(self, geometry, radius):
+        """2 pi R and 2 pi sinh R overflow though the speed is finite."""
+        with pytest.raises(OutOfRange, match="length overflows"):
+            ArcLengthParam(circle_curve(geometry, radius))
+
+    def test_e2_length_is_two_pi_c0(self):
+        """The closed form's length is c0 * 2 * pi rounded once; the FFT mean of
+        the sampled speed read it 1 ulp low at c0 = 1.3."""
+        spec = FourierCurveE2(1.3, (Harmonic(4, 0.1, 0.0),))
+        assert ArcLengthParam(build_e2_curve(spec)).total_length == 1.3 * 2 * np.pi
 
     def test_circle_is_inverted_in_closed_form(self):
         arclen = ArcLengthParam(circle_curve(Geometry.SPHERICAL, 0.9))

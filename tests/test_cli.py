@@ -241,12 +241,15 @@ class TestBilliardAndChords:
         assert "gives a NaN chord partial" in result.output
 
     def test_nan_chord_stderr_is_one_line(self):
-        """No numpy warning precedes the error line, on a NaN chord or on an H2
-        radius whose sinh and cosh overflow; run as a real process, because
+        """No numpy warning precedes the error line, on a NaN chord (at R = 400 the
+        ends' cosh R squared overflows) or on an H2 radius whose length or sinh and
+        cosh overflow; run as a real process, because
         pytest would catch the warning before it reached stderr."""
         src = str(pathlib.Path(equichord.__file__).parents[1])
         for args in (["chords", "validate", "--circle", "H2", "--radius", "20", "--samples", "20"],
                      ["chords", "validate", "--circle", "H2", "--radius", "40", "--samples", "20"],
+                     ["chords", "validate", "--circle", "H2", "--radius", "400", "--samples", "2"],
+                     ["chords", "validate", "--circle", "H2", "--radius", "709", "--samples", "2"],
                      ["chords", "validate", "--circle", "H2", "--radius", "800", "--samples", "3"],
                      ["solve-angle", "--k", "4", "--geometry", "H2", "--radius", "800"]):
             proc = subprocess.run(

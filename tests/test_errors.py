@@ -340,7 +340,8 @@ class TestCliContract:
                                                    "--samples", "0"]))
 
     def test_overflowing_h2_radius(self):
-        """sinh^2 R overflows at R = 400, so the curve length cannot be measured."""
+        """At R = 400 the length 2 pi sinh R is finite, but the chord ends' cosh^2 R
+        overflows, so the first sample's chord partial is NaN and is refused."""
         _exit_3_one_line(CliRunner().invoke(main, ["chords", "validate", "--circle", "H2",
                                                    "--radius", "400", "--samples", "2"]))
 

@@ -276,6 +276,11 @@ def _short_chord_examples(test):
                  st.sampled_from([0.0, -1e-42, 2 * np.pi])),
        st.one_of(st.floats(0.2, 2.9), st.sampled_from(_SHORT)))
 @settings(max_examples=150, deadline=None)
+# A chord 0.0026 short of tangent on an undeformed H2 circle: next to its
+# landing the side function is rounding noise, and Newton jumped across it
+@example(build_deformed_circle(DeformedCircle(
+    geometry=Geometry.HYPERBOLIC, R=0.78125, epsilon=0.0,
+    g=TrigPolynomial(0.0, (Harmonic(2, 1.0, 0.0),)), alpha=1.0)), 0.005859375, 3.138992653589793)
 def test_ring_shot_matches_the_grid_oracle(curve, t0, theta):
     """The shot on the curve's cached ring against a grid evaluated for the shot
     alone: the same refusal and crossing count, or the same landing up to
