@@ -19,7 +19,6 @@ from .curves import (
     build_deformed_circle,
     build_e2_curve,
     closure_defect,
-    e2_residual_operator,
     linearized_coefficient_check,
     s2_residual_operator,
     verify_curve_gutkin,

@@ -242,7 +242,9 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0,
 
     Raises OutOfRange for a sample count that is not an integer or is below
     one, for a step that is not finite and positive, and for a sample whose
-    chord partial is NaN or infinite.
+    chord partial is NaN or infinite; the message says whether the chord
+    overflows (its length, or a squared coordinate of an end, is infinite)
+    or loses its digits to cancellation.
     Returns a report dict with per-quantity and overall max relative errors.
     """
     samples = _count(samples, "validate_partials' sample count")
@@ -288,9 +290,14 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0,
         if bad.any():
             i = int(np.argmax(bad))
             kind = "NaN" if np.isnan(rel[:, i]).any() else "infinite"
+            # an end whose squared coordinates overflow gives inf - inf in the distance
+            with np.errstate(over="ignore"):
+                ends = curve.point(np.array([cd.tx[i], cd.ty[i]]))
+                overflow = np.isinf(cd.L[i]) or not all(np.isfinite(c * c).all() for c in ends)
+            cause = "overflows floating point" if overflow else "loses every digit to cancellation"
             raise OutOfRange(
                 f"sample {lo + i} (x = {float(x[i])!r}, y = {float(y[i])!r}) gives a {kind} chord "
-                f"partial: the {curve.geometry.value} chord loses every digit to cancellation")
+                f"partial: the {curve.geometry.value} chord {cause}")
         worst = np.maximum(worst, rel.max(axis=1))
 
     errs = dict(zip(names, worst.tolist()))

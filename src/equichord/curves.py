@@ -44,7 +44,6 @@ __all__ = [
     "DeformedCircle",
     "build_e2_curve",
     "closure_defect",
-    "e2_residual_operator",
     "build_deformed_circle",
     "s2_residual_operator",
     "linearized_coefficient_check",
@@ -116,8 +115,9 @@ class FourierCurveE2:
         if not floor > 0.0:
             raise NonConvex("radius of curvature must stay positive (convexity)")
         object.__setattr__(self, "_rho_floor", floor)
-        # closed by construction (no first harmonic); assert anyway
-        if closure_defect(self.c0, hs) > 1e-10:
+        # closed by construction (no first harmonic); check anyway, against the rounding
+        # of a closed curve's defect, which grows with the curve's size
+        if closure_defect(self.c0, hs) > 1e-10 * (self.c0 + sum(abs(h.amp) for h in hs)):
             raise NotClosed("curve fails to close")
 
     @property
@@ -133,14 +133,13 @@ def build_e2_curve(spec: FourierCurveE2) -> ParametricCurve:
     drho = rho.derivative()
     xy = _antiderivative_xy(spec.c0, spec.harmonics)
 
-    def jet(t, order, start=0):
+    def jet(t, order):
         cos, sin = np.cos(t), np.sin(t)
-        out = [xy(t, cos, sin)] if start == 0 else []
+        out = [xy(t, cos, sin)]
         if order >= 1:
             r = rho(t)
             x, y = r * cos, r * sin
-            if start <= 1:
-                out.append(Points((x, y)))
+            out.append(Points((x, y)))
             if order == 2:
                 dr = drho(t)
                 out.append(Points((dr * cos - y, dr * sin + x)))
@@ -149,16 +148,6 @@ def build_e2_curve(spec: FourierCurveE2) -> ParametricCurve:
     curve = ParametricCurve(Geometry.EUCLIDEAN, jet)
     object.__setattr__(curve, "_speed", (rho, spec._rho_floor))
     return curve
-
-
-def e2_residual_operator(f: TrigPolynomial, alpha: float):
-    """Pointwise residual of f'(t+a) + f'(t-a) - cot(a) (f(t+a) - f(t-a)).
-
-    This is s2_residual_operator on E2 (c = alpha, a = 1) with its sign
-    flipped; 0.0 - r rather than -r keeps the +0.0 of a vanishing residual.
-    """
-    chord = s2_residual_operator(f, alpha, alpha, 1.0, Geometry.EUCLIDEAN)
-    return lambda t: 0.0 - chord(t)
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +198,16 @@ def build_deformed_circle(spec: DeformedCircle) -> ParametricCurve:
     R = _check_radius(geo, spec.R)
     S, C, K, embed = geo.kernel.sn, geo.kernel.cs, geo.kernel.K, geo.kernel.embed
 
-    def jet(t, order, start=0):
+    def jet(t, order):
         cos, sin = np.cos(t), np.sin(t)
         r = R + eps * g(t)
         s, c = S(r), C(r)
         x, y = s * cos, s * sin
-        out = [embed(x, y, lambda: c)] if start == 0 else []
+        out = [embed(x, y, lambda: c)]
         if order >= 1:
             dr = eps * dg(t)
             cdr = c * dr
-            if start <= 1:
-                out.append(embed(cdr * cos - y, cdr * sin + x, lambda: -K * s * dr))
+            out.append(embed(cdr * cos - y, cdr * sin + x, lambda: -K * s * dr))
             if order == 2:
                 ddr = eps * ddg(t)
                 dr2 = dr * dr  # not dr**2, which numpy rounds through pow() on a scalar

@@ -292,18 +292,21 @@ def mnorm(geometry: Geometry, v):
 class ParametricCurve:
     """Closed curve on a fixed 2*pi parameter interval, given by its jet.
 
-    ``jet(t, order, start=0)`` returns the derivatives start..order of the
-    curve at t (0 the point, 1 the velocity, 2 the acceleration; 0 <= start
-    <= order <= 2) as a tuple of ``Points``.  t is a number or an array of
-    any shape, and each ``Points`` holds one coordinate column per ambient
-    coordinate, each of t's shape, elementwise in t and preserving dtype (so
-    the finite-difference oracles can evaluate it in extended precision, and
-    a batch of parameters rounds like each one alone).  A jet computes the
-    terms its derivatives share (sn r, cs r, cos t, sin t) once; ``start``
-    lets a caller that needs only the velocity skip the point.  A stacked
-    array would be read row by row as columns, so a jet that returns one at
-    t = 0 raises OutOfRange.  ``point``, ``velocity`` and ``acceleration``
-    read one order of the jet.
+    ``jet(t, order)`` returns the derivatives 0..order of the curve at t (0
+    the point, 1 the velocity, 2 the acceleration; order <= 2) as a tuple of
+    ``Points``.  t is a number or an array of any shape, and each ``Points``
+    holds one coordinate column per ambient coordinate, each of t's shape,
+    elementwise in t and preserving dtype (so the finite-difference oracles
+    can evaluate it in extended precision, and a batch of parameters rounds
+    like each one alone).  A jet computes the terms its derivatives share
+    (sn r, cs r, cos t, sin t) once.  ``point`` and ``velocity`` read one
+    order of the jet; the acceleration is read from ``jet(t, 2)``.
+
+    Construction evaluates ``jet(0.0, 2)`` once.  A stacked array would be
+    read row by row as columns, so a jet that returns one raises
+    OutOfRange, and a curve whose geodesic curvature at t = 0 is finite and
+    not positive (a clockwise one) raises NonConvex; a speed at t = 0 that is
+    zero or not finite is left to the layers that use it.
 
     ``_landing`` is the last shot's landing, kept so that a shot launched
     from exactly where the previous one landed (a billiard orbit) reuses
@@ -326,26 +329,37 @@ class ParametricCurve:
                                                          compare=False)
 
     def __post_init__(self):
-        with np.errstate(all="ignore"):  # only the type is looked at; values are checked where used
-            stacked = any(isinstance(d, np.ndarray) for d in self.jet(0.0, 2))
-        if stacked:
-            raise OutOfRange("a curve's jet must return coordinate columns (Points), not stacked points")
+        kern = self.geometry.kernel
+        with np.errstate(all="ignore"):  # other values are checked where they are used
+            derivs = self.jet(0.0, 2)
+            if any(isinstance(d, np.ndarray) for d in derivs):
+                raise OutOfRange("a curve's jet must return coordinate columns (Points), not stacked points")
+            p, v, a = derivs
+            speed2 = kern.dot(v, v)
+            if 0.0 < speed2 < np.inf:
+                kappa = kern.dot(a, kern.normal(kern.project(p), _scale(v, np.sqrt(speed2)))) / speed2
+                if -np.inf < kappa <= 0.0:
+                    raise NonConvex(f"geodesic curvature {float(kappa)!r} at t = 0: a curve must be "
+                                    "convex and counterclockwise")
 
     def point(self, t) -> Points:
         return self.jet(t, 0)[0]
 
     def velocity(self, t) -> Points:
-        return self.jet(t, 1, 1)[0]
-
-    def acceleration(self, t) -> Points:
-        return self.jet(t, 2, 2)[0]
+        return self.jet(t, 1)[1]
 
     @cached_property
     def _ring(self) -> tuple:
         """``point`` at the shot ring t_j = j 2 pi / _SHOT_GRID, unprojected, one column
         entry per j = 0, ..., _SHOT_GRID; the last repeats the first, as t = 2 pi is t = 0.
-        Evaluated once per curve, on the first shot."""
-        return tuple(np.concatenate((c, c[:1])) for c in self.point(np.arange(_SHOT_GRID) * _RING_STEP))
+        Evaluated once per curve, on the first shot; OutOfRange names the first t_j
+        whose point is not finite."""
+        ts = np.arange(_SHOT_GRID) * _RING_STEP
+        cols = self.point(ts)
+        finite = np.logical_and.reduce([np.isfinite(c) for c in cols])
+        if not finite.all():
+            raise OutOfRange(f"the curve's point at t = {float(ts[np.argmin(finite)])!r} is not finite")
+        return tuple(np.concatenate((c, c[:1])) for c in cols)
 
 
 def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
@@ -359,13 +373,13 @@ def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
     sr, cr = geometry.kernel.sn(r), geometry.kernel.cs(r)
     embed = geometry.kernel.embed
 
-    def jet(t, order, start=0):
+    def jet(t, order):
         x, y = sr * np.cos(t), sr * np.sin(t)
         # the velocity is (-y, x) and the acceleration (-x, -y): negation is exact
         derivs = (lambda: embed(x, y, lambda: cr * np.ones_like(t)),
                   lambda: embed(-y, x, lambda: np.zeros_like(t)),
                   lambda: embed(-x, -y, lambda: np.zeros_like(t)))
-        return tuple([d() for d in derivs[start:order + 1]])
+        return tuple([d() for d in derivs[:order + 1]])
 
     curve = ParametricCurve(geometry, jet)
     object.__setattr__(curve, "_speed", (TrigPolynomial(float(sr)), float(sr)))
@@ -522,6 +536,12 @@ def _shoot_lanes(curve, t0, theta, launch=None):
     short_before = (last == 0.0) | (last * up > 0.0)
     count = hits.sum(axis=-1) + short_after + short_before
     if _any(count != 1):
+        # a launch point or direction that is not finite makes every side value NaN
+        nan = (count != 1) & np.isnan(vals).any(axis=-1)
+        if _any(nan):
+            j = np.flatnonzero(nan)[0]
+            raise OutOfRange(f"the chord from t0={t0.flat[j]} at theta={theta.flat[j]} has NaN side "
+                             "values: the curve's point or tangent at t0 is not finite")
         j = np.flatnonzero(count != 1)[0]
         if count.flat[j] == 0:
             raise Degenerate("no forward intersection found (curve convex and closed?)")

@@ -283,15 +283,15 @@ def gutkin_chord_length_formula(spec, alpha: float, t):
 
 
 def e2_residual_formula(f: TrigPolynomial, alpha: float):
-    """f'(t+a) + f'(t-a) - cot(a) (f(t+a) - f(t-a)), the E2 chord residual
-    written out: the reference for e2_residual_operator, which flips the sign
-    of the general operator."""
+    """cot(a) (f(t+a) - f(t-a)) - (f'(t+a) + f'(t-a)), the E2 chord residual
+    written out: the reference for s2_residual_operator on E2 at (c, a) =
+    (alpha, 1)."""
     df = f.derivative()
     cot = np.cos(alpha) / np.sin(alpha)
 
     def residual(t):
         t = np.asarray(t)
-        return df(t + alpha) + df(t - alpha) - cot * (f(t + alpha) - f(t - alpha))
+        return cot * (f(t + alpha) - f(t - alpha)) - (df(t + alpha) + df(t - alpha))
 
     return residual
 

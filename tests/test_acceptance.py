@@ -44,7 +44,7 @@ def test_02_euclidean_exactness():
     ts = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
 
     f = eq.TrigPolynomial(np.sin(ALPHA4), (eq.Harmonic(4, 0.1 * np.sin(ALPHA4), 0.0),))
-    res_a = float(np.abs(eq.e2_residual_operator(f, ALPHA4)(ts)).max())
+    res_a = float(np.abs(eq.s2_residual_operator(f, ALPHA4, ALPHA4, 1.0, Geometry.EUCLIDEAN)(ts)).max())
 
     res_b = eq.invariant_circle_residual(curve, ALPHA4, n_steps=100, n_starts=16)
 
@@ -56,7 +56,7 @@ def test_02_euclidean_exactness():
     res_c = float(np.abs(measured - closed).max())
 
     f_bad = eq.TrigPolynomial(np.sin(1.0), (eq.Harmonic(4, 0.1 * np.sin(1.0), 0.0),))
-    res_d = float(np.abs(eq.e2_residual_operator(f_bad, 1.0)(ts)).max())
+    res_d = float(np.abs(eq.s2_residual_operator(f_bad, 1.0, 1.0, 1.0, Geometry.EUCLIDEAN)(ts)).max())
 
     ok = res_a < 1e-12 and res_b < 1e-7 and res_c < 1e-8 and res_d > 1e-2
     _report(2, f"E2 exactness (op {res_a:.1e}, orbit {res_b:.1e}, "

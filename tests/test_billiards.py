@@ -136,9 +136,9 @@ class TestRelaunch:
         curve = build_e2_curve(flower_spec)
         jet, calls = curve.jet, []
 
-        def counting(t, order, start=0):
+        def counting(t, order):
             calls.append(np.shape(t))
-            return jet(t, order, start)
+            return jet(t, order)
 
         curve = replace(curve, jet=counting)
         calls.clear()  # construction looks at the jet's type once

@@ -138,9 +138,9 @@ class TestArcLength:
         curve = make()
         jet, calls = curve.jet, []
 
-        def counting(t, order, start=0):
+        def counting(t, order):
             calls.append(np.shape(t))
-            return jet(t, order, start)
+            return jet(t, order)
 
         object.__setattr__(curve, "jet", counting)
         ArcLengthParam(ParametricCurve(curve.geometry, counting))
@@ -200,10 +200,10 @@ class TestChordData:
     def test_stationary_end_refused(self):
         """An astroid stops at t = 0; read through the unit circle's arc length,
         the chord end x = 0 lands there, and the unit tangent refuses it first."""
-        def jet(t, order, start=0):
+        def jet(t, order):
             cos, sin = np.cos(t), np.sin(t)
             return (Points((cos ** 3, sin ** 3)), Points((-3 * cos ** 2 * sin, 3 * sin ** 2 * cos)),
-                    Points((0 * t, 0 * t)))[start:order + 1]
+                    Points((0 * t, 0 * t)))[:order + 1]
 
         astroid = ParametricCurve(Geometry.EUCLIDEAN, jet)
         arclen = ArcLengthParam(circle_curve(Geometry.EUCLIDEAN, 1.0))

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -233,12 +234,17 @@ class TestBilliardAndChords:
         assert out["max_rel_err"] < 1e-5
 
     def test_chords_validate_nan_chord_exit_3(self, runner):
-        # at R = 20 the hyperboloid chord cancels and some partials come out NaN;
-        # the report must refuse rather than take the max of the other lanes
-        result = runner.invoke(main, ["chords", "validate", "--circle", "H2",
-                                      "--radius", "20", "--samples", "20"])
-        assert result.exit_code == 3
-        assert "gives a NaN chord partial" in result.output
+        """At R = 20 the hyperboloid chord cancels and some partials come out NaN;
+        the report must refuse rather than take the max of the other lanes.  At
+        R = 400 every coordinate is finite, but cosh^2 R overflows, and the NaN is
+        inf - inf: the message names the cause."""
+        for radius, samples, cause in (("20", "20", "loses every digit to cancellation"),
+                                       ("400", "2", "overflows floating point")):
+            result = runner.invoke(main, ["chords", "validate", "--circle", "H2",
+                                          "--radius", radius, "--samples", samples])
+            assert result.exit_code == 3
+            assert re.fullmatch(r"error: sample 0 \(x = \S+, y = \S+\) gives a NaN chord partial: "
+                                rf"the H2 chord {cause}\n", result.output)
 
     def test_nan_chord_stderr_is_one_line(self):
         """No numpy warning precedes the error line, on a NaN chord (at R = 400 the

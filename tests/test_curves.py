@@ -4,6 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equichord import (
+    ArcLengthParam,
     DeformedCircle,
     FourierCurveE2,
     Geometry,
@@ -15,7 +16,6 @@ from equichord import (
     closure_defect,
     contact_angle_from_c,
     curves,
-    e2_residual_operator,
     geodesic_curvature,
     gutkin_roots,
     lemma_constants,
@@ -66,7 +66,7 @@ def test_columns_stack_to_the_stacked_formulas(spec, ts, dtype):
     else:
         curve = circle_curve(*spec)
     for t in (np.array(ts, dtype=dtype), dtype(ts[0])):
-        for got, want in zip((curve.point(t), curve.velocity(t), curve.acceleration(t)),
+        for got, want in zip((curve.point(t), curve.velocity(t), curve.jet(t, 2)[2]),
                              stacked_derivatives(spec, t)):
             got = np.asarray(got)
             assert got.dtype == want.dtype == dtype and got.shape == want.shape
@@ -99,6 +99,13 @@ class TestFourierCurveE2:
         hs = (Harmonic(1, rel_amp * c0, phase),) + tuple(Harmonic(k, a * c0, p) for k, a, p in others)
         assert closure_defect(c0, hs) == pytest.approx(np.pi * abs(rel_amp * c0), abs=1e-12 * c0)
 
+    @pytest.mark.parametrize("c0", [5e5, 1e8])
+    def test_large_curve_closes(self, c0):
+        """A closed curve's closure defect is rounding of size eps * c0, so the
+        self-check bounds it relative to the curve's size."""
+        spec = FourierCurveE2(c0=c0, harmonics=(Harmonic(4, 0.1 * c0, 0.0),))
+        assert ArcLengthParam(build_e2_curve(spec)).total_length == c0 * 2 * np.pi
+
     def test_nonconvex_rejected(self):
         with pytest.raises(NonConvex, match="radius of curvature must stay positive"):
             FourierCurveE2(c0=1.0, harmonics=(Harmonic(4, 1.2, 0.0),))
@@ -127,13 +134,13 @@ class TestE2Residual:
     def test_admissible_vanishes(self, flower_spec, alpha4):
         f = TrigPolynomial(np.sin(alpha4),
                            (Harmonic(4, 0.1 * np.sin(alpha4), 0.0),))
-        res = e2_residual_operator(f, alpha4)
+        res = s2_residual_operator(f, alpha4, alpha4, 1.0, Geometry.EUCLIDEAN)
         ts = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
         assert np.abs(res(ts)).max() < 1e-12
 
     def test_wrong_angle_fails(self):
         f = TrigPolynomial(1.0, (Harmonic(4, 0.1, 0.0),))
-        res = e2_residual_operator(f, 1.0)
+        res = s2_residual_operator(f, 1.0, 1.0, 1.0, Geometry.EUCLIDEAN)
         ts = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
         assert np.abs(res(ts)).max() > 1e-2
 
@@ -145,10 +152,11 @@ class TestE2Residual:
     @example(1.0, [], 2.0).via("constant f, cot < 0")
     @settings(max_examples=60, deadline=None)
     def test_matches_written_out_formula(self, c0, harmonics, alpha):
-        """Bit for bit, the sign of a zero residual included."""
+        """The general operator on E2 (c = alpha, a = 1) is the E2 chord residual,
+        bit for bit, the sign of a zero residual included."""
         f = TrigPolynomial(c0, tuple(Harmonic(*h) for h in harmonics))
         ts = np.linspace(0.0, 2 * np.pi, 257)
-        got = e2_residual_operator(f, alpha)(ts)
+        got = s2_residual_operator(f, alpha, alpha, 1.0, Geometry.EUCLIDEAN)(ts)
         assert got.tobytes() == e2_residual_formula(f, alpha)(ts).tobytes()
 
 

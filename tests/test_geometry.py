@@ -17,6 +17,7 @@ from equichord import (
     circle_curve,
     geodesic_curvature,
     shoot_to_curve,
+    verify_curve_gutkin,
 )
 from equichord.errors import Degenerate, NonConvex, OutOfRange
 from equichord.geometry import ParametricCurve, Points, _chord_tangent_at_arrival, mnorm
@@ -148,6 +149,55 @@ class TestCircleRadius:
         assert float(printed) == bound
 
 
+def _nan_between(lo, hi):
+    """The unit circle's jet, NaN for t in (lo, hi)."""
+    def jet(t, order):
+        t = np.asarray(t, dtype=float)
+        off = (lo < t) & (t < hi)
+        cos, sin = np.where(off, np.nan, np.cos(t)), np.where(off, np.nan, np.sin(t))
+        return (Points((cos, sin)), Points((-sin, cos)), Points((-cos, -sin)))[:order + 1]
+    return jet
+
+
+class TestCurveContract:
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_clockwise_curve_refused(self, geometry):
+        """circle_curve's jet at -t traverses the same circle clockwise: its geodesic
+        curvature at t = 0 is negative, so construction refuses it.  Shot from
+        anyway, each chord would land behind its launch and read a tiny residual."""
+        ccw = circle_curve(geometry, 1.0).jet
+
+        def clockwise(t, order):
+            # d/dt gamma(-t) = -gamma'(-t); the second derivative keeps its sign
+            return tuple(Points(tuple(c if i % 2 == 0 else -c for c in d))
+                         for i, d in enumerate(ccw(-np.asarray(t), order)))
+
+        with pytest.raises(NonConvex, match=r"^geodesic curvature -\d.* at t = 0: a curve must be "
+                                             "convex and counterclockwise$"):
+            ParametricCurve(geometry, clockwise)
+
+    def test_non_finite_ring_point_named(self):
+        """A curve that is NaN on (3, 3.2) is refused where its ring is sampled, at the
+        first ring point there, t = 123 * 2 pi / 256; its NaN samples would drop out
+        of the sign-change count and read as a chord that lands nowhere."""
+        curve = ParametricCurve(Geometry.EUCLIDEAN, _nan_between(3.0, 3.2))
+        t = 123 * (2 * np.pi / 256)
+        with pytest.raises(OutOfRange, match=rf"^the curve's point at t = {t!r} is not finite$"):
+            verify_curve_gutkin(curve, 1.0, 16)
+
+    def test_non_finite_launch_named(self):
+        """NaN on (3.0, 3.01), between two ring points: the ring is finite, and a
+        shot launched there, alone or as one lane of a batch, names that lane."""
+        curve = ParametricCurve(Geometry.EUCLIDEAN, _nan_between(3.0, 3.01))
+        message = r"^the chord from t0=3\.005 at theta=1\.0 has NaN side values"
+        with pytest.raises(OutOfRange, match=message):
+            shoot_to_curve(curve, 3.005, 1.0)
+        with pytest.raises(OutOfRange, match=message):
+            shoot_to_curve(curve, [0.5, 3.005], [1.0, 1.0])
+        t1, arrival, _ = shoot_to_curve(curve, 0.5, 1.0)  # the other lane lands
+        assert arrival == pytest.approx(1.0, abs=1e-14)
+
+
 class TestShooting:
     def test_e2_circle_chord(self):
         curve = circle_curve(Geometry.EUCLIDEAN, 1.0)
@@ -196,17 +246,17 @@ class TestShooting:
     def test_multiple_crossings_rejected(self):
         """The non-convex polar curve r = 1 + 0.5 cos 3t: the chord from t0 = 0
         at theta = 1.2 crosses it three times, so there is no single landing point."""
-        def jet(t, order, start=0):
+        def jet(t, order):
             t = np.asarray(t)
             r, dr, ddr = 1 + 0.5 * np.cos(3 * t), -1.5 * np.sin(3 * t), -4.5 * np.cos(3 * t)
             cos, sin = np.cos(t), np.sin(t)
             return (Points((r * cos, r * sin)),
                     Points((dr * cos - r * sin, dr * sin + r * cos)),
-                    Points((ddr * cos - 2 * dr * sin - r * cos, ddr * sin + 2 * dr * cos - r * sin)))[start:order + 1]
+                    Points((ddr * cos - 2 * dr * sin - r * cos, ddr * sin + 2 * dr * cos - r * sin)))[:order + 1]
 
-        def stacked_points(t, order, start=0):
-            derivs = jet(t, order, start)
-            return (np.asarray(derivs[0]),) + derivs[1:] if start == 0 else derivs
+        def stacked_points(t, order):
+            derivs = jet(t, order)
+            return (np.asarray(derivs[0]),) + derivs[1:]
 
         curve = ParametricCurve(Geometry.EUCLIDEAN, jet)
         # the same curve with stacked (..., 2) points would be read row by row: refused
@@ -223,13 +273,13 @@ class TestShooting:
         """A circle traversed at speed 2.4 near t = 0: a chord at theta = 1e-6 lands
         about 8e-7 from t0, inside the 1e-6 guard, and is refused, forward and
         backward, as the grid oracle refuses it; at 3e-6 it lands past the guard."""
-        def jet(t, order, start=0):
+        def jet(t, order):
             t = np.asarray(t)
             u = t + 0.8 * np.sin(t) + 0.3 * np.sin(2 * t)
             du, ddu = 1 + 0.8 * np.cos(t) + 0.6 * np.cos(2 * t), -0.8 * np.sin(t) - 1.2 * np.sin(2 * t)
             cos, sin = np.cos(u), np.sin(u)
             return (Points((cos, sin)), Points((-du * sin, du * cos)),
-                    Points((-ddu * sin - du * du * cos, ddu * cos - du * du * sin)))[start:order + 1]
+                    Points((-ddu * sin - du * du * cos, ddu * cos - du * du * sin)))[:order + 1]
 
         curve = ParametricCurve(Geometry.EUCLIDEAN, jet)
         for theta in (1e-6, np.pi - 1e-6):
