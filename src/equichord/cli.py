@@ -489,7 +489,7 @@ def chords():
 @click.option("--radius", type=float, default=None)
 @click.option("--samples", type=int, default=100)
 @click.option("--seed", type=int, default=0)
-@click.option("--step", type=float, default=1e-5)
+@click.option("--step", type=float, default=2e-3)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_chords_validate(spec_path, circle, radius, samples, seed, step, out):
     """Check the closed-form partials of L(x,y) against finite differences."""

@@ -212,7 +212,8 @@ def build_deformed_circle(spec: DeformedCircle) -> ParametricCurve:
                 ddr = eps * ddg(t)
                 dr2 = dr * dr  # not dr**2, which numpy rounds through pow() on a scalar
                 rad = -K * s * dr2 + c * ddr
-                out.append(embed(rad * cos - 2 * cdr * sin - x, rad * sin + 2 * cdr * cos - y,
+                # 2 * c * dr, not 2 * cdr: the two differ where c * dr is subnormal
+                out.append(embed(rad * cos - 2 * c * dr * sin - x, rad * sin + 2 * c * dr * cos - y,
                                  lambda: -K * (c * dr2 + s * ddr)))
         return tuple(out)
 

@@ -48,6 +48,14 @@ TWO_PI = 2.0 * np.pi
 _NEWTON_ROUNDS = 60  # a lane not stopped after this many rounds raises
 
 
+class _NaNValue(RuntimeError):
+    """A running Newton lane's function value is NaN at x."""
+
+    def __init__(self, x: float):
+        super().__init__(f"the function value at x={x!r} is NaN")
+        self.x = x
+
+
 def _newton(f, neg, pos, x):
     """Roots of f, one per lane, by Newton's method safeguarded by bisection.
 
@@ -62,8 +70,9 @@ def _newton(f, neg, pos, x):
     Newton jumping across the root of an arctan, or across a root whose f is
     rounding noise on a flat slope.  Lanes run in place until the slowest
     stops; a stopped lane is still evaluated but keeps its root, so each lane
-    takes the steps it would take alone.  Raises RuntimeError on a NaN f in a
-    running lane, or after _NEWTON_ROUNDS rounds.
+    takes the steps it would take alone.  Raises _NaNValue, a RuntimeError
+    naming x, on a NaN f in a running lane, and RuntimeError after
+    _NEWTON_ROUNDS rounds.
     """
     tol = 8 * np.finfo(x.dtype).eps
     before = last = np.inf  # the lengths of the last two steps
@@ -71,7 +80,7 @@ def _newton(f, neg, pos, x):
         for _ in range(_NEWTON_ROUNDS):
             y, dy = f(x)
             if y != y:
-                raise RuntimeError(f"the function value at x={float(x)!r} is NaN")
+                raise _NaNValue(float(x))
             step = y / dy
             neg, pos = (x, pos) if y < 0 else (neg, x)
             x = x - step
@@ -99,7 +108,7 @@ def _newton(f, neg, pos, x):
         if np.count_nonzero(out):  # count_nonzero is the cheapest reduction here
             nan = np.isnan(y) & ~done
             if np.count_nonzero(nan):
-                raise RuntimeError(f"the function value at x={float(x[nan][0])!r} is NaN")
+                raise _NaNValue(float(x[nan][0]))
             x_new = np.where(out, (neg + pos) / 2, x_new)
             size = np.where(out, (pos - neg) / 2, size)
             stop |= out & (np.abs(pos - neg) < tol * np.maximum(1.0, np.abs(x_new)))
@@ -296,9 +305,9 @@ class ParametricCurve:
     the point, 1 the velocity, 2 the acceleration; order <= 2) as a tuple of
     ``Points``.  t is a number or an array of any shape, and each ``Points``
     holds one coordinate column per ambient coordinate, each of t's shape,
-    elementwise in t and preserving dtype (so the finite-difference oracles
-    can evaluate it in extended precision, and a batch of parameters rounds
-    like each one alone).  A jet computes the terms its derivatives share
+    elementwise in t, so a batch of parameters rounds like each one alone
+    (the built-in jets also keep t's float dtype; the library evaluates
+    them in double only).  A jet computes the terms its derivatives share
     (sn r, cs r, cos t, sin t) once.  ``point`` and ``velocity`` read one
     order of the jet; the acceleration is read from ``jet(t, 2)``.
 
@@ -450,7 +459,9 @@ def shoot_to_curve(curve: ParametricCurve, t0, theta):
     samples 1e-6 after t0 and before t0 + 2 pi; only a chord landing in a cell
     next to t0 evaluates the curve there.  A chord that crosses more than once
     raises NonConvex, one that does not Degenerate; a t0 that is not finite
-    raises OutOfRange, and a finite one is taken mod 2 pi.
+    raises OutOfRange, and a finite one is taken mod 2 pi.  A Newton round
+    that meets a curve point that is not finite, between two ring points,
+    raises OutOfRange naming its t.
 
     A shot evaluates the curve's jet (point and velocity together) at t0,
     once per Newton round and at the landing, which it takes at the returned
@@ -573,7 +584,10 @@ def _shoot_lanes(curve, t0, theta, launch=None):
         pt, v = curve.jet(t, 1)
         return side(pt), slope(v)
 
-    t1 = _newton(f, neg, pos, a - fa * (b - a) / (fb - fa)) % TWO_PI
+    try:
+        t1 = _newton(f, neg, pos, a - fa * (b - a) / (fb - fa)) % TWO_PI
+    except _NaNValue as nan:  # the ring and the launch are finite: the curve is not, between ring points
+        raise OutOfRange(f"the curve's point at t = {nan.x!r} is not finite") from None
     q, v = curve.jet(t1, 1)
     q = kern.project(q)
     tan, normal, _ = _frame(curve.geometry, t1, q, v)

@@ -153,15 +153,15 @@ def grid_shot(curve, t0: float, theta: float) -> tuple:
 
 
 def stencil_inversions(curve, samples: int, seed: int = 0) -> list:
-    """(arclen, s, t) of every long-double t_of_s call one validate_partials run
-    makes: the warm-started stencil inversions.  The method is wrapped for the
-    length of the run only."""
+    """(arclen, s, t) of every t_of_s call on an (ends, steps, samples) array one
+    validate_partials run makes: the warm-started stencil inversions.  The
+    method is wrapped for the length of the run only."""
     calls = []
     warm = ArcLengthParam.t_of_s
 
     def recording(self, s, start=None):
         t = warm(self, s, start)
-        if np.asarray(s).dtype == np.longdouble:
+        if np.ndim(s) == 3:
             calls.append((self, s, t))
         return t
 
@@ -224,38 +224,46 @@ def arccos_chord_angles(curve, x, y, arclen) -> tuple:
     return phi, psi
 
 
-def nine_chord_partials(curve, samples: int, seed: int = 0, step: float = 1e-5) -> dict:
-    """validate_partials' report with the stencil's nine chords evaluated
-    separately: 18 long-double ends a sample, each inverted and evaluated on
-    its own, and the chord records from the oracle chord_data.  The reference
-    for the stencil's six shared ends; it refuses nothing."""
+def stencil_partials(curve, samples: int, seed: int = 0, step: float = 2e-3) -> dict:
+    """validate_partials' report with the stencil's 49 chords evaluated
+    separately: 98 ends a sample, each inverted and evaluated on its own, and
+    the chord records from the oracle chord_data.  The reference for the
+    stencil's 14 shared ends and its broadcast distance; it refuses nothing."""
     arclen = ArcLengthParam(curve)
     Ltot = arclen.total_length
     draws = np.random.default_rng(seed).uniform([0.0, 0.2], [Ltot, 0.8], size=(samples, 2))
-    h = np.longdouble(step)
-    sx = np.array([0, 1, -1, 0, 0, 1, 1, -1, -1], dtype=np.longdouble)[:, None] * h
-    sy = np.array([0, 0, 0, 1, -1, 1, -1, 1, -1], dtype=np.longdouble)[:, None] * h
+    h = float(step)
+    # chord (i, j), at row 7 i + j, runs from x + (i - 3) h to y + (j - 3) h
+    sx = np.repeat(np.arange(-3.0, 4.0), 7)[:, None] * h
+    sy = np.tile(np.arange(-3.0, 4.0), 7)[:, None] * h
     names = ("Lx", "Ly", "Lxx", "Lyy", "Lxy")
+
+    def d1(f):  # 60 h f' on f at (-3, ..., 3) h
+        return 45 * (f[4] - f[2]) - 9 * (f[5] - f[1]) + (f[6] - f[0])
+
+    def d2(f):  # 180 h^2 f''
+        return 270 * (f[2] + f[4]) - 27 * (f[1] + f[5]) + 2 * (f[0] + f[6]) - 490 * f[3]
+
     worst = np.zeros(len(names))
     for lo in range(0, len(draws), 512):
-        block = draws[lo:lo + 512].astype(np.longdouble)
+        block = draws[lo:lo + 512]
         x = block[:, 0]
-        y = x + block[:, 1] * np.longdouble(Ltot)
+        y = x + block[:, 1] * Ltot
         with np.errstate(invalid="ignore"):
-            cd = chord_data(curve, x.astype(float), y.astype(float), arclen)
+            cd = chord_data(curve, x, y, arclen)
             s = np.stack([x + sx, y + sy])
             s_end = np.stack([cd.x, cd.y])[:, None]
             t_end = np.stack([cd.tx, cd.ty])[:, None]
             t = arclen.t_of_s(s, start=t_end + (s - s_end) / arclen.speed(t_end))
             p, q = zip(*curve.point(t))
-            d0, dxp, dxm, dyp, dym, dpp, dpm, dmp, dmm = curve.geometry.kernel.distance(p, q)
+            d = curve.geometry.kernel.distance(p, q).reshape((7, 7) + x.shape)
         fd = np.stack([
-            (dxp - dxm) / (2 * h),
-            (dyp - dym) / (2 * h),
-            (dxp - 2 * d0 + dxm) / h**2,
-            (dyp - 2 * d0 + dym) / h**2,
-            (dpp - dpm - dmp + dmm) / (4 * h**2),
-        ]).astype(float)
+            d1(d[:, 3]) / (60 * h),
+            d1(d[3]) / (60 * h),
+            d2(d[:, 3]) / (180 * h * h),
+            d2(d[3]) / (180 * h * h),
+            d1(d1(d)) / (3600 * h * h),
+        ])
         ana = np.stack([getattr(cd, name) for name in names])
         rel = np.abs(fd - ana) / np.maximum(np.abs(ana), 1e-3)
         worst = np.maximum(worst, rel.max(axis=1))

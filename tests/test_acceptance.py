@@ -70,7 +70,7 @@ def test_03_generating_function_partials():
     for curve in (wavy,
                   eq.circle_curve(Geometry.SPHERICAL, np.pi / 3),
                   eq.circle_curve(Geometry.HYPERBOLIC, 0.8)):
-        errs.append(eq.validate_partials(curve, samples=100, step=1e-5)["max_rel_err"])
+        errs.append(eq.validate_partials(curve, samples=100)["max_rel_err"])
     ok = max(errs) < 1e-5
     _report(3, f"L(x,y) partials vs finite differences (worst {max(errs):.1e})", ok)
 

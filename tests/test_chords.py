@@ -23,6 +23,7 @@ from equichord.errors import Degenerate, OutOfRange
 import oracles
 from oracles import curves, stencil_inversions
 
+EPS = np.finfo(float).eps
 LD_EPS = np.finfo(np.longdouble).eps
 
 
@@ -149,7 +150,7 @@ class TestArcLength:
         ArcLengthParam(curve)
         assert calls == []
         validate_partials(curve, samples=5)
-        assert calls == [(2, 5), (2, 3, 5)]
+        assert calls == [(2, 5), (2, 7, 5)]
 
     @pytest.mark.parametrize("geometry, radius", [(Geometry.EUCLIDEAN, 1e308), (Geometry.HYPERBOLIC, 709.0)])
     def test_closed_form_length_overflow_is_refused(self, geometry, radius):
@@ -259,6 +260,20 @@ class TestValidatePartials:
         with pytest.raises(OutOfRange, match=r"sample \d+ .* NaN chord partial"):
             validate_partials(circle_curve(Geometry.HYPERBOLIC, 20.0), samples=20)
 
+    def test_h2_circle_r5(self):
+        """The double stencil's rounding, eps |L| / h^2, is what H2 R = 5 reads:
+        about 3e-6 at h = 2e-3, where the long-double one at h = 1e-5 read 2e-5."""
+        report = validate_partials(circle_curve(Geometry.HYPERBOLIC, 5.0), samples=100)
+        assert report["max_rel_err"] < 1e-5
+
+    def test_sharply_curved_e2(self):
+        """rho = c0 (1 + 0.48 cos(7t + p)) turns on a length scale near 0.04, where
+        a fourth-order stencil's truncation at h = 2e-3 read 1.5e-5 (Ly); the
+        seven-point stencil's reads about 3e-8."""
+        spec = FourierCurveE2(0.5441248828794524, (Harmonic(7, 0.2603382782961819, 1.5835431511929232),))
+        report = validate_partials(build_e2_curve(spec), samples=12, seed=1999871263)
+        assert report["max_rel_err"] < 1e-6
+
     def test_h2_circle_r9(self):
         """The chord-end angles are atan2 on q - p, with no direction divided by
         sinh L: at R = 9 the partials keep four digits (2.1e-2 with the arccos form)."""
@@ -288,8 +303,8 @@ def _deformed(tag):
 
 
 class TestStencilInversion:
-    """validate_partials starts each long-double stencil end next to the chord
-    end chord_data solved in double."""
+    """validate_partials starts each stencil end next to the chord end
+    chord_data solved, in double."""
 
     @given(curves(), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -298,56 +313,59 @@ class TestStencilInversion:
         assert len(inversions) == 1
         arclen, s, t = inversions[0]
         cold = arclen.t_of_s(s)
-        assert np.all(np.abs(t - cold) <= 8 * LD_EPS * np.maximum(1.0, np.abs(cold)))
+        assert t.dtype == np.float64
+        assert np.all(np.abs(t - cold) <= 8 * EPS * np.maximum(1.0, np.abs(cold)))
 
     @given(curves(), st.integers(1, 20), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_six_ends_per_sample(self, curve, samples, seed):
-        """The nine stencil chords of a sample share six ends, x + {0, h, -h}
-        and y + {0, h, -h}, inverted in one long-double call."""
+    def test_fourteen_ends_per_sample(self, curve, samples, seed):
+        """The 49 stencil chords of a sample share 14 ends, x + {0, +-h, +-2h,
+        +-3h} and y + {0, +-h, +-2h, +-3h}, inverted in one call."""
         (arclen, s, _), = stencil_inversions(curve, samples=samples, seed=seed)
         ltot = arclen.total_length
         draws = np.random.default_rng(seed).uniform([0.0, 0.2], [ltot, 0.8], size=(samples, 2))
-        x = draws[:, 0].astype(np.longdouble)
-        y = x + draws[:, 1].astype(np.longdouble) * np.longdouble(ltot)
-        h = np.longdouble(1e-5)
-        assert s.shape == (2, 3, samples)
-        assert np.array_equal(s, np.stack([[x, x + h, x - h], [y, y + h, y - h]]))
+        x = draws[:, 0]
+        y = x + draws[:, 1] * ltot
+        h = 2e-3
+        assert s.shape == (2, 7, samples)
+        assert np.array_equal(s, np.stack([[e - 3 * h, e - 2 * h, e - h, e, e + h, e + 2 * h, e + 3 * h]
+                                           for e in (x, y)]))
 
     @pytest.mark.parametrize("make, steps", [
         (lambda: build_e2_curve(FourierCurveE2(c0=1.0, harmonics=(Harmonic(3, 0.3, 0.0),
-                                                                  Harmonic(5, 0.1, -np.pi / 2)))), 2),
-        (lambda: build_e2_curve(FourierCurveE2(c0=1.3, harmonics=(Harmonic(7, 0.08, 1.0),))), 2),
+                                                                  Harmonic(5, 0.1, -np.pi / 2)))), 3),
+        (lambda: build_e2_curve(FourierCurveE2(c0=1.3, harmonics=(Harmonic(7, 0.08, 1.0),))), 3),
         (lambda: _deformed("S2"), 2),
         (lambda: _deformed("H2"), 2),
         (lambda: circle_curve(Geometry.SPHERICAL, 0.9), 0),
         (lambda: circle_curve(Geometry.HYPERBOLIC, 1.2), 0),
     ], ids=["E2 3+5", "E2 7", "S2 deformed", "H2 deformed", "S2 circle", "H2 circle"])
     def test_newton_steps(self, monkeypatch, make, steps):
-        """Two long-double Newton steps on curves with harmonics (5 to 6 on E2 and 3
-        on deformed circles from a cold start), none on circles; each step
-        evaluates s_of_t once."""
+        """Three Newton steps on E2 curves with harmonics and two on deformed
+        circles (5 and 4 on these E2 curves and 3 on deformed circles from a
+        cold start), none on circles; each step evaluates s_of_t once on the
+        (2, 7, samples) stencil ends."""
         curve = make()
-        dtypes = []
+        shapes = []
         s_of_t = ArcLengthParam.s_of_t
 
         def counting(self, t):
-            dtypes.append(np.asarray(t).dtype)
+            shapes.append(np.shape(t))
             return s_of_t(self, t)
 
         monkeypatch.setattr(ArcLengthParam, "s_of_t", counting)
         validate_partials(curve, samples=40)
-        assert dtypes.count(np.longdouble) == steps
+        assert shapes.count((2, 7, 40)) == steps
 
 
 @given(curves(), st.integers(1, 40), st.integers(0, 2**31 - 1))
 @settings(max_examples=100, deadline=None)
 def test_shared_evaluations_change_no_bit(curve, samples, seed):
-    """The six shared stencil ends and the chord ends' shared point and
-    velocity give the report and the chord records of evaluating each where
-    it is used, bit for bit."""
+    """The 14 shared stencil ends, their broadcast distance and the chord
+    ends' shared point and velocity give the report and the chord records of
+    evaluating each where it is used, bit for bit."""
     assert validate_partials(curve, samples=samples, seed=seed) \
-        == oracles.nine_chord_partials(curve, samples, seed)
+        == oracles.stencil_partials(curve, samples, seed)
     arclen = ArcLengthParam(curve)
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, arclen.total_length, samples)

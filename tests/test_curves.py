@@ -51,6 +51,10 @@ def curve_specs(draw):
 
 @given(curve_specs(), st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6),
        st.sampled_from([np.float64, np.longdouble]))
+# 2 * (c * dr) against (2 * c) * dr: they differ where c * dr is subnormal
+@example(DeformedCircle(geometry=Geometry.SPHERICAL, R=1.0, epsilon=2.2250738585e-313,
+                        g=TrigPolynomial(0.0, (Harmonic(2, 1.0, 1.0), Harmonic(2, 0.0, 0.0))), alpha=1.0),
+         [0.0], np.float64)
 @settings(max_examples=150, deadline=None)
 def test_columns_stack_to_the_stacked_formulas(spec, ts, dtype):
     """np.asarray of a curve's coordinate columns is, bit for bit, the stacked

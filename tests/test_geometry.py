@@ -197,6 +197,17 @@ class TestCurveContract:
         t1, arrival, _ = shoot_to_curve(curve, 0.5, 1.0)  # the other lane lands
         assert arrival == pytest.approx(1.0, abs=1e-14)
 
+    def test_non_finite_landing_named(self):
+        """NaN on (3.0, 3.01), between two ring points, where the chord from t0 =
+        1.005 at theta = 1 lands: the ring and the launch are finite, and the shot's
+        Newton round there names its t, alone or as one lane of a batch, rather than
+        escaping as the root finder's RuntimeError."""
+        curve = ParametricCurve(Geometry.EUCLIDEAN, _nan_between(3.0, 3.01))
+        for t0, theta in ((1.005, 1.0), ([0.5, 1.005], [1.0, 1.0])):
+            with pytest.raises(OutOfRange, match=r"^the curve's point at t = \S+ is not finite$") as refused:
+                shoot_to_curve(curve, t0, theta)
+            assert 3.0 < float(str(refused.value).split()[6]) < 3.01
+
 
 class TestShooting:
     def test_e2_circle_chord(self):
