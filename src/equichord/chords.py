@@ -59,7 +59,7 @@ class ArcLengthParam:
     s = mean_speed * t exactly, and a length that overflows floating point
     is refused.  Inversion is by safeguarded Newton (s is strictly
     increasing); both directions accept any real argument, of any shape, and
-    wrap naturally, in the input's float dtype.
+    wrap naturally; they, and ``speed``, read it as a double.
     """
 
     def __init__(self, curve: ParametricCurve):
@@ -98,6 +98,9 @@ class ArcLengthParam:
             speeds = mnorm(curve.geometry, curve.velocity(ts))
         # the sum is finite iff every speed and the total length are
         if not np.isfinite(speeds.sum()):
+            nan = np.isnan(speeds)
+            if nan.any():
+                raise OutOfRange(f"the curve's velocity at t = {float(ts[nan.argmax()])!r} is not finite")
             raise OutOfRange("curve speed or length overflows floating point")
         coeffs = np.fft.rfft(speeds) / _SPEED_SAMPLES
         self.mean_speed = float(coeffs[0].real)
@@ -113,14 +116,13 @@ class ArcLengthParam:
         return speeds.min()
 
     def s_of_t(self, t):
-        t = np.asarray(t, dtype=np.result_type(t, 1.0))
+        t = np.asarray(t, dtype=float)
         kt = np.multiply.outer(t, self._ks)
-        per = (np.sin(kt) * self._a.astype(t.dtype)).sum(axis=-1) \
-            - (np.cos(kt) * self._b.astype(t.dtype)).sum(axis=-1) \
-            + self._b.astype(t.dtype).sum()
+        per = (np.sin(kt) * self._a).sum(axis=-1) - (np.cos(kt) * self._b).sum(axis=-1) + self._b.sum()
         return self.mean_speed * t + per
 
     def speed(self, t):
+        t = np.asarray(t, dtype=float)[()]
         if self._series is not None:
             return self._series(t)
         return mnorm(self.curve.geometry, self.curve.velocity(t))
@@ -134,13 +136,13 @@ class ArcLengthParam:
         so it takes exactly the steps it would take alone.  A guess O(h^2)
         from the root, such as a known t plus h / speed, converges in two steps.  With no
         harmonic kept, t is s / mean_speed and no Newton step is taken.  A
-        scalar gives a numpy scalar of the input's float dtype.
+        scalar gives a numpy double.
         """
-        s = np.asarray(s, dtype=np.result_type(s, 1.0))
+        s = np.asarray(s, dtype=float)
         if not self._ks.size:
             return (s / self.mean_speed)[()]
         centre = s / self.mean_speed
-        t = centre if start is None else np.array(start, dtype=s.dtype).reshape(s.shape)
+        t = centre if start is None else np.asarray(start, dtype=float).reshape(s.shape)
         def f(t):
             return self.s_of_t(t) - s, self.speed(t)
         return _newton(f, (centre - self._reach)[()], (centre + self._reach)[()], t[()])

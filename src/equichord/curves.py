@@ -16,7 +16,9 @@ are verified to machine precision, not just to second order.
 Spherical and hyperbolic curves are infinitesimally deformed circles (the
 nonlinear chord equation is out of scope); only the latitude perturbation
 is applied, since the longitudinal component is a first-order
-reparameterization that leaves the image unchanged.
+reparameterization that leaves the image unchanged.  A deformed circle is
+the radial graph r = R + epsilon g(t) about the pole, built by the same
+function as ``geometry.circle_curve``, its epsilon = 0 member.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .geometry import (
     TWO_PI,
     Geometry,
     ParametricCurve,
-    _check_radius,
     _count,
+    _radial_graph,
     Points,
     geodesic_curvature,
     shoot_to_curve,
@@ -186,38 +188,10 @@ class DeformedCircle:
 
 
 def build_deformed_circle(spec: DeformedCircle) -> ParametricCurve:
-    """Embedded curve (longitude t, radius R + eps g(t)) with analytic derivatives.
-
-    The radius r(t) enters through S = sn_K and C = cs_K, with S' = C and
-    C' = -K S.
-    """
-    g, eps = spec.g, spec.epsilon
-    dg = g.derivative()
-    ddg = g.derivative(2)
-    geo = spec.geometry
-    R = _check_radius(geo, spec.R)
-    S, C, K, embed = geo.kernel.sn, geo.kernel.cs, geo.kernel.K, geo.kernel.embed
-
-    def jet(t, order):
-        cos, sin = np.cos(t), np.sin(t)
-        r = R + eps * g(t)
-        s, c = S(r), C(r)
-        x, y = s * cos, s * sin
-        out = [embed(x, y, lambda: c)]
-        if order >= 1:
-            dr = eps * dg(t)
-            cdr = c * dr
-            out.append(embed(cdr * cos - y, cdr * sin + x, lambda: -K * s * dr))
-            if order == 2:
-                ddr = eps * ddg(t)
-                dr2 = dr * dr  # not dr**2, which numpy rounds through pow() on a scalar
-                rad = -K * s * dr2 + c * ddr
-                # 2 * c * dr, not 2 * cdr: the two differ where c * dr is subnormal
-                out.append(embed(rad * cos - 2 * c * dr * sin - x, rad * sin + 2 * c * dr * cos - y,
-                                 lambda: -K * (c * dr2 + s * ddr)))
-        return tuple(out)
-
-    curve = ParametricCurve(geo, jet)
+    """Embedded curve (longitude t, radius R + eps g(t)) with analytic derivatives,
+    the radial graph ``circle_curve`` is at eps = 0; NonConvex where its geodesic
+    curvature is not positive at one of 128 equally spaced t."""
+    curve = _radial_graph(spec.geometry, spec.R, spec.epsilon, spec.g)
     if np.any(geodesic_curvature(curve, np.linspace(0.0, 2 * np.pi, 128, endpoint=False)) <= 0):
         raise NonConvex("deformation too large: curve loses convexity")
     return curve

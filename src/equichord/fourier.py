@@ -39,9 +39,9 @@ class TrigPolynomial:
     harmonics: tuple[Harmonic, ...] = field(default_factory=tuple)
 
     def __call__(self, t):
-        """f at t, a number or an array, in t's float dtype (long double stays long double)."""
+        """f at t, a number or an array; a constant is a double of t's shape."""
         if not self.harmonics:
-            return np.full(np.shape(t), self.c0 + 0.0, dtype=np.result_type(t, 1.0))[()]
+            return np.full(np.shape(t), self.c0 + 0.0)[()]
         out = self.c0 + 0.0  # rounds as a zero array plus c0 does, -0.0 included
         for h in self.harmonics:
             out = out + h.amp * np.cos(h.k * t + h.phase)

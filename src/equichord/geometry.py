@@ -46,6 +46,7 @@ TWO_PI = 2.0 * np.pi
 
 
 _NEWTON_ROUNDS = 60  # a lane not stopped after this many rounds raises
+_NEWTON_TOL = 8 * np.finfo(float).eps  # a lane stops on a step below this times max(1, |x|)
 
 
 class _NaNValue(RuntimeError):
@@ -62,19 +63,19 @@ def _newton(f, neg, pos, x):
     neg, pos and the first iterate x are numpy values of one shape with
     f(neg) < 0 < f(pos) and x between them; ``f(x)`` returns (f, f') at an x
     of that shape (a scalar runs on numpy scalars).  A lane stops when its
-    step is below 8 eps max(1, |x|).  Otherwise the end of f's sign moves to
-    x, and a step landing outside the bracket, or longer than half the step
-    two rounds before (a bisection's step is half its bracket), becomes the
-    bracket's midpoint; a bracket below that tolerance stops the lane.  The
-    second test ends cycles that shrink the bracket by a little each round:
-    Newton jumping across the root of an arctan, or across a root whose f is
-    rounding noise on a flat slope.  Lanes run in place until the slowest
-    stops; a stopped lane is still evaluated but keeps its root, so each lane
-    takes the steps it would take alone.  Raises _NaNValue, a RuntimeError
+    step is below _NEWTON_TOL max(1, |x|), 8 eps of double.  Otherwise the
+    end of f's sign moves to x, and a step landing outside the bracket, or
+    longer than half the step two rounds before (a bisection's step is half
+    its bracket), becomes the bracket's midpoint; a bracket below that
+    tolerance stops the lane.  The second test ends cycles that shrink the
+    bracket by a little each round: Newton jumping across the root of an
+    arctan, or across a root whose f is rounding noise on a flat slope.
+    Lanes run in place until the slowest stops; a stopped lane is still
+    evaluated but keeps its root, so each lane takes the steps it would take
+    alone.  Raises _NaNValue, a RuntimeError
     naming x, on a NaN f in a running lane, and RuntimeError after
     _NEWTON_ROUNDS rounds.
     """
-    tol = 8 * np.finfo(x.dtype).eps
     before = last = np.inf  # the lengths of the last two steps
     if x.ndim == 0:
         for _ in range(_NEWTON_ROUNDS):
@@ -85,12 +86,12 @@ def _newton(f, neg, pos, x):
             neg, pos = (x, pos) if y < 0 else (neg, x)
             x = x - step
             size = abs(step)
-            if size < tol * max(1.0, abs(x)):
+            if size < _NEWTON_TOL * max(1.0, abs(x)):
                 return x
             if not ((x - neg) * (x - pos) < 0 and size <= 0.5 * before):
                 x = (neg + pos) / 2
                 size = (pos - neg) / 2
-                if abs(pos - neg) < tol * max(1.0, abs(x)):
+                if abs(pos - neg) < _NEWTON_TOL * max(1.0, abs(x)):
                     return x
             before, last = last, size
         raise RuntimeError(f"Newton did not converge in {_NEWTON_ROUNDS} rounds, last x={float(x)!r}")
@@ -100,7 +101,7 @@ def _newton(f, neg, pos, x):
         step = y / dy
         x_new = x - step
         size = np.abs(step)
-        stop = size < tol * np.maximum(1.0, np.abs(x_new))
+        stop = size < _NEWTON_TOL * np.maximum(1.0, np.abs(x_new))
         low = y < 0
         neg, pos = np.where(low, x, neg), np.where(low, pos, x)
         # a running lane's NaN f lands in out too
@@ -111,7 +112,7 @@ def _newton(f, neg, pos, x):
                 raise _NaNValue(float(x[nan][0]))
             x_new = np.where(out, (neg + pos) / 2, x_new)
             size = np.where(out, (pos - neg) / 2, size)
-            stop |= out & (np.abs(pos - neg) < tol * np.maximum(1.0, np.abs(x_new)))
+            stop |= out & (np.abs(pos - neg) < _NEWTON_TOL * np.maximum(1.0, np.abs(x_new)))
         before, last = last, size
         x = np.where(done, x, x_new)
         done |= stop
@@ -305,11 +306,11 @@ class ParametricCurve:
     the point, 1 the velocity, 2 the acceleration; order <= 2) as a tuple of
     ``Points``.  t is a number or an array of any shape, and each ``Points``
     holds one coordinate column per ambient coordinate, each of t's shape,
-    elementwise in t, so a batch of parameters rounds like each one alone
-    (the built-in jets also keep t's float dtype; the library evaluates
-    them in double only).  A jet computes the terms its derivatives share
-    (sn r, cs r, cos t, sin t) once.  ``point`` and ``velocity`` read one
-    order of the jet; the acceleration is read from ``jet(t, 2)``.
+    elementwise in t, so a batch of parameters rounds like each one alone;
+    the library evaluates jets in double only.  A jet computes the terms its
+    derivatives share (sn r, cs r, cos t, sin t) once.  ``point`` and
+    ``velocity`` read one order of the jet; the acceleration is read from
+    ``jet(t, 2)``.
 
     Construction evaluates ``jet(0.0, 2)`` once.  A stacked array would be
     read row by row as columns, so a jet that returns one raises
@@ -371,27 +372,51 @@ class ParametricCurve:
         return tuple(np.concatenate((c, c[:1])) for c in cols)
 
 
+def _radial_graph(geometry: Geometry, R: float, eps: float, g: TrigPolynomial) -> ParametricCurve:
+    """The curve at longitude t and geodesic radius r(t) = R + eps g(t) about the pole,
+    with analytic derivatives: every circle and deformed circle is one.
+
+    r enters through S = sn_K and C = cs_K, with S' = C and C' = -K S, and the
+    point is (S(r) cos t, S(r) sin t, C(r)) in the kernel's coordinate order
+    (no pole entry on E2).  R is checked against the geometry's bound.
+    """
+    R = _check_radius(geometry, R)
+    dg, ddg = g.derivative(), g.derivative(2)
+    S, C, K, embed = geometry.kernel.sn, geometry.kernel.cs, geometry.kernel.K, geometry.kernel.embed
+
+    def jet(t, order):
+        cos, sin = np.cos(t), np.sin(t)
+        r = R + eps * g(t)
+        s, c = S(r), C(r)
+        x, y = s * cos, s * sin
+        out = [embed(x, y, lambda: c)]
+        if order >= 1:
+            dr = eps * dg(t)
+            cdr = c * dr
+            out.append(embed(cdr * cos - y, cdr * sin + x, lambda: -K * s * dr))
+            if order == 2:
+                ddr = eps * ddg(t)
+                dr2 = dr * dr  # not dr**2, which numpy rounds through pow() on a scalar
+                rad = -K * s * dr2 + c * ddr
+                # 2 * c * dr, not 2 * cdr: the two differ where c * dr is subnormal
+                out.append(embed(rad * cos - 2 * c * dr * sin - x, rad * sin + 2 * c * dr * cos - y,
+                                 lambda: -K * (c * dr2 + s * ddr)))
+        return tuple(out)
+
+    return ParametricCurve(geometry, jet)
+
+
 def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
-    """Geodesic circle of the given radius, counterclockwise, period 2*pi.
+    """Geodesic circle of the given radius, counterclockwise, period 2*pi: the
+    radial graph r = R, a deformed circle with epsilon = 0.
 
     Geodesic curvature is 1/R, cot R, coth R and length 2*pi*R,
     2*pi*sin R, 2*pi*sinh R on E2, S2, H2 respectively: the speed is the
     constant sn_K(R), which the curve keeps as its ``_speed``.
     """
-    r = _check_radius(geometry, radius)
-    sr, cr = geometry.kernel.sn(r), geometry.kernel.cs(r)
-    embed = geometry.kernel.embed
-
-    def jet(t, order):
-        x, y = sr * np.cos(t), sr * np.sin(t)
-        # the velocity is (-y, x) and the acceleration (-x, -y): negation is exact
-        derivs = (lambda: embed(x, y, lambda: cr * np.ones_like(t)),
-                  lambda: embed(-y, x, lambda: np.zeros_like(t)),
-                  lambda: embed(-x, -y, lambda: np.zeros_like(t)))
-        return tuple([d() for d in derivs[:order + 1]])
-
-    curve = ParametricCurve(geometry, jet)
-    object.__setattr__(curve, "_speed", (TrigPolynomial(float(sr)), float(sr)))
+    curve = _radial_graph(geometry, radius, 0.0, TrigPolynomial())
+    sr = float(geometry.kernel.sn(float(radius)))
+    object.__setattr__(curve, "_speed", (TrigPolynomial(sr), sr))
     return curve
 
 
@@ -412,11 +437,15 @@ def geodesic_curvature(curve: ParametricCurve, t):
 
 def _frame(geometry, t, p, v):
     """(unit tangent T, inward unit normal N, |v|^2) of a curve at t, from its projected
-    point p and velocity v there; Degenerate where the curve stops."""
+    point p and velocity v there; OutOfRange naming the first t where the speed is NaN,
+    and Degenerate where the curve stops.  An infinite speed passes."""
     kern = geometry.kernel
     speed2 = kern.dot(v, v)
     speed = np.sqrt(speed2)
-    if _any(speed < 1e-10):
+    if _any(~(speed >= 1e-10)):  # a NaN speed fails it too
+        nan = np.ravel(np.isnan(speed))
+        if nan.any():
+            raise OutOfRange(f"the curve's velocity at t = {float(np.ravel(t)[nan.argmax()])!r} is not finite")
         i = np.flatnonzero(speed < 1e-10)[0]
         raise Degenerate(f"curve speed {np.ravel(speed)[i]:.3e} at t={np.ravel(t)[i]}")
     tan = _scale(v, speed)
@@ -507,6 +536,7 @@ def _shoot_lanes(curve, t0, theta, launch=None):
     landing), t1 mod 2 pi and landing the projected point and frame (q, T, N) there.  ``launch``
     is the landing of a shot that returned t0, or None to evaluate the curve at t0."""
     kern = curve.geometry.kernel
+    ring = curve._ring  # first, so a curve that is not finite on its ring is named there
     if launch is None:
         p, v = curve.jet(t0, 1)
         p = kern.project(p)
@@ -527,11 +557,11 @@ def _shoot_lanes(curve, t0, theta, launch=None):
     if t0.ndim == 0:
         x, lane = t0.item(), ()
         cell = min(int(x // _RING_STEP), _SHOT_GRID - 1)  # t0 % 2 pi may round to 2 pi
-        vals = side(curve._ring)
+        vals = side(ring)
     else:
         x, lane = t0, (np.arange(t0.size),)
         cell = np.minimum(t0 // _RING_STEP, _SHOT_GRID - 1).astype(int)
-        vals = side_of(lambda c: c[:, None])(curve._ring)
+        vals = side_of(lambda c: c[:, None])(ring)
     hits = (vals[..., :-1] == 0.0) | (vals[..., :-1] * vals[..., 1:] < 0.0)
     # The shot samples (t0, t0 + 2 pi) from t0's cell on, without the ring points
     # within the guard of t0: ``after`` is its first ring sample and ``before`` its

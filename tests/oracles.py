@@ -91,23 +91,21 @@ def stacked_derivatives(curve_spec, t):
         r, dr = _stacked_trig(curve_spec.rho, t), _stacked_trig(curve_spec.rho.derivative(), t)
         return (np.stack([x, y], axis=-1), np.stack([r * cos, r * sin], axis=-1),
                 np.stack([dr * cos - r * sin, dr * sin + r * cos], axis=-1))
-    geometry = curve_spec.geometry if isinstance(curve_spec, DeformedCircle) else curve_spec[0]
-    K, S, C = geometry.kernel.K, geometry.kernel.sn, geometry.kernel.cs
+    # a circle is the deformed circle with epsilon = 0 and an empty g
     if isinstance(curve_spec, DeformedCircle):
-        g, eps = curve_spec.g, curve_spec.epsilon
-        r = float(curve_spec.R) + eps * _stacked_trig(g, t)
-        dr, ddr = eps * _stacked_trig(g.derivative(), t), eps * _stacked_trig(g.derivative(2), t)
-        s, c = S(r), C(r)
-        dr2 = dr * dr
-        rad = -K * s * dr2 + c * ddr
-        cols = ([s * cos, s * sin, C(r)],
-                [c * dr * cos - s * sin, c * dr * sin + s * cos, -K * s * dr],
-                [rad * cos - 2 * c * dr * sin - s * cos, rad * sin + 2 * c * dr * cos - s * sin,
-                 -K * (c * dr2 + s * ddr)])
+        geometry, R, g, eps = curve_spec.geometry, curve_spec.R, curve_spec.g, curve_spec.epsilon
     else:
-        sr, cr = S(float(curve_spec[1])), C(float(curve_spec[1]))
-        cols = ([sr * cos, sr * sin, cr * np.ones_like(t)], [-sr * sin, sr * cos, np.zeros_like(t)],
-                [-sr * cos, -sr * sin, np.zeros_like(t)])
+        (geometry, R), g, eps = curve_spec, TrigPolynomial(), 0.0
+    K, S, C = geometry.kernel.K, geometry.kernel.sn, geometry.kernel.cs
+    r = float(R) + eps * _stacked_trig(g, t)
+    dr, ddr = eps * _stacked_trig(g.derivative(), t), eps * _stacked_trig(g.derivative(2), t)
+    s, c = S(r), C(r)
+    dr2 = dr * dr
+    rad = -K * s * dr2 + c * ddr
+    cols = ([s * cos, s * sin, C(r)],
+            [c * dr * cos - s * sin, c * dr * sin + s * cos, -K * s * dr],
+            [rad * cos - 2 * c * dr * sin - s * cos, rad * sin + 2 * c * dr * cos - s * sin,
+             -K * (c * dr2 + s * ddr)])
     order = {Geometry.EUCLIDEAN: [0, 1], Geometry.SPHERICAL: [0, 1, 2], Geometry.HYPERBOLIC: [2, 0, 1]}[geometry]
     return tuple(np.stack([col[i] for i in order], axis=-1) for col in cols)
 

@@ -67,7 +67,23 @@ class TestArcLength:
         arclen = ArcLengthParam(build_e2_curve(FourierCurveE2(c0=1.0, harmonics=(Harmonic(4, 0.1, 0.0),))))
         assert arclen.s_of_t(1) == arclen.s_of_t(1.0) != 1.0
         assert np.array_equal(arclen.s_of_t(np.array([1, 2])), arclen.s_of_t(np.array([1.0, 2.0])))
-        assert arclen.s_of_t(np.longdouble(1)).dtype == np.longdouble
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_e2_curve(FourierCurveE2(1.0, (Harmonic(3, 0.3, 0.0), Harmonic(5, 0.1, -1.0)))),
+        lambda: ParametricCurve(Geometry.EUCLIDEAN, build_e2_curve(FourierCurveE2(1.0, (Harmonic(4, 0.1, 0.0),))).jet),
+        lambda: circle_curve(Geometry.HYPERBOLIC, 1.2),
+    ], ids=["closed form", "sampled", "circle"])
+    def test_arguments_are_read_as_double(self, make):
+        """float32, long double and integer arguments give the double results of
+        the same values, bit for bit, in every direction."""
+        arclen = ArcLengthParam(make())
+        for values in (np.arange(-3, 8), np.linspace(-3.0, 9.0, 7, dtype=np.float32),
+                       np.linspace(-3.0, 9.0, 7).astype(np.longdouble)):
+            double = values.astype(np.float64)
+            for method in (arclen.s_of_t, arclen.speed, arclen.t_of_s):
+                for got, want in ((method(values), method(double)), (method(values[1]), method(double[1]))):
+                    assert np.asarray(got).dtype == np.float64
+                    assert np.array_equal(got, want)
 
     def test_t_of_s_fails_loudly(self, wavy_curve):
         # a speed 1e6 times too large makes every Newton step tiny
@@ -109,23 +125,21 @@ class TestArcLength:
         """A curve that knows its speed, integrated in closed form, against the
         same curve read through its jet alone: the same orders, mean speeds a
         few ulp apart, s_of_t within 1e-15 (1 + |s|) and the speeds within a
-        few ulp in double and long double; t_of_s inverts the closed form within
-        Newton's tolerance."""
+        few ulp; t_of_s inverts the closed form within Newton's tolerance."""
         closed = ArcLengthParam(curve)
         sampled = ArcLengthParam(ParametricCurve(curve.geometry, curve.jet))
         assert closed._ks.tolist() == sampled._ks.tolist()
         assert abs(closed.mean_speed - sampled.mean_speed) <= 4 * np.spacing(closed.mean_speed)
-        for dtype in (np.float64, np.longdouble):
-            t = np.linspace(-20.0, 20.0, 81, dtype=dtype)
-            s = closed.s_of_t(t)
-            assert s.dtype == dtype
-            assert np.all(np.abs(s - sampled.s_of_t(t)) <= 1e-15 * (1 + np.abs(s)))
-            speed = closed.speed(t)
-            assert speed.dtype == dtype
-            assert np.all(np.abs(speed - sampled.speed(t)) <= 4 * np.finfo(dtype).eps * speed)
-            back = closed.t_of_s(s)
-            assert back.dtype == dtype
-            assert np.all(np.abs(back - t) <= 8 * np.finfo(dtype).eps * np.maximum(1, np.abs(t)))
+        t = np.linspace(-20.0, 20.0, 81)
+        s = closed.s_of_t(t)
+        assert s.dtype == np.float64
+        assert np.all(np.abs(s - sampled.s_of_t(t)) <= 1e-15 * (1 + np.abs(s)))
+        speed = closed.speed(t)
+        assert speed.dtype == np.float64
+        assert np.all(np.abs(speed - sampled.speed(t)) <= 4 * EPS * speed)
+        back = closed.t_of_s(s)
+        assert back.dtype == np.float64
+        assert np.all(np.abs(back - t) <= 8 * EPS * np.maximum(1, np.abs(t)))
 
     @pytest.mark.parametrize("make", [
         lambda: build_e2_curve(FourierCurveE2(1.0, (Harmonic(3, 0.3, 0.0), Harmonic(5, 0.1, -1.0)))),
@@ -166,7 +180,7 @@ class TestArcLength:
 
     def test_circle_is_inverted_in_closed_form(self):
         arclen = ArcLengthParam(circle_curve(Geometry.SPHERICAL, 0.9))
-        s = np.linspace(-3.0, 9.0, 7, dtype=np.longdouble)
+        s = np.linspace(-3.0, 9.0, 7)
         assert np.array_equal(arclen.t_of_s(s), s / arclen.mean_speed)
 
     def test_start_is_a_first_guess_only(self, wavy_curve):

@@ -49,17 +49,16 @@ def curve_specs(draw):
                           epsilon=draw(st.floats(-0.01, 0.01)), g=g, alpha=draw(st.floats(0.3, 2.8)))
 
 
-@given(curve_specs(), st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6),
-       st.sampled_from([np.float64, np.longdouble]))
+@given(curve_specs(), st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6))
 # 2 * (c * dr) against (2 * c) * dr: they differ where c * dr is subnormal
 @example(DeformedCircle(geometry=Geometry.SPHERICAL, R=1.0, epsilon=2.2250738585e-313,
                         g=TrigPolynomial(0.0, (Harmonic(2, 1.0, 1.0), Harmonic(2, 0.0, 0.0))), alpha=1.0),
-         [0.0], np.float64)
+         [0.0])
 @settings(max_examples=150, deadline=None)
-def test_columns_stack_to_the_stacked_formulas(spec, ts, dtype):
+def test_columns_stack_to_the_stacked_formulas(spec, ts):
     """np.asarray of a curve's coordinate columns is, bit for bit, the stacked
     point, velocity and acceleration of the stacked layout: for arrays of t
-    and for one numpy scalar, in double and in long double."""
+    and for one numpy scalar."""
     if isinstance(spec, FourierCurveE2):
         curve = build_e2_curve(spec)
     elif isinstance(spec, DeformedCircle):
@@ -69,12 +68,12 @@ def test_columns_stack_to_the_stacked_formulas(spec, ts, dtype):
             assume(False)
     else:
         curve = circle_curve(*spec)
-    for t in (np.array(ts, dtype=dtype), dtype(ts[0])):
+    for t in (np.array(ts), np.float64(ts[0])):
         for got, want in zip((curve.point(t), curve.velocity(t), curve.jet(t, 2)[2]),
                              stacked_derivatives(spec, t)):
             got = np.asarray(got)
-            assert got.dtype == want.dtype == dtype and got.shape == want.shape
-            # equal values and equal zero signs; long double's padding bytes are not compared
+            assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+            # equal values and equal zero signs
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
@@ -220,6 +219,34 @@ class TestDeformedCircle:
         for t in (0.0, 1.0, 2.5):
             assert geodesic_curvature(curve, t) == pytest.approx(
                 1 / np.tan(np.pi / 3), abs=1e-8)
+
+    @pytest.mark.parametrize("geometry", [Geometry.SPHERICAL, Geometry.HYPERBOLIC])
+    def test_circle_is_the_zero_epsilon_jet(self, geometry):
+        """A circle and the deformed circle with epsilon = 0 and an empty g are one
+        radial graph: equal jets bit for bit, zero signs included, for an array
+        of t and for numpy scalars, t = 0 among them."""
+        circle = circle_curve(geometry, 0.9)
+        deformed = build_deformed_circle(DeformedCircle(geometry, 0.9, 0.0, TrigPolynomial(), 1.0))
+        for t in (np.linspace(-7.0, 7.0, 29), np.float64(0.0), np.float64(2.5)):
+            for got, want in zip(circle.jet(t, 2), deformed.jet(t, 2)):
+                got, want = np.asarray(got), np.asarray(want)
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("geometry, R", [(Geometry.EUCLIDEAN, 1.3), (Geometry.SPHERICAL, 0.9),
+                                             (Geometry.HYPERBOLIC, 1.2)])
+    def test_circle_jet_is_the_closed_form(self, geometry, R):
+        """A circle's point (sn R cos t, sn R sin t, cs R), velocity (-sn R sin t,
+        sn R cos t, 0) and acceleration (-sn R cos t, -sn R sin t, 0), exactly,
+        in the kernel's coordinate order, with no pole entry on E2."""
+        order = {Geometry.EUCLIDEAN: [0, 1], Geometry.SPHERICAL: [0, 1, 2], Geometry.HYPERBOLIC: [2, 0, 1]}
+        sr, cr = geometry.kernel.sn(R), geometry.kernel.cs(R)
+        curve = circle_curve(geometry, R)
+        for t in (np.linspace(-7.0, 7.0, 29), np.float64(0.0), np.float64(2.5)):
+            cos, sin, zero = np.cos(t), np.sin(t), np.zeros_like(t)
+            closed = ([sr * cos, sr * sin, cr + zero], [-sr * sin, sr * cos, zero], [-sr * cos, -sr * sin, zero])
+            for got, want in zip(curve.jet(t, 2), closed):
+                assert len(got) == len(order[geometry])
+                assert all(np.array_equal(g, want[i]) for g, i in zip(got, order[geometry]))
 
     def test_latitude_deviation_is_epsilon(self):
         spec, curve = _deformed(Geometry.SPHERICAL, np.pi / 3, 4, 1e-3)

@@ -19,6 +19,7 @@ from equichord import (
     shoot_to_curve,
     verify_curve_gutkin,
 )
+from equichord.chords import chord_data
 from equichord.errors import Degenerate, NonConvex, OutOfRange
 from equichord.geometry import ParametricCurve, Points, _chord_tangent_at_arrival, mnorm
 from oracles import curves, grid_shot
@@ -149,13 +150,16 @@ class TestCircleRadius:
         assert float(printed) == bound
 
 
-def _nan_between(lo, hi):
-    """The unit circle's jet, NaN for t in (lo, hi)."""
+def _nan_between(lo, hi, point=True, velocity=True):
+    """The unit circle's jet, NaN for t in (lo, hi) in its point, its velocity, or both."""
     def jet(t, order):
         t = np.asarray(t, dtype=float)
         off = (lo < t) & (t < hi)
-        cos, sin = np.where(off, np.nan, np.cos(t)), np.where(off, np.nan, np.sin(t))
-        return (Points((cos, sin)), Points((-sin, cos)), Points((-cos, -sin)))[:order + 1]
+        cos, sin = np.cos(t), np.sin(t)
+        nan_cos, nan_sin = np.where(off, np.nan, cos), np.where(off, np.nan, sin)
+        p = Points((nan_cos, nan_sin)) if point else Points((cos, sin))
+        v = Points((-nan_sin, nan_cos)) if velocity else Points((-sin, cos))
+        return (p, v, Points((-nan_cos, -nan_sin)))[:order + 1]
     return jet
 
 
@@ -189,13 +193,47 @@ class TestCurveContract:
         """NaN on (3.0, 3.01), between two ring points: the ring is finite, and a
         shot launched there, alone or as one lane of a batch, names that lane."""
         curve = ParametricCurve(Geometry.EUCLIDEAN, _nan_between(3.0, 3.01))
-        message = r"^the chord from t0=3\.005 at theta=1\.0 has NaN side values"
+        message = r"^the curve's velocity at t = 3\.005 is not finite$"
         with pytest.raises(OutOfRange, match=message):
             shoot_to_curve(curve, 3.005, 1.0)
         with pytest.raises(OutOfRange, match=message):
             shoot_to_curve(curve, [0.5, 3.005], [1.0, 1.0])
         t1, arrival, _ = shoot_to_curve(curve, 0.5, 1.0)  # the other lane lands
         assert arrival == pytest.approx(1.0, abs=1e-14)
+
+    def test_non_finite_launch_point_named(self):
+        """NaN on (3.0, 3.01) in the point alone: the launch frame is finite, and
+        every side value of the chord is NaN."""
+        curve = ParametricCurve(Geometry.EUCLIDEAN, _nan_between(3.0, 3.01, velocity=False))
+        message = r"^the chord from t0=3\.005 at theta=1\.0 has NaN side values"
+        with pytest.raises(OutOfRange, match=message):
+            shoot_to_curve(curve, 3.005, 1.0)
+        with pytest.raises(OutOfRange, match=message):
+            shoot_to_curve(curve, [0.5, 3.005], [1.0, 1.0])
+
+    def test_non_finite_landing_velocity_named(self):
+        """NaN on (3.0, 3.01) in the velocity alone, where the chord from t0 = 1.005
+        at theta = 1 lands: Newton meets finite side values and bisects to the
+        landing, and its frame names t1 rather than return a NaN arrival, alone
+        or as one lane of a batch; so does the geodesic curvature there."""
+        curve = ParametricCurve(Geometry.EUCLIDEAN, _nan_between(3.0, 3.01, point=False))
+        message = r"^the curve's velocity at t = 3\.004999999999999 is not finite$"
+        with pytest.raises(OutOfRange, match=message):
+            shoot_to_curve(curve, 1.005, 1.0)
+        with pytest.raises(OutOfRange, match=message):
+            shoot_to_curve(curve, [0.5, 1.005], [1.0, 1.0])
+        with pytest.raises(OutOfRange, match=r"^the curve's velocity at t = 3\.005 is not finite$"):
+            geodesic_curvature(curve, 3.005)
+        with pytest.raises(OutOfRange, match=r"^the curve's velocity at t = 3\.005 is not finite$"):
+            geodesic_curvature(curve, [1.0, 3.005, 3.006])
+
+    def test_non_finite_speed_sample_named(self):
+        """NaN on (3.0, 3.01) in the velocity alone: a jet-only curve's arc length
+        samples its speed and names the first NaN sample, as the frame does,
+        rather than calling it an overflow."""
+        curve = ParametricCurve(Geometry.EUCLIDEAN, _nan_between(3.0, 3.01, point=False))
+        with pytest.raises(OutOfRange, match=r"^the curve's velocity at t = 3\.000466421104314 is not finite$"):
+            chord_data(curve, 3.005, 1.0)
 
     def test_non_finite_landing_named(self):
         """NaN on (3.0, 3.01), between two ring points, where the chord from t0 =
