@@ -116,15 +116,17 @@ def lemma_constants(geometry: Geometry, radius: Optional[float], alpha: float) -
     sn, cs = kern.sn(r), kern.cs(r)
     cot_c = cs * np.cos(alpha) / np.sin(alpha)
     c = float(np.arctan2(1.0, cot_c))
-    a = float(np.sqrt(cs**2 + kern.K * np.sin(alpha) ** 2 * sn**2))
     # equivalent first form of the same lemma, kept as a self-check; its bound
     # scales with the rounding the form amplifies: cancellation in the H2
     # denominator (past 1e12 no digit is left to check) and the rounding of c,
-    # which moves first by |cos alpha| c tan c = c sin alpha / cs times eps
-    terms = cs**2 + sn**2 * np.cos(c) ** 2
-    den = cs**2 + kern.K * sn**2 * np.cos(c) ** 2
+    # which moves first by |cos alpha| c tan c = c sin alpha / cs times eps.
+    # Squares that overflow make terms or den inf or NaN, which the test refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = cs**2 + sn**2 * np.cos(c) ** 2
+        den = cs**2 + kern.K * sn**2 * np.cos(c) ** 2
     if not 1e12 * den > terms:
         raise OutOfRange(f"{geometry.value} radius {r} too large for alpha = {alpha}: cosh^2 R cancels")
+    a = float(np.sqrt(cs**2 + kern.K * np.sin(alpha) ** 2 * sn**2))
     first = np.cos(c) / np.sqrt(den)
     if not abs(first - np.cos(alpha)) < 1e-12 * max(terms / den, c * np.sin(alpha) / cs):
         raise RuntimeError(
@@ -174,6 +176,17 @@ def _restr2_residual(n: int, k: int, r: np.ndarray) -> np.ndarray:
             - np.sin(c) * np.sin(d) * np.cos(a) * np.cos(b))
 
 
+def _spectral_range(n: int, k: int) -> tuple[int, int]:
+    """(n, k) as ints, refused unless 2 <= k <= n/2."""
+    n, k = _count(n, "n"), _count(k, "k")
+    if not (2 <= k <= n / 2):
+        raise OutOfRange(
+            f"(n, k) = ({n}, {k}): need 2 <= k <= n/2 "
+            "(a k-diagonal equals an (n-k)-diagonal with swapped ends)"
+        )
+    return n, k
+
+
 def _restr2_roots(n: int, k: int) -> list[int]:
     """The r in [2, n-2] solving restr2 for 2 <= k <= n/2, ascending, decided
     in integers (docs/derivation.md, "The zero set in integers"): every odd
@@ -194,9 +207,7 @@ def solve_restr2(n: int, k: int) -> list[DiophantineSolution]:
     The roots come from ``_restr2_roots``, symmetric under r <-> n - r;
     ``lhs_minus_rhs`` is the pole-free cross-multiplied form at each.
     """
-    n, k = _count(n, "n"), _count(k, "k")
-    if not (2 <= k <= n / 2):
-        raise OutOfRange(f"need 2 <= k <= n/2, got (n, k) = ({n}, {k})")
+    n, k = _spectral_range(n, k)
     r = np.array(_restr2_roots(n, k), dtype=int)
     return [DiophantineSolution(n=n, k=k, r=ri, lhs_minus_rhs=x)
             for ri, x in zip(r.tolist(), _restr2_residual(n, k, r).tolist())]

@@ -289,16 +289,15 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0,
             p, q = zip(*curve.point(t))
             # d[i, j] is the chord from x + (i - 3) h to y + (j - 3) h
             d = curve.geometry.kernel.distance(tuple(c[:, None] for c in p), tuple(c[None, :] for c in q))
-
-        fd = np.stack([
-            _d1(d[:, 3]) / (60 * h),
-            _d1(d[3]) / (60 * h),
-            _d2(d[:, 3]) / (180 * h * h),
-            _d2(d[3]) / (180 * h * h),
-            _d1(_d1(d)) / (3600 * h * h),
-        ])
-        ana = np.stack([getattr(cd, name) for name in names])
-        rel = np.abs(fd - ana) / np.maximum(np.abs(ana), 1e-3)
+            fd = np.stack([
+                _d1(d[:, 3]) / (60 * h),
+                _d1(d[3]) / (60 * h),
+                _d2(d[:, 3]) / (180 * h * h),
+                _d2(d[3]) / (180 * h * h),
+                _d1(_d1(d)) / (3600 * h * h),
+            ])
+            ana = np.stack([getattr(cd, name) for name in names])
+            rel = np.abs(fd - ana) / np.maximum(np.abs(ana), 1e-3)
         bad = ~np.isfinite(rel).all(axis=0)
         if bad.any():
             i = int(np.argmax(bad))

@@ -548,8 +548,6 @@ def _shoot_lanes(curve, t0, theta, launch=None):
     d = _scale(d, np.sqrt(kern.dot(d, d)))
 
     side, slope = kern.side(p, d)
-    def side_of(take):  # side for the launch columns c, each replaced by take(c)
-        return kern.side(tuple(map(take, p)), tuple(map(take, d)))[0]
     up = slope(tan)  # f'(t0): f has its sign just after t0, and the opposite one before t0 + 2 pi
     # f on the closed ring (its sample at 2 pi is the one at 0), one row per lane, and
     # its sign changes per cell [t_j, t_j+1], a 0 counting at its cell's left end;
@@ -561,7 +559,7 @@ def _shoot_lanes(curve, t0, theta, launch=None):
     else:
         x, lane = t0, (np.arange(t0.size),)
         cell = np.minimum(t0 // _RING_STEP, _SHOT_GRID - 1).astype(int)
-        vals = side_of(lambda c: c[:, None])(ring)
+        vals = kern.side(tuple(c[:, None] for c in p), tuple(c[:, None] for c in d))[0](ring)
     hits = (vals[..., :-1] == 0.0) | (vals[..., :-1] * vals[..., 1:] < 0.0)
     # The shot samples (t0, t0 + 2 pi) from t0's cell on, without the ring points
     # within the guard of t0: ``after`` is its first ring sample and ``before`` its
@@ -593,17 +591,16 @@ def _shoot_lanes(curve, t0, theta, launch=None):
     short = short_after | short_before
     if _any(short):
         # a short chord lands between t0 and its first or last sample: the guard point,
-        # t0 + 1e-6 or t0 - 1e-6, ends its bracket, and is evaluated for these lanes only
-        i = np.flatnonzero(short)
-        fwd = np.ravel(short_after)[i]
-        j = np.where(fwd, np.ravel(after)[i], np.ravel(before)[i])
-        tg, tj = np.ravel(t0)[i] + np.where(fwd, _GUARD, -_GUARD), j * _RING_STEP
-        g, fj = side_of(lambda c: np.ravel(c)[i])(curve.point(tg)), vals[(i,) * t0.ndim + (j % _SHOT_GRID,)]
-        if np.count_nonzero(np.where(fwd, g, -g) * np.ravel(up)[i] < 0.0):
+        # t0 + 1e-6 or t0 - 1e-6, ends its bracket.  It is evaluated on every lane of
+        # the block and kept on the short ones; the jet is elementwise, so no other
+        # lane's bracket changes
+        j = np.where(short_after, after, before)
+        tg, tj = t0 + np.where(short_after, _GUARD, -_GUARD), j * _RING_STEP
+        g, fj = side(curve.point(tg)), vals[lane + (j % _SHOT_GRID,)]
+        if _any(short & (np.where(short_after, g, -g) * up < 0.0)):
             raise Degenerate("no forward intersection found (curve convex and closed?)")
-        bracket = np.array((a, b, fa, fb)).reshape(4, -1)
-        bracket[:, i] = np.where(fwd, (tg, tj, g, fj), (tj, tg, fj, g))
-        a, b, fa, fb = bracket.reshape((4,) + t0.shape)
+        guarded = np.where(short_after, (tg, tj, g, fj), (tj, tg, fj, g))
+        a, b, fa, fb = np.where(short, guarded, (a, b, fa, fb))
     # polish each lane's one sign change by Newton from the regula falsi point of
     # its bracket; where a sample is exactly 0, that point is the left end
     if t0.ndim == 0:

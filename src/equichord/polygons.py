@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import _restr2_roots
+from .angles import _restr2_roots, _spectral_range
 from .errors import Infeasible, NonConvex, NotAdmissible, OutOfRange
 from .geometry import _count, _positive
 
@@ -38,14 +38,6 @@ __all__ = [
     "exists_nontrivial",
     "regular_polygon",
 ]
-
-def _require_spectral_range(n: int, k: int):
-    if not (2 <= k <= n / 2):
-        raise OutOfRange(
-            f"(n, k) = ({n}, {k}): need 2 <= k <= n/2 "
-            "(a k-diagonal equals an (n-k)-diagonal with swapped ends)"
-        )
-
 
 def _require_diagonal_index(n: int, k: int):
     if not (2 <= k <= n - 1):
@@ -186,8 +178,7 @@ def circulant_spectrum(n: int, k: int) -> CirculantSpectrum:
     (docs/derivation.md, "The circulant spectrum in closed form").  zero_set
     is 0 plus the restr2 roots, decided in integers ("The zero set in integers").
     """
-    n, k = _count(n, "n"), _count(k, "k")
-    _require_spectral_range(n, k)
+    n, k = _spectral_range(n, k)
     row = _first_row(n, k)
     # dk[s + 1] = D_k(s) for s = -1..n.  Only 0 < s < n takes sines: D_k is
     # even and its limits are set directly.  Angles are reduced mod 2n in integers.
@@ -214,8 +205,7 @@ def equiangular_family_basis(n: int, k: int) -> list[np.ndarray]:
     roots.  Ascending in r, each root r < n/2 gives sqrt(2/n) cos(2 pi r j/n),
     then sqrt(2/n) sin(2 pi r j/n), and r = n/2 gives (-1)^j / sqrt(n).
     """
-    n, k = _count(n, "n"), _count(k, "k")
-    _require_spectral_range(n, k)
+    n, k = _spectral_range(n, k)
     roots = _restr2_roots(n, k)
     r = np.array([x for x in roots if 2 * x < n], dtype=int)
     j = np.arange(n)
@@ -267,8 +257,7 @@ def exists_nontrivial(n: int, k: int) -> bool:
     """Nontrivial Gutkin (n, k)-gons exist iff gcd(n, k - 1) > 1, except
     that the case n = 2k is special: there they always exist for k >= 3
     (the family has dimension k - 2, regardless of the gcd)."""
-    n, k = _count(n, "n"), _count(k, "k")
-    _require_spectral_range(n, k)
+    n, k = _spectral_range(n, k)
     if n == 2 * k:
         return k >= 3
     return math.gcd(n, k - 1) > 1

@@ -246,15 +246,21 @@ class TestBilliardAndChords:
             assert re.fullmatch(r"error: sample 0 \(x = \S+, y = \S+\) gives a NaN chord partial: "
                                 rf"the H2 chord {cause}\n", result.output)
 
-    def test_nan_chord_stderr_is_one_line(self):
+    def test_nan_chord_stderr_is_one_line(self, tmp_path):
         """No numpy warning precedes the error line, on a NaN chord (at R = 400 the
-        ends' cosh R squared overflows) or on an H2 radius whose length or sinh and
-        cosh overflow; run as a real process, because
+        ends' cosh R squared overflows), on an H2 radius whose length or sinh and
+        cosh overflow, or on a deformed H2 curve whose lemma constants square an
+        overflowing cosh R; run as a real process, because
         pytest would catch the warning before it reached stderr."""
         src = str(pathlib.Path(equichord.__file__).parents[1])
+        spec = tmp_path / "h2_r400.json"
+        spec.write_text(json.dumps({"geometry": "hyperbolic", "R": 400.0, "epsilon": 0.01,
+                                    "g": [{"k": 4, "amp": 1.0}], "alpha": 1.0}))
         for args in (["chords", "validate", "--circle", "H2", "--radius", "20", "--samples", "20"],
                      ["chords", "validate", "--circle", "H2", "--radius", "40", "--samples", "20"],
                      ["chords", "validate", "--circle", "H2", "--radius", "400", "--samples", "2"],
+                     ["chords", "validate", "--circle", "H2", "--radius", "400", "--samples", "20"],
+                     ["curve", "build", "--spec", str(spec)],
                      ["chords", "validate", "--circle", "H2", "--radius", "709", "--samples", "2"],
                      ["chords", "validate", "--circle", "H2", "--radius", "800", "--samples", "3"],
                      ["solve-angle", "--k", "4", "--geometry", "H2", "--radius", "800"]):
