@@ -23,7 +23,7 @@ from . import angles, billiards, curves, polygons
 from .chords import ArcLengthParam, validate_partials
 from .errors import EquichordError, NotAdmissible, OutOfRange
 from .fourier import Harmonic, TrigPolynomial
-from .geometry import Geometry, _positive, circle_curve, geodesic_curvature
+from .geometry import Geometry, _count, _positive, circle_curve, geodesic_curvature
 
 DEFAULT_TOL = 1e-9
 _CURVATURE_SAMPLES = 4096  # parameter samples behind curve build's min_geodesic_curvature
@@ -149,20 +149,14 @@ def _parse_floats(text: str) -> list[float]:
     return [float(s) for s in text.split(",") if s.strip()]
 
 
-def _order(value) -> int:
-    """An integer order: 4 and 4.0 read as 4, 4.7 is rejected, not truncated."""
-    if not float(value).is_integer():
-        raise OutOfRange(f"order {value!r} is not an integer")
-    return int(value)
-
-
 # ---------------------------------------------------------------------------
 # curve specs
 
 
 def _harmonic_triples(raw) -> tuple:
     """[{"k": .., "amp": .., "phase": ..}, ...] as (k, amp, phase) triples."""
-    return tuple((_order(h["k"]), float(h["amp"]), float(h.get("phase", 0.0))) for h in raw)
+    return tuple((_count(h["k"], "harmonic order"), float(h["amp"]), float(h.get("phase", 0.0)))
+                 for h in raw)
 
 
 def _alpha_ref(value):
@@ -176,9 +170,10 @@ def _alpha_ref(value):
 
 def _resolve_alpha(ref, geometry: Geometry, radius: float | None) -> float:
     """A float inside (0, pi) passes through; an 'auto-kN' k gives the first
-    root of k tan c = tan kc, converted to a contact angle on S2/H2."""
+    root of k tan c = tan kc, converted to a contact angle on S2/H2; None, no
+    alpha at all, is refused."""
     if ref is None:
-        raise OutOfRange("an alpha value or 'auto-kN' reference is required")
+        raise OutOfRange("spec has no alpha; pass --alpha or add it to the spec")
     if isinstance(ref, float):
         if not 0.0 < ref < np.pi:
             raise OutOfRange(f"alpha must lie in (0, pi), got {ref!r}")
@@ -189,57 +184,39 @@ def _resolve_alpha(ref, geometry: Geometry, radius: float | None) -> float:
     return angles.contact_angle_from_c(geometry, radius, roots[0])
 
 
-class CurveSpec:
-    """Parsed curve spec JSON plus the built curve.
+def _load_curve(path: str, option: str | None = None, text: str | None = None):
+    """(geometry, spec, curve, alpha) from a curve spec file.
 
-    alpha_override is an angle reference already read by _alpha_ref.
+    A command that shoots at alpha passes its angle option: its text, when
+    given, replaces the spec's alpha, and no alpha at all is refused.  Without
+    an option alpha is None on a Euclidean spec that has none; an S2/H2 spec
+    always needs one, since its DeformedCircle derives c, a and f* from it.
     """
+    ref = None if text is None else _read(option, _alpha_ref, text)
+    data = _load_object(path, "curve spec")
+    tag = data.get("geometry", "euclidean")
+    if not isinstance(tag, str) or tag not in _GEOMETRY_TAGS:
+        raise OutOfRange(f"unknown geometry tag {tag!r}")
+    geometry = _GEOMETRY_TAGS[tag]
+    if text is None:
+        ref = _field(data, "alpha", "curve spec", _alpha_ref, None)
 
-    def __init__(self, data: dict, alpha_override=None):
-        tag = data.get("geometry", "euclidean")
-        if not isinstance(tag, str) or tag not in _GEOMETRY_TAGS:
-            raise OutOfRange(f"unknown geometry tag {tag!r}")
-        self.geometry = _GEOMETRY_TAGS[tag]
-        ref = (alpha_override if alpha_override is not None
-               else _field(data, "alpha", "curve spec", _alpha_ref, None))
-
-        if self.geometry is Geometry.EUCLIDEAN:
-            self.kind = "fourier"
-            self.spec = curves.FourierCurveE2(
-                c0=_field(data, "c0", "curve spec", float),
-                harmonics=_field(data, "harmonics", "curve spec", _harmonic_triples, ()))
-            self.curve = curves.build_e2_curve(self.spec)
-            self.radius = None
-            self.alpha = _resolve_alpha(ref, self.geometry, None) if ref is not None else None
-        else:
-            self.kind = "deformed_circle"
-            self.radius = _field(data, "R", "curve spec", float)
-            epsilon = _field(data, "epsilon", "curve spec", float, 0.0)
-            g = _field(data, "g", "curve spec", _harmonic_triples, ())
-            alpha = _resolve_alpha(ref, self.geometry, self.radius)
-            self.spec = curves.DeformedCircle(
-                geometry=self.geometry, R=self.radius, epsilon=epsilon,
-                g=TrigPolynomial(0.0, tuple(Harmonic(*h) for h in g)), alpha=alpha,
-            )
-            self.curve = curves.build_deformed_circle(self.spec)
-            self.alpha = alpha
-
-    @classmethod
-    def load(cls, path: str, alpha_override=None) -> "CurveSpec":
-        return cls(_load_object(path, "curve spec"), alpha_override=alpha_override)
-
-    def require_alpha(self) -> float:
-        if self.alpha is None:
-            raise OutOfRange("spec has no alpha; pass --alpha or add it to the spec")
-        return self.alpha
-
-    def sample_plane_points(self) -> np.ndarray:
-        """Planar image for SVG: E2 curve itself, geodesic polar plot otherwise."""
-        ts = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
-        if self.geometry is Geometry.EUCLIDEAN:
-            return np.asarray(self.curve.point(ts), float)
-        r = self.spec.R + self.spec.epsilon * self.spec.g(ts)
-        return np.stack([r * np.cos(ts), r * np.sin(ts)], axis=-1)
+    if geometry is Geometry.EUCLIDEAN:
+        spec = curves.FourierCurveE2(
+            c0=_field(data, "c0", "curve spec", float),
+            harmonics=_field(data, "harmonics", "curve spec", _harmonic_triples, ()))
+        curve = curves.build_e2_curve(spec)
+        alpha = None if ref is None and option is None else _resolve_alpha(ref, geometry, None)
+        return geometry, spec, curve, alpha
+    radius = _field(data, "R", "curve spec", float)
+    epsilon = _field(data, "epsilon", "curve spec", float, 0.0)
+    g = _field(data, "g", "curve spec", _harmonic_triples, ())
+    alpha = _resolve_alpha(ref, geometry, radius)
+    spec = curves.DeformedCircle(
+        geometry=geometry, R=radius, epsilon=epsilon,
+        g=TrigPolynomial(0.0, tuple(Harmonic(*h) for h in g)), alpha=alpha,
+    )
+    return geometry, spec, curves.build_deformed_circle(spec), alpha
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +248,7 @@ def main():
 @click.option("--out", type=click.Path(), default=None)
 def cmd_solve_angle(k, geometry, radius, out):
     """Solve k tan c = tan(kc) and report contact angles."""
-    geo = _GEOMETRY_TAGS[geometry]
-    sols = angles.solve_angle(k, geo, radius)
+    sols = angles.solve_angle(k, Geometry(geometry), radius)
     payload = [
         {"k": s.k, "geometry": s.geometry.value, "c": s.c, "alpha": s.alpha,
          "residual": s.residual, "radius": s.radius}
@@ -324,12 +300,12 @@ def cmd_polygon_verify(in_path, regular, k, tol, out):
         data = _load_object(in_path, "polygon file")
         vertices = _field(data, "vertices", "polygon file", lambda v: np.asarray(v, dtype=float))
         if k is None:
-            k = _field(data, "k", "polygon file", _order)
+            k = _field(data, "k", "polygon file", lambda value: _count(value, "k"))
     else:
         vertices = polygons.regular_polygon(regular)
         if k is None:
             raise click.UsageError("--k is required with --regular")
-    rep = polygons.verify_gutkin(vertices, int(k), tol=tol)
+    rep = polygons.verify_gutkin(vertices, k, tol=tol)
     payload = {"n": rep["n"], "k": rep["k"], "is_gutkin": rep["is_gutkin"],
                "alpha": rep["alpha_measured"], "max_residual": rep["max_residual"],
                "tol": tol}
@@ -381,17 +357,24 @@ def curve():
 @click.option("--svg", type=click.Path(), default=None)
 def cmd_curve_build(spec_path, out, svg):
     """Build the curve and report its length and least geodesic curvature."""
-    cs = CurveSpec.load(spec_path)
-    arclen = ArcLengthParam(cs.curve)
+    geometry, spec, curve, alpha = _load_curve(spec_path)
+    euclidean = geometry is Geometry.EUCLIDEAN
+    arclen = ArcLengthParam(curve)
     ts = np.linspace(0.0, 2 * np.pi, _CURVATURE_SAMPLES, endpoint=False)
-    kappa = geodesic_curvature(cs.curve, ts)
-    payload = {"geometry": cs.geometry.value, "kind": cs.kind,
+    kappa = geodesic_curvature(curve, ts)
+    payload = {"geometry": geometry.value, "kind": "fourier" if euclidean else "deformed_circle",
                "length": arclen.total_length, "min_geodesic_curvature": float(kappa.min())}
-    if cs.alpha is not None:
-        payload["alpha"] = cs.alpha
+    if alpha is not None:
+        payload["alpha"] = alpha
     _emit(to_json(payload), out)
     if svg:
-        _write(svg, _svg_document([(cs.sample_plane_points(), "black", True)]))
+        ts = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
+        if euclidean:
+            plane = np.asarray(curve.point(ts), float)
+        else:  # the geodesic polar image
+            r = spec.R + spec.epsilon * spec.g(ts)
+            plane = np.stack([r * np.cos(ts), r * np.sin(ts)], axis=-1)
+        _write(svg, _svg_document([(plane, "black", True)]))
 
 
 @curve.command("verify")
@@ -406,10 +389,9 @@ def cmd_curve_verify(spec_path, alpha, samples, tol, out):
     if samples < 0:
         raise click.UsageError("--samples must be >= 0")
     _positive(tol, "tol")
-    cs = CurveSpec.load(spec_path, alpha_override=_read("--alpha", _alpha_ref, alpha))
-    a = cs.require_alpha()
-    rep = curves.verify_curve_gutkin(cs.curve, a, n_samples=samples)
-    payload = {"geometry": cs.geometry.value, "alpha": a,
+    geometry, _, curve, a = _load_curve(spec_path, "--alpha", alpha)
+    rep = curves.verify_curve_gutkin(curve, a, n_samples=samples)
+    payload = {"geometry": geometry.value, "alpha": a,
                "n_samples": rep["n_samples"],
                "max_angle_residual": rep["max_angle_residual"],
                "is_gutkin": rep["max_angle_residual"] < tol, "tol": tol}
@@ -426,28 +408,23 @@ def cmd_curve_residual(spec_path, operator, alpha, grid, out):
     """Max residual of the functional chord equation on a uniform grid."""
     if grid < 1:
         raise click.UsageError("--grid must be >= 1")
-    cs = CurveSpec.load(spec_path, alpha_override=_read("--alpha", _alpha_ref, alpha))
-    a = cs.require_alpha()
-    geo = _GEOMETRY_TAGS[operator]
+    geometry, spec, _, a = _load_curve(spec_path, "--alpha", alpha)
+    if Geometry(operator) is not geometry:
+        raise OutOfRange("operator geometry must match the spec geometry")
     ts = np.linspace(0.0, 2 * np.pi, int(grid), endpoint=False)
-    if geo is Geometry.EUCLIDEAN:
-        if cs.kind != "fourier":
-            raise OutOfRange("the E2 operator applies to euclidean specs")
-        rho = cs.spec.rho
+    if geometry is Geometry.EUCLIDEAN:
+        rho = spec.rho
         f = TrigPolynomial(rho.c0 * np.sin(a),
                            tuple(Harmonic(h.k, h.amp * np.sin(a), h.phase)
                                  for h in rho.harmonics))
         c, scale = a, 1.0
     else:
-        if cs.kind != "deformed_circle" or cs.geometry is not geo:
-            raise OutOfRange("operator geometry must match the spec geometry")
-        d = cs.spec
-        f = TrigPolynomial(d.f_star,
-                           tuple(Harmonic(h.k, d.epsilon * h.amp, h.phase)
-                                 for h in d.g.harmonics))
-        c, scale = d.c, d.a
-    res = curves.s2_residual_operator(f, a, c, scale, geo)(ts)
-    payload = {"geometry": cs.geometry.value, "operator": operator, "alpha": a,
+        f = TrigPolynomial(spec.f_star,
+                           tuple(Harmonic(h.k, spec.epsilon * h.amp, h.phase)
+                                 for h in spec.g.harmonics))
+        c, scale = spec.c, spec.a
+    res = curves.s2_residual_operator(f, a, c, scale, geometry)(ts)
+    payload = {"geometry": geometry.value, "operator": operator, "alpha": a,
                "grid": int(grid), "max_residual": float(np.abs(res).max())}
     _emit(to_json(payload), out)
 
@@ -468,10 +445,8 @@ def cmd_billiard_orbit(spec_path, t0, theta, steps, out):
     """Iterate the billiard map and export the orbit as CSV."""
     if steps < 0:
         raise click.UsageError("--steps must be >= 0")
-    cs = CurveSpec.load(spec_path, alpha_override=_read("--theta", _alpha_ref, theta))
-    angle = cs.require_alpha()
-    rows = billiards.export_orbit(cs.curve, billiards.BilliardState(t=t0, theta=angle),
-                                  steps)
+    _, _, curve, angle = _load_curve(spec_path, "--theta", theta)
+    rows = billiards.export_orbit(curve, billiards.BilliardState(t=t0, theta=angle), steps)
     lines = ["step,t,theta,chord_length"]
     for step, t, th, length in rows:
         lines.append(f"{step},{_fmt(t)},{_fmt(th)},{_fmt(length)}")
@@ -498,9 +473,9 @@ def cmd_chords_validate(spec_path, circle, radius, samples, seed, step, out):
     if circle is not None:
         if radius is None:
             raise click.UsageError("--radius is required with --circle")
-        cv = circle_curve(_GEOMETRY_TAGS[circle], radius)
+        cv = circle_curve(Geometry(circle), radius)
     else:
-        cv = CurveSpec.load(spec_path).curve
+        cv = _load_curve(spec_path)[2]
     report = validate_partials(cv, samples=samples, seed=seed, step=step)
     payload = {"geometry": report["geometry"], "samples": report["samples"],
                "step": report["step"], "max_rel_err": report["max_rel_err"],

@@ -231,7 +231,7 @@ class _Kernel(NamedTuple):
     curve; q's columns broadcast against those of p and d, so columns given
     a trailing axis (``c[:, None]``) evaluate every lane at every q.  ``embed(x, y, pole)``
     orders planar x, planar y and the pole coordinate as ambient ``Points``;
-    ``pole`` is a function, and E2, which has no pole, never calls it.
+    E2 has no pole and drops it.
     ``max_radius`` bounds circle radii: pi/2 on S2, and on H2 arccosh of the
     largest float, below which sinh and cosh stay finite.  Points and vectors
     are coordinate columns, and every entry is written out in components, so
@@ -263,12 +263,12 @@ _KERNELS = {
         K=1.0, sn=np.sin, cs=np.cos, tn=np.tan, arccot=lambda x: np.arctan2(1.0, x),
         dot=_dot3, distance=_spherical_distance,
         project=lambda x: _scale(x, np.sqrt(_dot3(x, x))), normal=_cross, side=_plane_side,
-        embed=lambda x, y, pole: Points((x, y, pole())), max_radius=np.pi / 2),
+        embed=lambda x, y, pole: Points((x, y, pole)), max_radius=np.pi / 2),
     "H2": _Kernel(
         K=-1.0, sn=np.sinh, cs=np.cosh, tn=np.tanh, arccot=lambda x: np.arctanh(1.0 / x),
         dot=_minkowski_dot, distance=_hyperbolic_distance,
         project=lambda x: _scale(x, np.sqrt(-_minkowski_dot(x, x))), normal=_hyperbolic_normal,
-        side=_plane_side, embed=lambda x, y, pole: Points((pole(), x, y)),
+        side=_plane_side, embed=lambda x, y, pole: Points((pole, x, y)),
         max_radius=float(np.arccosh(np.finfo(float).max))),
 }
 
@@ -389,18 +389,18 @@ def _radial_graph(geometry: Geometry, R: float, eps: float, g: TrigPolynomial) -
         r = R + eps * g(t)
         s, c = S(r), C(r)
         x, y = s * cos, s * sin
-        out = [embed(x, y, lambda: c)]
+        out = [embed(x, y, c)]
         if order >= 1:
             dr = eps * dg(t)
             cdr = c * dr
-            out.append(embed(cdr * cos - y, cdr * sin + x, lambda: -K * s * dr))
+            out.append(embed(cdr * cos - y, cdr * sin + x, -K * s * dr))
             if order == 2:
                 ddr = eps * ddg(t)
                 dr2 = dr * dr  # not dr**2, which numpy rounds through pow() on a scalar
                 rad = -K * s * dr2 + c * ddr
                 # 2 * c * dr, not 2 * cdr: the two differ where c * dr is subnormal
                 out.append(embed(rad * cos - 2 * c * dr * sin - x, rad * sin + 2 * c * dr * cos - y,
-                                 lambda: -K * (c * dr2 + s * ddr)))
+                                 -K * (c * dr2 + s * ddr)))
         return tuple(out)
 
     return ParametricCurve(geometry, jet)

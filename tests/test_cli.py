@@ -1,6 +1,7 @@
 import json
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -10,13 +11,18 @@ import pytest
 from click.testing import CliRunner
 
 import equichord
-from equichord.cli import main, to_json
+from equichord import FourierCurveE2, Harmonic, build_e2_curve, polygons
+from equichord.cli import _polygon_svg, _svg_document, main, to_json
 
 E2_SPEC = {"geometry": "euclidean", "c0": 1.0,
            "harmonics": [{"k": 4, "amp": 0.1, "phase": 0.0}],
            "alpha": "auto-k4"}
 S2_SPEC = {"geometry": "spherical", "R": 1.0471975511965976, "epsilon": 0.001,
            "g": [{"k": 4, "amp": 1.0, "phase": 0.0}], "alpha": "auto-k4"}
+H2_SPEC = {"geometry": "hyperbolic", "R": 0.9, "epsilon": 0.002,
+           "g": [{"k": 5, "amp": 1.0, "phase": 0.4}], "alpha": "auto-k5"}
+RECTANGLE = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]
+NO_ALPHA = "error: spec has no alpha; pass --alpha or add it to the spec\n"
 
 
 @pytest.fixture
@@ -96,6 +102,48 @@ class TestPolygonCommands:
                                          "--tol", "1e-8"]))
         assert rep["is_gutkin"] is True
 
+    def test_construct_2kk_from_params(self, runner):
+        out = json.loads(run_ok(runner, ["polygon", "construct", "--n", "8", "--k", "4",
+                                         "--params", "0.3,0.4"]))
+        p = polygons.construct_2kk(4, [0.3, 0.4])
+        assert (out["n"], out["k"], out["alpha"]) == (8, 4, p.alpha)
+        assert np.array_equal(out["vertices"], p.vertices)
+
+    def test_family_member_svg(self, runner, tmp_path):
+        svg = tmp_path / "fam.svg"
+        out = json.loads(run_ok(runner, ["polygon", "family", "--n", "24", "--k", "5",
+                                         "--coeffs", "0.2,0.1,0.05", "--svg", str(svg)]))
+        body = svg.read_text()
+        assert body == _polygon_svg(np.array(out["vertices"]), 5) + "\n"
+        assert body.count('stroke="gray"') == 24 and body.count('<polygon fill="none" stroke="black"') == 1
+
+    @pytest.mark.parametrize("args, message", [
+        (["construct", "--n", "8", "--k", "3"], "--arcs is required unless n = 2k (then --params)"),
+        (["verify"], "exactly one of --in / --regular is required"),
+        (["verify", "--regular", "4", "--k", "2", "--in", "{file}"],
+         "exactly one of --in / --regular is required"),
+        (["verify", "--regular", "5"], "--k is required with --regular"),
+    ], ids=["construct without arcs", "verify neither", "verify both", "regular without k"])
+    def test_usage_errors(self, runner, write_spec, args, message):
+        file = write_spec({"k": 2, "vertices": RECTANGLE})
+        result = runner.invoke(main, ["polygon"] + [file if a == "{file}" else a for a in args])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == f"Error: {message}"
+
+    def test_polygon_file_k_is_an_integer(self, runner, write_spec):
+        """k = 3.0 reads as 3; a fraction or a JSON string is refused by the
+        library's integer reader."""
+        out = json.loads(run_ok(runner, ["polygon", "verify", "--in",
+                                         write_spec({"k": 3.0, "vertices": RECTANGLE})]))
+        assert (out["k"], out["is_gutkin"]) == (3, True)
+        for k in (2.5, "3"):
+            result = runner.invoke(main, ["polygon", "verify", "--in",
+                                          write_spec({"k": k, "vertices": RECTANGLE})])
+            assert result.exit_code == 3
+            assert result.stderr == (f"error: cannot read polygon file field 'k': "
+                                     f"k must be an integer, got {k!r}\n")
+
     def test_classify_and_family_200000_2(self, runner):
         # lambda_1 = -4 sin^2(pi/n) = 9.9e-10 is not zero, though below 1e-9
         out = json.loads(run_ok(runner, ["polygon", "classify", "--n", "200000", "--k", "2"]))
@@ -161,6 +209,74 @@ class TestCurveCommands:
         assert abs(out["length"] - 2 * np.pi) < 1e-9
         assert svg.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("spec", [E2_SPEC, S2_SPEC], ids=["E2", "S2"])
+    def test_build_svg_is_the_planar_image(self, runner, write_spec, tmp_path, spec):
+        """An E2 spec draws the curve itself; an S2/H2 spec the geodesic polar image
+        (r cos t, r sin t) of its radius r(t) = R + epsilon g(t), on 512 samples."""
+        svg = tmp_path / "curve.svg"
+        run_ok(runner, ["curve", "build", "--spec", write_spec(spec), "--svg", str(svg)])
+        ts = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
+        if spec is E2_SPEC:
+            points = np.asarray(build_e2_curve(FourierCurveE2(1.0, (Harmonic(4, 0.1),))).point(ts))
+        else:
+            r = spec["R"] + spec["epsilon"] * np.cos(4 * ts)
+            points = np.stack([r * np.cos(ts), r * np.sin(ts)], axis=-1)
+        assert svg.read_text() == _svg_document([(points, "black", True)]) + "\n"
+
+    def test_auto_alpha_without_roots(self, runner, write_spec):
+        result = runner.invoke(main, ["curve", "build", "--spec",
+                                      write_spec(dict(E2_SPEC, alpha="auto-k3"))])
+        assert result.exit_code == 3
+        assert result.stderr == "error: k tan c = tan kc has no roots for k=3\n"
+
+    @pytest.mark.parametrize("spec, operator", [(S2_SPEC, "S2"), (H2_SPEC, "H2")], ids=["S2", "H2"])
+    def test_deformed_circle_needs_alpha_everywhere(self, runner, write_spec, spec, operator):
+        """A deformed circle's constants c, a and f* come from alpha, so every
+        command refuses an S2/H2 spec without one, even those that do not shoot."""
+        path = write_spec({k: v for k, v in spec.items() if k != "alpha"})
+        for args in (["curve", "build"], ["curve", "verify"], ["curve", "residual", "--operator", operator],
+                     ["billiard", "orbit", "--steps", "1"], ["chords", "validate", "--samples", "2"]):
+            result = runner.invoke(main, args + ["--spec", path])
+            assert result.exit_code == 3, args
+            assert (result.stdout, result.stderr) == ("", NO_ALPHA), args
+        out = json.loads(run_ok(runner, ["curve", "verify", "--spec", path, "--alpha", "auto-k4"]))
+        assert out["alpha"] > 0
+
+    def test_euclidean_spec_needs_alpha_only_to_shoot(self, runner, write_spec):
+        """Without alpha an E2 spec builds and validates its partials; verify,
+        residual and orbit refuse it unless --alpha/--theta gives one."""
+        path = write_spec({k: v for k, v in E2_SPEC.items() if k != "alpha"})
+        assert "alpha" not in json.loads(run_ok(runner, ["curve", "build", "--spec", path]))
+        run_ok(runner, ["chords", "validate", "--spec", path, "--samples", "2"])
+        for args, option in ((["curve", "verify"], "--alpha"),
+                             (["curve", "residual", "--operator", "E2"], "--alpha"),
+                             (["billiard", "orbit", "--steps", "1"], "--theta")):
+            result = runner.invoke(main, args + ["--spec", path])
+            assert result.exit_code == 3, args
+            assert (result.stdout, result.stderr) == ("", NO_ALPHA), args
+            run_ok(runner, args + ["--spec", path, option, "auto-k4"])
+
+    @pytest.mark.parametrize("spec, operator", [(E2_SPEC, "S2"), (S2_SPEC, "E2"), (S2_SPEC, "H2")],
+                             ids=["E2 spec, S2", "S2 spec, E2", "S2 spec, H2"])
+    def test_residual_operator_must_match_the_spec(self, runner, write_spec, spec, operator):
+        result = runner.invoke(main, ["curve", "residual", "--spec", write_spec(spec),
+                                      "--operator", operator])
+        assert result.exit_code == 3
+        assert result.stderr == "error: operator geometry must match the spec geometry\n"
+
+    def test_harmonic_order_is_an_integer(self, runner, write_spec):
+        """k = 4.0 reads as 4; a fraction or a JSON string is refused by the
+        library's integer reader."""
+        as_float = dict(E2_SPEC, harmonics=[{"k": 4.0, "amp": 0.1}])
+        assert (run_ok(runner, ["curve", "build", "--spec", write_spec(as_float)])
+                == run_ok(runner, ["curve", "build", "--spec", write_spec(E2_SPEC)]))
+        for k in (4.5, "4"):
+            bad = dict(E2_SPEC, harmonics=[{"k": k, "amp": 0.1}])
+            result = runner.invoke(main, ["curve", "build", "--spec", write_spec(bad)])
+            assert result.exit_code == 3
+            assert result.stderr == ("error: cannot read curve spec field 'harmonics': "
+                                     f"harmonic order must be an integer, got {k!r}\n")
+
     def test_first_harmonic_spec_rejected(self, runner, write_spec):
         bad = dict(E2_SPEC, harmonics=[{"k": 1, "amp": 0.1}])
         result = runner.invoke(main, ["curve", "build", "--spec", write_spec(bad)])
@@ -179,7 +295,8 @@ class TestCurveCommands:
     def test_bad_counts_are_usage_errors(self, runner, write_spec):
         path = write_spec(E2_SPEC)
         for args in (["curve", "verify", "--spec", path, "--samples", "-1"],
-                     ["curve", "residual", "--spec", path, "--operator", "E2", "--grid", "0"]):
+                     ["curve", "residual", "--spec", path, "--operator", "E2", "--grid", "0"],
+                     ["billiard", "orbit", "--spec", path, "--steps", "-1"]):
             result = runner.invoke(main, args)
             assert result.exit_code == 2, result.output
 
@@ -232,6 +349,13 @@ class TestBilliardAndChords:
         out = json.loads(run_ok(runner, ["chords", "validate", "--circle", "H2",
                                          "--radius", "0.8", "--samples", "10"]))
         assert out["max_rel_err"] < 1e-5
+
+    @pytest.mark.parametrize("spec", [E2_SPEC, S2_SPEC], ids=["E2", "S2"])
+    def test_chords_validate_spec(self, runner, write_spec, spec):
+        out = json.loads(run_ok(runner, ["chords", "validate", "--spec", write_spec(spec),
+                                         "--samples", "10"]))
+        assert out["geometry"] == ("E2" if spec is E2_SPEC else "S2")
+        assert out["samples"] == 10 and out["max_rel_err"] < 1e-5
 
     def test_chords_validate_nan_chord_exit_3(self, runner):
         """At R = 20 the hyperboloid chord cancels and some partials come out NaN;
@@ -333,3 +457,21 @@ class TestDeterminism:
         path = write_spec(E2_SPEC)
         args = ["billiard", "orbit", "--spec", path, "--steps", "5"]
         assert run_ok(runner, args) == run_ok(runner, args)
+
+
+class TestReadme:
+    def test_cli_examples_run(self, runner, tmp_path, monkeypatch):
+        """Every command of the README's CLI block exits 0, run in a scratch
+        directory after its spec.json heredoc is written."""
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        block = next(b for b in re.findall(r"```sh\n(.*?)```", readme, re.S) if "equichord curve" in b)
+        heredoc = re.search(r"cat > (\S+) <<'JSON'\n(.*?)\nJSON\n", block, re.S)
+        monkeypatch.chdir(tmp_path)
+        pathlib.Path(heredoc[1]).write_text(heredoc[2])
+        lines = block.replace(heredoc[0], "").replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line) for line in lines if line.strip() and not line.startswith("#")]
+        assert len(commands) >= 10 and all(argv[0] == "equichord" for argv in commands)
+        for argv in commands:
+            result = runner.invoke(main, argv[1:])
+            assert result.exit_code == 0, (argv, result.output)
+        assert all(pathlib.Path(f).stat().st_size > 0 for f in ("rect.json", "rect.svg", "orbit.csv"))

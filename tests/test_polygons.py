@@ -63,6 +63,10 @@ class TestVerify:
         betas = verify_gutkin(regular_polygon(n), k)["beta_angles"]
         assert np.abs(betas - abs(np.pi - 2 * np.pi * k / n)).max() <= 1e-13
 
+    def test_clockwise_vertices_rejected(self):
+        with pytest.raises(OutOfRange, match="vertices are clockwise"):
+            verify_gutkin(regular_polygon(6)[::-1], 2)
+
     def test_rectangle_k3_gutkin(self):
         # k = n - 1: the "diagonals" are the sides, every rectangle qualifies
         rect = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
@@ -237,6 +241,10 @@ class TestFamily:
             rep = verify_gutkin(polygon_from_sides(sides), 5, tol=1e-8)
             assert rep["is_gutkin"]
 
+    def test_zero_coefficients_infeasible(self):
+        with pytest.raises(Infeasible, match="degenerate kernel direction"):
+            family_member(24, 5, [0, 0, 0])
+
     def test_default_member_positive(self):
         sides = family_member(6, 3)
         assert sides.min() > 0
@@ -287,6 +295,11 @@ class TestConstructInscribed:
     def test_coprime_rejected(self):
         with pytest.raises(OutOfRange, match="only regular polygons exist"):
             construct_inscribed(7, 2, [1.0])
+
+    def test_arcs_must_sum_to_the_period(self):
+        # gcd(12, 3) = 3 arcs summing to 2 pi 3/12 = pi/2, not 2.5
+        with pytest.raises(OutOfRange, match="arcs must sum to 2 pi / 4"):
+            construct_inscribed(12, 4, [1.0, 1.0, 0.5])
 
     def test_nonregular(self):
         p = construct_inscribed(6, 3, [0.8, 2 * np.pi / 3 - 0.8])
