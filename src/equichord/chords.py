@@ -27,7 +27,6 @@ from .geometry import (
     _count,
     _frame,
     _newton,
-    _positive,
     mnorm,
 )
 
@@ -232,41 +231,41 @@ def _d2(f):
     return 270 * (f[2] + f[4]) - 27 * (f[1] + f[5]) + 2 * (f[0] + f[6]) - 490 * f[3]
 
 
-def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0,
-                      step: float = 2e-3) -> dict:
+def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0) -> dict:
     """Check Lx, Ly, Lxx, Lyy, Lxy against central differences of distance.
 
-    The differences are the sixth-order seven-point central stencil in
-    double, with ``step`` its h: first partials (-1, 9, -45, 0, 45, -9, 1) /
-    60h and second partials (2, -27, 270, -490, 270, -27, 2) / 180h^2 on
-    x + {0, +-h, +-2h, +-3h}, and the mixed partial the outer product of the
-    first-partial weights over 3600 h^2.  At the default h = 2e-3 its
-    truncation, of order h^6, stays far below its rounding, of order
-    eps |L| / h^2, on sharply curved curves too, where a fourth-order
-    stencil's h^4 did not (docs/derivation.md); relative-error denominators
-    are floored at 1e-3.  All samples are drawn first.  A sample's 49
-    stencil chords share 14 ends, x + {0, +-h, +-2h, +-3h} and the same
-    about y; the ends of every sample in a block are inverted in one
+    The differences are the sixth-order seven-point central stencil in double:
+    first partials (-1, 9, -45, 0, 45, -9, 1) / 60h and second partials
+    (2, -27, 270, -490, 270, -27, 2) / 180h^2 on x + {0, +-h, +-2h, +-3h}, and
+    the mixed partial the outer product of the first-partial weights over
+    3600 h^2.  The step follows the curve: h = 2e-3 l (the report's "step"),
+    with l = s / sqrt(1 + |K| s^2) and s = length / 2 pi, so l is s on E2,
+    where the check is similarity-invariant, and below the space's scale on
+    S2/H2.  The truncation, of order (h / l)^6, stays far below the rounding,
+    of order eps |L| / h^2, where a fourth-order stencil's did not
+    (docs/derivation.md).  Relative-error denominators are floored at 1e-3 for
+    first partials and 1e-3 / l for second ones.  All samples are drawn first.
+    A sample's 49 stencil chords share 14 ends, x + {0, +-h, +-2h, +-3h} and
+    the same about y; the ends of every sample in a block are inverted in one
     arc-length inversion and evaluated in one point call, and one broadcast
-    distance pairs them up.  That inversion starts each
-    end at t_end + ds / speed(t_end), from the chord end chord_data has
-    already inverted; the guess is O(h^2) from the root, so Newton stops
-    after two or three steps.
+    distance pairs them up.  That inversion starts each end at t_end + ds /
+    speed(t_end), from the chord end chord_data has already inverted; the
+    guess is O(h^2) from the root, so Newton stops after two or three steps.
 
     Raises OutOfRange for a sample count that is not an integer or is below
-    one, for a step that is not finite and positive, and for a sample whose
-    chord partial is NaN or infinite; the message says whether the chord
-    overflows (its length, or a squared coordinate of an end, is infinite)
-    or loses its digits to cancellation.
+    one, and for a sample whose chord partial is NaN or infinite; the message
+    says whether the chord overflows (its length, or a squared coordinate of an
+    end, is infinite) or loses its digits to cancellation.
     Returns a report dict with per-quantity and overall max relative errors.
     """
     samples = _count(samples, "validate_partials' sample count")
     if samples < 1:
         raise OutOfRange(f"validate_partials needs at least one sample, got {samples}")
-    _positive(step, "finite-difference step")
-    h = float(step)
     arclen = ArcLengthParam(curve)
     Ltot = arclen.total_length
+    s = arclen.mean_speed  # Ltot / 2 pi; scale is l, s capped at the space's unit length
+    scale = float(s / np.hypot(1.0, np.sqrt(abs(curve.geometry.kernel.K)) * s))
+    h, floor = 2e-3 * scale, np.array([1e-3, 1e-3] + 3 * [1e-3 / scale])[:, None]
     rng = np.random.default_rng(seed)
     # one row (x, chord fraction) per sample, drawn in the order of a per-sample loop
     draws = rng.uniform([0.0, 0.2], [Ltot, 0.8], size=(samples, 2))
@@ -297,7 +296,7 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0,
                 _d1(_d1(d)) / (3600 * h * h),
             ])
             ana = np.stack([getattr(cd, name) for name in names])
-            rel = np.abs(fd - ana) / np.maximum(np.abs(ana), 1e-3)
+            rel = np.abs(fd - ana) / np.maximum(np.abs(ana), floor)
         bad = ~np.isfinite(rel).all(axis=0)
         if bad.any():
             i = int(np.argmax(bad))
@@ -316,7 +315,7 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0,
     return {
         "geometry": curve.geometry.value,
         "samples": samples,
-        "step": float(step),
+        "step": h,
         "max_rel_err": max(errs.values()),
         "per_quantity": errs,
     }

@@ -168,12 +168,13 @@ def _alpha_ref(value):
     return float(value)
 
 
-def _resolve_alpha(ref, geometry: Geometry, radius: float | None) -> float:
+def _resolve_alpha(ref, geometry: Geometry, radius: float | None, option: str | None) -> float:
     """A float inside (0, pi) passes through; an 'auto-kN' k gives the first
     root of k tan c = tan kc, converted to a contact angle on S2/H2; None, no
-    alpha at all, is refused."""
+    alpha at all, is refused, naming the command's angle option if it has one."""
     if ref is None:
-        raise OutOfRange("spec has no alpha; pass --alpha or add it to the spec")
+        raise OutOfRange(f"spec has no alpha; pass {option} or add it to the spec" if option else
+                         f"spec has no alpha; an {geometry.value} spec needs it to build the curve")
     if isinstance(ref, float):
         if not 0.0 < ref < np.pi:
             raise OutOfRange(f"alpha must lie in (0, pi), got {ref!r}")
@@ -206,12 +207,12 @@ def _load_curve(path: str, option: str | None = None, text: str | None = None):
             c0=_field(data, "c0", "curve spec", float),
             harmonics=_field(data, "harmonics", "curve spec", _harmonic_triples, ()))
         curve = curves.build_e2_curve(spec)
-        alpha = None if ref is None and option is None else _resolve_alpha(ref, geometry, None)
+        alpha = None if ref is None and option is None else _resolve_alpha(ref, geometry, None, option)
         return geometry, spec, curve, alpha
     radius = _field(data, "R", "curve spec", float)
     epsilon = _field(data, "epsilon", "curve spec", float, 0.0)
     g = _field(data, "g", "curve spec", _harmonic_triples, ())
-    alpha = _resolve_alpha(ref, geometry, radius)
+    alpha = _resolve_alpha(ref, geometry, radius, option)
     spec = curves.DeformedCircle(
         geometry=geometry, R=radius, epsilon=epsilon,
         g=TrigPolynomial(0.0, tuple(Harmonic(*h) for h in g)), alpha=alpha,
@@ -464,9 +465,8 @@ def chords():
 @click.option("--radius", type=float, default=None)
 @click.option("--samples", type=int, default=100)
 @click.option("--seed", type=int, default=0)
-@click.option("--step", type=float, default=2e-3)
 @click.option("--out", type=click.Path(), default=None)
-def cmd_chords_validate(spec_path, circle, radius, samples, seed, step, out):
+def cmd_chords_validate(spec_path, circle, radius, samples, seed, out):
     """Check the closed-form partials of L(x,y) against finite differences."""
     if (spec_path is None) == (circle is None):
         raise click.UsageError("exactly one of --spec / --circle is required")
@@ -476,7 +476,7 @@ def cmd_chords_validate(spec_path, circle, radius, samples, seed, step, out):
         cv = circle_curve(Geometry(circle), radius)
     else:
         cv = _load_curve(spec_path)[2]
-    report = validate_partials(cv, samples=samples, seed=seed, step=step)
+    report = validate_partials(cv, samples=samples, seed=seed)
     payload = {"geometry": report["geometry"], "samples": report["samples"],
                "step": report["step"], "max_rel_err": report["max_rel_err"],
                "per_quantity": dict(sorted(report["per_quantity"].items()))}

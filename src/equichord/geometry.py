@@ -195,7 +195,8 @@ def _spherical_distance(p, q):
 
 
 def _hyperbolic_distance(p, q):
-    return np.arccosh(np.maximum(-_minkowski_dot(p, q), 1.0))
+    w = tuple(qc - pc for pc, qc in zip(p, q))  # |w|_M = 2 sinh(d/2): no arccosh of ~1 on short chords
+    return 2 * np.arcsinh(np.sqrt(np.maximum(_minkowski_dot(w, w), 0.0)) / 2)
 
 
 def _hyperbolic_normal(p, unit_t):

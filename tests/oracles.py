@@ -222,15 +222,25 @@ def arccos_chord_angles(curve, x, y, arclen) -> tuple:
     return phi, psi
 
 
-def stencil_partials(curve, samples: int, seed: int = 0, step: float = 2e-3) -> dict:
-    """validate_partials' report with the stencil's 49 chords evaluated
-    separately: 98 ends a sample, each inverted and evaluated on its own, and
-    the chord records from the oracle chord_data.  The reference for the
-    stencil's 14 shared ends and its broadcast distance; it refuses nothing."""
+def stencil_step(curve) -> tuple:
+    """validate_partials' step h = 2e-3 l and second-partial floor 1e-3 / l, with
+    l = s / sqrt(1 + |K| s^2) from the curve's mean radius s = length / 2 pi,
+    written as s / hypot(1, sqrt|K| s) so that no s^2 overflows."""
+    s = ArcLengthParam(curve).mean_speed
+    scale = float(s / np.hypot(1.0, np.sqrt(abs(curve.geometry.kernel.K)) * s))
+    return 2e-3 * scale, 1e-3 / scale
+
+
+def stencil_partials(curve, samples: int, seed: int, h: float, floor: float) -> dict:
+    """validate_partials' report at step h, with the second partials' relative
+    errors floored at ``floor`` and the first partials' at 1e-3, and the
+    stencil's 49 chords evaluated separately: 98 ends a sample, each inverted
+    and evaluated on its own, and the chord records from the oracle
+    chord_data.  The reference for the stencil's 14 shared ends and its
+    broadcast distance; it refuses nothing."""
     arclen = ArcLengthParam(curve)
     Ltot = arclen.total_length
     draws = np.random.default_rng(seed).uniform([0.0, 0.2], [Ltot, 0.8], size=(samples, 2))
-    h = float(step)
     # chord (i, j), at row 7 i + j, runs from x + (i - 3) h to y + (j - 3) h
     sx = np.repeat(np.arange(-3.0, 4.0), 7)[:, None] * h
     sy = np.tile(np.arange(-3.0, 4.0), 7)[:, None] * h
@@ -263,10 +273,10 @@ def stencil_partials(curve, samples: int, seed: int = 0, step: float = 2e-3) -> 
             d1(d1(d)) / (3600 * h * h),
         ])
         ana = np.stack([getattr(cd, name) for name in names])
-        rel = np.abs(fd - ana) / np.maximum(np.abs(ana), 1e-3)
+        rel = np.abs(fd - ana) / np.maximum(np.abs(ana), np.array([1e-3, 1e-3, floor, floor, floor])[:, None])
         worst = np.maximum(worst, rel.max(axis=1))
     errs = dict(zip(names, worst.tolist()))
-    return {"geometry": curve.geometry.value, "samples": samples, "step": float(step),
+    return {"geometry": curve.geometry.value, "samples": samples, "step": h,
             "max_rel_err": max(errs.values()), "per_quantity": errs}
 
 

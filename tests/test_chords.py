@@ -304,10 +304,45 @@ class TestValidatePartials:
         with pytest.raises(OutOfRange, match="at least one sample"):
             validate_partials(wavy_curve, samples=samples)
 
-    @pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-5])
-    def test_bad_step_refused(self, wavy_curve, step):
-        with pytest.raises(OutOfRange, match="finite and positive"):
-            validate_partials(wavy_curve, samples=3, step=step)
+    @pytest.mark.parametrize("tag, radius", [("E2", 1e-3), ("E2", 1e4), ("S2", 1e-3), ("H2", 1e-3)])
+    def test_small_and_large_circles(self, tag, radius):
+        """The step follows the curve, so circles far from unit size keep the
+        digits of the unit circle; an absolute h = 2e-3 read 1.37 at radius 1e-3
+        and 4.6e-3 at 1e4."""
+        report = validate_partials(circle_curve(Geometry(tag), radius), samples=20)
+        assert report["max_rel_err"] < 1e-8
+
+    @pytest.mark.parametrize("tag, radius, scale", [
+        ("E2", 0.37, 0.37),
+        ("S2", 0.9, np.sin(0.9) / np.sqrt(1 + np.sin(0.9) ** 2)),
+        ("H2", 1.2, np.tanh(1.2)),
+        ("H2", 9.0, np.tanh(9.0)),
+    ])
+    def test_step_follows_the_curve(self, tag, radius, scale):
+        """h = 2e-3 l: l is the radius on E2, and on an H2 circle tanh R, its radius
+        of curvature."""
+        report = validate_partials(circle_curve(Geometry(tag), radius), samples=1)
+        assert report["step"] == pytest.approx(2e-3 * scale, rel=1e-15)
+
+    def test_unit_length_keeps_the_unit_step(self, wavy_curve):
+        """A curve of length 2 pi (c0 = 1) has l = 1, so h is exactly 2e-3."""
+        assert validate_partials(wavy_curve, samples=3)["step"] == 2e-3
+
+    @given(st.floats(0.5, 2.0), st.lists(st.tuples(st.integers(2, 8), st.floats(-0.15, 0.15),
+                                                   st.floats(-np.pi, np.pi)), max_size=2),
+           st.integers(-30, 100), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_e2_report_is_scale_invariant(self, c0, harmonics, j, seed):
+        """E2 is similarity-invariant and h follows the curve's length, so the curve
+        scaled by 2^j, which scales every length exactly, gives the same report
+        bit for bit, apart from h, which scales by 2^j."""
+        def build(scale):
+            hs = tuple(Harmonic(k, amp * c0 * scale, phase) for k, amp, phase in harmonics)
+            return build_e2_curve(FourierCurveE2(c0=c0 * scale, harmonics=hs))
+
+        one, scaled = (validate_partials(build(scale), samples=6, seed=seed) for scale in (1.0, 2.0 ** j))
+        assert scaled.pop("step") == one.pop("step") * 2.0 ** j
+        assert scaled == one
 
 
 def _deformed(tag):
@@ -340,7 +375,7 @@ class TestStencilInversion:
         draws = np.random.default_rng(seed).uniform([0.0, 0.2], [ltot, 0.8], size=(samples, 2))
         x = draws[:, 0]
         y = x + draws[:, 1] * ltot
-        h = 2e-3
+        h, _ = oracles.stencil_step(curve)
         assert s.shape == (2, 7, samples)
         assert np.array_equal(s, np.stack([[e - 3 * h, e - 2 * h, e - h, e, e + h, e + 2 * h, e + 3 * h]
                                            for e in (x, y)]))
@@ -379,7 +414,7 @@ def test_shared_evaluations_change_no_bit(curve, samples, seed):
     ends' shared point and velocity give the report and the chord records of
     evaluating each where it is used, bit for bit."""
     assert validate_partials(curve, samples=samples, seed=seed) \
-        == oracles.stencil_partials(curve, samples, seed)
+        == oracles.stencil_partials(curve, samples, seed, *oracles.stencil_step(curve))
     arclen = ArcLengthParam(curve)
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, arclen.total_length, samples)

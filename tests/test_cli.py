@@ -22,7 +22,11 @@ S2_SPEC = {"geometry": "spherical", "R": 1.0471975511965976, "epsilon": 0.001,
 H2_SPEC = {"geometry": "hyperbolic", "R": 0.9, "epsilon": 0.002,
            "g": [{"k": 5, "amp": 1.0, "phase": 0.4}], "alpha": "auto-k5"}
 RECTANGLE = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]
-NO_ALPHA = "error: spec has no alpha; pass --alpha or add it to the spec\n"
+
+
+def no_alpha(option):
+    """The refusal of a spec without alpha by a command whose angle option is ``option``."""
+    return f"error: spec has no alpha; pass {option} or add it to the spec\n"
 
 
 @pytest.fixture
@@ -232,13 +236,17 @@ class TestCurveCommands:
     @pytest.mark.parametrize("spec, operator", [(S2_SPEC, "S2"), (H2_SPEC, "H2")], ids=["S2", "H2"])
     def test_deformed_circle_needs_alpha_everywhere(self, runner, write_spec, spec, operator):
         """A deformed circle's constants c, a and f* come from alpha, so every
-        command refuses an S2/H2 spec without one, even those that do not shoot."""
+        command refuses an S2/H2 spec without one, even those that do not shoot.
+        A command with an angle option names it; one without says why."""
         path = write_spec({k: v for k, v in spec.items() if k != "alpha"})
-        for args in (["curve", "build"], ["curve", "verify"], ["curve", "residual", "--operator", operator],
-                     ["billiard", "orbit", "--steps", "1"], ["chords", "validate", "--samples", "2"]):
+        build = f"error: spec has no alpha; an {operator} spec needs it to build the curve\n"
+        for args, message in ((["curve", "build"], build), (["chords", "validate", "--samples", "2"], build),
+                              (["curve", "verify"], no_alpha("--alpha")),
+                              (["curve", "residual", "--operator", operator], no_alpha("--alpha")),
+                              (["billiard", "orbit", "--steps", "1"], no_alpha("--theta"))):
             result = runner.invoke(main, args + ["--spec", path])
             assert result.exit_code == 3, args
-            assert (result.stdout, result.stderr) == ("", NO_ALPHA), args
+            assert (result.stdout, result.stderr) == ("", message), args
         out = json.loads(run_ok(runner, ["curve", "verify", "--spec", path, "--alpha", "auto-k4"]))
         assert out["alpha"] > 0
 
@@ -253,7 +261,7 @@ class TestCurveCommands:
                              (["billiard", "orbit", "--steps", "1"], "--theta")):
             result = runner.invoke(main, args + ["--spec", path])
             assert result.exit_code == 3, args
-            assert (result.stdout, result.stderr) == ("", NO_ALPHA), args
+            assert (result.stdout, result.stderr) == ("", no_alpha(option)), args
             run_ok(runner, args + ["--spec", path, option, "auto-k4"])
 
     @pytest.mark.parametrize("spec, operator", [(E2_SPEC, "S2"), (S2_SPEC, "E2"), (S2_SPEC, "H2")],

@@ -274,6 +274,18 @@ class TestShooting:
         assert (t1 - 5.0) % (2 * np.pi) == pytest.approx(2 * c, abs=1e-10)
         assert arrival == pytest.approx(alpha, abs=1e-10)
 
+    @pytest.mark.parametrize("R", [0.3, 1.2])
+    def test_h2_short_chord_lengths(self, R):
+        """On an H2 circle, sinh(L/2) = sinh R sin((t1 - t0)/2).  The distance is
+        2 asinh(|q - p|_M / 2), with no arccosh of a number near 1, so chords
+        shot at theta in [1e-5, 1e-4] keep their length to 1e-10 (the arccosh
+        form lost half the digits: 6.1e-6 at R = 0.3, 1.1e-6 at R = 1.2)."""
+        curve = circle_curve(Geometry.HYPERBOLIC, R)
+        t0, theta = np.meshgrid([0.0, 1.0, 2.5, 4.0], np.geomspace(1e-5, 1e-4, 10))
+        t1, _, length = shoot_to_curve(curve, t0, theta)
+        want = 2 * np.arcsinh(np.sinh(R) * np.sin(((t1 - t0) % (2 * np.pi)) / 2))
+        assert np.all(np.abs(length - want) <= 1e-10 * want)
+
     def test_tangential_rejected(self):
         curve = circle_curve(Geometry.EUCLIDEAN, 1.0)
         with pytest.raises(OutOfRange, match="too close to tangential"):
