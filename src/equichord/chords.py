@@ -244,13 +244,13 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0)
     S2/H2.  The truncation, of order (h / l)^6, stays far below the rounding,
     of order eps |L| / h^2, where a fourth-order stencil's did not
     (docs/derivation.md).  Relative-error denominators are floored at 1e-3 for
-    first partials and 1e-3 / l for second ones.  All samples are drawn first.
-    A sample's 49 stencil chords share 14 ends, x + {0, +-h, +-2h, +-3h} and
-    the same about y; the ends of every sample in a block are inverted in one
-    arc-length inversion and evaluated in one point call, and one broadcast
-    distance pairs them up.  That inversion starts each end at t_end + ds /
-    speed(t_end), from the chord end chord_data has already inverted; the
-    guess is O(h^2) from the root, so Newton stops after two or three steps.
+    first partials and 1e-3 / l = 2e-6 / h for second ones.  All samples are
+    drawn first.  A sample's 49 stencil chords share 14 ends, x + {0, +-h,
+    +-2h, +-3h} and the same about y; the ends of every sample in a block are
+    inverted in one arc-length inversion and evaluated in one point call, and
+    one broadcast distance pairs them up.  That inversion starts each end at
+    t_end + ds / speed(t_end), from the chord end chord_data has already
+    inverted; the guess is O(h^2) from the root, so Newton takes two or three steps.
 
     Raises OutOfRange for a sample count that is not an integer or is below
     one, and for a sample whose chord partial is NaN or infinite; the message
@@ -263,9 +263,9 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0)
         raise OutOfRange(f"validate_partials needs at least one sample, got {samples}")
     arclen = ArcLengthParam(curve)
     Ltot = arclen.total_length
-    s = arclen.mean_speed  # Ltot / 2 pi; scale is l, s capped at the space's unit length
-    scale = float(s / np.hypot(1.0, np.sqrt(abs(curve.geometry.kernel.K)) * s))
-    h, floor = 2e-3 * scale, np.array([1e-3, 1e-3] + 3 * [1e-3 / scale])[:, None]
+    s = arclen.mean_speed  # Ltot / 2 pi; l = s / sqrt(1 + |K| s^2) stays below the space's scale
+    h = 2e-3 * float(s / np.hypot(1.0, np.sqrt(abs(curve.geometry.kernel.K)) * s))
+    floor = np.array([1e-3, 1e-3] + 3 * [2e-6 / h])[:, None]
     rng = np.random.default_rng(seed)
     # one row (x, chord fraction) per sample, drawn in the order of a per-sample loop
     draws = rng.uniform([0.0, 0.2], [Ltot, 0.8], size=(samples, 2))

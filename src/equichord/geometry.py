@@ -195,7 +195,7 @@ def _spherical_distance(p, q):
 
 
 def _hyperbolic_distance(p, q):
-    w = tuple(qc - pc for pc, qc in zip(p, q))  # |w|_M = 2 sinh(d/2): no arccosh of ~1 on short chords
+    w = q[0] - p[0], q[1] - p[1], q[2] - p[2]  # |w|_M = 2 sinh(d/2): no arccosh of ~1 on short chords
     return 2 * np.arcsinh(np.sqrt(np.maximum(_minkowski_dot(w, w), 0.0)) / 2)
 
 

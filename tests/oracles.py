@@ -222,15 +222,6 @@ def arccos_chord_angles(curve, x, y, arclen) -> tuple:
     return phi, psi
 
 
-def stencil_step(curve) -> tuple:
-    """validate_partials' step h = 2e-3 l and second-partial floor 1e-3 / l, with
-    l = s / sqrt(1 + |K| s^2) from the curve's mean radius s = length / 2 pi,
-    written as s / hypot(1, sqrt|K| s) so that no s^2 overflows."""
-    s = ArcLengthParam(curve).mean_speed
-    scale = float(s / np.hypot(1.0, np.sqrt(abs(curve.geometry.kernel.K)) * s))
-    return 2e-3 * scale, 1e-3 / scale
-
-
 def stencil_partials(curve, samples: int, seed: int, h: float, floor: float) -> dict:
     """validate_partials' report at step h, with the second partials' relative
     errors floored at ``floor`` and the first partials' at 1e-3, and the

