@@ -103,8 +103,8 @@ def lemma_constants(geometry: Geometry, radius: Optional[float], alpha: float) -
     """(c, a) for a circle of radius R with contact angle alpha.
 
     c satisfies cot c = cs(R) cot alpha; a is the turning normalization
-    sqrt(cs^2 R + K sin^2 alpha sn^2 R), i.e. cos/sin on the sphere (K = 1)
-    and cosh/sinh on the hyperbolic plane (K = -1).
+    sqrt(cs^2 R + K sin^2 alpha sn^2 R) = hypot(cos alpha cs R, sin alpha), as
+    cs^2 + K sn^2 = 1: cos/sin on the sphere (K = 1), cosh/sinh on H2 (K = -1).
     """
     alpha = float(alpha)
     if not 0.0 < alpha < np.pi:
@@ -126,7 +126,7 @@ def lemma_constants(geometry: Geometry, radius: Optional[float], alpha: float) -
         den = cs**2 + kern.K * sn**2 * np.cos(c) ** 2
     if not 1e12 * den > terms:
         raise OutOfRange(f"{geometry.value} radius {r} too large for alpha = {alpha}: cosh^2 R cancels")
-    a = float(np.sqrt(cs**2 + kern.K * np.sin(alpha) ** 2 * sn**2))
+    a = float(np.hypot(np.cos(alpha) * cs, np.sin(alpha)))
     first = np.cos(c) / np.sqrt(den)
     if not abs(first - np.cos(alpha)) < 1e-12 * max(terms / den, c * np.sin(alpha) / cs):
         raise RuntimeError(
@@ -138,14 +138,17 @@ def lemma_constants(geometry: Geometry, radius: Optional[float], alpha: float) -
 
 def f_star(geometry: Geometry, radius: float, alpha: float) -> float:
     """Constant chord-foot distance on a circle: cot f = cot R / sin alpha
-    (coth on H2)."""
+    (coth on H2, where artanh(sin alpha tanh R) is formed without cancellation,
+    docs/derivation.md)."""
     if geometry is Geometry.EUCLIDEAN:
         raise OutOfRange("f_star is defined on S2 and H2 only")
     if not 0.0 < alpha < np.pi:
         raise OutOfRange("alpha must lie in (0, pi)")
-    kern = geometry.kernel
     r = _check_radius(geometry, radius)
-    return float(kern.arccot(kern.cs(r) / kern.sn(r) / np.sin(alpha)))
+    if geometry is Geometry.SPHERICAL:
+        return float(np.arctan2(1.0, np.cos(r) / np.sin(r) / np.sin(alpha)))
+    s, e = np.sin(alpha), np.exp(-2 * r)
+    return float(np.log1p(-2 * s * np.expm1(-2 * r) / (np.cos(alpha) ** 2 / (1 + s) + e * (1 + s))) / 2)
 
 
 def solve_angle(k: int, geometry: Geometry = Geometry.EUCLIDEAN,

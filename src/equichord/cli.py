@@ -171,10 +171,9 @@ def _alpha_ref(value):
 def _resolve_alpha(ref, geometry: Geometry, radius: float | None, option: str | None) -> float:
     """A float inside (0, pi) passes through; an 'auto-kN' k gives the first
     root of k tan c = tan kc, converted to a contact angle on S2/H2; None, no
-    alpha at all, is refused, naming the command's angle option if it has one."""
+    alpha at all, is refused, naming the command's angle option."""
     if ref is None:
-        raise OutOfRange(f"spec has no alpha; pass {option} or add it to the spec" if option else
-                         f"spec has no alpha; an {geometry.value} spec needs it to build the curve")
+        raise OutOfRange(f"spec has no alpha; pass {option} or add it to the spec")
     if isinstance(ref, float):
         if not 0.0 < ref < np.pi:
             raise OutOfRange(f"alpha must lie in (0, pi), got {ref!r}")
@@ -188,10 +187,10 @@ def _resolve_alpha(ref, geometry: Geometry, radius: float | None, option: str | 
 def _load_curve(path: str, option: str | None = None, text: str | None = None):
     """(geometry, spec, curve, alpha) from a curve spec file.
 
-    A command that shoots at alpha passes its angle option: its text, when
-    given, replaces the spec's alpha, and no alpha at all is refused.  Without
-    an option alpha is None on a Euclidean spec that has none; an S2/H2 spec
-    always needs one, since its DeformedCircle derives c, a and f* from it.
+    No curve needs an angle; a command that shoots at alpha passes its angle
+    option, whose text, when given, replaces the spec's alpha.  alpha is None
+    when neither the spec nor the option gives one, and then a command with
+    an angle option is refused.
     """
     ref = None if text is None else _read(option, _alpha_ref, text)
     data = _load_object(path, "curve spec")
@@ -203,20 +202,19 @@ def _load_curve(path: str, option: str | None = None, text: str | None = None):
         ref = _field(data, "alpha", "curve spec", _alpha_ref, None)
 
     if geometry is Geometry.EUCLIDEAN:
+        radius = None
         spec = curves.FourierCurveE2(
             c0=_field(data, "c0", "curve spec", float),
             harmonics=_field(data, "harmonics", "curve spec", _harmonic_triples, ()))
-        curve = curves.build_e2_curve(spec)
-        alpha = None if ref is None and option is None else _resolve_alpha(ref, geometry, None, option)
-        return geometry, spec, curve, alpha
-    radius = _field(data, "R", "curve spec", float)
-    epsilon = _field(data, "epsilon", "curve spec", float, 0.0)
-    g = _field(data, "g", "curve spec", _harmonic_triples, ())
-    alpha = _resolve_alpha(ref, geometry, radius, option)
-    spec = curves.DeformedCircle(
-        geometry=geometry, R=radius, epsilon=epsilon,
-        g=TrigPolynomial(0.0, tuple(Harmonic(*h) for h in g)), alpha=alpha,
-    )
+    else:
+        radius = _field(data, "R", "curve spec", float)
+        epsilon = _field(data, "epsilon", "curve spec", float, 0.0)
+        g = _field(data, "g", "curve spec", _harmonic_triples, ())
+    alpha = None if ref is None and option is None else _resolve_alpha(ref, geometry, radius, option)
+    if geometry is Geometry.EUCLIDEAN:
+        return geometry, spec, curves.build_e2_curve(spec), alpha
+    spec = curves.DeformedCircle(geometry=geometry, R=radius, epsilon=epsilon, alpha=alpha,
+                                 g=TrigPolynomial(0.0, tuple(Harmonic(*h) for h in g)))
     return geometry, spec, curves.build_deformed_circle(spec), alpha
 
 

@@ -24,6 +24,7 @@ function as ``geometry.circle_curve``, its epsilon = 0 member.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +49,6 @@ __all__ = [
     "closure_defect",
     "build_deformed_circle",
     "s2_residual_operator",
-    "linearized_coefficient_check",
     "verify_curve_gutkin",
 ]
 
@@ -161,18 +161,16 @@ class DeformedCircle:
     """Circle of radius R with latitude perturbation epsilon * g(t).
 
     g must have no first harmonic (those deformations are translations of
-    the circle to first order).  The derived constants c, a and the constant
-    chord-foot distance f_star are attached for the residual operators.
+    the circle to first order).  The curve needs no angle: c, a and the chord-foot
+    distance f_star, which the residual operators take, belong to the contact
+    angle alpha and are derived when first read (OutOfRange without one).
     """
 
     geometry: Geometry
     R: float
     epsilon: float
     g: TrigPolynomial
-    alpha: float
-    c: float = field(init=False)
-    a: float = field(init=False)
-    f_star: float = field(init=False)
+    alpha: float | None = None
 
     def __post_init__(self):
         if self.geometry is Geometry.EUCLIDEAN:
@@ -181,17 +179,33 @@ class DeformedCircle:
             raise OutOfRange(f"epsilon must be finite, got {self.epsilon}")
         if 1 in self.g.orders:
             raise NotClosed("g must not contain first harmonics")
-        c, a = angles.lemma_constants(self.geometry, self.R, self.alpha)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "f_star", angles.f_star(self.geometry, self.R, self.alpha))
+
+    @cached_property
+    def _constants(self) -> tuple[float, float, float]:
+        if self.alpha is None:
+            raise OutOfRange("a deformed circle without alpha has no c, a or f_star")
+        return (*angles.lemma_constants(self.geometry, self.R, self.alpha),
+                angles.f_star(self.geometry, self.R, self.alpha))
+
+    c = property(lambda self: self._constants[0])
+    a = property(lambda self: self._constants[1])
+    f_star = property(lambda self: self._constants[2])
+
+
+_H2_BUILD_RADIUS = float(np.arccosh(1e12)) / 2  # about 14.16, where cosh^2 r + sinh^2 r = cosh 2r is 1e12
 
 
 def build_deformed_circle(spec: DeformedCircle) -> ParametricCurve:
     """Embedded curve (longitude t, radius R + eps g(t)) with analytic derivatives,
     the radial graph ``circle_curve`` is at eps = 0; NonConvex where its geodesic
-    curvature is not positive at one of 128 equally spaced t."""
+    curvature is not positive at one of 128 equally spaced t.  On H2 a largest radius
+    R + |eps| (|g.c0| + sum |amp|) from _H2_BUILD_RADIUS on is OutOfRange."""
     curve = _radial_graph(spec.geometry, spec.R, spec.epsilon, spec.g)
+    amps = (spec.g.c0, *(h.amp for h in spec.g.harmonics))
+    r = float(spec.R) + abs(float(spec.epsilon)) * sum(abs(float(x)) for x in amps)
+    if spec.geometry is Geometry.HYPERBOLIC and not r < _H2_BUILD_RADIUS:
+        raise OutOfRange(f"H2 radius up to {r!r} too large: past {_H2_BUILD_RADIUS:.4f}, "
+                         "cosh^2 r + sinh^2 r passes 1e12 and the hyperboloid's -<p, p> = 1 cancels")
     if np.any(geodesic_curvature(curve, np.linspace(0.0, 2 * np.pi, 128, endpoint=False)) <= 0):
         raise NonConvex("deformation too large: curve loses convexity")
     return curve
@@ -213,19 +227,6 @@ def s2_residual_operator(f: TrigPolynomial, alpha: float, c: float, a: float,
         return a * cot * (S(f(t + c)) - S(f(t - c))) - (df(t + c) + df(t - c))
 
     return residual
-
-
-def linearized_coefficient_check(geometry: Geometry, R: float, alpha: float):
-    """(a cot(alpha) cs(f_star), cot c) -- equal for every (R, alpha).
-
-    The equality is what reduces the linearized chord equation to
-    k tan c = tan(kc).
-    """
-    c, a = angles.lemma_constants(geometry, R, alpha)
-    fs = angles.f_star(geometry, R, alpha)
-    lhs = a * (np.cos(alpha) / np.sin(alpha)) * geometry.kernel.cs(fs)
-    rhs = np.cos(c) / np.sin(c)
-    return float(lhs), float(rhs)
 
 
 def verify_curve_gutkin(curve: ParametricCurve, alpha: float, n_samples: int = 64) -> dict:

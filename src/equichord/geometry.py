@@ -223,7 +223,7 @@ class _Kernel(NamedTuple):
     """Everything that depends on the geometry, for curvature K = 0, 1, -1.
 
     ``sn``, ``cs``, ``tn`` are sn_K, cs_K, tn_K: (x, 1, x) on E2, (sin, cos,
-    tan) on S2, (sinh, cosh, tanh) on H2; ``arccot`` inverts 1/tn_K.
+    tan) on S2, (sinh, cosh, tanh) on H2.
     ``dot`` is the ambient inner product, ``normal(p, T)`` the unit normal on
     the convex side of a counterclockwise curve, and ``side(p, d)``, for
     lanes of points p and directions d, two functions ``f(q)``: one affine
@@ -244,7 +244,6 @@ class _Kernel(NamedTuple):
     sn: Callable
     cs: Callable
     tn: Callable
-    arccot: Callable
     dot: Callable
     distance: Callable
     project: Callable
@@ -256,17 +255,17 @@ class _Kernel(NamedTuple):
 
 _KERNELS = {
     "E2": _Kernel(
-        K=0.0, sn=lambda x: x, cs=np.ones_like, tn=lambda x: x, arccot=lambda x: 1.0 / x,
+        K=0.0, sn=lambda x: x, cs=np.ones_like, tn=lambda x: x,
         dot=lambda u, v: u[0] * v[0] + u[1] * v[1], distance=_euclidean_distance, project=lambda x: x,
         normal=lambda p, t: (-t[1], t[0]), side=_line_side,
         embed=lambda x, y, pole: Points((x, y)), max_radius=np.inf),
     "S2": _Kernel(
-        K=1.0, sn=np.sin, cs=np.cos, tn=np.tan, arccot=lambda x: np.arctan2(1.0, x),
+        K=1.0, sn=np.sin, cs=np.cos, tn=np.tan,
         dot=_dot3, distance=_spherical_distance,
         project=lambda x: _scale(x, np.sqrt(_dot3(x, x))), normal=_cross, side=_plane_side,
         embed=lambda x, y, pole: Points((x, y, pole)), max_radius=np.pi / 2),
     "H2": _Kernel(
-        K=-1.0, sn=np.sinh, cs=np.cosh, tn=np.tanh, arccot=lambda x: np.arctanh(1.0 / x),
+        K=-1.0, sn=np.sinh, cs=np.cosh, tn=np.tanh,
         dot=_minkowski_dot, distance=_hyperbolic_distance,
         project=lambda x: _scale(x, np.sqrt(-_minkowski_dot(x, x))), normal=_hyperbolic_normal,
         side=_plane_side, embed=lambda x, y, pole: Points((pole, x, y)),

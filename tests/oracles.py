@@ -9,7 +9,8 @@ angle loops with the arccos of the cosine as an independent formula, the
 beta-angle sum and the angle periodicity of a Gutkin polygon, a canonical
 similarity frame for comparing polygons, the extended-precision
 arc-length inversions of validate_partials, to be checked against
-cold-started ones, the chord record and the partials report with every
+cold-started ones, the identity a cot(alpha) cs(f*) = cot c that reduces the
+linearized S2/H2 chord equation to k tan c = tan kc, the chord record and the partials report with every
 quantity evaluated where it is used (18 stencil ends a sample), the
 references for the shared evaluations, the curve formulas evaluated on stacked (..., dim)
 points, the reference for the coordinate columns the curves return, and the
@@ -33,7 +34,9 @@ from equichord import (
     build_deformed_circle,
     build_e2_curve,
     circle_curve,
+    f_star,
     geodesic_curvature,
+    lemma_constants,
     validate_partials,
 )
 from equichord.angles import _polefree, _restr2_residual
@@ -302,6 +305,17 @@ def e2_residual_formula(f: TrigPolynomial, alpha: float):
 
     return residual
 
+
+
+def linearized_coefficient_check(geometry: Geometry, R: float, alpha: float):
+    """(a cot(alpha) cs(f_star), cot c) -- equal for every (R, alpha).
+
+    The equality is what reduces the linearized chord equation to
+    k tan c = tan(kc).
+    """
+    c, a = lemma_constants(geometry, R, alpha)
+    lhs = a * (np.cos(alpha) / np.sin(alpha)) * geometry.kernel.cs(f_star(geometry, R, alpha))
+    return float(lhs), float(np.cos(c) / np.sin(c))
 
 ZERO_TOL = 1e-9  # the float zero tests' threshold
 

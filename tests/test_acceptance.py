@@ -15,6 +15,7 @@ import equichord as eq
 from equichord import Geometry
 from equichord.cli import main as cli_main
 from equichord.errors import Infeasible, NotClosed
+from oracles import linearized_coefficient_check
 
 ALPHA4 = float(np.arctan(np.sqrt(5.0)))
 
@@ -88,7 +89,7 @@ def test_04_lemma_constants():
                             (Geometry.HYPERBOLIC, np.linspace(0.05, 3.0, 20))):
         for Rg in radii:
             for al in np.linspace(0.1, np.pi - 0.1, 20):
-                lhs, rhs = eq.linearized_coefficient_check(geometry, float(Rg), float(al))
+                lhs, rhs = linearized_coefficient_check(geometry, float(Rg), float(al))
                 if abs(lhs - rhs) >= 1e-12 * (1 + abs(lhs)):
                     ok = False
     _report(4, "lemma constants (c, a) and a cot(alpha) cos(f*) = cot c grid", ok)

@@ -190,6 +190,24 @@ class TestLemmaConstants:
 
 
 class TestFStar:
+    def test_right_angle_on_h2(self):
+        """At alpha = pi/2, tanh f* = tanh R and a = hypot(cos alpha cosh R, 1):
+        f* is R and a is 1 within a few ulps on H2 up to R = 14, where the
+        forms 1 - tanh R and cosh^2 R - sinh^2 R lost up to 5.4e-6 and 3.1e-5."""
+        for R in np.concatenate([np.geomspace(1e-8, 1.0, 30), np.linspace(1.0, 14.0, 40)]):
+            R = float(R)
+            assert abs(f_star(Geometry.HYPERBOLIC, R, np.pi / 2) - R) <= 4 * np.spacing(R)
+            assert abs(lemma_constants(Geometry.HYPERBOLIC, R, np.pi / 2)[1] - 1.0) <= 4 * np.spacing(1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_h2_large_radius_is_finite(self):
+        """Past R = 372, exp(-2R) is zero and tanh R rounds to 1, so f* is the
+        artanh of sin alpha, finite and without a warning even at alpha = pi/2,
+        where 1 - sin alpha = cos^2 alpha / (1 + sin alpha) is about 1.9e-33."""
+        assert f_star(Geometry.HYPERBOLIC, 400.0, 1.0) == pytest.approx(np.arctanh(np.sin(1.0)), rel=1e-15)
+        one_minus_sin = np.cos(np.pi / 2) ** 2 / 2
+        assert f_star(Geometry.HYPERBOLIC, 400.0, np.pi / 2) == pytest.approx(np.log(2 / one_minus_sin) / 2, rel=1e-15)
+
     def test_alpha_out_of_range(self):
         for geometry in (Geometry.SPHERICAL, Geometry.HYPERBOLIC):
             for alpha in (-0.5, 0.0, np.pi, 4.0, float("nan")):

@@ -22,6 +22,14 @@ S2_SPEC = {"geometry": "spherical", "R": 1.0471975511965976, "epsilon": 0.001,
 H2_SPEC = {"geometry": "hyperbolic", "R": 0.9, "epsilon": 0.002,
            "g": [{"k": 5, "amp": 1.0, "phase": 0.4}], "alpha": "auto-k5"}
 RECTANGLE = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]
+# H2 specs whose largest radius passes the hyperboloid's bound, about 14.16
+H2_BEYOND_BOUND = [
+    {"geometry": "hyperbolic", "R": 19.0, "epsilon": 0.0, "alpha": np.pi / 2},
+    {"geometry": "hyperbolic", "R": 30.0, "epsilon": 0.0, "alpha": np.pi / 2},
+    {"geometry": "hyperbolic", "R": 30.0, "epsilon": 0.0, "alpha": 1.0},
+    {"geometry": "hyperbolic", "R": 30.0, "epsilon": 0.0},
+    {"geometry": "hyperbolic", "R": 400.0, "epsilon": 0.01, "g": [{"k": 4, "amp": 1.0}], "alpha": 1.0},
+]
 
 
 def no_alpha(option):
@@ -233,36 +241,27 @@ class TestCurveCommands:
         assert result.exit_code == 3
         assert result.stderr == "error: k tan c = tan kc has no roots for k=3\n"
 
-    @pytest.mark.parametrize("spec, operator", [(S2_SPEC, "S2"), (H2_SPEC, "H2")], ids=["S2", "H2"])
-    def test_deformed_circle_needs_alpha_everywhere(self, runner, write_spec, spec, operator):
-        """A deformed circle's constants c, a and f* come from alpha, so every
-        command refuses an S2/H2 spec without one, even those that do not shoot.
-        A command with an angle option names it; one without says why."""
+    @pytest.mark.parametrize("spec, operator", [(E2_SPEC, "E2"), (S2_SPEC, "S2"), (H2_SPEC, "H2")],
+                             ids=["E2", "S2", "H2"])
+    def test_spec_needs_alpha_only_to_shoot(self, runner, write_spec, spec, operator):
+        """No curve needs an angle: without alpha a spec of any geometry builds,
+        with the same length and curvature and no alpha printed, and validates its
+        partials; verify, residual and orbit refuse it, naming their angle option,
+        and with the spec's alpha given by that option print what the spec prints."""
         path = write_spec({k: v for k, v in spec.items() if k != "alpha"})
-        build = f"error: spec has no alpha; an {operator} spec needs it to build the curve\n"
-        for args, message in ((["curve", "build"], build), (["chords", "validate", "--samples", "2"], build),
-                              (["curve", "verify"], no_alpha("--alpha")),
-                              (["curve", "residual", "--operator", operator], no_alpha("--alpha")),
-                              (["billiard", "orbit", "--steps", "1"], no_alpha("--theta"))):
-            result = runner.invoke(main, args + ["--spec", path])
-            assert result.exit_code == 3, args
-            assert (result.stdout, result.stderr) == ("", message), args
-        out = json.loads(run_ok(runner, ["curve", "verify", "--spec", path, "--alpha", "auto-k4"]))
-        assert out["alpha"] > 0
-
-    def test_euclidean_spec_needs_alpha_only_to_shoot(self, runner, write_spec):
-        """Without alpha an E2 spec builds and validates its partials; verify,
-        residual and orbit refuse it unless --alpha/--theta gives one."""
-        path = write_spec({k: v for k, v in E2_SPEC.items() if k != "alpha"})
-        assert "alpha" not in json.loads(run_ok(runner, ["curve", "build", "--spec", path]))
+        full = write_spec(spec, "with_alpha.json")
+        built = json.loads(run_ok(runner, ["curve", "build", "--spec", path]))
+        assert built == {k: v for k, v in json.loads(run_ok(runner, ["curve", "build", "--spec", full])).items()
+                         if k != "alpha"}
         run_ok(runner, ["chords", "validate", "--spec", path, "--samples", "2"])
         for args, option in ((["curve", "verify"], "--alpha"),
-                             (["curve", "residual", "--operator", "E2"], "--alpha"),
+                             (["curve", "residual", "--operator", operator], "--alpha"),
                              (["billiard", "orbit", "--steps", "1"], "--theta")):
             result = runner.invoke(main, args + ["--spec", path])
             assert result.exit_code == 3, args
             assert (result.stdout, result.stderr) == ("", no_alpha(option)), args
-            run_ok(runner, args + ["--spec", path, option, "auto-k4"])
+            assert (run_ok(runner, args + ["--spec", path, option, spec["alpha"]])
+                    == run_ok(runner, args + ["--spec", full])), args
 
     @pytest.mark.parametrize("spec, operator", [(E2_SPEC, "S2"), (S2_SPEC, "E2"), (S2_SPEC, "H2")],
                              ids=["E2 spec, S2", "S2 spec, E2", "S2 spec, H2"])
@@ -381,18 +380,19 @@ class TestBilliardAndChords:
     def test_nan_chord_stderr_is_one_line(self, tmp_path):
         """No numpy warning precedes the error line, on a NaN chord (at R = 400 the
         ends' cosh R squared overflows), on an H2 radius whose length or sinh and
-        cosh overflow, or on a deformed H2 curve whose lemma constants square an
-        overflowing cosh R; run as a real process, because
+        cosh overflow, or on a deformed H2 spec whose largest radius is past the
+        hyperboloid's bound, at any alpha or none (R = 19 at a right angle printed
+        a NaN curvature after three warnings); run as a real process, because
         pytest would catch the warning before it reached stderr."""
         src = str(pathlib.Path(equichord.__file__).parents[1])
-        spec = tmp_path / "h2_r400.json"
-        spec.write_text(json.dumps({"geometry": "hyperbolic", "R": 400.0, "epsilon": 0.01,
-                                    "g": [{"k": 4, "amp": 1.0}], "alpha": 1.0}))
-        for args in (["chords", "validate", "--circle", "H2", "--radius", "20", "--samples", "20"],
+        specs = [tmp_path / f"h2_{i}.json" for i in range(len(H2_BEYOND_BOUND))]
+        for spec, data in zip(specs, H2_BEYOND_BOUND):
+            spec.write_text(json.dumps(data))
+        for args in (*(["curve", "build", "--spec", str(spec)] for spec in specs),
+                     ["chords", "validate", "--circle", "H2", "--radius", "20", "--samples", "20"],
                      ["chords", "validate", "--circle", "H2", "--radius", "40", "--samples", "20"],
                      ["chords", "validate", "--circle", "H2", "--radius", "400", "--samples", "2"],
                      ["chords", "validate", "--circle", "H2", "--radius", "400", "--samples", "20"],
-                     ["curve", "build", "--spec", str(spec)],
                      ["chords", "validate", "--circle", "H2", "--radius", "709", "--samples", "2"],
                      ["chords", "validate", "--circle", "H2", "--radius", "800", "--samples", "3"],
                      ["solve-angle", "--k", "4", "--geometry", "H2", "--radius", "800"]):
@@ -403,6 +403,24 @@ class TestBilliardAndChords:
             assert proc.stdout == ""
             lines = proc.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("data", H2_BEYOND_BOUND, ids=["R19 right", "R30 right", "R30 a1", "R30 none", "R400"])
+    @pytest.mark.parametrize("command, option", [(["curve", "build"], None), (["curve", "verify"], "--alpha"),
+                                                 (["billiard", "orbit", "--steps", "2"], "--theta")],
+                             ids=["build", "verify", "orbit"])
+    def test_h2_spec_past_the_hyperboloid_bound(self, runner, write_spec, data, command, option):
+        """A deformed H2 spec is refused by its largest radius, at any alpha, with
+        one error line and no warning (a warning fails this test); a command that
+        shoots refuses a spec without alpha first."""
+        result = runner.invoke(main, command + ["--spec", write_spec(data)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        if option and "alpha" not in data:
+            assert (result.stdout, result.stderr) == ("", no_alpha(option))
+        else:
+            assert result.stdout == ""
+            assert re.fullmatch(r"error: H2 radius up to \S+ too large: past 14\.1621, cosh\^2 r \+ sinh\^2 r "
+                                r"passes 1e12 and the hyperboloid's -<p, p> = 1 cancels\n", result.stderr)
 
 
 def _leaf_commands(group, prefix=""):

@@ -16,16 +16,17 @@ from equichord import (
     closure_defect,
     contact_angle_from_c,
     curves,
+    f_star,
     geodesic_curvature,
     gutkin_roots,
     lemma_constants,
-    linearized_coefficient_check,
     s2_residual_operator,
     shoot_to_curve,
     verify_curve_gutkin,
 )
 from equichord.errors import NonConvex, NotAdmissible, NotClosed, OutOfRange
-from oracles import e2_residual_formula, gutkin_chord_length_formula, stacked_derivatives
+from oracles import (e2_residual_formula, gutkin_chord_length_formula, linearized_coefficient_check,
+                     stacked_derivatives)
 
 ALPHA4 = float(np.arctan(np.sqrt(5.0)))
 
@@ -266,6 +267,41 @@ class TestDeformedCircle:
         shape_err = np.abs(delta - predicted).max() / np.abs(predicted).max()
         assert shape_err < 1e-3
 
+    def test_constants_need_alpha_only_when_read(self):
+        """A deformed circle without alpha builds; its c, a and f_star are the lemma
+        constants at the spec's alpha, derived when first read, and OutOfRange
+        without one."""
+        g = TrigPolynomial(0.0, (Harmonic(4, 1.0, 0.0),))
+        for geometry, R in ((Geometry.SPHERICAL, 1.0), (Geometry.HYPERBOLIC, 0.9)):
+            bare = DeformedCircle(geometry, R, 1e-3, g)
+            assert bare.alpha is None
+            build_deformed_circle(bare)
+            for name in ("c", "a", "f_star"):
+                with pytest.raises(OutOfRange, match="without alpha"):
+                    getattr(bare, name)
+            spec = DeformedCircle(geometry, R, 1e-3, g, 0.8)
+            assert (spec.c, spec.a) == lemma_constants(geometry, R, 0.8)
+            assert spec.f_star == f_star(geometry, R, 0.8)
+
+    @pytest.mark.filterwarnings("error")
+    def test_h2_build_bound_is_the_largest_radius(self):
+        """On H2 the build refuses a largest radius R + |eps| (|c0| + sum |amp|) from
+        arccosh(1e12) / 2 on, where cosh^2 r + sinh^2 r = cosh 2r reaches 1e12, at
+        any alpha or none; a bad R is still the radius check's refusal."""
+        bound = float(np.arccosh(1e12)) / 2
+        assert 14.16 < bound < 14.17
+        g = TrigPolynomial(0.0, (Harmonic(4, -0.5, 0.0), Harmonic(6, 0.25, 1.0)))
+        build_deformed_circle(DeformedCircle(Geometry.HYPERBOLIC, 14.0, 0.2, g))
+        build_deformed_circle(DeformedCircle(Geometry.HYPERBOLIC, np.nextafter(bound, 0), 0.0, TrigPolynomial()))
+        for R, eps, alpha in ((14.0, 0.25, None), (14.0, -0.25, 1.0), (bound, 0.0, np.pi / 2),
+                              (19.0, 0.0, np.pi / 2), (400.0, 0.01, 1.0)):
+            spec = DeformedCircle(Geometry.HYPERBOLIC, R, eps, g if eps else TrigPolynomial(), alpha)
+            with pytest.raises(OutOfRange, match="hyperboloid's -<p, p> = 1 cancels"):
+                build_deformed_circle(spec)
+        for R in (None, np.nan, 800.0):
+            with pytest.raises(OutOfRange, match="radius must lie in"):
+                build_deformed_circle(DeformedCircle(Geometry.HYPERBOLIC, R, 0.0, TrigPolynomial()))
+
     def test_first_harmonic_rejected(self):
         with pytest.raises(NotClosed):
             DeformedCircle(geometry=Geometry.SPHERICAL, R=1.0, epsilon=1e-3,
@@ -298,11 +334,14 @@ class TestResidualOrders:
            st.integers(4, 8), st.booleans(), st.integers(0, 9), st.floats(0.2, np.pi - 0.2),
            st.floats(-np.pi, np.pi))
     @settings(max_examples=30, deadline=None)
+    @example(Geometry.SPHERICAL, 0.0, 6, True, 3, 1.0, -0.171875)
     def test_orders_on_random_deformed_circles(self, geometry, u, k, admissible, index, c_other,
                                                phase):
         """A deformation cos(kt + phase) of amplitude eps leaves an O(eps^2) angle
         residual when c solves k tan c = tan kc and an O(eps) one otherwise: halving
-        eps divides it by 4 or by 2."""
+        eps divides it by 4 or by 2. The O(eps^2) part carries harmonic 2k, so the
+        curve is sampled 8k times, four samples to its period: 24 samples can fall
+        on its zeros (k = 6 above), leaving the O(eps^3) part to set the order."""
         R = 0.3 + (1.1 if geometry is Geometry.SPHERICAL else 2.2) * u
         roots = gutkin_roots(k)
         if admissible:
@@ -318,7 +357,7 @@ class TestResidualOrders:
         for e in (eps, eps / 2):
             spec = DeformedCircle(geometry=geometry, R=R, epsilon=e, alpha=alpha,
                                   g=TrigPolynomial(0.0, (Harmonic(k, 1.0, phase),)))
-            res.append(verify_curve_gutkin(build_deformed_circle(spec), alpha, 24)["max_angle_residual"])
+            res.append(verify_curve_gutkin(build_deformed_circle(spec), alpha, 8 * k)["max_angle_residual"])
         order = np.log2(res[0] / res[1])
         assert abs(order - (2 if admissible else 1)) < 0.2, (res, order)
 

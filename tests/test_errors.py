@@ -125,12 +125,15 @@ class TestLibraryContract:
     def test_fourier_curve_e2(self, c0, harmonics):
         within_contract(lambda: build_e2_curve(FourierCurveE2(c0=c0, harmonics=harmonics)))
 
-    @given(GEOMETRIES, RADII, NUMBERS, HARMONICS, NUMBERS)
+    @given(GEOMETRIES, RADII, NUMBERS, HARMONICS, st.one_of(st.none(), NUMBERS))
     @settings(max_examples=150, deadline=None)
     def test_deformed_circle(self, geometry, radius, epsilon, g, alpha):
+        """The build, and the constants derived from alpha when first read."""
         def build():
             poly = TrigPolynomial(0.0, tuple(Harmonic(*h) for h in g))
-            build_deformed_circle(DeformedCircle(geometry, radius, epsilon, poly, alpha))
+            spec = DeformedCircle(geometry, radius, epsilon, poly, alpha)
+            for read in (lambda: build_deformed_circle(spec), lambda: spec.c, lambda: spec.a, lambda: spec.f_star):
+                within_contract(read)
         within_contract(build)
 
     @pytest.mark.parametrize("build", [
