@@ -43,32 +43,26 @@ class ArcLengthParam:
     an E2 Fourier curve in its turning-angle parameter, sn_K(R) on a geodesic
     circle) is integrated term by term: the speed c0 + sum A cos(kt + p)
     gives mean_speed = c0, a_k = (A / k) cos p and b_k = -(A / k) sin p, with
-    equal orders merged and orders whose coefficients are both zero dropped;
-    nothing is sampled, and ``speed`` evaluates the series.
-
+    equal orders merged and orders whose coefficients are both zero dropped.
     Any other curve's speed is sampled on a uniform grid and integrated
-    through its Fourier series (trapezoid/FFT, spectrally accurate for smooth
-    periodic speed).  Only the harmonics above the round-off floor of the
-    sampled speed, eps * (mean_speed + its total variation over a period),
-    are kept: below it the FFT returns rounding noise (at most 0.17 of the
-    floor on about 20000 random E2 curves, whose real orders sat over 4e7
-    above it), and every kept order costs a sin and a cos per evaluation.
+    through its FFT, keeping the orders above the round-off floor eps *
+    (mean_speed + its total variation over a period) (docs/derivation.md).
 
     Either way a speed with no harmonic left (a circle) gives
     s = mean_speed * t exactly, and a length that overflows floating point
-    is refused.  Inversion is by safeguarded Newton (s is strictly
-    increasing); both directions accept any real argument, of any shape, and
-    wrap naturally; they, and ``speed``, read it as a double.
+    is refused.  ``s_of_t`` and ``t_of_s`` read the series alone: Newton's
+    slope is its own derivative s', from the same sin kt and cos kt.
+    ``speed`` is |gamma'|, the closed form or the velocity's norm.  Every
+    method takes any real argument, of any shape, as a double, and wraps.
     """
 
     def __init__(self, curve: ParametricCurve):
-        self.curve = curve
         if curve._speed is None:
-            self._series = None
             floor = self._sample(curve)
+            self._velocity_norm = lambda t: mnorm(curve.geometry, curve.velocity(t))
         else:
-            self._series, floor = curve._speed
-            self._integrate(self._series)
+            self._velocity_norm, floor = curve._speed
+            self._integrate(self._velocity_norm)
         # t_of_s's bracket about s / mean_speed: P = sum |a_k| + 2 sum |b_k| bounds the
         # periodic part, so the root lies within P / mean_speed, and Newton's first
         # step moves at most P / (least speed) further (docs/derivation.md)
@@ -87,8 +81,7 @@ class ArcLengthParam:
         ks = sorted(k for k, ab in coeffs.items() if ab != (0.0, 0.0))
         self.mean_speed = float(series.c0)
         self._ks = np.array(ks, dtype=np.int64)
-        self._a = np.array([coeffs[k][0] for k in ks], dtype=float)
-        self._b = np.array([coeffs[k][1] for k in ks], dtype=float)
+        self._a, self._b = (np.array([coeffs[k][i] for k in ks], dtype=float) for i in (0, 1))
 
     def _sample(self, curve) -> float:
         """Coefficients from the FFT of the sampled speed; returns its least sample."""
@@ -109,22 +102,24 @@ class ArcLengthParam:
         # a sample rounds like the speed plus its grid point times the slope (summing to the variation)
         variation = np.abs(np.diff(speeds, append=speeds[:1])).sum()
         keep = (np.abs(a) + np.abs(b)) > np.finfo(float).eps * (self.mean_speed + variation)
-        self._ks = k[keep]
-        self._a = a[keep]
-        self._b = b[keep]
+        self._ks, self._a, self._b = k[keep], a[keep], b[keep]
         return speeds.min()
 
-    def s_of_t(self, t):
-        t = np.asarray(t, dtype=float)
+    def _s_and_slope(self, t):
+        """(s(t), s'(t)) at a double t, from one sin kt and one cos kt per kept order."""
+        if not self._ks.size:
+            return self.mean_speed * t, np.full(np.shape(t), self.mean_speed)[()]
         kt = np.multiply.outer(t, self._ks)
-        per = (np.sin(kt) * self._a).sum(axis=-1) - (np.cos(kt) * self._b).sum(axis=-1) + self._b.sum()
-        return self.mean_speed * t + per
+        sin, cos = np.sin(kt), np.cos(kt)
+        per = (sin * self._a).sum(axis=-1) - (cos * self._b).sum(axis=-1) + self._b.sum()
+        slope = ((cos * self._a + sin * self._b) * self._ks).sum(axis=-1)
+        return self.mean_speed * t + per, self.mean_speed + slope
+
+    def s_of_t(self, t):
+        return self._s_and_slope(np.asarray(t, dtype=float))[0]
 
     def speed(self, t):
-        t = np.asarray(t, dtype=float)[()]
-        if self._series is not None:
-            return self._series(t)
-        return mnorm(self.curve.geometry, self.curve.velocity(t))
+        return self._velocity_norm(np.asarray(t, dtype=float)[()])
 
     def t_of_s(self, s, start=None):
         """Parameter t with s_of_t(t) = s, elementwise over s of any shape.
@@ -132,18 +127,20 @@ class ArcLengthParam:
         Newton (``geometry._newton``) runs on the whole array, in place, from
         s / mean_speed, or from ``start`` (one first guess per element of s)
         when given; an element's root is kept from the round it converges in,
-        so it takes exactly the steps it would take alone.  A guess O(h^2)
-        from the root, such as a known t plus h / speed, converges in two steps.  With no
-        harmonic kept, t is s / mean_speed and no Newton step is taken.  A
-        scalar gives a numpy double.
+        so it takes exactly the steps it would take alone; a round evaluates
+        the series once for s and s'.  A guess O(h^2) from the root, such as a
+        known t plus h / s'(t), converges in two steps.  With no harmonic
+        kept, t is s / mean_speed and no Newton step is taken.  A scalar gives
+        a numpy double.
         """
         s = np.asarray(s, dtype=float)
-        if not self._ks.size:
-            return (s / self.mean_speed)[()]
         centre = s / self.mean_speed
+        if not self._ks.size:
+            return centre[()]
         t = centre if start is None else np.asarray(start, dtype=float).reshape(s.shape)
         def f(t):
-            return self.s_of_t(t) - s, self.speed(t)
+            y, dy = self._s_and_slope(t)
+            return y - s, dy
         return _newton(f, (centre - self._reach)[()], (centre + self._reach)[()], t[()])
 
 
@@ -191,7 +188,8 @@ def chord_data(curve: ParametricCurve, x, y, arclen: ArcLengthParam | None = Non
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise OutOfRange("chord ends must be finite arc lengths")
     Ltot = arclen.total_length
-    if np.any((np.abs((x - y) % Ltot) < 1e-12) | (np.abs((y - x) % Ltot) < 1e-12)):
+    gap = 1e-12 * arclen.mean_speed  # 1e-12 on a curve of length 2 pi; scales with the curve
+    if np.any((np.abs((x - y) % Ltot) < gap) | (np.abs((y - x) % Ltot) < gap)):
         raise Degenerate("chord endpoints coincide mod curve length")
 
     t = arclen.t_of_s(np.stack([x, y]))
@@ -249,7 +247,7 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0)
     +-2h, +-3h} and the same about y; the ends of every sample in a block are
     inverted in one arc-length inversion and evaluated in one point call, and
     one broadcast distance pairs them up.  That inversion starts each end at
-    t_end + ds / speed(t_end), from the chord end chord_data has already
+    t_end + ds / s'(t_end), from the chord end chord_data has already
     inverted; the guess is O(h^2) from the root, so Newton takes two or three steps.
 
     Raises OutOfRange for a sample count that is not an integer or is below
@@ -284,7 +282,7 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0)
             s = np.stack([x + ds, y + ds])
             s_end = np.stack([cd.x, cd.y])[:, None]
             t_end = np.stack([cd.tx, cd.ty])[:, None]
-            t = arclen.t_of_s(s, start=t_end + (s - s_end) / arclen.speed(t_end))
+            t = arclen.t_of_s(s, start=t_end + (s - s_end) / arclen._s_and_slope(t_end)[1])
             p, q = zip(*curve.point(t))
             # d[i, j] is the chord from x + (i - 3) h to y + (j - 3) h
             d = curve.geometry.kernel.distance(tuple(c[:, None] for c in p), tuple(c[None, :] for c in q))

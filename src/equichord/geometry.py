@@ -442,12 +442,11 @@ def _frame(geometry, t, p, v):
     kern = geometry.kernel
     speed2 = kern.dot(v, v)
     speed = np.sqrt(speed2)
-    if _any(~(speed >= 1e-10)):  # a NaN speed fails it too
+    if _any(~(speed > 0.0)):  # a NaN speed fails it too; a tiny one is a small curve
         nan = np.ravel(np.isnan(speed))
         if nan.any():
             raise OutOfRange(f"the curve's velocity at t = {float(np.ravel(t)[nan.argmax()])!r} is not finite")
-        i = np.flatnonzero(speed < 1e-10)[0]
-        raise Degenerate(f"curve speed {np.ravel(speed)[i]:.3e} at t={np.ravel(t)[i]}")
+        raise Degenerate(f"curve speed {np.min(speed):.3e} at t={np.ravel(t)[np.argmin(speed)]}")
     tan = _scale(v, speed)
     return tan, kern.normal(p, tan), speed2
 

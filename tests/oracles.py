@@ -256,7 +256,7 @@ def stencil_partials(curve, samples: int, seed: int, h: float, floor: float) -> 
             s = np.stack([x + sx, y + sy])
             s_end = np.stack([cd.x, cd.y])[:, None]
             t_end = np.stack([cd.tx, cd.ty])[:, None]
-            t = arclen.t_of_s(s, start=t_end + (s - s_end) / arclen.speed(t_end))
+            t = arclen.t_of_s(s, start=t_end + (s - s_end) / arclen._s_and_slope(t_end)[1])
             p, q = zip(*curve.point(t))
             d = curve.geometry.kernel.distance(p, q).reshape((7, 7) + x.shape)
         fd = np.stack([

@@ -86,10 +86,15 @@ class TestArcLength:
                     assert np.array_equal(got, want)
 
     def test_t_of_s_fails_loudly(self, wavy_curve):
-        # a speed 1e6 times too large makes every Newton step tiny
+        # a slope 1e6 times too large makes every Newton step tiny
         arclen = ArcLengthParam(wavy_curve)
-        true_speed = arclen.speed
-        arclen.speed = lambda t: 1e6 * true_speed(t)
+        true_s_and_slope = arclen._s_and_slope
+
+        def steep(t):
+            s, slope = true_s_and_slope(t)
+            return s, 1e6 * slope
+
+        arclen._s_and_slope = steep
         with pytest.raises(RuntimeError):
             arclen.t_of_s(1.0)
 
@@ -149,7 +154,7 @@ class TestArcLength:
         """A curve that knows its speed builds its arc length without a jet call
         (a jet-only curve makes one, on the 4096-point speed grid), and
         validate_partials then evaluates the jet twice a block: the chord ends
-        and the stencil's points.  The speed in every Newton round is the series."""
+        and the stencil's points.  The slope in every Newton round is the series'."""
         curve = make()
         jet, calls = curve.jet, []
 
@@ -165,6 +170,27 @@ class TestArcLength:
         assert calls == []
         validate_partials(curve, samples=5)
         assert calls == [(2, 5), (2, 7, 5)]
+
+    @pytest.mark.parametrize("make", [
+        lambda: _deformed("S2"),
+        lambda: ParametricCurve(Geometry.EUCLIDEAN, build_e2_curve(FourierCurveE2(1.0, (Harmonic(4, 0.1, 0.0),))).jet),
+    ], ids=["S2 deformed", "E2 jet only"])
+    def test_sampled_speed_needs_no_jet_after_construction(self, make):
+        """A curve read through its jet alone evaluates it three times a block of
+        validate_partials: the speed grid, the chord ends and the stencil's points.
+        Newton's slope and the stencil's warm start are the series' own
+        derivative, never a velocity: reading the velocity's norm there made
+        these 9 and 11 calls."""
+        curve = make()
+        jet, calls = curve.jet, []
+
+        def counting(t, order):
+            calls.append(np.shape(t))
+            return jet(t, order)
+
+        object.__setattr__(curve, "jet", counting)
+        validate_partials(curve, samples=5)
+        assert calls == [(4096,), (2, 5), (2, 7, 5)]
 
     @pytest.mark.parametrize("geometry, radius", [(Geometry.EUCLIDEAN, 1e308), (Geometry.HYPERBOLIC, 709.0)])
     def test_closed_form_length_overflow_is_refused(self, geometry, radius):
@@ -211,6 +237,20 @@ class TestChordData:
     def test_coincident_endpoints(self, wavy_curve):
         with pytest.raises(Degenerate, match="chord endpoints coincide"):
             chord_data(wavy_curve, 1.0, 1.0)
+
+    def test_coincident_ends_scale_with_the_curve(self):
+        """Ends 3 lengths apart coincide on a curve of c0 = 1e6, though x + 3 L
+        rounds a few ulp of 2e7 off (an absolute 1e-12 let through a chord of
+        length 2e-9), and ends 1e-13 apart, 1.6e-5 of the length, are a chord
+        of a curve of c0 = 1e-9 (an absolute 1e-12 refused them)."""
+        def build(c0):
+            return build_e2_curve(FourierCurveE2(c0, (Harmonic(4, 0.1 * c0, 0.3), Harmonic(3, -0.05 * c0, 1.0))))
+
+        big = build(1e6)
+        arclen = ArcLengthParam(big)
+        with pytest.raises(Degenerate, match="chord endpoints coincide"):
+            chord_data(big, 0.7e6, 0.7e6 + 3 * arclen.total_length, arclen)
+        assert 0 < chord_data(build(1e-9), 0.7e-9, 0.7e-9 + 1e-13).L < 2e-13
 
     def test_stationary_end_refused(self):
         """An astroid stops at t = 0; read through the unit circle's arc length,
@@ -330,7 +370,7 @@ class TestValidatePartials:
 
     @given(st.floats(0.5, 2.0), st.lists(st.tuples(st.integers(2, 8), st.floats(-0.15, 0.15),
                                                    st.floats(-np.pi, np.pi)), max_size=2),
-           st.integers(-30, 100), st.integers(0, 2**31 - 1))
+           st.integers(-60, 100), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_e2_report_is_scale_invariant(self, c0, harmonics, j, seed):
         """E2 is similarity-invariant and h follows the curve's length, so the curve
@@ -392,17 +432,17 @@ class TestStencilInversion:
     def test_newton_steps(self, monkeypatch, make, steps):
         """Three Newton steps on E2 curves with harmonics and two on deformed
         circles (5 and 4 on these E2 curves and 3 on deformed circles from a
-        cold start), none on circles; each step evaluates s_of_t once on the
-        (2, 7, samples) stencil ends."""
+        cold start), none on circles; each step evaluates s and its slope once,
+        together, on the (2, 7, samples) stencil ends."""
         curve = make()
         shapes = []
-        s_of_t = ArcLengthParam.s_of_t
+        s_and_slope = ArcLengthParam._s_and_slope
 
         def counting(self, t):
             shapes.append(np.shape(t))
-            return s_of_t(self, t)
+            return s_and_slope(self, t)
 
-        monkeypatch.setattr(ArcLengthParam, "s_of_t", counting)
+        monkeypatch.setattr(ArcLengthParam, "_s_and_slope", counting)
         validate_partials(curve, samples=40)
         assert shapes.count((2, 7, 40)) == steps
 

@@ -437,3 +437,18 @@ class TestShotInvariants:
         assert abs((back - t0 + np.pi) % (2 * np.pi) - np.pi) <= 1e-13
         assert abs(back_arrival - (np.pi - theta)) <= 1e-13
         assert abs(back_length - length) <= 1e-13
+
+    @pytest.mark.parametrize("j", [-60, -40, 40, 100])
+    def test_e2_shot_is_scale_invariant(self, j):
+        """E2 is similarity-invariant, so the curve scaled by 2^j lands at the same
+        t1 and angle, bit for bit, with every length scaled exactly; a frame refuses
+        only a speed of zero (an absolute 1e-10 refused every curve with c0 below it)."""
+        def build(scale):
+            return build_e2_curve(FourierCurveE2(scale, (Harmonic(4, 0.1 * scale, 0.3),
+                                                         Harmonic(3, -0.05 * scale, 1.0))))
+
+        t0, theta = np.linspace(0.0, 6.0, 7), np.linspace(0.2, 2.9, 7)
+        t1, arrival, length = shoot_to_curve(build(1.0), t0, theta)
+        scaled = shoot_to_curve(build(2.0 ** j), t0, theta)
+        assert np.array_equal(scaled[0], t1) and np.array_equal(scaled[1], arrival)
+        assert np.array_equal(scaled[2], length * 2.0 ** j)
