@@ -91,7 +91,8 @@ def closure_defect(c0: float, harmonics) -> float:
 class FourierCurveE2:
     """Closed convex E2 curve given by its radius of curvature.
 
-    rho(t) = c0 + sum amp cos(kt + phase) with every k >= 2; t is the
+    rho(t) = c0 + sum amp cos(kt + phase) with every k >= 2 (a k = 0 term is
+    OutOfRange: it belongs in c0, and k = 1 is NotClosed); t is the
     turning-angle parameter.  ``_rho_floor`` is the convexity check's lower
     bound on rho: its least value on a 4096-point grid less the Lipschitz
     margin, always positive.
@@ -107,10 +108,11 @@ class FourierCurveE2:
         hs = tuple(h if isinstance(h, Harmonic) else Harmonic(*h) for h in self.harmonics)
         object.__setattr__(self, "harmonics", hs)
         for h in hs:
-            if h.k < 2:
-                raise NotClosed(
-                    f"harmonic k={h.k} not allowed: first harmonics break closure"
-                )
+            if h.k == 0:
+                raise OutOfRange(f"harmonic k={h.k} is a constant: add amp * cos(phase) = "
+                                 f"{float(h.amp * np.cos(h.phase))!r} to c0")
+            if h.k == 1:
+                raise NotClosed(f"harmonic k={h.k} not allowed: first harmonics break closure")
         rho = self.rho
         grid = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
         floor = float(rho(grid).min()) - rho.lipschitz_bound() * (np.pi / 4096)
@@ -192,21 +194,16 @@ class DeformedCircle:
     f_star = property(lambda self: self._constants[2])
 
 
-_H2_BUILD_RADIUS = float(np.arccosh(1e12)) / 2  # about 14.16, where cosh^2 r + sinh^2 r = cosh 2r is 1e12
-
-
 def build_deformed_circle(spec: DeformedCircle) -> ParametricCurve:
-    """Embedded curve (longitude t, radius R + eps g(t)) with analytic derivatives,
-    the radial graph ``circle_curve`` is at eps = 0; NonConvex where its geodesic
-    curvature is not positive at one of 128 equally spaced t.  On H2 a largest radius
-    R + |eps| (|g.c0| + sum |amp|) from _H2_BUILD_RADIUS on is OutOfRange."""
+    """Embedded curve (longitude t, radius R + eps g(t)): the radial graph, checked as
+    ``circle_curve``, its eps = 0 member, is; NonConvex where its geodesic curvature
+    is not positive at one of max(128, 8 k) equally spaced t, for g's highest order
+    k (OutOfRange above 8192)."""
     curve = _radial_graph(spec.geometry, spec.R, spec.epsilon, spec.g)
-    amps = (spec.g.c0, *(h.amp for h in spec.g.harmonics))
-    r = float(spec.R) + abs(float(spec.epsilon)) * sum(abs(float(x)) for x in amps)
-    if spec.geometry is Geometry.HYPERBOLIC and not r < _H2_BUILD_RADIUS:
-        raise OutOfRange(f"H2 radius up to {r!r} too large: past {_H2_BUILD_RADIUS:.4f}, "
-                         "cosh^2 r + sinh^2 r passes 1e12 and the hyperboloid's -<p, p> = 1 cancels")
-    if np.any(geodesic_curvature(curve, np.linspace(0.0, 2 * np.pi, 128, endpoint=False)) <= 0):
+    k = int(max(spec.g.orders, default=0))
+    if k > 8192:
+        raise OutOfRange(f"g's order {k} is above 8192, the most the convexity scan resolves")
+    if np.any(geodesic_curvature(curve, np.linspace(0.0, 2 * np.pi, max(128, 8 * k), endpoint=False)) <= 0):
         raise NonConvex("deformation too large: curve loses convexity")
     return curve
 

@@ -234,7 +234,10 @@ class _Kernel(NamedTuple):
     orders planar x, planar y and the pole coordinate as ambient ``Points``;
     E2 has no pole and drops it.
     ``max_radius`` bounds circle radii: pi/2 on S2, and on H2 arccosh of the
-    largest float, below which sinh and cosh stay finite.  Points and vectors
+    largest float, below which sinh and cosh stay finite.  ``embed_radius``
+    bounds every radius a radial graph reaches: on H2 arccosh(1e12) / 2, where
+    cosh^2 r + sinh^2 r = cosh 2r reaches 1e12 and the hyperboloid's
+    -<p, p> = 1 cancels; E2 and S2 embed every radius.  Points and vectors
     are coordinate columns, and every entry is written out in components, so
     a batch rounds exactly like its points one at a time and no result
     depends on the BLAS build.
@@ -251,6 +254,7 @@ class _Kernel(NamedTuple):
     side: Callable
     embed: Callable
     max_radius: float
+    embed_radius: float
 
 
 _KERNELS = {
@@ -258,18 +262,18 @@ _KERNELS = {
         K=0.0, sn=lambda x: x, cs=np.ones_like, tn=lambda x: x,
         dot=lambda u, v: u[0] * v[0] + u[1] * v[1], distance=_euclidean_distance, project=lambda x: x,
         normal=lambda p, t: (-t[1], t[0]), side=_line_side,
-        embed=lambda x, y, pole: Points((x, y)), max_radius=np.inf),
+        embed=lambda x, y, pole: Points((x, y)), max_radius=np.inf, embed_radius=np.inf),
     "S2": _Kernel(
         K=1.0, sn=np.sin, cs=np.cos, tn=np.tan,
         dot=_dot3, distance=_spherical_distance,
         project=lambda x: _scale(x, np.sqrt(_dot3(x, x))), normal=_cross, side=_plane_side,
-        embed=lambda x, y, pole: Points((x, y, pole)), max_radius=np.pi / 2),
+        embed=lambda x, y, pole: Points((x, y, pole)), max_radius=np.pi / 2, embed_radius=np.inf),
     "H2": _Kernel(
         K=-1.0, sn=np.sinh, cs=np.cosh, tn=np.tanh,
         dot=_minkowski_dot, distance=_hyperbolic_distance,
         project=lambda x: _scale(x, np.sqrt(-_minkowski_dot(x, x))), normal=_hyperbolic_normal,
         side=_plane_side, embed=lambda x, y, pole: Points((pole, x, y)),
-        max_radius=float(np.arccosh(np.finfo(float).max))),
+        max_radius=float(np.arccosh(np.finfo(float).max)), embed_radius=float(np.arccosh(1e12)) / 2),
 }
 
 
@@ -326,7 +330,7 @@ class ParametricCurve:
     launch is the one a fresh evaluation gives, bit for bit.
 
     ``_speed`` is the speed |velocity(t)| in closed form, for the curves whose
-    builder knows it (``build_e2_curve``, ``circle_curve``): (series, floor),
+    builder knows it (``build_e2_curve``; ``_radial_graph`` at constant r): (series, floor),
     a ``TrigPolynomial`` in t with orders >= 1 and a positive lower bound on
     it.  ``ArcLengthParam`` integrates the series instead of sampling the
     speed.  It is None for a curve given only by its jet.
@@ -378,11 +382,22 @@ def _radial_graph(geometry: Geometry, R: float, eps: float, g: TrigPolynomial) -
 
     r enters through S = sn_K and C = cs_K, with S' = C and C' = -K S, and the
     point is (S(r) cos t, S(r) sin t, C(r)) in the kernel's coordinate order
-    (no pole entry on E2).  R is checked against the geometry's bound.
+    (no pole entry on E2).  OutOfRange unless R lies in (0, kernel ``max_radius``)
+    and every r it can reach, R -/+ |eps| (|g.c0| + sum |amp|), in (0, ``embed_radius``).
+    Where r is constant (eps = 0, or g has no order above 0) the speed sn_K(r) is
+    kept as the curve's ``_speed``.
     """
+    kern = geometry.kernel
     R = _check_radius(geometry, R)
+    reach = abs(float(eps)) * sum(abs(float(x)) for x in (g.c0, *(h.amp for h in g.harmonics)))
+    if not R - reach > 0.0:
+        raise OutOfRange(f"{geometry.value} radius down to {R - reach!r}: "
+                         "r = R + eps g(t) must stay positive")
+    if not R + reach < kern.embed_radius:  # only H2's bound is finite
+        raise OutOfRange(f"H2 radius up to {R + reach!r} too large: past {kern.embed_radius:.4f}, "
+                         "cosh^2 r + sinh^2 r passes 1e12 and the hyperboloid's -<p, p> = 1 cancels")
     dg, ddg = g.derivative(), g.derivative(2)
-    S, C, K, embed = geometry.kernel.sn, geometry.kernel.cs, geometry.kernel.K, geometry.kernel.embed
+    S, C, K, embed = kern.sn, kern.cs, kern.K, kern.embed
 
     def jet(t, order):
         cos, sin = np.cos(t), np.sin(t)
@@ -403,7 +418,11 @@ def _radial_graph(geometry: Geometry, R: float, eps: float, g: TrigPolynomial) -
                                  -K * (c * dr2 + s * ddr)))
         return tuple(out)
 
-    return ParametricCurve(geometry, jet)
+    curve = ParametricCurve(geometry, jet)
+    if eps == 0.0 or g.orders <= {0}:
+        speed = float(S(R + eps * g(0.0)))  # the jet's own r, in (0, 2R): sn_K > 0 there
+        object.__setattr__(curve, "_speed", (TrigPolynomial(speed), speed))
+    return curve
 
 
 def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
@@ -411,13 +430,9 @@ def circle_curve(geometry: Geometry, radius: float) -> ParametricCurve:
     radial graph r = R, a deformed circle with epsilon = 0.
 
     Geodesic curvature is 1/R, cot R, coth R and length 2*pi*R,
-    2*pi*sin R, 2*pi*sinh R on E2, S2, H2 respectively: the speed is the
-    constant sn_K(R), which the curve keeps as its ``_speed``.
+    2*pi*sin R, 2*pi*sinh R on E2, S2, H2 respectively.
     """
-    curve = _radial_graph(geometry, radius, 0.0, TrigPolynomial())
-    sr = float(geometry.kernel.sn(float(radius)))
-    object.__setattr__(curve, "_speed", (TrigPolynomial(sr), sr))
-    return curve
+    return _radial_graph(geometry, radius, 0.0, TrigPolynomial())
 
 
 def geodesic_curvature(curve: ParametricCurve, t):

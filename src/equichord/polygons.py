@@ -325,5 +325,9 @@ def construct_inscribed(n: int, k: int, arcs) -> GutkinPolygon:
 
 
 def regular_polygon(n: int) -> np.ndarray:
+    """The regular n-gon inscribed in the unit circle; OutOfRange unless n is an integer >= 3."""
+    n = _count(n, "a regular polygon's vertex count")
+    if n < 3:
+        raise OutOfRange(f"a regular polygon needs at least 3 vertices, got {n}")
     t = 2 * np.pi * np.arange(n) / n
     return np.stack([np.cos(t), np.sin(t)], axis=-1)

@@ -16,7 +16,7 @@ references for the shared evaluations, the curve formulas evaluated on stacked (
 points, the reference for the coordinate columns the curves return, and the
 chord shot on a grid of its own, the reference for the shot on the curve's
 cached ring.  The random curves the curve-layer properties are checked on
-live here too.
+live here too, and an H2 circle's bare jet, which no builder checks.
 """
 
 import numpy as np
@@ -30,6 +30,7 @@ from equichord import (
     FourierCurveE2,
     Geometry,
     Harmonic,
+    Points,
     TrigPolynomial,
     build_deformed_circle,
     build_e2_curve,
@@ -68,6 +69,19 @@ def curves(draw, kinds=("E2", "S2", "H2", "S2 circle", "H2 circle"), h2_max_radi
         return build_deformed_circle(spec)
     except NonConvex:
         reject()
+
+
+def h2_circle_jet(R):
+    """The jet of the H2 circle of radius R about the pole, with no radius check:
+    a user's jet, which the library shoots and reads past the hyperboloid's bound,
+    where its builders refuse the circle."""
+    s, c = np.sinh(R), np.cosh(R)
+
+    def jet(t, order):
+        x, y = s * np.cos(t), s * np.sin(t)
+        zero = np.zeros_like(x)
+        return (Points((c + zero, x, y)), Points((zero, -y, x)), Points((zero, -x, -y)))[:order + 1]
+    return jet
 
 
 def _stacked_trig(f: TrigPolynomial, t):

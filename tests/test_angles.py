@@ -170,10 +170,9 @@ class TestLemmaConstants:
                 lemma_constants(Geometry.SPHERICAL, 1.0, alpha)
 
     def test_h2_cancellation_is_out_of_range(self):
-        """Large H2 radii stay valid where only cosh and sinh are needed; the
-        lemma constants reject them once cosh^2 R cancels past 1e12."""
+        """Large H2 radii stay valid where only cosh and sinh are needed (the angle
+        formulas); the lemma constants reject them once cosh^2 R cancels past 1e12."""
         for R in (12.0, 40.0):
-            circle_curve(Geometry.HYPERBOLIC, R)
             assert 0.0 < contact_angle_from_c(Geometry.HYPERBOLIC, R, 1.0) <= np.pi / 2
             assert f_star(Geometry.HYPERBOLIC, R, 1.0) > 0.0
         lemma_constants(Geometry.HYPERBOLIC, 12.0, 1.0)

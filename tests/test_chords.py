@@ -21,7 +21,7 @@ from equichord import (
 )
 from equichord.errors import Degenerate, OutOfRange
 import oracles
-from oracles import curves, stencil_inversions
+from oracles import curves, h2_circle_jet, stencil_inversions
 
 EPS = np.finfo(float).eps
 LD_EPS = np.finfo(np.longdouble).eps
@@ -192,9 +192,9 @@ class TestArcLength:
         validate_partials(curve, samples=5)
         assert calls == [(4096,), (2, 5), (2, 7, 5)]
 
-    @pytest.mark.parametrize("geometry, radius", [(Geometry.EUCLIDEAN, 1e308), (Geometry.HYPERBOLIC, 709.0)])
+    @pytest.mark.parametrize("geometry, radius", [(Geometry.EUCLIDEAN, 1e308)])
     def test_closed_form_length_overflow_is_refused(self, geometry, radius):
-        """2 pi R and 2 pi sinh R overflow though the speed is finite."""
+        """2 pi R overflows though the speed is finite."""
         with pytest.raises(OutOfRange, match="length overflows"):
             ArcLengthParam(circle_curve(geometry, radius))
 
@@ -311,8 +311,19 @@ class TestValidatePartials:
         assert report["max_rel_err"] < 1e-5
 
     def test_nan_sample_refused(self):
-        with pytest.raises(OutOfRange, match=r"sample \d+ .* NaN chord partial"):
-            validate_partials(circle_curve(Geometry.HYPERBOLIC, 20.0), samples=20)
+        """A NaN chord partial is refused, not dropped from the max of the other lanes,
+        and the message names the cause.  On a user's H2 circle jet at R = 20 the
+        hyperboloid chord cancels.  On the E2 circle of radius 1e160 the length is
+        finite, but the chord's squared coordinates overflow, and the NaN is
+        inf - inf.  (The H2 builders refuse both radii that once showed these, 20 and
+        400, and a jet's sampled speed overflows first at R = 400.)"""
+        for curve, samples, cause in (
+                (ParametricCurve(Geometry.HYPERBOLIC, h2_circle_jet(20.0)), 20,
+                 "the H2 chord loses every digit to cancellation"),
+                (circle_curve(Geometry.EUCLIDEAN, 1e160), 3, "the E2 chord overflows floating point")):
+            with pytest.raises(OutOfRange, match=rf"^sample 0 \(x = \S+, y = \S+\) gives a NaN chord "
+                                                 rf"partial: {cause}$"):
+                validate_partials(curve, samples=samples)
 
     def test_h2_circle_r5(self):
         """The double stencil's rounding, eps |L| / h^2, is what H2 R = 5 reads:
@@ -368,8 +379,13 @@ class TestValidatePartials:
         """A curve of length 2 pi (c0 = 1) has l = 1, so h is exactly 2e-3."""
         assert validate_partials(wavy_curve, samples=3)["step"] == 2e-3
 
-    @given(st.floats(0.5, 2.0), st.lists(st.tuples(st.integers(2, 8), st.floats(-0.15, 0.15),
-                                                   st.floats(-np.pi, np.pi)), max_size=2),
+    # an amplitude that is subnormal, or becomes so when scaled, is not scaled exactly:
+    # at c0 = 1.5 and j = 1, A = 1e-323 and 2e-323, and the antiderivative's A / 6
+    # rounds to 0 and to 5e-324; from 1e-200 on nothing comes near the subnormals
+    @given(st.floats(0.5, 2.0),
+           st.lists(st.tuples(st.integers(2, 8),
+                              st.floats(-0.15, 0.15).filter(lambda a: a == 0.0 or abs(a) >= 1e-200),
+                              st.floats(-np.pi, np.pi)), max_size=2),
            st.integers(-60, 100), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_e2_report_is_scale_invariant(self, c0, harmonics, j, seed):

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 import equichord
 from equichord import FourierCurveE2, Harmonic, build_e2_curve, polygons
-from equichord.cli import _polygon_svg, _svg_document, main, to_json
+from equichord.cli import _CURVATURE_SAMPLES, _polygon_svg, _svg_document, main, to_json
 
 E2_SPEC = {"geometry": "euclidean", "c0": 1.0,
            "harmonics": [{"k": 4, "amp": 0.1, "phase": 0.0}],
@@ -30,6 +30,9 @@ H2_BEYOND_BOUND = [
     {"geometry": "hyperbolic", "R": 30.0, "epsilon": 0.0},
     {"geometry": "hyperbolic", "R": 400.0, "epsilon": 0.01, "g": [{"k": 4, "amp": 1.0}], "alpha": 1.0},
 ]
+# the one stderr line that refuses them, and every H2 circle past the bound
+H2_BOUND_REFUSAL = (r"error: H2 radius up to \S+ too large: past 14\.1621, cosh\^2 r \+ sinh\^2 r "
+                    r"passes 1e12 and the hyperboloid's -<p, p> = 1 cancels\n")
 
 
 def no_alpha(option):
@@ -365,25 +368,67 @@ class TestBilliardAndChords:
         assert out["samples"] == 10 and out["max_rel_err"] < 1e-5
 
     def test_chords_validate_nan_chord_exit_3(self, runner):
-        """At R = 20 the hyperboloid chord cancels and some partials come out NaN;
-        the report must refuse rather than take the max of the other lanes.  At
-        R = 400 every coordinate is finite, but cosh^2 R overflows, and the NaN is
-        inf - inf: the message names the cause."""
-        for radius, samples, cause in (("20", "20", "loses every digit to cancellation"),
-                                       ("400", "2", "overflows floating point")):
+        """At R = 20 the hyperboloid chord cancels, and at R = 400 cosh^2 R overflows:
+        either would give NaN partials (the library's diagnoses of those are checked
+        on a user's jet).  Both circles are past the hyperboloid's bound, so the
+        build refuses them with one line."""
+        for radius, samples in (("20", "20"), ("400", "2")):
             result = runner.invoke(main, ["chords", "validate", "--circle", "H2",
                                           "--radius", radius, "--samples", samples])
             assert result.exit_code == 3
-            assert re.fullmatch(r"error: sample 0 \(x = \S+, y = \S+\) gives a NaN chord partial: "
-                                rf"the H2 chord {cause}\n", result.output)
+            assert (result.stdout, result.stderr) == ("", result.output)
+            assert re.fullmatch(H2_BOUND_REFUSAL, result.output)
+
+    @pytest.mark.parametrize("tag, name, radius", [("S2", "spherical", 1.0), ("H2", "hyperbolic", 1.2)])
+    def test_zero_epsilon_spec_is_the_circle(self, runner, write_spec, tag, name, radius):
+        """An eps = 0 spec is the circle: chords validate prints the bytes --circle
+        prints, and curve build reports the circle's closed-form length and its
+        curvature."""
+        spec = write_spec({"geometry": name, "R": radius, "epsilon": 0.0})
+        validate = ["chords", "validate", "--samples", "7"]
+        assert (run_ok(runner, validate + ["--spec", spec])
+                == run_ok(runner, validate + ["--circle", tag, "--radius", str(radius)]))
+        circle = equichord.circle_curve(equichord.Geometry(tag), radius)
+        ts = np.linspace(0.0, 2 * np.pi, _CURVATURE_SAMPLES, endpoint=False)
+        kappa = equichord.geodesic_curvature(circle, ts)
+        assert run_ok(runner, ["curve", "build", "--spec", spec]) == to_json(
+            {"geometry": tag, "kind": "deformed_circle", "length": equichord.ArcLengthParam(circle).total_length,
+             "min_geodesic_curvature": float(kappa.min())}) + "\n"
+
+    def test_h2_circle_and_zero_epsilon_spec_share_the_refusal(self, runner, write_spec):
+        """At R = 15 --circle once printed a max_rel_err of 0.534 with exit 0, while
+        the same circle as a spec was refused; both are now the build's one line."""
+        circle = runner.invoke(main, ["chords", "validate", "--circle", "H2", "--radius", "15", "--samples", "5"])
+        spec = runner.invoke(main, ["chords", "validate", "--samples", "5", "--spec",
+                                    write_spec({"geometry": "hyperbolic", "R": 15.0, "epsilon": 0.0})])
+        for result in (circle, spec):
+            assert result.exit_code == 3
+            assert (result.stdout, result.stderr) == ("", circle.stderr)
+        assert re.fullmatch(H2_BOUND_REFUSAL, circle.stderr)
+
+    @pytest.mark.parametrize("data, message", [
+        ({"geometry": "spherical", "R": 0.1, "epsilon": 0.2, "g": [{"k": 4, "amp": 1.0}]},
+         "S2 radius down to -0.1: r = R + eps g(t) must stay positive"),
+        ({"geometry": "spherical", "R": 1.0, "epsilon": 1.0, "g": [{"k": 0, "amp": -2.0}]},
+         "S2 radius down to -1.0: r = R + eps g(t) must stay positive"),
+        ({"geometry": "spherical", "R": 1.0, "epsilon": 1e-4, "g": [{"k": 128, "amp": 1.0}]},
+         "deformation too large: curve loses convexity"),
+        (dict(E2_SPEC, harmonics=[{"k": 0, "amp": 0.1}]),
+         "harmonic k=0 is a constant: add amp * cos(phase) = 0.1 to c0"),
+    ], ids=["r dips below 0", "r is -1", "k = 128 aliased", "E2 k = 0"])
+    def test_curve_build_refusals(self, runner, write_spec, data, message):
+        """Specs that once built, or were refused as not closed, are refused with one line."""
+        result = runner.invoke(main, ["curve", "build", "--spec", write_spec(data)])
+        assert result.exit_code == 3
+        assert (result.stdout, result.stderr) == ("", f"error: {message}\n")
 
     def test_nan_chord_stderr_is_one_line(self, tmp_path):
-        """No numpy warning precedes the error line, on a NaN chord (at R = 400 the
-        ends' cosh R squared overflows), on an H2 radius whose length or sinh and
-        cosh overflow, or on a deformed H2 spec whose largest radius is past the
-        hyperboloid's bound, at any alpha or none (R = 19 at a right angle printed
-        a NaN curvature after three warnings); run as a real process, because
-        pytest would catch the warning before it reached stderr."""
+        """No numpy warning precedes the error line, on an H2 circle or deformed H2
+        spec whose largest radius is past the hyperboloid's bound, at any alpha or
+        none (R = 19 at a right angle printed a NaN curvature after three warnings,
+        and R = 400 once reached a NaN chord), or on an H2 radius whose sinh and
+        cosh overflow; run as a real process, because pytest would catch the
+        warning before it reached stderr."""
         src = str(pathlib.Path(equichord.__file__).parents[1])
         specs = [tmp_path / f"h2_{i}.json" for i in range(len(H2_BEYOND_BOUND))]
         for spec, data in zip(specs, H2_BEYOND_BOUND):
@@ -419,8 +464,7 @@ class TestBilliardAndChords:
             assert (result.stdout, result.stderr) == ("", no_alpha(option))
         else:
             assert result.stdout == ""
-            assert re.fullmatch(r"error: H2 radius up to \S+ too large: past 14\.1621, cosh\^2 r \+ sinh\^2 r "
-                                r"passes 1e12 and the hyperboloid's -<p, p> = 1 cancels\n", result.stderr)
+            assert re.fullmatch(H2_BOUND_REFUSAL, result.stderr)
 
 
 def _leaf_commands(group, prefix=""):

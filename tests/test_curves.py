@@ -88,6 +88,13 @@ class TestFourierCurveE2:
         with pytest.raises(NotClosed):
             FourierCurveE2(c0=1.0, harmonics=(Harmonic(1, 0.1, 0.0),))
 
+    def test_constant_harmonic_belongs_in_c0(self):
+        """A k = 0 term is a constant, which closes: OutOfRange, naming the value to
+        add to c0, not NotClosed."""
+        with pytest.raises(OutOfRange, match=r"^harmonic k=0 is a constant: add amp \* cos\(phase\) = "
+                                             r"-0\.2 to c0$"):
+            FourierCurveE2(c0=1.0, harmonics=(Harmonic(4, 0.1, 0.0), Harmonic(0, 0.2, np.pi)))
+
     def test_closure_defect_of_first_harmonic(self):
         assert closure_defect(1.0, (Harmonic(1, 0.1, 0.0),)) == pytest.approx(
             np.pi * 0.1, abs=1e-10)
@@ -301,6 +308,56 @@ class TestDeformedCircle:
         for R in (None, np.nan, 800.0):
             with pytest.raises(OutOfRange, match="radius must lie in"):
                 build_deformed_circle(DeformedCircle(Geometry.HYPERBOLIC, R, 0.0, TrigPolynomial()))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("R", [15.0, 20.0, 30.0, 400.0])
+    def test_h2_circle_past_the_bound_is_refused(self, R):
+        """A circle is the eps = 0 radial graph, so it meets the deformed circles'
+        bound: refused with the same message and no warning (a warning fails this
+        test), where it once built and its shots or partials failed later."""
+        with pytest.raises(OutOfRange, match=rf"^H2 radius up to {R!r} too large: past 14\.1621, "):
+            circle_curve(Geometry.HYPERBOLIC, R)
+        bound = Geometry.HYPERBOLIC.kernel.embed_radius
+        assert ArcLengthParam(circle_curve(Geometry.HYPERBOLIC, np.nextafter(bound, 0))).total_length > 0
+
+    @pytest.mark.parametrize("R, eps, g, low", [
+        (0.1, 0.2, TrigPolynomial(0.0, (Harmonic(4, 1.0),)), -0.1),
+        (1.0, 1.0, TrigPolynomial(0.0, (Harmonic(0, -2.0),)), -1.0),
+    ], ids=["dips below 0", "constant -1"])
+    def test_radius_must_stay_positive(self, R, eps, g, low):
+        """r = R + eps g(t) below 0 is refused where it is built: r = 0.1 + 0.2 cos 4t
+        once built and then failed its chord shots, and r = -1 once built as the
+        circle of radius 1 and verified as Gutkin."""
+        with pytest.raises(OutOfRange, match=rf"^S2 radius down to {low!r}: "
+                                             r"r = R \+ eps g\(t\) must stay positive$"):
+            build_deformed_circle(DeformedCircle(Geometry.SPHERICAL, R, eps, g))
+
+    @pytest.mark.parametrize("geometry, R", [(Geometry.SPHERICAL, 1.0), (Geometry.HYPERBOLIC, 1.2)])
+    def test_constant_radius_keeps_the_closed_form_speed(self, geometry, R):
+        """Where r is constant the speed is sn_K(r): a deformed circle with eps = 0,
+        or whose g is a constant, integrates its arc length in closed form, as the
+        circle does, and so gives the circle's length bit for bit."""
+        circle = circle_curve(geometry, R)
+        assert circle._speed == (TrigPolynomial(geometry.kernel.sn(R)), geometry.kernel.sn(R))
+        g = TrigPolynomial(0.0, (Harmonic(4, 1.0, 0.3),))
+        for spec in (DeformedCircle(geometry, R, 0.0, g), DeformedCircle(geometry, R, 0.0, TrigPolynomial()),
+                     DeformedCircle(geometry, R - 0.25, 0.5, TrigPolynomial(0.5))):
+            curve = build_deformed_circle(spec)
+            assert curve._speed == circle._speed
+            assert ArcLengthParam(curve).total_length == ArcLengthParam(circle).total_length
+        assert build_deformed_circle(DeformedCircle(geometry, R, 1e-3, g))._speed is None
+
+    def test_convexity_scan_sees_every_harmonic(self):
+        """The scan takes 8 points per period of g's highest order: at 128 points a
+        k = 128 deformation is sampled only where cos 128t = 1, and built though its
+        geodesic curvature reaches -1.67."""
+        g = TrigPolynomial(0.0, (Harmonic(128, 1.0),))
+        with pytest.raises(NonConvex, match="loses convexity"):
+            build_deformed_circle(DeformedCircle(Geometry.SPHERICAL, 1.0, 1e-4, g))
+        build_deformed_circle(DeformedCircle(Geometry.SPHERICAL, 1.0, 1e-5, g))
+        with pytest.raises(OutOfRange, match="order 8193 is above 8192, the most the convexity scan"):
+            build_deformed_circle(DeformedCircle(Geometry.SPHERICAL, 1.0, 1e-12,
+                                                 TrigPolynomial(0.0, (Harmonic(8193, 1.0),))))
 
     def test_first_harmonic_rejected(self):
         with pytest.raises(NotClosed):

@@ -347,8 +347,8 @@ class TestCliContract:
                                                    "--samples", "0"]))
 
     def test_overflowing_h2_radius(self):
-        """At R = 400 the length 2 pi sinh R is finite, but the chord ends' cosh^2 R
-        overflows, so the first sample's chord partial is NaN and is refused."""
+        """R = 400 is past the hyperboloid's bound, so the circle is refused when
+        it is built."""
         _exit_3_one_line(CliRunner().invoke(main, ["chords", "validate", "--circle", "H2",
                                                    "--radius", "400", "--samples", "2"]))
 

@@ -15,6 +15,8 @@ from equichord import (
     build_deformed_circle,
     build_e2_curve,
     circle_curve,
+    contact_angle_from_c,
+    f_star,
     geodesic_curvature,
     shoot_to_curve,
     verify_curve_gutkin,
@@ -133,12 +135,16 @@ class TestCurvature:
 
 class TestCircleRadius:
     def test_h2_bound_is_where_sinh_and_cosh_overflow(self):
+        """max_radius bounds R in the angle formulas, which need only sinh and cosh
+        of R: just below it they are finite, and the bound itself is refused."""
         bound = Geometry.HYPERBOLIC.kernel.max_radius
+        for formula in (contact_angle_from_c, f_star):
+            with pytest.raises(OutOfRange, match="H2 radius must lie in"):
+                formula(Geometry.HYPERBOLIC, bound, 1.0)
+            with np.errstate(over="raise"):
+                assert np.isfinite(formula(Geometry.HYPERBOLIC, np.nextafter(bound, 0.0), 1.0))
         with pytest.raises(OutOfRange, match="H2 radius must lie in"):
             circle_curve(Geometry.HYPERBOLIC, bound)
-        with np.errstate(over="raise"):
-            curve = circle_curve(Geometry.HYPERBOLIC, np.nextafter(bound, 0.0))
-            assert all(np.isfinite(x) for x in curve.point(0.5))
 
     @pytest.mark.parametrize("geometry", [Geometry.SPHERICAL, Geometry.HYPERBOLIC])
     def test_refusal_prints_the_bound_in_full(self, geometry):

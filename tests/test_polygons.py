@@ -63,6 +63,15 @@ class TestVerify:
         betas = verify_gutkin(regular_polygon(n), k)["beta_angles"]
         assert np.abs(betas - abs(np.pi - 2 * np.pi * k / n)).max() <= 1e-13
 
+    def test_regular_polygon_needs_an_integer_of_at_least_3(self):
+        """regular_polygon(3.7) once returned 4 points that were no regular polygon."""
+        assert np.array_equal(regular_polygon(5.0), regular_polygon(5))
+        with pytest.raises(OutOfRange, match="vertex count must be an integer, got 3.7"):
+            regular_polygon(3.7)
+        for n in (2, 0, -3):
+            with pytest.raises(OutOfRange, match=f"needs at least 3 vertices, got {n}$"):
+                regular_polygon(n)
+
     def test_clockwise_vertices_rejected(self):
         with pytest.raises(OutOfRange, match="vertices are clockwise"):
             verify_gutkin(regular_polygon(6)[::-1], 2)
