@@ -69,9 +69,7 @@ def gutkin_roots(k: int) -> list[float]:
     root; the other branches hold none.  That makes 2 floor((k-2)/2) roots,
     found by Newton on every branch at once from the branch midpoints j pi/k.
     """
-    k = _count(k, "k")
-    if k < 2:
-        raise OutOfRange("k must be an integer >= 2")
+    k = _count(k, "k", 2)
     js = np.array([j for j in range(1, k) if abs(2 * j - k) >= 2], dtype=float)
     pi_lo = 1.2246467991473532e-16  # pi - np.pi: j np.pi + j pi_lo keeps the digits np.pi drops
 

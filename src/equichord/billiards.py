@@ -54,11 +54,8 @@ def invariant_circle_residual(curve: ParametricCurve, alpha: float,
     OutOfRange for counts that are not integers, and for fewer than one step
     or one start: a check that shoots no chord would pass vacuously.
     """
-    n_steps = _count(n_steps, "invariant_circle_residual's step count")
-    n_starts = _count(n_starts, "invariant_circle_residual's start count")
-    if n_steps < 1 or n_starts < 1:
-        raise OutOfRange("invariant_circle_residual needs at least one step and one start, "
-                         f"got {n_steps} steps and {n_starts} starts")
+    n_steps = _count(n_steps, "invariant_circle_residual's step count", 1)
+    n_starts = _count(n_starts, "invariant_circle_residual's start count", 1)
     s = BilliardState(t=np.linspace(0.0, TWO_PI, n_starts, endpoint=False),
                       theta=np.full(n_starts, float(alpha)))
     worst = 0.0
@@ -75,9 +72,7 @@ def export_orbit(curve: ParametricCurve, s0: BilliardState, n_steps: int) -> lis
     Columns: (step, t, theta, chord_length).  Zero steps gives an empty table;
     a negative or non-integer count raises OutOfRange.
     """
-    n_steps = _count(n_steps, "export_orbit's step count")
-    if n_steps < 0:
-        raise OutOfRange(f"export_orbit needs a step count >= 0, got {n_steps}")
+    n_steps = _count(n_steps, "export_orbit's step count", 0)
     rows = []
     s = s0
     for i in range(n_steps):

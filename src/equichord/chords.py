@@ -44,25 +44,24 @@ class ArcLengthParam:
     circle) is integrated term by term: the speed c0 + sum A cos(kt + p)
     gives mean_speed = c0, a_k = (A / k) cos p and b_k = -(A / k) sin p, with
     equal orders merged and orders whose coefficients are both zero dropped.
-    Any other curve's speed is sampled on a uniform grid and integrated
-    through its FFT, keeping the orders above the round-off floor eps *
-    (mean_speed + its total variation over a period) (docs/derivation.md).
+    Any other curve's speed is sampled on a uniform grid over [-pi, pi) and
+    integrated through its FFT, keeping the orders above the round-off floor
+    eps * (mean_speed + its total variation over a period) (docs/derivation.md).
 
     Either way a speed with no harmonic left (a circle) gives
     s = mean_speed * t exactly, and a length that overflows floating point
     is refused.  ``s_of_t`` and ``t_of_s`` read the series alone: Newton's
-    slope is its own derivative s', from the same sin kt and cos kt.
-    ``speed`` is |gamma'|, the closed form or the velocity's norm.  Every
-    method takes any real argument, of any shape, as a double, and wraps.
+    slope is its own derivative s', from the same sin kt and cos kt, and no
+    reference to the curve is kept.  Both take any real argument, of any
+    shape, as a double, and wrap.
     """
 
     def __init__(self, curve: ParametricCurve):
         if curve._speed is None:
             floor = self._sample(curve)
-            self._velocity_norm = lambda t: mnorm(curve.geometry, curve.velocity(t))
         else:
-            self._velocity_norm, floor = curve._speed
-            self._integrate(self._velocity_norm)
+            series, floor = curve._speed
+            self._integrate(series)
         # t_of_s's bracket about s / mean_speed: P = sum |a_k| + 2 sum |b_k| bounds the
         # periodic part, so the root lies within P / mean_speed, and Newton's first
         # step moves at most P / (least speed) further (docs/derivation.md)
@@ -84,8 +83,11 @@ class ArcLengthParam:
         self._a, self._b = (np.array([coeffs[k][i] for k in ks], dtype=float) for i in (0, 1))
 
     def _sample(self, curve) -> float:
-        """Coefficients from the FFT of the sampled speed; returns its least sample."""
-        ts = np.arange(_SPEED_SAMPLES) * (2 * np.pi / _SPEED_SAMPLES)
+        """Coefficients from the FFT of the sampled speed; returns its least sample.
+        The grid is t_j = j h in FFT order, j = 0, ..., N/2 - 1, -N/2, ..., -1: the
+        points of [0, 2 pi) mod 2 pi, with |t_j| <= pi, so the rounding of j h, a
+        ramp that the FFT would carry into the kept orders, stays half as large."""
+        ts = np.fft.fftfreq(_SPEED_SAMPLES, 1.0 / _SPEED_SAMPLES) * (2 * np.pi / _SPEED_SAMPLES)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused just below
             speeds = mnorm(curve.geometry, curve.velocity(ts))
         # the sum is finite iff every speed and the total length are
@@ -117,9 +119,6 @@ class ArcLengthParam:
 
     def s_of_t(self, t):
         return self._s_and_slope(np.asarray(t, dtype=float))[0]
-
-    def speed(self, t):
-        return self._velocity_norm(np.asarray(t, dtype=float)[()])
 
     def t_of_s(self, s, start=None):
         """Parameter t with s_of_t(t) = s, elementwise over s of any shape.
@@ -250,15 +249,15 @@ def validate_partials(curve: ParametricCurve, samples: int = 100, seed: int = 0)
     t_end + ds / s'(t_end), from the chord end chord_data has already
     inverted; the guess is O(h^2) from the root, so Newton takes two or three steps.
 
-    Raises OutOfRange for a sample count that is not an integer or is below
-    one, and for a sample whose chord partial is NaN or infinite; the message
-    says whether the chord overflows (its length, or a squared coordinate of an
-    end, is infinite) or loses its digits to cancellation.
+    Raises OutOfRange for a sample count that is not an integer >= 1, a seed
+    that is not an integer >= 0, and a sample whose chord partial is NaN or
+    infinite; the message says whether the chord overflows (its length, or a
+    squared coordinate of an end, is infinite) or loses its digits to
+    cancellation.
     Returns a report dict with per-quantity and overall max relative errors.
     """
-    samples = _count(samples, "validate_partials' sample count")
-    if samples < 1:
-        raise OutOfRange(f"validate_partials needs at least one sample, got {samples}")
+    samples = _count(samples, "validate_partials' sample count", 1)
+    seed = _count(seed, "validate_partials' seed", 0)
     arclen = ArcLengthParam(curve)
     Ltot = arclen.total_length
     s = arclen.mean_speed  # Ltot / 2 pi; l = s / sqrt(1 + |K| s^2) stays below the space's scale

@@ -6,9 +6,10 @@ digits, CSV rows use the same float format, and SVG files are plain static
 documents.  Identical flags therefore give byte-identical output.
 
 Exit codes: 0 on success, 1 on an internal fault (a bug: the traceback is
-shown), 2 on usage errors (click's default), 3 on a domain error: an
-EquichordError, raised by the library or by the reading of a spec file, a
-polygon file or an option, or an OSError on a file.
+shown), 2 on a usage error (a command line click cannot parse, or a missing
+or conflicting option), 3 on a domain error, a parsed value outside its
+domain: an EquichordError, raised by the library or by the reading of a spec
+file, a polygon file or an option, or an OSError on a file.
 """
 
 from __future__ import annotations
@@ -385,8 +386,6 @@ def cmd_curve_build(spec_path, out, svg):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_curve_verify(spec_path, alpha, samples, tol, out):
     """Shoot chords at angle alpha and report the worst arrival-angle defect."""
-    if samples < 0:
-        raise click.UsageError("--samples must be >= 0")
     _positive(tol, "tol")
     geometry, _, curve, a = _load_curve(spec_path, "--alpha", alpha)
     rep = curves.verify_curve_gutkin(curve, a, n_samples=samples)
@@ -405,12 +404,11 @@ def cmd_curve_verify(spec_path, alpha, samples, tol, out):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_curve_residual(spec_path, operator, alpha, grid, out):
     """Max residual of the functional chord equation on a uniform grid."""
-    if grid < 1:
-        raise click.UsageError("--grid must be >= 1")
+    grid = _count(grid, "--grid", 1)
     geometry, spec, _, a = _load_curve(spec_path, "--alpha", alpha)
     if Geometry(operator) is not geometry:
         raise OutOfRange("operator geometry must match the spec geometry")
-    ts = np.linspace(0.0, 2 * np.pi, int(grid), endpoint=False)
+    ts = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
     if geometry is Geometry.EUCLIDEAN:
         rho = spec.rho
         f = TrigPolynomial(rho.c0 * np.sin(a),
@@ -424,7 +422,7 @@ def cmd_curve_residual(spec_path, operator, alpha, grid, out):
         c, scale = spec.c, spec.a
     res = curves.s2_residual_operator(f, a, c, scale, geometry)(ts)
     payload = {"geometry": geometry.value, "operator": operator, "alpha": a,
-               "grid": int(grid), "max_residual": float(np.abs(res).max())}
+               "grid": grid, "max_residual": float(np.abs(res).max())}
     _emit(to_json(payload), out)
 
 
@@ -442,8 +440,6 @@ def billiard():
 @click.option("--out", type=click.Path(), default=None)
 def cmd_billiard_orbit(spec_path, t0, theta, steps, out):
     """Iterate the billiard map and export the orbit as CSV."""
-    if steps < 0:
-        raise click.UsageError("--steps must be >= 0")
     _, _, curve, angle = _load_curve(spec_path, "--theta", theta)
     rows = billiards.export_orbit(curve, billiards.BilliardState(t=t0, theta=angle), steps)
     lines = ["step,t,theta,chord_length"]

@@ -29,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import angles
+from .chords import _SPEED_SAMPLES
 from .errors import NonConvex, NotClosed, OutOfRange
 from .fourier import Harmonic, TrigPolynomial
 from .geometry import (
@@ -198,11 +199,13 @@ def build_deformed_circle(spec: DeformedCircle) -> ParametricCurve:
     """Embedded curve (longitude t, radius R + eps g(t)): the radial graph, checked as
     ``circle_curve``, its eps = 0 member, is; NonConvex where its geodesic curvature
     is not positive at one of max(128, 8 k) equally spaced t, for g's highest order
-    k (OutOfRange above 8192)."""
+    k.  OutOfRange from k = 1024 on: the speed's order 2k then needs more than the
+    arc length's 4096 samples (``chords._SPEED_SAMPLES``), which fold it onto lower orders."""
     curve = _radial_graph(spec.geometry, spec.R, spec.epsilon, spec.g)
     k = int(max(spec.g.orders, default=0))
-    if k > 8192:
-        raise OutOfRange(f"g's order {k} is above 8192, the most the convexity scan resolves")
+    if not 4 * k < _SPEED_SAMPLES:
+        raise OutOfRange(f"g's order {k} is above {_SPEED_SAMPLES // 4 - 1}, the most the arc length "
+                         f"resolves: the speed's order {2 * k} needs more than {_SPEED_SAMPLES} samples")
     if np.any(geodesic_curvature(curve, np.linspace(0.0, 2 * np.pi, max(128, 8 * k), endpoint=False)) <= 0):
         raise NonConvex("deformation too large: curve loses convexity")
     return curve
@@ -233,9 +236,7 @@ def verify_curve_gutkin(curve: ParametricCurve, alpha: float, n_samples: int = 6
     Raises OutOfRange for a sample count that is not an integer, and for fewer
     than one sample: a check that shoots no chord would pass vacuously.
     """
-    n_samples = _count(n_samples, "verify_curve_gutkin's sample count")
-    if n_samples < 1:
-        raise OutOfRange(f"verify_curve_gutkin needs at least one sample, got {n_samples}")
+    n_samples = _count(n_samples, "verify_curve_gutkin's sample count", 1)
     ts = np.linspace(0.0, TWO_PI, n_samples, endpoint=False)
     _, arrival, _ = shoot_to_curve(curve, ts, alpha)
     dev = np.abs(arrival - alpha)

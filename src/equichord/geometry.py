@@ -133,14 +133,16 @@ def _any(mask) -> bool:
     return bool(mask) if mask.ndim == 0 else np.count_nonzero(mask) > 0
 
 
-def _count(n, what: str) -> int:
-    """n as an int; OutOfRange for NaN, an infinity or a fraction (3.0 passes)."""
+def _count(n, what: str, least: int | None = None) -> int:
+    """n as an int; OutOfRange for NaN, an infinity, a fraction (3.0 passes) or,
+    when ``least`` is given, a value below it."""
     try:
         i = int(n)
     except (ValueError, OverflowError):
         i = None
-    if i is None or i != n:
-        raise OutOfRange(f"{what} must be an integer, got {n!r}")
+    if i is None or i != n or (least is not None and i < least):
+        bound = "" if least is None else f" >= {least}"
+        raise OutOfRange(f"{what} must be an integer{bound}, got {n!r}")
     return i
 
 
@@ -235,9 +237,11 @@ class _Kernel(NamedTuple):
     E2 has no pole and drops it.
     ``max_radius`` bounds circle radii: pi/2 on S2, and on H2 arccosh of the
     largest float, below which sinh and cosh stay finite.  ``embed_radius``
-    bounds every radius a radial graph reaches: on H2 arccosh(1e12) / 2, where
-    cosh^2 r + sinh^2 r = cosh 2r reaches 1e12 and the hyperboloid's
-    -<p, p> = 1 cancels; E2 and S2 embed every radius.  Points and vectors
+    bounds every radius a radial graph reaches, and ``embed_reason`` says why:
+    on S2 pi, below which sn_K r = sin r is positive, as the closed-form speed
+    and the polar chart need; on H2 arccosh(1e12) / 2, where cosh^2 r +
+    sinh^2 r = cosh 2r reaches 1e12 and the hyperboloid's -<p, p> = 1
+    cancels; E2 embeds every radius.  Points and vectors
     are coordinate columns, and every entry is written out in components, so
     a batch rounds exactly like its points one at a time and no result
     depends on the BLAS build.
@@ -255,6 +259,7 @@ class _Kernel(NamedTuple):
     embed: Callable
     max_radius: float
     embed_radius: float
+    embed_reason: str = ""
 
 
 _KERNELS = {
@@ -267,13 +272,15 @@ _KERNELS = {
         K=1.0, sn=np.sin, cs=np.cos, tn=np.tan,
         dot=_dot3, distance=_spherical_distance,
         project=lambda x: _scale(x, np.sqrt(_dot3(x, x))), normal=_cross, side=_plane_side,
-        embed=lambda x, y, pole: Points((x, y, pole)), max_radius=np.pi / 2, embed_radius=np.inf),
+        embed=lambda x, y, pole: Points((x, y, pole)), max_radius=np.pi / 2, embed_radius=np.pi,
+        embed_reason="sin r stops being positive and the polar chart folds over the antipode"),
     "H2": _Kernel(
         K=-1.0, sn=np.sinh, cs=np.cosh, tn=np.tanh,
         dot=_minkowski_dot, distance=_hyperbolic_distance,
         project=lambda x: _scale(x, np.sqrt(-_minkowski_dot(x, x))), normal=_hyperbolic_normal,
         side=_plane_side, embed=lambda x, y, pole: Points((pole, x, y)),
-        max_radius=float(np.arccosh(np.finfo(float).max)), embed_radius=float(np.arccosh(1e12)) / 2),
+        max_radius=float(np.arccosh(np.finfo(float).max)), embed_radius=float(np.arccosh(1e12)) / 2,
+        embed_reason="cosh^2 r + sinh^2 r passes 1e12 and the hyperboloid's -<p, p> = 1 cancels"),
 }
 
 
@@ -383,19 +390,22 @@ def _radial_graph(geometry: Geometry, R: float, eps: float, g: TrigPolynomial) -
     r enters through S = sn_K and C = cs_K, with S' = C and C' = -K S, and the
     point is (S(r) cos t, S(r) sin t, C(r)) in the kernel's coordinate order
     (no pole entry on E2).  OutOfRange unless R lies in (0, kernel ``max_radius``)
-    and every r it can reach, R -/+ |eps| (|g.c0| + sum |amp|), in (0, ``embed_radius``).
-    Where r is constant (eps = 0, or g has no order above 0) the speed sn_K(r) is
-    kept as the curve's ``_speed``.
+    and r's range, R + eps m -/+ |eps| sum_{k >= 1} |amp| with m = c0 + sum_{k = 0}
+    amp cos(phase) g's constant part, lies in (0, ``embed_radius``).  Where r is
+    constant (eps = 0, or g has no order above 0) the speed sn_K(r) is kept as the
+    curve's ``_speed``.
     """
     kern = geometry.kernel
     R = _check_radius(geometry, R)
-    reach = abs(float(eps)) * sum(abs(float(x)) for x in (g.c0, *(h.amp for h in g.harmonics)))
-    if not R - reach > 0.0:
-        raise OutOfRange(f"{geometry.value} radius down to {R - reach!r}: "
+    eps = float(eps)
+    centre = R + eps * float(g.c0 + sum(h.amp * np.cos(h.phase) for h in g.harmonics if h.k == 0))
+    swing = abs(eps) * sum(abs(h.amp) for h in g.harmonics if h.k > 0)
+    if not centre - swing > 0.0:
+        raise OutOfRange(f"{geometry.value} radius down to {centre - swing!r}: "
                          "r = R + eps g(t) must stay positive")
-    if not R + reach < kern.embed_radius:  # only H2's bound is finite
-        raise OutOfRange(f"H2 radius up to {R + reach!r} too large: past {kern.embed_radius:.4f}, "
-                         "cosh^2 r + sinh^2 r passes 1e12 and the hyperboloid's -<p, p> = 1 cancels")
+    if not centre + swing < kern.embed_radius:
+        raise OutOfRange(f"{geometry.value} radius up to {centre + swing!r} too large: "
+                         f"past {kern.embed_radius:.4f}, {kern.embed_reason}")
     dg, ddg = g.derivative(), g.derivative(2)
     S, C, K, embed = kern.sn, kern.cs, kern.K, kern.embed
 
@@ -420,7 +430,7 @@ def _radial_graph(geometry: Geometry, R: float, eps: float, g: TrigPolynomial) -
 
     curve = ParametricCurve(geometry, jet)
     if eps == 0.0 or g.orders <= {0}:
-        speed = float(S(R + eps * g(0.0)))  # the jet's own r, in (0, 2R): sn_K > 0 there
+        speed = float(S(R + eps * g(0.0)))  # the jet's own r, below embed_radius: sn_K > 0 there
         object.__setattr__(curve, "_speed", (TrigPolynomial(speed), speed))
     return curve
 

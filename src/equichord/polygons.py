@@ -271,9 +271,7 @@ def construct_2kk(k: int, free_params=()) -> GutkinPolygon:
     y_i = 2 cos(alpha) - x_i.  The first k - 2 sides are the free
     parameters; the last two are solved from the closure constraints.
     """
-    k = _count(k, "k")
-    if k < 2:
-        raise OutOfRange("need k >= 2")
+    k = _count(k, "k", 2)
     params = np.asarray(free_params, dtype=float).reshape(-1)
     if len(params) != k - 2 or not np.isfinite(params).all():
         raise OutOfRange(f"construct_2kk(k={k}) takes exactly {k - 2} finite free parameters")
@@ -326,8 +324,6 @@ def construct_inscribed(n: int, k: int, arcs) -> GutkinPolygon:
 
 def regular_polygon(n: int) -> np.ndarray:
     """The regular n-gon inscribed in the unit circle; OutOfRange unless n is an integer >= 3."""
-    n = _count(n, "a regular polygon's vertex count")
-    if n < 3:
-        raise OutOfRange(f"a regular polygon needs at least 3 vertices, got {n}")
+    n = _count(n, "a regular polygon's vertex count", 3)
     t = 2 * np.pi * np.arange(n) / n
     return np.stack([np.cos(t), np.sin(t)], axis=-1)

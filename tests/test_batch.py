@@ -93,7 +93,7 @@ class TestShapes:
     def test_no_shots(self, flower_curve, alpha4):
         assert all(part.shape == (0,) for part in shoot_to_curve(flower_curve, [], alpha4))
         # a verification that shoots no chord would pass vacuously, so it is refused
-        with pytest.raises(OutOfRange, match="at least one sample"):
+        with pytest.raises(OutOfRange, match="sample count must be an integer >= 1, got 0$"):
             verify_curve_gutkin(flower_curve, alpha4, 0)
 
     def test_lane_blocks(self, flower_curve, alpha4, monkeypatch):

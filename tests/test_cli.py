@@ -302,13 +302,25 @@ class TestCurveCommands:
             assert "error:" in result.output
 
 
-    def test_bad_counts_are_usage_errors(self, runner, write_spec):
+    def test_bad_counts_are_domain_errors(self, runner, write_spec):
+        """A count that click parsed but that lies outside its domain is exit 3 with
+        one line, on every command, as chords validate's --samples always was;
+        curve verify and billiard orbit once made these exit 2, as usage errors."""
         path = write_spec(E2_SPEC)
-        for args in (["curve", "verify", "--spec", path, "--samples", "-1"],
-                     ["curve", "residual", "--spec", path, "--operator", "E2", "--grid", "0"],
-                     ["billiard", "orbit", "--spec", path, "--steps", "-1"]):
+        for args, message in (
+                (["curve", "verify", "--spec", path, "--samples", "-1"],
+                 "verify_curve_gutkin's sample count must be an integer >= 1, got -1"),
+                (["curve", "residual", "--spec", path, "--operator", "E2", "--grid", "0"],
+                 "--grid must be an integer >= 1, got 0"),
+                (["billiard", "orbit", "--spec", path, "--steps", "-1"],
+                 "export_orbit's step count must be an integer >= 0, got -1"),
+                (["chords", "validate", "--spec", path, "--samples", "-1"],
+                 "validate_partials' sample count must be an integer >= 1, got -1"),
+                (["chords", "validate", "--circle", "S2", "--radius", "0.9", "--seed", "-1"],
+                 "validate_partials' seed must be an integer >= 0, got -1")):
             result = runner.invoke(main, args)
-            assert result.exit_code == 2, result.output
+            assert result.exit_code == 3, result.output
+            assert (result.stdout, result.stderr) == ("", f"error: {message}\n")
 
     def test_missing_key_is_named(self, runner, write_spec):
         no_r = {k: v for k, v in S2_SPEC.items() if k != "R"}
@@ -395,6 +407,16 @@ class TestBilliardAndChords:
             {"geometry": tag, "kind": "deformed_circle", "length": equichord.ArcLengthParam(circle).total_length,
              "min_geodesic_curvature": float(kappa.min())}) + "\n"
 
+    def test_constant_g_spec_is_the_circle(self, runner, write_spec):
+        """g = 0.3, one k = 0 term, raises r to 0.5 everywhere: the spec is the circle of
+        radius 0.5 and prints its bytes.  Its constant was once counted without its
+        sign, and the spec refused as reaching -0.1."""
+        raised = write_spec({"geometry": "spherical", "R": 0.2, "epsilon": 1.0, "g": [{"k": 0, "amp": 0.3}]},
+                            "raised.json")
+        circle = write_spec({"geometry": "spherical", "R": 0.5, "epsilon": 0.0}, "circle.json")
+        assert (run_ok(runner, ["curve", "build", "--spec", raised])
+                == run_ok(runner, ["curve", "build", "--spec", circle]))
+
     def test_h2_circle_and_zero_epsilon_spec_share_the_refusal(self, runner, write_spec):
         """At R = 15 --circle once printed a max_rel_err of 0.534 with exit 0, while
         the same circle as a spec was refused; both are now the build's one line."""
@@ -415,9 +437,16 @@ class TestBilliardAndChords:
          "deformation too large: curve loses convexity"),
         (dict(E2_SPEC, harmonics=[{"k": 0, "amp": 0.1}]),
          "harmonic k=0 is a constant: add amp * cos(phase) = 0.1 to c0"),
-    ], ids=["r dips below 0", "r is -1", "k = 128 aliased", "E2 k = 0"])
+        ({"geometry": "spherical", "R": 1.0, "epsilon": 1.0, "g": [{"k": 0, "amp": 4.0}]},
+         "S2 radius up to 5.0 too large: past 3.1416, sin r stops being positive and the polar "
+         "chart folds over the antipode"),
+        ({"geometry": "spherical", "R": 1.0, "epsilon": 1e-7, "g": [{"k": 1024, "amp": 1.0}]},
+         "g's order 1024 is above 1023, the most the arc length resolves: the speed's order 2048 "
+         "needs more than 4096 samples"),
+    ], ids=["r dips below 0", "r is -1", "k = 128 aliased", "E2 k = 0", "r is 5", "k = 1024"])
     def test_curve_build_refusals(self, runner, write_spec, data, message):
-        """Specs that once built, or were refused as not closed, are refused with one line."""
+        """Specs that once built, or were refused as not closed or with a radius they
+        never reach (r = 5 as -3.0), are refused with one line."""
         result = runner.invoke(main, ["curve", "build", "--spec", write_spec(data)])
         assert result.exit_code == 3
         assert (result.stdout, result.stderr) == ("", f"error: {message}\n")

@@ -25,6 +25,7 @@ from equichord import (
     verify_curve_gutkin,
 )
 from equichord.errors import NonConvex, NotAdmissible, NotClosed, OutOfRange
+from equichord.geometry import _radial_graph, mnorm
 from oracles import (e2_residual_formula, gutkin_chord_length_formula, linearized_coefficient_check,
                      stacked_derivatives)
 
@@ -336,12 +337,16 @@ class TestDeformedCircle:
     def test_constant_radius_keeps_the_closed_form_speed(self, geometry, R):
         """Where r is constant the speed is sn_K(r): a deformed circle with eps = 0,
         or whose g is a constant, integrates its arc length in closed form, as the
-        circle does, and so gives the circle's length bit for bit."""
+        circle does, and so gives the circle's length bit for bit.  A k = 0 term
+        moves r by eps amp cos(phase), sign and all; counted without its sign, the
+        last two specs were refused as reaching 0."""
         circle = circle_curve(geometry, R)
         assert circle._speed == (TrigPolynomial(geometry.kernel.sn(R)), geometry.kernel.sn(R))
         g = TrigPolynomial(0.0, (Harmonic(4, 1.0, 0.3),))
         for spec in (DeformedCircle(geometry, R, 0.0, g), DeformedCircle(geometry, R, 0.0, TrigPolynomial()),
-                     DeformedCircle(geometry, R - 0.25, 0.5, TrigPolynomial(0.5))):
+                     DeformedCircle(geometry, R - 0.25, 0.5, TrigPolynomial(0.5)),
+                     DeformedCircle(geometry, R / 2, 1.0, TrigPolynomial(0.0, (Harmonic(0, R / 2),))),
+                     DeformedCircle(geometry, R / 2, -1.0, TrigPolynomial(0.0, (Harmonic(0, -R / 2),)))):
             curve = build_deformed_circle(spec)
             assert curve._speed == circle._speed
             assert ArcLengthParam(curve).total_length == ArcLengthParam(circle).total_length
@@ -355,9 +360,30 @@ class TestDeformedCircle:
         with pytest.raises(NonConvex, match="loses convexity"):
             build_deformed_circle(DeformedCircle(Geometry.SPHERICAL, 1.0, 1e-4, g))
         build_deformed_circle(DeformedCircle(Geometry.SPHERICAL, 1.0, 1e-5, g))
-        with pytest.raises(OutOfRange, match="order 8193 is above 8192, the most the convexity scan"):
+        with pytest.raises(OutOfRange, match="order 1024 is above 1023, the most the arc length resolves"):
             build_deformed_circle(DeformedCircle(Geometry.SPHERICAL, 1.0, 1e-12,
-                                                 TrigPolynomial(0.0, (Harmonic(8193, 1.0),))))
+                                                 TrigPolynomial(0.0, (Harmonic(1024, 1.0),))))
+
+    @pytest.mark.parametrize("k, resolved", [(1023, True), (1500, False)])
+    def test_order_cap_is_where_the_arc_length_resolves(self, k, resolved):
+        """The arc length samples the speed 4096 times, so from k = 1024 on the speed's
+        order 2k folds onto 4096 - 2k, and the build refuses g's order k.  On S2,
+        R = 1, g = cos(kt + 0.3), eps = 0.3 / k^2, s_of_t against the trapezoid
+        cumulative of 2^17 speed samples reads 9e-14 at k = 1023 and 2.3e-11 at
+        k = 1500, which only the bare radial graph still builds."""
+        g = TrigPolynomial(0.0, (Harmonic(k, 1.0, 0.3),))
+        spec = DeformedCircle(Geometry.SPHERICAL, 1.0, 0.3 / k**2, g)
+        curve = _radial_graph(spec.geometry, spec.R, spec.epsilon, spec.g)
+        t = np.arange(2**17 + 1) * (2 * np.pi / 2**17)
+        speed = mnorm(curve.geometry, curve.velocity(t))
+        s = np.concatenate([[0.0], np.cumsum(speed[1:] + speed[:-1]) * (np.pi / 2**17)])
+        err = np.abs(ArcLengthParam(curve).s_of_t(t[::97]) - s[::97]).max()
+        assert (err < 1e-12) == resolved
+        if resolved:
+            build_deformed_circle(spec)
+        else:
+            with pytest.raises(OutOfRange, match=f"order {k} is above 1023"):
+                build_deformed_circle(spec)
 
     def test_first_harmonic_rejected(self):
         with pytest.raises(NotClosed):

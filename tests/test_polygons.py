@@ -66,10 +66,10 @@ class TestVerify:
     def test_regular_polygon_needs_an_integer_of_at_least_3(self):
         """regular_polygon(3.7) once returned 4 points that were no regular polygon."""
         assert np.array_equal(regular_polygon(5.0), regular_polygon(5))
-        with pytest.raises(OutOfRange, match="vertex count must be an integer, got 3.7"):
+        with pytest.raises(OutOfRange, match="vertex count must be an integer >= 3, got 3.7"):
             regular_polygon(3.7)
         for n in (2, 0, -3):
-            with pytest.raises(OutOfRange, match=f"needs at least 3 vertices, got {n}$"):
+            with pytest.raises(OutOfRange, match=f"vertex count must be an integer >= 3, got {n}$"):
                 regular_polygon(n)
 
     def test_clockwise_vertices_rejected(self):
