@@ -35,6 +35,24 @@ __all__ = ["ArcLengthParam", "ChordData", "chord_data", "validate_partials"]
 _SPEED_SAMPLES = 4096  # uniform samples of the speed per period
 
 
+def _fft_grid(n: int):
+    """The n speed sample points j 2 pi / n, j in FFT order, for a power of two n."""
+    return np.fft.fftfreq(n, 1.0 / n) * (2 * np.pi / n)
+
+
+def _speeds(curve: ParametricCurve, ts):
+    """The curve's speed at ts; OutOfRange where a speed or the length is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused just below
+        speeds = mnorm(curve.geometry, curve.velocity(ts))
+    # the sum is finite iff every speed and the total length are
+    if not np.isfinite(speeds.sum()):
+        nan = np.isnan(speeds)
+        if nan.any():
+            raise OutOfRange(f"the curve's velocity at t = {float(ts[nan.argmax()])!r} is not finite")
+        raise OutOfRange("curve speed or length overflows floating point")
+    return speeds
+
+
 class ArcLengthParam:
     """Spectral arc-length parameterization of a smooth closed curve.
 
@@ -44,8 +62,9 @@ class ArcLengthParam:
     circle) is integrated term by term: the speed c0 + sum A cos(kt + p)
     gives mean_speed = c0, a_k = (A / k) cos p and b_k = -(A / k) sin p, with
     equal orders merged and orders whose coefficients are both zero dropped.
-    Any other curve's speed is sampled on a uniform grid over [-pi, pi) and
-    integrated through its FFT, keeping the orders above the round-off floor
+    Any other curve's speed is sampled on a uniform grid over [-pi, pi), sized
+    by its builder where it knows the band (``_sample``), and integrated
+    through its FFT, keeping the orders above the round-off floor
     eps * (mean_speed + its total variation over a period) (docs/derivation.md).
 
     Either way a speed with no harmonic left (a circle) gives
@@ -83,29 +102,43 @@ class ArcLengthParam:
         self._a, self._b = (np.array([coeffs[k][i] for k in ks], dtype=float) for i in (0, 1))
 
     def _sample(self, curve) -> float:
-        """Coefficients from the FFT of the sampled speed; returns its least sample.
+        """Coefficients from the FFT of the sampled speed; returns a lower bound on the speed.
+
         The grid is t_j = j h in FFT order, j = 0, ..., N/2 - 1, -N/2, ..., -1: the
         points of [0, 2 pi) mod 2 pi, with |t_j| <= pi, so the rounding of j h, a
-        ramp that the FFT would carry into the kept orders, stays half as large."""
-        ts = np.fft.fftfreq(_SPEED_SAMPLES, 1.0 / _SPEED_SAMPLES) * (2 * np.pi / _SPEED_SAMPLES)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused just below
-            speeds = mnorm(curve.geometry, curve.velocity(ts))
-        # the sum is finite iff every speed and the total length are
-        if not np.isfinite(speeds.sum()):
-            nan = np.isnan(speeds)
-            if nan.any():
-                raise OutOfRange(f"the curve's velocity at t = {float(ts[nan.argmax()])!r} is not finite")
-            raise OutOfRange("curve speed or length overflows floating point")
-        coeffs = np.fft.rfft(speeds) / _SPEED_SAMPLES
-        self.mean_speed = float(coeffs[0].real)
-        k = np.arange(1, len(coeffs))
-        a = np.asarray(2 * coeffs[1:].real / k)   # coefficient of sin(kt)
-        b = np.asarray(-2 * coeffs[1:].imag / k)  # minus the cos(kt) coefficient
-        # a sample rounds like the speed plus its grid point times the slope (summing to the variation)
-        variation = np.abs(np.diff(speeds, append=speeds[:1])).sum()
-        keep = (np.abs(a) + np.abs(b)) > np.finfo(float).eps * (self.mean_speed + variation)
+        ramp that the FFT would carry into the kept orders, stays half as large.  N
+        starts at the builder's ``_speed_grid`` and doubles while an order in the top
+        quarter, above 3N/8, is above the round-off floor, up to _SPEED_SAMPLES; a
+        curve known only by its jet starts there.  The even entries of the grid of
+        size 2N are those of size N bit for bit, so a doubling evaluates the new odd
+        entries only.  The bound is the least sample less the second-order margin
+        1/2 sum_k k^3 (|a_k| + |b_k|) (pi/N)^2 of the kept series: the speed's
+        derivative vanishes where it is least, within pi/N of a sample."""
+        n = min(curve._speed_grid or _SPEED_SAMPLES, _SPEED_SAMPLES)
+        ts = _fft_grid(n)
+        speeds = _speeds(curve, ts)
+        eps = np.finfo(float).eps
+        while True:
+            coeffs = np.fft.rfft(speeds) / n
+            self.mean_speed = float(coeffs[0].real)
+            k = np.arange(1, len(coeffs))
+            a = np.asarray(2 * coeffs[1:].real / k)   # coefficient of sin(kt)
+            b = np.asarray(-2 * coeffs[1:].imag / k)  # minus the cos(kt) coefficient
+            # a sample rounds like the speed plus its grid point times the slope (summing to the variation)
+            variation = np.abs(np.diff(speeds, append=speeds[:1])).sum()
+            keep = (np.abs(a) + np.abs(b)) > eps * (self.mean_speed + variation)
+            if n >= _SPEED_SAMPLES or not keep[3 * n // 8:].any():
+                break
+            n *= 2
+            ts = _fft_grid(n)
+            finer = np.empty(n)
+            finer[0::2], finer[1::2] = speeds, _speeds(curve, ts[1::2])
+            speeds = finer
         self._ks, self._a, self._b = k[keep], a[keep], b[keep]
-        return speeds.min()
+        least = speeds.min()
+        bound = least - 0.5 * (self._ks ** 3 * (np.abs(self._a) + np.abs(self._b))).sum() * (np.pi / n) ** 2
+        # a margin that reaches the least sample bounds nothing: the samples stay the bracket's
+        return bound if bound > 0.0 else least
 
     def _s_and_slope(self, t):
         """(s(t), s'(t)) at a double t, from one sin kt and one cos kt per kept order."""

@@ -54,6 +54,10 @@ __all__ = [
 ]
 
 
+_RHO_MIN_SAMPLES = 256  # the convexity check's first grid on rho
+_RHO_SAMPLES = 4096  # its last, where the Lipschitz margin may be the smaller
+
+
 def _antiderivative_xy(c0, harmonics):
     """Closed-form antiderivative of rho(s) (cos s, sin s), value at 0 removed,
     as a function of t, cos t and sin t.
@@ -95,8 +99,12 @@ class FourierCurveE2:
     rho(t) = c0 + sum amp cos(kt + phase) with every k >= 2 (a k = 0 term is
     OutOfRange: it belongs in c0, and k = 1 is NotClosed); t is the
     turning-angle parameter.  ``_rho_floor`` is the convexity check's lower
-    bound on rho: its least value on a 4096-point grid less the Lipschitz
-    margin, always positive.
+    bound on rho, always positive: its least value on n equally spaced points
+    less the margin 1/2 (sum |A| k^2) (pi/n)^2, which holds because rho' = 0
+    where rho is least.  n is the least power of two from 256 on whose margin
+    is at most the Lipschitz margin (pi / 4096) sum |A| k of 4096 points, or
+    4096 with the smaller of the two.  Its grid is a subset of the 4096
+    points, so the floor is never below the 4096-point Lipschitz floor.
     """
 
     c0: float
@@ -115,8 +123,14 @@ class FourierCurveE2:
             if h.k == 1:
                 raise NotClosed(f"harmonic k={h.k} not allowed: first harmonics break closure")
         rho = self.rho
-        grid = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
-        floor = float(rho(grid).min()) - rho.lipschitz_bound() * (np.pi / 4096)
+        # the grid doubles until its second-order margin is at most the 4096 points' Lipschitz one
+        lipschitz = rho.lipschitz_bound() * (np.pi / _RHO_SAMPLES)
+        curvature = 0.5 * sum(abs(h.amp) * h.k * h.k for h in hs)
+        n = _RHO_MIN_SAMPLES
+        while n < _RHO_SAMPLES and curvature * (np.pi / n) ** 2 > lipschitz:
+            n *= 2
+        grid = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+        floor = float(rho(grid).min()) - min(curvature * (np.pi / n) ** 2, lipschitz)
         if not floor > 0.0:
             raise NonConvex("radius of curvature must stay positive (convexity)")
         object.__setattr__(self, "_rho_floor", floor)

@@ -134,11 +134,12 @@ def _any(mask) -> bool:
 
 
 def _count(n, what: str, least: int | None = None) -> int:
-    """n as an int; OutOfRange for NaN, an infinity, a fraction (3.0 passes) or,
-    when ``least`` is given, a value below it."""
+    """n as an int; OutOfRange for NaN, an infinity, a fraction (3.0 passes), a value
+    that is no number (None, a string that int() cannot read) or, when ``least`` is
+    given, a value below it."""
     try:
         i = int(n)
-    except (ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         i = None
     if i is None or i != n or (least is not None and i < least):
         bound = "" if least is None else f" >= {least}"
@@ -341,6 +342,12 @@ class ParametricCurve:
     a ``TrigPolynomial`` in t with orders >= 1 and a positive lower bound on
     it.  ``ArcLengthParam`` integrates the series instead of sampling the
     speed.  It is None for a curve given only by its jet.
+
+    ``_speed_grid`` is the first grid on which ``ArcLengthParam`` samples the
+    speed, for a curve whose builder knows the speed's band but not its series
+    (``_radial_graph`` where r varies): a power of two, doubled while the
+    speed's top orders stay above their round-off floor.  It is None for a
+    curve given only by its jet, whose speed is sampled on the full grid.
     """
 
     geometry: Geometry
@@ -348,6 +355,7 @@ class ParametricCurve:
     _landing: tuple = field(default=None, init=False, repr=False, compare=False)
     _speed: tuple[TrigPolynomial, float] | None = field(default=None, init=False, repr=False,
                                                          compare=False)
+    _speed_grid: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kern = self.geometry.kernel
@@ -393,7 +401,8 @@ def _radial_graph(geometry: Geometry, R: float, eps: float, g: TrigPolynomial) -
     and r's range, R + eps m -/+ |eps| sum_{k >= 1} |amp| with m = c0 + sum_{k = 0}
     amp cos(phase) g's constant part, lies in (0, ``embed_radius``).  Where r is
     constant (eps = 0, or g has no order above 0) the speed sn_K(r) is kept as the
-    curve's ``_speed``.
+    curve's ``_speed``; elsewhere the first speed grid, the least power of two
+    >= max(256, 32 k) for g's highest order k, is kept as its ``_speed_grid``.
     """
     kern = geometry.kernel
     R = _check_radius(geometry, R)
@@ -432,6 +441,10 @@ def _radial_graph(geometry: Geometry, R: float, eps: float, g: TrigPolynomial) -
     if eps == 0.0 or g.orders <= {0}:
         speed = float(S(R + eps * g(0.0)))  # the jet's own r, below embed_radius: sn_K > 0 there
         object.__setattr__(curve, "_speed", (TrigPolynomial(speed), speed))
+    else:
+        # the speed's orders are multiples of g's top order k: 16 samples a period of 2k, at least 256
+        first = max(256, 32 * int(max(g.orders)))
+        object.__setattr__(curve, "_speed_grid", 1 << (first - 1).bit_length())
     return curve
 
 

@@ -7,7 +7,8 @@ O(nk) sum over the first row, the float zero tests the polygon zero set was
 once decided by, the forced contact angle, the interior angles, per-vertex
 angle loops with the arccos of the cosine as an independent formula, the
 beta-angle sum and the angle periodicity of a Gutkin polygon, a canonical
-similarity frame for comparing polygons, the extended-precision
+similarity frame for comparing polygons, the arc length of a curve's speed
+sampled on the full grid, the reference for a builder's sized one, the extended-precision
 arc-length inversions of validate_partials, to be checked against
 cold-started ones, the identity a cot(alpha) cs(f*) = cot c that reduces the
 linearized S2/H2 chord equation to k tan c = tan kc, the chord record and the partials report with every
@@ -30,6 +31,7 @@ from equichord import (
     FourierCurveE2,
     Geometry,
     Harmonic,
+    ParametricCurve,
     Points,
     TrigPolynomial,
     build_deformed_circle,
@@ -69,6 +71,18 @@ def curves(draw, kinds=("E2", "S2", "H2", "S2 circle", "H2 circle"), h2_max_radi
         return build_deformed_circle(spec)
     except NonConvex:
         reject()
+
+
+def full_grid_arclength(curve) -> tuple:
+    """(arc length, round-off floor) of the curve read through its jet alone, whose
+    speed is sampled on the full 4096-point grid: the reference for a builder's
+    smaller grid.  The floor, eps (mean speed + total variation) of the samples,
+    is the one below which an order is dropped."""
+    arclen = ArcLengthParam(ParametricCurve(curve.geometry, curve.jet))
+    ts = np.fft.fftfreq(4096, 1.0 / 4096) * (TWO_PI / 4096)
+    speeds = mnorm(curve.geometry, curve.velocity(ts))
+    variation = np.abs(np.diff(speeds, append=speeds[:1])).sum()
+    return arclen, np.finfo(float).eps * (speeds.mean() + variation)
 
 
 def h2_circle_jet(R):

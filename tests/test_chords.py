@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from equichord import (
@@ -19,7 +19,8 @@ from equichord import (
     circle_curve,
     validate_partials,
 )
-from equichord.errors import Degenerate, OutOfRange
+from equichord.errors import Degenerate, NonConvex, OutOfRange
+from equichord import geometry
 from equichord.geometry import mnorm
 import oracles
 from oracles import curves, h2_circle_jet, stencil_inversions
@@ -86,8 +87,10 @@ class TestArcLength:
                     assert np.asarray(got).dtype == np.float64
                     assert np.array_equal(got, want)
 
-    def test_t_of_s_fails_loudly(self, wavy_curve):
-        # a slope 1e6 times too large makes every Newton step tiny
+    def test_t_of_s_fails_loudly(self, wavy_curve, monkeypatch):
+        # a slope 1e6 times too large makes every Newton step tiny; bisection alone
+        # would close the bracket in about 49 rounds, so 40 rounds end in a RuntimeError
+        monkeypatch.setattr(geometry, "_NEWTON_ROUNDS", 40)
         arclen = ArcLengthParam(wavy_curve)
         true_s_and_slope = arclen._s_and_slope
 
@@ -187,16 +190,19 @@ class TestArcLength:
         validate_partials(curve, samples=5)
         assert calls == [(2, 5), (2, 7, 5)]
 
-    @pytest.mark.parametrize("make", [
-        lambda: _deformed("S2"),
-        lambda: ParametricCurve(Geometry.EUCLIDEAN, build_e2_curve(FourierCurveE2(1.0, (Harmonic(4, 0.1, 0.0),))).jet),
+    @pytest.mark.parametrize("make, grid", [
+        (lambda: _deformed("S2"), 256),
+        (lambda: ParametricCurve(Geometry.EUCLIDEAN, build_e2_curve(FourierCurveE2(1.0, (Harmonic(4, 0.1, 0.0),))).jet),
+         4096),
     ], ids=["S2 deformed", "E2 jet only"])
-    def test_sampled_speed_needs_no_jet_after_construction(self, make):
-        """A curve read through its jet alone evaluates it three times a block of
+    def test_sampled_speed_needs_no_jet_after_construction(self, make, grid):
+        """A curve whose speed is sampled evaluates its jet three times a block of
         validate_partials: the speed grid, the chord ends and the stencil's points.
         Newton's slope and the stencil's warm start are the series' own
         derivative, never a velocity: reading the velocity's norm there made
-        these 9 and 11 calls."""
+        these 9 and 11 calls.  The deformed circle's builder knows g's order 5,
+        so its speed grid is 256 points, where the speed's orders above 96 are
+        below their round-off floor; a curve known only by its jet keeps 4096."""
         curve = make()
         jet, calls = curve.jet, []
 
@@ -206,7 +212,49 @@ class TestArcLength:
 
         object.__setattr__(curve, "jet", counting)
         validate_partials(curve, samples=5)
-        assert calls == [(4096,), (2, 5), (2, 7, 5)]
+        assert calls == [(grid,), (2, 5), (2, 7, 5)]
+
+    @given(st.sampled_from([Geometry.SPHERICAL, Geometry.HYPERBOLIC]), st.integers(2, 200),
+           st.floats(0.0, 0.9), st.floats(-np.pi, np.pi), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sized_speed_grid_gives_the_full_grid_series(self, geometry, k, fraction, phase, data):
+        """A deformed circle's speed, sampled on its builder's grid and doubled while
+        its top orders are above the round-off floor, gives the series of the full
+        4096-point grid up to rounding: coefficients within that floor (an order
+        only one grid keeps sits at the floor, which each grid takes from its own
+        samples, so within twice it), means within 4 eps, and t_of_s within 4 eps
+        plus the part t = s / mean carries of the means' difference.  epsilon
+        reaches 0.9 of the first-order convexity limit sn_K cs_K(R) / (k^2 - 1),
+        and of R, where r would reach 0."""
+        R = data.draw(st.floats(0.2, 1.4) if geometry is Geometry.SPHERICAL else st.floats(0.2, 3.0))
+        eps = fraction * min(float(geometry.kernel.sn(R) * geometry.kernel.cs(R)) / (k * k - 1), R)
+        g = TrigPolynomial(0.0, (Harmonic(k, 1.0, phase),))
+        try:
+            curve = build_deformed_circle(DeformedCircle(geometry=geometry, R=R, epsilon=eps, g=g))
+        except NonConvex:
+            reject()
+        sized = ArcLengthParam(curve)
+        full, floor = oracles.full_grid_arclength(curve)
+        coeffs = [dict(zip(arclen._ks.tolist(), zip(arclen._a, arclen._b))) for arclen in (sized, full)]
+        for order in coeffs[0].keys() | coeffs[1].keys():
+            (a0, b0), (a1, b1) = (c.get(order, (0.0, 0.0)) for c in coeffs)
+            both = order in coeffs[0] and order in coeffs[1]
+            assert abs(a0 - a1) + abs(b0 - b1) <= (1 if both else 2) * floor
+        means = abs(sized.mean_speed - full.mean_speed) / full.mean_speed
+        assert means <= 4 * EPS
+        s = np.linspace(-2.0, 2.0, 41) * full.total_length
+        t = full.t_of_s(s)
+        assert np.all(np.abs(sized.t_of_s(s) - t) <= 4 * EPS * np.maximum(1.0, np.abs(t)) + means * np.abs(t))
+
+    def test_margin_past_the_least_sample_keeps_the_sample(self):
+        """On rho = 1 + 0.75 cos(1000 t + pi/4) read through its jet, the speed's
+        second-order margin, 1/2 sum k^3 (|a| + |b|) (pi / 4096)^2 = 0.31, passes
+        its least sample, 0.25: the bracket takes the sample, and inverts."""
+        spec = FourierCurveE2(1.0, (Harmonic(1000, 0.75, np.pi / 4),))
+        arclen = ArcLengthParam(ParametricCurve(Geometry.EUCLIDEAN, build_e2_curve(spec).jet))
+        assert 0.0 < arclen._reach < np.inf
+        s = np.linspace(0.0, arclen.total_length, 50)
+        assert np.all(np.abs(arclen.s_of_t(arclen.t_of_s(s)) - s) <= 4 * EPS * np.maximum(1.0, s))
 
     @pytest.mark.parametrize("geometry, radius", [(Geometry.EUCLIDEAN, 1e308)])
     def test_closed_form_length_overflow_is_refused(self, geometry, radius):

@@ -122,6 +122,25 @@ class TestFourierCurveE2:
         with pytest.raises(NonConvex, match="radius of curvature must stay positive"):
             FourierCurveE2(c0=1.0, harmonics=(Harmonic(4, 1.2, 0.0),))
 
+    @given(st.lists(st.tuples(st.integers(2, 300), st.floats(-1.0, 1.0), st.floats(-np.pi, np.pi)),
+                    min_size=1, max_size=4), st.floats(0.5, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_rho_floor_lies_between_the_lipschitz_floor_and_the_least_rho(self, terms, size):
+        """The convexity floor takes rho's least value on the smallest grid whose
+        second-order margin is at most the Lipschitz margin of 4096 points: it is
+        never below the 4096-point Lipschitz floor, and never above rho's least
+        value, here on 2^16 points."""
+        hs = tuple(Harmonic(*term) for term in terms)
+        c0 = size * sum(abs(h.amp) for h in hs)
+        try:
+            spec = FourierCurveE2(c0=c0, harmonics=hs)
+        except NonConvex:
+            assume(False)
+        rho = spec.rho
+        grid = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+        lipschitz = float(rho(grid).min()) - rho.lipschitz_bound() * (np.pi / 4096)
+        assert lipschitz <= spec._rho_floor <= rho(np.linspace(0.0, 2 * np.pi, 2**16, endpoint=False)).min()
+
     def test_velocity_is_rho_times_tangent(self, flower_curve, flower_spec):
         for t in (0.0, 0.9, 4.0):
             v = np.asarray(flower_curve.velocity(t))

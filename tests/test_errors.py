@@ -186,6 +186,15 @@ class TestLibraryContract:
         with pytest.raises(OutOfRange, match="must be an integer"):
             call(flower_curve, alpha4, count)
 
+    @pytest.mark.parametrize("call, least", [
+        (lambda curve, alpha: validate_partials(curve, samples=2, seed=None), 0),
+        (lambda curve, alpha: verify_curve_gutkin(curve, alpha, None), 1),
+    ], ids=["validate_partials seed", "verify_curve_gutkin"])
+    def test_count_that_is_no_number(self, flower_curve, alpha4, call, least):
+        # int(None) raised a bare TypeError, outside the error contract
+        with pytest.raises(OutOfRange, match=f"must be an integer >= {least}, got None$"):
+            call(flower_curve, alpha4)
+
     def test_integral_float_count_passes(self, flower_curve, alpha4):
         assert verify_curve_gutkin(flower_curve, alpha4, 3.0)["n_samples"] == 3
         assert validate_partials(flower_curve, samples=3.0) == validate_partials(flower_curve, samples=3)
