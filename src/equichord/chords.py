@@ -22,7 +22,9 @@ import numpy as np
 from .errors import Degenerate, OutOfRange
 from .geometry import (
     ParametricCurve,
+    _GRID_CAP,
     _angle,
+    _band_grid,
     _broadcast,
     _count,
     _frame,
@@ -31,9 +33,6 @@ from .geometry import (
 )
 
 __all__ = ["ArcLengthParam", "ChordData", "chord_data", "validate_partials"]
-
-_SPEED_SAMPLES = 4096  # uniform samples of the speed per period
-
 
 def _fft_grid(n: int):
     """The n speed sample points j 2 pi / n, j in FFT order, for a power of two n."""
@@ -62,9 +61,8 @@ class ArcLengthParam:
     circle) is integrated term by term: the speed c0 + sum A cos(kt + p)
     gives mean_speed = c0, a_k = (A / k) cos p and b_k = -(A / k) sin p, with
     equal orders merged and orders whose coefficients are both zero dropped.
-    Any other curve's speed is sampled on a uniform grid over [-pi, pi), sized
-    by its builder where it knows the band (``_sample``), and integrated
-    through its FFT, keeping the orders above the round-off floor
+    Any other curve's speed is sampled on its band grid over [-pi, pi) (``_sample``),
+    and integrated through its FFT, keeping the orders above the round-off floor
     eps * (mean_speed + its total variation over a period) (docs/derivation.md).
 
     Either way a speed with no harmonic left (a circle) gives
@@ -107,16 +105,12 @@ class ArcLengthParam:
         The grid is t_j = j h in FFT order, j = 0, ..., N/2 - 1, -N/2, ..., -1: the
         points of [0, 2 pi) mod 2 pi, with |t_j| <= pi, so the rounding of j h, a
         ramp that the FFT would carry into the kept orders, stays half as large.  N
-        starts at the builder's ``_speed_grid`` and doubles while an order in the top
-        quarter, above 3N/8, is above the round-off floor, up to _SPEED_SAMPLES; a
-        curve known only by its jet starts there.  The even entries of the grid of
-        size 2N are those of size N bit for bit, so a doubling evaluates the new odd
-        entries only.  The bound is the least sample less the second-order margin
-        1/2 sum_k k^3 (|a_k| + |b_k|) (pi/N)^2 of the kept series: the speed's
-        derivative vanishes where it is least, within pi/N of a sample."""
-        n = min(curve._speed_grid or _SPEED_SAMPLES, _SPEED_SAMPLES)
-        ts = _fft_grid(n)
-        speeds = _speeds(curve, ts)
+        starts at the curve's band grid (``_band_grid``) and doubles, evaluating the
+        new odd entries only, while an order above 3N/8 is above the round-off floor,
+        up to _GRID_CAP.  The bound is the least sample less the second-order margin
+        1/2 sum_k k^3 (|a_k| + |b_k|) (pi/N)^2 of the kept series (docs/derivation.md)."""
+        n = _band_grid(curve._band)
+        speeds = _speeds(curve, _fft_grid(n))
         eps = np.finfo(float).eps
         while True:
             coeffs = np.fft.rfft(speeds) / n
@@ -127,12 +121,11 @@ class ArcLengthParam:
             # a sample rounds like the speed plus its grid point times the slope (summing to the variation)
             variation = np.abs(np.diff(speeds, append=speeds[:1])).sum()
             keep = (np.abs(a) + np.abs(b)) > eps * (self.mean_speed + variation)
-            if n >= _SPEED_SAMPLES or not keep[3 * n // 8:].any():
+            if n >= _GRID_CAP or not keep[3 * n // 8:].any():
                 break
             n *= 2
-            ts = _fft_grid(n)
             finer = np.empty(n)
-            finer[0::2], finer[1::2] = speeds, _speeds(curve, ts[1::2])
+            finer[0::2], finer[1::2] = speeds, _speeds(curve, _fft_grid(n)[1::2])
             speeds = finer
         self._ks, self._a, self._b = k[keep], a[keep], b[keep]
         least = speeds.min()

@@ -381,14 +381,14 @@ def cmd_curve_build(spec_path, out, svg):
 @click.option("--spec", "spec_path", type=click.Path(exists=True), required=True)
 @click.option("--alpha", type=str, default=None,
               help="Contact angle (float or auto-kN); overrides the spec.")
-@click.option("--samples", type=int, default=64)
+@click.option("--samples", type=int, default=None, help="Default max(64, 16 k), k the highest order.")
 @click.option("--tol", type=float, default=DEFAULT_TOL)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_curve_verify(spec_path, alpha, samples, tol, out):
     """Shoot chords at angle alpha and report the worst arrival-angle defect."""
     _positive(tol, "tol")
     geometry, _, curve, a = _load_curve(spec_path, "--alpha", alpha)
-    rep = curves.verify_curve_gutkin(curve, a, n_samples=samples)
+    rep = curves.verify_curve_gutkin(curve, a, n_samples="band" if samples is None else samples)
     payload = {"geometry": geometry.value, "alpha": a,
                "n_samples": rep["n_samples"],
                "max_angle_residual": rep["max_angle_residual"],

@@ -29,15 +29,16 @@ from functools import cached_property
 import numpy as np
 
 from . import angles
-from .chords import _SPEED_SAMPLES
 from .errors import NonConvex, NotClosed, OutOfRange
 from .fourier import Harmonic, TrigPolynomial
 from .geometry import (
     TWO_PI,
     Geometry,
     ParametricCurve,
+    _band_grid,
     _count,
     _radial_graph,
+    _resolved_band,
     Points,
     geodesic_curvature,
     shoot_to_curve,
@@ -52,10 +53,6 @@ __all__ = [
     "s2_residual_operator",
     "verify_curve_gutkin",
 ]
-
-
-_RHO_MIN_SAMPLES = 256  # the convexity check's first grid on rho
-_RHO_SAMPLES = 4096  # its last, where the Lipschitz margin may be the smaller
 
 
 def _antiderivative_xy(c0, harmonics):
@@ -99,12 +96,11 @@ class FourierCurveE2:
     rho(t) = c0 + sum amp cos(kt + phase) with every k >= 2 (a k = 0 term is
     OutOfRange: it belongs in c0, and k = 1 is NotClosed); t is the
     turning-angle parameter.  ``_rho_floor`` is the convexity check's lower
-    bound on rho, always positive: its least value on n equally spaced points
-    less the margin 1/2 (sum |A| k^2) (pi/n)^2, which holds because rho' = 0
-    where rho is least.  n is the least power of two from 256 on whose margin
-    is at most the Lipschitz margin (pi / 4096) sum |A| k of 4096 points, or
-    4096 with the smaller of the two.  Its grid is a subset of the 4096
-    points, so the floor is never below the 4096-point Lipschitz floor.
+    bound on rho, always positive: its least value on the band grid of n points
+    (``geometry._band_grid``) less the smaller of the second-order margin
+    1/2 (sum |A| k^2) (pi/n)^2, which holds because rho' = 0 where rho is least,
+    and the Lipschitz margin (pi/n) sum |A| k.  It is never below the 4096-point
+    Lipschitz floor (docs/derivation.md).
     """
 
     c0: float
@@ -123,14 +119,10 @@ class FourierCurveE2:
             if h.k == 1:
                 raise NotClosed(f"harmonic k={h.k} not allowed: first harmonics break closure")
         rho = self.rho
-        # the grid doubles until its second-order margin is at most the 4096 points' Lipschitz one
-        lipschitz = rho.lipschitz_bound() * (np.pi / _RHO_SAMPLES)
-        curvature = 0.5 * sum(abs(h.amp) * h.k * h.k for h in hs)
-        n = _RHO_MIN_SAMPLES
-        while n < _RHO_SAMPLES and curvature * (np.pi / n) ** 2 > lipschitz:
-            n *= 2
-        grid = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-        floor = float(rho(grid).min()) - min(curvature * (np.pi / n) ** 2, lipschitz)
+        n = _band_grid(max(map(int, rho.orders), default=None))
+        margin = min(0.5 * sum(abs(h.amp) * h.k * h.k for h in hs) * (np.pi / n) ** 2,
+                     rho.lipschitz_bound() * (np.pi / n))
+        floor = float(rho(np.linspace(0.0, 2 * np.pi, n, endpoint=False)).min()) - margin
         if not floor > 0.0:
             raise NonConvex("radius of curvature must stay positive (convexity)")
         object.__setattr__(self, "_rho_floor", floor)
@@ -147,7 +139,7 @@ class FourierCurveE2:
 def build_e2_curve(spec: FourierCurveE2) -> ParametricCurve:
     """Exact curve with velocity rho(t) (cos t, sin t); tangent direction is t.
 
-    Its speed is rho, kept with the spec's floor on rho as the curve's ``_speed``."""
+    Its speed is rho, kept with the spec's floor as ``_speed``, and rho's highest order as ``_band``."""
     rho = spec.rho
     drho = rho.derivative()
     xy = _antiderivative_xy(spec.c0, spec.harmonics)
@@ -166,6 +158,7 @@ def build_e2_curve(spec: FourierCurveE2) -> ParametricCurve:
 
     curve = ParametricCurve(Geometry.EUCLIDEAN, jet)
     object.__setattr__(curve, "_speed", (rho, spec._rho_floor))
+    object.__setattr__(curve, "_band", max(map(int, rho.orders), default=None))
     return curve
 
 
@@ -211,17 +204,15 @@ class DeformedCircle:
 
 def build_deformed_circle(spec: DeformedCircle) -> ParametricCurve:
     """Embedded curve (longitude t, radius R + eps g(t)): the radial graph, checked as
-    ``circle_curve``, its eps = 0 member, is; NonConvex where its geodesic curvature
-    is not positive at one of max(128, 8 k) equally spaced t, for g's highest order
-    k.  OutOfRange from k = 1024 on: the speed's order 2k then needs more than the
-    arc length's 4096 samples (``chords._SPEED_SAMPLES``), which fold it onto lower orders."""
+    ``circle_curve``, its eps = 0 member, is.  Where r varies, OutOfRange from g's order
+    1024 on, and NonConvex where the geodesic curvature is not positive on the band grid
+    of g's order; a constant radius is convex where ``ParametricCurve`` checks t = 0."""
     curve = _radial_graph(spec.geometry, spec.R, spec.epsilon, spec.g)
-    k = int(max(spec.g.orders, default=0))
-    if not 4 * k < _SPEED_SAMPLES:
-        raise OutOfRange(f"g's order {k} is above {_SPEED_SAMPLES // 4 - 1}, the most the arc length "
-                         f"resolves: the speed's order {2 * k} needs more than {_SPEED_SAMPLES} samples")
-    if np.any(geodesic_curvature(curve, np.linspace(0.0, 2 * np.pi, max(128, 8 * k), endpoint=False)) <= 0):
-        raise NonConvex("deformation too large: curve loses convexity")
+    if curve._band is not None:
+        _resolved_band(curve._band)
+        ts = np.linspace(0.0, 2 * np.pi, _band_grid(curve._band), endpoint=False)
+        if np.any(geodesic_curvature(curve, ts) <= 0):
+            raise NonConvex("deformation too large: curve loses convexity")
     return curve
 
 
@@ -243,13 +234,17 @@ def s2_residual_operator(f: TrigPolynomial, alpha: float, c: float, a: float,
     return residual
 
 
-def verify_curve_gutkin(curve: ParametricCurve, alpha: float, n_samples: int = 64) -> dict:
+def verify_curve_gutkin(curve: ParametricCurve, alpha: float, n_samples: int | str = "band") -> dict:
     """Shoot chords at angle alpha from sample points, all in one batch; report
     the worst arrival-angle defect and the first sample that reaches it.
 
-    Raises OutOfRange for a sample count that is not an integer, and for fewer
-    than one sample: a check that shoots no chord would pass vacuously.
+    ``"band"`` takes max(64, 16 k) samples, at most 16384, for the curve's highest order
+    k (``_band``): 8 a period of the residual's order 2k; 64 with no band.  Raises
+    OutOfRange for a sample count that is not an integer, and for fewer than one
+    sample: a check that shoots no chord would pass vacuously.
     """
+    if isinstance(n_samples, str) and n_samples == "band":
+        n_samples = min(max(64, 16 * (curve._band or 0)), 16384)
     n_samples = _count(n_samples, "verify_curve_gutkin's sample count", 1)
     ts = np.linspace(0.0, TWO_PI, n_samples, endpoint=False)
     _, arrival, _ = shoot_to_curve(curve, ts, alpha)

@@ -310,6 +310,25 @@ def mnorm(geometry: Geometry, v):
 # curves
 
 
+_GRID_CAP = 4096  # the finest sampling grid: a speed's orders below 2048 are resolved on it
+
+
+def _band_grid(band: int | None) -> int:
+    """Points a period for a curve of highest order ``band``: the least power of two >= max(256,
+    32 band), 16 a period of the order 2 band its speed and curvature reach; at most _GRID_CAP,
+    which a curve with no band takes (docs/derivation.md, "One sampling rule")."""
+    if band is None:
+        return _GRID_CAP
+    return min(1 << (max(256, 32 * band) - 1).bit_length(), _GRID_CAP)
+
+
+def _resolved_band(band: int) -> None:
+    """OutOfRange from order 1024 on: _GRID_CAP samples fold the speed's order 2 band."""
+    if not 4 * band < _GRID_CAP:
+        raise OutOfRange(f"g's order {band} is above {_GRID_CAP // 4 - 1}, the most the arc length "
+                         f"resolves: the speed's order {2 * band} needs more than {_GRID_CAP} samples")
+
+
 @dataclass(frozen=True)
 class ParametricCurve:
     """Closed curve on a fixed 2*pi parameter interval, given by its jet.
@@ -341,13 +360,9 @@ class ParametricCurve:
     builder knows it (``build_e2_curve``; ``_radial_graph`` at constant r): (series, floor),
     a ``TrigPolynomial`` in t with orders >= 1 and a positive lower bound on
     it.  ``ArcLengthParam`` integrates the series instead of sampling the
-    speed.  It is None for a curve given only by its jet.
-
-    ``_speed_grid`` is the first grid on which ``ArcLengthParam`` samples the
-    speed, for a curve whose builder knows the speed's band but not its series
-    (``_radial_graph`` where r varies): a power of two, doubled while the
-    speed's top orders stay above their round-off floor.  It is None for a
-    curve given only by its jet, whose speed is sampled on the full grid.
+    speed.  ``_band``, the highest order its builder records (g's on a radial graph
+    where r varies, rho's on an E2 curve), sizes every sampled grid (``_band_grid``).
+    Both are None for a curve given only by its jet, ``_band`` for a constant radius.
     """
 
     geometry: Geometry
@@ -355,7 +370,7 @@ class ParametricCurve:
     _landing: tuple = field(default=None, init=False, repr=False, compare=False)
     _speed: tuple[TrigPolynomial, float] | None = field(default=None, init=False, repr=False,
                                                          compare=False)
-    _speed_grid: int | None = field(default=None, init=False, repr=False, compare=False)
+    _band: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kern = self.geometry.kernel
@@ -401,8 +416,7 @@ def _radial_graph(geometry: Geometry, R: float, eps: float, g: TrigPolynomial) -
     and r's range, R + eps m -/+ |eps| sum_{k >= 1} |amp| with m = c0 + sum_{k = 0}
     amp cos(phase) g's constant part, lies in (0, ``embed_radius``).  Where r is
     constant (eps = 0, or g has no order above 0) the speed sn_K(r) is kept as the
-    curve's ``_speed``; elsewhere the first speed grid, the least power of two
-    >= max(256, 32 k) for g's highest order k, is kept as its ``_speed_grid``.
+    curve's ``_speed``; elsewhere g's highest order is kept as its ``_band``.
     """
     kern = geometry.kernel
     R = _check_radius(geometry, R)
@@ -442,9 +456,7 @@ def _radial_graph(geometry: Geometry, R: float, eps: float, g: TrigPolynomial) -
         speed = float(S(R + eps * g(0.0)))  # the jet's own r, below embed_radius: sn_K > 0 there
         object.__setattr__(curve, "_speed", (TrigPolynomial(speed), speed))
     else:
-        # the speed's orders are multiples of g's top order k: 16 samples a period of 2k, at least 256
-        first = max(256, 32 * int(max(g.orders)))
-        object.__setattr__(curve, "_speed_grid", 1 << (first - 1).bit_length())
+        object.__setattr__(curve, "_band", int(max(g.orders)))
     return curve
 
 

@@ -198,6 +198,14 @@ class TestCurveCommands:
         assert out["max_angle_residual"] < 1e-8
         assert out["is_gutkin"] is True
 
+    def test_verify_default_samples_follow_the_band(self, runner, write_spec):
+        """Without --samples, curve verify shoots max(64, 16 k) chords for the spec's
+        highest order k: 80 for the H2 spec's k = 5; --samples still sets the count."""
+        path = write_spec(H2_SPEC)
+        assert json.loads(run_ok(runner, ["curve", "verify", "--spec", path]))["n_samples"] == 80
+        out = run_ok(runner, ["curve", "verify", "--spec", path, "--samples", "64"])
+        assert json.loads(out)["n_samples"] == 64
+
     def test_residual_e2(self, runner, write_spec):
         path = write_spec(E2_SPEC)
         out = json.loads(run_ok(runner, ["curve", "residual", "--spec", path,
@@ -435,6 +443,9 @@ class TestBilliardAndChords:
          "S2 radius down to -1.0: r = R + eps g(t) must stay positive"),
         ({"geometry": "spherical", "R": 1.0, "epsilon": 1e-4, "g": [{"k": 128, "amp": 1.0}]},
          "deformation too large: curve loses convexity"),
+        ({"geometry": "hyperbolic", "R": 1.0, "epsilon": 0.004536428113616324,
+          "g": [{"k": 20, "amp": 1.0, "phase": 0.39269908169872414}]},
+         "deformation too large: curve loses convexity"),
         (dict(E2_SPEC, harmonics=[{"k": 0, "amp": 0.1}]),
          "harmonic k=0 is a constant: add amp * cos(phase) = 0.1 to c0"),
         ({"geometry": "spherical", "R": 1.0, "epsilon": 1.0, "g": [{"k": 0, "amp": 4.0}]},
@@ -443,10 +454,13 @@ class TestBilliardAndChords:
         ({"geometry": "spherical", "R": 1.0, "epsilon": 1e-7, "g": [{"k": 1024, "amp": 1.0}]},
          "g's order 1024 is above 1023, the most the arc length resolves: the speed's order 2048 "
          "needs more than 4096 samples"),
-    ], ids=["r dips below 0", "r is -1", "k = 128 aliased", "E2 k = 0", "r is 5", "k = 1024"])
+    ], ids=["r dips below 0", "r is -1", "k = 128 aliased", "H2 k = 20 between scan points", "E2 k = 0",
+            "r is 5", "k = 1024"])
     def test_curve_build_refusals(self, runner, write_spec, data, message):
         """Specs that once built, or were refused as not closed or with a radius they
-        never reach (r = 5 as -3.0), are refused with one line."""
+        never reach (r = 5 as -3.0), are refused with one line.  The H2 k = 20 curve's
+        geodesic curvature reaches -0.0133 midway between the points of the old
+        8-points-a-period scan, and it built."""
         result = runner.invoke(main, ["curve", "build", "--spec", write_spec(data)])
         assert result.exit_code == 3
         assert (result.stdout, result.stderr) == ("", f"error: {message}\n")

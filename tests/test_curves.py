@@ -8,6 +8,7 @@ from equichord import (
     DeformedCircle,
     FourierCurveE2,
     Geometry,
+    ParametricCurve,
     Harmonic,
     TrigPolynomial,
     build_deformed_circle,
@@ -159,6 +160,32 @@ class TestVerifyCurve:
         monkeypatch.setattr(curves, "shoot_to_curve", lossy)
         with pytest.raises(OutOfRange, match=r"sample 5 \(t = 0\.98"):
             verify_curve_gutkin(flower_curve, alpha4, 32)
+
+    @pytest.mark.parametrize("make, count", [
+        (lambda: build_e2_curve(FourierCurveE2(1.0, (Harmonic(4, 0.1),))), 64),
+        (lambda: build_e2_curve(FourierCurveE2(1.0, (Harmonic(3, 0.1), Harmonic(6, 0.01)))), 96),
+        (lambda: build_e2_curve(FourierCurveE2(1.0)), 64),
+        (lambda: circle_curve(Geometry.HYPERBOLIC, 1.2), 64),
+        (lambda: build_deformed_circle(DeformedCircle(Geometry.SPHERICAL, 1.0, 0.0,
+                                                      TrigPolynomial(0.0, (Harmonic(40, 1.0),)))), 64),
+        (lambda: build_deformed_circle(DeformedCircle(Geometry.SPHERICAL, 1.0, 1e-6,
+                                                      TrigPolynomial(0.0, (Harmonic(40, 1.0),)))), 640),
+        (lambda: ParametricCurve(Geometry.EUCLIDEAN, build_e2_curve(
+            FourierCurveE2(1.0, (Harmonic(40, 1e-4),))).jet), 64),
+    ], ids=["E2 k = 4", "E2 k = 6", "E2 circle", "H2 circle", "S2 eps = 0", "S2 k = 40", "jet only"])
+    def test_default_count_follows_the_band(self, make, count):
+        """max(64, 16 k) samples for the curve's highest order k, 8 a period of the
+        residual's order 2k; 64 for a constant radius and a curve known only by its jet."""
+        assert verify_curve_gutkin(make(), 0.9)["n_samples"] == count
+
+    def test_default_count_reads_high_orders(self):
+        """On S2, R = 1, eps = 1e-6, g = cos 64t, at alpha = 1 (no root), 64 samples
+        read 7.2e-5 against 1.24e-4 on 4096; the default 1024 read within 2% of it."""
+        g = TrigPolynomial(0.0, (Harmonic(64, 1.0),))
+        curve = build_deformed_circle(DeformedCircle(Geometry.SPHERICAL, 1.0, 1e-6, g))
+        fine = verify_curve_gutkin(curve, 1.0, 4096)["max_angle_residual"]
+        assert verify_curve_gutkin(curve, 1.0, 64)["max_angle_residual"] < 0.6 * fine
+        assert abs(verify_curve_gutkin(curve, 1.0)["max_angle_residual"] - fine) < 0.02 * fine
 
 
 class TestE2Residual:
@@ -372,9 +399,10 @@ class TestDeformedCircle:
         assert build_deformed_circle(DeformedCircle(geometry, R, 1e-3, g))._speed is None
 
     def test_convexity_scan_sees_every_harmonic(self):
-        """The scan takes 8 points per period of g's highest order: at 128 points a
-        k = 128 deformation is sampled only where cos 128t = 1, and built though its
-        geodesic curvature reaches -1.67."""
+        """The scan takes the band grid, the least power of two >= max(256, 32 k) for
+        g's highest order k, so 32 points per period of k = 128: at a fixed 128
+        points a k = 128 deformation was sampled only where cos 128t = 1, and built
+        though its geodesic curvature reaches -1.67."""
         g = TrigPolynomial(0.0, (Harmonic(128, 1.0),))
         with pytest.raises(NonConvex, match="loses convexity"):
             build_deformed_circle(DeformedCircle(Geometry.SPHERICAL, 1.0, 1e-4, g))
@@ -382,6 +410,52 @@ class TestDeformedCircle:
         with pytest.raises(OutOfRange, match="order 1024 is above 1023, the most the arc length resolves"):
             build_deformed_circle(DeformedCircle(Geometry.SPHERICAL, 1.0, 1e-12,
                                                  TrigPolynomial(0.0, (Harmonic(1024, 1.0),))))
+
+    @pytest.mark.parametrize("tag, k, phase, eps", [
+        # R = 1, g = cos(kt + pi k / max(128, 8 k)): g's extremum lies midway between the
+        # points of the 8-points-a-period scan; eps is 1.0001, 1.001, 1.01 or 1.05 times
+        # the convexity limit, bisected on 200000 points
+        ("S2", 2, 0.04908738521234052, 0.12291604101219925),
+        ("S2", 2, 0.04908738521234052, 0.12302665438777265),
+        ("S2", 3, 0.07363107781851078, 0.05267255723857331),
+        ("S2", 5, 0.1227184630308513, 0.01848293908508202),
+        ("S2", 8, 0.19634954084936207, 0.007150362400939141),
+        ("S2", 8, 0.19634954084936207, 0.007156797083631716),
+        ("S2", 8, 0.19634954084936207, 0.007221143910557476),
+        ("S2", 20, 0.39269908169872414, 0.0011379163521921876),
+        ("S2", 20, 0.39269908169872414, 0.0011389403745069291),
+        ("S2", 20, 0.39269908169872414, 0.001149180597654344),
+        ("S2", 20, 0.39269908169872414, 0.001194692700531744),
+        ("S2", 60, 0.3926990816987241, 0.00012631853634313382),
+        ("S2", 60, 0.3926990816987241, 0.00012643221165831113),
+        ("S2", 60, 0.3926990816987241, 0.00012756896481008417),
+        ("S2", 60, 0.3926990816987241, 0.0001326212010401865),
+        ("H2", 2, 0.04908738521234052, 0.26023632678400777),
+        ("H2", 2, 0.04908738521234052, 0.2604705160591858),
+        ("H2", 3, 0.07363107781851078, 0.14771773561874432),
+        ("H2", 5, 0.1227184630308513, 0.0635427854259713),
+        ("H2", 8, 0.19634954084936207, 0.02680209772622024),
+        ("H2", 8, 0.19634954084936207, 0.026826217202226235),
+        ("H2", 8, 0.19634954084936207, 0.027067411962286212),
+        ("H2", 20, 0.39269908169872414, 0.004491962135076918),
+        ("H2", 20, 0.39269908169872414, 0.004496004496762318),
+        ("H2", 20, 0.39269908169872414, 0.004536428113616325),
+        ("H2", 20, 0.39269908169872414, 0.004716088632967467),
+        ("H2", 60, 0.3926990816987241, 0.0005032553111470827),
+        ("H2", 60, 0.3926990816987241, 0.0005037081956386658),
+        ("H2", 60, 0.3926990816987241, 0.000508237040554498),
+        ("H2", 60, 0.3926990816987241, 0.0005283652401804188),
+    ])
+    def test_nonconvex_between_the_old_scan_points_is_refused(self, tag, k, phase, eps):
+        """Each of these curves built when the scan took max(128, 8 k) points, with
+        its least geodesic curvature between -6.4e-5 and -0.066 on a fine grid; on
+        the band grid each is refused."""
+        geometry = Geometry(tag)
+        g = TrigPolynomial(0.0, (Harmonic(k, 1.0, phase),))
+        fine = np.linspace(0.0, 2 * np.pi, 200000, endpoint=False)
+        assert geodesic_curvature(_radial_graph(geometry, 1.0, eps, g), fine).min() < 0
+        with pytest.raises(NonConvex, match="loses convexity"):
+            build_deformed_circle(DeformedCircle(geometry, 1.0, eps, g))
 
     @pytest.mark.parametrize("k, resolved", [(1023, True), (1500, False)])
     def test_order_cap_is_where_the_arc_length_resolves(self, k, resolved):
