@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .geometry import TWO_PI, ParametricCurve, _any, _count, shoot_to_curve
+from .geometry import TWO_PI, ParametricCurve, _all, _count, shoot_to_curve
 
 __all__ = ["BilliardState", "billiard_step", "invariant_circle_residual", "export_orbit"]
 
@@ -34,9 +34,9 @@ class BilliardState:
 
     def __post_init__(self):
         theta = np.asarray(self.theta)
-        bad = ~((0.0 < theta) & (theta < np.pi))
-        if _any(bad):
-            i = int(np.argmax(bad))
+        ok = (0.0 < theta) & (theta < np.pi)
+        if not _all(ok):
+            i = int(np.argmin(ok))
             got = self.theta if theta.ndim == 0 else f"{float(theta.flat[i])!r} at element {i}"
             raise OutOfRange(f"theta must lie in (0, pi), got {got}")
 

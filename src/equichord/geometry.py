@@ -13,13 +13,15 @@ Conventions fixed here and relied on everywhere else:
   table behind ``Geometry.kernel``; formulas elsewhere are written once in
   the curvature K through sn_K, cs_K and tn_K.
 * A point, or a batch of points, is a tuple of coordinate columns, (x, y) on
-  E2 and (x0, x1, x2) on S2 and H2: numpy scalars for one point, arrays for
-  a batch.  Curves return ``Points``, which ``np.asarray`` stacks (..., dim).
+  E2 and (x0, x1, x2) on S2 and H2: numbers for one point (a shot's are Python
+  floats), arrays for a batch.  Curves return ``Points``, which ``np.asarray``
+  stacks (..., dim).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -60,9 +62,10 @@ class _NaNValue(RuntimeError):
 def _newton(f, neg, pos, x):
     """Roots of f, one per lane, by Newton's method safeguarded by bisection.
 
-    neg, pos and the first iterate x are numpy values of one shape with
+    neg, pos and the first iterate x are numbers, or arrays of one shape, with
     f(neg) < 0 < f(pos) and x between them; ``f(x)`` returns (f, f') at an x
-    of that shape (a scalar runs on numpy scalars).  A lane stops when its
+    of that shape (a number, a Python float or a numpy scalar, runs on numbers
+    of its type).  A lane stops when its
     step is below _NEWTON_TOL max(1, |x|), 8 eps of double.  Otherwise the
     end of f's sign moves to x, and a step landing outside the bracket, or
     longer than half the step two rounds before (a bisection's step is half
@@ -77,7 +80,7 @@ def _newton(f, neg, pos, x):
     _NEWTON_ROUNDS rounds.
     """
     before = last = np.inf  # the lengths of the last two steps
-    if x.ndim == 0:
+    if not isinstance(x, np.ndarray):
         for _ in range(_NEWTON_ROUNDS):
             y, dy = f(x)
             if y != y:
@@ -127,10 +130,16 @@ def _broadcast(u, v):
     return (u, v) if u.shape == v.shape else np.broadcast_arrays(u, v)
 
 
-def _any(mask) -> bool:
-    """Whether a numpy bool scalar or array has a set element.  ``np.count_nonzero``
-    makes a scalar an array first, about 1.5 us against 0.1 us for ``bool``."""
-    return bool(mask) if mask.ndim == 0 else np.count_nonzero(mask) > 0
+def _all(ok) -> bool:
+    """Whether a bool, a numpy bool scalar or every element of a bool array is set.
+    ``np.all`` makes a scalar an array first, about 1.5 us against 0.1 us here."""
+    return np.count_nonzero(ok) == ok.size if isinstance(ok, np.ndarray) else bool(ok)
+
+
+def _sqrt(x):
+    """np.sqrt, but a Python float >= 0 stays one: ``math.sqrt`` rounds as correctly as
+    np.sqrt, and a Python float's arithmetic costs a fifth of a numpy scalar's."""
+    return math.sqrt(x) if type(x) is float and x >= 0.0 else np.sqrt(x)
 
 
 def _count(n, what: str, least: int | None = None) -> int:
@@ -189,12 +198,12 @@ def _scale(cols, s):
 
 def _euclidean_distance(p, q):
     d0, d1 = q[0] - p[0], q[1] - p[1]
-    return np.sqrt(d0 * d0 + d1 * d1)
+    return _sqrt(d0 * d0 + d1 * d1)
 
 
 def _spherical_distance(p, q):
     cross = _cross(p, q)
-    return np.arctan2(np.sqrt(_dot3(cross, cross)), _dot3(p, q))
+    return np.arctan2(_sqrt(_dot3(cross, cross)), _dot3(p, q))
 
 
 def _hyperbolic_distance(p, q):
@@ -206,7 +215,7 @@ def _hyperbolic_normal(p, unit_t):
     # Minkowski cross product G (p x T) with G = diag(-1, 1, 1)
     n0, n1, n2 = _cross(p, unit_t)
     n = (-n0, n1, n2)
-    return _scale(n, np.sqrt(_minkowski_dot(n, n)))
+    return _scale(n, _sqrt(_minkowski_dot(n, n)))
 
 
 def _line_side(p, d):
@@ -265,20 +274,20 @@ class _Kernel(NamedTuple):
 
 _KERNELS = {
     "E2": _Kernel(
-        K=0.0, sn=lambda x: x, cs=np.ones_like, tn=lambda x: x,
+        K=0.0, sn=lambda x: x, cs=lambda x: x ** 0, tn=lambda x: x,
         dot=lambda u, v: u[0] * v[0] + u[1] * v[1], distance=_euclidean_distance, project=lambda x: x,
         normal=lambda p, t: (-t[1], t[0]), side=_line_side,
         embed=lambda x, y, pole: Points((x, y)), max_radius=np.inf, embed_radius=np.inf),
     "S2": _Kernel(
         K=1.0, sn=np.sin, cs=np.cos, tn=np.tan,
         dot=_dot3, distance=_spherical_distance,
-        project=lambda x: _scale(x, np.sqrt(_dot3(x, x))), normal=_cross, side=_plane_side,
+        project=lambda x: _scale(x, _sqrt(_dot3(x, x))), normal=_cross, side=_plane_side,
         embed=lambda x, y, pole: Points((x, y, pole)), max_radius=np.pi / 2, embed_radius=np.pi,
         embed_reason="sin r stops being positive and the polar chart folds over the antipode"),
     "H2": _Kernel(
         K=-1.0, sn=np.sinh, cs=np.cosh, tn=np.tanh,
         dot=_minkowski_dot, distance=_hyperbolic_distance,
-        project=lambda x: _scale(x, np.sqrt(-_minkowski_dot(x, x))), normal=_hyperbolic_normal,
+        project=lambda x: _scale(x, _sqrt(-_minkowski_dot(x, x))), normal=_hyperbolic_normal,
         side=_plane_side, embed=lambda x, y, pole: Points((pole, x, y)),
         max_radius=float(np.arccosh(np.finfo(float).max)), embed_radius=float(np.arccosh(1e12)) / 2,
         embed_reason="cosh^2 r + sinh^2 r passes 1e12 and the hyperboloid's -<p, p> = 1 cancels"),
@@ -351,9 +360,10 @@ class ParametricCurve:
 
     ``_landing`` is the last shot's landing, kept so that a shot launched
     from exactly where the previous one landed (a billiard orbit) reuses
-    its point and frame: (t1 of every lane, one (projected point, unit
-    tangent, inward unit normal) per lane block); the shot took the normal
-    for its arrival angle.  All are functions of t1 alone, so a reused
+    its point and frame: (t1 of every lane as a list of floats, one
+    (projected point, unit tangent, inward unit normal) per lane block, or per
+    lane where the shot ran lane by lane); the shot took the normal for its
+    arrival angle.  All are functions of t1 alone, so a reused
     launch is the one a fresh evaluation gives, bit for bit.
 
     ``_speed`` is the speed |velocity(t)| in closed form, for the curves whose
@@ -394,16 +404,16 @@ class ParametricCurve:
 
     @cached_property
     def _ring(self) -> tuple:
-        """``point`` at the shot ring t_j = j 2 pi / _SHOT_GRID, unprojected, one column
-        entry per j = 0, ..., _SHOT_GRID; the last repeats the first, as t = 2 pi is t = 0.
-        Evaluated once per curve, on the first shot; OutOfRange names the first t_j
-        whose point is not finite."""
+        """(point, velocity) at the shot ring t_j = j 2 pi / _SHOT_GRID, the point
+        unprojected, one column entry per j = 0, ..., _SHOT_GRID; the last repeats the
+        first, as t = 2 pi is t = 0.  Evaluated once per curve, on the first shot, by one
+        ``jet(ts, 1)``; OutOfRange names the first t_j whose point is not finite."""
         ts = np.arange(_SHOT_GRID) * _RING_STEP
-        cols = self.point(ts)
-        finite = np.logical_and.reduce([np.isfinite(c) for c in cols])
+        p, v = self.jet(ts, 1)
+        finite = np.logical_and.reduce([np.isfinite(c) for c in p])
         if not finite.all():
             raise OutOfRange(f"the curve's point at t = {float(ts[np.argmin(finite)])!r} is not finite")
-        return tuple(np.concatenate((c, c[:1])) for c in cols)
+        return tuple(tuple(np.concatenate((c, c[:1])) for c in cols) for cols in (p, v))
 
 
 def _radial_graph(geometry: Geometry, R: float, eps: float, g: TrigPolynomial) -> ParametricCurve:
@@ -491,8 +501,8 @@ def _frame(geometry, t, p, v):
     and Degenerate where the curve stops.  An infinite speed passes."""
     kern = geometry.kernel
     speed2 = kern.dot(v, v)
-    speed = np.sqrt(speed2)
-    if _any(~(speed > 0.0)):  # a NaN speed fails it too; a tiny one is a small curve
+    speed = _sqrt(speed2)
+    if not _all(speed > 0.0):  # a NaN speed fails it too; a tiny one is a small curve
         nan = np.ravel(np.isnan(speed))
         if nan.any():
             raise OutOfRange(f"the curve's velocity at t = {float(np.ravel(t)[nan.argmax()])!r} is not finite")
@@ -505,7 +515,7 @@ def _angle(geometry, tan, normal, w):
     """The angle in [0, pi] from the frame's T to w's part in the plane of (T, N), w of
     any length: atan2(|<w, N>|, <w, T>), good to about eps at every angle."""
     kern = geometry.kernel
-    return np.arctan2(np.abs(kern.dot(w, normal)), kern.dot(w, tan))
+    return np.arctan2(abs(kern.dot(w, normal)), kern.dot(w, tan))
 
 
 def _chord_tangent_at_arrival(geometry, p, d, length):
@@ -521,6 +531,8 @@ _GUARD = 1e-6  # f(t0) is 0 only up to rounding, so no sample lies this close to
 
 
 _LANE_BLOCK = 1024  # shots evaluated together; bounds the (lanes x ring) arrays
+_CELL_ENDS = np.array([[0], [1]])  # a lane's cell k plus these: its ends (k, k + 1) as two rows
+_LANE_CROSSOVER = 7  # a batch of fewer shots is shot one lane at a time, on Python floats
 
 
 def shoot_to_curve(curve: ParametricCurve, t0, theta):
@@ -541,132 +553,260 @@ def shoot_to_curve(curve: ParametricCurve, t0, theta):
     that meets a curve point that is not finite, between two ring points,
     raises OutOfRange naming its t.
 
-    A shot evaluates the curve's jet (point and velocity together) at t0,
-    once per Newton round and at the landing, which it takes at the returned
-    t1 (already mod 2 pi).  The curve keeps that landing's point, T and N,
-    and the next shot whose t0 (mod 2 pi) equals the t1 it returned, lane
-    for lane, launches from them: a billiard step re-evaluates nothing at
-    its launch.  All are functions of t1 alone, so such a shot equals a
-    fresh one bit for bit.
+    Newton starts at the root of the ring cell's cubic Hermite interpolant and
+    takes about two rounds (docs/derivation.md, "Polishing").  A shot
+    evaluates the curve's jet (point and velocity together) at t0 and once
+    per round.  It lands at Newton's root, mod 2 pi, and reuses the last
+    round's evaluation where that is the same t (where Newton's last step
+    rounded away); elsewhere it evaluates the jet at t1.  The curve keeps
+    that landing's point, T and N, and the next shot whose t0 (mod 2 pi)
+    equals the t1 it returned, lane for lane, launches from them: a billiard
+    step re-evaluates nothing at its launch.  All are functions of t1 alone,
+    so such a shot equals a fresh one bit for bit.
 
     ``t0`` and ``theta`` broadcast against each other, one shot per element:
     scalars give three floats, arrays three arrays of the broadcast shape,
-    each element equal bit for bit to the shot made alone.
+    each element equal bit for bit to the shot made alone.  A shot alone,
+    and each lane of a batch of fewer than _LANE_CROSSOVER, runs on Python
+    floats (_shoot_one); larger batches run in blocks of numpy lanes
+    (_shoot_lanes), whose fixed cost a few lanes do not repay.
     """
-    t0, theta = (u[()] for u in _broadcast(t0, theta))  # one shot runs on numpy scalars
-    finite = abs(t0) < np.inf  # NaN fails it too
-    if _any(~finite):
-        raise OutOfRange(f"launch parameter t0 must be finite, got {t0.flat[np.argmin(finite)]}")
-    t0 = t0 % TWO_PI
-    steep = ~((1e-6 <= theta) & (theta <= np.pi - 1e-6))
-    if _any(steep):
-        raise OutOfRange(f"launch angle {theta.flat[np.flatnonzero(steep)[0]]} too close to tangential")
-    memo = curve._landing
-    if t0.ndim == 0:
-        relaunch = memo is not None and memo[0].shape == () and memo[0] == t0
-        t1, arrival, length, landing = _shoot_lanes(curve, t0, theta, memo[1][0] if relaunch else None)
-        object.__setattr__(curve, "_landing", (t1, [landing]))
-        return float(t1), float(arrival), float(length)
+    t0, theta = _broadcast(t0, theta)
+    if t0.ndim == 0:  # one shot, on Python floats
+        t0, theta = float(t0), float(theta)
+        _check_launch(t0, theta)
+        ((t1, arrival, length),) = _shoot_alone(curve, [t0 % TWO_PI], [theta])
+        return t1, arrival, length
+    for ok in (abs(t0) < np.inf, (1e-6 <= theta) & (theta <= np.pi - 1e-6)):  # NaN fails both
+        if not _all(ok):
+            j = np.argmin(ok)
+            _check_launch(t0.flat[j], theta.flat[j])
+    flat_t0, flat_theta = (t0 % TWO_PI).ravel(), theta.ravel()
+    if t0.size < _LANE_CROSSOVER:
+        out = np.array(_shoot_alone(curve, flat_t0.tolist(), flat_theta.tolist())).reshape(-1, 3).T
+        return tuple(out.reshape((3,) + t0.shape))
     out = np.empty((3, t0.size))
-    flat_t0, flat_theta = t0.ravel(), theta.ravel()
-    relaunch = memo is not None and memo[0].shape == flat_t0.shape and not np.count_nonzero(memo[0] != flat_t0)
+    memo = curve._landing
+    relaunch = memo is not None and memo[0] == flat_t0.tolist()
     landings = []
     for j, i in enumerate(range(0, t0.size, _LANE_BLOCK)):
         *shot, landing = _shoot_lanes(curve, flat_t0[i:i + _LANE_BLOCK], flat_theta[i:i + _LANE_BLOCK],
                                       memo[1][j] if relaunch else None)
         out[:, i:i + _LANE_BLOCK] = shot
         landings.append(landing)
-    object.__setattr__(curve, "_landing", (out[0].copy(), landings))
+    object.__setattr__(curve, "_landing", (out[0].tolist(), landings))
     return tuple(out.reshape((3,) + t0.shape))  # (t1, arrival, length)
 
 
+def _check_launch(t0, theta):
+    """OutOfRange for a launch parameter that is not finite or an angle too close to tangential."""
+    if not abs(t0) < math.inf:  # NaN fails it too
+        raise OutOfRange(f"launch parameter t0 must be finite, got {t0}")
+    if not 1e-6 <= theta <= np.pi - 1e-6:
+        raise OutOfRange(f"launch angle {theta} too close to tangential")
+
+
+def _shoot_alone(curve, t0, theta) -> list:
+    """Shots from lists of floats t0 (mod 2 pi) and theta, one at a time on _shoot_one:
+    one (t1, arrival, length) of floats per lane.  The curve keeps one landing per lane."""
+    memo = curve._landing
+    relaunch = memo is not None and memo[0] == t0
+    shots, landings = [], []
+    for i, (t, th) in enumerate(zip(t0, theta)):
+        *shot, landing = _shoot_one(curve, t, th, memo[1][i] if relaunch else None)
+        shots.append(shot)
+        landings.append(landing)
+    object.__setattr__(curve, "_landing", ([shot[0] for shot in shots], landings))
+    return shots
+
+
+def _jet1(curve, t: float):
+    """The curve's point and velocity at one t, as tuples of Python floats."""
+    p, v = curve.jet(t, 1)
+    return tuple(map(float, p)), tuple(map(float, v))
+
+
+def _aim(kern, tan, normal, cos, sin):
+    """The unit chord direction cos T + sin N."""
+    d = tuple(cos * tc + sin * nc for tc, nc in zip(tan, normal))
+    return _scale(d, _sqrt(kern.dot(d, d)))
+
+
+def _hermite_start(fa, fb, ha, hb):
+    """(s, u) for a sign change of f on a cell, in units of the cell (0 at its start, 1 at
+    its end), from f there (fa, fb) and f' times the cell's width (ha, hb): s is the regula
+    falsi point, off the root by O(h^2), and u two Newton steps from s, in Horner form, on
+    the cubic Hermite interpolant, whose root is off by O(h^4) (docs/derivation.md,
+    "Polishing").  A shot starts at u where it lies in the cell, and at s elsewhere."""
+    drop = fa - fb
+    u = s = fa / drop
+    c3 = 2.0 * drop + (ha + hb)  # H(u) = fa + u (ha + u (c2 + u c3)), H(1) = fb, H'(1) = hb
+    c2 = -(c3 + drop + ha)
+    d2, d3 = 2.0 * c2, 3.0 * c3
+    for _ in range(2):
+        u = u - (fa + u * (ha + u * (c2 + u * c3))) / (ha + u * (d2 + u * d3))
+    return s, u
+
+
+def _refuse_chord(t0, theta, count, nan):
+    """The error for a chord that does not cross the curve exactly once."""
+    if nan:  # a launch point or direction that is not finite makes every side value NaN
+        raise OutOfRange(f"the chord from t0={t0} at theta={theta} has NaN side values: "
+                         "the curve's point or tangent at t0 is not finite")
+    if count == 0:
+        raise Degenerate("no forward intersection found (curve convex and closed?)")
+    raise NonConvex(f"the chord from t0={t0} at theta={theta} crosses the curve {count} times")
+
+
+def _shoot_one(curve, t0: float, theta: float, launch=None):
+    """One shot on Python floats: (t1, arrival, length, landing) as floats, the arithmetic
+    of one of _shoot_lanes' lanes and equal to it bit for bit.  Only the curve's jet and
+    the transcendental functions run on numpy; +, -, *, / and math.sqrt round as numpy's do."""
+    geometry = curve.geometry
+    kern = geometry.kernel
+    ring, ring_v = curve._ring  # first, so a curve that is not finite on its ring is named there
+    if launch is None:
+        p, v = _jet1(curve, t0)
+        p = kern.project(p)
+        tan, normal, _ = _frame(geometry, t0, p, v)
+    else:
+        p, tan, normal = launch
+    d = _aim(kern, tan, normal, float(np.cos(theta)), float(np.sin(theta)))
+    side, slope = kern.side(p, d)
+    up = slope(tan)
+    # the ring bookkeeping of _shoot_lanes, with the crossing cells listed
+    cell = min(int(t0 // _RING_STEP), _SHOT_GRID - 1)  # t0 % 2 pi may round to 2 pi
+    after = cell + 1 + ((cell + 1) * _RING_STEP - t0 < _GUARD)
+    before = cell - (t0 - cell * _RING_STEP < _GUARD)
+    skip = {cell, (cell + 1) % _SHOT_GRID if after > cell + 1 else cell,
+            (cell - 1) % _SHOT_GRID if before < cell else cell}
+    vals = side(ring)
+    # the cells where the product of the ends is <= 0 hold every hit, and a few cells more
+    # (a 0 at the right end, an underflowing product); the hits among them are read in floats
+    cells = [j for j in np.flatnonzero(vals[:-1] * vals[1:] <= 0.0).tolist() if j not in skip
+             and (vals.item(j) == 0.0 or vals.item(j) * vals.item(j + 1) < 0.0)]
+    first, last = vals.item(after % _SHOT_GRID), vals.item(before % _SHOT_GRID)
+    short_after = first * up < 0.0
+    short_before = last == 0.0 or last * up > 0.0
+    count = len(cells) + short_after + short_before
+    if count != 1:
+        _refuse_chord(t0, theta, count, np.isnan(vals).any())
+    if cells:
+        k = cells[0]
+        a, b, fa, fb = k * _RING_STEP, (k + 1) * _RING_STEP, vals.item(k), vals.item(k + 1)
+        da, db = (slope(tuple(c.item(j) for c in ring_v)) for j in (k, k + 1))
+    else:  # a short chord: the guard point t0 +- 1e-6 ends its bracket, as in _shoot_lanes
+        j = after if short_after else before
+        tg, tj = t0 + _GUARD if short_after else t0 - _GUARD, j * _RING_STEP
+        pg, vg = _jet1(curve, tg)
+        g, dg = side(pg), slope(vg)
+        fj, dj = vals.item(j % _SHOT_GRID), slope(tuple(c.item(j % _SHOT_GRID) for c in ring_v))
+        if (g if short_after else -g) * up < 0.0:
+            raise Degenerate("no forward intersection found (curve convex and closed?)")
+        a, b, fa, fb, da, db = (tg, tj, g, fj, dg, dj) if short_after else (tj, tg, fj, g, dj, dg)
+    h = b - a
+    s, u = _hermite_start(fa, fb, h * da, h * db)
+    neg, pos = (a, b) if fa < 0.0 else (b, a)
+    evaluated = []
+
+    def f(t):
+        evaluated[:] = t, *_jet1(curve, t)
+        return side(evaluated[1]), slope(evaluated[2])
+
+    try:
+        root = _newton(f, neg, pos, a + (u if 0.0 <= u <= 1.0 else s) * h)
+    except _NaNValue as nan:  # the ring and the launch are finite: the curve is not, between ring points
+        raise OutOfRange(f"the curve's point at t = {nan.x!r} is not finite") from None
+    t, q, v = evaluated
+    t1 = root % TWO_PI
+    if t1 != t:
+        q, v = _jet1(curve, t1)
+    q = kern.project(q)
+    tan, normal, _ = _frame(geometry, t1, q, v)
+    length = float(kern.distance(p, q))
+    sp, cd = -kern.K * float(kern.sn(length)), float(kern.cs(length))  # _chord_tangent_at_arrival
+    w = tuple(sp * pc + cd * dc for pc, dc in zip(p, d))
+    return t1, float(_angle(geometry, tan, normal, w)), length, (q, tan, normal)
+
+
 def _shoot_lanes(curve, t0, theta, launch=None):
-    """shoot_to_curve on a numpy scalar or on lanes of shape (n,): (t1, arrival, length,
-    landing), t1 mod 2 pi and landing the projected point and frame (q, T, N) there.  ``launch``
-    is the landing of a shot that returned t0, or None to evaluate the curve at t0."""
-    kern = curve.geometry.kernel
-    ring = curve._ring  # first, so a curve that is not finite on its ring is named there
+    """shoot_to_curve on lanes of shape (n,), t0 mod 2 pi: (t1, arrival, length, landing),
+    t1 mod 2 pi and landing the projected point and frame (q, T, N) there.  ``launch`` is the
+    landing of a shot that returned t0, or None to evaluate the curve at t0."""
+    geometry = curve.geometry
+    kern = geometry.kernel
+    ring, ring_v = curve._ring  # first, so a curve that is not finite on its ring is named there
     if launch is None:
         p, v = curve.jet(t0, 1)
         p = kern.project(p)
-        tan, normal, _ = _frame(curve.geometry, t0, p, v)
+        tan, normal, _ = _frame(geometry, t0, p, v)
     else:
         p, tan, normal = launch
-    cos, sin = np.cos(theta), np.sin(theta)
-    d = tuple(cos * tc + sin * nc for tc, nc in zip(tan, normal))
-    d = _scale(d, np.sqrt(kern.dot(d, d)))
-
+    d = _aim(kern, tan, normal, np.cos(theta), np.sin(theta))
     side, slope = kern.side(p, d)
     up = slope(tan)  # f'(t0): f has its sign just after t0, and the opposite one before t0 + 2 pi
     # f on the closed ring (its sample at 2 pi is the one at 0), one row per lane, and
-    # its sign changes per cell [t_j, t_j+1], a 0 counting at its cell's left end;
-    # one shot keeps its cell bookkeeping in Python numbers
-    if t0.ndim == 0:
-        x, lane = t0.item(), ()
-        cell = min(int(x // _RING_STEP), _SHOT_GRID - 1)  # t0 % 2 pi may round to 2 pi
-        vals = side(ring)
-    else:
-        x, lane = t0, (np.arange(t0.size),)
-        cell = np.minimum(t0 // _RING_STEP, _SHOT_GRID - 1).astype(int)
-        vals = kern.side(tuple(c[:, None] for c in p), tuple(c[:, None] for c in d))[0](ring)
-    hits = (vals[..., :-1] == 0.0) | (vals[..., :-1] * vals[..., 1:] < 0.0)
+    # its sign changes per cell [t_j, t_j+1], a 0 counting at its cell's left end
+    lane = (np.arange(t0.size),)
+    cell = np.minimum(t0 // _RING_STEP, _SHOT_GRID - 1).astype(int)  # t0 % 2 pi may round to 2 pi
+    vals = kern.side(tuple(c[:, None] for c in p), tuple(c[:, None] for c in d))[0](ring)
+    hits = (vals[:, :-1] == 0.0) | (vals[:, :-1] * vals[:, 1:] < 0.0)
     # The shot samples (t0, t0 + 2 pi) from t0's cell on, without the ring points
     # within the guard of t0: ``after`` is its first ring sample and ``before`` its
     # last, as indices of the unwrapped ring (-1 <= before < after <= _SHOT_GRID + 1).
     # The cells between them are not counted; f'(t0) gives the guards' signs.
-    after = cell + 1 + ((cell + 1) * _RING_STEP - x < _GUARD)
-    before = cell - (x - cell * _RING_STEP < _GUARD)
+    after = cell + 1 + ((cell + 1) * _RING_STEP - t0 < _GUARD)
+    before = cell - (t0 - cell * _RING_STEP < _GUARD)
     hits[lane + (cell,)] = False
     hits[lane + ((cell + 1) % _SHOT_GRID,)] &= after == cell + 1
     hits[lane + (cell - 1,)] &= before == cell
     first, last = vals[lane + (after % _SHOT_GRID,)], vals[lane + (before % _SHOT_GRID,)]
     short_after = first * up < 0.0
     short_before = (last == 0.0) | (last * up > 0.0)
-    count = hits.sum(axis=-1) + short_after + short_before
-    if _any(count != 1):
-        # a launch point or direction that is not finite makes every side value NaN
+    count = np.count_nonzero(hits, axis=-1) + short_after + short_before
+    if np.count_nonzero(count != 1):
         nan = (count != 1) & np.isnan(vals).any(axis=-1)
-        if _any(nan):
-            j = np.flatnonzero(nan)[0]
-            raise OutOfRange(f"the chord from t0={t0.flat[j]} at theta={theta.flat[j]} has NaN side "
-                             "values: the curve's point or tangent at t0 is not finite")
-        j = np.flatnonzero(count != 1)[0]
-        if count.flat[j] == 0:
-            raise Degenerate("no forward intersection found (curve convex and closed?)")
-        raise NonConvex(f"the chord from t0={t0.flat[j]} at theta={theta.flat[j]} crosses the curve "
-                        f"{count.flat[j]} times")
-    k = hits.argmax(axis=-1)  # the crossing's cell, where it is a whole one
-    a, b, fa, fb = k * _RING_STEP, (k + 1) * _RING_STEP, vals[lane + (k,)], vals[lane + (k + 1,)]
+        j = np.flatnonzero(nan if nan.any() else count != 1)[0]
+        _refuse_chord(t0[j], theta[j], count[j], nan[j])
+    ends = hits.argmax(axis=-1) + _CELL_ENDS  # the crossing's cell k, where it is a whole one: (k, k + 1)
+    (a, b), (fa, fb) = ends * _RING_STEP, vals[lane + (ends,)]
+    da, db = slope(tuple(c[ends] for c in ring_v))
     short = short_after | short_before
-    if _any(short):
+    if np.count_nonzero(short):
         # a short chord lands between t0 and its first or last sample: the guard point,
         # t0 + 1e-6 or t0 - 1e-6, ends its bracket.  It is evaluated on every lane of
         # the block and kept on the short ones; the jet is elementwise, so no other
         # lane's bracket changes
         j = np.where(short_after, after, before)
         tg, tj = t0 + np.where(short_after, _GUARD, -_GUARD), j * _RING_STEP
-        g, fj = side(curve.point(tg)), vals[lane + (j % _SHOT_GRID,)]
-        if _any(short & (np.where(short_after, g, -g) * up < 0.0)):
+        pg, vg = curve.jet(tg, 1)
+        g, dg = side(pg), slope(vg)
+        fj, dj = vals[lane + (j % _SHOT_GRID,)], slope(tuple(c[j % _SHOT_GRID] for c in ring_v))
+        if np.count_nonzero(short & (np.where(short_after, g, -g) * up < 0.0)):
             raise Degenerate("no forward intersection found (curve convex and closed?)")
-        guarded = np.where(short_after, (tg, tj, g, fj), (tj, tg, fj, g))
-        a, b, fa, fb = np.where(short, guarded, (a, b, fa, fb))
-    # polish each lane's one sign change by Newton from the regula falsi point of
-    # its bracket; where a sample is exactly 0, that point is the left end
-    if t0.ndim == 0:
-        neg, pos = (a, b) if fa < 0.0 else (b, a)
-    else:
-        neg, pos = np.where(fa < 0.0, a, b), np.where(fa < 0.0, b, a)
+        guarded = np.where(short_after, (tg, tj, g, fj, dg, dj), (tj, tg, fj, g, dj, dg))
+        a, b, fa, fb, da, db = np.where(short, guarded, (a, b, fa, fb, da, db))
+    # polish each lane's one sign change by Newton from the root of its cell's cubic
+    # Hermite interpolant; where a sample is exactly 0, that start is the left end
+    h = b - a
+    s, u = _hermite_start(fa, fb, h * da, h * db)
+    neg, pos = np.where(fa < 0.0, a, b), np.where(fa < 0.0, b, a)
+    evaluated = []
+
     def f(t):
-        pt, v = curve.jet(t, 1)
-        return side(pt), slope(v)
+        evaluated[:] = t, *curve.jet(t, 1)
+        return side(evaluated[1]), slope(evaluated[2])
 
     try:
-        t1 = _newton(f, neg, pos, a - fa * (b - a) / (fb - fa)) % TWO_PI
+        root = _newton(f, neg, pos, a + np.where((0.0 <= u) & (u <= 1.0), u, s) * h)
     except _NaNValue as nan:  # the ring and the launch are finite: the curve is not, between ring points
         raise OutOfRange(f"the curve's point at t = {nan.x!r} is not finite") from None
-    q, v = curve.jet(t1, 1)
+    t, q, v = evaluated  # each lane's root where it stopped before the last round
+    t1 = root % TWO_PI
+    if np.count_nonzero(t1 != t):
+        q, v = curve.jet(t1, 1)
     q = kern.project(q)
-    tan, normal, _ = _frame(curve.geometry, t1, q, v)
+    tan, normal, _ = _frame(geometry, t1, q, v)
     length = kern.distance(p, q)
-    w = _chord_tangent_at_arrival(curve.geometry, p, d, length)
-    return t1, _angle(curve.geometry, tan, normal, w), length, (q, tan, normal)
+    w = _chord_tangent_at_arrival(geometry, p, d, length)
+    return t1, _angle(geometry, tan, normal, w), length, (q, tan, normal)

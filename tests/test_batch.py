@@ -20,6 +20,7 @@ from equichord import (
     chord_data,
     circle_curve,
     geodesic_curvature,
+    geometry,
     invariant_circle_residual,
     shoot_to_curve,
     validate_partials,
@@ -41,11 +42,16 @@ _SHORT = [0.005, np.pi - 0.0026]  # chords landing in the ring cell next to t0
 @example(circle_curve(Geometry.HYPERBOLIC, 1.2), [5 * _RING_STEP, 2.0, 0.0], [_SHORT[1], 1.0, _SHORT[0]])
 @settings(max_examples=40, deadline=None)
 def test_batched_shots_equal_single_shots(curve, t0, theta):
+    """A batch below the lane crossover is shot one lane at a time, so the same
+    shots are also tiled into a block at or above it, which runs as numpy lanes."""
     n = min(len(t0), len(theta))
     t0, theta = np.array(t0[:n]), np.array(theta[:n])
     t1, arrival, length = shoot_to_curve(curve, t0, theta)
     for i in range(n):
         assert (t1[i], arrival[i], length[i]) == shoot_to_curve(curve, t0[i], theta[i])
+    tiles = -(-geometry._LANE_CROSSOVER // n)
+    block = shoot_to_curve(curve, np.tile(t0, tiles), np.tile(theta, tiles))
+    assert all(np.array_equal(np.tile(one, tiles), lanes) for one, lanes in zip((t1, arrival, length), block))
 
 
 @given(curves(), parameters)
@@ -115,6 +121,21 @@ class TestEnsembles:
         assert (s.t[1], s.theta[1]) == (one.t, one.theta)
         with pytest.raises(OutOfRange):
             BilliardState(np.zeros(2), np.array([1.0, 4.0]))
+
+    @pytest.mark.parametrize("tag", ["E2", "S2", "H2"])
+    def test_residual_equals_per_start_orbits(self, tag):
+        """Every ensemble size from 1 to 16, below the lane crossover (one lane at a
+        time) and above it (a block of lanes), drifts exactly as its starts do
+        stepped alone."""
+        curve = _dense_curve(tag)
+        for n in range(1, 17):
+            worst = 0.0
+            for t0 in np.linspace(0.0, 2 * np.pi, n, endpoint=False):
+                s = BilliardState(float(t0), 1.1)
+                for _ in range(4):
+                    s = billiard_step(curve, s)
+                    worst = max(worst, abs(s.theta - 1.1))
+            assert invariant_circle_residual(curve, 1.1, n_steps=4, n_starts=n) == worst, n
 
     def test_residual_equals_one_start_at_a_time(self, flower_curve, alpha4):
         worst = 0.0

@@ -130,9 +130,12 @@ class TestRelaunch:
             assert drift == worst
 
     def test_jet_evaluations_per_step(self, flower_spec, alpha4):
-        """A fresh shot evaluates the jet at its launch, in three Newton rounds and
-        at its landing; a relaunched step skips the launch.  The curve's first shot
-        also evaluates its ring, once."""
+        """A fresh shot evaluates the jet at its launch and in two Newton rounds; it
+        lands at Newton's root and reuses the last round's evaluation where the last
+        step rounded away, and evaluates the root where it did not.  A relaunched
+        step skips the launch.  The curve's first shot also evaluates its ring, once.
+        An ensemble below the lane crossover is shot one lane at a time, one at or
+        above it as one block of lanes, which evaluates the root when any lane needs it."""
         curve = build_e2_curve(flower_spec)
         jet, calls = curve.jet, []
 
@@ -145,13 +148,17 @@ class TestRelaunch:
         t1, arrival, _ = shoot_to_curve(curve, 0.3, alpha4)
         assert calls.count((geometry._SHOT_GRID,)) == 1
         calls.remove((geometry._SHOT_GRID,))
-        assert len(calls) == 5
+        assert len(calls) == 3
         calls.clear()
         shoot_to_curve(curve, t1, arrival)
-        assert len(calls) == 4
+        assert len(calls) == 2
         calls.clear()
         assert len(export_orbit(curve, BilliardState(0.3, alpha4), 3)) == 3
-        assert len(calls) == 5 + 4 + 4
+        assert len(calls) == 3 + 2 + 2 + 1  # one of the three landings evaluates its root
         calls.clear()
         invariant_circle_residual(curve, alpha4, n_steps=3, n_starts=4)
-        assert calls.count((4,)) == 5 + 4 + 4
+        assert calls.count(()) == len(calls) == 4 * (3 + 2 + 2) + 3
+        calls.clear()
+        n = geometry._LANE_CROSSOVER
+        invariant_circle_residual(curve, alpha4, n_steps=3, n_starts=n)
+        assert calls.count((n,)) == len(calls) == (3 + 1) + (2 + 1) + (2 + 1)

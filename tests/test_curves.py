@@ -127,10 +127,11 @@ class TestFourierCurveE2:
                     min_size=1, max_size=4), st.floats(0.5, 3.0))
     @settings(max_examples=60, deadline=None)
     def test_rho_floor_lies_between_the_lipschitz_floor_and_the_least_rho(self, terms, size):
-        """The convexity floor takes rho's least value on the smallest grid whose
-        second-order margin is at most the Lipschitz margin of 4096 points: it is
-        never below the 4096-point Lipschitz floor, and never above rho's least
-        value, here on 2^16 points."""
+        """The convexity floor takes rho's least value on the band grid of rho's
+        highest order k (the least power of two >= max(256, 32 k), at most 4096)
+        less the smaller of its second-order and Lipschitz margins: it is never
+        below the 4096-point Lipschitz floor, and never above rho's least value,
+        here on 2^16 points."""
         hs = tuple(Harmonic(*term) for term in terms)
         c0 = size * sum(abs(h.amp) for h in hs)
         try:
