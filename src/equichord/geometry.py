@@ -133,7 +133,19 @@ def _broadcast(u, v):
 def _all(ok) -> bool:
     """Whether a bool, a numpy bool scalar or every element of a bool array is set.
     ``np.all`` makes a scalar an array first, about 1.5 us against 0.1 us here."""
+    if type(ok) is bool:  # a lane of floats' test, answered at a third of the cost below
+        return ok
     return np.count_nonzero(ok) == ok.size if isinstance(ok, np.ndarray) else bool(ok)
+
+
+def _any(ok) -> bool:
+    """Whether a bool, or any element of a bool array, is set (as ``_all``)."""
+    return ok if type(ok) is bool else bool(np.count_nonzero(ok))
+
+
+def _where(c, a, b):
+    """np.where, but a Python bool ``c`` picks a or b itself: a lane of floats stays on floats."""
+    return (a if c else b) if type(c) is bool else np.where(c, a, b)
 
 
 def _sqrt(x):
@@ -193,7 +205,7 @@ def _minkowski_dot(u, v):
 
 
 def _scale(cols, s):
-    return tuple(c / s for c in cols)
+    return tuple([c / s for c in cols])
 
 
 def _euclidean_distance(p, q):
@@ -361,10 +373,10 @@ class ParametricCurve:
     ``_landing`` is the last shot's landing, kept so that a shot launched
     from exactly where the previous one landed (a billiard orbit) reuses
     its point and frame: (t1 of every lane as a list of floats, one
-    (projected point, unit tangent, inward unit normal) per lane block, or per
-    lane where the shot ran lane by lane); the shot took the normal for its
-    arrival angle.  All are functions of t1 alone, so a reused
-    launch is the one a fresh evaluation gives, bit for bit.
+    (projected point, unit tangent, inward unit normal) per block of numpy
+    lanes, or per lane where each was shot as a lane of floats); the shot took
+    the normal for its arrival angle.  All are functions of t1 alone, so a
+    reused launch is the one a fresh evaluation gives, bit for bit.
 
     ``_speed`` is the speed |velocity(t)| in closed form, for the curves whose
     builder knows it (``build_e2_curve``; ``_radial_graph`` at constant r): (series, floor),
@@ -519,10 +531,13 @@ def _angle(geometry, tan, normal, w):
 
 
 def _chord_tangent_at_arrival(geometry, p, d, length):
-    """Unit tangent at arc length ``length`` of the geodesic from p along d."""
+    """Unit tangent at arc length ``length`` of the geodesic from p along d; floats for a
+    float ``length``."""
     kern = geometry.kernel
-    a, b = -kern.K * kern.sn(length), kern.cs(length)
-    return tuple(a * pc + b * dc for pc, dc in zip(p, d))
+    a, b = kern.sn(length), kern.cs(length)
+    if type(length) is float:
+        a, b = float(a), float(b)
+    return tuple([-kern.K * a * pc + b * dc for pc, dc in zip(p, d)])
 
 
 _SHOT_GRID = 256  # ring samples of the side function per period, before polishing
@@ -566,10 +581,11 @@ def shoot_to_curve(curve: ParametricCurve, t0, theta):
 
     ``t0`` and ``theta`` broadcast against each other, one shot per element:
     scalars give three floats, arrays three arrays of the broadcast shape,
-    each element equal bit for bit to the shot made alone.  A shot alone,
-    and each lane of a batch of fewer than _LANE_CROSSOVER, runs on Python
-    floats (_shoot_one); larger batches run in blocks of numpy lanes
-    (_shoot_lanes), whose fixed cost a few lanes do not repay.
+    each element equal bit for bit to the shot made alone.  One body,
+    _shoot, takes one lane of Python floats or a block of numpy lanes: a shot
+    alone, and each lane of a batch of fewer than _LANE_CROSSOVER, runs as a
+    lane of floats; larger batches run in blocks of numpy lanes, whose fixed
+    cost a few lanes do not repay.
     """
     t0, theta = _broadcast(t0, theta)
     if t0.ndim == 0:  # one shot, on Python floats
@@ -590,8 +606,8 @@ def shoot_to_curve(curve: ParametricCurve, t0, theta):
     relaunch = memo is not None and memo[0] == flat_t0.tolist()
     landings = []
     for j, i in enumerate(range(0, t0.size, _LANE_BLOCK)):
-        *shot, landing = _shoot_lanes(curve, flat_t0[i:i + _LANE_BLOCK], flat_theta[i:i + _LANE_BLOCK],
-                                      memo[1][j] if relaunch else None)
+        *shot, landing = _shoot(curve, flat_t0[i:i + _LANE_BLOCK], flat_theta[i:i + _LANE_BLOCK],
+                                memo[1][j] if relaunch else None)
         out[:, i:i + _LANE_BLOCK] = shot
         landings.append(landing)
     object.__setattr__(curve, "_landing", (out[0].tolist(), landings))
@@ -607,28 +623,30 @@ def _check_launch(t0, theta):
 
 
 def _shoot_alone(curve, t0, theta) -> list:
-    """Shots from lists of floats t0 (mod 2 pi) and theta, one at a time on _shoot_one:
-    one (t1, arrival, length) of floats per lane.  The curve keeps one landing per lane."""
+    """Shots from lists of floats t0 (mod 2 pi) and theta, one lane of floats at a time on
+    _shoot: one (t1, arrival, length) of floats per lane.  The curve keeps one landing per lane."""
     memo = curve._landing
     relaunch = memo is not None and memo[0] == t0
     shots, landings = [], []
     for i, (t, th) in enumerate(zip(t0, theta)):
-        *shot, landing = _shoot_one(curve, t, th, memo[1][i] if relaunch else None)
+        *shot, landing = _shoot(curve, t, th, memo[1][i] if relaunch else None)
         shots.append(shot)
         landings.append(landing)
     object.__setattr__(curve, "_landing", ([shot[0] for shot in shots], landings))
     return shots
 
 
-def _jet1(curve, t: float):
-    """The curve's point and velocity at one t, as tuples of Python floats."""
+def _jet1(curve, t):
+    """The curve's point and velocity at t: tuples of floats for a float t, of arrays otherwise."""
     p, v = curve.jet(t, 1)
-    return tuple(map(float, p)), tuple(map(float, v))
+    if type(t) is float:
+        return tuple(map(float, p)), tuple(map(float, v))
+    return p, v
 
 
 def _aim(kern, tan, normal, cos, sin):
     """The unit chord direction cos T + sin N."""
-    d = tuple(cos * tc + sin * nc for tc, nc in zip(tan, normal))
+    d = tuple([cos * tc + sin * nc for tc, nc in zip(tan, normal)])
     return _scale(d, _sqrt(kern.dot(d, d)))
 
 
@@ -648,8 +666,13 @@ def _hermite_start(fa, fb, ha, hb):
     return s, u
 
 
-def _refuse_chord(t0, theta, count, nan):
-    """The error for a chord that does not cross the curve exactly once."""
+def _refuse_chord(t0, theta, count, vals):
+    """The error for the first lane whose chord does not cross the curve exactly once, from
+    each lane's crossing count and its side values on the ring (a row of ``vals``)."""
+    nan = (count != 1) & np.isnan(vals).any(axis=-1)
+    if isinstance(count, np.ndarray):
+        j = np.flatnonzero(nan if nan.any() else count != 1)[0]
+        t0, theta, count, nan = t0[j], theta[j], count[j], nan[j]
     if nan:  # a launch point or direction that is not finite makes every side value NaN
         raise OutOfRange(f"the chord from t0={t0} at theta={theta} has NaN side values: "
                          "the curve's point or tangent at t0 is not finite")
@@ -658,12 +681,18 @@ def _refuse_chord(t0, theta, count, nan):
     raise NonConvex(f"the chord from t0={t0} at theta={theta} crosses the curve {count} times")
 
 
-def _shoot_one(curve, t0: float, theta: float, launch=None):
-    """One shot on Python floats: (t1, arrival, length, landing) as floats, the arithmetic
-    of one of _shoot_lanes' lanes and equal to it bit for bit.  Only the curve's jet and
-    the transcendental functions run on numpy; +, -, *, / and math.sqrt round as numpy's do."""
+def _shoot(curve, t0, theta, launch=None):
+    """shoot_to_curve on one lane of Python floats or on lanes of shape (n,), t0 mod 2 pi:
+    (t1, arrival, length, landing), t1 mod 2 pi and landing the projected point and frame
+    (q, T, N) there.  ``launch`` is the landing of a shot that returned t0, or None to
+    evaluate the curve at t0.  A lane of floats stays on floats: only the curve's jet and
+    the transcendental functions run on numpy, and +, -, *, / and math.sqrt round as
+    numpy's do, so it equals the same lane in a block bit for bit.  Only the ring count and
+    the casts of numpy's results to floats ask which it is."""
     geometry = curve.geometry
     kern = geometry.kernel
+    lone = type(t0) is float
+    real = float if lone else np.asarray  # numpy's results: floats for a lane of floats
     ring, ring_v = curve._ring  # first, so a curve that is not finite on its ring is named there
     if launch is None:
         p, v = _jet1(curve, t0)
@@ -671,42 +700,70 @@ def _shoot_one(curve, t0: float, theta: float, launch=None):
         tan, normal, _ = _frame(geometry, t0, p, v)
     else:
         p, tan, normal = launch
-    d = _aim(kern, tan, normal, float(np.cos(theta)), float(np.sin(theta)))
+    d = _aim(kern, tan, normal, real(np.cos(theta)), real(np.sin(theta)))
     side, slope = kern.side(p, d)
-    up = slope(tan)
-    # the ring bookkeeping of _shoot_lanes, with the crossing cells listed
-    cell = min(int(t0 // _RING_STEP), _SHOT_GRID - 1)  # t0 % 2 pi may round to 2 pi
+    up = slope(tan)  # f'(t0): f has its sign just after t0, and the opposite one before t0 + 2 pi
+    # The shot samples (t0, t0 + 2 pi) from t0's cell on, without the ring points
+    # within the guard of t0: ``after`` is its first ring sample and ``before`` its
+    # last, as indices of the unwrapped ring (-1 <= before < after <= _SHOT_GRID + 1).
+    # The cells between them are not counted; f'(t0) gives the guards' signs.
+    cell = t0 // _RING_STEP  # t0 % 2 pi may round to 2 pi: the last cell takes it
+    cell = min(int(cell), _SHOT_GRID - 1) if lone else np.minimum(cell, _SHOT_GRID - 1).astype(int)
     after = cell + 1 + ((cell + 1) * _RING_STEP - t0 < _GUARD)
     before = cell - (t0 - cell * _RING_STEP < _GUARD)
-    skip = {cell, (cell + 1) % _SHOT_GRID if after > cell + 1 else cell,
-            (cell - 1) % _SHOT_GRID if before < cell else cell}
-    vals = side(ring)
-    # the cells where the product of the ends is <= 0 hold every hit, and a few cells more
-    # (a 0 at the right end, an underflowing product); the hits among them are read in floats
-    cells = [j for j in np.flatnonzero(vals[:-1] * vals[1:] <= 0.0).tolist() if j not in skip
-             and (vals.item(j) == 0.0 or vals.item(j) * vals.item(j + 1) < 0.0)]
-    first, last = vals.item(after % _SHOT_GRID), vals.item(before % _SHOT_GRID)
+    # f on the closed ring (its sample at 2 pi is the one at 0) and its sign changes per
+    # cell [t_j, t_j+1], a 0 counting at its cell's left end.  ``at(j)`` reads each lane's
+    # f at ring index j and ``vel(j)`` the ring's velocity there; ``ends`` holds f and f'
+    # at the ends (k, k + 1) of the first crossing's cell k, a whole one where it is counted
+    if lone:
+        vals = side(ring)
+        at, vel = vals.item, lambda j: tuple([c.item(j) for c in ring_v])
+        skip = {cell, (cell + 1) % _SHOT_GRID if after > cell + 1 else cell,
+                (cell - 1) % _SHOT_GRID if before < cell else cell}
+        # the cells where the product of the ends is <= 0 hold every hit, and a few cells more
+        # (a 0 at the right end, an underflowing product); the hits among them are read in floats
+        cells = [j for j in (vals[:-1] * vals[1:] <= 0.0).nonzero()[0].tolist() if j not in skip
+                 and (at(j) == 0.0 or at(j) * at(j + 1) < 0.0)]
+        count, k = len(cells), cells[0] if cells else 0
+        ends = (at(k), at(k + 1)), (slope(vel(k)), slope(vel(k + 1)))
+    else:
+        lane = np.arange(t0.size)
+        vals = kern.side(tuple(c[:, None] for c in p), tuple(c[:, None] for c in d))[0](ring)
+        at, vel = lambda j: vals[lane, j], lambda j: tuple(c[j] for c in ring_v)
+        hits = (vals[:, :-1] == 0.0) | (vals[:, :-1] * vals[:, 1:] < 0.0)
+        hits[lane, cell] = False
+        hits[lane, (cell + 1) % _SHOT_GRID] &= after == cell + 1
+        hits[lane, cell - 1] &= before == cell
+        count, k = np.count_nonzero(hits, axis=-1), hits.argmax(axis=-1)
+        ends = at(k + _CELL_ENDS), slope(vel(k + _CELL_ENDS))  # both ends in one gather
+    first, last = at(after % _SHOT_GRID), at(before % _SHOT_GRID)
     short_after = first * up < 0.0
-    short_before = last == 0.0 or last * up > 0.0
-    count = len(cells) + short_after + short_before
-    if count != 1:
-        _refuse_chord(t0, theta, count, np.isnan(vals).any())
-    if cells:
-        k = cells[0]
-        a, b, fa, fb = k * _RING_STEP, (k + 1) * _RING_STEP, vals.item(k), vals.item(k + 1)
-        da, db = (slope(tuple(c.item(j) for c in ring_v)) for j in (k, k + 1))
-    else:  # a short chord: the guard point t0 +- 1e-6 ends its bracket, as in _shoot_lanes
-        j = after if short_after else before
-        tg, tj = t0 + _GUARD if short_after else t0 - _GUARD, j * _RING_STEP
+    short_before = (last == 0.0) | (last * up > 0.0)
+    count = count + short_after + short_before
+    if not _all(count == 1):
+        _refuse_chord(t0, theta, count, vals)
+    a, b = k * _RING_STEP, (k + 1) * _RING_STEP  # the crossing's cell, where it is a whole one
+    (fa, fb), (da, db) = ends
+    short = short_after | short_before
+    if _any(short):
+        # a short chord lands between t0 and its first or last sample: the guard point,
+        # t0 + 1e-6 or t0 - 1e-6, ends its bracket.  A block evaluates it on every lane and
+        # keeps it on the short ones; the jet is elementwise, so no other lane's bracket changes
+        j = _where(short_after, after, before)
+        tg, tj = t0 + _where(short_after, _GUARD, -_GUARD), j * _RING_STEP
         pg, vg = _jet1(curve, tg)
         g, dg = side(pg), slope(vg)
-        fj, dj = vals.item(j % _SHOT_GRID), slope(tuple(c.item(j % _SHOT_GRID) for c in ring_v))
-        if (g if short_after else -g) * up < 0.0:
+        fj, dj = at(j % _SHOT_GRID), slope(vel(j % _SHOT_GRID))
+        if _any(short & (_where(short_after, g, -g) * up < 0.0)):
             raise Degenerate("no forward intersection found (curve convex and closed?)")
-        a, b, fa, fb, da, db = (tg, tj, g, fj, dg, dj) if short_after else (tj, tg, fj, g, dj, dg)
+        guarded = _where(short_after, (tg, tj, g, fj, dg, dj), (tj, tg, fj, g, dj, dg))
+        a, b, fa, fb, da, db = _where(short, guarded, (a, b, fa, fb, da, db))
+    # polish each lane's one sign change by Newton from the root of its cell's cubic
+    # Hermite interpolant; where a sample is exactly 0, that start is the left end
     h = b - a
     s, u = _hermite_start(fa, fb, h * da, h * db)
-    neg, pos = (a, b) if fa < 0.0 else (b, a)
+    low = fa < 0.0
+    neg, pos = _where(low, a, b), _where(low, b, a)
     evaluated = []
 
     def f(t):
@@ -714,99 +771,15 @@ def _shoot_one(curve, t0: float, theta: float, launch=None):
         return side(evaluated[1]), slope(evaluated[2])
 
     try:
-        root = _newton(f, neg, pos, a + (u if 0.0 <= u <= 1.0 else s) * h)
-    except _NaNValue as nan:  # the ring and the launch are finite: the curve is not, between ring points
-        raise OutOfRange(f"the curve's point at t = {nan.x!r} is not finite") from None
-    t, q, v = evaluated
-    t1 = root % TWO_PI
-    if t1 != t:
-        q, v = _jet1(curve, t1)
-    q = kern.project(q)
-    tan, normal, _ = _frame(geometry, t1, q, v)
-    length = float(kern.distance(p, q))
-    sp, cd = -kern.K * float(kern.sn(length)), float(kern.cs(length))  # _chord_tangent_at_arrival
-    w = tuple(sp * pc + cd * dc for pc, dc in zip(p, d))
-    return t1, float(_angle(geometry, tan, normal, w)), length, (q, tan, normal)
-
-
-def _shoot_lanes(curve, t0, theta, launch=None):
-    """shoot_to_curve on lanes of shape (n,), t0 mod 2 pi: (t1, arrival, length, landing),
-    t1 mod 2 pi and landing the projected point and frame (q, T, N) there.  ``launch`` is the
-    landing of a shot that returned t0, or None to evaluate the curve at t0."""
-    geometry = curve.geometry
-    kern = geometry.kernel
-    ring, ring_v = curve._ring  # first, so a curve that is not finite on its ring is named there
-    if launch is None:
-        p, v = curve.jet(t0, 1)
-        p = kern.project(p)
-        tan, normal, _ = _frame(geometry, t0, p, v)
-    else:
-        p, tan, normal = launch
-    d = _aim(kern, tan, normal, np.cos(theta), np.sin(theta))
-    side, slope = kern.side(p, d)
-    up = slope(tan)  # f'(t0): f has its sign just after t0, and the opposite one before t0 + 2 pi
-    # f on the closed ring (its sample at 2 pi is the one at 0), one row per lane, and
-    # its sign changes per cell [t_j, t_j+1], a 0 counting at its cell's left end
-    lane = (np.arange(t0.size),)
-    cell = np.minimum(t0 // _RING_STEP, _SHOT_GRID - 1).astype(int)  # t0 % 2 pi may round to 2 pi
-    vals = kern.side(tuple(c[:, None] for c in p), tuple(c[:, None] for c in d))[0](ring)
-    hits = (vals[:, :-1] == 0.0) | (vals[:, :-1] * vals[:, 1:] < 0.0)
-    # The shot samples (t0, t0 + 2 pi) from t0's cell on, without the ring points
-    # within the guard of t0: ``after`` is its first ring sample and ``before`` its
-    # last, as indices of the unwrapped ring (-1 <= before < after <= _SHOT_GRID + 1).
-    # The cells between them are not counted; f'(t0) gives the guards' signs.
-    after = cell + 1 + ((cell + 1) * _RING_STEP - t0 < _GUARD)
-    before = cell - (t0 - cell * _RING_STEP < _GUARD)
-    hits[lane + (cell,)] = False
-    hits[lane + ((cell + 1) % _SHOT_GRID,)] &= after == cell + 1
-    hits[lane + (cell - 1,)] &= before == cell
-    first, last = vals[lane + (after % _SHOT_GRID,)], vals[lane + (before % _SHOT_GRID,)]
-    short_after = first * up < 0.0
-    short_before = (last == 0.0) | (last * up > 0.0)
-    count = np.count_nonzero(hits, axis=-1) + short_after + short_before
-    if np.count_nonzero(count != 1):
-        nan = (count != 1) & np.isnan(vals).any(axis=-1)
-        j = np.flatnonzero(nan if nan.any() else count != 1)[0]
-        _refuse_chord(t0[j], theta[j], count[j], nan[j])
-    ends = hits.argmax(axis=-1) + _CELL_ENDS  # the crossing's cell k, where it is a whole one: (k, k + 1)
-    (a, b), (fa, fb) = ends * _RING_STEP, vals[lane + (ends,)]
-    da, db = slope(tuple(c[ends] for c in ring_v))
-    short = short_after | short_before
-    if np.count_nonzero(short):
-        # a short chord lands between t0 and its first or last sample: the guard point,
-        # t0 + 1e-6 or t0 - 1e-6, ends its bracket.  It is evaluated on every lane of
-        # the block and kept on the short ones; the jet is elementwise, so no other
-        # lane's bracket changes
-        j = np.where(short_after, after, before)
-        tg, tj = t0 + np.where(short_after, _GUARD, -_GUARD), j * _RING_STEP
-        pg, vg = curve.jet(tg, 1)
-        g, dg = side(pg), slope(vg)
-        fj, dj = vals[lane + (j % _SHOT_GRID,)], slope(tuple(c[j % _SHOT_GRID] for c in ring_v))
-        if np.count_nonzero(short & (np.where(short_after, g, -g) * up < 0.0)):
-            raise Degenerate("no forward intersection found (curve convex and closed?)")
-        guarded = np.where(short_after, (tg, tj, g, fj, dg, dj), (tj, tg, fj, g, dj, dg))
-        a, b, fa, fb, da, db = np.where(short, guarded, (a, b, fa, fb, da, db))
-    # polish each lane's one sign change by Newton from the root of its cell's cubic
-    # Hermite interpolant; where a sample is exactly 0, that start is the left end
-    h = b - a
-    s, u = _hermite_start(fa, fb, h * da, h * db)
-    neg, pos = np.where(fa < 0.0, a, b), np.where(fa < 0.0, b, a)
-    evaluated = []
-
-    def f(t):
-        evaluated[:] = t, *curve.jet(t, 1)
-        return side(evaluated[1]), slope(evaluated[2])
-
-    try:
-        root = _newton(f, neg, pos, a + np.where((0.0 <= u) & (u <= 1.0), u, s) * h)
+        root = _newton(f, neg, pos, a + _where((0.0 <= u) & (u <= 1.0), u, s) * h)
     except _NaNValue as nan:  # the ring and the launch are finite: the curve is not, between ring points
         raise OutOfRange(f"the curve's point at t = {nan.x!r} is not finite") from None
     t, q, v = evaluated  # each lane's root where it stopped before the last round
     t1 = root % TWO_PI
-    if np.count_nonzero(t1 != t):
-        q, v = curve.jet(t1, 1)
+    if not _all(t1 == t):
+        q, v = _jet1(curve, t1)
     q = kern.project(q)
     tan, normal, _ = _frame(geometry, t1, q, v)
-    length = kern.distance(p, q)
-    w = _chord_tangent_at_arrival(geometry, p, d, length)
-    return t1, _angle(geometry, tan, normal, w), length, (q, tan, normal)
+    length = real(kern.distance(p, q))
+    arrival = _angle(geometry, tan, normal, _chord_tangent_at_arrival(geometry, p, d, length))
+    return t1, real(arrival), length, (q, tan, normal)

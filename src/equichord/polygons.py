@@ -62,11 +62,28 @@ def _ccw_edges(v: np.ndarray) -> np.ndarray:
     e = _ahead(v, 1) - v
     e1 = _ahead(e, 1)
     cross = e[:, 0] * e1[:, 1] - e[:, 1] * e1[:, 0]
-    if np.all(cross < 0):
-        raise OutOfRange("vertices are clockwise; expected counterclockwise")
     if not np.all(cross > 0):
+        if np.all(cross < 0):
+            raise OutOfRange("vertices are clockwise; expected counterclockwise")
         raise NonConvex("polygon is not strictly convex")
     return e
+
+
+def _measured_scale(v: np.ndarray) -> np.ndarray:
+    """v as measured: itself where its largest coordinate lies in [2^-256, 2^256], and
+    elsewhere times the power of two, exact, that brings that coordinate into [1/2, 1).
+    The products of edges and diagonals overflow from about 2^511 on and lose digits to
+    underflow below about 2^-511, and np.arctan2 changes with the scale of arguments
+    beyond about 2^990 or below 2^-1004.  Inside the band, a polygon whose coordinate
+    differences are not tiny against its largest coordinate meets none of these, so its
+    exact 2^j scalings measure alike, bit for bit.  OutOfRange for a coordinate that is
+    not finite."""
+    top = float(np.abs(v).max())
+    if not 2.0 ** -256 <= top <= 2.0 ** 256:  # NaN and 0 too
+        if not top < math.inf:
+            raise OutOfRange("vertices must be finite")
+        v = np.ldexp(v, -math.frexp(top)[1])
+    return v
 
 
 def _angle(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -108,13 +125,16 @@ def verify_gutkin(vertices, k: int, tol: float = 1e-9) -> dict:
     is_gutkin iff every measured angle deviates from their common mean by
     less than tol, which must be finite and positive (OutOfRange otherwise).
     beta_angles (the angle between the two diagonals at each vertex) are
-    included when n != 2k.
+    included when n != 2k.  A vertex that is not finite raises OutOfRange; a
+    polygon far from unit size is measured at an exact power-of-two scale
+    (``_measured_scale``), so its exact 2^j scalings measure alike.
     """
     _positive(tol, "tol")
     v = _vertex_array(vertices)
     n = len(v)
     k = _count(k, "k")
     _require_diagonal_index(n, k)
+    v = _measured_scale(v)
     e = _ccw_edges(v)
     d = _ahead(v, k) - v
 

@@ -21,6 +21,7 @@ from equichord import (
     shoot_to_curve,
     verify_curve_gutkin,
 )
+from equichord import geometry
 from equichord.chords import chord_data
 from equichord.errors import Degenerate, NonConvex, OutOfRange
 from equichord.geometry import ParametricCurve, Points, _chord_tangent_at_arrival, _newton, mnorm
@@ -156,6 +157,13 @@ class TestCircleRadius:
         assert float(printed) == bound
 
 
+def _both_sides(t0, theta):
+    """A batch below the lane crossover, shot lane by lane on floats, and the same batch
+    tiled to one block of numpy lanes at or past it: each refusal is checked on both."""
+    tiles = -(-geometry._LANE_CROSSOVER // len(t0))
+    return [(t0, theta), (np.tile(t0, tiles), np.tile(theta, tiles))]
+
+
 def _nan_between(lo, hi, point=True, velocity=True):
     """The unit circle's jet, NaN for t in (lo, hi) in its point, its velocity, or both."""
     def jet(t, order):
@@ -202,8 +210,9 @@ class TestCurveContract:
         message = r"^the curve's velocity at t = 3\.005 is not finite$"
         with pytest.raises(OutOfRange, match=message):
             shoot_to_curve(curve, 3.005, 1.0)
-        with pytest.raises(OutOfRange, match=message):
-            shoot_to_curve(curve, [0.5, 3.005], [1.0, 1.0])
+        for t0, theta in _both_sides([0.5, 3.005], [1.0, 1.0]):
+            with pytest.raises(OutOfRange, match=message):
+                shoot_to_curve(curve, t0, theta)
         t1, arrival, _ = shoot_to_curve(curve, 0.5, 1.0)  # the other lane lands
         assert arrival == pytest.approx(1.0, abs=1e-14)
 
@@ -214,8 +223,9 @@ class TestCurveContract:
         message = r"^the chord from t0=3\.005 at theta=1\.0 has NaN side values"
         with pytest.raises(OutOfRange, match=message):
             shoot_to_curve(curve, 3.005, 1.0)
-        with pytest.raises(OutOfRange, match=message):
-            shoot_to_curve(curve, [0.5, 3.005], [1.0, 1.0])
+        for t0, theta in _both_sides([0.5, 3.005], [1.0, 1.0]):
+            with pytest.raises(OutOfRange, match=message):
+                shoot_to_curve(curve, t0, theta)
 
     def test_non_finite_landing_velocity_named(self):
         """NaN on (3.0, 3.01) in the velocity alone, where the chord from t0 = 1.005
@@ -226,8 +236,9 @@ class TestCurveContract:
         message = r"^the curve's velocity at t = 3\.005 is not finite$"
         with pytest.raises(OutOfRange, match=message):
             shoot_to_curve(curve, 1.005, 1.0)
-        with pytest.raises(OutOfRange, match=message):
-            shoot_to_curve(curve, [0.5, 1.005], [1.0, 1.0])
+        for t0, theta in _both_sides([0.5, 1.005], [1.0, 1.0]):
+            with pytest.raises(OutOfRange, match=message):
+                shoot_to_curve(curve, t0, theta)
         with pytest.raises(OutOfRange, match=r"^the curve's velocity at t = 3\.005 is not finite$"):
             geodesic_curvature(curve, 3.005)
         with pytest.raises(OutOfRange, match=r"^the curve's velocity at t = 3\.005 is not finite$"):
@@ -247,7 +258,7 @@ class TestCurveContract:
         Newton round there names its t, alone or as one lane of a batch, rather than
         escaping as the root finder's RuntimeError."""
         curve = ParametricCurve(Geometry.EUCLIDEAN, _nan_between(3.0, 3.01))
-        for t0, theta in ((1.005, 1.0), ([0.5, 1.005], [1.0, 1.0])):
+        for t0, theta in [(1.005, 1.0), *_both_sides([0.5, 1.005], [1.0, 1.0])]:
             with pytest.raises(OutOfRange, match=r"^the curve's point at t = \S+ is not finite$") as refused:
                 shoot_to_curve(curve, t0, theta)
             assert 3.0 < float(str(refused.value).split()[6]) < 3.01
@@ -333,8 +344,9 @@ class TestShooting:
             shoot_to_curve(curve, 0.0, 1.2)
         # in a batch, the error names the lane that crosses; the other lane lands
         shoot_to_curve(curve, 2.0, 0.3)
-        with pytest.raises(NonConvex, match="t0=0.0 at theta=1.2 crosses the curve 3 times"):
-            shoot_to_curve(curve, [2.0, 0.0], [0.3, 1.2])
+        for t0, theta in _both_sides([2.0, 0.0], [0.3, 1.2]):
+            with pytest.raises(NonConvex, match="t0=0.0 at theta=1.2 crosses the curve 3 times"):
+                shoot_to_curve(curve, t0, theta)
 
     def test_landing_inside_the_guard(self):
         """A circle traversed at speed 2.4 near t = 0: a chord at theta = 1e-6 lands
@@ -353,8 +365,9 @@ class TestShooting:
             for shoot in (shoot_to_curve, grid_shot):
                 with pytest.raises(Degenerate, match="no forward intersection"):
                     shoot(curve, 0.0, theta)
-            with pytest.raises(Degenerate, match="no forward intersection"):
-                shoot_to_curve(curve, [1.0, 0.0], [1.0, theta])
+            for t0, thetas in _both_sides([1.0, 0.0], [1.0, theta]):
+                with pytest.raises(Degenerate, match="no forward intersection"):
+                    shoot_to_curve(curve, t0, thetas)
         for theta in (3e-6, np.pi - 3e-6):
             tol = _oracle_tolerance(curve, 0.0, theta)
             assert shoot_to_curve(curve, 0.0, theta) == pytest.approx(grid_shot(curve, 0.0, theta), abs=tol)
@@ -498,3 +511,33 @@ def test_newton_rounds_per_shot(monkeypatch, name):
         shoot_to_curve(_ROUND_CURVES[name], t, th)
     assert len(rounds) == 400
     assert np.mean(rounds) <= 2.2 and max(rounds) <= 4, (np.mean(rounds), max(rounds))
+
+
+def test_near_tangent_newton_hop(monkeypatch):
+    """Seed 1 of test_newton_rounds_per_shot's draw on the H2 curve, 0.061 from
+    tangent: there the side function's rounding, about 2e-16 on a slope of 0.09, is
+    above Newton's stopping tolerance, and Newton hops on it until its step-length
+    test bisects, 9 rounds.  Alone, and as one lane of a block with seven other
+    chords, the shot takes at most those 9 rounds and is undone by shooting back
+    from (t1, pi - arrival) to 5.3e-15 in t and 9.8e-15 in theta."""
+    rounds = []
+
+    def counting(f, neg, pos, x):
+        calls = []
+        try:
+            return _newton(lambda t: calls.append(t) or f(t), neg, pos, x)
+        finally:
+            rounds.append(len(calls))
+
+    monkeypatch.setattr("equichord.geometry._newton", counting)
+    curve = _ROUND_CURVES["H2 R = 1.2, eps = 0.002, k = 5"]
+    t0, theta = 0.9698324761316475, 0.061343200932852185
+    others = np.linspace(0.3, 6.0, 7), np.linspace(0.5, 2.5, 7)
+    for lanes in ((t0, theta), (np.r_[others[0], t0], np.r_[others[1], theta])):
+        t1, arrival, length = (np.ravel(x)[-1] for x in shoot_to_curve(curve, *lanes))
+        assert max(rounds) <= 9, rounds
+        back, back_arrival, back_length = shoot_to_curve(curve, t1, np.pi - arrival)
+        assert abs((back - t0 + np.pi) % (2 * np.pi) - np.pi) <= 1e-13
+        assert abs(back_arrival - (np.pi - theta)) <= 1e-13
+        assert abs(back_length - length) <= 1e-13
+        rounds.clear()

@@ -76,6 +76,39 @@ class TestVerify:
         with pytest.raises(OutOfRange, match="vertices are clockwise"):
             verify_gutkin(regular_polygon(6)[::-1], 2)
 
+    @pytest.mark.parametrize("name", ["inscribed (12, 4)", "rectangle", "regular 1000-gon"])
+    def test_exact_scalings_measure_alike(self, name):
+        """Every scaling by 2^j that is exact measures the polygon's bits: at 2^520 the
+        edges' products overflowed, at 2^-510 they lost digits and at 2^-600 the
+        polygon was refused as not convex."""
+        v, k = {"inscribed (12, 4)": (construct_inscribed(12, 4, [0.3, 0.5, np.pi / 2 - 0.8]).vertices, 4),
+                "rectangle": (np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]), 2),
+                "regular 1000-gon": (regular_polygon(1000), 7)}[name]
+        want = verify_gutkin(v, k)
+        exact = [j for j in range(-1000, 1001) if np.array_equal(np.ldexp(np.ldexp(v, j), -j), v)]
+        assert len(exact) > 1900
+        for j in exact:
+            got = verify_gutkin(np.ldexp(v, j), k)
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert np.array_equal(got[key], value) if key == "beta_angles" else got[key] == value, (j, key)
+
+    def test_huge_rectangle_not_gutkin(self):
+        """A 1e300 rectangle once read as Gutkin with residual 0: its products overflowed."""
+        rect = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
+        want = verify_gutkin(rect, 2)
+        got = verify_gutkin(rect * 5e299, 2)
+        assert not got["is_gutkin"]
+        assert got["max_residual"] == pytest.approx(want["max_residual"], rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_out_of_range(self, bad):
+        """Once refused as not convex, an infinite one with two overflow warnings."""
+        v = regular_polygon(6)
+        v[2, 1] = bad
+        with pytest.raises(OutOfRange, match="^vertices must be finite$"):
+            verify_gutkin(v, 2)
+
     def test_rectangle_k3_gutkin(self):
         # k = n - 1: the "diagonals" are the sides, every rectangle qualifies
         rect = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
