@@ -33,11 +33,12 @@ class BilliardState:
     theta: float
 
     def __post_init__(self):
-        theta = np.asarray(self.theta)
+        # a float is one state, checked on floats: ok is then a Python bool
+        theta = self.theta if type(self.theta) is float else np.asarray(self.theta)
         ok = (0.0 < theta) & (theta < np.pi)
         if not _all(ok):
             i = int(np.argmin(ok))
-            got = self.theta if theta.ndim == 0 else f"{float(theta.flat[i])!r} at element {i}"
+            got = self.theta if np.ndim(theta) == 0 else f"{float(theta.flat[i])!r} at element {i}"
             raise OutOfRange(f"theta must lie in (0, pi), got {got}")
 
 
@@ -62,7 +63,7 @@ def invariant_circle_residual(curve: ParametricCurve, alpha: float,
     for _ in range(n_steps):
         s = billiard_step(curve, s)
         # a NaN arrival never gets here: BilliardState refuses it and names the lane
-        worst = float(np.max(np.abs(s.theta - alpha), initial=worst))
+        worst = max(worst, float(np.abs(s.theta - alpha).max()))
     return worst
 
 

@@ -563,8 +563,9 @@ def shoot_to_curve(curve: ParametricCurve, t0, theta):
     _SHOT_GRID, evaluated once per curve, with f'(t0) standing in for the
     samples 1e-6 after t0 and before t0 + 2 pi; only a chord landing in a cell
     next to t0 evaluates the curve there.  A chord that crosses more than once
-    raises NonConvex, one that does not Degenerate; a t0 that is not finite
-    raises OutOfRange, and a finite one is taken mod 2 pi.  A Newton round
+    raises NonConvex, one that does not Degenerate; a t0 that is not finite, or
+    a theta outside [1e-6, pi - 1e-6], raises OutOfRange, naming a theta not in
+    (0, pi) as such, and a finite t0 is taken mod 2 pi.  A Newton round
     that meets a curve point that is not finite, between two ring points,
     raises OutOfRange naming its t.
 
@@ -584,23 +585,27 @@ def shoot_to_curve(curve: ParametricCurve, t0, theta):
     each element equal bit for bit to the shot made alone.  One body,
     _shoot, takes one lane of Python floats or a block of numpy lanes: a shot
     alone, and each lane of a batch of fewer than _LANE_CROSSOVER, runs as a
-    lane of floats; larger batches run in blocks of numpy lanes, whose fixed
+    lane of floats from the entry on: two scalars of any kind become two floats
+    once (two floats pass as given), a batch is read once by ``tolist``, and the
+    launch checks and the mod 2 pi run on floats, where ``abs`` and ``%`` round
+    as numpy's do.  Larger batches run in blocks of numpy lanes, whose fixed
     cost a few lanes do not repay.
     """
-    t0, theta = _broadcast(t0, theta)
-    if t0.ndim == 0:  # one shot, on Python floats
-        t0, theta = float(t0), float(theta)
-        _check_launch(t0, theta)
-        ((t1, arrival, length),) = _shoot_alone(curve, [t0 % TWO_PI], [theta])
-        return t1, arrival, length
-    for ok in (abs(t0) < np.inf, (1e-6 <= theta) & (theta <= np.pi - 1e-6)):  # NaN fails both
-        if not _all(ok):
-            j = np.argmin(ok)
-            _check_launch(t0.flat[j], theta.flat[j])
+    if type(t0) is not float or type(theta) is not float:  # a pair of floats is one shot as given
+        t0, theta = _broadcast(t0, theta)
+        if t0.ndim == 0:
+            t0, theta = float(t0), float(theta)
+    if type(t0) is float:  # one shot, on Python floats
+        _check_launch((t0,), (theta,))
+        return _shoot_alone(curve, t0 % TWO_PI, theta)
+    if t0.size < _LANE_CROSSOVER:  # read once, then checked and shot on floats
+        flat_t0, flat_theta = t0.ravel().tolist(), theta.ravel().tolist()
+        _check_launch(flat_t0, flat_theta)
+        shots = _shoot_alone(curve, [t % TWO_PI for t in flat_t0], flat_theta)
+        return tuple(np.array(shots).reshape(-1, 3).T.reshape((3,) + t0.shape))
+    if not (_all(abs(t0) < np.inf) and _all((1e-6 <= theta) & (theta <= np.pi - 1e-6))):  # NaN fails
+        _check_launch(t0.ravel().tolist(), theta.ravel().tolist())
     flat_t0, flat_theta = (t0 % TWO_PI).ravel(), theta.ravel()
-    if t0.size < _LANE_CROSSOVER:
-        out = np.array(_shoot_alone(curve, flat_t0.tolist(), flat_theta.tolist())).reshape(-1, 3).T
-        return tuple(out.reshape((3,) + t0.shape))
     out = np.empty((3, t0.size))
     memo = curve._landing
     relaunch = memo is not None and memo[0] == flat_t0.tolist()
@@ -615,25 +620,33 @@ def shoot_to_curve(curve: ParametricCurve, t0, theta):
 
 
 def _check_launch(t0, theta):
-    """OutOfRange for a launch parameter that is not finite or an angle too close to tangential."""
-    if not abs(t0) < math.inf:  # NaN fails it too
-        raise OutOfRange(f"launch parameter t0 must be finite, got {t0}")
-    if not 1e-6 <= theta <= np.pi - 1e-6:
-        raise OutOfRange(f"launch angle {theta} too close to tangential")
+    """OutOfRange for the first of the floats t0 that is not finite, else for the first of the
+    angles theta that is not finite or lies outside (0, pi), or within 1e-6 of 0 or pi."""
+    for t in t0:
+        if not abs(t) < math.inf:  # NaN fails it too
+            raise OutOfRange(f"launch parameter t0 must be finite, got {t}")
+    for th in theta:
+        if not 1e-6 <= th <= math.pi - 1e-6:
+            if not 0.0 < th < math.pi:  # NaN fails it too
+                raise OutOfRange(f"launch angle must lie in (0, pi), got {th}")
+            raise OutOfRange(f"launch angle {th} too close to tangential")
 
 
-def _shoot_alone(curve, t0, theta) -> list:
-    """Shots from lists of floats t0 (mod 2 pi) and theta, one lane of floats at a time on
-    _shoot: one (t1, arrival, length) of floats per lane.  The curve keeps one landing per lane."""
+def _shoot_alone(curve, t0, theta):
+    """Shots on _shoot one lane of floats at a time, from floats t0 (mod 2 pi) and theta, or from
+    lists of them: (t1, arrival, length) of floats, or a list of one per lane.  The curve keeps
+    one landing per lane, ([t1], [landing]) for a float t0, and relaunches from it lane for lane."""
     memo = curve._landing
+    if type(t0) is float:
+        launch = memo[1][0] if memo is not None and memo[0] == [t0] else None
+        t1, arrival, length, landing = _shoot(curve, t0, theta, launch)
+        object.__setattr__(curve, "_landing", ([t1], [landing]))
+        return t1, arrival, length
     relaunch = memo is not None and memo[0] == t0
-    shots, landings = [], []
-    for i, (t, th) in enumerate(zip(t0, theta)):
-        *shot, landing = _shoot(curve, t, th, memo[1][i] if relaunch else None)
-        shots.append(shot)
-        landings.append(landing)
-    object.__setattr__(curve, "_landing", ([shot[0] for shot in shots], landings))
-    return shots
+    shots = [_shoot(curve, t, th, memo[1][i] if relaunch else None)
+             for i, (t, th) in enumerate(zip(t0, theta))]
+    object.__setattr__(curve, "_landing", ([shot[0] for shot in shots], [shot[3] for shot in shots]))
+    return [shot[:3] for shot in shots]
 
 
 def _jet1(curve, t):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .angles import _restr2_roots, _spectral_range
 from .errors import Infeasible, NonConvex, NotAdmissible, OutOfRange
-from .geometry import _count, _positive
+from .geometry import _all, _count, _positive
 
 __all__ = [
     "GutkinPolygon",
@@ -62,8 +62,8 @@ def _ccw_edges(v: np.ndarray) -> np.ndarray:
     e = _ahead(v, 1) - v
     e1 = _ahead(e, 1)
     cross = e[:, 0] * e1[:, 1] - e[:, 1] * e1[:, 0]
-    if not np.all(cross > 0):
-        if np.all(cross < 0):
+    if not _all(cross > 0):
+        if _all(cross < 0):
             raise OutOfRange("vertices are clockwise; expected counterclockwise")
         raise NonConvex("polygon is not strictly convex")
     return e
@@ -262,7 +262,7 @@ def family_member(n: int, k: int, coefficients=None) -> np.ndarray:
         b = basis[0]
     else:
         coefficients = np.asarray(coefficients, dtype=float)
-        if coefficients.shape != (len(basis),) or not np.isfinite(coefficients).all():
+        if coefficients.shape != (len(basis),) or not _all(np.isfinite(coefficients)):
             raise OutOfRange(f"expected {len(basis)} finite coefficients")
         b = sum(c * v for c, v in zip(coefficients, basis))
     # basis is orthogonal to ones, so mean(1 + s b) = 1
@@ -293,7 +293,7 @@ def construct_2kk(k: int, free_params=()) -> GutkinPolygon:
     """
     k = _count(k, "k", 2)
     params = np.asarray(free_params, dtype=float).reshape(-1)
-    if len(params) != k - 2 or not np.isfinite(params).all():
+    if len(params) != k - 2 or not _all(np.isfinite(params)):
         raise OutOfRange(f"construct_2kk(k={k}) takes exactly {k - 2} finite free parameters")
     theta = np.pi / k
     alpha = np.pi * (k - 1) / (2 * k)
@@ -329,7 +329,7 @@ def construct_inscribed(n: int, k: int, arcs) -> GutkinPolygon:
     arcs = np.asarray(arcs, dtype=float).reshape(-1)
     if len(arcs) != p:
         raise OutOfRange(f"expected {p} arcs, got {len(arcs)}")
-    if not (arcs > 0).all():
+    if not _all(arcs > 0):
         raise OutOfRange("all arcs must be strictly positive")
     if abs(arcs.sum() - 2 * np.pi / q) > 1e-9:
         raise OutOfRange(f"arcs must sum to 2 pi / {q}")

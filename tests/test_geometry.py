@@ -321,6 +321,29 @@ class TestShooting:
                 shoot_to_curve(curve, [0.5, bad], 1.0)
         assert shoot_to_curve(curve, 1e300, 1.0) == shoot_to_curve(curve, 1e300 % (2 * np.pi), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 4.0, -1.0, 0.0, np.pi])
+    def test_launch_angle_out_of_range(self, bad):
+        """An angle that is not finite or lies outside (0, pi) is out of range, alone, as a
+        lane of a batch shot lane by lane, and as a lane of a block; an angle within 1e-6
+        of 0 or pi is too close to tangential."""
+        curve = circle_curve(Geometry.EUCLIDEAN, 1.0)
+        cases = [(0.5, bad), *_both_sides([0.5, 1.0], [1.0, bad])]
+        for t0, theta in cases:
+            with pytest.raises(OutOfRange, match=rf"^launch angle must lie in \(0, pi\), got {bad}$"):
+                shoot_to_curve(curve, t0, theta)
+        for near in (1e-9, np.pi - 1e-7):
+            for t0, theta in [(0.5, near), *_both_sides([0.5, 1.0], [1.0, near])]:
+                with pytest.raises(OutOfRange, match=rf"^launch angle {near} too close to tangential$"):
+                    shoot_to_curve(curve, t0, theta)
+
+    def test_launch_checks_every_t0_first(self):
+        """A batch is checked t0 first on every lane, then theta: a NaN t0 in lane 2 is
+        named before a bad theta in lane 0."""
+        curve = circle_curve(Geometry.EUCLIDEAN, 1.0)
+        for t0, theta in _both_sides([0.5, 1.0, np.nan], [1e-9, 1.0, 1.0]):
+            with pytest.raises(OutOfRange, match="^launch parameter t0 must be finite, got nan$"):
+                shoot_to_curve(curve, t0, theta)
+
     def test_multiple_crossings_rejected(self):
         """The non-convex polar curve r = 1 + 0.5 cos 3t: the chord from t0 = 0
         at theta = 1.2 crosses it three times, so there is no single landing point."""
@@ -541,3 +564,56 @@ def test_near_tangent_newton_hop(monkeypatch):
         assert abs(back_arrival - (np.pi - theta)) <= 1e-13
         assert abs(back_length - length) <= 1e-13
         rounds.clear()
+
+
+_ENTRY_CURVES = {
+    "E2": lambda: build_e2_curve(FourierCurveE2(c0=1.0, harmonics=(Harmonic(4, 0.1),))),
+    "S2": lambda: build_deformed_circle(DeformedCircle(
+        geometry=Geometry.SPHERICAL, R=1.0, epsilon=0.01, g=TrigPolynomial(0.0, (Harmonic(4, 1.0, 0.3),)))),
+    "H2": lambda: build_deformed_circle(DeformedCircle(
+        geometry=Geometry.HYPERBOLIC, R=0.9, epsilon=0.002, g=TrigPolynomial(0.0, (Harmonic(5, 1.0, 0.4),)))),
+}
+
+
+@pytest.mark.parametrize("name", _ENTRY_CURVES)
+class TestShotEntry:
+    """Every way into a shot gives the same floats: a lone shot given as any kind of
+    scalar, its lane in a batch shot lane by lane and in a block, and a shot after
+    another entry's, which may launch from the landing that one kept."""
+
+    def test_scalar_kinds_give_the_same_floats(self, name):
+        curve = _ENTRY_CURVES[name]()
+        want = shoot_to_curve(curve, 2.0, 1.0)
+        assert all(type(x) is float for x in want)
+        for t0, theta in [(2, 1), (np.float64(2.0), np.float64(1.0)), (np.array(2.0), np.array(1.0)),
+                          (2.0, np.array(1.0)), (np.int64(2), 1.0)]:
+            got = shoot_to_curve(curve, t0, theta)
+            assert all(type(x) is float for x in got)
+            assert list(map(repr, got)) == list(map(repr, want))
+
+    def test_scalar_equals_its_lane(self, name):
+        curve = _ENTRY_CURVES[name]()
+        t0, theta = [0.5, 2.0, 4.0], [1.3, 1.0, 0.7]
+        alone = [shoot_to_curve(curve, t, th) for t, th in zip(t0, theta)]
+        for n in (3, 8):  # 3 lanes shot one at a time on floats, a block of 8 numpy lanes
+            batch = shoot_to_curve(curve, np.resize(t0, n), np.resize(theta, n))
+            for i in range(n):
+                assert tuple(map(repr, alone[i % 3])) == tuple(repr(float(x[i])) for x in batch)
+
+    def test_scalar_and_batch_in_either_order(self, name):
+        """A shot from the t1 a one-lane batch returned equals a fresh shot, and so does a
+        one-lane batch from the t1 a lone shot returned; a 3-lane batch after a lone shot,
+        and a lone shot after it, each equal fresh shots too."""
+        curve = _ENTRY_CURVES[name]()
+        (t1,), _, _ = shoot_to_curve(curve, np.array([2.0]), 1.0)
+        assert shoot_to_curve(curve, t1, 1.1) == shoot_to_curve(_ENTRY_CURVES[name](), t1, 1.1)
+        t1, _, _ = shoot_to_curve(curve, 2.0, 1.0)
+        batch = shoot_to_curve(curve, np.array([t1]), 1.1)
+        fresh = shoot_to_curve(_ENTRY_CURVES[name](), np.array([t1]), 1.1)
+        assert all(np.array_equal(a, b) for a, b in zip(batch, fresh))
+        t1, _, _ = shoot_to_curve(curve, 4.0, 1.0)
+        lanes = np.array([t1, 1.0, 3.0]), np.array([1.1, 1.2, 1.3])
+        batch = shoot_to_curve(curve, *lanes)
+        fresh = shoot_to_curve(_ENTRY_CURVES[name](), *lanes)
+        assert all(np.array_equal(a, b) for a, b in zip(batch, fresh))
+        assert shoot_to_curve(curve, batch[0][0], 1.1) == shoot_to_curve(_ENTRY_CURVES[name](), batch[0][0], 1.1)
