@@ -23,6 +23,7 @@ from .errors import Degenerate, OutOfRange
 from .geometry import (
     ParametricCurve,
     _GRID_CAP,
+    _all,
     _angle,
     _band_grid,
     _broadcast,
@@ -156,9 +157,12 @@ class ArcLengthParam:
         the series once for s and s'.  A guess O(h^2) from the root, such as a
         known t plus h / s'(t), converges in two steps.  With no harmonic
         kept, t is s / mean_speed and no Newton step is taken.  A scalar gives
-        a numpy double.
+        a numpy double.  Raises OutOfRange for an s that is NaN or infinite.
         """
         s = np.asarray(s, dtype=float)
+        finite = np.isfinite(s)
+        if not _all(finite):
+            raise OutOfRange(f"arc length s must be finite, got {float(np.extract(~finite, s)[0])!r}")
         centre = s / self.mean_speed
         if not self._ks.size:
             return centre[()]

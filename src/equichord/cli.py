@@ -388,7 +388,7 @@ def cmd_curve_verify(spec_path, alpha, samples, tol, out):
     """Shoot chords at angle alpha and report the worst arrival-angle defect."""
     _positive(tol, "tol")
     geometry, _, curve, a = _load_curve(spec_path, "--alpha", alpha)
-    rep = curves.verify_curve_gutkin(curve, a, n_samples="band" if samples is None else samples)
+    rep = curves.verify_curve_gutkin(curve, a, n_samples=samples)
     payload = {"geometry": geometry.value, "alpha": a,
                "n_samples": rep["n_samples"],
                "max_angle_residual": rep["max_angle_residual"],

@@ -234,16 +234,16 @@ def s2_residual_operator(f: TrigPolynomial, alpha: float, c: float, a: float,
     return residual
 
 
-def verify_curve_gutkin(curve: ParametricCurve, alpha: float, n_samples: int | str = "band") -> dict:
+def verify_curve_gutkin(curve: ParametricCurve, alpha: float, n_samples: int | None = None) -> dict:
     """Shoot chords at angle alpha from sample points, all in one batch; report
     the worst arrival-angle defect and the first sample that reaches it.
 
-    ``"band"`` takes max(64, 16 k) samples, at most 16384, for the curve's highest order
+    None takes max(64, 16 k) samples, at most 16384, for the curve's highest order
     k (``_band``): 8 a period of the residual's order 2k; 64 with no band.  Raises
     OutOfRange for a sample count that is not an integer, and for fewer than one
     sample: a check that shoots no chord would pass vacuously.
     """
-    if isinstance(n_samples, str) and n_samples == "band":
+    if n_samples is None:
         n_samples = min(max(64, 16 * (curve._band or 0)), 16384)
     n_samples = _count(n_samples, "verify_curve_gutkin's sample count", 1)
     ts = np.linspace(0.0, TWO_PI, n_samples, endpoint=False)

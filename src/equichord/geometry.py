@@ -48,7 +48,9 @@ TWO_PI = 2.0 * np.pi
 
 
 _NEWTON_ROUNDS = 60  # a lane not stopped after this many rounds raises
-_NEWTON_TOL = 8 * np.finfo(float).eps  # a lane stops on a step below this times max(1, |x|)
+# a lane stops on a step below this times max(1, |x|); a Python float, since an np.float64
+# would make every test of a lane of floats a numpy bool
+_NEWTON_TOL = 8 * 2.0 ** -52
 
 
 class _NaNValue(RuntimeError):
@@ -64,64 +66,48 @@ def _newton(f, neg, pos, x):
 
     neg, pos and the first iterate x are numbers, or arrays of one shape, with
     f(neg) < 0 < f(pos) and x between them; ``f(x)`` returns (f, f') at an x
-    of that shape (a number, a Python float or a numpy scalar, runs on numbers
-    of its type).  A lane stops when its
-    step is below _NEWTON_TOL max(1, |x|), 8 eps of double.  Otherwise the
-    end of f's sign moves to x, and a step landing outside the bracket, or
-    longer than half the step two rounds before (a bisection's step is half
-    its bracket), becomes the bracket's midpoint; a bracket below that
-    tolerance stops the lane.  The second test ends cycles that shrink the
-    bracket by a little each round: Newton jumping across the root of an
-    arctan, or across a root whose f is rounding noise on a flat slope.
-    Lanes run in place until the slowest stops; a stopped lane is still
-    evaluated but keeps its root, so each lane takes the steps it would take
-    alone.  Raises _NaNValue, a RuntimeError
-    naming x, on a NaN f in a running lane, and RuntimeError after
-    _NEWTON_ROUNDS rounds.
+    of that shape.  One body runs them all: a lane of Python floats, or a numpy
+    scalar, stays on numbers of its type.  A lane stops when its step is below
+    _NEWTON_TOL max(1, |x|), 8 eps of double.  Otherwise the end of f's sign
+    moves to x, and a step landing outside the bracket, or longer than half
+    the step two rounds before (a bisection's step is half its bracket),
+    becomes the bracket's midpoint; a bracket below that tolerance stops the
+    lane.  The second test ends cycles that shrink the bracket by a little
+    each round: Newton jumping across the root of an arctan, or across a root
+    whose f is rounding noise on a flat slope.  Lanes run in place until the
+    slowest stops; a stopped lane is still evaluated but keeps its root, so
+    each lane takes the steps it would take alone.  Raises _NaNValue, a
+    RuntimeError naming x, on a NaN f in a running lane, and RuntimeError
+    after _NEWTON_ROUNDS rounds.
     """
-    before = last = np.inf  # the lengths of the last two steps
-    if not isinstance(x, np.ndarray):
-        for _ in range(_NEWTON_ROUNDS):
-            y, dy = f(x)
-            if y != y:
-                raise _NaNValue(float(x))
-            step = y / dy
-            neg, pos = (x, pos) if y < 0 else (neg, x)
-            x = x - step
-            size = abs(step)
-            if size < _NEWTON_TOL * max(1.0, abs(x)):
-                return x
-            if not ((x - neg) * (x - pos) < 0 and size <= 0.5 * before):
-                x = (neg + pos) / 2
-                size = (pos - neg) / 2
-                if abs(pos - neg) < _NEWTON_TOL * max(1.0, abs(x)):
-                    return x
-            before, last = last, size
-        raise RuntimeError(f"Newton did not converge in {_NEWTON_ROUNDS} rounds, last x={float(x)!r}")
-    done = np.zeros(x.shape, dtype=bool)
+    before = last = math.inf  # the lengths of the last two steps
+    done = False  # each lane's stop, as a bool or a bool array once a round has run
     for _ in range(_NEWTON_ROUNDS):
         y, dy = f(x)
         step = y / dy
-        x_new = x - step
-        size = np.abs(step)
-        stop = size < _NEWTON_TOL * np.maximum(1.0, np.abs(x_new))
+        x_new = _where(done, x, x - step)  # a stopped lane keeps its root
+        size = abs(step)
+        done = done | (size < _NEWTON_TOL) | (size < _NEWTON_TOL * abs(x_new))  # below TOL max(1, |x|)
+        if _all(done):
+            return x_new
         low = y < 0
-        neg, pos = np.where(low, x, neg), np.where(low, pos, x)
-        # a running lane's NaN f lands in out too
-        out = ~(done | stop | (((x_new - neg) * (x_new - pos) < 0) & (size <= 0.5 * before)))
-        if np.count_nonzero(out):  # count_nonzero is the cheapest reduction here
-            nan = np.isnan(y) & ~done
-            if np.count_nonzero(nan):
-                raise _NaNValue(float(x[nan][0]))
-            x_new = np.where(out, (neg + pos) / 2, x_new)
-            size = np.where(out, (pos - neg) / 2, size)
-            stop |= out & (np.abs(pos - neg) < _NEWTON_TOL * np.maximum(1.0, np.abs(x_new)))
+        neg, pos = _where(low, x, neg), _where(low, pos, x)
+        # a running lane's NaN f fails keep too
+        keep = done | (((x_new - neg) * (x_new - pos) < 0) & (size <= 0.5 * before))
+        if not _all(keep):
+            nan = _where(keep, False, y != y)
+            if _any(nan):
+                raise _NaNValue(float(np.extract(nan, x)[0]))
+            x_new = _where(keep, x_new, (neg + pos) / 2)
+            size = _where(keep, size, (pos - neg) / 2)
+            width = abs(pos - neg)
+            done = _where(keep, done, (width < _NEWTON_TOL) | (width < _NEWTON_TOL * abs(x_new)))
+            if _all(done):
+                return x_new
         before, last = last, size
-        x = np.where(done, x, x_new)
-        done |= stop
-        if np.count_nonzero(done) == done.size:
-            return x
-    raise RuntimeError(f"Newton did not converge in {_NEWTON_ROUNDS} rounds, last x={float(x[~done][0])!r}")
+        x = x_new
+    last_x = float(np.extract(np.logical_not(done), x)[0])
+    raise RuntimeError(f"Newton did not converge in {_NEWTON_ROUNDS} rounds, last x={last_x!r}")
 
 
 def _broadcast(u, v):
@@ -144,8 +130,11 @@ def _any(ok) -> bool:
 
 
 def _where(c, a, b):
-    """np.where, but a Python bool ``c`` picks a or b itself: a lane of floats stays on floats."""
-    return (a if c else b) if type(c) is bool else np.where(c, a, b)
+    """np.where, but a Python or numpy bool ``c`` picks a or b itself: a lane of floats, or of
+    numpy scalars, stays on its own type."""
+    if type(c) is bool:  # a lane of floats' test, answered first
+        return a if c else b
+    return np.where(c, a, b) if isinstance(c, np.ndarray) else (a if c else b)
 
 
 def _sqrt(x):

@@ -224,6 +224,15 @@ def _arctan_family(r, a, b, shift):
     return f
 
 
+def _on_floats(f):
+    """f with its value and slope cast to Python floats, as a shot's side function
+    returns them: Newton then runs on a lane of floats."""
+    def on_floats(x):
+        y, dy = f(x)
+        return float(y), float(dy)
+    return on_floats
+
+
 def _counting(f, calls):
     """f, appending to ``calls`` on every evaluation."""
     def counted(x):
@@ -238,12 +247,12 @@ class TestNewton:
     @example(seed=7238, n=5)  # lane (0, 2) jumps across its root, -11.3, 10.6, -10.9, ...
     def test_lanes_match_one_lane_at_a_time(self, seed, n):
         """Every lane of a (3, n) block equals the same call made alone on numpy
-        scalars, bit for bit.  Row 0 starts near and far from the root (far ones
-        bisect); row 1 is steep, so its far starts bisect for many rounds (a
-        slope in [1e5, 1e6] gives at least 8 on every (seed, n) drawn here, where
-        [1e3, 1e4] gave fewer on 61 of them); row 2 starts within 1e-9 of its root
-        and stops in at most two rounds, then is evaluated in place while the
-        other rows run."""
+        scalars, and on Python floats, bit for bit and in as many rounds.  Row 0
+        starts near and far from the root (far ones bisect); row 1 is steep, so
+        its far starts bisect for many rounds (a slope in [1e5, 1e6] gives at
+        least 8 on every (seed, n) drawn here, where [1e3, 1e4] gave fewer on 61
+        of them); row 2 starts within 1e-9 of its root and stops in at most two
+        rounds, then is evaluated in place while the other rows run."""
         rng = np.random.default_rng(seed)
         r = rng.uniform(-5, 5, (3, n))
         a = np.stack([rng.uniform(0.1, 10, n), rng.uniform(1e5, 1e6, n), rng.uniform(0.1, 10, n)])
@@ -263,6 +272,10 @@ class TestNewton:
             assert isinstance(alone, np.float64)
             assert alone == roots[i]
             rounds[i] = len(calls)
+            calls = []
+            floats = _newton(_counting(_on_floats(one), calls), float(neg[i]), float(pos[i]), float(x0[i]))
+            assert type(floats) is float and floats == roots[i]
+            assert len(calls) == rounds[i]
         assert rounds[1].min() >= 8 and rounds[2].max() <= 2, rounds
         # the block runs until its slowest lane stops: no round more
         assert block_calls == [(3, n)] * rounds.max()
@@ -337,21 +350,27 @@ class TestNewton:
 
         with pytest.raises(RuntimeError, match="is NaN"):
             _newton(nan_on_lane_1, np.float64(3), np.float64(0), np.float64(1))
-        with pytest.raises(RuntimeError, match="is NaN"):
+        with pytest.raises(RuntimeError, match="is NaN") as block:
             _newton(nan_on_lane_1, np.array([3.0, 3.0]), np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+        with pytest.raises(RuntimeError, match="is NaN") as floats:
+            _newton(_on_floats(lambda x: (np.nan, -np.sin(x))), 3.0, 0.0, 1.0)
+        assert str(floats.value) == str(block.value)
 
         def cos(x):
             return np.cos(x), -np.sin(x)
 
         monkeypatch.setattr("equichord.geometry._NEWTON_ROUNDS", 2)
-        with pytest.raises(RuntimeError, match="did not converge in 2 rounds"):
+        with pytest.raises(RuntimeError, match="did not converge in 2 rounds") as block:
             _newton(cos, np.array([3.0, 3.0]), np.array([0.0, 0.0]), np.array([1.0, 1.5]))
+        with pytest.raises(RuntimeError, match="did not converge in 2 rounds") as floats:
+            _newton(_on_floats(cos), 3.0, 0.0, 1.0)
+        assert str(floats.value) == str(block.value)
 
     def test_stopped_lanes_are_not_checked(self, monkeypatch):
         """Lane 0 starts on its root and stops in the first round; it is evaluated
         again, as NaN, while lane 1, a steep arctan, bisects for several rounds.
         Neither the NaN refusal nor the round cap's message looks at lane 0: the
-        message is lane 1's, as the call alone gives."""
+        message is lane 1's, as the call alone gives, on numpy scalars or on floats."""
         def steep(x):
             u = 1000 * (x - 1.2)
             return np.arctan(u), 1000 / (1 + u * u)
@@ -366,6 +385,8 @@ class TestNewton:
         roots = _newton(f, *lanes)
         assert len(calls) > 2
         assert roots[0] == 1.0 and roots[1] == _newton(steep, *map(np.float64, alone))
+        floats = _newton(_on_floats(steep), *alone)
+        assert type(floats) is float and floats == roots[1]
         monkeypatch.setattr("equichord.geometry._NEWTON_ROUNDS", 2)
         with pytest.raises(RuntimeError, match="did not converge in 2 rounds") as one:
             _newton(steep, *map(np.float64, alone))
@@ -373,6 +394,9 @@ class TestNewton:
         with pytest.raises(RuntimeError, match="did not converge in 2 rounds") as two:
             _newton(f, *lanes)
         assert str(two.value) == str(one.value)
+        with pytest.raises(RuntimeError, match="did not converge in 2 rounds") as floats:
+            _newton(_on_floats(steep), *alone)
+        assert str(floats.value) == str(one.value)
 
 class TestSolveAngle:
     def test_euclidean_alpha_equals_c(self):

@@ -102,6 +102,22 @@ class TestArcLength:
         with pytest.raises(RuntimeError):
             arclen.t_of_s(1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make", [
+        lambda: build_e2_curve(FourierCurveE2(1.0, (Harmonic(3, 0.3, 0.0), Harmonic(5, 0.1, -1.0)))),
+        lambda: build_deformed_circle(DeformedCircle(Geometry.SPHERICAL, 1.0, 0.01,
+                                                     TrigPolynomial(0.0, (Harmonic(4, 1.0, 0.3),)))),
+        lambda: circle_curve(Geometry.EUCLIDEAN, 2.0),
+    ], ids=["E2", "S2 deformed", "circle"])
+    def test_t_of_s_refuses_values_that_are_not_finite(self, make):
+        """A NaN or infinite s, alone or in an array, is OutOfRange with one message,
+        before Newton or the series sees it: no private error, warning or NaN."""
+        arclen = ArcLengthParam(make())
+        for bad in (np.nan, np.inf, -np.inf):
+            for s in (bad, np.array([0.5, bad, 1.0])):
+                with pytest.raises(OutOfRange, match=f"^arc length s must be finite, got {bad!r}$"):
+                    arclen.t_of_s(s)
+
     def test_total_length_matches_rho_mean(self, wavy_curve):
         # in the turning-angle parameter the speed is rho, so length = 2 pi c0
         arclen = ArcLengthParam(wavy_curve)

@@ -178,6 +178,7 @@ class TestVerifyCurve:
         """max(64, 16 k) samples for the curve's highest order k, 8 a period of the
         residual's order 2k; 64 for a constant radius and a curve known only by its jet."""
         assert verify_curve_gutkin(make(), 0.9)["n_samples"] == count
+        assert verify_curve_gutkin(make(), 0.9, None)["n_samples"] == count
 
     def test_default_count_reads_high_orders(self):
         """On S2, R = 1, eps = 1e-6, g = cos 64t, at alpha = 1 (no root), 64 samples

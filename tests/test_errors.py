@@ -186,13 +186,14 @@ class TestLibraryContract:
         with pytest.raises(OutOfRange, match="must be an integer"):
             call(flower_curve, alpha4, count)
 
-    @pytest.mark.parametrize("call, least", [
-        (lambda curve, alpha: validate_partials(curve, samples=2, seed=None), 0),
-        (lambda curve, alpha: verify_curve_gutkin(curve, alpha, None), 1),
+    @pytest.mark.parametrize("call, least, got", [
+        (lambda curve, alpha: validate_partials(curve, samples=2, seed=None), 0, "None"),
+        (lambda curve, alpha: verify_curve_gutkin(curve, alpha, "band"), 1, "'band'"),
     ], ids=["validate_partials seed", "verify_curve_gutkin"])
-    def test_count_that_is_no_number(self, flower_curve, alpha4, call, least):
-        # int(None) raised a bare TypeError, outside the error contract
-        with pytest.raises(OutOfRange, match=f"must be an integer >= {least}, got None$"):
+    def test_count_that_is_no_number(self, flower_curve, alpha4, call, least, got):
+        # int(None) raised a bare TypeError, outside the error contract; a sample
+        # count's default is None, and a string is no count
+        with pytest.raises(OutOfRange, match=f"must be an integer >= {least}, got {got}$"):
             call(flower_curve, alpha4)
 
     def test_integral_float_count_passes(self, flower_curve, alpha4):
