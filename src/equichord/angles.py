@@ -12,17 +12,20 @@ Three families of equations live here:
 * the integer equation tan(kr pi/n) tan(pi/n) = tan(k pi/n) tan(r pi/n),
   whose roots are decided in integers: the arithmetic characterization
   k + r = n/2 and n | (k-1)(r-1) plus its two boundary cases r = n/2, n = 2k.
+
+``gutkin_roots``, ``contact_angle_from_c`` and ``solve_angle`` run on Python
+floats and ``math``, so ``solve-angle`` loads no numpy; ``lemma_constants``,
+``f_star`` and the restr2 residual import numpy when called.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
+from .core import Geometry, _check_radius, _count, _newton
 from .errors import OutOfRange
-from .geometry import Geometry, _check_radius, _count, _newton
 
 __all__ = [
     "AngleSolution",
@@ -54,8 +57,8 @@ class DiophantineSolution:
     lhs_minus_rhs: float
 
 
-def _polefree(k: int, c):
-    return (k - 1) * np.sin((k + 1) * c) - (k + 1) * np.sin((k - 1) * c)
+def _polefree(k: int, c: float) -> float:
+    return (k - 1) * math.sin((k + 1) * c) - (k + 1) * math.sin((k - 1) * c)
 
 
 def gutkin_roots(k: int) -> list[float]:
@@ -67,19 +70,24 @@ def gutkin_roots(k: int) -> list[float]:
     increasing (F_j' = k - k sec^2 c / (1 + k^2 tan^2 c) > 0), negative at the
     lower end and positive at the upper one, so the branch holds exactly one
     root; the other branches hold none.  That makes 2 floor((k-2)/2) roots,
-    found by Newton on every branch at once from the branch midpoints j pi/k.
+    found by Newton on Python floats, one branch at a time, from the branch
+    midpoints j pi/k.
     """
     k = _count(k, "k", 2)
-    js = np.array([j for j in range(1, k) if abs(2 * j - k) >= 2], dtype=float)
-    pi_lo = 1.2246467991473532e-16  # pi - np.pi: j np.pi + j pi_lo keeps the digits np.pi drops
+    pi_lo = 1.2246467991473532e-16  # pi - math.pi: j math.pi + j pi_lo keeps the digits math.pi drops
+    h = math.pi / (2 * k)
+    roots = []
+    for j in range(1, k):
+        if abs(2 * j - k) < 2:
+            continue
 
-    def branch(c):
-        tan = np.tan(c)
-        kt = k * tan
-        return k * c - js * np.pi - js * pi_lo - np.arctan(kt), k - k * (1 + tan * tan) / (1 + kt * kt)
+        def branch(c, jpi=j * math.pi, jlo=j * pi_lo):
+            tan = math.tan(c)
+            kt = k * tan
+            return k * c - jpi - jlo - math.atan(kt), k - k * (1 + tan * tan) / (1 + kt * kt)
 
-    h = np.pi / (2 * k)
-    return _newton(branch, (2 * js - 1) * h, (2 * js + 1) * h, js * np.pi / k).tolist()
+        roots.append(_newton(branch, (2 * j - 1) * h, (2 * j + 1) * h, j * math.pi / k))
+    return roots
 
 
 def contact_angle_from_c(geometry: Geometry, radius: Optional[float], c: float) -> float:
@@ -88,13 +96,12 @@ def contact_angle_from_c(geometry: Geometry, radius: Optional[float], c: float) 
     Branch: alpha in (0, pi) with sign(cos alpha) = sign(cos c).
     """
     c = float(c)
-    if not 0.0 < c < np.pi:
+    if not 0.0 < c < math.pi:
         raise OutOfRange("c must lie in (0, pi)")
     if geometry is Geometry.EUCLIDEAN:
         return c
-    cs = geometry.kernel.cs(_check_radius(geometry, radius))
-    cot_alpha = np.cos(c) / np.sin(c) / cs
-    return float(np.arctan2(1.0, cot_alpha))
+    cs = geometry.cs(_check_radius(geometry, radius))
+    return math.atan2(1.0, math.cos(c) / math.sin(c) / cs)
 
 
 def lemma_constants(geometry: Geometry, radius: Optional[float], alpha: float) -> tuple[float, float]:
@@ -105,11 +112,14 @@ def lemma_constants(geometry: Geometry, radius: Optional[float], alpha: float) -
     cs^2 + K sn^2 = 1: cos/sin on the sphere (K = 1), cosh/sinh on H2 (K = -1).
     """
     alpha = float(alpha)
-    if not 0.0 < alpha < np.pi:
+    if not 0.0 < alpha < math.pi:
         raise OutOfRange("alpha must lie in (0, pi)")
     if geometry is Geometry.EUCLIDEAN:
         return alpha, 1.0
-    kern = geometry.kernel
+    import numpy as np  # not math: the deformed circles built on these constants keep their bits
+
+    from .geometry import _KERNELS
+    kern = _KERNELS[geometry.value]
     r = _check_radius(geometry, radius)
     sn, cs = kern.sn(r), kern.cs(r)
     cot_c = cs * np.cos(alpha) / np.sin(alpha)
@@ -140,9 +150,10 @@ def f_star(geometry: Geometry, radius: float, alpha: float) -> float:
     docs/derivation.md)."""
     if geometry is Geometry.EUCLIDEAN:
         raise OutOfRange("f_star is defined on S2 and H2 only")
-    if not 0.0 < alpha < np.pi:
+    if not 0.0 < alpha < math.pi:
         raise OutOfRange("alpha must lie in (0, pi)")
     r = _check_radius(geometry, radius)
+    import numpy as np  # as in lemma_constants
     if geometry is Geometry.SPHERICAL:
         return float(np.arctan2(1.0, np.cos(r) / np.sin(r) / np.sin(alpha)))
     s, e = np.sin(alpha), np.exp(-2 * r)
@@ -160,15 +171,18 @@ def solve_angle(k: int, geometry: Geometry = Geometry.EUCLIDEAN,
     sols = []
     for c in gutkin_roots(k):
         alpha = contact_angle_from_c(geometry, radius, c)
-        res = abs(float(_polefree(k, c))) / (2 * k)
+        res = abs(_polefree(k, c)) / (2 * k)
         sols.append(AngleSolution(k=k, geometry=geometry, c=c, alpha=alpha,
                                   residual=res, radius=radius))
     return sols
 
 
-def _restr2_residual(n: int, k: int, r: np.ndarray) -> np.ndarray:
-    # tan a tan b = tan c tan d read projectively:
-    # sin a sin b cos c cos d - sin c sin d cos a cos b = 0
+def _restr2_residual(n: int, k: int, r):
+    """tan a tan b = tan c tan d read projectively, at each of the integers r:
+    sin a sin b cos c cos d - sin c sin d cos a cos b, an array."""
+    import numpy as np  # not math: classify's printed residuals keep their bits
+
+    r = np.asarray(r, dtype=int)
     a = k * r * np.pi / n
     b = np.pi / n
     c = k * np.pi / n
@@ -209,9 +223,9 @@ def solve_restr2(n: int, k: int) -> list[DiophantineSolution]:
     ``lhs_minus_rhs`` is the pole-free cross-multiplied form at each.
     """
     n, k = _spectral_range(n, k)
-    r = np.array(_restr2_roots(n, k), dtype=int)
+    roots = _restr2_roots(n, k)
     return [DiophantineSolution(n=n, k=k, r=ri, lhs_minus_rhs=x)
-            for ri, x in zip(r.tolist(), _restr2_residual(n, k, r).tolist())]
+            for ri, x in zip(roots, _restr2_residual(n, k, roots).tolist())]
 
 
 def connelly_check(n: int, k: int, r: int) -> bool:

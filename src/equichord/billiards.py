@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _all, _count
 from .errors import OutOfRange
-from .geometry import TWO_PI, ParametricCurve, _all, _count, shoot_to_curve
+from .geometry import TWO_PI, ParametricCurve, shoot_to_curve
 
 __all__ = ["BilliardState", "billiard_step", "invariant_circle_residual", "export_orbit"]
 

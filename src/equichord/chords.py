@@ -19,19 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _all, _count, _newton
 from .errors import Degenerate, OutOfRange
-from .geometry import (
-    ParametricCurve,
-    _GRID_CAP,
-    _all,
-    _angle,
-    _band_grid,
-    _broadcast,
-    _count,
-    _frame,
-    _newton,
-    mnorm,
-)
+from .geometry import ParametricCurve, _GRID_CAP, _angle, _band_grid, _broadcast, _frame, mnorm
 
 __all__ = ["ArcLengthParam", "ChordData", "chord_data", "validate_partials"]
 
@@ -51,6 +41,11 @@ def _speeds(curve: ParametricCurve, ts):
             raise OutOfRange(f"the curve's velocity at t = {float(ts[nan.argmax()])!r} is not finite")
         raise OutOfRange("curve speed or length overflows floating point")
     return speeds
+
+
+def _not_finite(what: str, x) -> OutOfRange:
+    """The refusal of x, naming its first element that is NaN or infinite."""
+    return OutOfRange(f"{what} must be finite, got {float(np.extract(~np.isfinite(x), x)[0])!r}")
 
 
 class ArcLengthParam:
@@ -145,28 +140,37 @@ class ArcLengthParam:
         return self.mean_speed * t + per, self.mean_speed + slope
 
     def s_of_t(self, t):
-        return self._s_and_slope(np.asarray(t, dtype=float))[0]
+        """Arc length from t = 0 to t, elementwise over t of any shape; OutOfRange for a t
+        that is NaN or infinite."""
+        t = np.asarray(t, dtype=float)
+        if not _all(np.isfinite(t)):
+            raise _not_finite("parameter t", t)
+        return self._s_and_slope(t)[0]
 
     def t_of_s(self, s, start=None):
         """Parameter t with s_of_t(t) = s, elementwise over s of any shape.
 
-        Newton (``geometry._newton``) runs on the whole array, in place, from
+        Newton (``core._newton``) runs on the whole array, in place, from
         s / mean_speed, or from ``start`` (one first guess per element of s)
         when given; an element's root is kept from the round it converges in,
         so it takes exactly the steps it would take alone; a round evaluates
         the series once for s and s'.  A guess O(h^2) from the root, such as a
         known t plus h / s'(t), converges in two steps.  With no harmonic
         kept, t is s / mean_speed and no Newton step is taken.  A scalar gives
-        a numpy double.  Raises OutOfRange for an s that is NaN or infinite.
+        a numpy double.  Raises OutOfRange for an s or a start that is NaN or
+        infinite.
         """
         s = np.asarray(s, dtype=float)
+        start = None if start is None else np.asarray(start, dtype=float).reshape(s.shape)
         finite = np.isfinite(s)
-        if not _all(finite):
-            raise OutOfRange(f"arc length s must be finite, got {float(np.extract(~finite, s)[0])!r}")
+        if not _all(finite if start is None else finite & np.isfinite(start)):
+            if not _all(finite):
+                raise _not_finite("arc length s", s)
+            raise _not_finite("start", start)
         centre = s / self.mean_speed
         if not self._ks.size:
             return centre[()]
-        t = centre if start is None else np.asarray(start, dtype=float).reshape(s.shape)
+        t = centre if start is None else start
         def f(t):
             y, dy = self._s_and_slope(t)
             return y - s, dy

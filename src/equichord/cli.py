@@ -10,21 +10,25 @@ shown), 2 on a usage error (a command line click cannot parse, or a missing
 or conflicting option), 3 on a domain error, a parsed value outside its
 domain: an EquichordError, raised by the library or by the reading of a spec
 file, a polygon file or an option, or an OSError on a file.
+
+Nothing here runs a layer or imports numpy before a command needs it: the
+layer modules imported below are the package's lazy ones, and a command
+imports numpy and the names it takes from a layer where it computes with
+them, so ``solve-angle`` and ``--help`` run on the standard library and
+click alone.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
-import numpy as np
 
-from . import angles, billiards, curves, polygons
-from .chords import ArcLengthParam, validate_partials
+from . import angles, billiards, curves, fourier, polygons
+from .core import Geometry, _count, _positive
 from .errors import EquichordError, NotAdmissible, OutOfRange
-from .fourier import Harmonic, TrigPolynomial
-from .geometry import Geometry, _count, _positive, circle_curve, geodesic_curvature
 
 DEFAULT_TOL = 1e-9
 _CURVATURE_SAMPLES = 4096  # parameter samples behind curve build's min_geodesic_curvature
@@ -45,7 +49,9 @@ def _fmt(x: float) -> str:
 
 
 def to_json(obj, indent: int = 0) -> str:
-    """JSON with insertion key order and 17-significant-digit floats."""
+    """JSON with insertion key order and 17-significant-digit floats.  A numpy array or
+    scalar is written as its ``tolist()``; numpy is only read from sys.modules, since a
+    numpy value means it is loaded."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -53,18 +59,19 @@ def to_json(obj, indent: int = 0) -> str:
         rows = [f'{pad}  {json.dumps(str(k))}: {to_json(v, indent + 1)}'
                 for k, v in obj.items()]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(obj, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
         rows = [f"{pad}  {to_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return _fmt(obj)
     if obj is None:
         return "null"
@@ -84,6 +91,7 @@ def _emit(text: str, out: str | None):
 
 def _svg_document(polylines) -> str:
     """800x800 SVG; polylines is a list of (Nx2 array, color, closed)."""
+    import numpy as np
     pts = np.vstack([p for p, _, _ in polylines])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -104,7 +112,8 @@ def _svg_document(polylines) -> str:
     return "\n".join(lines)
 
 
-def _polygon_svg(vertices: np.ndarray, k: int) -> str:
+def _polygon_svg(vertices, k: int) -> str:
+    import numpy as np
     v = np.asarray(vertices, float)
     n = len(v)
     shapes = [(np.vstack([v[i], v[(i + k) % n]]), "gray", False) for i in range(n)]
@@ -176,7 +185,7 @@ def _resolve_alpha(ref, geometry: Geometry, radius: float | None, option: str | 
     if ref is None:
         raise OutOfRange(f"spec has no alpha; pass {option} or add it to the spec")
     if isinstance(ref, float):
-        if not 0.0 < ref < np.pi:
+        if not 0.0 < ref < math.pi:
             raise OutOfRange(f"alpha must lie in (0, pi), got {ref!r}")
         return ref
     roots = angles.gutkin_roots(ref)
@@ -215,7 +224,7 @@ def _load_curve(path: str, option: str | None = None, text: str | None = None):
     if geometry is Geometry.EUCLIDEAN:
         return geometry, spec, curves.build_e2_curve(spec), alpha
     spec = curves.DeformedCircle(geometry=geometry, R=radius, epsilon=epsilon, alpha=alpha,
-                                 g=TrigPolynomial(0.0, tuple(Harmonic(*h) for h in g)))
+                                 g=fourier.TrigPolynomial(0.0, tuple(fourier.Harmonic(*h) for h in g)))
     return geometry, spec, curves.build_deformed_circle(spec), alpha
 
 
@@ -294,6 +303,7 @@ def cmd_polygon_construct(n, k, arcs, params, out, svg):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_polygon_verify(in_path, regular, k, tol, out):
     """Measure the 2n contact angles of the k-diagonals."""
+    import numpy as np
     if (in_path is None) == (regular is None):
         raise click.UsageError("exactly one of --in / --regular is required")
     if in_path is not None:
@@ -357,6 +367,11 @@ def curve():
 @click.option("--svg", type=click.Path(), default=None)
 def cmd_curve_build(spec_path, out, svg):
     """Build the curve and report its length and least geodesic curvature."""
+    import numpy as np
+
+    from .chords import ArcLengthParam
+    from .geometry import geodesic_curvature
+
     geometry, spec, curve, alpha = _load_curve(spec_path)
     euclidean = geometry is Geometry.EUCLIDEAN
     arclen = ArcLengthParam(curve)
@@ -404,6 +419,7 @@ def cmd_curve_verify(spec_path, alpha, samples, tol, out):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_curve_residual(spec_path, operator, alpha, grid, out):
     """Max residual of the functional chord equation on a uniform grid."""
+    import numpy as np
     grid = _count(grid, "--grid", 1)
     geometry, spec, _, a = _load_curve(spec_path, "--alpha", alpha)
     if Geometry(operator) is not geometry:
@@ -411,14 +427,14 @@ def cmd_curve_residual(spec_path, operator, alpha, grid, out):
     ts = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
     if geometry is Geometry.EUCLIDEAN:
         rho = spec.rho
-        f = TrigPolynomial(rho.c0 * np.sin(a),
-                           tuple(Harmonic(h.k, h.amp * np.sin(a), h.phase)
-                                 for h in rho.harmonics))
+        f = fourier.TrigPolynomial(rho.c0 * np.sin(a),
+                                   tuple(fourier.Harmonic(h.k, h.amp * np.sin(a), h.phase)
+                                         for h in rho.harmonics))
         c, scale = a, 1.0
     else:
-        f = TrigPolynomial(spec.f_star,
-                           tuple(Harmonic(h.k, spec.epsilon * h.amp, h.phase)
-                                 for h in spec.g.harmonics))
+        f = fourier.TrigPolynomial(spec.f_star,
+                                   tuple(fourier.Harmonic(h.k, spec.epsilon * h.amp, h.phase)
+                                         for h in spec.g.harmonics))
         c, scale = spec.c, spec.a
     res = curves.s2_residual_operator(f, a, c, scale, geometry)(ts)
     payload = {"geometry": geometry.value, "operator": operator, "alpha": a,
@@ -462,6 +478,9 @@ def chords():
 @click.option("--out", type=click.Path(), default=None)
 def cmd_chords_validate(spec_path, circle, radius, samples, seed, out):
     """Check the closed-form partials of L(x,y) against finite differences."""
+    from .chords import validate_partials
+    from .geometry import circle_curve
+
     if (spec_path is None) == (circle is None):
         raise click.UsageError("exactly one of --spec / --circle is required")
     if circle is not None:

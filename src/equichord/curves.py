@@ -29,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import angles
+from .core import _count
 from .errors import NonConvex, NotClosed, OutOfRange
 from .fourier import Harmonic, TrigPolynomial
 from .geometry import (
@@ -36,7 +37,6 @@ from .geometry import (
     Geometry,
     ParametricCurve,
     _band_grid,
-    _count,
     _radial_graph,
     _resolved_band,
     Points,

@@ -10,8 +10,10 @@ Conventions fixed here and relied on everywhere else:
 * "Angle with the curve" always means the angle in (0, pi) measured from the
   forward tangent.
 * Everything that differs between the three geometries is one row of the
-  table behind ``Geometry.kernel``; formulas elsewhere are written once in
-  the curvature K through sn_K, cs_K and tn_K.
+  table behind ``Geometry.kernel``, set on each member of ``core.Geometry``
+  here; formulas elsewhere are written once in the curvature K through sn_K,
+  cs_K and tn_K.  The member's own fields, cs_K on a Python float and the
+  circle bound, are what the numpy-free angle path reads.
 * A point, or a batch of points, is a tuple of coordinate columns, (x, y) on
   E2 and (x0, x1, x2) on S2 and H2: numbers for one point (a shot's are Python
   floats), arrays for a batch.  Curves return ``Points``, which ``np.asarray``
@@ -20,7 +22,6 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -28,6 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .core import Geometry, _NaNValue, _all, _any, _check_radius, _newton, _where
 from .errors import Degenerate, NonConvex, OutOfRange
 from .fourier import TrigPolynomial
 
@@ -43,124 +45,16 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
-# ---------------------------------------------------------------------------
-# bracketed root finding
-
-
-_NEWTON_ROUNDS = 60  # a lane not stopped after this many rounds raises
-# a lane stops on a step below this times max(1, |x|); a Python float, since an np.float64
-# would make every test of a lane of floats a numpy bool
-_NEWTON_TOL = 8 * 2.0 ** -52
-
-
-class _NaNValue(RuntimeError):
-    """A running Newton lane's function value is NaN at x."""
-
-    def __init__(self, x: float):
-        super().__init__(f"the function value at x={x!r} is NaN")
-        self.x = x
-
-
-def _newton(f, neg, pos, x):
-    """Roots of f, one per lane, by Newton's method safeguarded by bisection.
-
-    neg, pos and the first iterate x are numbers, or arrays of one shape, with
-    f(neg) < 0 < f(pos) and x between them; ``f(x)`` returns (f, f') at an x
-    of that shape.  One body runs them all: a lane of Python floats, or a numpy
-    scalar, stays on numbers of its type.  A lane stops when its step is below
-    _NEWTON_TOL max(1, |x|), 8 eps of double.  Otherwise the end of f's sign
-    moves to x, and a step landing outside the bracket, or longer than half
-    the step two rounds before (a bisection's step is half its bracket),
-    becomes the bracket's midpoint; a bracket below that tolerance stops the
-    lane.  The second test ends cycles that shrink the bracket by a little
-    each round: Newton jumping across the root of an arctan, or across a root
-    whose f is rounding noise on a flat slope.  Lanes run in place until the
-    slowest stops; a stopped lane is still evaluated but keeps its root, so
-    each lane takes the steps it would take alone.  Raises _NaNValue, a
-    RuntimeError naming x, on a NaN f in a running lane, and RuntimeError
-    after _NEWTON_ROUNDS rounds.
-    """
-    before = last = math.inf  # the lengths of the last two steps
-    done = False  # each lane's stop, as a bool or a bool array once a round has run
-    for _ in range(_NEWTON_ROUNDS):
-        y, dy = f(x)
-        step = y / dy
-        x_new = _where(done, x, x - step)  # a stopped lane keeps its root
-        size = abs(step)
-        done = done | (size < _NEWTON_TOL) | (size < _NEWTON_TOL * abs(x_new))  # below TOL max(1, |x|)
-        if _all(done):
-            return x_new
-        low = y < 0
-        neg, pos = _where(low, x, neg), _where(low, pos, x)
-        # a running lane's NaN f fails keep too
-        keep = done | (((x_new - neg) * (x_new - pos) < 0) & (size <= 0.5 * before))
-        if not _all(keep):
-            nan = _where(keep, False, y != y)
-            if _any(nan):
-                raise _NaNValue(float(np.extract(nan, x)[0]))
-            x_new = _where(keep, x_new, (neg + pos) / 2)
-            size = _where(keep, size, (pos - neg) / 2)
-            width = abs(pos - neg)
-            done = _where(keep, done, (width < _NEWTON_TOL) | (width < _NEWTON_TOL * abs(x_new)))
-            if _all(done):
-                return x_new
-        before, last = last, size
-        x = x_new
-    last_x = float(np.extract(np.logical_not(done), x)[0])
-    raise RuntimeError(f"Newton did not converge in {_NEWTON_ROUNDS} rounds, last x={last_x!r}")
-
-
 def _broadcast(u, v):
     """u and v as float arrays of their common shape."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     return (u, v) if u.shape == v.shape else np.broadcast_arrays(u, v)
 
 
-def _all(ok) -> bool:
-    """Whether a bool, a numpy bool scalar or every element of a bool array is set.
-    ``np.all`` makes a scalar an array first, about 1.5 us against 0.1 us here."""
-    if type(ok) is bool:  # a lane of floats' test, answered at a third of the cost below
-        return ok
-    return np.count_nonzero(ok) == ok.size if isinstance(ok, np.ndarray) else bool(ok)
-
-
-def _any(ok) -> bool:
-    """Whether a bool, or any element of a bool array, is set (as ``_all``)."""
-    return ok if type(ok) is bool else bool(np.count_nonzero(ok))
-
-
-def _where(c, a, b):
-    """np.where, but a Python or numpy bool ``c`` picks a or b itself: a lane of floats, or of
-    numpy scalars, stays on its own type."""
-    if type(c) is bool:  # a lane of floats' test, answered first
-        return a if c else b
-    return np.where(c, a, b) if isinstance(c, np.ndarray) else (a if c else b)
-
-
 def _sqrt(x):
     """np.sqrt, but a Python float >= 0 stays one: ``math.sqrt`` rounds as correctly as
     np.sqrt, and a Python float's arithmetic costs a fifth of a numpy scalar's."""
     return math.sqrt(x) if type(x) is float and x >= 0.0 else np.sqrt(x)
-
-
-def _count(n, what: str, least: int | None = None) -> int:
-    """n as an int; OutOfRange for NaN, an infinity, a fraction (3.0 passes), a value
-    that is no number (None, a string that int() cannot read) or, when ``least`` is
-    given, a value below it."""
-    try:
-        i = int(n)
-    except (TypeError, ValueError, OverflowError):
-        i = None
-    if i is None or i != n or (least is not None and i < least):
-        bound = "" if least is None else f" >= {least}"
-        raise OutOfRange(f"{what} must be an integer{bound}, got {n!r}")
-    return i
-
-
-def _positive(x, what: str):
-    """OutOfRange unless x is finite and positive."""
-    if not (np.isfinite(x) and x > 0):
-        raise OutOfRange(f"{what} must be finite and positive, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +140,7 @@ class _Kernel(NamedTuple):
     a trailing axis (``c[:, None]``) evaluate every lane at every q.  ``embed(x, y, pole)``
     orders planar x, planar y and the pole coordinate as ambient ``Points``;
     E2 has no pole and drops it.
-    ``max_radius`` bounds circle radii: pi/2 on S2, and on H2 arccosh of the
-    largest float, below which sinh and cosh stay finite.  ``embed_radius``
-    bounds every radius a radial graph reaches, and ``embed_reason`` says why:
+    ``embed_radius`` bounds every radius a radial graph reaches, and ``embed_reason`` says why:
     on S2 pi, below which sn_K r = sin r is positive, as the closed-form speed
     and the polar chart need; on H2 arccosh(1e12) / 2, where cosh^2 r +
     sinh^2 r = cosh 2r reaches 1e12 and the hyperboloid's -<p, p> = 1
@@ -268,7 +160,6 @@ class _Kernel(NamedTuple):
     normal: Callable
     side: Callable
     embed: Callable
-    max_radius: float
     embed_radius: float
     embed_reason: str = ""
 
@@ -278,38 +169,23 @@ _KERNELS = {
         K=0.0, sn=lambda x: x, cs=lambda x: x ** 0, tn=lambda x: x,
         dot=lambda u, v: u[0] * v[0] + u[1] * v[1], distance=_euclidean_distance, project=lambda x: x,
         normal=lambda p, t: (-t[1], t[0]), side=_line_side,
-        embed=lambda x, y, pole: Points((x, y)), max_radius=np.inf, embed_radius=np.inf),
+        embed=lambda x, y, pole: Points((x, y)), embed_radius=np.inf),
     "S2": _Kernel(
         K=1.0, sn=np.sin, cs=np.cos, tn=np.tan,
         dot=_dot3, distance=_spherical_distance,
         project=lambda x: _scale(x, _sqrt(_dot3(x, x))), normal=_cross, side=_plane_side,
-        embed=lambda x, y, pole: Points((x, y, pole)), max_radius=np.pi / 2, embed_radius=np.pi,
+        embed=lambda x, y, pole: Points((x, y, pole)), embed_radius=np.pi,
         embed_reason="sin r stops being positive and the polar chart folds over the antipode"),
     "H2": _Kernel(
         K=-1.0, sn=np.sinh, cs=np.cosh, tn=np.tanh,
         dot=_minkowski_dot, distance=_hyperbolic_distance,
         project=lambda x: _scale(x, _sqrt(-_minkowski_dot(x, x))), normal=_hyperbolic_normal,
         side=_plane_side, embed=lambda x, y, pole: Points((pole, x, y)),
-        max_radius=float(np.arccosh(np.finfo(float).max)), embed_radius=float(np.arccosh(1e12)) / 2,
+        embed_radius=float(np.arccosh(1e12)) / 2,
         embed_reason="cosh^2 r + sinh^2 r passes 1e12 and the hyperboloid's -<p, p> = 1 cancels"),
 }
-
-
-class Geometry(enum.Enum):
-    EUCLIDEAN = "E2"
-    SPHERICAL = "S2"
-    HYPERBOLIC = "H2"
-
-    def __init__(self, tag: str):
-        self.kernel = _KERNELS[tag]
-
-
-def _check_radius(geometry: Geometry, radius) -> float:
-    """Circle radius as a float, inside (0, geometry.kernel.max_radius)."""
-    bound = geometry.kernel.max_radius
-    if radius is None or not 0.0 < radius < bound:
-        raise OutOfRange(f"{geometry.value} radius must lie in (0, {bound!r}), got {radius!r}")
-    return float(radius)
+for _member in Geometry:  # a plain attribute, read on every shot
+    _member.kernel = _KERNELS[_member.value]
 
 
 def mnorm(geometry: Geometry, v):
@@ -423,7 +299,7 @@ def _radial_graph(geometry: Geometry, R: float, eps: float, g: TrigPolynomial) -
 
     r enters through S = sn_K and C = cs_K, with S' = C and C' = -K S, and the
     point is (S(r) cos t, S(r) sin t, C(r)) in the kernel's coordinate order
-    (no pole entry on E2).  OutOfRange unless R lies in (0, kernel ``max_radius``)
+    (no pole entry on E2).  OutOfRange unless R lies in (0, geometry ``max_radius``)
     and r's range, R + eps m -/+ |eps| sum_{k >= 1} |amp| with m = c0 + sum_{k = 0}
     amp cos(phase) g's constant part, lies in (0, ``embed_radius``).  Where r is
     constant (eps = 0, or g has no order above 0) the speed sn_K(r) is kept as the

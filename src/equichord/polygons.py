@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import _restr2_roots, _spectral_range
+from .core import _all, _count, _positive
 from .errors import Infeasible, NonConvex, NotAdmissible, OutOfRange
-from .geometry import _all, _count, _positive
 
 __all__ = [
     "GutkinPolygon",

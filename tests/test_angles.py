@@ -339,7 +339,7 @@ class TestNewton:
 
         one_lane = np.float64(3), np.float64(0), np.float64(1)
         assert _newton(cos, *one_lane) == pytest.approx(np.pi / 2, abs=1e-15)
-        monkeypatch.setattr("equichord.geometry._NEWTON_ROUNDS", 2)
+        monkeypatch.setattr("equichord.core._NEWTON_ROUNDS", 2)
         with pytest.raises(RuntimeError, match="did not converge in 2 rounds"):
             _newton(cos, *one_lane)
 
@@ -359,7 +359,7 @@ class TestNewton:
         def cos(x):
             return np.cos(x), -np.sin(x)
 
-        monkeypatch.setattr("equichord.geometry._NEWTON_ROUNDS", 2)
+        monkeypatch.setattr("equichord.core._NEWTON_ROUNDS", 2)
         with pytest.raises(RuntimeError, match="did not converge in 2 rounds") as block:
             _newton(cos, np.array([3.0, 3.0]), np.array([0.0, 0.0]), np.array([1.0, 1.5]))
         with pytest.raises(RuntimeError, match="did not converge in 2 rounds") as floats:
@@ -387,7 +387,7 @@ class TestNewton:
         assert roots[0] == 1.0 and roots[1] == _newton(steep, *map(np.float64, alone))
         floats = _newton(_on_floats(steep), *alone)
         assert type(floats) is float and floats == roots[1]
-        monkeypatch.setattr("equichord.geometry._NEWTON_ROUNDS", 2)
+        monkeypatch.setattr("equichord.core._NEWTON_ROUNDS", 2)
         with pytest.raises(RuntimeError, match="did not converge in 2 rounds") as one:
             _newton(steep, *map(np.float64, alone))
         calls = []

@@ -20,7 +20,7 @@ from equichord import (
     validate_partials,
 )
 from equichord.errors import Degenerate, NonConvex, OutOfRange
-from equichord import geometry
+from equichord import core
 from equichord.geometry import mnorm
 import oracles
 from oracles import curves, h2_circle_jet, stencil_inversions
@@ -90,7 +90,7 @@ class TestArcLength:
     def test_t_of_s_fails_loudly(self, wavy_curve, monkeypatch):
         # a slope 1e6 times too large makes every Newton step tiny; bisection alone
         # would close the bracket in about 49 rounds, so 40 rounds end in a RuntimeError
-        monkeypatch.setattr(geometry, "_NEWTON_ROUNDS", 40)
+        monkeypatch.setattr(core, "_NEWTON_ROUNDS", 40)
         arclen = ArcLengthParam(wavy_curve)
         true_s_and_slope = arclen._s_and_slope
 
@@ -117,6 +117,32 @@ class TestArcLength:
             for s in (bad, np.array([0.5, bad, 1.0])):
                 with pytest.raises(OutOfRange, match=f"^arc length s must be finite, got {bad!r}$"):
                     arclen.t_of_s(s)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make", [
+        lambda: build_e2_curve(FourierCurveE2(1.0, (Harmonic(3, 0.3, 0.0), Harmonic(5, 0.1, -1.0)))),
+        lambda: circle_curve(Geometry.EUCLIDEAN, 2.0),
+    ], ids=["E2", "circle"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_t_of_s_refuses_a_start_that_is_not_finite(self, make, bad):
+        """A NaN start once raised the private _NaNValue, a RuntimeError, and an
+        infinite one warned from np.sin; a circle, which takes no Newton step,
+        refuses it too.  A bad s is named first."""
+        arclen = ArcLengthParam(make())
+        for s, start in ((1.0, bad), (np.array([0.5, 1.0]), np.array([0.5, bad]))):
+            with pytest.raises(OutOfRange, match=f"^start must be finite, got {bad!r}$"):
+                arclen.t_of_s(s, start=start)
+        with pytest.raises(OutOfRange, match=f"^arc length s must be finite, got {bad!r}$"):
+            arclen.t_of_s(np.array([bad, 1.0]), start=np.array([0.5, bad]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_s_of_t_refuses_values_that_are_not_finite(self, wavy_curve, bad):
+        """s_of_t(nan) once returned NaN silently and s_of_t(inf) warned from np.sin."""
+        arclen = ArcLengthParam(wavy_curve)
+        for t in (bad, np.array([0.5, bad, 1.0])):
+            with pytest.raises(OutOfRange, match=f"^parameter t must be finite, got {bad!r}$"):
+                arclen.s_of_t(t)
 
     def test_total_length_matches_rho_mean(self, wavy_curve):
         # in the turning-angle parameter the speed is rho, so length = 2 pi c0

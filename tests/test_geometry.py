@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from equichord import (
 )
 from equichord import geometry
 from equichord.chords import chord_data
+from equichord.cli import main
 from equichord.errors import Degenerate, NonConvex, OutOfRange
 from equichord.geometry import ParametricCurve, Points, _chord_tangent_at_arrival, _newton, mnorm
 from oracles import curves, grid_shot
@@ -138,7 +140,7 @@ class TestCircleRadius:
     def test_h2_bound_is_where_sinh_and_cosh_overflow(self):
         """max_radius bounds R in the angle formulas, which need only sinh and cosh
         of R: just below it they are finite, and the bound itself is refused."""
-        bound = Geometry.HYPERBOLIC.kernel.max_radius
+        bound = Geometry.HYPERBOLIC.max_radius
         for formula in (contact_angle_from_c, f_star):
             with pytest.raises(OutOfRange, match="H2 radius must lie in"):
                 formula(Geometry.HYPERBOLIC, bound, 1.0)
@@ -150,11 +152,23 @@ class TestCircleRadius:
     @pytest.mark.parametrize("geometry", [Geometry.SPHERICAL, Geometry.HYPERBOLIC])
     def test_refusal_prints_the_bound_in_full(self, geometry):
         # a rounded bound let the message's interval seem to admit the radius
-        bound = geometry.kernel.max_radius
+        bound = geometry.max_radius
         with pytest.raises(OutOfRange) as refused:
             circle_curve(geometry, 710.4759 if geometry is Geometry.HYPERBOLIC else 1.5708)
         printed = re.fullmatch(r".* must lie in \(0, (.*)\), got .*", str(refused.value)).group(1)
         assert float(printed) == bound
+
+    def test_bounds_are_numpys(self):
+        """The circle bound lives on the Geometry members, off the numpy kernel, as a
+        literal: numpy's arccosh, which math.acosh misses by an ulp (710.4758600739439),
+        as it misses the hyperboloid's bound (14.162084148244245).  A refusal at the
+        bound prints it as before, byte for byte."""
+        assert Geometry.HYPERBOLIC.max_radius == float(np.arccosh(np.finfo(float).max)) == 710.475860073944
+        assert Geometry.SPHERICAL.max_radius == np.pi / 2 and Geometry.EUCLIDEAN.max_radius == np.inf
+        assert Geometry.HYPERBOLIC.kernel.embed_radius == float(np.arccosh(1e12)) / 2 == 14.162084148244247
+        result = CliRunner().invoke(main, ["solve-angle", "--k", "4", "--geometry", "H2", "--radius", "711"])
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            3, "", "error: H2 radius must lie in (0, 710.475860073944), got 711.0\n")
 
 
 def _both_sides(t0, theta):

@@ -3,6 +3,7 @@ and every error the library raises belongs to its error contract."""
 
 import ast
 import importlib
+import json
 import pathlib
 import subprocess
 import sys
@@ -79,13 +80,61 @@ def test_no_bare_builtin_errors():
     assert not offenders, offenders
 
 
-def test_runs_without_scipy():
-    """The package needs numpy and click only: it imports and solves with scipy blocked."""
-    code = ("import sys; sys.modules['scipy'] = None\n"
-            "from equichord.cli import main\n"
-            "main(['solve-angle', '--k', '4'])\n")
-    env_path = str(SRC.parent)
+# solve-angle's roots and contact angles as they print, E2, S2 at R = 1 and H2 at R = 1.3
+SOLVE_ANGLE_K4 = {
+    (): [(1.1502619915109316, 1.1502619915109316), (1.9913306620788618, 1.9913306620788618)],
+    ("--geometry", "S2", "--radius", "1.0"): [(1.1502619915109316, 0.8793859590243741),
+                                              (1.9913306620788618, 2.2622066945654193)],
+    ("--geometry", "H2", "--radius", "1.3"): [(1.1502619915109316, 1.3476678260791088),
+                                              (1.9913306620788618, 1.7939248275106845)],
+}
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={"PYTHONPATH": env_path, "PATH": ""}, timeout=120)
+                          env={"PYTHONPATH": str(SRC.parent), "PATH": ""}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "1.1502619915" in proc.stdout
+    return proc
+
+
+def test_runs_without_scipy():
+    """The package needs numpy and click only, and solve-angle and --help need no numpy:
+    with both blocked they run, with the digits they print with numpy installed."""
+    commands = [["--help"]] + [["solve-angle", "--k", "4", *extra] for extra in SOLVE_ANGLE_K4]
+    code = ("import sys; sys.modules['scipy'] = sys.modules['numpy'] = None\n"
+            "from equichord.cli import main\n"
+            f"for args in {commands!r}:\n"
+            "    try:\n"
+            "        main(args)\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code in (0, None), (args, exc.code)\n"
+            "    print('<end>')\n")
+    help_text, *outputs, tail = _run_python(code).stdout.split("<end>\n")
+    assert "solve-angle" in help_text and len(outputs) == len(SOLVE_ANGLE_K4) and tail == ""
+    for extra, output in zip(SOLVE_ANGLE_K4, outputs):
+        assert [(s["c"], s["alpha"]) for s in json.loads(output)] == SOLVE_ANGLE_K4[extra], extra
+
+
+def test_import_runs_no_layer():
+    """``import equichord`` loads no numpy and runs no module of the package: each is
+    registered unexecuted, as perfbench's tracer reads them from sys.modules."""
+    code = ("import sys, types\n"
+            "import equichord\n"
+            "assert 'numpy' not in sys.modules\n"
+            "ran = [n for n, m in sys.modules.items() if n.startswith('equichord.') and type(m) is types.ModuleType]\n"
+            "assert not ran, ran\n"
+            "for layer in ('angles', 'geometry', 'chords', 'curves', 'billiards', 'polygons'):\n"
+            "    assert f'equichord.{layer}' in sys.modules, layer\n")
+    _run_python(code)
+
+
+def test_public_names_are_their_modules_objects():
+    """Every name in ``equichord.__all__`` is listed once, in ``dir(equichord)``, and is the
+    object its defining module holds."""
+    assert len(set(equichord.__all__)) == len(equichord.__all__)
+    assert set(equichord.__all__) <= set(dir(equichord))
+    for name in equichord.__all__:
+        obj = getattr(equichord, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    with pytest.raises(AttributeError):
+        equichord.no_such_name
